@@ -99,15 +99,14 @@ fn main() {
                 single.median_ms / t2.median_ms
             );
         }
-        if let (Some(t1), Some(padded)) = (
-            entry("serve_throughput_batched_t1"),
-            entry("serve_layout_padded"),
+        if let (Some(fused), Some(per_example), Some(gflops)) = (
+            report.median_of("serve_forward_fused"),
+            report.median_of("serve_forward_per_example"),
+            report.median_of("serve_forward_fused_gflops"),
         ) {
             println!(
-                "  padded serving layout: {:.0} qps plain t1, {:.0} qps padded ({:.2}x)",
-                qps(t1),
-                qps(padded),
-                t1.median_ms / padded.median_ms
+                "  fused serving forward: {gflops:.1} GFLOP/s, {:.2}x the per-example loop",
+                per_example / fused
             );
         }
         if let (Some(f32b), Some(f16b), Some(i8b)) = (

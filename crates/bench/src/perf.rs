@@ -18,11 +18,14 @@
 //! `serve_sharded_k{1,4}` scenarios (the same stream through a
 //! `ShardedServer` over 1 and 4 data shards — the k1/k4 ratio is the
 //! per-query cost of scattering to more shards on one box; in a real
-//! deployment each shard runs on its own hardware), the padded-layout
-//! and quantized serving entries (`serve_layout_padded` vs the plain
-//! `serve_throughput_batched_t1` tracks the pre-transposed GEMM win;
-//! `serve_batched_{f16,i8}` pin that quantized models serve at full
-//! speed) with the `artifact_bytes_{f32,f16,i8}` size curve, and the
+//! deployment each shard runs on its own hardware), the serving
+//! kernel's own pair (`serve_forward_fused` timed rep-for-rep against
+//! `serve_forward_per_example` on the same rows — the entry that pins
+//! the `nn::fused` tile shape — with `serve_forward_fused_gflops`
+//! computed from the shapes) and `route_batch_4096`, the quantized
+//! serving entries (`serve_batched_{f16,i8}` pin that quantized models
+//! serve at full speed) with the `artifact_bytes_{f32,f16,i8}` size
+//! curve, and the
 //! maintenance-path `refresh_full` vs `refresh_partial_1of4` pair
 //! (rebuild all four shards of a drifted deployment vs only the stale
 //! one; same iters, so the median ratio is the tracked partial-refresh
@@ -89,13 +92,15 @@ impl PerfReport {
     /// median regressed by more than `factor` is reported. Skipped as
     /// incomparable: sub-millisecond baseline medians (at that scale the
     /// comparison measures timer noise, not the code — the suites size
-    /// `iters` so no tracked scenario lands under the floor in practice)
+    /// `iters` so no tracked scenario lands under the floor in practice),
+    /// `*_gflops` entries (rates riding the report: higher is better)
     /// and entries whose per-repetition `iters` changed (the medians then
     /// measure different amounts of work).
     pub fn regressions_vs(&self, baseline: &PerfReport, factor: f64) -> Vec<String> {
         let mut out = Vec::new();
         for base in &baseline.entries {
-            if base.median_ms < 1.0 {
+            // Sub-ms: noise. `*_gflops`: a rate, higher is better.
+            if base.median_ms < 1.0 || base.name.ends_with("_gflops") {
                 continue;
             }
             let Some(cur) = self.entries.iter().find(|e| e.name == base.name) else {
@@ -525,10 +530,6 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
                 threads: 2,
                 max_shard: 1024,
                 active_attrs: None,
-                // Pinned to the plain per-batch-transpose path so these
-                // entries keep measuring what their committed baselines
-                // measured; `serve_layout_padded` tracks the layout win.
-                layout: false,
                 cache: CachePolicy::OFF,
             },
         );
@@ -548,7 +549,7 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
 
     // Answer-cache serving (`serve_cached_cold` / `serve_cached_hot` /
     // `serve_dedup_batch`): the generation-keyed answer cache and the
-    // in-batch dedup front over the same t1 plain-path server as
+    // in-batch dedup front over the same t1 server as
     // `serve_throughput_batched_t1`, so the medians decompose cleanly
     // (the block runs back-to-back with the t1/t2 entries so the
     // compared medians also share the machine state of the moment):
@@ -577,8 +578,6 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
             threads: 1,
             max_shard: 1024,
             active_attrs: None,
-            // Plain path, comparable to `serve_throughput_batched_t1`.
-            layout: false,
             cache,
         };
         let mk_server = |cache: CachePolicy| {
@@ -677,18 +676,79 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
         );
     }
 
-    // The same t1 stream through the pre-transposed, block-padded
-    // serving layout (the `ServeOptions::layout` default): the median
-    // delta vs `serve_throughput_batched_t1` IS the tracked layout win —
-    // batches skip every per-batch weight transpose and run the dense
-    // padded GEMM kernel. `serve_batched_{f16,i8}` then serve the
-    // quantized sketches through the identical front, so the recorded
+    // The serving kernel on its own (`serve_forward_fused`): 4 096 rows
+    // through one paper-shaped model's `ServingLayout`, timed rep for
+    // rep against the per-example `forward_with` loop over the same rows
+    // (`serve_forward_per_example`) — the ratio is what batching buys
+    // per forward pass, and the fused median pins the `nn::fused` tile
+    // shape: a shape the autovectoriser stops handling shows up here as
+    // a multiple, not a percentage. `serve_forward_fused_gflops` is
+    // computed from the shapes (real multiply-adds, padding excluded).
+    {
+        const ROWS: usize = 4_096;
+        let sizes = [4usize, 60, 30, 30, 1];
+        let mlp = nn::Mlp::new(&sizes, 0);
+        let layout = mlp.serving_layout();
+        let x: Vec<f64> = (0..ROWS * sizes[0])
+            .map(|i| ((i * 37 % 101) as f64) / 101.0 - 0.3)
+            .collect();
+        let mut out = vec![0.0; ROWS];
+        let mut sws = nn::fused::ServingWorkspace::default();
+        let mut pws = nn::mlp::Workspace::default();
+        let (fused, per_example) = time_paired(
+            reps,
+            || {
+                for _ in 0..iters {
+                    layout.forward_into(&mut sws, std::hint::black_box(&x), &mut out);
+                    std::hint::black_box(out[0]);
+                }
+            },
+            || {
+                for _ in 0..iters {
+                    for row in x.chunks_exact(sizes[0]) {
+                        std::hint::black_box(mlp.forward_with(&mut pws, row)[0]);
+                    }
+                }
+            },
+        );
+        push("serve_forward_fused", iters, fused);
+        push("serve_forward_per_example", iters, per_example);
+        let flops: usize = sizes.windows(2).map(|w| 2 * w[0] * w[1]).sum();
+        let gflops = (ROWS * iters * flops) as f64 / (fused.0 * 1e6);
+        push("serve_forward_fused_gflops", 1, (gflops, gflops));
+    }
+
+    // Routing on its own (`route_batch_4096`): `DqdRouter::route` over
+    // 4 096 queries — one kd-tree descent, one leaf-table lookup and one
+    // precomputed flag per query, no allocation.
+    {
+        let router = DqdRouter::new(
+            sketch.clone(),
+            build_report.leaf_aqcs.clone(),
+            RoutingPolicy::default(),
+        );
+        let queries: Vec<&Vec<f64>> = sc.wl.queries.iter().cycle().take(4_096).collect();
+        let iters = 100;
+        push(
+            "route_batch_4096",
+            iters,
+            time_reps(reps, || {
+                for _ in 0..iters {
+                    for q in &queries {
+                        std::hint::black_box(router.route(q, None));
+                    }
+                }
+            }),
+        );
+    }
+
+    // `serve_batched_{f16,i8}` serve the quantized sketches through the
+    // same front as `serve_throughput_batched_t1`, so the recorded
     // medians document that quantization changes artifact size, not
     // serving cost (both decode to plain f64 models at load).
     {
         use nn::QuantMode;
         for (name, model) in [
-            ("serve_layout_padded", sketch.clone()),
             ("serve_batched_f16", sketch.quantized_to(QuantMode::F16)),
             ("serve_batched_i8", sketch.quantized_to(QuantMode::I8)),
         ] {
@@ -703,7 +763,6 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
                     threads: 1,
                     max_shard: 1024,
                     active_attrs: None,
-                    layout: true,
                     cache: CachePolicy::OFF,
                 },
             );
@@ -758,8 +817,6 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
                 threads: 2,
                 max_shard: 1024,
                 active_attrs: None,
-                // Plain path, matching the committed k1/k4 baselines.
-                layout: false,
                 cache: CachePolicy::OFF,
             },
         );

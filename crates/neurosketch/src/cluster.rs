@@ -28,8 +28,7 @@ use crate::cache::{aggregate_tag, serve_cached, AnswerCache, CachePolicy, CacheS
 use crate::deploy::{DeployKind, DeployStats, Deployment, DeploymentInfo};
 use crate::persist::{self, PersistError};
 use crate::shard::{
-    build_shard_sketch, finish_guarded, splitmix64, ShardLayout, ShardPlan, ShardSketch,
-    ShardedSketch,
+    build_shard_sketch, finish_guarded, splitmix64, ShardPlan, ShardSketch, ShardedSketch,
 };
 use crate::sketch::{BatchScratch, NeuroSketchConfig};
 use crate::SketchError;
@@ -70,13 +69,6 @@ pub struct ClusterOptions {
     /// partial (quorum) answer with the uncovered groups contributing
     /// nothing to the merge.
     pub quorum: f64,
-    /// Build a pre-transposed block-padded serving layout
-    /// ([`ShardLayout`]) per replica and scatter through the dense
-    /// GEMM path, as [`crate::serve::ServeOptions::layout`] does for
-    /// the single-node server. Answers are bitwise identical either
-    /// way; this trades memory (one padded parameter copy per replica)
-    /// for batch throughput.
-    pub layout: bool,
     /// Answer cache + in-batch dedup front ([`crate::cache`]) for
     /// [`Cluster::answer_batch`]. Keys carry the generation each batch
     /// actually served (the routing decision's target), so a rolling
@@ -94,7 +86,6 @@ impl Default for ClusterOptions {
             threads: 4,
             max_shard: 1024,
             quorum: 1.0,
-            layout: true,
             cache: CachePolicy::OFF,
         }
     }
@@ -120,10 +111,6 @@ pub enum ReplicaHealth {
 #[derive(Debug, Clone)]
 pub struct Replica {
     sketch: ShardSketch,
-    /// Pre-transposed serving layout for `sketch`, rebuilt on every
-    /// artifact swap; `None` when [`ClusterOptions::layout`] is off or
-    /// the slot holds no loadable sketch.
-    layout: Option<ShardLayout>,
     generation: u64,
     health: ReplicaHealth,
     pinned: bool,
@@ -644,24 +631,20 @@ impl Cluster {
             .shards()
             .iter()
             .enumerate()
-            .map(|(i, shard)| {
-                let layout = opts.layout.then(|| shard.serving_layout());
-                ShardGroup {
-                    logical: vec![i],
-                    physical: Some(i),
-                    replicas: (0..replicas)
-                        .map(|_| Replica {
-                            sketch: shard.clone(),
-                            layout: layout.clone(),
-                            generation,
-                            health: ReplicaHealth::Healthy,
-                            pinned: false,
-                            served: 0,
-                            upgrade_seq: 0,
-                        })
-                        .collect(),
-                    rr_cursor: 0,
-                }
+            .map(|(i, shard)| ShardGroup {
+                logical: vec![i],
+                physical: Some(i),
+                replicas: (0..replicas)
+                    .map(|_| Replica {
+                        sketch: shard.clone(),
+                        generation,
+                        health: ReplicaHealth::Healthy,
+                        pinned: false,
+                        served: 0,
+                        upgrade_seq: 0,
+                    })
+                    .collect(),
+                rr_cursor: 0,
             })
             .collect();
         Ok(Cluster {
@@ -766,7 +749,6 @@ impl Cluster {
                         if !usable[r] {
                             return Replica {
                                 sketch: ShardSketch::from_models([None, None, None]),
-                                layout: None,
                                 generation: 0,
                                 health: ReplicaHealth::LoadFailed,
                                 pinned: false,
@@ -777,10 +759,8 @@ impl Cluster {
                         match persist::load_shard(path.as_ref(), g) {
                             Ok((sketch, manifest)) => {
                                 healthy_total += 1;
-                                let layout = opts.layout.then(|| sketch.serving_layout());
                                 Replica {
                                     sketch,
-                                    layout,
                                     generation: manifest.generation,
                                     health: ReplicaHealth::Healthy,
                                     pinned: false,
@@ -796,7 +776,6 @@ impl Cluster {
                                 });
                                 Replica {
                                     sketch: ShardSketch::from_models([None, None, None]),
-                                    layout: None,
                                     generation: 0,
                                     health: ReplicaHealth::LoadFailed,
                                     pinned: false,
@@ -1298,10 +1277,8 @@ impl Cluster {
                 Ok((sketch, m)) => {
                     let from = self.groups[gi].replicas[ri].generation;
                     self.upgrade_seq += 1;
-                    let layout = self.opts.layout.then(|| sketch.serving_layout());
                     let rep = &mut self.groups[gi].replicas[ri];
                     rep.sketch = sketch;
-                    rep.layout = layout;
                     rep.generation = m.generation;
                     rep.upgrade_seq = self.upgrade_seq;
                     self.events.push(ClusterEvent::UpgradeApplied {
@@ -1383,10 +1360,8 @@ impl Cluster {
         }
         let (sketch, m) = persist::load_shard(manifest_path.as_ref(), phys)?;
         self.upgrade_seq += 1;
-        let layout = self.opts.layout.then(|| sketch.serving_layout());
         let rep = &mut self.groups[group].replicas[replica];
         rep.sketch = sketch;
-        rep.layout = layout;
         rep.generation = m.generation;
         rep.health = ReplicaHealth::Healthy;
         rep.pinned = false;
@@ -1487,13 +1462,11 @@ impl Cluster {
         }
         let parent = self.groups.remove(group);
         for (l, sketch) in fine {
-            let layout = self.opts.layout.then(|| sketch.serving_layout());
             let replicas = parent
                 .replicas
                 .iter()
                 .map(|r| Replica {
                     sketch: sketch.clone(),
-                    layout: layout.clone(),
                     generation: r.generation,
                     health: r.health,
                     pinned: r.pinned,
@@ -1561,14 +1534,7 @@ fn scatter_moments(
             let rep = &groups[g].replicas[r];
             let mut moments = Vec::with_capacity(queries.len());
             for chunk in queries.chunks(max_chunk) {
-                // The layout path is bitwise identical to the plain
-                // path (`ShardSketch::moments_batch_with_layout`'s
-                // contract), so routing through it never perturbs the
-                // cluster's replica-interchangeability guarantees.
-                moments.extend(match &rep.layout {
-                    Some(layout) => rep.sketch.moments_batch_with_layout(layout, scratch, chunk),
-                    None => rep.sketch.moments_batch_with(scratch, chunk),
-                });
+                moments.extend(rep.sketch.moments_batch_with(scratch, chunk));
             }
             moments
         },

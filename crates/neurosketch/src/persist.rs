@@ -277,7 +277,7 @@ pub fn encoded_len_with(sketch: &NeuroSketch, mode: QuantMode) -> usize {
     let internals = leaves.saturating_sub(1);
     let models: usize = sketch
         .models()
-        .values()
+        .iter()
         .map(|m| 25 + nn::binary::encoded_len_with(&m.mlp, mode))
         .sum();
     12 + 4 + internals * 21 + leaves + 4 + models + 1 + 8
@@ -352,11 +352,9 @@ fn encode(sketch: &NeuroSketch, router: Option<&RouterMeta>, mode: QuantMode) ->
         .enumerate()
         .filter_map(|(i, n)| matches!(n, FlatNode::Leaf).then_some(i))
         .collect();
-    let arena_leaves = sketch.tree().leaf_ids();
-    debug_assert_eq!(flat_leaves.len(), arena_leaves.len());
+    debug_assert_eq!(flat_leaves.len(), sketch.models().len());
     buf.put_u32_le(flat_leaves.len() as u32);
-    for (&flat_leaf, arena_leaf) in flat_leaves.iter().zip(arena_leaves) {
-        let model = &sketch.models()[&arena_leaf];
+    for (&flat_leaf, model) in flat_leaves.iter().zip(sketch.models()) {
         buf.put_u32_le(flat_leaf as u32);
         buf.put_f64_le(model.y_mean);
         buf.put_f64_le(model.y_std);
@@ -534,7 +532,7 @@ pub fn decode(mut data: Bytes) -> Result<Artifact, PersistError> {
             )));
         }
         if models
-            .insert(leaf, LeafModel { mlp, y_mean, y_std })
+            .insert(leaf, LeafModel::new(mlp, y_mean, y_std))
             .is_some()
         {
             return Err(PersistError::Corrupt(format!("two models for leaf {leaf}")));
@@ -597,9 +595,12 @@ pub fn decode(mut data: Bytes) -> Result<Artifact, PersistError> {
     }
 
     Ok(Artifact {
+        // One model per leaf, no duplicates (checked above): the map
+        // holds exactly the leaves, and ascending flat index is leaf
+        // order for a preorder table.
         sketch: NeuroSketch::from_parts(
             tree,
-            models,
+            models.into_values().collect(),
             query_dim,
             container_mode.unwrap_or(QuantMode::F32),
         ),
@@ -652,10 +653,8 @@ pub fn encode_sketch_legacy_v1(sketch: &NeuroSketch) -> Bytes {
         .enumerate()
         .filter_map(|(i, n)| matches!(n, FlatNode::Leaf).then_some(i))
         .collect();
-    let arena_leaves = sketch.tree().leaf_ids();
     buf.put_u32_le(flat_leaves.len() as u32);
-    for (&flat_leaf, arena_leaf) in flat_leaves.iter().zip(arena_leaves) {
-        let model = &sketch.models()[&arena_leaf];
+    for (&flat_leaf, model) in flat_leaves.iter().zip(sketch.models()) {
         buf.put_u32_le(flat_leaf as u32);
         buf.put_f64_le(model.y_mean);
         buf.put_f64_le(model.y_std);

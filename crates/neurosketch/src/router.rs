@@ -58,6 +58,9 @@ pub struct DqdRouter {
     /// `BuildReport::leaf_aqcs`).
     leaf_aqcs: Vec<f64>,
     policy: RoutingPolicy,
+    /// The complexity rule, precomputed per partition:
+    /// `leaf_aqcs[p] > policy.max_leaf_aqc`.
+    hard: Vec<bool>,
 }
 
 impl DqdRouter {
@@ -72,6 +75,7 @@ impl DqdRouter {
             "need one AQC per partition"
         );
         DqdRouter {
+            hard: leaf_aqcs.iter().map(|&a| a > policy.max_leaf_aqc).collect(),
             sketch,
             leaf_aqcs,
             policy,
@@ -102,16 +106,20 @@ impl DqdRouter {
     /// the query's active range widths (`None` when the predicate has no
     /// meaningful volume, e.g. half-spaces — the range rule is skipped).
     pub fn route(&self, q: &[f64], range_volume: Option<f64>) -> Route {
-        if let Some(v) = range_volume {
-            if v < self.policy.min_range_volume {
-                return Route::ExactSmallRange;
-            }
+        self.route_located(self.sketch.leaf_index_of(q), range_volume)
+    }
+
+    /// [`DqdRouter::route`] for a query already located in partition
+    /// `leaf` — the batched serving path locates a batch once and reuses
+    /// the leaf ids for routing and grouping.
+    pub(crate) fn route_located(&self, leaf: usize, range_volume: Option<f64>) -> Route {
+        if range_volume.is_some_and(|v| v < self.policy.min_range_volume) {
+            Route::ExactSmallRange
+        } else if self.hard[leaf] {
+            Route::ExactHardLeaf
+        } else {
+            Route::Sketch
         }
-        let leaf = self.sketch.leaf_index_of(q);
-        if self.leaf_aqcs[leaf] > self.policy.max_leaf_aqc {
-            return Route::ExactHardLeaf;
-        }
-        Route::Sketch
     }
 
     /// Answer a query, falling back to `exact` when the policy routes

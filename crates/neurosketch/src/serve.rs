@@ -9,18 +9,16 @@
 //!   reusable [`BatchScratch`]/exact-engine scratch per worker, so
 //!   steady-state serving performs no per-query allocation and
 //!   throughput scales with threads;
-//! * within a shard, sketch-routed queries are grouped by kd-tree leaf
-//!   and answered with [`Mlp::forward_batch`](nn::Mlp::forward_batch) —
-//!   one GEMM per (partition, layer) instead of one matvec per query,
-//!   so batching pays even on a single core. With
-//!   [`ServeOptions::layout`] on (the default) those GEMMs run through
-//!   a pre-transposed, block-padded copy of every leaf's weights
-//!   ([`crate::sketch::SketchLayout`], built once at construction), so
-//!   steady-state batches skip the per-batch weight transpose entirely
-//!   and take [`nn::linalg::matmul_padded`]'s dense fast path;
-//! * every query first passes the wrapped [`DqdRouter`]'s DQD rules
-//!   (Sec. 4.3): too-small ranges and too-complex partitions go to the
-//!   configured exact engine instead of the sketch.
+//! * within a shard every query is located **once** (one kd-tree
+//!   descent into a dense partition id); that id feeds the wrapped
+//!   [`DqdRouter`]'s DQD rules (Sec. 4.3) — too-small ranges and
+//!   too-complex partitions go to the configured exact engine — and
+//!   then a counting sort that groups the sketch-routed queries by
+//!   partition;
+//! * each group runs through its model's serving layout
+//!   ([`nn::fused`]): a register-tiled forward pass with bias and ReLU
+//!   fused into the tile store, so batching pays even on a single core.
+//!   There is one compute path; docs/serving.md describes it.
 //!
 //! Answers are **bitwise identical** to calling
 //! [`NeuroSketch::answer`](crate::NeuroSketch::answer) (or the exact
@@ -54,12 +52,15 @@
 
 use crate::cache::{aggregate_tag, serve_cached, AnswerCache, CachePolicy, CacheStats};
 use crate::router::{range_volume, DqdRouter, Route};
-use crate::sketch::{BatchScratch, NeuroSketch, SketchLayout};
+use crate::sketch::{BatchScratch, NeuroSketch, NO_LEAF};
 use query::aggregate::Aggregate;
 use query::exec::QueryEngine;
 use query::predicate::PredicateFn;
 
-/// Tuning knobs for a [`SketchServer`].
+/// Tuning knobs for a [`SketchServer`] — how a batch is *scheduled*
+/// (threads, shard size), which DQD rule inputs it has, and the cache
+/// front. None of them selects a compute path: there is one (see the
+/// module docs), and answers are bitwise identical under every setting.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// Worker threads a batch fans out across.
@@ -71,13 +72,6 @@ pub struct ServeOptions {
     /// the range volume for the router's range rule (Lemma 3.6). `None`
     /// skips the range rule (predicates without a meaningful volume).
     pub active_attrs: Option<usize>,
-    /// Serve through pre-transposed, block-padded weight copies
-    /// ([`crate::sketch::SketchLayout`], built once at server
-    /// construction): batches skip the per-batch weight transpose and
-    /// run the dense padded GEMM kernel. Answers are bitwise identical
-    /// either way; turning this off only trades serving throughput for
-    /// the layout's extra resident copy of the weights.
-    pub layout: bool,
     /// Answer cache + in-batch deduplication front ([`crate::cache`]).
     /// With caching on, the server owns a private [`AnswerCache`]
     /// (keyed at generation 0 — a rebuilt server starts cold, so stale
@@ -89,14 +83,13 @@ pub struct ServeOptions {
 }
 
 impl Default for ServeOptions {
-    /// Four workers, 1024-query shards, range rule off, padded layout
-    /// on, cache front off.
+    /// Four workers, 1024-query shards, range rule off, cache front
+    /// off.
     fn default() -> Self {
         ServeOptions {
             threads: 4,
             max_shard: 1024,
             active_attrs: None,
-            layout: true,
             cache: CachePolicy::OFF,
         }
     }
@@ -161,9 +154,6 @@ pub struct SketchServer<'a> {
     router: DqdRouter,
     fallback: Option<ExactBackend<'a>>,
     opts: ServeOptions,
-    /// Built once at construction when `opts.layout` is on; workers
-    /// share it read-only.
-    layout: Option<SketchLayout>,
     /// Built once at construction when `opts.cache` retains answers;
     /// private to this server instance, keyed at generation 0.
     cache: Option<AnswerCache>,
@@ -174,12 +164,10 @@ impl<'a> SketchServer<'a> {
     /// is ignored (there is nowhere to fall back to): every query goes
     /// to the sketch.
     pub fn new(router: DqdRouter, opts: ServeOptions) -> SketchServer<'static> {
-        let layout = opts.layout.then(|| router.sketch().serving_layout());
         SketchServer {
             router,
             fallback: None,
             opts,
-            layout,
             cache: Self::build_cache(&opts),
         }
     }
@@ -191,12 +179,10 @@ impl<'a> SketchServer<'a> {
         fallback: ExactBackend<'a>,
         opts: ServeOptions,
     ) -> SketchServer<'a> {
-        let layout = opts.layout.then(|| router.sketch().serving_layout());
         SketchServer {
             router,
             fallback: Some(fallback),
             opts,
-            layout,
             cache: Self::build_cache(&opts),
         }
     }
@@ -246,8 +232,9 @@ impl<'a> SketchServer<'a> {
     ///
     /// The batch is split into up to `opts.threads` shards (each at most
     /// `opts.max_shard` queries) and served on the shared worker pool;
-    /// each worker routes its shard, answers the sketch-routed queries
-    /// with leaf-grouped GEMMs, and the rest through the exact backend.
+    /// each worker locates and routes its shard, answers the
+    /// sketch-routed queries with leaf-grouped forward passes, and the
+    /// rest through the exact backend.
     pub fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, ServeStats) {
         if queries.is_empty() {
             return (Vec::new(), ServeStats::default());
@@ -255,30 +242,9 @@ impl<'a> SketchServer<'a> {
         if self.opts.cache.enabled() {
             return self.answer_batch_fronted(queries);
         }
-        self.answer_batch_direct(queries)
-    }
-
-    /// The plain path: shard the batch across workers, no cache front.
-    fn answer_batch_direct(&self, queries: &[Vec<f64>]) -> (Vec<f64>, ServeStats) {
-        let threads = self.opts.threads.max(1);
-        let shard = queries
-            .len()
-            .div_ceil(threads)
-            .clamp(1, self.opts.max_shard.max(1));
-        let shards: Vec<&[Vec<f64>]> = queries.chunks(shard).collect();
-        let parts = par::par_map_init(
-            &shards,
-            threads,
-            || (BatchScratch::default(), Vec::new()),
-            |(scratch, exact_scratch), _, chunk| self.serve_shard(scratch, exact_scratch, chunk),
-        );
-        let mut answers = Vec::with_capacity(queries.len());
-        let mut stats = ServeStats::default();
-        for (part, part_stats) in parts {
-            answers.extend(part);
-            stats.absorb(part_stats);
-        }
-        (answers, stats)
+        // No cache front: the subset to compute is the whole batch.
+        let all: Vec<usize> = (0..queries.len()).collect();
+        self.serve_subset(queries, &all)
     }
 
     /// The cache/dedup path: the shared front collapses duplicates and
@@ -299,10 +265,10 @@ impl<'a> SketchServer<'a> {
         (answers, computed)
     }
 
-    /// Answer the subset of `queries` selected by `idxs` (sorted input
-    /// indices), returning values aligned with `idxs`. Same worker
-    /// fan-out as the direct path, over index chunks instead of query
-    /// chunks.
+    /// Answer the subset of `queries` selected by `idxs`, returning
+    /// values aligned with `idxs`: split the index list into up to
+    /// `opts.threads` chunks (each at most `opts.max_shard` queries) and
+    /// serve them on the shared worker pool.
     fn serve_subset(&self, queries: &[Vec<f64>], idxs: &[usize]) -> (Vec<f64>, ServeStats) {
         let threads = self.opts.threads.max(1);
         let shard = idxs
@@ -314,8 +280,8 @@ impl<'a> SketchServer<'a> {
             &chunks,
             threads,
             || (BatchScratch::default(), Vec::new(), Vec::new()),
-            |(scratch, exact_scratch, out), _, chunk| {
-                self.serve_idx_chunk(scratch, exact_scratch, out, queries, chunk)
+            |(scratch, exact_scratch, leaves), _, chunk| {
+                self.serve_chunk(scratch, exact_scratch, leaves, queries, chunk)
             },
         );
         let mut values = Vec::with_capacity(idxs.len());
@@ -327,116 +293,40 @@ impl<'a> SketchServer<'a> {
         (values, stats)
     }
 
-    /// Route and answer one index chunk with this worker's scratch
-    /// state, compacting the answers back into chunk order.
-    ///
-    /// `out` is a worker-reused batch-length answer buffer: grown (and
-    /// zeroed) at most once per worker rather than allocated per chunk,
-    /// so a fronted all-miss batch does not pay O(batch × chunks)
-    /// zeroing the direct path avoids. Stale values from a previous
-    /// chunk are never observed — every index in `idxs` lands in
-    /// `to_sketch` or `to_exact` and is written before the final
-    /// compaction reads it.
-    fn serve_idx_chunk(
+    /// Serve one index chunk with this worker's scratch state: locate
+    /// every query once, let the DQD rules pull the refused ones out to
+    /// the exact engine (marking them [`NO_LEAF`]), and hand the rest —
+    /// still carrying their leaf ids — to the sketch's grouped forward.
+    fn serve_chunk(
         &self,
         scratch: &mut BatchScratch,
         exact_scratch: &mut Vec<f64>,
-        out: &mut Vec<f64>,
+        leaves: &mut Vec<u32>,
         queries: &[Vec<f64>],
         idxs: &[usize],
     ) -> (Vec<f64>, ServeStats) {
-        if out.len() < queries.len() {
-            out.resize(queries.len(), 0.0);
-        }
+        let mut out = vec![0.0; idxs.len()];
         let mut stats = ServeStats::default();
-        let mut to_sketch = Vec::with_capacity(idxs.len());
-        let mut to_exact = Vec::new();
-        match &self.fallback {
-            None => to_sketch.extend(idxs.iter().copied()),
-            Some(_) => {
-                for &i in idxs {
-                    let q = &queries[i];
-                    let volume = self.opts.active_attrs.map(|k| range_volume(q, k));
-                    match self.router.route(q, volume) {
-                        Route::Sketch => to_sketch.push(i),
-                        Route::ExactSmallRange => {
-                            stats.exact_small_range += 1;
-                            to_exact.push(i);
-                        }
-                        Route::ExactHardLeaf => {
-                            stats.exact_hard_leaf += 1;
-                            to_exact.push(i);
-                        }
-                    }
-                }
-            }
-        }
-        stats.sketch += to_sketch.len();
-        match &self.layout {
-            Some(l) => self
-                .sketch()
-                .answer_subset_with_layout(l, scratch, queries, &to_sketch, out),
-            None => self
-                .sketch()
-                .answer_subset_with(scratch, queries, &to_sketch, out),
-        }
+        self.sketch().locate_batch(queries, idxs, leaves);
+        // No fallback: routing is moot, everything goes to the sketch.
         if let Some(fb) = &self.fallback {
-            for &i in &to_exact {
-                out[i] =
-                    fb.engine
-                        .answer_with(exact_scratch, fb.predicate, fb.aggregate, &queries[i]);
-            }
-        }
-        (idxs.iter().map(|&i| out[i]).collect(), stats)
-    }
-
-    /// Route and answer one shard with this worker's scratch state.
-    fn serve_shard(
-        &self,
-        scratch: &mut BatchScratch,
-        exact_scratch: &mut Vec<f64>,
-        chunk: &[Vec<f64>],
-    ) -> (Vec<f64>, ServeStats) {
-        let mut out = vec![0.0; chunk.len()];
-        let mut stats = ServeStats::default();
-        let mut to_sketch = Vec::with_capacity(chunk.len());
-        let mut to_exact = Vec::new();
-        match &self.fallback {
-            // No fallback: routing is moot, everything goes to the sketch.
-            None => to_sketch.extend(0..chunk.len()),
-            Some(_) => {
-                for (i, q) in chunk.iter().enumerate() {
-                    let volume = self.opts.active_attrs.map(|k| range_volume(q, k));
-                    match self.router.route(q, volume) {
-                        Route::Sketch => to_sketch.push(i),
-                        Route::ExactSmallRange => {
-                            stats.exact_small_range += 1;
-                            to_exact.push(i);
-                        }
-                        Route::ExactHardLeaf => {
-                            stats.exact_hard_leaf += 1;
-                            to_exact.push(i);
-                        }
-                    }
+            for ((leaf, slot), &i) in leaves.iter_mut().zip(&mut out).zip(idxs) {
+                let q = &queries[i];
+                let volume = self.opts.active_attrs.map(|k| range_volume(q, k));
+                match self.router.route_located(*leaf as usize, volume) {
+                    Route::Sketch => continue,
+                    Route::ExactSmallRange => stats.exact_small_range += 1,
+                    Route::ExactHardLeaf => stats.exact_hard_leaf += 1,
                 }
+                *leaf = NO_LEAF;
+                *slot = fb
+                    .engine
+                    .answer_with(exact_scratch, fb.predicate, fb.aggregate, q);
             }
         }
-        stats.sketch += to_sketch.len();
-        match &self.layout {
-            Some(l) => self
-                .sketch()
-                .answer_subset_with_layout(l, scratch, chunk, &to_sketch, &mut out),
-            None => self
-                .sketch()
-                .answer_subset_with(scratch, chunk, &to_sketch, &mut out),
-        }
-        if let Some(fb) = &self.fallback {
-            for &i in &to_exact {
-                out[i] =
-                    fb.engine
-                        .answer_with(exact_scratch, fb.predicate, fb.aggregate, &chunk[i]);
-            }
-        }
+        stats.sketch = idxs.len() - stats.exact_small_range - stats.exact_hard_leaf;
+        self.sketch()
+            .answer_located(scratch, queries, idxs, leaves, &mut out);
         (out, stats)
     }
 }
@@ -479,27 +369,25 @@ mod tests {
             .iter()
             .map(|q| router.sketch().answer(q))
             .collect();
-        // Both serving paths — the plain per-batch-transpose one and the
-        // pre-transposed padded layout — must be bitwise the scalar loop.
-        for layout in [false, true] {
+        // Whatever the scheduling (thread count, shard size — 7 leaves
+        // partial tiles everywhere), the batch is bitwise the scalar loop.
+        for max_shard in [7, 64] {
             for threads in [1, 2, 4] {
-                let (_, _, router) = {
-                    // Rebuild per thread count: SketchServer consumes the router.
-                    let (d, w, r) = served_setup();
-                    (d, w, r)
-                };
                 let server = SketchServer::new(
-                    router,
+                    DqdRouter::new(
+                        router.sketch().clone(),
+                        router.leaf_aqcs().to_vec(),
+                        router.policy(),
+                    ),
                     ServeOptions {
                         threads,
-                        max_shard: 64,
+                        max_shard,
                         active_attrs: None,
-                        layout,
                         cache: CachePolicy::OFF,
                     },
                 );
                 let (answers, stats) = server.answer_batch(&wl.queries);
-                assert_eq!(answers, expected, "threads={threads} layout={layout}");
+                assert_eq!(answers, expected, "threads={threads} max_shard={max_shard}");
                 assert_eq!(stats.sketch, wl.queries.len());
                 assert_eq!(stats.total(), wl.queries.len());
             }
@@ -528,7 +416,6 @@ mod tests {
                 threads: 2,
                 max_shard: 128,
                 active_attrs: Some(1),
-                layout: true,
                 cache: CachePolicy::OFF,
             },
         );

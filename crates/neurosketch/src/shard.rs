@@ -81,7 +81,7 @@
 
 use crate::cache::{aggregate_tag, serve_cached, AnswerCache, CacheStats};
 use crate::serve::ServeOptions;
-use crate::sketch::{BatchScratch, NeuroSketch, NeuroSketchConfig, SketchLayout};
+use crate::sketch::{BatchScratch, NeuroSketch, NeuroSketchConfig};
 use crate::SketchError;
 use datagen::Dataset;
 use nn::QuantMode;
@@ -277,7 +277,7 @@ impl ShardSketch {
 
     /// Predict this shard's moments for every query in the batch.
     /// Components without a model stay 0 (their aggregate never reads
-    /// them). Uses the batched leaf-grouped GEMM path per component.
+    /// them). Uses the batched leaf-grouped forward pass per component.
     pub fn moments_batch_with(
         &self,
         scratch: &mut BatchScratch,
@@ -316,45 +316,6 @@ impl ShardSketch {
         }
     }
 
-    /// Prebuilt serving layouts for this shard's component models
-    /// (see [`NeuroSketch::serving_layout`]), for
-    /// [`ShardSketch::moments_batch_with_layout`]. Build once per
-    /// deployed shard; rebuild after any model change.
-    pub fn serving_layout(&self) -> ShardLayout {
-        ShardLayout {
-            layouts: [
-                self.models[0].as_ref().map(NeuroSketch::serving_layout),
-                self.models[1].as_ref().map(NeuroSketch::serving_layout),
-                self.models[2].as_ref().map(NeuroSketch::serving_layout),
-            ],
-        }
-    }
-
-    /// [`ShardSketch::moments_batch_with`] through prebuilt
-    /// [`ShardLayout`]s: each component's forward passes take the
-    /// pre-transposed, block-padded GEMM fast path. Predictions are
-    /// **bitwise identical** to the plain path.
-    pub fn moments_batch_with_layout(
-        &self,
-        layout: &ShardLayout,
-        scratch: &mut BatchScratch,
-        queries: &[Vec<f64>],
-    ) -> Vec<Moments> {
-        let mut out = vec![Moments::ZERO; queries.len()];
-        for kind in MomentKind::ALL {
-            if let Some(model) = &self.models[kind.slot()] {
-                let l = layout.layouts[kind.slot()]
-                    .as_ref()
-                    .expect("layout built from a shard with the same components");
-                let component = model.answer_batch_with_layout(l, scratch, queries);
-                for (m, v) in out.iter_mut().zip(component) {
-                    m.set_component(kind, v);
-                }
-            }
-        }
-        out
-    }
-
     /// Total trainable parameters across this shard's component models.
     pub fn param_count(&self) -> usize {
         self.models
@@ -371,25 +332,6 @@ impl ShardSketch {
             .iter()
             .flatten()
             .map(crate::persist::encoded_len)
-            .sum()
-    }
-}
-
-/// Prebuilt serving layouts for one shard's component models, in
-/// `(n, Σ, Σ²)` slot order — the sharded analog of [`SketchLayout`].
-/// Derived, in-memory-only state: never persisted.
-#[derive(Debug, Clone)]
-pub struct ShardLayout {
-    layouts: [Option<SketchLayout>; 3],
-}
-
-impl ShardLayout {
-    /// Approximate heap footprint of the padded weight copies, in bytes.
-    pub fn padded_bytes(&self) -> usize {
-        self.layouts
-            .iter()
-            .flatten()
-            .map(SketchLayout::padded_bytes)
             .sum()
     }
 }
@@ -695,9 +637,6 @@ pub struct ShardedServeStats {
 pub struct ShardedServer {
     sketch: ShardedSketch,
     opts: ServeOptions,
-    /// One prebuilt layout per shard when `opts.layout` is on; empty
-    /// otherwise. Workers share them read-only.
-    layouts: Vec<ShardLayout>,
     /// Built once at construction when `opts.cache` retains answers;
     /// private to this server instance, keyed at generation 0 (a
     /// reloaded server — e.g. [`crate::deploy::LiveDeployment`]'s
@@ -708,21 +647,11 @@ pub struct ShardedServer {
 
 impl ShardedServer {
     /// Serve a sharded deployment. `opts.threads` bounds the cross-shard
-    /// fan-out and `opts.max_shard` the per-GEMM sub-batch;
-    /// `opts.layout` serves through pre-transposed padded weight copies
-    /// (built here, once per shard); `opts.active_attrs` is ignored
+    /// fan-out and `opts.max_shard` the per-model sub-batch;
+    /// `opts.active_attrs` is ignored
     /// (scatter/gather has no DQD routing — shard sketches answer
     /// everything).
     pub fn new(sketch: ShardedSketch, opts: ServeOptions) -> ShardedServer {
-        let layouts = if opts.layout {
-            sketch
-                .shards()
-                .iter()
-                .map(ShardSketch::serving_layout)
-                .collect()
-        } else {
-            Vec::new()
-        };
         let cache = opts
             .cache
             .caching()
@@ -730,7 +659,6 @@ impl ShardedServer {
         ShardedServer {
             sketch,
             opts,
-            layouts,
             cache,
         }
     }
@@ -874,13 +802,10 @@ impl ShardedServer {
             self.sketch.shards(),
             self.opts.threads.max(1),
             BatchScratch::default,
-            |scratch, si, shard| {
+            |scratch, _, shard| {
                 let mut moments = Vec::with_capacity(queries.len());
                 for chunk in queries.chunks(max_chunk) {
-                    moments.extend(match self.layouts.get(si) {
-                        Some(l) => shard.moments_batch_with_layout(l, scratch, chunk),
-                        None => shard.moments_batch_with(scratch, chunk),
-                    });
+                    moments.extend(shard.moments_batch_with(scratch, chunk));
                 }
                 moments
             },
@@ -1115,32 +1040,31 @@ mod tests {
         .unwrap();
         assert_eq!(report.models_trained, 3);
         assert_eq!(report.shard_rows.iter().sum::<usize>(), 600);
-        // The padded-layout scatter path must recombine bitwise like the
-        // plain one at any thread count.
-        for layout in [false, true] {
+        // The scatter path must recombine bitwise like the per-query
+        // oracle at any thread count and sub-batch size.
+        for (max_shard, model_batches) in [(64, 9), (7, 69)] {
             for threads in [1, 4] {
                 let server = ShardedServer::new(
                     sharded.clone(),
                     ServeOptions {
                         threads,
-                        max_shard: 64,
+                        max_shard,
                         active_attrs: None,
-                        layout,
                         cache: CachePolicy::OFF,
                     },
                 );
                 let (answers, stats) = server.answer_batch(&wl.queries);
                 assert_eq!(stats.queries, wl.queries.len());
-                // 3 shards × 1 component × ⌈160 / 64⌉ chunks.
-                assert_eq!(stats.model_batches, 9);
+                // 3 shards × 1 component × ⌈160 / max_shard⌉ chunks.
+                assert_eq!(stats.model_batches, model_batches);
                 for (q, a) in wl.queries.iter().zip(&answers) {
                     let manual: f64 = sharded
                         .shards()
                         .iter()
                         .map(|s| s.model(MomentKind::Count).unwrap().answer(q))
                         .fold(0.0, |acc, v| acc + v);
-                    assert_eq!(*a, manual, "threads={threads} layout={layout}");
-                    assert_eq!(*a, sharded.answer(q), "threads={threads} layout={layout}");
+                    assert_eq!(*a, manual, "threads={threads} max_shard={max_shard}");
+                    assert_eq!(*a, sharded.answer(q), "threads={threads}");
                 }
             }
         }
@@ -1216,7 +1140,7 @@ mod tests {
         }
         // The equivalence survives quantization: a k=1 i8 deployment
         // answers bitwise like the i8-quantized monolithic sketch, both
-        // directly and through the layout-serving front.
+        // directly and through the serving front.
         let sharded_i8 = sharded.quantized_to(QuantMode::I8);
         let mono_i8 = mono.quantized_to(QuantMode::I8);
         let server = ShardedServer::new(sharded_i8.clone(), ServeOptions::default());

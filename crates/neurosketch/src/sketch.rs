@@ -3,8 +3,8 @@
 
 use crate::aqc::aqc_sampled;
 use crate::SketchError;
-use nn::linalg::Matrix;
-use nn::mlp::{BatchWorkspace, Workspace};
+use nn::fused::ServingWorkspace;
+use nn::mlp::Workspace;
 use nn::train::{train, TrainConfig, TrainReport};
 use nn::{Mlp, QuantMode, ServingLayout};
 use query::aggregate::Aggregate;
@@ -12,7 +12,7 @@ use query::exec::QueryEngine;
 use query::predicate::PredicateFn;
 use serde::{Deserialize, Serialize};
 use spatial::KdTree;
-use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Hyperparameters of a NeuroSketch (Sec. 4.2 / Sec. 5.1 defaults).
@@ -111,25 +111,56 @@ impl NeuroSketchConfig {
     }
 }
 
-/// One partition's trained model plus the output scaler.
+/// One partition's trained model plus the output scaler, and the
+/// serving copy of the model's parameters.
 ///
 /// Training on raw aggregate values (which for SUM/COUNT can be in the
 /// millions) destabilizes SGD, so each leaf standardizes its targets and
 /// the sketch de-standardizes at answer time. This mirrors the output
 /// scaling any practical TF implementation applies and does not change
 /// the learned function class.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct LeafModel {
     pub(crate) mlp: Mlp,
     pub(crate) y_mean: f64,
     pub(crate) y_std: f64,
+    /// What the batched path forwards through: derived from `mlp` on
+    /// the first batched use (a sketch that is only built, saved or
+    /// answered query by query never pays its ~30 KB). Private, and a
+    /// `LeafModel` is immutable once made — a retrain *replaces* it —
+    /// so the layout cannot describe any other weights.
+    layout: OnceLock<ServingLayout>,
 }
 
+impl LeafModel {
+    pub(crate) fn new(mlp: Mlp, y_mean: f64, y_std: f64) -> LeafModel {
+        LeafModel {
+            mlp,
+            y_mean,
+            y_std,
+            layout: OnceLock::new(),
+        }
+    }
+
+    fn layout(&self) -> &ServingLayout {
+        self.layout.get_or_init(|| self.mlp.serving_layout())
+    }
+}
+
+/// "Not routed to the sketch": the leaf-id column value
+/// [`NeuroSketch::answer_located`] skips.
+pub(crate) const NO_LEAF: u32 = u32::MAX;
+
 /// A trained NeuroSketch: kd-tree over the query space + one MLP per leaf.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NeuroSketch {
     tree: KdTree,
-    models: BTreeMap<usize, LeafModel>,
+    /// kd-tree node id → partition index (leaf order, as in
+    /// [`BuildReport::leaf_aqcs`]); [`NO_LEAF`] for internal nodes and
+    /// for arena slots orphaned by merging.
+    leaf_slot: Vec<u32>,
+    /// One model per partition, in leaf order.
+    models: Vec<LeafModel>,
     query_dim: usize,
     /// The parameter encoding this sketch's models are stored (or will
     /// be stored) under. Freshly built sketches default to `F32`; a
@@ -138,39 +169,20 @@ pub struct NeuroSketch {
     quant: QuantMode,
 }
 
-/// Pre-built per-partition serving layouts for a [`NeuroSketch`] —
-/// one [`ServingLayout`] per leaf model (pre-transposed, block-padded
-/// weight copies; see `nn::mlp::ServingLayout`).
-///
-/// Derived, in-memory-only state: build it once per deployed sketch
-/// with [`NeuroSketch::serving_layout`] and pass it to
-/// [`NeuroSketch::answer_subset_with_layout`]. It must be rebuilt after
-/// any model change (e.g. [`NeuroSketch::retrain_partition`]) — the
-/// serving layer constructs it together with the sketch borrow, so it
-/// can never outlive the parameters it mirrors there.
-#[derive(Debug, Clone)]
-pub struct SketchLayout {
-    layouts: BTreeMap<usize, ServingLayout>,
-    /// Padded input width shared by every leaf layout.
-    input_cols: usize,
-}
-
-impl SketchLayout {
-    /// Approximate heap footprint of the padded weight copies, in bytes.
-    pub fn padded_bytes(&self) -> usize {
-        self.layouts.values().map(|l| l.padded_bytes()).sum()
-    }
-}
-
-/// Reusable scratch for [`NeuroSketch::answer_batch_with`]: the GEMM
-/// workspace, the assembled per-leaf input matrix, and the routing/sort
-/// buffers. Keep one per serving thread; steady-state batched answering
-/// then allocates only the output vector.
+/// Reusable scratch for batched answering: the serving kernel's
+/// activation tiles, the gathered input/output rows of one partition,
+/// and the locate/grouping buffers. Keep one per serving thread;
+/// steady-state batched answering then allocates only the output vector.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
-    ws: BatchWorkspace,
-    x: Matrix,
-    keyed: Vec<(usize, usize)>,
+    ws: ServingWorkspace,
+    x: Vec<f64>,
+    y: Vec<f64>,
+    leaves: Vec<u32>,
+    /// Bucket boundaries of the counting sort, `partitions + 1` long.
+    starts: Vec<usize>,
+    /// Positions grouped by partition.
+    order: Vec<usize>,
     all: Vec<usize>,
 }
 
@@ -268,7 +280,7 @@ impl NeuroSketch {
         // behind the unluckiest worker.
         let t1 = Instant::now();
         let sizes = cfg.layer_sizes(query_dim);
-        let results: Vec<(usize, LeafModel, TrainReport)> =
+        let results: Vec<(LeafModel, TrainReport)> =
             par::par_map(&leaf_ids, cfg.threads, |_, &leaf| {
                 let qids = tree.leaf_queries(leaf);
                 let xs: Vec<Vec<f64>> = qids.iter().map(|&i| queries[i].clone()).collect();
@@ -282,24 +294,14 @@ impl NeuroSketch {
                 let mut leaf_train = cfg.train.clone();
                 leaf_train.seed = cfg.seed.wrapping_add(leaf as u64);
                 let report = train(&mut mlp, &xs, &ys, &leaf_train);
-                (leaf, LeafModel { mlp, y_mean, y_std }, report)
+                (LeafModel::new(mlp, y_mean, y_std), report)
             });
         let training = t1.elapsed();
 
-        let mut models = BTreeMap::new();
-        let mut train_reports = Vec::with_capacity(results.len());
-        for (leaf, model, report) in results {
-            models.insert(leaf, model);
-            train_reports.push(report);
-        }
+        let (models, train_reports) = results.into_iter().unzip();
 
         Ok((
-            NeuroSketch {
-                tree,
-                models,
-                query_dim,
-                quant: QuantMode::F32,
-            },
+            NeuroSketch::from_parts(tree, models, query_dim, QuantMode::F32),
             BuildReport {
                 labeling: Duration::ZERO,
                 partitioning,
@@ -327,15 +329,14 @@ impl NeuroSketch {
             q.len(),
             self.query_dim
         );
-        let leaf = self.tree.locate(q);
-        let model = self.models.get(&leaf).expect("every leaf has a model");
+        let model = &self.models[self.leaf_index_of(q)];
         model.mlp.predict_with(ws, q) * model.y_std + model.y_mean
     }
 
-    /// Answer a batch of queries with one GEMM per (partition, layer)
-    /// instead of one matvec per query. Convenience wrapper around
-    /// [`NeuroSketch::answer_batch_with`]; answers are **bitwise
-    /// identical** to calling [`NeuroSketch::answer`] per query.
+    /// Answer a batch of queries with one tiled forward pass per
+    /// partition instead of one matvec chain per query. Convenience
+    /// wrapper around [`NeuroSketch::answer_batch_with`]; answers are
+    /// **bitwise identical** to calling [`NeuroSketch::answer`] per query.
     pub fn answer_batch(&self, queries: &[Vec<f64>]) -> Vec<f64> {
         let mut scratch = BatchScratch::default();
         self.answer_batch_with(&mut scratch, queries)
@@ -343,143 +344,101 @@ impl NeuroSketch {
 
     /// Batched answering with caller-provided scratch — the
     /// allocation-light serving hot path (`neurosketch::serve` keeps one
-    /// scratch per worker thread).
-    ///
-    /// Queries are grouped by the kd-tree leaf they route to and each
-    /// group runs through [`Mlp::forward_batch`], so the per-layer weight
-    /// traffic is paid once per *group* rather than once per query.
-    /// Results come back in input order.
+    /// scratch per worker thread): locate every query once, group by
+    /// partition, forward each group through its model's
+    /// [`ServingLayout`]. Results come back in input order.
     pub fn answer_batch_with(&self, scratch: &mut BatchScratch, queries: &[Vec<f64>]) -> Vec<f64> {
         let mut out = vec![0.0; queries.len()];
-        scratch.all.clear();
-        scratch.all.extend(0..queries.len());
-        let idxs = std::mem::take(&mut scratch.all);
-        self.answer_subset_with(scratch, queries, &idxs, &mut out);
+        let mut idxs = std::mem::take(&mut scratch.all);
+        idxs.clear();
+        idxs.extend(0..queries.len());
+        let mut leaves = std::mem::take(&mut scratch.leaves);
+        self.locate_batch(queries, &idxs, &mut leaves);
+        self.answer_located(scratch, queries, &idxs, &leaves, &mut out);
         scratch.all = idxs;
+        scratch.leaves = leaves;
         out
     }
 
-    /// [`NeuroSketch::answer_batch_with`] through a prebuilt
-    /// [`SketchLayout`] — the whole-batch form of
-    /// [`NeuroSketch::answer_subset_with_layout`]. Answers are
-    /// **bitwise identical** to the plain path.
-    pub fn answer_batch_with_layout(
-        &self,
-        layout: &SketchLayout,
-        scratch: &mut BatchScratch,
-        queries: &[Vec<f64>],
-    ) -> Vec<f64> {
-        let mut out = vec![0.0; queries.len()];
-        scratch.all.clear();
-        scratch.all.extend(0..queries.len());
-        let idxs = std::mem::take(&mut scratch.all);
-        self.answer_subset_with_layout(layout, scratch, queries, &idxs, &mut out);
-        scratch.all = idxs;
-        out
-    }
-
-    /// Batched answering of a subset: for every `i` in `idxs`, write the
-    /// sketch's answer to `queries[i]` into `out[i]`; other slots of
-    /// `out` are left untouched. This is the primitive the serving layer
-    /// uses after routing splits a batch between sketch and exact engine.
+    /// Locate `queries[i]` for every `i` in `idxs`: `leaves` is
+    /// overwritten with one partition index per entry of `idxs`.
     ///
     /// # Panics
-    /// Panics if any selected query's dimensionality does not match the
-    /// sketch, if an index is out of range, or if `out` is shorter than
-    /// `queries`.
-    pub fn answer_subset_with(
-        &self,
-        scratch: &mut BatchScratch,
-        queries: &[Vec<f64>],
-        idxs: &[usize],
-        out: &mut [f64],
-    ) {
-        self.answer_subset_inner(scratch, queries, idxs, out, None);
+    /// Panics if a selected query's dimensionality does not match the
+    /// sketch or an index is out of range.
+    pub(crate) fn locate_batch(&self, queries: &[Vec<f64>], idxs: &[usize], leaves: &mut Vec<u32>) {
+        leaves.clear();
+        leaves.extend(idxs.iter().map(|&i| self.leaf_slot_of(&queries[i])));
     }
 
-    /// [`NeuroSketch::answer_subset_with`] through a prebuilt
-    /// [`SketchLayout`]: per-group forward passes take the
-    /// pre-transposed, block-padded GEMM fast path instead of
-    /// re-transposing each leaf's weights per batch. Answers are
-    /// **bitwise identical** to the plain path.
+    /// The batched compute path: for every position `p` whose
+    /// `leaves[p]` is a partition index, write the sketch's answer to
+    /// `queries[idxs[p]]` into `out[p]`; positions marked [`NO_LEAF`]
+    /// (routed elsewhere by the serving layer) are skipped and their
+    /// `out` slots left untouched.
+    ///
+    /// Grouping is a counting sort over the partitions — stable, so
+    /// rows are assembled in `idxs` order — and every row's arithmetic
+    /// is independent of which rows share its tile, so answers are
+    /// **bitwise identical** to [`NeuroSketch::answer`] whatever the
+    /// batch composition or order.
     ///
     /// # Panics
-    /// Panics like [`NeuroSketch::answer_subset_with`], or if `layout`
-    /// was built from a different sketch.
-    pub fn answer_subset_with_layout(
-        &self,
-        layout: &SketchLayout,
-        scratch: &mut BatchScratch,
-        queries: &[Vec<f64>],
-        idxs: &[usize],
-        out: &mut [f64],
-    ) {
-        self.answer_subset_inner(scratch, queries, idxs, out, Some(layout));
-    }
-
-    fn answer_subset_inner(
+    /// Panics if `idxs`, `leaves` and `out` differ in length.
+    pub(crate) fn answer_located(
         &self,
         scratch: &mut BatchScratch,
         queries: &[Vec<f64>],
         idxs: &[usize],
+        leaves: &[u32],
         out: &mut [f64],
-        layout: Option<&SketchLayout>,
     ) {
-        assert!(out.len() >= queries.len(), "output slice too short");
-        scratch.keyed.clear();
-        for &i in idxs {
-            let q = &queries[i];
-            assert_eq!(
-                q.len(),
-                self.query_dim,
-                "query dim {} does not match sketch {}",
-                q.len(),
-                self.query_dim
-            );
-            scratch.keyed.push((self.tree.locate(q), i));
+        assert_eq!(idxs.len(), leaves.len(), "one leaf id per selected query");
+        assert_eq!(idxs.len(), out.len(), "one output slot per selected query");
+        let BatchScratch {
+            ws,
+            x,
+            y,
+            starts,
+            order,
+            ..
+        } = scratch;
+        let partitions = self.models.len();
+        starts.clear();
+        starts.resize(partitions + 1, 0);
+        for &l in leaves.iter().filter(|&&l| l != NO_LEAF) {
+            starts[l as usize + 1] += 1;
         }
-        // Group by leaf; ties broken by query index, so assembly order —
-        // and therefore every floating-point operation — is independent
-        // of the input permutation.
-        scratch.keyed.sort_unstable();
-        let keyed = std::mem::take(&mut scratch.keyed);
-        let mut start = 0;
-        while start < keyed.len() {
-            let leaf = keyed[start].0;
-            let mut end = start + 1;
-            while end < keyed.len() && keyed[end].0 == leaf {
-                end += 1;
-            }
-            let model = self.models.get(&leaf).expect("every leaf has a model");
-            let y = match layout {
-                None => {
-                    scratch.x.resize(end - start, self.query_dim);
-                    for (row, &(_, qi)) in keyed[start..end].iter().enumerate() {
-                        scratch.x.row_mut(row).copy_from_slice(&queries[qi]);
-                    }
-                    model.mlp.forward_batch(&mut scratch.ws, &scratch.x)
-                }
-                Some(l) => {
-                    // Assemble at the layout's padded width; the padding
-                    // columns must be zero (resize may leave stale data).
-                    scratch.x.resize(end - start, l.input_cols);
-                    for (row, &(_, qi)) in keyed[start..end].iter().enumerate() {
-                        let xrow = scratch.x.row_mut(row);
-                        xrow[..self.query_dim].copy_from_slice(&queries[qi]);
-                        xrow[self.query_dim..].fill(0.0);
-                    }
-                    let leaf_layout = l.layouts.get(&leaf).expect("layout covers every leaf");
-                    model
-                        .mlp
-                        .forward_batch_layout(leaf_layout, &mut scratch.ws, &scratch.x)
-                }
-            };
-            for (row, &(_, qi)) in keyed[start..end].iter().enumerate() {
-                out[qi] = y.row(row)[0] * model.y_std + model.y_mean;
-            }
-            start = end;
+        for p in 0..partitions {
+            starts[p + 1] += starts[p];
         }
-        scratch.keyed = keyed;
+        order.clear();
+        order.resize(starts[partitions], 0);
+        // `starts[l]` is the next free slot of bucket `l` while filling,
+        // and therefore bucket `l`'s end afterwards.
+        for (pos, &l) in leaves.iter().enumerate() {
+            if l != NO_LEAF {
+                order[starts[l as usize]] = pos;
+                starts[l as usize] += 1;
+            }
+        }
+        let mut begin = 0;
+        for (model, &end) in self.models.iter().zip(starts.iter()) {
+            let group = &order[begin..end];
+            begin = end;
+            if group.is_empty() {
+                continue;
+            }
+            x.clear();
+            for &pos in group {
+                x.extend_from_slice(&queries[idxs[pos]]);
+            }
+            y.resize(group.len(), 0.0);
+            model.layout().forward_into(ws, x, y);
+            for (&pos, v) in group.iter().zip(y.iter()) {
+                out[pos] = v * model.y_std + model.y_mean;
+            }
+        }
     }
 
     /// The sketch with every model parameter rounded through `f32` — the
@@ -500,25 +459,12 @@ impl NeuroSketch {
     /// across loads. The result carries `mode` as its
     /// [`NeuroSketch::quant_mode`].
     pub fn quantized_to(&self, mode: QuantMode) -> NeuroSketch {
-        NeuroSketch {
-            tree: self.tree.clone(),
-            models: self
-                .models
-                .iter()
-                .map(|(&leaf, m)| {
-                    (
-                        leaf,
-                        LeafModel {
-                            mlp: m.mlp.quantized_to(mode),
-                            y_mean: m.y_mean,
-                            y_std: m.y_std,
-                        },
-                    )
-                })
-                .collect(),
-            query_dim: self.query_dim,
-            quant: mode,
-        }
+        let models = self
+            .models
+            .iter()
+            .map(|m| LeafModel::new(m.mlp.quantized_to(mode), m.y_mean, m.y_std))
+            .collect();
+        NeuroSketch::from_parts(self.tree.clone(), models, self.query_dim, mode)
     }
 
     /// The parameter encoding this sketch saves under by default: `F32`
@@ -528,47 +474,38 @@ impl NeuroSketch {
         self.quant
     }
 
-    /// Build the per-partition serving layouts (pre-transposed,
-    /// block-padded weight copies) for
-    /// [`NeuroSketch::answer_subset_with_layout`]. Build once per
-    /// deployed sketch; rebuild after any model change.
-    pub fn serving_layout(&self) -> SketchLayout {
-        let layouts: BTreeMap<usize, ServingLayout> = self
-            .models
-            .iter()
-            .map(|(&leaf, m)| (leaf, m.mlp.serving_layout()))
-            .collect();
-        let input_cols = layouts
-            .values()
-            .next()
-            .map(|l| l.input_cols())
-            .unwrap_or(self.query_dim);
-        SketchLayout {
-            layouts,
-            input_cols,
-        }
-    }
-
     /// The query-space kd-tree (crate-internal: persistence flattens it).
     pub(crate) fn tree(&self) -> &KdTree {
         &self.tree
     }
 
-    /// The per-leaf models, keyed by kd-tree node id (crate-internal).
-    pub(crate) fn models(&self) -> &BTreeMap<usize, LeafModel> {
+    /// The per-partition models, in leaf order (crate-internal).
+    pub(crate) fn models(&self) -> &[LeafModel] {
         &self.models
     }
 
-    /// Reassemble a sketch from decoded parts (crate-internal: the NSK2
-    /// decoder validates the invariants before calling this).
+    /// Assemble a sketch from a tree and one model per leaf, in leaf
+    /// order — the one place the dense leaf table is derived, shared by
+    /// the build, the quantizers, the JSON loader and the NSK2 decoder
+    /// (which validates its input before calling this).
+    ///
+    /// # Panics
+    /// Panics if `models` does not hold exactly one model per leaf.
     pub(crate) fn from_parts(
         tree: KdTree,
-        models: BTreeMap<usize, LeafModel>,
+        models: Vec<LeafModel>,
         query_dim: usize,
         quant: QuantMode,
     ) -> NeuroSketch {
+        let leaf_ids = tree.leaf_ids();
+        assert_eq!(models.len(), leaf_ids.len(), "one model per leaf");
+        let mut leaf_slot = vec![NO_LEAF; leaf_ids.iter().max().map_or(0, |m| m + 1)];
+        for (slot, &leaf) in leaf_ids.iter().enumerate() {
+            leaf_slot[leaf] = slot as u32;
+        }
         NeuroSketch {
             tree,
+            leaf_slot,
             models,
             query_dim,
             quant,
@@ -594,11 +531,15 @@ impl NeuroSketch {
         labels: &[f64],
         cfg: &NeuroSketchConfig,
     ) -> Result<(LeafModel, TrainReport), SketchError> {
-        let leaf_ids = self.tree.leaf_ids();
-        let Some(&leaf) = leaf_ids.get(unit) else {
+        // The node id seeds the model exactly as the full build does.
+        let Some(leaf) = self
+            .leaf_slot
+            .iter()
+            .position(|&s| s != NO_LEAF && s as usize == unit)
+        else {
             return Err(SketchError::NoSuchUnit {
                 unit,
-                units: leaf_ids.len(),
+                units: self.models.len(),
             });
         };
         if queries.is_empty() {
@@ -629,7 +570,7 @@ impl NeuroSketch {
         let mut leaf_train = cfg.train.clone();
         leaf_train.seed = cfg.seed.wrapping_add(leaf as u64);
         let report = train(&mut mlp, queries, &ys, &leaf_train);
-        Ok((LeafModel { mlp, y_mean, y_std }, report))
+        Ok((LeafModel::new(mlp, y_mean, y_std), report))
     }
 
     /// Install a replacement model for partition `unit` (crate-internal:
@@ -637,8 +578,7 @@ impl NeuroSketch {
     /// partition's model is untouched — the bitwise-stability guarantee
     /// partial refresh rests on.
     pub(crate) fn install_partition_model(&mut self, unit: usize, model: LeafModel) {
-        let leaf = self.tree.leaf_ids()[unit];
-        self.models.insert(leaf, model);
+        self.models[unit] = model;
     }
 
     /// Retrain one partition's model in place against fresh labels (the
@@ -673,14 +613,14 @@ impl NeuroSketch {
     }
 
     /// Index (in leaf order, matching `BuildReport::leaf_aqcs`) of the
-    /// partition a query routes to.
+    /// partition a query routes to: one kd-tree descent and a table
+    /// lookup, no allocation.
     pub fn leaf_index_of(&self, q: &[f64]) -> usize {
-        let leaf = self.tree.locate(q);
-        self.tree
-            .leaf_ids()
-            .iter()
-            .position(|&l| l == leaf)
-            .expect("locate returns a live leaf")
+        self.leaf_slot_of(q) as usize
+    }
+
+    fn leaf_slot_of(&self, q: &[f64]) -> u32 {
+        self.leaf_slot[self.tree.locate(q)]
     }
 
     /// Number of partitions (trained models).
@@ -690,30 +630,70 @@ impl NeuroSketch {
 
     /// Total trainable parameters across all leaf models.
     pub fn param_count(&self) -> usize {
-        self.models.values().map(|m| m.mlp.param_count()).sum()
+        self.models.iter().map(|m| m.mlp.param_count()).sum()
     }
 
     /// Storage footprint in bytes: 4 bytes per model parameter (f32 on
     /// disk) plus 12 bytes per kd-tree node (split dim + value), matching
     /// the paper's model-size accounting.
     pub fn storage_bytes(&self) -> usize {
-        let models: usize = self
-            .models
-            .values()
-            .map(|m| m.mlp.storage_bytes() + 16)
-            .sum();
+        let models: usize = self.models.iter().map(|m| m.mlp.storage_bytes() + 16).sum();
         models + 12 * (2 * self.partitions()).saturating_sub(1)
     }
 
     /// Serialize to JSON ("models are saved after training", Sec. 5.1).
     pub fn to_json(&self) -> Result<String, SketchError> {
-        serde_json::to_string(self).map_err(|e| SketchError::Serde(e.to_string()))
+        let parts = SketchJson {
+            tree: self.tree.clone(),
+            models: self
+                .models
+                .iter()
+                .map(|m| (m.mlp.clone(), m.y_mean, m.y_std))
+                .collect(),
+            query_dim: self.query_dim,
+            quant: self.quant,
+        };
+        serde_json::to_string(&parts).map_err(|e| SketchError::Serde(e.to_string()))
     }
 
     /// Load a sketch saved with [`NeuroSketch::to_json`].
     pub fn from_json(s: &str) -> Result<NeuroSketch, SketchError> {
-        serde_json::from_str(s).map_err(|e| SketchError::Serde(e.to_string()))
+        let parts: SketchJson =
+            serde_json::from_str(s).map_err(|e| SketchError::Serde(e.to_string()))?;
+        if parts.models.len() != parts.tree.leaf_count()
+            || parts.tree.dims() != parts.query_dim
+            || parts
+                .models
+                .iter()
+                .any(|(mlp, ..)| mlp.input_dim() != parts.query_dim || mlp.output_dim() != 1)
+        {
+            return Err(SketchError::Serde(
+                "models do not fit the kd-tree's leaves and dimensions".into(),
+            ));
+        }
+        let models = parts
+            .models
+            .into_iter()
+            .map(|(mlp, y_mean, y_std)| LeafModel::new(mlp, y_mean, y_std))
+            .collect();
+        Ok(NeuroSketch::from_parts(
+            parts.tree,
+            models,
+            parts.query_dim,
+            parts.quant,
+        ))
     }
+}
+
+/// The serialized parts of a [`NeuroSketch`]; the leaf table and the
+/// serving layouts are derived state and are rebuilt on load.
+#[derive(Serialize, Deserialize)]
+struct SketchJson {
+    tree: KdTree,
+    /// `(mlp, y_mean, y_std)` per partition, in leaf order.
+    models: Vec<(Mlp, f64, f64)>,
+    query_dim: usize,
+    quant: QuantMode,
 }
 
 #[cfg(test)]
@@ -901,15 +881,19 @@ mod tests {
         let mut cfg = NeuroSketchConfig::small();
         cfg.train.epochs = 10;
         let (sketch, _) = NeuroSketch::build_from_labeled(&qs, &labels, &cfg).unwrap();
-        let mut out = vec![f64::NAN; qs.len()];
-        let idxs = [3usize, 17, 41];
+        // Four selected queries, the second routed away from the sketch.
+        let idxs = [41usize, 3, 17, 58];
+        let mut leaves = Vec::new();
+        sketch.locate_batch(&qs, &idxs, &mut leaves);
+        leaves[1] = NO_LEAF;
+        let mut out = vec![f64::NAN; idxs.len()];
         let mut scratch = BatchScratch::default();
-        sketch.answer_subset_with(&mut scratch, &qs, &idxs, &mut out);
-        for (i, v) in out.iter().enumerate() {
-            if idxs.contains(&i) {
-                assert_eq!(*v, sketch.answer(&qs[i]), "slot {i}");
+        sketch.answer_located(&mut scratch, &qs, &idxs, &leaves, &mut out);
+        for (pos, (&i, v)) in idxs.iter().zip(&out).enumerate() {
+            if pos == 1 {
+                assert!(v.is_nan(), "skipped slot {pos} was written");
             } else {
-                assert!(v.is_nan(), "slot {i} was written");
+                assert_eq!(v.to_bits(), sketch.answer(&qs[i]).to_bits(), "slot {pos}");
             }
         }
     }
@@ -935,8 +919,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn layout_answers_are_bitwise_identical_to_plain_path() {
+    fn four_partition_sketch() -> (NeuroSketch, Workload, NeuroSketchConfig) {
         let (data, wl) = count_setup(800, 300);
         let engine = QueryEngine::new(&data, 1);
         let mut cfg = NeuroSketchConfig::small();
@@ -946,23 +929,141 @@ mod tests {
         let (sketch, _) =
             NeuroSketch::build(&engine, &wl.predicate, Aggregate::Count, &wl.queries, &cfg)
                 .unwrap();
-        let layout = sketch.serving_layout();
-        assert!(layout.padded_bytes() > 0);
-        let idxs: Vec<usize> = (0..wl.queries.len()).collect();
-        let mut plain = vec![0.0; wl.queries.len()];
-        let mut padded = vec![0.0; wl.queries.len()];
+        (sketch, wl, cfg)
+    }
+
+    /// The batched path against the per-query oracle, bit for bit.
+    fn assert_batch_is_per_query(
+        sketch: &NeuroSketch,
+        scratch: &mut BatchScratch,
+        qs: &[Vec<f64>],
+    ) {
+        let batched = sketch.answer_batch_with(scratch, qs);
+        for (i, (q, b)) in qs.iter().zip(&batched).enumerate() {
+            assert_eq!(b.to_bits(), sketch.answer(q).to_bits(), "query {i}");
+        }
+    }
+
+    #[test]
+    fn layout_answers_are_bitwise_identical_to_plain_path() {
+        let (sketch, wl, _) = four_partition_sketch();
+        // One scratch across sketches of every storage precision: tile
+        // contents must not leak between models.
         let mut scratch = BatchScratch::default();
-        sketch.answer_subset_with(&mut scratch, &wl.queries, &idxs, &mut plain);
-        // Same scratch across both paths: shapes must not leak.
-        sketch.answer_subset_with_layout(&layout, &mut scratch, &wl.queries, &idxs, &mut padded);
-        assert_eq!(plain, padded);
-        // And for a quantized model, same story.
-        let q = sketch.quantized_to(QuantMode::I8);
-        let qlayout = q.serving_layout();
-        let mut qp = vec![0.0; wl.queries.len()];
-        q.answer_subset_with_layout(&qlayout, &mut scratch, &wl.queries, &idxs, &mut qp);
-        for (i, q1) in wl.queries.iter().enumerate() {
-            assert_eq!(qp[i], q.answer(q1), "query {i}");
+        assert_batch_is_per_query(&sketch, &mut scratch, &wl.queries);
+        for mode in QuantMode::ALL {
+            let q = sketch.quantized_to(mode);
+            assert_batch_is_per_query(&q, &mut scratch, &wl.queries);
+        }
+    }
+
+    #[test]
+    fn batched_path_follows_every_model_mutation() {
+        // The serving copies are derived state: after each way a
+        // sketch's weights can change, the batch must answer through the
+        // new weights — bit for bit the per-query path — and never
+        // through a copy of the old ones.
+        let (mut sketch, wl, cfg) = four_partition_sketch();
+        let mut scratch = BatchScratch::default();
+        let before = sketch.answer_batch_with(&mut scratch, &wl.queries);
+
+        // retrain_partition: fresh labels move partition 1's model only.
+        let unit = 1;
+        let (qs, labels): (Vec<Vec<f64>>, Vec<f64>) = wl
+            .queries
+            .iter()
+            .filter(|q| sketch.leaf_index_of(q) == unit)
+            .map(|q| (q.clone(), 1_000.0 * q[0] - 3.0 * q[1]))
+            .unzip();
+        sketch.retrain_partition(unit, &qs, &labels, &cfg).unwrap();
+        assert_batch_is_per_query(&sketch, &mut scratch, &wl.queries);
+        let after = sketch.answer_batch_with(&mut scratch, &wl.queries);
+        for (i, q) in wl.queries.iter().enumerate() {
+            let moved = before[i].to_bits() != after[i].to_bits();
+            assert_eq!(moved, sketch.leaf_index_of(q) == unit, "query {i}");
+        }
+
+        // quantized_to, and an NSK2 decode of the same weights.
+        let i8_sketch = sketch.quantized_to(QuantMode::I8);
+        assert_batch_is_per_query(&i8_sketch, &mut scratch, &wl.queries);
+        let i8_answers = i8_sketch.answer_batch_with(&mut scratch, &wl.queries);
+        assert_ne!(i8_answers, after, "i8 rounding must be visible");
+        let bytes = crate::persist::encode_sketch_with(&sketch, QuantMode::I8);
+        let decoded = crate::persist::decode(bytes).unwrap().sketch;
+        assert_batch_is_per_query(&decoded, &mut scratch, &wl.queries);
+        assert_eq!(
+            decoded.answer_batch_with(&mut scratch, &wl.queries),
+            i8_answers
+        );
+    }
+
+    #[test]
+    fn leaf_table_agrees_with_leaf_order_on_a_merged_tree_and_after_persist() {
+        let (data, wl) = count_setup(500, 400);
+        let engine = QueryEngine::new(&data, 1);
+        let mut cfg = NeuroSketchConfig::small();
+        cfg.tree_height = 3; // 8 leaves merged down to 3: unbalanced
+        cfg.target_partitions = 3;
+        cfg.train.epochs = 2;
+        let (sketch, _) =
+            NeuroSketch::build(&engine, &wl.predicate, Aggregate::Count, &wl.queries, &cfg)
+                .unwrap();
+        let loaded = crate::persist::decode(crate::persist::encode_sketch(&sketch))
+            .unwrap()
+            .sketch;
+        let leaf_ids = sketch.tree().leaf_ids();
+        assert_eq!(leaf_ids.len(), 3);
+        let mut seen = vec![0usize; leaf_ids.len()];
+        for q in &wl.queries {
+            let want = leaf_ids
+                .iter()
+                .position(|&l| l == sketch.tree().locate(q))
+                .unwrap();
+            assert_eq!(sketch.leaf_index_of(q), want);
+            // The decoded tree renumbers its nodes; partitions keep
+            // their leaf-order index.
+            assert_eq!(loaded.leaf_index_of(q), want);
+            let loaded_ids = loaded.tree().leaf_ids();
+            assert_eq!(loaded_ids[want], loaded.tree().locate(q));
+            seen[want] += 1;
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every leaf probed: {seen:?}");
+    }
+
+    #[test]
+    fn skewed_leaf_occupancy_and_input_order_do_not_change_bits() {
+        let (sketch, wl, _) = four_partition_sketch();
+        // Partition 0 keeps every query, partition 1 exactly one,
+        // partition 2 none, partition 3 every query.
+        let mut kept_one = false;
+        let batch: Vec<Vec<f64>> = wl
+            .queries
+            .iter()
+            .filter(|q| match sketch.leaf_index_of(q) {
+                1 => !std::mem::replace(&mut kept_one, true),
+                2 => false,
+                _ => true,
+            })
+            .cloned()
+            .collect();
+        let mut occupancy = [0usize; 4];
+        for q in &batch {
+            occupancy[sketch.leaf_index_of(q)] += 1;
+        }
+        assert!(occupancy[0] > nn::fused::BLOCK_ROWS && occupancy[3] > nn::fused::BLOCK_ROWS);
+        assert_eq!((occupancy[1], occupancy[2]), (1, 0));
+        let mut scratch = BatchScratch::default();
+        assert_batch_is_per_query(&sketch, &mut scratch, &batch);
+        // A permutation of the batch moves rows between tiles and
+        // remainder rows; every answer keeps its bits.
+        let n = batch.len();
+        let perm: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % n).collect();
+        assert_ne!(n % 7, 0, "7 must be coprime to the batch size");
+        let permuted: Vec<Vec<f64>> = perm.iter().map(|&i| batch[i].clone()).collect();
+        let straight = sketch.answer_batch_with(&mut scratch, &batch);
+        let shuffled = sketch.answer_batch_with(&mut scratch, &permuted);
+        for (p, &i) in perm.iter().enumerate() {
+            assert_eq!(shuffled[p].to_bits(), straight[i].to_bits(), "query {i}");
         }
     }
 

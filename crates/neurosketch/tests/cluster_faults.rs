@@ -109,17 +109,17 @@ fn healthy_cluster_is_bitwise_a_single_box() {
     }
 }
 
-/// The pre-transposed per-replica serving layout
-/// ([`ClusterOptions::layout`]) is a pure speed knob: scattering
-/// through the padded GEMM path is bitwise identical to the plain
-/// path at every thread count — and both match the single box.
+/// Every replica scatters through its sketches' own serving layouts
+/// (derived with the models, never configured): at every thread count
+/// and sub-batch size the cluster is bitwise the per-query oracle —
+/// `ShardedSketch::answer`, one `NeuroSketch::answer` per component.
 #[test]
 fn replica_serving_layout_is_bitwise_invisible() {
     let b = base();
-    let expect = single_box(&b.sharded);
+    let oracle: Vec<f64> = b.wl.queries.iter().map(|q| b.sharded.answer(q)).collect();
+    assert_eq!(single_box(&b.sharded), oracle);
     for threads in [1usize, 4] {
-        let mut answers = Vec::new();
-        for layout in [false, true] {
+        for max_shard in [5usize, 1024] {
             let mut cluster = Cluster::new(
                 &b.sharded,
                 2,
@@ -127,18 +127,17 @@ fn replica_serving_layout_is_bitwise_invisible() {
                 RoutePolicy::RoundRobin,
                 ClusterOptions {
                     threads,
-                    layout,
+                    max_shard,
                     ..ClusterOptions::default()
                 },
             )
             .unwrap();
-            answers.push(cluster.answer_batch(&b.wl.queries).unwrap().0);
+            let answers = cluster.answer_batch(&b.wl.queries).unwrap().0;
+            assert_eq!(
+                answers, oracle,
+                "drifted from the per-query oracle at {threads} threads, max_shard {max_shard}"
+            );
         }
-        assert_eq!(
-            answers[0], answers[1],
-            "layout on/off diverged at {threads} threads"
-        );
-        assert_eq!(answers[1], expect, "layout path drifted from single-box");
     }
 }
 

@@ -93,6 +93,10 @@ fn generation_roundtrips_quantized_bitwise_and_swaps_live() {
     );
     let (gen0_answers, _) = live.answer_batch(&b.wl.queries);
     assert_eq!(live.describe().generation, Some(0));
+    let per_query = |sketch: &ShardedSketch| -> Vec<f64> {
+        b.wl.queries.iter().map(|q| sketch.answer(q)).collect()
+    };
+    assert_eq!(gen0_answers, per_query(&b.sharded.quantized()));
 
     // Refresh shards 1 and 2 against the drifted table and land gen 1.
     let mut refreshed = b.sharded.clone();
@@ -138,6 +142,10 @@ fn generation_roundtrips_quantized_bitwise_and_swaps_live() {
     assert_eq!(now_live, 1);
     assert_eq!(live.describe().generation, Some(1));
     let (gen1_answers, _) = live.answer_batch(&b.wl.queries);
+    // The batched path answers through the reloaded weights: bitwise
+    // the per-query oracle of the new generation, not a serving copy
+    // left over from the old one.
+    assert_eq!(gen1_answers, per_query(&quantized));
     let expect = ShardedServer::new(quantized, ServeOptions::default()).answer_batch(&b.wl.queries);
     assert_eq!(gen1_answers, expect.0);
     assert_ne!(gen0_answers, gen1_answers, "refresh changed nothing");

@@ -1,0 +1,214 @@
+//! The serving forward pass: a register-tiled GEMM with bias and
+//! activation fused into the tile's single store, run over row blocks
+//! whose activations never leave L1.
+//!
+//! [`Mlp::forward_batch`] is the *training* kernel: it keeps every
+//! layer's `batch x width` activations for backprop, re-transposes the
+//! weights per call and skips ReLU zeros. Serving a frozen model wants
+//! none of that, so a [`ServingLayout`] is a self-contained copy of a
+//! model's parameters in the shape the serving kernel reads:
+//!
+//! * each layer's weights transposed and packed into `NR`-column panels
+//!   (`in_dim x NR` doubles, contiguous), the output width zero-padded
+//!   to a multiple of [`NR`];
+//! * an `MR x NR` micro-kernel whose accumulators stay in registers
+//!   across the **entire** contraction and are stored exactly once,
+//!   after adding the bias and applying the activation;
+//! * [`BLOCK_ROWS`] rows at a time ping-pong between two scratch tiles
+//!   through every layer, so nothing `batch x width` is materialised.
+//!
+//! **Bitwise contract.** Every output entry is one `fmadd` chain over
+//! ascending contraction index starting from `0.0`, then `+ bias`, then
+//! the activation's own comparison — operation for operation what
+//! [`Mlp::forward_with`] does per example (`Matrix::matvec_into`, the
+//! bias loop, `Activation::apply`). Fusing bias and ReLU into the store
+//! moves *where* those two operations happen, not their operands or
+//! order, and the contraction runs over the layer's real input width
+//! only, so padding columns are written but never read. Answers are
+//! therefore bit-for-bit the per-example ones at any batch size and in
+//! any row order.
+//!
+//! The tile shape is fragile under autovectorisation and was chosen by
+//! measurement (docs/serving.md has the table); `perfbench`'s
+//! `serve_forward_fused` entry pins it.
+
+use crate::activation::Activation;
+use crate::linalg::fmadd;
+use crate::mlp::Mlp;
+
+/// Rows per micro-kernel tile.
+pub const MR: usize = 6;
+/// Columns per micro-kernel tile; output widths are padded to this.
+pub const NR: usize = 16;
+/// Rows per L1-resident block (a multiple of [`MR`]): the two tiles are
+/// `BLOCK_ROWS x 64` doubles = 18 KiB each at the paper's widths.
+pub const BLOCK_ROWS: usize = 36;
+
+#[derive(Debug, Clone)]
+struct FusedLayer {
+    /// `n_pad / NR` panels, each `in_dim x NR` row-major: panel `p`, row
+    /// `t` holds `W[p * NR + j][t]` for `j in 0..NR` (zero past
+    /// `out_dim`).
+    panels: Vec<f64>,
+    /// Biases zero-padded to `n_pad`.
+    bias: Vec<f64>,
+    in_dim: usize,
+    n_pad: usize,
+    activation: Activation,
+}
+
+/// Serving copy of one [`Mlp`]'s parameters (see the module docs).
+///
+/// Self-contained: the forward pass reads nothing from the model it was
+/// built from, so a layout can never be run against the wrong weights.
+/// It is derived, in-memory-only state — build it with
+/// [`Mlp::serving_layout`] whenever the model changes; it is never
+/// serialized.
+#[derive(Debug, Clone)]
+pub struct ServingLayout {
+    layers: Vec<FusedLayer>,
+    input_dim: usize,
+    output_dim: usize,
+    /// Widest padded layer — the scratch tiles' row stride.
+    tile_cols: usize,
+}
+
+/// The two ping-pong activation tiles of [`ServingLayout::forward_into`].
+/// Keep one per serving thread; it grows once and is reused across
+/// models and batches.
+#[derive(Debug, Clone, Default)]
+pub struct ServingWorkspace {
+    a: Vec<f64>,
+    b: Vec<f64>,
+}
+
+impl ServingLayout {
+    pub(crate) fn new(mlp: &Mlp) -> ServingLayout {
+        let layers: Vec<FusedLayer> = mlp
+            .layers()
+            .iter()
+            .map(|l| {
+                let (out, k) = (l.out_dim(), l.in_dim());
+                let n_pad = out.div_ceil(NR) * NR;
+                let mut panels = vec![0.0; k * n_pad];
+                for o in 0..out {
+                    let (p, j) = (o / NR, o % NR);
+                    for (t, w) in l.weights.row(o).iter().enumerate() {
+                        panels[(p * k + t) * NR + j] = *w;
+                    }
+                }
+                let mut bias = vec![0.0; n_pad];
+                bias[..out].copy_from_slice(&l.biases);
+                FusedLayer {
+                    panels,
+                    bias,
+                    in_dim: k,
+                    n_pad,
+                    activation: l.activation,
+                }
+            })
+            .collect();
+        ServingLayout {
+            tile_cols: layers.iter().map(|l| l.n_pad).max().unwrap_or(0),
+            layers,
+            input_dim: mlp.input_dim(),
+            output_dim: mlp.output_dim(),
+        }
+    }
+
+    /// Heap footprint of the padded parameter copies, in bytes.
+    pub fn padded_bytes(&self) -> usize {
+        self.layers
+            .iter()
+            .map(|l| (l.panels.len() + l.bias.len()) * 8)
+            .sum()
+    }
+
+    /// Forward `x` (`rows x input_dim`, row-major, unpadded) through
+    /// every layer and write the `rows x output_dim` result into `out`.
+    /// Bitwise identical to [`Mlp::forward_with`] on each row.
+    ///
+    /// # Panics
+    /// Panics if `x` is not a whole number of input rows or `out` does
+    /// not hold exactly one output row per input row.
+    pub fn forward_into(&self, ws: &mut ServingWorkspace, x: &[f64], out: &mut [f64]) {
+        let (d, o) = (self.input_dim, self.output_dim);
+        assert_eq!(x.len() % d, 0, "input is not rows x {d}");
+        let m = x.len() / d;
+        assert_eq!(out.len(), m * o, "output is not {m} rows x {o}");
+        let tile = m.min(BLOCK_ROWS) * self.tile_cols;
+        if ws.a.len() < tile {
+            ws.a.resize(tile, 0.0);
+            ws.b.resize(tile, 0.0);
+        }
+        let (mut cur, mut next) = (&mut ws.a[..], &mut ws.b[..]);
+        let (first, rest) = self.layers.split_first().expect("an Mlp has layers");
+        for (xblk, oblk) in x.chunks(BLOCK_ROWS * d).zip(out.chunks_mut(BLOCK_ROWS * o)) {
+            let rows = xblk.len() / d;
+            first.apply(rows, xblk, d, cur);
+            let mut stride = first.n_pad;
+            for layer in rest {
+                layer.apply(rows, cur, stride, next);
+                std::mem::swap(&mut cur, &mut next);
+                stride = layer.n_pad;
+            }
+            for (orow, trow) in oblk.chunks_exact_mut(o).zip(cur.chunks(stride)) {
+                orow.copy_from_slice(&trow[..o]);
+            }
+        }
+    }
+}
+
+impl FusedLayer {
+    /// `c[r] = act(a[r] · Wᵀ + bias)` for `rows` rows; `a` has row
+    /// stride `a_stride`, `c` has row stride `n_pad`.
+    fn apply(&self, rows: usize, a: &[f64], a_stride: usize, c: &mut [f64]) {
+        let n = self.n_pad;
+        let mut r = 0;
+        while r + MR <= rows {
+            self.row_panel::<MR>(&a[r * a_stride..], a_stride, &mut c[r * n..(r + MR) * n]);
+            r += MR;
+        }
+        while r < rows {
+            self.row_panel::<1>(&a[r * a_stride..], a_stride, &mut c[r * n..(r + 1) * n]);
+            r += 1;
+        }
+    }
+
+    /// The micro-kernel: `M` rows against every `NR`-column panel. The
+    /// `M x NR` accumulators live in registers for the whole
+    /// contraction; bias and activation ride the single store.
+    #[inline(always)]
+    fn row_panel<const M: usize>(&self, a: &[f64], a_stride: usize, c: &mut [f64]) {
+        let (k, n) = (self.in_dim, self.n_pad);
+        let arows: [&[f64]; M] = std::array::from_fn(|i| &a[i * a_stride..i * a_stride + k]);
+        for ((panel, bias), j0) in self
+            .panels
+            .chunks_exact(k * NR)
+            .zip(self.bias.chunks_exact(NR))
+            .zip((0..n).step_by(NR))
+        {
+            let mut acc = [[0.0f64; NR]; M];
+            for (t, brow) in panel.chunks_exact(NR).enumerate() {
+                for i in 0..M {
+                    let x = arows[i][t];
+                    for j in 0..NR {
+                        acc[i][j] = fmadd(brow[j], x, acc[i][j]);
+                    }
+                }
+            }
+            for i in 0..M {
+                let crow = &mut c[i * n + j0..i * n + j0 + NR];
+                for j in 0..NR {
+                    let v = acc[i][j] + bias[j];
+                    // `Activation::apply`'s own comparison, so `-0.0`
+                    // and NaN come out as the per-example path's do.
+                    crow[j] = match self.activation {
+                        Activation::Relu if v < 0.0 => 0.0,
+                        _ => v,
+                    };
+                }
+            }
+        }
+    }
+}

@@ -39,6 +39,7 @@
 pub mod activation;
 pub mod binary;
 pub mod construction;
+pub mod fused;
 pub mod init;
 pub mod linalg;
 pub mod loss;
@@ -49,8 +50,9 @@ pub mod train;
 
 pub use activation::Activation;
 pub use binary::QuantMode;
+pub use fused::ServingLayout;
 pub use linalg::Matrix;
-pub use mlp::{Mlp, ServingLayout};
+pub use mlp::Mlp;
 
 /// Errors produced by the nn crate.
 #[derive(Debug, Clone, PartialEq)]

@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// software `fma` routine, which would be ~20x slower than the two
 /// operations it replaces.
 #[inline(always)]
-fn fmadd(a: f64, b: f64, c: f64) -> f64 {
+pub(crate) fn fmadd(a: f64, b: f64, c: f64) -> f64 {
     #[cfg(target_feature = "fma")]
     {
         a.mul_add(b, c)
@@ -343,90 +343,6 @@ pub fn matmul(c: &mut Matrix, a: &Matrix, b: &Matrix) {
                 }
             }
         }
-    }
-}
-
-/// `c = a * b` for **block-padded** serving layouts: `a` is `m x k`,
-/// `b` is `k x n`, and both `k` and `n` are multiples of 4 (the caller
-/// pads with zeros — see `Mlp::serving_layout`). Dense 4-row × 2-step
-/// register blocking: four output rows share each right-hand-side load
-/// and the contraction never branches on sparsity, so a padded layout
-/// trades the general path's zero-compaction for straight-line FMA
-/// throughput — the right trade for serving batches, whose layer inputs
-/// are assembled once and reused across layers.
-///
-/// **Bitwise contract:** every output entry accumulates in ascending
-/// contraction order with no reordering, and a zero multiplier leaves
-/// an accumulator bit-identical under `fmadd` (`0·b + s = s` for
-/// finite `b`), so the result equals [`matmul`] — and therefore the
-/// per-example matvec — bit for bit, padding columns included.
-///
-/// # Panics
-/// Panics in debug builds if the shapes disagree or `k`/`n` are not
-/// multiples of 4.
-pub fn matmul_padded(c: &mut Matrix, a: &Matrix, b: &Matrix) {
-    debug_assert_eq!(a.cols, b.rows, "inner dimensions must agree");
-    debug_assert_eq!(c.rows, a.rows, "output rows must match a");
-    debug_assert_eq!(c.cols, b.cols, "output cols must match b");
-    debug_assert!(
-        a.cols.is_multiple_of(4),
-        "contraction dim must be padded to 4"
-    );
-    debug_assert!(b.cols.is_multiple_of(4), "output dim must be padded to 4");
-    let (m, k, n) = (a.rows, a.cols, b.cols);
-    if k == 0 {
-        c.data.fill(0.0);
-        return;
-    }
-    let mut i = 0;
-    while i + 4 <= m {
-        let a0 = &a.data[i * k..(i + 1) * k];
-        let a1 = &a.data[(i + 1) * k..(i + 2) * k];
-        let a2 = &a.data[(i + 2) * k..(i + 3) * k];
-        let a3 = &a.data[(i + 3) * k..(i + 4) * k];
-        let cblk = &mut c.data[i * n..(i + 4) * n];
-        cblk.fill(0.0);
-        let (c0, rest) = cblk.split_at_mut(n);
-        let (c1, rest) = rest.split_at_mut(n);
-        let (c2, c3) = rest.split_at_mut(n);
-        let mut t = 0;
-        while t < k {
-            // Two contraction steps per pass: 4 rows × 2 steps = 8
-            // broadcast scalars + 2 shared b-rows stays within the
-            // vector register budget, and each accumulator still chains
-            // its fmadds in ascending `t`.
-            let bt0 = &b.data[t * n..(t + 1) * n];
-            let bt1 = &b.data[(t + 1) * n..(t + 2) * n];
-            let (x00, x01) = (a0[t], a0[t + 1]);
-            let (x10, x11) = (a1[t], a1[t + 1]);
-            let (x20, x21) = (a2[t], a2[t + 1]);
-            let (x30, x31) = (a3[t], a3[t + 1]);
-            for j in 0..n {
-                let (b0j, b1j) = (bt0[j], bt1[j]);
-                c0[j] = fmadd(x01, b1j, fmadd(x00, b0j, c0[j]));
-                c1[j] = fmadd(x11, b1j, fmadd(x10, b0j, c1[j]));
-                c2[j] = fmadd(x21, b1j, fmadd(x20, b0j, c2[j]));
-                c3[j] = fmadd(x31, b1j, fmadd(x30, b0j, c3[j]));
-            }
-            t += 2;
-        }
-        i += 4;
-    }
-    while i < m {
-        let arow = &a.data[i * k..(i + 1) * k];
-        let crow = &mut c.data[i * n..(i + 1) * n];
-        crow.fill(0.0);
-        let mut t = 0;
-        while t < k {
-            let bt0 = &b.data[t * n..(t + 1) * n];
-            let bt1 = &b.data[(t + 1) * n..(t + 2) * n];
-            let (x0, x1) = (arow[t], arow[t + 1]);
-            for j in 0..n {
-                crow[j] = fmadd(x1, bt1[j], fmadd(x0, bt0[j], crow[j]));
-            }
-            t += 2;
-        }
-        i += 1;
     }
 }
 

@@ -9,10 +9,9 @@ use crate::activation::Activation;
 use crate::binary::{
     f16_bits_to_f32, f32_to_f16_bits, i8_quant, max_abs_f32, pow2_scale, QuantMode,
 };
+use crate::fused::ServingLayout;
 use crate::init::Init;
-use crate::linalg::{
-    bias_add_rows, bias_relu_rows, col_sums_into, matmul, matmul_at_b, matmul_padded, Matrix,
-};
+use crate::linalg::{bias_add_rows, bias_relu_rows, col_sums_into, matmul, matmul_at_b, Matrix};
 use crate::NnError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,58 +84,6 @@ impl BatchWorkspace {
     /// Panics if no forward pass has been run yet.
     pub fn output(&self) -> &Matrix {
         self.acts.last().expect("forward_batch has been run")
-    }
-}
-
-/// Round `n` up to the next multiple of 4 — the block size of
-/// [`matmul_padded`].
-fn pad4(n: usize) -> usize {
-    (n + 3) & !3
-}
-
-/// Pre-transposed, block-padded serving copies of a model's parameters.
-///
-/// [`Mlp::forward_batch`] re-transposes every weight matrix on every
-/// call so its GEMM can run in axpy form; a server answering batches
-/// against a fixed model pays that copy once per layer per batch per
-/// leaf. A `ServingLayout` hoists the transpose to construction time and
-/// zero-pads each layer's input and output widths to multiples of 4 so
-/// [`matmul_padded`]'s register-blocked dense kernel applies. Padding
-/// columns hold zero weights and zero biases, so they stay exactly
-/// `0.0` through every layer and never perturb the real outputs — the
-/// layout path is bitwise identical to [`Mlp::forward_batch`] (see
-/// [`Mlp::forward_batch_layout`]).
-///
-/// The layout is a *derived*, in-memory-only artifact: it is built from
-/// a decoded model and never serialized, so the NSK2 on-disk format and
-/// its quantization contract are unaffected.
-#[derive(Debug, Clone)]
-pub struct ServingLayout {
-    /// Per layer: transposed weights, `pad4(in_dim) x pad4(out_dim)`,
-    /// padding entries zero.
-    wt: Vec<Matrix>,
-    /// Per layer: biases padded with zeros to `pad4(out_dim)`.
-    biases: Vec<Vec<f64>>,
-    /// `pad4(input_dim)` — the column count callers must assemble
-    /// input batches with.
-    input_cols: usize,
-}
-
-impl ServingLayout {
-    /// Padded input width: input matrices passed to
-    /// [`Mlp::forward_batch_layout`] must have exactly this many
-    /// columns, with columns at index `>= input_dim` set to zero.
-    pub fn input_cols(&self) -> usize {
-        self.input_cols
-    }
-
-    /// Approximate heap footprint of the padded copies, in bytes.
-    pub fn padded_bytes(&self) -> usize {
-        self.wt
-            .iter()
-            .map(|m| m.len() * 8)
-            .chain(self.biases.iter().map(|b| b.len() * 8))
-            .sum()
     }
 }
 
@@ -401,84 +348,11 @@ impl Mlp {
         ws.output()
     }
 
-    /// Build the pre-transposed, block-padded serving copies of this
-    /// model's parameters. Build once per deployed model, reuse for
-    /// every batch — see [`ServingLayout`].
+    /// Build the serving copy of this model's parameters — the
+    /// self-contained, panel-packed form the fused serving kernel reads
+    /// (see [`crate::fused`]). Rebuild it whenever the model changes.
     pub fn serving_layout(&self) -> ServingLayout {
-        let mut wt = Vec::with_capacity(self.layers.len());
-        let mut biases = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            let (out, inp) = (layer.out_dim(), layer.in_dim());
-            let mut t = Matrix::zeros(pad4(inp), pad4(out));
-            for r in 0..out {
-                let wrow = layer.weights.row(r);
-                for (c, w) in wrow.iter().enumerate() {
-                    t.set(c, r, *w);
-                }
-            }
-            let mut b = vec![0.0; pad4(out)];
-            b[..out].copy_from_slice(&layer.biases);
-            wt.push(t);
-            biases.push(b);
-        }
-        ServingLayout {
-            wt,
-            biases,
-            input_cols: pad4(self.input_dim()),
-        }
-    }
-
-    /// Batched forward pass through a prebuilt [`ServingLayout`]: no
-    /// per-batch transpose, and every layer GEMM takes
-    /// [`matmul_padded`]'s register-blocked dense fast path.
-    ///
-    /// `x` must be assembled at the layout's padded width
-    /// ([`ServingLayout::input_cols`]) with the padding columns zero.
-    /// The returned matrix is `batch x pad4(output_dim)`; the real
-    /// outputs occupy columns `0..output_dim` and are **bitwise
-    /// identical** to [`Mlp::forward_batch`] on the unpadded input:
-    /// zero-padded inputs and weights leave every fmadd accumulator
-    /// unchanged, and the contraction order is the same ascending-`k`
-    /// chain, so padding never changes a rounding step.
-    ///
-    /// # Panics
-    /// Panics if `x.cols()` does not match the layout's padded input
-    /// width, and in debug builds if `layout` was built from a model of
-    /// a different architecture.
-    pub fn forward_batch_layout<'w>(
-        &self,
-        layout: &ServingLayout,
-        ws: &'w mut BatchWorkspace,
-        x: &Matrix,
-    ) -> &'w Matrix {
-        assert_eq!(
-            x.cols(),
-            layout.input_cols,
-            "padded input width {} does not match layout {}",
-            x.cols(),
-            layout.input_cols
-        );
-        debug_assert_eq!(
-            layout.wt.len(),
-            self.layers.len(),
-            "layout/model layer count mismatch"
-        );
-        let bsz = x.rows();
-        ws.acts.resize(self.layers.len(), Matrix::zeros(0, 0));
-        for (li, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = ws.acts.split_at_mut(li);
-            let act = &mut rest[0];
-            let input = if li == 0 { x } else { &done[li - 1] };
-            let wt = &layout.wt[li];
-            debug_assert_eq!(wt.cols(), pad4(layer.out_dim()), "layout layer {li}");
-            act.resize(bsz, wt.cols());
-            matmul_padded(act, input, wt);
-            match layer.activation {
-                Activation::Relu => bias_relu_rows(act, &layout.biases[li]),
-                Activation::Identity => bias_add_rows(act, &layout.biases[li]),
-            }
-        }
-        ws.output()
+        ServingLayout::new(self)
     }
 
     /// Batched backward pass for the MSE loss `Σ_e Σ_o (f(x_e)_o − y_eo)²`.
@@ -726,6 +600,7 @@ pub fn accumulate_example_gradient(mlp: &Mlp, x: &[f64], y: &[f64], grads: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::ServingWorkspace;
 
     fn tiny() -> Mlp {
         Mlp::new(&[2, 4, 1], 42)
@@ -952,56 +827,52 @@ mod tests {
         }
     }
 
-    /// Copy `x` into a matrix with `cols` columns, extra columns zero.
-    fn padded_input(x: &Matrix, cols: usize) -> Matrix {
-        assert!(cols >= x.cols());
-        let mut p = Matrix::zeros(x.rows(), cols);
-        for e in 0..x.rows() {
-            p.row_mut(e)[..x.cols()].copy_from_slice(x.row(e));
-        }
-        p
-    }
-
     #[test]
     fn layout_forward_matches_forward_batch_bitwise() {
-        // Odd widths force padding in every layer; batch sizes cover the
-        // 4-row blocks and the remainder rows of `matmul_padded`.
+        // Odd widths force padding in every layer; batch sizes cover
+        // whole tiles, remainder rows and more than one row block.
         let m = Mlp::new(&[3, 7, 5, 1], 13);
         let layout = m.serving_layout();
-        assert_eq!(layout.input_cols(), 4);
-        assert!(layout.padded_bytes() > 0);
-        for bsz in [1, 3, 4, 9, 16] {
+        // The per-leaf footprint docs/serving.md quotes for the paper's
+        // shape: 3 616 padded weights + 144 padded biases.
+        let paper = Mlp::new(&[4, 60, 30, 30, 1], 0).serving_layout();
+        assert_eq!(paper.padded_bytes(), 30_080);
+        let mut sws = ServingWorkspace::default();
+        let mut ws = Workspace::default();
+        for bsz in [1, 3, 4, 9, 16, 70] {
             let x = batch_inputs(bsz, 3);
             let mut bws = BatchWorkspace::default();
             let want = m.forward_batch(&mut bws, &x).clone();
-            let xp = padded_input(&x, layout.input_cols());
-            let mut lws = BatchWorkspace::default();
-            let got = m.forward_batch_layout(&layout, &mut lws, &xp);
-            assert_eq!(got.rows(), bsz);
-            assert_eq!(got.cols(), 4);
+            let mut got = vec![f64::NAN; bsz];
+            layout.forward_into(&mut sws, x.as_slice(), &mut got);
             for e in 0..bsz {
-                assert_eq!(got.row(e)[0], want.row(e)[0], "bsz {bsz} row {e}");
-                // Padding outputs stay exactly zero.
-                assert!(got.row(e)[1..].iter().all(|v| *v == 0.0));
+                assert_eq!(
+                    got[e].to_bits(),
+                    want.row(e)[0].to_bits(),
+                    "bsz {bsz} row {e}"
+                );
+                let single = m.forward_with(&mut ws, x.row(e))[0];
+                assert_eq!(got[e].to_bits(), single.to_bits(), "bsz {bsz} row {e}");
             }
         }
     }
 
     #[test]
-    fn layout_forward_reuses_workspace_across_paths() {
-        // A workspace used by the plain path must be reusable by the
-        // layout path (and back) without stale-shape leakage.
-        let m = Mlp::new(&[2, 6, 1], 3);
-        let layout = m.serving_layout();
-        let mut ws = BatchWorkspace::default();
-        let x = batch_inputs(5, 2);
-        let plain = m.forward_batch(&mut ws, &x).clone();
-        let xp = padded_input(&x, layout.input_cols());
-        let via_layout = m.forward_batch_layout(&layout, &mut ws, &xp).clone();
-        let plain_again = m.forward_batch(&mut ws, &x).clone();
-        for e in 0..5 {
-            assert_eq!(plain.row(e)[0], via_layout.row(e)[0]);
-            assert_eq!(plain.row(e), plain_again.row(e));
+    fn layout_forward_reuses_workspace_across_models() {
+        // One serving workspace shared by models of different shapes and
+        // by batches of different sizes: stale tile contents must not
+        // leak into any answer.
+        let wide = Mlp::new(&[2, 40, 6, 1], 3);
+        let narrow = Mlp::new(&[2, 6, 1], 4);
+        let mut sws = ServingWorkspace::default();
+        for (m, bsz) in [(&wide, 37), (&narrow, 5), (&wide, 2), (&narrow, 33)] {
+            let x = batch_inputs(bsz, 2);
+            let mut got = vec![0.0; bsz];
+            m.serving_layout()
+                .forward_into(&mut sws, x.as_slice(), &mut got);
+            for e in 0..bsz {
+                assert_eq!(got[e].to_bits(), m.predict(x.row(e)).to_bits(), "row {e}");
+            }
         }
     }
 

@@ -94,8 +94,8 @@ fn main() {
     );
 
     // 4. Serve. Batched multi-threaded serving must agree bitwise with
-    // the loaded sketch's own single-query path (the server's padded
-    // serving layout changes scheduling, not arithmetic).
+    // the loaded sketch's own single-query path (sharding, leaf grouping
+    // and the tiled forward pass change scheduling, not arithmetic).
     let expected: Vec<f64> = sc
         .wl
         .queries
