@@ -1,7 +1,6 @@
 //! Criterion benchmark behind Fig. 13: preprocessing costs — training-set
-//! labeling, kd-tree partitioning + AQC merging, per-leaf model training
-//! (batched hot path vs the per-example reference), and the forward-pass
-//! cost of the theoretical construction (Sec. A.5).
+//! labeling, kd-tree partitioning + AQC merging, per-leaf model training,
+//! and the forward-pass cost of the theoretical construction (Sec. A.5).
 //!
 //! The workload is [`bench::perf::scenarios::build_scenario`] — the same
 //! fixture `perfbench` times into `BENCH_build.json`, so criterion runs
@@ -11,7 +10,7 @@ use bench::perf::scenarios::build_scenario;
 use criterion::{criterion_group, criterion_main, Criterion};
 use neurosketch::{NeuroSketch, NeuroSketchConfig};
 use nn::construction::{GridNet, SlopeMode};
-use nn::train::{train, train_per_example, TrainConfig};
+use nn::train::{train, TrainConfig};
 use nn::Mlp;
 use query::aggregate::Aggregate;
 use query::exec::QueryEngine;
@@ -51,18 +50,6 @@ fn bench_build(c: &mut Criterion) {
             black_box(train(&mut mlp, &sc.wl.queries, &sc.labels, &train_cfg))
         })
     });
-    group.bench_function("train_leaf_per_example", |b| {
-        b.iter(|| {
-            let mut mlp = Mlp::new(&[2, 60, 30, 30, 1], 9);
-            black_box(train_per_example(
-                &mut mlp,
-                &sc.wl.queries,
-                &sc.labels,
-                &train_cfg,
-            ))
-        })
-    });
-
     group.bench_function("construction_t8_d2", |b| {
         let f = |x: &[f64]| x[0] * 0.5 + x[1] * 0.25;
         b.iter(|| black_box(GridNet::construct(&f, 2, 8, SlopeMode::LemmaA3).unwrap()))

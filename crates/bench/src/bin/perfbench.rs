@@ -66,11 +66,8 @@ fn main() {
                 e.name, e.median_ms, e.p95_ms
             );
         }
-        if let (Some(batched), Some(scalar)) = (
-            report.median_of("train_leaf_batched"),
-            report.median_of("train_leaf_per_example"),
-        ) {
-            println!("  batched training speedup: {:.2}x", scalar / batched);
+        if let Some(gflops) = report.median_of("train_leaf_gflops") {
+            println!("  leaf training: {gflops:.1} GFLOP/s over the whole step");
         }
         if let (Some(full), Some(partial)) = (
             report.median_of("refresh_full"),

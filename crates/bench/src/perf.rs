@@ -9,9 +9,9 @@
 //!
 //! The scenarios deliberately mirror the criterion benches in
 //! `crates/bench/benches/` (which reuse [`scenarios`]): exact labeling,
-//! partition+merge, per-leaf training (batched **and** the per-example
-//! reference, so the batched-kernel speedup is recorded as data), the
-//! full sketch build, per-query answer latency, the serving engine's
+//! partition+merge, per-leaf training (`train_leaf_batched`, with
+//! `train_leaf_gflops` computed from the shapes), the full sketch
+//! build, per-query answer latency, the serving engine's
 //! `serve_throughput` scenario (the same query stream through the
 //! single-query loop and the batched `SketchServer`, so the recorded
 //! ratio is the serving-throughput multiplier), the scatter/gather
@@ -262,11 +262,11 @@ pub mod scenarios {
 }
 
 /// Run the build-side suite: labeling, partitioning+merging, per-leaf
-/// training on both paths, and the full sketch build.
+/// training, and the full sketch build.
 pub fn run_build_suite(fast: bool, reps: usize) -> PerfReport {
     use neurosketch::aqc::aqc_sampled;
     use neurosketch::{NeuroSketch, NeuroSketchConfig};
-    use nn::train::{train, train_per_example, TrainConfig};
+    use nn::train::{train, TrainConfig};
     use nn::Mlp;
     use query::aggregate::Aggregate;
     use query::exec::QueryEngine;
@@ -326,36 +326,26 @@ pub fn run_build_suite(fast: bool, reps: usize) -> PerfReport {
         }),
     );
 
-    // Per-leaf training at the paper's architecture, batched vs the
-    // per-example reference — the recorded ratio IS the batched-kernel
-    // speedup this PR's tentpole delivers.
+    // Per-leaf training at the paper's architecture through the tiled
+    // GEMM step. `train_leaf_gflops` is computed from the shapes (real
+    // multiply-adds of the forward, `dW` and `dX` products, padding
+    // excluded), so it also carries the step's non-GEMM share (Adam,
+    // the batch gather, the loss pass).
     let train_cfg = TrainConfig {
         epochs: if fast { 15 } else { 40 },
         patience: 0,
         ..TrainConfig::default()
     };
     let sizes = [2usize, 60, 30, 30, 1];
-    push(
-        "train_leaf_batched",
-        1,
-        time_reps(reps, || {
-            let mut mlp = Mlp::new(&sizes, 9);
-            std::hint::black_box(train(&mut mlp, &sc.wl.queries, &sc.labels, &train_cfg));
-        }),
-    );
-    push(
-        "train_leaf_per_example",
-        1,
-        time_reps(reps, || {
-            let mut mlp = Mlp::new(&sizes, 9);
-            std::hint::black_box(train_per_example(
-                &mut mlp,
-                &sc.wl.queries,
-                &sc.labels,
-                &train_cfg,
-            ));
-        }),
-    );
+    let trained = time_reps(reps, || {
+        let mut mlp = Mlp::new(&sizes, 9);
+        std::hint::black_box(train(&mut mlp, &sc.wl.queries, &sc.labels, &train_cfg));
+    });
+    push("train_leaf_batched", 1, trained);
+    let weights: usize = sizes.windows(2).map(|w| w[0] * w[1]).sum();
+    let flops = 2 * (3 * weights - sizes[0] * sizes[1]) * sc.wl.queries.len() * train_cfg.epochs;
+    let gflops = flops as f64 / (trained.0 * 1e6);
+    push("train_leaf_gflops", 1, (gflops, gflops));
 
     let iters = 6;
     push(

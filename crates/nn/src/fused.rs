@@ -1,19 +1,17 @@
-//! The serving forward pass: a register-tiled GEMM with bias and
-//! activation fused into the tile's single store, run over row blocks
-//! whose activations never leave L1.
+//! The serving forward pass: the crate's register-tiled GEMM
+//! ([`crate::gemm`]) with bias and activation fused into the tile's
+//! single store, run over row blocks whose activations never leave L1.
 //!
-//! [`Mlp::forward_batch`] is the *training* kernel: it keeps every
-//! layer's `batch x width` activations for backprop, re-transposes the
-//! weights per call and skips ReLU zeros. Serving a frozen model wants
-//! none of that, so a [`ServingLayout`] is a self-contained copy of a
-//! model's parameters in the shape the serving kernel reads:
+//! [`Mlp::forward_batch`] is the *training* forward over the same
+//! kernel: it keeps every layer's `batch x width` activations for
+//! backprop and re-packs the weights on every call, because the
+//! optimizer moves them between calls. Serving a frozen model wants
+//! neither, so a [`ServingLayout`] is a self-contained copy of a
+//! model's parameters in the shape the kernel reads:
 //!
-//! * each layer's weights transposed and packed into `NR`-column panels
-//!   (`in_dim x NR` doubles, contiguous), the output width zero-padded
-//!   to a multiple of [`NR`];
-//! * an `MR x NR` micro-kernel whose accumulators stay in registers
-//!   across the **entire** contraction and are stored exactly once,
-//!   after adding the bias and applying the activation;
+//! * each layer's weights transposed and packed once into `NR`-column
+//!   panels (`in_dim x NR` doubles, contiguous), the output width
+//!   zero-padded to a multiple of [`NR`];
 //! * [`BLOCK_ROWS`] rows at a time ping-pong between two scratch tiles
 //!   through every layer, so nothing `batch x width` is materialised.
 //!
@@ -27,19 +25,12 @@
 //! only, so padding columns are written but never read. Answers are
 //! therefore bit-for-bit the per-example ones at any batch size and in
 //! any row order.
-//!
-//! The tile shape is fragile under autovectorisation and was chosen by
-//! measurement (docs/serving.md has the table); `perfbench`'s
-//! `serve_forward_fused` entry pins it.
 
 use crate::activation::Activation;
-use crate::linalg::fmadd;
+use crate::gemm::{gemm, pack, padded, unpad, TileStore};
+pub use crate::gemm::{MR, NR};
 use crate::mlp::Mlp;
 
-/// Rows per micro-kernel tile.
-pub const MR: usize = 6;
-/// Columns per micro-kernel tile; output widths are padded to this.
-pub const NR: usize = 16;
 /// Rows per L1-resident block (a multiple of [`MR`]): the two tiles are
 /// `BLOCK_ROWS x 64` doubles = 18 KiB each at the paper's widths.
 pub const BLOCK_ROWS: usize = 36;
@@ -89,14 +80,9 @@ impl ServingLayout {
             .iter()
             .map(|l| {
                 let (out, k) = (l.out_dim(), l.in_dim());
-                let n_pad = out.div_ceil(NR) * NR;
-                let mut panels = vec![0.0; k * n_pad];
-                for o in 0..out {
-                    let (p, j) = (o / NR, o % NR);
-                    for (t, w) in l.weights.row(o).iter().enumerate() {
-                        panels[(p * k + t) * NR + j] = *w;
-                    }
-                }
+                let n_pad = padded(out);
+                let mut panels = Vec::new();
+                pack(&mut panels, l.weights.as_slice(), (1, k), k, out);
                 let mut bias = vec![0.0; n_pad];
                 bias[..out].copy_from_slice(&l.biases);
                 FusedLayer {
@@ -152,9 +138,7 @@ impl ServingLayout {
                 std::mem::swap(&mut cur, &mut next);
                 stride = layer.n_pad;
             }
-            for (orow, trow) in oblk.chunks_exact_mut(o).zip(cur.chunks(stride)) {
-                orow.copy_from_slice(&trow[..o]);
-            }
+            unpad(oblk, o, cur, stride);
         }
     }
 }
@@ -163,52 +147,50 @@ impl FusedLayer {
     /// `c[r] = act(a[r] · Wᵀ + bias)` for `rows` rows; `a` has row
     /// stride `a_stride`, `c` has row stride `n_pad`.
     fn apply(&self, rows: usize, a: &[f64], a_stride: usize, c: &mut [f64]) {
-        let n = self.n_pad;
-        let mut r = 0;
-        while r + MR <= rows {
-            self.row_panel::<MR>(&a[r * a_stride..], a_stride, &mut c[r * n..(r + MR) * n]);
-            r += MR;
-        }
-        while r < rows {
-            self.row_panel::<1>(&a[r * a_stride..], a_stride, &mut c[r * n..(r + 1) * n]);
-            r += 1;
-        }
-    }
-
-    /// The micro-kernel: `M` rows against every `NR`-column panel. The
-    /// `M x NR` accumulators live in registers for the whole
-    /// contraction; bias and activation ride the single store.
-    #[inline(always)]
-    fn row_panel<const M: usize>(&self, a: &[f64], a_stride: usize, c: &mut [f64]) {
         let (k, n) = (self.in_dim, self.n_pad);
-        let arows: [&[f64]; M] = std::array::from_fn(|i| &a[i * a_stride..i * a_stride + k]);
-        for ((panel, bias), j0) in self
-            .panels
-            .chunks_exact(k * NR)
-            .zip(self.bias.chunks_exact(NR))
-            .zip((0..n).step_by(NR))
-        {
-            let mut acc = [[0.0f64; NR]; M];
-            for (t, brow) in panel.chunks_exact(NR).enumerate() {
-                for i in 0..M {
-                    let x = arows[i][t];
-                    for j in 0..NR {
-                        acc[i][j] = fmadd(brow[j], x, acc[i][j]);
-                    }
-                }
-            }
-            for i in 0..M {
-                let crow = &mut c[i * n + j0..i * n + j0 + NR];
-                for j in 0..NR {
-                    let v = acc[i][j] + bias[j];
-                    // `Activation::apply`'s own comparison, so `-0.0`
-                    // and NaN come out as the per-example path's do.
-                    crow[j] = match self.activation {
-                        Activation::Relu if v < 0.0 => 0.0,
-                        _ => v,
-                    };
-                }
-            }
+        gemm(
+            (rows, k, n / NR),
+            a,
+            (a_stride, 1),
+            &self.panels,
+            (k * NR, NR),
+            &mut BiasAct {
+                c,
+                sc: n,
+                bias: &self.bias,
+                activation: self.activation,
+            },
+        );
+    }
+}
+
+/// The forward epilogue, `c = act(acc + bias)` fused into the tile
+/// store: per entry the operations of the per-example forward, `+ bias`
+/// then [`Activation::apply`]'s own comparison, so `-0.0` and NaN come
+/// out as [`Mlp::forward_with`]'s do. `bias` is zero-padded to whole
+/// panels and `c` has the padded row stride `sc`.
+pub(crate) struct BiasAct<'a> {
+    pub c: &'a mut [f64],
+    pub sc: usize,
+    pub bias: &'a [f64],
+    pub activation: Activation,
+}
+
+impl TileStore for BiasAct<'_> {
+    #[inline(always)]
+    fn row(&mut self, r: usize, p: usize, acc: &[f64; NR]) {
+        let bias = &self.bias[p * NR..(p + 1) * NR];
+        // Into a local first: the compiler cannot see that `c` and
+        // `bias` are disjoint, and would not vectorise a direct store.
+        let mut v = [0.0; NR];
+        for j in 0..NR {
+            let z = acc[j] + bias[j];
+            v[j] = match self.activation {
+                Activation::Relu if z < 0.0 => 0.0,
+                _ => z,
+            };
         }
+        let at = r * self.sc + p * NR;
+        self.c[at..at + NR].copy_from_slice(&v);
     }
 }

@@ -1,0 +1,200 @@
+//! The one register-tiled GEMM micro-kernel every batched path in this
+//! crate computes through: the serving forward ([`crate::fused`]), the
+//! mini-batch forward and backward ([`Mlp::forward_batch`],
+//! [`Mlp::backward_batch`]) and [`crate::linalg::matmul`].
+//!
+//! `row_tile` computes `M x NR` blocks of `C = A · B`. Its accumulators
+//! stay in registers across the **entire** contraction and are handed
+//! to the caller's epilogue exactly once, so bias, activation, ReLU
+//! mask and column sums ride the tile store instead of re-sweeping `C`.
+//! The operands are described by strides, which is all that separates
+//! the three products of a training step:
+//!
+//! | product | `A(i, t)` | `B(t, ·)` |
+//! |---|---|---|
+//! | forward `X · Wᵀ` | rows of `X` (`sa = (stride, 1)`) | packed `Wᵀ` panels |
+//! | `dX = δ · W` | rows of `δ` (`sa = (stride, 1)`) | packed `W` panels |
+//! | `dW = δᵀ · X` | columns of `δ` (`sa = (1, stride)`) | `X` in place, `NR`-padded rows |
+//!
+//! `B` is always read, and `C` always written, as whole `NR`-wide rows:
+//! `B` is either a panel made by `pack` (row stride `NR`) or a matrix
+//! whose row stride is already a multiple of [`NR`], and `C` is such a
+//! matrix — which is why the training workspace keeps activations,
+//! deltas and the gradient tile at padded stride (padding holds exact
+//! zeros) and copies the real columns out where an unpadded [`Matrix`]
+//! is the interface.
+//!
+//! **Bitwise contract.** Every entry is one `fmadd` chain over ascending
+//! contraction index starting from `+0.0` — the order of
+//! `Matrix::matvec_into` (forward), `Matrix::matvec_transpose_into`
+//! (`dX`) and `Matrix::rank1_add` summed in batch order (`dW`). Those
+//! per-example helpers skip exact-zero multipliers and this kernel does
+//! not; the results are still the same bits, for finite operands:
+//! `fmadd(±0.0, b, acc)` returns `acc` unchanged unless `acc` is `-0.0`,
+//! and a chain that starts at `+0.0` cannot reach `-0.0` short of a
+//! product underflowing to it. With a non-finite parameter `0 · ∞` is
+//! NaN where the skip kept the accumulator, so the contract is stated
+//! for finite parameters only.
+//!
+//! The tile shape is fragile under autovectorisation and was chosen by
+//! measurement (docs/serving.md has the table); `perfbench`'s
+//! `serve_forward_fused` and `train_leaf_batched` entries pin it.
+//!
+//! [`Matrix`]: crate::linalg::Matrix
+//! [`Mlp::forward_batch`]: crate::mlp::Mlp::forward_batch
+//! [`Mlp::backward_batch`]: crate::mlp::Mlp::backward_batch
+
+use crate::linalg::fmadd;
+
+/// Rows per micro-kernel tile.
+pub const MR: usize = 6;
+/// Columns per micro-kernel tile; packed operands are padded to this.
+pub const NR: usize = 16;
+
+/// `n` rounded up to whole [`NR`]-column panels.
+pub(crate) fn padded(n: usize) -> usize {
+    n.div_ceil(NR) * NR
+}
+
+/// Pack the `k x n` operand `B(t, j) = b[t * sb_t + j * sb_j]` into
+/// `n.div_ceil(NR)` panels of `k x NR` doubles each (panel `p`, row `t`
+/// holds columns `p * NR..`, zero past `n`), reusing `panels`.
+pub(crate) fn pack(
+    panels: &mut Vec<f64>,
+    b: &[f64],
+    (sb_t, sb_j): (usize, usize),
+    k: usize,
+    n: usize,
+) {
+    panels.clear();
+    panels.resize(k * padded(n), 0.0);
+    for (p, panel) in panels.chunks_exact_mut((k * NR).max(1)).enumerate() {
+        let j0 = p * NR;
+        for (t, row) in panel.chunks_exact_mut(NR).enumerate() {
+            for (j, v) in row[..NR.min(n - j0)].iter_mut().enumerate() {
+                *v = b[t * sb_t + (j0 + j) * sb_j];
+            }
+        }
+    }
+}
+
+/// What a [`gemm`] caller does with each finished row of a tile: its
+/// epilogue and the single store. A trait rather than a closure so that
+/// the implementation can be `#[inline(always)]` — a tile that escapes
+/// into an out-of-line call lives on the stack, not in registers.
+pub(crate) trait TileStore {
+    /// Receives columns `p * NR..(p + 1) * NR` of row `r` of `C`,
+    /// exactly once; a panel's rows arrive in ascending order.
+    fn row(&mut self, r: usize, p: usize, acc: &[f64; NR]);
+}
+
+/// Expand `$body` once per row of an `M`-row tile (`M` is 1 or [`MR`])
+/// with `$i` a constant. Straight-line on purpose: whether a `for i in
+/// 0..M` over the tile gets unrolled depends on how large the unroller
+/// finds its body in the caller at hand, and a tile indexed by a loop
+/// variable lives on the stack instead of in registers.
+macro_rules! each_row {
+    ($M:ident, |$i:ident| $body:expr) => {{
+        const { assert!(MR == 6) };
+        each_row!(@at $i, 0, $body);
+        if $M == MR {
+            each_row!(@at $i, 1, $body);
+            each_row!(@at $i, 2, $body);
+            each_row!(@at $i, 3, $body);
+            each_row!(@at $i, 4, $body);
+            each_row!(@at $i, 5, $body);
+        }
+    }};
+    (@at $i:ident, $n:literal, $body:expr) => {{
+        const $i: usize = $n;
+        $body
+    }};
+}
+
+/// The micro-kernel over one row tile, rows `i0..i0 + M` of `C`: for
+/// each of `panels` column panels, `acc[i][j] = Σ_t A(i0 + i, t) ·
+/// B(t, j)` for `i < M`, `j < NR`, `t` ascending over `0..k` (operands
+/// as in [`gemm`]); each finished row goes to `c` once.
+#[inline(always)]
+fn row_tile<const M: usize>(
+    i0: usize,
+    (k, panels): (usize, usize),
+    a: &[f64],
+    (sa_i, sa_t): (usize, usize),
+    b: &[f64],
+    (b_panel, sb): (usize, usize),
+    c: &mut impl TileStore,
+) {
+    // Equal-length views of the `M` rows of `A`, sized for `k` steps.
+    let arows: [&[f64]; M] = std::array::from_fn(|i| match k {
+        0 => &a[..0],
+        _ => &a[(i0 + i) * sa_i..(i0 + i) * sa_i + (k - 1) * sa_t + 1],
+    });
+    for p in 0..panels {
+        let mut acc = [[0.0f64; NR]; M];
+        if k > 0 {
+            let b = &b[p * b_panel..p * b_panel + (k - 1) * sb + NR];
+            for t in 0..k {
+                let brow = &b[t * sb..t * sb + NR];
+                each_row!(M, |I| {
+                    let x = arows[I][t * sa_t];
+                    for j in 0..NR {
+                        acc[I][j] = fmadd(brow[j], x, acc[I][j]);
+                    }
+                });
+            }
+        }
+        each_row!(M, |I| c.row(i0 + I, p, &acc[I]));
+    }
+}
+
+/// `C = A · B` for an `m`-row `A` and `panels` column panels of `B`,
+/// contraction length `k`: row tiles in ascending order (whole [`MR`]
+/// tiles, then single rows through the same kernel), every panel per
+/// row tile. `sa = (sa_i, sa_t)` are `A`'s two strides, `A(i, t) =
+/// a[i * sa_i + t * sa_t]`; `sb = (b_panel, sb)` says that panel `p` of
+/// `B` starts at `b[p * b_panel]` and has row stride `sb`.
+///
+/// Never inlined: each epilogue's instantiation is compiled on its own,
+/// so what the vectoriser makes of the tile does not depend on the
+/// function it is called from.
+#[inline(never)]
+pub(crate) fn gemm(
+    (m, k, panels): (usize, usize, usize),
+    a: &[f64],
+    sa: (usize, usize),
+    b: &[f64],
+    sb: (usize, usize),
+    c: &mut impl TileStore,
+) {
+    let mut i = 0;
+    while i + MR <= m {
+        row_tile::<MR>(i, (k, panels), a, sa, b, sb, c);
+        i += MR;
+    }
+    while i < m {
+        row_tile::<1>(i, (k, panels), a, sa, b, sb, c);
+        i += 1;
+    }
+}
+
+/// The plain epilogue: write each tile into `C` (`.0`) as it is. Like
+/// every `C` of this kernel, the buffer has a row stride (`.1`) of
+/// whole panels, so a store is always [`NR`] wide.
+pub(crate) struct Plain<'c>(pub &'c mut [f64], pub usize);
+
+impl TileStore for Plain<'_> {
+    #[inline(always)]
+    fn row(&mut self, r: usize, p: usize, acc: &[f64; NR]) {
+        let at = r * self.1 + p * NR;
+        self.0[at..at + NR].copy_from_slice(acc);
+    }
+}
+
+/// Copy the first `n` columns of every `stride`-wide row of the padded
+/// `src` into the dense `n`-wide rows of `dst`.
+pub(crate) fn unpad(dst: &mut [f64], n: usize, src: &[f64], stride: usize) {
+    for (d, s) in dst.chunks_exact_mut(n).zip(src.chunks_exact(stride)) {
+        d.copy_from_slice(&s[..n]);
+    }
+}

@@ -8,9 +8,12 @@
 //!   [`mlp::Workspace`],
 //! * mini-batch training with MSE loss and the [`optimizer::Adam`] optimizer
 //!   (Alg. 4 of the paper), executed as whole-batch GEMMs
-//!   ([`Mlp::forward_batch`] / [`Mlp::backward_batch`] over the blocked
-//!   kernels in [`linalg`]) with a bit-compatible per-example reference
-//!   path ([`train::train_per_example`]) for verification and baselining,
+//!   ([`Mlp::forward_batch`] / [`Mlp::backward_batch`]) on the crate's
+//!   one register-tiled micro-kernel ([`gemm`]) — the kernel the serving
+//!   forward ([`fused`]) and [`linalg::matmul`] also run on — with bias,
+//!   activation, ReLU mask and bias-gradient sums fused into the tile
+//!   store, and bitwise equal to the per-example path
+//!   ([`mlp::accumulate_example_gradient`]) for finite parameters,
 //! * the explicit **memorization construction** of Theorem 3.4 / Algorithm 1
 //!   ([`construction`]), usable directly ("CS") or as an initialization for
 //!   SGD ("CS+SGD", Sec. A.5),
@@ -40,6 +43,7 @@ pub mod activation;
 pub mod binary;
 pub mod construction;
 pub mod fused;
+pub mod gemm;
 pub mod init;
 pub mod linalg;
 pub mod loss;

@@ -9,9 +9,10 @@ use crate::activation::Activation;
 use crate::binary::{
     f16_bits_to_f32, f32_to_f16_bits, i8_quant, max_abs_f32, pow2_scale, QuantMode,
 };
-use crate::fused::ServingLayout;
+use crate::fused::{BiasAct, ServingLayout};
+use crate::gemm::{gemm, pack, padded, unpad, Plain, TileStore, NR};
 use crate::init::Init;
-use crate::linalg::{bias_add_rows, bias_relu_rows, col_sums_into, matmul, matmul_at_b, Matrix};
+use crate::linalg::Matrix;
 use crate::NnError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,6 +39,37 @@ impl Dense {
     pub fn in_dim(&self) -> usize {
         self.weights.cols()
     }
+
+    /// `c[r] = act(a[r] · Wᵀ + b)` for `m` rows through the tiled GEMM;
+    /// `a` has row stride `sa`, `c` the padded output width. `panels` is
+    /// scratch for the packed `Wᵀ` followed by the zero-padded biases.
+    fn forward_rows(
+        &self,
+        panels: &mut Vec<f64>,
+        m: usize,
+        (a, sa): (&[f64], usize),
+        c: &mut [f64],
+    ) {
+        let (k, n) = (self.in_dim(), self.out_dim());
+        pack(panels, self.weights.as_slice(), (1, k), k, n);
+        let wt = panels.len();
+        panels.extend_from_slice(&self.biases);
+        panels.resize(wt + padded(n), 0.0);
+        let (wt, bias) = panels.split_at(wt);
+        gemm(
+            (m, k, n.div_ceil(NR)),
+            a,
+            (sa, 1),
+            wt,
+            (k * NR, NR),
+            &mut BiasAct {
+                c,
+                sc: padded(n),
+                bias,
+                activation: self.activation,
+            },
+        );
+    }
 }
 
 /// A feed-forward network with ReLU hidden layers and a linear output.
@@ -56,34 +88,84 @@ pub struct Workspace {
     b: Vec<f64>,
 }
 
-/// Reusable scratch for the batched training hot path: one activation
-/// matrix per layer plus two ping-pong delta matrices.
+/// Reusable scratch for the batched training hot path: every layer's
+/// activations, the delta ping-pong buffers and the packed weight
+/// panels of the layer being computed.
 ///
 /// Buffers grow on first use and are then reused across mini-batches,
-/// epochs, and even across models of the same architecture, so steady-
-/// state training performs **zero per-example allocation**. Construct
-/// once per worker thread and pass to [`Mlp::forward_batch`] /
-/// [`Mlp::backward_batch`].
+/// epochs, models and batch sizes, so steady-state training performs
+/// **zero per-example allocation**. Construct once per worker thread and
+/// pass to [`Mlp::forward_batch`] / [`Mlp::backward_batch`]. The
+/// workspace remembers the shape of the forward pass it holds, and a
+/// backward pass against any other shape is refused.
+///
+/// Everything the kernel touches is kept at a row stride padded to
+/// whole `NR`-column panels (see [`crate::gemm`]); only
+/// [`BatchWorkspace::output`] is a plain `batch x output_dim`
+/// [`Matrix`].
 #[derive(Debug, Clone, Default)]
 pub struct BatchWorkspace {
-    /// `acts[l]` holds layer `l`'s activations, `batch x out_dim(l)`.
-    acts: Vec<Matrix>,
-    /// Transposed weight copies (`in_dim x out_dim` per layer), refreshed
-    /// each forward pass so the layer GEMM runs in axpy form.
-    wt: Vec<Matrix>,
-    /// Delta ping-pong buffers, `batch x width`.
-    delta: Matrix,
-    delta_prev: Matrix,
+    /// `acts[l]` holds layer `l`'s activations, `rows x padded(out_dim(l))`.
+    acts: Vec<Vec<f64>>,
+    /// The real columns of the last layer's activations.
+    out: Matrix,
+    /// One layer's packed weight panels (and, on the way forward, its
+    /// padded biases), re-packed per GEMM — the optimizer moves the
+    /// weights between calls, so nothing is cached.
+    panels: Vec<f64>,
+    /// Delta ping-pong buffers and the input batch, at padded stride.
+    delta: Vec<f64>,
+    delta_prev: Vec<f64>,
+    x_pad: Vec<f64>,
+    /// One layer's padded gradient: the `dW` tile, then the `db` sums.
+    grad: Vec<f64>,
+    /// What the last forward pass ran on: batch rows, then the input
+    /// width followed by every layer's output width.
+    rows: usize,
+    widths: Vec<usize>,
 }
 
 impl BatchWorkspace {
     /// Activations of the final layer from the last
     /// [`Mlp::forward_batch`] call (`batch x output_dim`).
-    ///
-    /// # Panics
-    /// Panics if no forward pass has been run yet.
     pub fn output(&self) -> &Matrix {
-        self.acts.last().expect("forward_batch has been run")
+        &self.out
+    }
+}
+
+/// The `dX` epilogue: `δ_prev = acc · act'(a_prev)` fused into the tile
+/// store, with the bias gradient `db_prev` (column sums of `δ_prev`,
+/// rows ascending as the tiles arrive) accumulated on the way.
+/// `delta_prev` and `a_prev` share the padded row stride `stride`, and
+/// `db` is as wide.
+struct MaskSum<'a> {
+    delta_prev: &'a mut [f64],
+    a_prev: &'a [f64],
+    stride: usize,
+    activation: Activation,
+    db: &'a mut [f64],
+}
+
+impl TileStore for MaskSum<'_> {
+    #[inline(always)]
+    fn row(&mut self, r: usize, p: usize, acc: &[f64; NR]) {
+        let at = r * self.stride + p * NR;
+        let a = &self.a_prev[at..at + NR];
+        // Into a local first, so the loops vectorise (see `BiasAct`).
+        let mut v = *acc;
+        for (vj, aj) in v.iter_mut().zip(a) {
+            *vj *= self.activation.derivative_from_output(*aj);
+        }
+        self.delta_prev[at..at + NR].copy_from_slice(&v);
+        // Through a copy as well: six straight-line `db[j] += ..` on the
+        // same memory read as a reduction across the tile's rows, and
+        // the vectoriser then lays the whole tile out across rows.
+        let db = &mut self.db[p * NR..(p + 1) * NR];
+        let mut s = v;
+        for (sj, dj) in s.iter_mut().zip(db.iter()) {
+            *sj += dj;
+        }
+        db.copy_from_slice(&s);
     }
 }
 
@@ -300,14 +382,18 @@ impl Mlp {
         self.forward_with(ws, x)
     }
 
+    /// Input width followed by every layer's output width.
+    fn widths(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.input_dim()).chain(self.layers.iter().map(Dense::out_dim))
+    }
+
     /// Batched forward pass: compute activations for a whole
     /// `batch x input_dim` matrix (one example per row), reusing `ws`.
     ///
-    /// Each layer is one [`matmul`] against a transposed weight copy
-    /// kept in the workspace, followed by a fused bias+activation
-    /// epilogue — a single pass over the weights per *mini-batch*
-    /// instead of one per example.
-    /// All per-layer activations are retained in `ws` for
+    /// Each layer is one tiled GEMM ([`crate::gemm`]) of the previous
+    /// activations against the layer's weights, packed into `Wᵀ` panels
+    /// inside this call, with `+ bias` and the activation fused into the
+    /// tile store. All per-layer activations are retained in `ws` for
     /// [`Mlp::backward_batch`]; the returned reference is the final
     /// layer's output (`batch x output_dim`).
     ///
@@ -325,27 +411,25 @@ impl Mlp {
             x.cols(),
             self.input_dim()
         );
-        let bsz = x.rows();
-        ws.acts.resize(self.layers.len(), Matrix::zeros(0, 0));
-        ws.wt.resize(self.layers.len(), Matrix::zeros(0, 0));
+        let m = x.rows();
+        ws.rows = m;
+        ws.widths.clear();
+        ws.widths.extend(self.widths());
+        ws.acts.resize_with(self.layers.len(), Vec::new);
         for (li, layer) in self.layers.iter().enumerate() {
             let (done, rest) = ws.acts.split_at_mut(li);
-            let act = &mut rest[0];
-            let input = if li == 0 { x } else { &done[li - 1] };
-            act.resize(bsz, layer.out_dim());
-            // Z = X · Wᵀ, computed as `matmul` against a transposed weight
-            // copy: the axpy-form inner loop vectorizes across output
-            // units and skips ReLU-zero inputs, and still accumulates
-            // each entry in ascending contraction order (bitwise equal to
-            // the per-example matvec).
-            layer.weights.transpose_into(&mut ws.wt[li]);
-            matmul(act, input, &ws.wt[li]);
-            match layer.activation {
-                Activation::Relu => bias_relu_rows(act, &layer.biases),
-                Activation::Identity => bias_add_rows(act, &layer.biases),
-            }
+            let a = match done.last() {
+                Some(prev) => (&prev[..], padded(layer.in_dim())),
+                None => (x.as_slice(), x.cols()),
+            };
+            rest[0].resize(m * padded(layer.out_dim()), 0.0);
+            layer.forward_rows(&mut ws.panels, m, a, &mut rest[0]);
         }
-        ws.output()
+        let n = self.output_dim();
+        ws.out.resize(m, n);
+        let last = ws.acts.last().expect("an Mlp has layers");
+        unpad(ws.out.as_mut_slice(), n, last, padded(n));
+        &ws.out
     }
 
     /// Build the serving copy of this model's parameters — the
@@ -364,16 +448,18 @@ impl Mlp {
     /// [`Optimizer::step_scaled`](crate::optimizer::Optimizer::step_scaled).
     /// Returns the summed batch loss.
     ///
-    /// The weight gradient of each layer is one [`matmul_at_b`]
-    /// (`deltaᵀ · input`), the bias gradient one column reduction, and
-    /// the delta propagation one [`matmul`] against the weights with a
-    /// fused ReLU mask — all into reused buffers, with an accumulation
-    /// order bitwise identical to summing
+    /// Per layer, two calls of the tiled GEMM ([`crate::gemm`]): the
+    /// weight gradient `δᵀ · input` (columns of `δ` against the stored
+    /// activations, contraction over the batch) and the delta
+    /// propagation `δ · W`, whose tile store applies the ReLU mask and
+    /// accumulates the next bias gradient's column sums. Accumulation
+    /// order is bitwise identical to summing
     /// [`accumulate_example_gradient`] over the batch.
     ///
     /// # Panics
-    /// Panics if `y`'s shape does not match `(x.rows(), output_dim)` or
-    /// if the workspace does not hold activations for `x`.
+    /// Panics if `y`'s shape does not match `(x.rows(), output_dim)`, or
+    /// if `ws` does not hold a forward pass of this model's shape over
+    /// `x.rows()` rows.
     pub fn backward_batch(
         &self,
         ws: &mut BatchWorkspace,
@@ -381,58 +467,117 @@ impl Mlp {
         y: &Matrix,
         grads: &mut Gradients,
     ) -> f64 {
-        let bsz = x.rows();
+        let m = x.rows();
         let out_dim = self.output_dim();
         assert_eq!(
             (y.rows(), y.cols()),
-            (bsz, out_dim),
+            (m, out_dim),
             "target shape {}x{} does not match batch {}x{}",
             y.rows(),
             y.cols(),
-            bsz,
+            m,
             out_dim
         );
-        assert_eq!(ws.acts.len(), self.layers.len(), "run forward_batch first");
-        assert_eq!(ws.output().rows(), bsz, "workspace batch size mismatch");
+        assert!(
+            self.widths().eq(ws.widths.iter().copied()) && x.cols() == self.input_dim(),
+            "workspace holds a forward pass of widths {:?}, not this model's: run forward_batch first",
+            ws.widths
+        );
+        assert_eq!(ws.rows, m, "workspace batch size mismatch");
+        assert!(
+            grads.layers.len() == self.layers.len()
+                && grads.layers.iter().zip(&self.layers).all(|((dw, db), l)| (
+                    dw.rows(),
+                    dw.cols(),
+                    db.len()
+                ) == (
+                    l.out_dim(),
+                    l.in_dim(),
+                    l.out_dim()
+                )),
+            "gradient buffers are not shaped like this model"
+        );
 
-        // Output delta: dL/dz = 2 (a − y) · act'(z), and the summed loss.
+        // Output delta dL/dz = 2 (a − y) · act'(z), the summed loss and
+        // the last layer's bias gradient, in one sweep over the output.
         let last = self.layers.len() - 1;
         let last_act = self.layers[last].activation;
-        ws.delta.resize(bsz, out_dim);
+        let mut sd = padded(out_dim);
+        ws.delta.clear();
+        ws.delta.resize(m * sd, 0.0);
         let mut loss = 0.0;
-        {
-            let out = &ws.acts[last];
-            for e in 0..bsz {
-                let (orow, yrow) = (out.row(e), y.row(e));
-                let drow = ws.delta.row_mut(e);
-                for ((d, a), t) in drow.iter_mut().zip(orow).zip(yrow) {
-                    let diff = a - t;
-                    loss += diff * diff;
-                    *d = 2.0 * diff * last_act.derivative_from_output(*a);
-                }
+        grads.layers[last].1.fill(0.0);
+        for e in 0..m {
+            let (orow, yrow) = (ws.out.row(e), y.row(e));
+            loss += orow
+                .iter()
+                .zip(yrow)
+                .map(|(a, t)| (a - t) * (a - t))
+                .sum::<f64>();
+            let drow = &mut ws.delta[e * sd..e * sd + out_dim];
+            for (((d, a), t), db) in drow
+                .iter_mut()
+                .zip(orow)
+                .zip(yrow)
+                .zip(&mut grads.layers[last].1)
+            {
+                *d = 2.0 * (a - t) * last_act.derivative_from_output(*a);
+                *db += *d;
             }
         }
-
         for li in (0..self.layers.len()).rev() {
             let layer = &self.layers[li];
-            let (dw, db) = &mut grads.layers[li];
-            let input = if li == 0 { x } else { &ws.acts[li - 1] };
-            // dW = deltaᵀ · input ; db = column sums of delta.
-            matmul_at_b(dw, &ws.delta, input);
-            col_sums_into(&ws.delta, db);
-            if li > 0 {
-                // delta_prev = (delta · W) .* act'(a_prev).
-                ws.delta_prev.resize(bsz, layer.in_dim());
-                matmul(&mut ws.delta_prev, &ws.delta, &layer.weights);
-                let prev_act = self.layers[li - 1].activation;
-                let prev = &ws.acts[li - 1];
-                for e in 0..bsz {
-                    let arow = prev.row(e);
-                    for (d, a) in ws.delta_prev.row_mut(e).iter_mut().zip(arow) {
-                        *d *= prev_act.derivative_from_output(*a);
-                    }
+            let (out, inp) = (layer.out_dim(), layer.in_dim());
+            let s_in = padded(inp);
+            let (below, here) = grads.layers.split_at_mut(li);
+            let input = if li == 0 {
+                ws.x_pad.clear();
+                ws.x_pad.resize(m * s_in, 0.0);
+                for (dst, src) in ws
+                    .x_pad
+                    .chunks_exact_mut(s_in)
+                    .zip(x.as_slice().chunks_exact(inp))
+                {
+                    dst[..inp].copy_from_slice(src);
                 }
+                &ws.x_pad
+            } else {
+                &ws.acts[li - 1]
+            };
+            // dW = δᵀ · input: columns of δ against the input's rows.
+            ws.grad.resize(out * s_in, 0.0);
+            gemm(
+                (out, m, s_in / NR),
+                &ws.delta,
+                (1, sd),
+                input,
+                (NR, s_in),
+                &mut Plain(&mut ws.grad, s_in),
+            );
+            unpad(here[0].0.as_mut_slice(), inp, &ws.grad, s_in);
+            if li > 0 {
+                // δ_prev = (δ · W) .* act'(a_prev), and db_prev with it.
+                pack(&mut ws.panels, layer.weights.as_slice(), (inp, 1), out, inp);
+                ws.delta_prev.resize(m * s_in, 0.0);
+                ws.grad.clear();
+                ws.grad.resize(s_in, 0.0);
+                gemm(
+                    (m, out, s_in / NR),
+                    &ws.delta,
+                    (sd, 1),
+                    &ws.panels,
+                    (out * NR, NR),
+                    &mut MaskSum {
+                        delta_prev: &mut ws.delta_prev,
+                        a_prev: input,
+                        stride: s_in,
+                        activation: self.layers[li - 1].activation,
+                        db: &mut ws.grad,
+                    },
+                );
+                below[li - 1].1.copy_from_slice(&ws.grad[..inp]);
                 std::mem::swap(&mut ws.delta, &mut ws.delta_prev);
+                sd = s_in;
             }
         }
         loss
@@ -811,6 +956,78 @@ mod tests {
         m.forward_batch(&mut bws, &x);
         let mut grads = Gradients::zeros_like(&m);
         m.backward_batch(&mut bws, &x, &y, &mut grads);
+    }
+
+    fn batch_targets(n: usize) -> Matrix {
+        Matrix::from_vec(n, 1, (0..n).map(|e| (e as f64 * 0.31).cos()).collect())
+    }
+
+    #[test]
+    #[should_panic(expected = "workspace holds a forward pass of widths [3, 17, 1]")]
+    fn backward_batch_refuses_a_workspace_filled_by_another_model() {
+        // 17 and 30 pad to the same 32 columns, so every buffer has the
+        // length the second model expects; only the recorded widths
+        // tell the two forward passes apart.
+        let (a, b) = (Mlp::new(&[3, 17, 1], 1), Mlp::new(&[3, 30, 1], 2));
+        let (x, y) = (batch_inputs(8, 3), batch_targets(8));
+        let mut bws = BatchWorkspace::default();
+        a.forward_batch(&mut bws, &x);
+        b.backward_batch(&mut bws, &x, &y, &mut Gradients::zeros_like(&b));
+    }
+
+    #[test]
+    #[should_panic(expected = "workspace batch size mismatch")]
+    fn backward_batch_refuses_a_workspace_filled_by_another_batch() {
+        let m = tiny();
+        let mut bws = BatchWorkspace::default();
+        m.forward_batch(&mut bws, &batch_inputs(8, 2));
+        let (x, y) = (batch_inputs(7, 2), batch_targets(7));
+        m.backward_batch(&mut bws, &x, &y, &mut Gradients::zeros_like(&m));
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient buffers are not shaped like this model")]
+    fn backward_batch_refuses_foreign_gradient_buffers() {
+        let m = tiny();
+        let (x, y) = (batch_inputs(4, 2), batch_targets(4));
+        let mut bws = BatchWorkspace::default();
+        m.forward_batch(&mut bws, &x);
+        let mut grads = Gradients::zeros_like(&Mlp::new(&[2, 5, 1], 0));
+        m.backward_batch(&mut bws, &x, &y, &mut grads);
+    }
+
+    #[test]
+    fn one_batch_workspace_across_models_and_batch_sizes_is_bitwise_invisible() {
+        // Two shapes alternating over shrinking and regrowing batches:
+        // whatever an earlier pass left in the shared buffers (longer
+        // activations, wider panels, other deltas) must not reach any
+        // gradient, and an empty batch must come out as zeros.
+        let models = [Mlp::new(&[3, 40, 6, 1], 3), Mlp::new(&[2, 6, 1], 4)];
+        let mut shared = BatchWorkspace::default();
+        for bsz in [64, 49, 1, 0, 64] {
+            for m in &models {
+                let (x, y) = (batch_inputs(bsz, m.input_dim()), batch_targets(bsz));
+                let mut got = Gradients::zeros_like(m);
+                for (w, b) in &mut got.layers {
+                    w.as_mut_slice().fill(f64::NAN);
+                    b.fill(f64::NAN);
+                }
+                m.forward_batch(&mut shared, &x);
+                let loss = m.backward_batch(&mut shared, &x, &y, &mut got);
+
+                let mut fresh = BatchWorkspace::default();
+                let mut want = Gradients::zeros_like(m);
+                m.forward_batch(&mut fresh, &x);
+                let want_loss = m.backward_batch(&mut fresh, &x, &y, &mut want);
+                assert_eq!(loss.to_bits(), want_loss.to_bits(), "batch {bsz}");
+                for ((dw, db), (fw, fb)) in got.layers.iter().zip(&want.layers) {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(dw.as_slice()), bits(fw.as_slice()), "batch {bsz}");
+                    assert_eq!(bits(db), bits(fb), "batch {bsz}");
+                    assert!(bsz > 0 || dw.as_slice().iter().chain(db).all(|g| *g == 0.0));
+                }
+            }
+        }
     }
 
     #[test]

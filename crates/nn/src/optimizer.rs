@@ -93,8 +93,11 @@ impl Optimizer for Adam {
         self.ensure_state(grads);
         self.t += 1;
         let (b1, b2) = (self.beta1, self.beta2);
-        let bc1 = 1.0 - b1.powi(self.t as i32);
-        let bc2 = 1.0 - b2.powi(self.t as i32);
+        // Saturate rather than wrap: past `i32::MAX` steps both powers
+        // have long underflowed to 0 and the corrections are exactly 1.
+        let t = i32::try_from(self.t).unwrap_or(i32::MAX);
+        let bc1 = 1.0 - b1.powi(t);
+        let bc2 = 1.0 - b2.powi(t);
         let m = self.m.as_mut().expect("state initialized");
         let v = self.v.as_mut().expect("state initialized");
         for (li, layer) in mlp.layers_mut().iter_mut().enumerate() {
@@ -191,6 +194,30 @@ mod tests {
             adam_b.step(&mut b, &g2);
         }
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn adam_step_counter_saturates_past_i32_max() {
+        // `t as i32` wrapped negative past 2^31 steps, turning the bias
+        // corrections into `1 - beta^(-n)`: huge negative divisors and an
+        // update that vanishes. Saturated, every step across the
+        // boundary still moves the weight against the gradient.
+        let mut mlp = Mlp::with_init(&[1, 1], crate::init::Init::Zeros, 0).unwrap();
+        let mut g = Gradients::zeros_like(&mlp);
+        g.layers[0].0.set(0, 0, 0.5);
+        let mut adam = Adam::new(0.1);
+        adam.t = i32::MAX as u64 - 2;
+        for _ in 0..5 {
+            let before = mlp.layers()[0].weights.get(0, 0);
+            adam.step(&mut mlp, &g);
+            let moved = before - mlp.layers()[0].weights.get(0, 0);
+            assert!(
+                (0.05..1.0).contains(&moved),
+                "step {} moved the weight by {moved}",
+                adam.t
+            );
+        }
+        assert!(adam.t > i32::MAX as u64);
     }
 
     #[test]

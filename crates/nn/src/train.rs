@@ -5,18 +5,26 @@
 //! convergence. We add a small patience-based stopping rule so "until
 //! convergence" is well defined and deterministic.
 //!
-//! [`train`] runs the batched hot path: each mini-batch is two GEMMs per
-//! layer into a reused [`BatchWorkspace`] — zero per-example allocation —
-//! and the Adam step consumes the summed batch gradients directly.
-//! [`train_per_example`] is the original one-example-at-a-time loop, kept
-//! as the bit-compatible reference that the property tests and the
-//! `BENCH_build.json` before/after numbers are measured against: both
-//! paths consume the shuffle RNG identically and accumulate gradients in
-//! the same floating-point order, so for the same seed they produce the
-//! same weights bit for bit.
+//! [`train`] runs the batched hot path: each mini-batch is gathered into
+//! a matrix and pushed through [`Mlp::forward_batch`] /
+//! [`Mlp::backward_batch`] — three calls of the crate's tiled GEMM
+//! ([`crate::gemm`]) per layer into a reused [`BatchWorkspace`], zero
+//! per-example allocation — and the Adam step consumes the summed batch
+//! gradients directly.
+//!
+//! **Determinism contract.** The shuffle RNG is consumed once per epoch
+//! and every gradient entry is accumulated in the per-example
+//! floating-point order, so for finite parameters `train` produces, bit
+//! for bit, the weights of the one-example-at-a-time loop
+//! ([`accumulate_example_gradient`] over each batch, then the same
+//! [`Optimizer::step_scaled`]). That loop is kept as the oracle in
+//! `tests/batched_vs_scalar.rs`, which asserts the equality with
+//! `to_bits()` on both the FMA and the non-FMA build.
+//!
+//! [`accumulate_example_gradient`]: crate::mlp::accumulate_example_gradient
 
 use crate::linalg::Matrix;
-use crate::mlp::{accumulate_example_gradient, BatchWorkspace, Gradients, Mlp};
+use crate::mlp::{BatchWorkspace, Gradients, Mlp};
 use crate::optimizer::{Adam, Optimizer};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -82,9 +90,6 @@ pub struct TrainReport {
 /// [`Optimizer::step_scaled`]. All scratch lives in buffers grown once
 /// and reused for the whole run.
 ///
-/// Produces bitwise the same model as [`train_per_example`] for the same
-/// configuration and seed.
-///
 /// # Panics
 /// Panics if `xs` and `ys` differ in length, `xs` is empty, or any
 /// feature vector's length differs from the network's input
@@ -123,78 +128,6 @@ pub fn train(mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[f64], cfg: &TrainConfig) -> T
             }
             mlp.forward_batch(&mut ws, &xb);
             let batch_loss = mlp.backward_batch(&mut ws, &xb, &yb, &mut grads);
-            adam.step_scaled(mlp, &grads, 1.0 / chunk.len() as f64);
-            epoch_loss += batch_loss;
-            if let Some(budget) = cfg.time_budget {
-                if start.elapsed() > budget {
-                    curve.push(epoch_loss / xs.len() as f64);
-                    break 'outer;
-                }
-            }
-        }
-        epoch_loss /= xs.len() as f64;
-        curve.push(epoch_loss);
-        if cfg.patience > 0 {
-            if epoch_loss < best * (1.0 - cfg.min_delta) {
-                best = epoch_loss;
-                stale = 0;
-            } else {
-                stale += 1;
-                if stale >= cfg.patience {
-                    break;
-                }
-            }
-        }
-    }
-
-    let final_loss = *curve.last().expect("at least one epoch");
-    TrainReport {
-        epochs_run,
-        final_loss,
-        loss_curve: curve,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// The original one-example-at-a-time training loop, kept as the
-/// reference implementation.
-///
-/// It exists for two jobs: the property tests assert [`train`] matches
-/// it to floating-point exactness, and the perf harness measures the
-/// batched speedup against it (the `train_leaf_per_example` entry in
-/// `BENCH_build.json`). It consumes the shuffle RNG identically to
-/// [`train`], so both paths see the same batches in the same order.
-///
-/// # Panics
-/// Panics if `xs` and `ys` differ in length or `xs` is empty.
-pub fn train_per_example(
-    mlp: &mut Mlp,
-    xs: &[Vec<f64>],
-    ys: &[f64],
-    cfg: &TrainConfig,
-) -> TrainReport {
-    assert_eq!(xs.len(), ys.len(), "features/targets must pair up");
-    assert!(!xs.is_empty(), "training set must be nonempty");
-    let start = std::time::Instant::now();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut order: Vec<usize> = (0..xs.len()).collect();
-    let mut adam = Adam::new(cfg.lr);
-    let mut grads = Gradients::zeros_like(mlp);
-    let mut curve = Vec::with_capacity(cfg.epochs);
-    let mut best = f64::INFINITY;
-    let mut stale = 0usize;
-    let mut epochs_run = 0usize;
-
-    'outer: for _ in 0..cfg.epochs {
-        epochs_run += 1;
-        order.shuffle(&mut rng);
-        let mut epoch_loss = 0.0;
-        for chunk in order.chunks(cfg.batch_size.max(1)) {
-            grads.zero();
-            let mut batch_loss = 0.0;
-            for &i in chunk {
-                batch_loss += accumulate_example_gradient(mlp, &xs[i], &[ys[i]], &mut grads);
-            }
             adam.step_scaled(mlp, &grads, 1.0 / chunk.len() as f64);
             epoch_loss += batch_loss;
             if let Some(budget) = cfg.time_budget {
@@ -316,19 +249,34 @@ mod tests {
 
     #[test]
     fn batched_and_per_example_paths_agree_bitwise() {
+        // The per-example loop in its shortest form (no stopping rule);
+        // `tests/batched_vs_scalar.rs` holds the full oracle.
+        use crate::mlp::accumulate_example_gradient;
         let (xs, ys) = make_linear_set(83); // odd size: ragged final batch
         let cfg = TrainConfig {
             epochs: 25,
             batch_size: 16,
-            patience: 5,
+            patience: 0,
             ..Default::default()
         };
         let mut batched = Mlp::new(&[2, 12, 6, 1], 77);
         let mut reference = batched.clone();
-        let rb = train(&mut batched, &xs, &ys, &cfg);
-        let rr = train_per_example(&mut reference, &xs, &ys, &cfg);
-        assert_eq!(rb.epochs_run, rr.epochs_run);
-        assert_eq!(rb.loss_curve, rr.loss_curve);
+        train(&mut batched, &xs, &ys, &cfg);
+
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut order: Vec<usize> = (0..xs.len()).collect();
+        let mut adam = Adam::new(cfg.lr);
+        let mut grads = Gradients::zeros_like(&reference);
+        for _ in 0..cfg.epochs {
+            order.shuffle(&mut rng);
+            for chunk in order.chunks(cfg.batch_size) {
+                grads.zero();
+                for &i in chunk {
+                    accumulate_example_gradient(&reference, &xs[i], &[ys[i]], &mut grads);
+                }
+                adam.step_scaled(&mut reference, &grads, 1.0 / chunk.len() as f64);
+            }
+        }
         assert_eq!(batched, reference, "weights must match bit for bit");
     }
 
