@@ -106,6 +106,15 @@ fn main() {
                 per_example / fused
             );
         }
+        if let (Some(ranked), Some(generic)) = (
+            report.median_of("exact_scan_two_attr"),
+            report.median_of("exact_scan_two_attr_generic"),
+        ) {
+            println!(
+                "  exact two-attribute scan: rank-verified {:.2}x the predicate-verified scan",
+                generic / ranked
+            );
+        }
         if let (Some(f32b), Some(f16b), Some(i8b)) = (
             report.median_of("artifact_bytes_f32"),
             report.median_of("artifact_bytes_f16"),

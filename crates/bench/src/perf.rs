@@ -11,7 +11,10 @@
 //! `crates/bench/benches/` (which reuse [`scenarios`]): exact labeling,
 //! partition+merge, per-leaf training (`train_leaf_batched`, with
 //! `train_leaf_gflops` computed from the shapes), the full sketch
-//! build, per-query answer latency, the serving engine's
+//! build, per-query answer latency, the exact engine's rank-verified
+//! scan timed rep-for-rep against the predicate-verified one
+//! (`exact_scan_two_attr` vs `exact_scan_two_attr_generic`), the
+//! serving engine's
 //! `serve_throughput` scenario (the same query stream through the
 //! single-query loop and the batched `SketchServer`, so the recorded
 //! ratio is the serving-throughput multiplier), the scatter/gather
@@ -971,6 +974,69 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
             }
         }),
     );
+
+    // The rank-verified scan (`exact_scan_two_attr`): two active
+    // attributes, so neither entry above reaches it — they run one
+    // active attribute, i.e. two binary searches into prefix sums. Timed
+    // rep for rep against the same predicate with the exactness of its
+    // bounds hidden (`exact_scan_two_attr_generic`): the engine then
+    // picks the same scan attribute and calls `matches` on every
+    // candidate row, which is what a range query cost before the scan
+    // existed and what a bounding-box predicate still costs. The ratio
+    // is the tracked number; the answers are the same bits.
+    {
+        use query::predicate::PredicateFn;
+        use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
+
+        struct BoundsHidden<'p>(&'p dyn PredicateFn);
+        impl PredicateFn for BoundsHidden<'_> {
+            fn query_dim(&self) -> usize {
+                self.0.query_dim()
+            }
+            fn matches(&self, q: &[f64], x: &[f64]) -> bool {
+                self.0.matches(q, x)
+            }
+            fn axis_bounds(&self, q: &[f64]) -> Option<Vec<(usize, f64, f64)>> {
+                self.0.axis_bounds(q)
+            }
+        }
+
+        let wl = Workload::generate(&WorkloadConfig {
+            dims: 3,
+            active: ActiveMode::Fixed(vec![0, 1]),
+            range: RangeMode::Uniform,
+            count: 200,
+            seed: 3,
+        })
+        .expect("two-attribute workload");
+        let generic = BoundsHidden(&wl.predicate);
+        let label =
+            |pred: &dyn PredicateFn| engine.label_batch(pred, Aggregate::Avg, &wl.queries, 1);
+        let (ranked, verified) = (label(&wl.predicate), label(&generic));
+        assert!(
+            ranked
+                .iter()
+                .zip(&verified)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "rank-verified and predicate-verified scans disagree"
+        );
+        let iters = 20;
+        let (ranked, verified) = time_paired(
+            reps,
+            || {
+                for _ in 0..iters {
+                    std::hint::black_box(label(&wl.predicate));
+                }
+            },
+            || {
+                for _ in 0..iters {
+                    std::hint::black_box(label(&generic));
+                }
+            },
+        );
+        push("exact_scan_two_attr", iters, ranked);
+        push("exact_scan_two_attr_generic", iters, verified);
+    }
 
     PerfReport {
         suite: "query".into(),

@@ -174,11 +174,31 @@ impl<'a> SketchServer<'a> {
 
     /// Serve with DQD routing live: queries the policy refuses are
     /// answered by `fallback` instead of the sketch.
+    ///
+    /// # Panics
+    /// Panics if the fallback's predicate reads query vectors of another
+    /// length than the sketch does — it would answer a different
+    /// question, or index past the vector — or if
+    /// [`ServeOptions::active_attrs`] asks the range rule for more
+    /// `[c..., r...]` pairs than a query vector holds.
     pub fn with_fallback(
         router: DqdRouter,
         fallback: ExactBackend<'a>,
         opts: ServeOptions,
     ) -> SketchServer<'a> {
+        let dim = router.sketch().query_dim();
+        assert_eq!(
+            fallback.predicate.query_dim(),
+            dim,
+            "fallback predicate and sketch disagree on the query dimension"
+        );
+        if let Some(k) = opts.active_attrs {
+            assert!(
+                2 * k <= dim,
+                "active_attrs = {k} needs {} query dimensions, the sketch has {dim}",
+                2 * k
+            );
+        }
         SketchServer {
             router,
             fallback: Some(fallback),
@@ -452,6 +472,43 @@ mod tests {
                 .collect();
             (answers, small)
         }
+    }
+
+    /// The served sketch reads 2-d `[c, r]` queries of one active
+    /// attribute; `with_fallback` wired to `predicate` and
+    /// `active_attrs`.
+    fn miswired(predicate: &dyn PredicateFn, active_attrs: Option<usize>) {
+        let (data, _wl, router) = served_setup();
+        let engine = QueryEngine::new(&data, 1);
+        let backend = ExactBackend {
+            engine: &engine,
+            predicate,
+            aggregate: Aggregate::Count,
+        };
+        let opts = ServeOptions {
+            active_attrs,
+            ..ServeOptions::default()
+        };
+        SketchServer::with_fallback(router, backend, opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on the query dimension")]
+    fn fallback_predicate_wider_than_the_sketch_is_refused() {
+        miswired(&query::predicate::Range::all(2), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on the query dimension")]
+    fn fallback_predicate_narrower_than_the_sketch_is_refused() {
+        let corner_only = query::predicate::FixedWidthRange::new(vec![0], vec![0.1], 2);
+        miswired(&corner_only.unwrap(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "active_attrs = 2 needs 4 query dimensions")]
+    fn more_active_attrs_than_the_query_holds_is_refused() {
+        miswired(&query::predicate::Range::new(vec![0], 2).unwrap(), Some(2));
     }
 
     #[test]

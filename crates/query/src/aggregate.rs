@@ -217,11 +217,7 @@ impl Moments {
     /// Accumulate the moments of a value stream.
     pub fn of(values: impl Iterator<Item = f64>) -> Moments {
         let mut m = Moments::ZERO;
-        for v in values {
-            m.n += 1.0;
-            m.s += v;
-            m.s2 += v * v;
-        }
+        m.extend(values);
         m
     }
 
@@ -258,6 +254,20 @@ impl Moments {
     /// closed form as [`Aggregate::from_moments`].
     pub fn finish(&self, agg: Aggregate) -> Option<f64> {
         agg.from_moments(self.n, self.s, self.s2)
+    }
+}
+
+/// Continue the three running sums over more values, one value at a
+/// time in stream order — feeding a stream in pieces gives the same
+/// bits as feeding it whole, which is what lets the query engine scan
+/// in blocks.
+impl Extend<f64> for Moments {
+    fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
+        for v in values {
+            self.n += 1.0;
+            self.s += v;
+            self.s2 += v * v;
+        }
     }
 }
 

@@ -1,27 +1,90 @@
 //! Exact query execution — the ground-truth oracle.
 //!
 //! `QueryEngine` evaluates the observed query function
-//! `f_D(q) = AGG({x ∈ D : P_f(q,x) = 1})` exactly, as the paper's
-//! training-set generation does. Two things make it fast enough to label
-//! hundred-thousand-query workloads:
+//! `f_D(q) = AGG({x ∈ D : P_f(q,x) = 1})` exactly. It labels every
+//! training query (Alg. 4) and every drift probe (Sec. 7), and it
+//! answers the queries the DQD rules refuse (Sec. 4.3), so the same
+//! code is on the build path and the serving path.
 //!
-//! * a **sorted-column index** built once per engine: every attribute's
-//!   values sorted with their row ids, plus prefix sums of the measure's
-//!   first two moments in sorted order. A single-attribute exact range
-//!   predicate (the common workload shape) answers COUNT/SUM/AVG/STD with
-//!   two binary searches and no row access at all; every other predicate
-//!   with axis bounds scans only the candidate rows of its most selective
-//!   attribute and verifies the full predicate on those;
-//! * **parallel batch labeling** over the shared [`par`] worker pool,
-//!   with one reusable scratch buffer per worker (mirroring the paper's
-//!   GPU-parallel label generation).
+//! # The index
 //!
-//! Predicates with no axis bounds (e.g. half-spaces) fall back to the
-//! full scan.
+//! Built once per engine, per attribute: the column's values in
+//! ascending order and the row ids in that order (12 bytes a row).
+//! Three more arrays are pure functions of that order and are derived
+//! on first use, so an engine pays only for the paths its workload
+//! takes:
+//!
+//! * the **prefix-sum pair** of the measure and its square in sorted
+//!   order (16 bytes a row) — attributes answered by the prefix path;
+//! * the **measure in sorted order** (8) — attributes a scan runs over;
+//! * the **inverse permutation** `inv[row] = position` (4) — attributes
+//!   a scan verifies by rank.
+//!
+//! [`QueryEngine::index_bytes`] reports what is held. A
+//! [`QueryEngine::resume`] that extends an index derives them again
+//! from the merged order; it never carries them over.
+//!
+//! # The three paths
+//!
+//! A predicate with axis bounds ([`PredicateFn::axis_bounds`]) is
+//! answered from the index, otherwise by a full scan of the table.
+//!
+//! 1. **Prefix sums** — bounds that *are* the predicate
+//!    ([`PredicateFn::axis_bounds_exact`]) over a single attribute:
+//!    COUNT/SUM/AVG/STD from two binary searches, no row visited.
+//! 2. **Rank-verified scan** — exact bounds over several attributes.
+//!    The scan runs over the attribute with the narrowest band; every
+//!    other bound becomes a position range `[lo, hi)` in *its own*
+//!    attribute's order, and a candidate row passes when
+//!    `inv[row] - lo < hi - lo` (one wrapping integer compare). Equal
+//!    values sit on one side of every partition point, so the rank test
+//!    equals the value test `lo_v <= x < hi_v` under ties, NaN bounds
+//!    and negative widths. The predicate is never called and no table
+//!    row is read.
+//! 3. **Predicate-verified scan** — bounds that are only a bounding box
+//!    (rotated rectangles, spheres): the same choice of scan attribute,
+//!    then [`PredicateFn::matches`] on each candidate row. Tests use it
+//!    as the oracle for path 2 by hiding a range predicate's exactness.
+//!
+//! # Accumulation order
+//!
+//! Paths 2 and 3 pick the scan attribute by the same rule — narrowest
+//! band **with both endpoints included**, first bound wins a tie — and
+//! feed the matching measure values to the same running sums
+//! ([`Moments`]'s `Extend`) in ascending position of that attribute's
+//! order. Floating-point addition is not associative; holding this
+//! order fixed is what keeps every label, and so every trained weight,
+//! the same bits whichever path computed it. Path 1 subtracts two
+//! prefix sums instead and is only ever taken for single-bound
+//! predicates, as before.
+//!
+//! Batch labeling runs in parallel over the shared [`par`] worker pool,
+//! with one reusable scratch buffer per worker (mirroring the paper's
+//! GPU-parallel label generation).
 
 use crate::aggregate::{Aggregate, Moments};
 use crate::predicate::PredicateFn;
 use datagen::Dataset;
+use std::mem::size_of_val;
+use std::sync::OnceLock;
+
+/// Candidates per block of the rank-verified scan: the keep mask and
+/// the compacted values of one block live on the stack.
+const BLOCK: usize = 256;
+
+/// One axis bound resolved to positions in its attribute's sorted
+/// order.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    attr: usize,
+    /// First position with a value `>= lo_v`.
+    lo: usize,
+    /// End of the half-open band: first position `>= lo` with a value
+    /// `>= hi_v`.
+    hi: usize,
+    /// End of the inclusive band: past the values equal to `hi_v` too.
+    hi_incl: usize,
+}
 
 /// One attribute's slice of the sorted-column index.
 #[derive(Debug, Clone)]
@@ -30,48 +93,34 @@ struct AttrIndex {
     vals: Vec<f64>,
     /// Row ids aligned with `vals`.
     rows: Vec<u32>,
-    /// `prefix[i]` = sum of the measure over the first `i` sorted rows.
-    prefix: Vec<f64>,
-    /// Like `prefix`, for the squared measure (for STD).
-    prefix2: Vec<f64>,
+    /// `inv[row]` = the row's position in `rows`.
+    inv: OnceLock<Vec<u32>>,
+    /// The measure column in `rows` order.
+    measure: OnceLock<Vec<f64>>,
+    /// `prefix[i]` = `[Σ m, Σ m²]` over the first `i` sorted rows.
+    prefix: OnceLock<Vec<[f64; 2]>>,
 }
 
 impl AttrIndex {
-    /// Finish an index from a sorted row order: materialize the value
-    /// array and accumulate the prefix sums in that order. Both the full
-    /// build and the incremental merge end here, so their floating-point
-    /// accumulation order — and therefore every answer — is identical.
-    fn from_order(order: Vec<u32>, col: &[f64], data: &Dataset, measure: usize) -> AttrIndex {
-        let n = order.len();
-        let vals: Vec<f64> = order.iter().map(|&r| col[r as usize]).collect();
-        let mut prefix = Vec::with_capacity(n + 1);
-        let mut prefix2 = Vec::with_capacity(n + 1);
-        let (mut s, mut s2) = (0.0f64, 0.0f64);
-        prefix.push(0.0);
-        prefix2.push(0.0);
-        let raw = data.raw();
-        let d = data.dims();
-        for &r in &order {
-            let m = raw[r as usize * d + measure];
-            s += m;
-            s2 += m * m;
-            prefix.push(s);
-            prefix2.push(s2);
-        }
+    /// Finish an index from a sorted row order. Both the full build and
+    /// the incremental merge end here, and everything derived later is
+    /// a function of this order alone, so the two agree bit for bit.
+    fn from_order(order: Vec<u32>, col: &[f64]) -> AttrIndex {
         AttrIndex {
-            vals,
+            vals: order.iter().map(|&r| col[r as usize]).collect(),
             rows: order,
-            prefix,
-            prefix2,
+            inv: OnceLock::new(),
+            measure: OnceLock::new(),
+            prefix: OnceLock::new(),
         }
     }
 
-    fn build(data: &Dataset, attr: usize, measure: usize) -> AttrIndex {
+    fn build(data: &Dataset, attr: usize) -> AttrIndex {
         let n = data.rows();
         let mut order: Vec<u32> = (0..n as u32).collect();
         let col = data.column(attr);
         order.sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
-        AttrIndex::from_order(order, &col, data, measure)
+        AttrIndex::from_order(order, &col)
     }
 
     /// Merge the appended rows `old_rows..data.rows()` into this index
@@ -79,10 +128,11 @@ impl AttrIndex {
     /// (`O(m log m)`), then merge the two sorted runs (`O(n + m)`). Ties
     /// break exactly as the stable full sort does — existing rows first
     /// (their row ids all precede the delta's), delta rows in row order —
-    /// so the merged order, and with [`AttrIndex::from_order`] the
-    /// prefix sums, are **bitwise identical** to a from-scratch
-    /// [`AttrIndex::build`] over the grown table.
-    fn extended(self, data: &Dataset, attr: usize, measure: usize, old_rows: usize) -> AttrIndex {
+    /// so the merged order, and with it every derived array, is
+    /// **bitwise identical** to a from-scratch [`AttrIndex::build`] over
+    /// the grown table. The derived arrays of `self` describe the old
+    /// order and are dropped.
+    fn extended(self, data: &Dataset, attr: usize, old_rows: usize) -> AttrIndex {
         let n = data.rows();
         let col = data.column(attr);
         let mut delta: Vec<u32> = (old_rows as u32..n as u32).collect();
@@ -102,7 +152,57 @@ impl AttrIndex {
         }
         order.extend_from_slice(&self.rows[i..]);
         order.extend_from_slice(&delta[j..]);
-        AttrIndex::from_order(order, &col, data, measure)
+        AttrIndex::from_order(order, &col)
+    }
+
+    /// The measure column read in this attribute's sorted order.
+    fn measure_in_order<'s>(
+        &'s self,
+        data: &'s Dataset,
+        measure: usize,
+    ) -> impl Iterator<Item = f64> + 's {
+        let (raw, d) = (data.raw(), data.dims());
+        self.rows
+            .iter()
+            .map(move |&r| raw[r as usize * d + measure])
+    }
+
+    fn inv(&self) -> &[u32] {
+        self.inv.get_or_init(|| {
+            let mut inv = vec![0u32; self.rows.len()];
+            for (pos, &r) in self.rows.iter().enumerate() {
+                inv[r as usize] = pos as u32;
+            }
+            inv
+        })
+    }
+
+    fn sorted_measure(&self, data: &Dataset, measure: usize) -> &[f64] {
+        self.measure
+            .get_or_init(|| self.measure_in_order(data, measure).collect())
+    }
+
+    fn prefix(&self, data: &Dataset, measure: usize) -> &[[f64; 2]] {
+        self.prefix.get_or_init(|| {
+            let mut prefix = Vec::with_capacity(self.rows.len() + 1);
+            let (mut s, mut s2) = (0.0f64, 0.0f64);
+            prefix.push([s, s2]);
+            for m in self.measure_in_order(data, measure) {
+                s += m;
+                s2 += m * m;
+                prefix.push([s, s2]);
+            }
+            prefix
+        })
+    }
+
+    /// Bytes held: the eager pair plus whatever has been derived so far.
+    fn bytes(&self) -> usize {
+        size_of_val(&self.vals[..])
+            + size_of_val(&self.rows[..])
+            + self.inv.get().map_or(0, |v| size_of_val(&v[..]))
+            + self.measure.get().map_or(0, |v| size_of_val(&v[..]))
+            + self.prefix.get().map_or(0, |v| size_of_val(&v[..]))
     }
 
     /// Half-open sorted range `[lo, hi)` of positions whose value is in
@@ -113,12 +213,19 @@ impl AttrIndex {
         (lo, hi.max(lo))
     }
 
-    /// Conservative candidate range: values in `[lo_v, hi_v]`, endpoints
-    /// included (safe for predicates whose bounds are inclusive).
-    fn range_inclusive(&self, lo_v: f64, hi_v: f64) -> (usize, usize) {
-        let lo = self.vals.partition_point(|v| *v < lo_v);
-        let hi = self.vals.partition_point(|v| *v <= hi_v);
-        (lo, hi.max(lo))
+    /// Resolve the bound `(attr, lo_v, hi_v)` on this attribute: the
+    /// half-open band, and the inclusive one that also holds the values
+    /// equal to `hi_v` (the conservative candidate range of a predicate
+    /// whose bounds are inclusive).
+    fn span(&self, attr: usize, lo_v: f64, hi_v: f64) -> Span {
+        let (lo, hi) = self.range_half_open(lo_v, hi_v);
+        let ties = self.vals[hi..].partition_point(|v| *v <= hi_v);
+        Span {
+            attr,
+            lo,
+            hi,
+            hi_incl: hi + ties,
+        }
     }
 }
 
@@ -197,8 +304,8 @@ impl std::error::Error for ResumeError {}
 /// [`QueryEngine::resume`] merges the appended rows into each sorted
 /// column in `O(n + m log m)` instead of the `O((n + m) log (n + m))`
 /// full re-sort, and the resumed engine is **bitwise identical** to a
-/// freshly built one — same sorted orders, same prefix-sum accumulation
-/// order, same answers.
+/// freshly built one — same sorted orders, hence the same derived
+/// arrays and the same answers.
 #[derive(Debug, Clone)]
 pub struct IndexSnapshot {
     measure: usize,
@@ -214,7 +321,7 @@ impl IndexSnapshot {
         self.rows
     }
 
-    /// The measure column the snapshot's prefix sums aggregate.
+    /// The measure column the snapshot's engine aggregates.
     pub fn measure(&self) -> usize {
         self.measure
     }
@@ -246,11 +353,14 @@ fn prefix_fingerprint(data: &Dataset, rows: usize) -> u64 {
 
 /// Exact evaluator of query functions over a dataset.
 ///
-/// Construction sorts every attribute column once (`O(d · n log n)`);
-/// each engine is expected to label many queries, which is exactly how
-/// the build pipeline uses it. When the table grows by appends, the
-/// snapshot/resume pair ([`QueryEngine::into_snapshot`] /
-/// [`QueryEngine::resume`]) reindexes incrementally instead.
+/// Construction sorts every attribute column once (`O(d · n log n)`,
+/// 12 bytes per row per attribute); each engine is expected to label
+/// many queries, which is exactly how the build pipeline uses it. The
+/// rest of the index is derived on first use (see the module docs) and
+/// never exceeds 40 bytes per row per attribute. When the table grows
+/// by appends, the snapshot/resume pair
+/// ([`QueryEngine::into_snapshot`] / [`QueryEngine::resume`]) reindexes
+/// incrementally instead.
 #[derive(Debug, Clone)]
 pub struct QueryEngine<'a> {
     data: &'a Dataset,
@@ -270,7 +380,7 @@ impl<'a> QueryEngine<'a> {
             "measure column {measure} out of range"
         );
         let index = (0..data.dims())
-            .map(|a| AttrIndex::build(data, a, measure))
+            .map(|a| AttrIndex::build(data, a))
             .collect();
         QueryEngine {
             data,
@@ -332,7 +442,7 @@ impl<'a> QueryEngine<'a> {
                 .index
                 .into_iter()
                 .enumerate()
-                .map(|(attr, ai)| ai.extended(grown, attr, snapshot.measure, snapshot.rows))
+                .map(|(attr, ai)| ai.extended(grown, attr, snapshot.rows))
                 .collect()
         };
         Ok(QueryEngine {
@@ -345,6 +455,14 @@ impl<'a> QueryEngine<'a> {
     /// The measure column index.
     pub fn measure(&self) -> usize {
         self.measure
+    }
+
+    /// Bytes the index holds right now: 12 per row per attribute from
+    /// construction, plus what queries have derived since — 8 for an
+    /// attribute scans have run over, 4 for one verified by rank, 16 for
+    /// one answered from prefix sums (40 at most, `O(d · n)`).
+    pub fn index_bytes(&self) -> usize {
+        self.index.iter().map(AttrIndex::bytes).sum()
     }
 
     /// Exact answer `f_D(q)`.
@@ -372,12 +490,10 @@ impl<'a> QueryEngine<'a> {
         self.answer_scan(scratch, pred, agg, q)
     }
 
-    /// Index-assisted path: answer from prefix sums when the bounds fully
-    /// define the predicate over one attribute, otherwise verify the
-    /// predicate on the most selective attribute's candidate rows only.
-    /// Non-MEDIAN aggregates delegate to the moments path — one copy of
-    /// the index math serves both `answer` and `moments`, which is what
-    /// keeps the sharded gather-equals-answer invariant structural.
+    /// Index-assisted path. Non-MEDIAN aggregates delegate to the
+    /// moments path — one copy of the index math serves both `answer`
+    /// and `moments`, which is what keeps the sharded
+    /// gather-equals-answer invariant structural.
     fn answer_pruned(
         &self,
         scratch: &mut Vec<f64>,
@@ -387,10 +503,10 @@ impl<'a> QueryEngine<'a> {
         bounds: &[(usize, f64, f64)],
     ) -> f64 {
         if matches!(agg, Aggregate::Median) {
-            // MEDIAN is not a function of moments: materialize the
-            // candidate-verified matches and select.
+            // MEDIAN is not a function of moments: collect the matches
+            // of the same scan and select.
             scratch.clear();
-            scratch.extend(self.pruned_matching(pred, q, bounds));
+            self.scan_matching(pred, q, bounds, |vals| scratch.extend_from_slice(vals));
             return agg.apply(scratch);
         }
         self.moments_pruned(pred, q, bounds)
@@ -398,39 +514,85 @@ impl<'a> QueryEngine<'a> {
             .expect("every non-median aggregate is a function of moments")
     }
 
-    /// Candidate verification shared by the pruned answer and moments
-    /// paths: pick the most selective bounded attribute and yield the
-    /// measure values of its candidate rows that satisfy the full
-    /// predicate. Endpoints are kept inclusive so bounding-box pruning
-    /// (rotated rectangles, spheres) stays a strict superset of the
-    /// true match set.
-    fn pruned_matching<'q>(
-        &'q self,
-        pred: &'q dyn PredicateFn,
-        q: &'q [f64],
+    /// The scan shared by the pruned answer and moments paths: resolve
+    /// every bound to positions, scan the attribute with the narrowest
+    /// inclusive band (the first such bound), and hand `sink` the
+    /// measure values of the matching rows, in ascending position of
+    /// that attribute's order, a slice at a time.
+    fn scan_matching(
+        &self,
+        pred: &dyn PredicateFn,
+        q: &[f64],
         bounds: &[(usize, f64, f64)],
-    ) -> impl Iterator<Item = f64> + 'q {
-        let (mut best, mut best_width) = (None, usize::MAX);
-        for &(attr, lo_v, hi_v) in bounds {
-            let ai = &self.index[attr];
-            let (lo, hi) = ai.range_inclusive(lo_v, hi_v);
-            if hi - lo < best_width {
-                best_width = hi - lo;
-                best = Some((attr, lo, hi));
-            }
+        mut sink: impl FnMut(&[f64]),
+    ) {
+        let mut spans: Vec<Span> = bounds
+            .iter()
+            .map(|&(attr, lo_v, hi_v)| self.index[attr].span(attr, lo_v, hi_v))
+            .collect();
+        // `min_by_key` returns the first minimum. The choice is made on
+        // the inclusive band on both paths so that they accumulate in
+        // the same order.
+        let narrowest = (0..spans.len())
+            .min_by_key(|&i| spans[i].hi_incl - spans[i].lo)
+            .expect("bounds nonempty");
+        let scan = spans.swap_remove(narrowest);
+        let ai = &self.index[scan.attr];
+        if pred.axis_bounds_exact() {
+            // A bound spanning its whole column holds for every row.
+            spans.retain(|s| s.hi - s.lo < ai.rows.len());
+            return self.scan_ranked(scan, &spans, sink);
         }
-        let (attr, lo, hi) = best.expect("bounds nonempty");
-        let candidates = &self.index[attr].rows[lo..hi];
-        let raw = self.data.raw();
-        let d = self.data.dims();
-        candidates.iter().filter_map(move |&r| {
+        // A bounding box: its endpoints stay included so the candidates
+        // are a superset of the matches, and the predicate decides.
+        let (raw, d) = (self.data.raw(), self.data.dims());
+        for &r in &ai.rows[scan.lo..scan.hi_incl] {
             let row = &raw[r as usize * d..(r as usize + 1) * d];
             if pred.matches(q, row) {
-                Some(row[self.measure])
-            } else {
-                None
+                sink(std::slice::from_ref(&row[self.measure]));
             }
-        })
+        }
+    }
+
+    /// Rank-verified scan over the half-open band of `scan`: a row
+    /// passes when its position in each of `checks`' attribute orders
+    /// lies in that bound's `[lo, hi)`. Per block of [`BLOCK`]
+    /// candidates: one pass per check ANDs into a keep mask, then the
+    /// band's measure values are compacted without a branch (every
+    /// value is stored, the write cursor advances only for kept ones).
+    fn scan_ranked(&self, scan: Span, checks: &[Span], mut sink: impl FnMut(&[f64])) {
+        let ai = &self.index[scan.attr];
+        let band = &ai.sorted_measure(self.data, self.measure)[scan.lo..scan.hi];
+        if checks.is_empty() {
+            return sink(band);
+        }
+        let mut keep = [0u8; BLOCK];
+        let mut kept = [0.0f64; BLOCK];
+        let rows = &ai.rows[scan.lo..scan.hi];
+        for (rows, vals) in rows.chunks(BLOCK).zip(band.chunks(BLOCK)) {
+            let keep = &mut keep[..rows.len()];
+            keep.fill(1);
+            for c in checks {
+                let inv = self.index[c.attr].inv();
+                let (lo, width) = (c.lo as u32, (c.hi - c.lo) as u32);
+                let in_range = |pos: &u32| pos.wrapping_sub(lo) < width;
+                // `get`, not `inv[r]`: every row id is in range, but a
+                // loop with no panic in it is one the compiler can turn
+                // into masked vector gathers.
+                for (k, &r) in keep.iter_mut().zip(rows) {
+                    *k &= inv.get(r as usize).is_some_and(in_range) as u8;
+                }
+            }
+            let mut n = 0;
+            for (&v, &k) in vals.iter().zip(&*keep) {
+                // `n` counts the kept among the values before this one,
+                // so it is below BLOCK; the modulo only tells the
+                // compiler so.
+                kept[n % BLOCK] = v;
+                n += k as usize;
+            }
+            sink(&kept[..n]);
+        }
     }
 
     /// Full-scan fallback for predicates with no axis bounds.
@@ -481,10 +643,9 @@ impl<'a> QueryEngine<'a> {
         )
     }
 
-    /// Index-assisted moment computation, mirroring the two pruned
-    /// answer paths: prefix-sum differences when the bounds exactly
-    /// define a single-attribute predicate, candidate verification on
-    /// the most selective attribute otherwise.
+    /// Index-assisted moment computation: prefix-sum differences when
+    /// the bounds exactly define a single-attribute predicate, the
+    /// shared scan otherwise.
     fn moments_pruned(
         &self,
         pred: &dyn PredicateFn,
@@ -495,13 +656,16 @@ impl<'a> QueryEngine<'a> {
             let (attr, lo_v, hi_v) = bounds[0];
             let ai = &self.index[attr];
             let (lo, hi) = ai.range_half_open(lo_v, hi_v);
+            let prefix = ai.prefix(self.data, self.measure);
             return Moments {
                 n: (hi - lo) as f64,
-                s: ai.prefix[hi] - ai.prefix[lo],
-                s2: ai.prefix2[hi] - ai.prefix2[lo],
+                s: prefix[hi][0] - prefix[lo][0],
+                s2: prefix[hi][1] - prefix[lo][1],
             };
         }
-        Moments::of(self.pruned_matching(pred, q, bounds))
+        let mut m = Moments::ZERO;
+        self.scan_matching(pred, q, bounds, |vals| m.extend(vals.iter().copied()));
+        m
     }
 
     /// Moment-label a batch of queries, in parallel across `threads`
@@ -755,54 +919,92 @@ mod tests {
         let _ = QueryEngine::new(&d, 5);
     }
 
+    /// Two grid-valued attributes (many ties, also across an append
+    /// boundary) and an irrational-ish measure, so every sum is
+    /// order-sensitive.
+    fn tied_rows(range: std::ops::Range<usize>) -> Vec<Vec<f64>> {
+        range
+            .map(|i| {
+                vec![
+                    ((i % 10) as f64) / 10.0,
+                    ((i * 7 % 13) as f64) / 13.0,
+                    (i as f64 * 0.731) % 5.0,
+                ]
+            })
+            .collect()
+    }
+
+    /// One single-attribute (prefix path) and one two-attribute
+    /// (rank-verified scan) predicate over [`tied_rows`], with queries
+    /// whose bounds land on stored values.
+    fn tied_queries() -> Vec<(Range, Vec<f64>)> {
+        let single = Range::new(vec![0], 3).unwrap();
+        let pair = Range::new(vec![0, 1], 3).unwrap();
+        (0..40)
+            .flat_map(|i| {
+                let c = i as f64 / 45.0;
+                [
+                    (single.clone(), vec![c, 0.35]),
+                    (pair.clone(), vec![c, (i % 13) as f64 / 13.0, 0.35, 0.5]),
+                    (pair.clone(), vec![0.1, c, 0.8, 0.2]),
+                ]
+            })
+            .collect()
+    }
+
+    fn assert_engines_agree_bitwise(a: &QueryEngine<'_>, b: &QueryEngine<'_>) {
+        for (pred, q) in tied_queries() {
+            for agg in Aggregate::ALL {
+                assert_eq!(
+                    a.answer(&pred, agg, &q).to_bits(),
+                    b.answer(&pred, agg, &q).to_bits(),
+                    "{} at {q:?}",
+                    agg.name()
+                );
+            }
+            assert_eq!(a.moments(&pred, &q), b.moments(&pred, &q));
+        }
+    }
+
     /// A resumed engine must be indistinguishable from a fresh one:
     /// same sorted orders (including duplicate-value ties), same
-    /// prefix-sum accumulation, bitwise-equal answers on every
-    /// aggregate and index path.
+    /// derived arrays — rebuilt from the merged order, not carried over
+    /// from the old one — and bitwise-equal answers on every aggregate
+    /// and index path.
     #[test]
     fn resumed_engine_matches_fresh_rebuild_bitwise() {
-        // Deliberate duplicate values across the old/new boundary so the
-        // merge's tie-breaking is exercised, plus an irrational-ish
-        // measure so prefix sums are order-sensitive.
-        let old_rows: Vec<Vec<f64>> = (0..150)
-            .map(|i| vec![((i % 10) as f64) / 10.0, (i as f64 * 0.731) % 5.0])
-            .collect();
-        let delta_rows: Vec<Vec<f64>> = (0..70)
-            .map(|i| vec![((i % 13) as f64) / 10.0 % 1.0, (i as f64 * 1.177) % 7.0])
-            .collect();
-        let cols = vec!["a".into(), "m".into()];
-        let mut data = Dataset::from_rows(cols.clone(), &old_rows).unwrap();
-        let delta = Dataset::from_rows(cols.clone(), &delta_rows).unwrap();
+        let cols: Vec<String> = vec!["a".into(), "b".into(), "m".into()];
+        let mut data = Dataset::from_rows(cols.clone(), &tied_rows(0..150)).unwrap();
+        let delta = Dataset::from_rows(cols, &tied_rows(150..220)).unwrap();
 
-        let snapshot = QueryEngine::new(&data, 1).into_snapshot();
+        let old = QueryEngine::new(&data, 2);
+        // Fill the old engine's derived arrays: they describe the old
+        // order and must not survive the append.
+        for (pred, q) in tied_queries() {
+            old.moments(&pred, &q);
+        }
+        assert!(old.index_bytes() > 12 * 3 * 150);
+        let snapshot = old.into_snapshot();
         assert_eq!(snapshot.rows(), 150);
-        assert_eq!(snapshot.measure(), 1);
+        assert_eq!(snapshot.measure(), 2);
         data.append(&delta).unwrap();
         let resumed = QueryEngine::resume(snapshot, &data).unwrap();
-        let fresh = QueryEngine::new(&data, 1);
+        assert_eq!(resumed.index_bytes(), 12 * 3 * 220);
+        let fresh = QueryEngine::new(&data, 2);
 
         // Index internals are identical, not just answer-equal.
         for (a, b) in resumed.index.iter().zip(&fresh.index) {
             assert_eq!(a.rows, b.rows);
             assert_eq!(a.vals, b.vals);
-            assert_eq!(a.prefix, b.prefix);
-            assert_eq!(a.prefix2, b.prefix2);
+            assert_eq!(a.inv(), b.inv());
+            assert_eq!(a.sorted_measure(&data, 2), b.sorted_measure(&data, 2));
+            assert_eq!(a.prefix(&data, 2), b.prefix(&data, 2));
         }
-        let pred = Range::new(vec![0], 2).unwrap();
-        for i in 0..40 {
-            let q = [i as f64 / 45.0, 0.35];
-            for agg in Aggregate::ALL {
-                assert_eq!(
-                    resumed.answer(&pred, agg, &q),
-                    fresh.answer(&pred, agg, &q),
-                    "{} at {q:?}",
-                    agg.name()
-                );
-            }
-            assert_eq!(resumed.moments(&pred, &q), fresh.moments(&pred, &q));
-        }
+        assert_engines_agree_bitwise(&resumed, &fresh);
     }
 
+    /// A resume with nothing appended keeps the index as it is,
+    /// derived arrays included.
     #[test]
     fn resume_with_no_delta_is_identity() {
         let d = grid_data();
@@ -811,6 +1013,122 @@ mod tests {
         let pred = Range::new(vec![0], 2).unwrap();
         let q = [0.0, 0.5];
         assert_eq!(resumed.answer(&pred, Aggregate::Sum, &q), 10.0);
+
+        let data = Dataset::from_rows(vec!["a".into(), "b".into(), "m".into()], &tied_rows(0..150))
+            .unwrap();
+        let warm = QueryEngine::new(&data, 2);
+        for (pred, q) in tied_queries() {
+            warm.moments(&pred, &q);
+        }
+        let filled = warm.index_bytes();
+        let resumed = QueryEngine::resume(warm.into_snapshot(), &data).unwrap();
+        assert_eq!(resumed.index_bytes(), filled);
+        assert_engines_agree_bitwise(&resumed, &QueryEngine::new(&data, 2));
+    }
+
+    /// The index grows only by what the workload's paths derive.
+    #[test]
+    fn derived_arrays_follow_the_workload() {
+        let n = 300;
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let x = i as f64;
+                vec![
+                    x * 0.37 % 1.0,
+                    x * 0.71 % 1.0,
+                    x * 0.13 % 1.0,
+                    x * 0.59 % 7.0,
+                ]
+            })
+            .collect();
+        let cols = ["a", "b", "c", "m"].map(String::from).to_vec();
+        let d = Dataset::from_rows(cols, &rows).unwrap();
+        let derived = |e: &QueryEngine<'_>| -> Vec<[bool; 3]> {
+            e.index
+                .iter()
+                .map(|ai| {
+                    [
+                        ai.inv.get().is_some(),
+                        ai.measure.get().is_some(),
+                        ai.prefix.get().is_some(),
+                    ]
+                })
+                .collect()
+        };
+
+        // Two active attributes, each the narrower one in some query:
+        // both get scanned (sorted measure) and verified (inverse).
+        let eng = QueryEngine::new(&d, 3);
+        assert_eq!(eng.index_bytes(), 12 * 4 * n);
+        let pair = Range::new(vec![0, 1], 4).unwrap();
+        let queries: Vec<Vec<f64>> = (0..20)
+            .map(|i| {
+                let c = i as f64 / 25.0;
+                if i % 2 == 0 {
+                    vec![c, 0.1, 0.1, 0.7]
+                } else {
+                    vec![0.1, c, 0.7, 0.1]
+                }
+            })
+            .collect();
+        eng.label_batch(&pair, Aggregate::Avg, &queries, 1);
+        eng.label_moments_batch(&pair, &queries, 1);
+        let (used, unused) = ([true, true, false], [false; 3]);
+        assert_eq!(derived(&eng), [used, used, unused, unused]);
+        assert_eq!(eng.index_bytes(), 12 * 4 * n + 2 * (8 + 4) * n);
+
+        // One active attribute: one prefix pair, nothing else.
+        let eng = QueryEngine::new(&d, 3);
+        let single = Range::new(vec![1], 4).unwrap();
+        let queries: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 / 25.0, 0.3]).collect();
+        eng.label_batch(&single, Aggregate::Std, &queries, 1);
+        let prefix_only = [false, false, true];
+        assert_eq!(derived(&eng), [unused, prefix_only, unused, unused]);
+        assert_eq!(eng.index_bytes(), 12 * 4 * n + 16 * (n + 1));
+
+        // Everything derived on every attribute is the ceiling: 40
+        // bytes per row per attribute (+ the prefix arrays' leading
+        // zero entry).
+        for ai in &eng.index {
+            ai.inv();
+            ai.sorted_measure(&d, 3);
+            ai.prefix(&d, 3);
+        }
+        assert_eq!(eng.index_bytes(), 40 * 4 * n + 16 * 4);
+    }
+
+    /// Exact bounds are verified by rank on every index path: the
+    /// predicate itself is never consulted.
+    #[test]
+    fn exact_bounds_never_reach_matches() {
+        struct NoMatches(Range);
+        impl PredicateFn for NoMatches {
+            fn query_dim(&self) -> usize {
+                self.0.query_dim()
+            }
+            fn matches(&self, _q: &[f64], _x: &[f64]) -> bool {
+                panic!("an exact-bounds predicate was asked to verify a row")
+            }
+            fn axis_bounds(&self, q: &[f64]) -> Option<Vec<(usize, f64, f64)>> {
+                self.0.axis_bounds(q)
+            }
+            fn axis_bounds_exact(&self) -> bool {
+                true
+            }
+        }
+        let data = Dataset::from_rows(vec!["a".into(), "b".into(), "m".into()], &tied_rows(0..600))
+            .unwrap();
+        let eng = QueryEngine::new(&data, 2);
+        for (pred, q) in tied_queries() {
+            let silent = NoMatches(pred.clone());
+            for agg in Aggregate::ALL {
+                assert_eq!(
+                    eng.answer(&silent, agg, &q).to_bits(),
+                    eng.answer(&pred, agg, &q).to_bits()
+                );
+            }
+            assert_eq!(eng.moments(&silent, &q), eng.moments(&pred, &q));
+        }
     }
 
     #[test]
