@@ -141,8 +141,14 @@ fn local(fast: bool, serial: bool, clients: usize, window: usize, queries: usize
     let server = under_test.stop();
     let stats = server.stats();
     println!(
-        "server: {} batches, largest {} queries, {} answered, {} rejected, {} protocol errors",
-        stats.batches, stats.largest_batch, stats.answered, stats.rejected, stats.protocol_errors
+        "server: {} batches, largest {} queries, {} answered, {} rejected, {} protocol errors, \
+         {} stalled reads",
+        stats.batches,
+        stats.largest_batch,
+        stats.answered,
+        stats.rejected,
+        stats.protocol_errors,
+        stats.stalled_reads
     );
     println!(
         "server front: {} cache hits, {} cache misses, {} deduped in-batch",

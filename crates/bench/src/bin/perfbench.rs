@@ -153,19 +153,6 @@ fn main() {
                 t1.median_ms / dedup.median_ms
             );
         }
-        if let (Some(serial), Some(coalesced)) =
-            (entry("net_serial_loop"), entry("net_saturation_qps"))
-        {
-            println!(
-                "  network serving: {:.0} qps serial loop, {:.0} qps coalesced ({:.2}x)",
-                qps(serial),
-                qps(coalesced),
-                serial.median_ms / coalesced.median_ms
-            );
-        }
-        if let (Some(p50), Some(p99)) = (report.median_of("net_p50"), report.median_of("net_p99")) {
-            println!("  network latency under saturation: p50 {p50:.3} ms, p99 {p99:.3} ms");
-        }
         if let (Some(sat), Some(repeat)) =
             (entry("net_saturation_qps"), entry("net_repeat_traffic"))
         {

@@ -2,8 +2,8 @@
 //! spawn a serving loop over a [`LiveDeployment`], drive it with N
 //! pipelined clients, and report throughput plus per-request latency
 //! percentiles. Shared by the `netbench` binary and the
-//! `net_serial_loop` / `net_saturation_qps` / `net_p50` / `net_p99`
-//! entries of `BENCH_query.json`.
+//! `net_saturation_qps` / `net_repeat_traffic` entries of
+//! `BENCH_query.json`.
 
 use neurosketch::deploy::LiveDeployment;
 use neurosketch::net::{Frame, NetClient, NetOptions, NetServer};
@@ -78,9 +78,12 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// One client's share of the run: stream `queries` with up to `window`
-/// requests outstanding, timestamping each send and its response.
-/// Responses on a connection arrive in request order (the server
-/// drains each connection FIFO), so a queue of send times pairs them.
+/// requests outstanding, timestamping each send and its response. The
+/// window is refilled with one [`NetClient::send_queries`] write, after
+/// every response the last read brought in has been collected — one
+/// system call per server batch, not per query. Responses on a
+/// connection arrive in request order (the server drains each
+/// connection FIFO), so a queue of send times pairs them.
 fn client_run(addr: SocketAddr, queries: &[Vec<f64>], window: usize) -> (usize, usize, Vec<f64>) {
     let window = window.max(1);
     let mut client = NetClient::connect(addr).expect("connect load client");
@@ -94,22 +97,28 @@ fn client_run(addr: SocketAddr, queries: &[Vec<f64>], window: usize) -> (usize, 
     let mut sent = 0usize;
     let mut received = 0usize;
     while received < queries.len() {
-        while sent < queries.len() && sent - received < window {
-            client.send_query(&queries[sent]).expect("send query");
-            sent_at.push_back(Instant::now());
-            sent += 1;
+        let refill = (window - (sent - received)).min(queries.len() - sent);
+        if refill > 0 {
+            client
+                .send_queries(&queries[sent..sent + refill])
+                .expect("send window");
+            sent_at.extend(std::iter::repeat_n(Instant::now(), refill));
+            sent += refill;
         }
-        let frame = client.recv().expect("load response");
-        let t0 = sent_at.pop_front().expect("response pairs a send");
-        match frame {
-            Frame::Answer { .. } => {
-                latencies.push(t0.elapsed().as_secs_f64() * 1e3);
-                answered += 1;
+        let mut next = Some(client.recv().expect("load response"));
+        while let Some(frame) = next {
+            let t0 = sent_at.pop_front().expect("response pairs a send");
+            match frame {
+                Frame::Answer { .. } => {
+                    latencies.push(t0.elapsed().as_secs_f64() * 1e3);
+                    answered += 1;
+                }
+                Frame::Reject { .. } => rejected += 1,
+                other => panic!("unexpected frame under load: {other:?}"),
             }
-            Frame::Reject { .. } => rejected += 1,
-            other => panic!("unexpected frame under load: {other:?}"),
+            received += 1;
+            next = client.recv_buffered().expect("load response");
         }
-        received += 1;
     }
     (answered, rejected, latencies)
 }

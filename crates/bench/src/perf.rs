@@ -871,15 +871,13 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
         );
     }
 
-    // Network serving (`net_serial_loop` / `net_saturation_qps`): the
-    // same [`SERVE_STREAM_LEN`]-query stream through the NSKW protocol
-    // server over TCP loopback — once as a strict request-per-round-trip
-    // serial connection (window 1, the pre-coalescing service model) and
-    // once as 4 pipelined clients the server coalesces into adaptive
-    // micro-batches. Both entries time identical total work, so the
-    // median ratio IS the tracked coalescing win; `net_p50`/`net_p99`
-    // record the saturation run's per-request latency percentiles
-    // (median across reps), riding the report like `artifact_bytes_*`.
+    // Network serving (`net_saturation_qps`): the
+    // [`SERVE_STREAM_LEN`]-query stream through the NSKW protocol server
+    // over TCP loopback, as 4 pipelined clients the server coalesces
+    // into adaptive micro-batches. It is here as the yardstick for
+    // `net_repeat_traffic` below; the wire's latency and throughput
+    // numbers of record are nsbench's (`net.single_trip_us`,
+    // `net.paced_*`, `net.saturate_p99_us`, `wire_saturate`).
     {
         use crate::netload;
         use neurosketch::deploy::LiveDeployment;
@@ -905,32 +903,13 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
 
         let iters = 1;
         push(
-            "net_serial_loop",
-            iters,
-            time_reps(reps, || {
-                std::hint::black_box(netload::run_load(addr, &serve_queries, 1, 1));
-            }),
-        );
-        let mut p50s = Vec::new();
-        let mut p99s = Vec::new();
-        push(
             "net_saturation_qps",
             iters,
             time_reps(reps, || {
                 let report = netload::run_load(addr, &serve_queries, 4, 64);
                 assert_eq!(report.rejected, 0, "saturation run must not shed load");
-                p50s.push(report.p50_ms);
-                p99s.push(report.p99_ms);
             }),
         );
-        let median = |v: &mut Vec<f64>| {
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite percentiles"));
-            v[v.len() / 2]
-        };
-        let p50 = median(&mut p50s);
-        let p99 = median(&mut p99s);
-        push("net_p50", 1, (p50, p50));
-        push("net_p99", 1, (p99, p99));
 
         // Repeat-heavy traffic (`net_repeat_traffic`): the saturation
         // run again, but over a stream cycling 64 distinct queries — the

@@ -14,10 +14,10 @@
 //! * **Hand-rolled readiness loop.** The build container is offline
 //!   (no tokio, no mio), so the server is a single-threaded
 //!   non-blocking loop over `std::net` sockets: accept until
-//!   `WouldBlock`, read every connection until `WouldBlock`, parse
-//!   complete frames, serve, flush. Parallelism lives where it pays —
-//!   inside the deployment's batched scatter, on the [`par`] pool —
-//!   not in per-connection threads.
+//!   `WouldBlock`, give every connection a read turn, parse complete
+//!   frames, serve, flush. Parallelism lives where it pays — inside
+//!   the deployment's batched scatter, on the [`par`] pool — not in
+//!   per-connection threads.
 //! * **Adaptive micro-batching.** Decoded queries queue per
 //!   connection; each serving step coalesces *everything pending*
 //!   (capped at [`NetOptions::max_batch`]) into one
@@ -34,6 +34,13 @@
 //!   query per turn**, so a flooding client cannot starve others: in a
 //!   batch of `B` over `c` active connections every client gets
 //!   ⌈B/c⌉-ish slots regardless of how deep the flooder's queue is.
+//! * **Bounded buffers.** A connection is read in 32 KiB steps, parsed
+//!   after each, for at most 256 KiB per pass — and not at all while
+//!   the responses it has not taken stand above a high-water mark, so
+//!   a peer that floods without reading is stopped by TCP flow control
+//!   instead of growing a buffer. What one connection can make the
+//!   server hold is [`NetOptions::conn_buffer_bound`]; a connection
+//!   whose peer is gone is reaped with its unsent tail discarded.
 //! * **Generation stamping.** Every answer frame carries the NSKM
 //!   generation that served it, taken from the *same*
 //!   [`LiveDeployment`] snapshot as the answers — a batch (and hence
@@ -46,6 +53,32 @@
 //!   be wrong is a [`NetError`] variant. A protocol violation earns
 //!   the offending connection one final [`Frame::Error`] frame and a
 //!   close — other connections never notice.
+//!
+//! # The hot path
+//!
+//! Between socket and deployment a served query allocates nothing
+//! (`tests/net_alloc.rs` counts), because there is one of each moving
+//! part and each works in place:
+//!
+//! * **One encoder.** [`encode_frame_into`] writes header, payload and
+//!   checksum straight onto the end of the buffer that is about to be
+//!   written to the socket — a connection's send buffer, a client's
+//!   window ([`NetClient::send_queries`]: one `write` per window).
+//!   [`encode_frame`] is an exact-capacity `Vec` around it.
+//! * **One envelope validator.** Prologue, declared length and
+//!   checksum are checked by one private function; [`decode_frame`] is
+//!   that plus the payload decoder, and the server's query path is
+//!   that plus the payload decoder's Query arm, called directly into a
+//!   reused row — a served query never becomes a [`Frame`].
+//! * **One receive buffer.** Server connections and [`NetClient`] read
+//!   through the same `ReadBuf`: bytes land in spare room at its tail,
+//!   frames are parsed where they landed, consuming one moves an
+//!   offset. It compacts or grows only when the tail is short of a
+//!   read step, so a client window arrives in one `read`.
+//! * **Flat queues, reused batch state.** A waiting query is an id and
+//!   `dims` coordinates in its connection's two flat ring buffers; a
+//!   micro-batch copies them into rows the server keeps, answers, and
+//!   encodes each [`Frame::Answer`] into its connection's send buffer.
 //!
 //! # Wire format
 //!
@@ -414,6 +447,14 @@ const KIND_ERROR: u8 = 4;
 const KIND_INFO_REQUEST: u8 = 5;
 const KIND_INFO_RESPONSE: u8 = 6;
 
+/// Payload sizes by kind: the fixed ones whole, the variable ones
+/// (Query, Error) up to where their counted tail starts.
+const QUERY_PREFIX: usize = 10;
+const ANSWER_PAYLOAD: usize = 24;
+const REJECT_PAYLOAD: usize = 9;
+const ERROR_PREFIX: usize = 3;
+const INFO_PAYLOAD: usize = 18;
+
 fn kind_of(frame: &Frame) -> u8 {
     match frame {
         Frame::Query { .. } => KIND_QUERY,
@@ -425,53 +466,89 @@ fn kind_of(frame: &Frame) -> u8 {
     }
 }
 
-/// Encode one frame: header, payload, trailing checksum.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut payload = Vec::new();
-    match frame {
-        Frame::Query { id, query } => {
-            payload.extend_from_slice(&id.to_le_bytes());
-            payload.extend_from_slice(&(query.len() as u16).to_le_bytes());
-            for v in query {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
+/// The one encoder: header, whatever `payload` appends, FNV-1a trailer,
+/// written straight onto the end of `out`. The length field is patched
+/// once the payload is in, so nothing is staged and nothing allocated
+/// beyond `out`'s own growth.
+fn put_frame(out: &mut Vec<u8>, kind: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&NET_MAGIC);
+    out.push(NET_VERSION);
+    out.push(kind);
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let declared = (out.len() - start - FRAME_HEADER) as u32;
+    out[start + 6..start + FRAME_HEADER].copy_from_slice(&declared.to_le_bytes());
+    let sum = fnv1a_64(out[start..].iter().copied());
+    out.extend_from_slice(&sum.to_le_bytes());
+}
+
+/// A [`Frame::Query`] from a borrowed row — what a client frames a
+/// window with, no `Frame` (and so no owned `Vec`) in between.
+fn put_query(out: &mut Vec<u8>, id: u64, query: &[f64]) {
+    put_frame(out, KIND_QUERY, |p| {
+        p.extend_from_slice(&id.to_le_bytes());
+        p.extend_from_slice(&(query.len() as u16).to_le_bytes());
+        for v in query {
+            p.extend_from_slice(&v.to_le_bytes());
         }
+    });
+}
+
+/// Bytes of an error message that fit the frame's `u16` length field.
+fn error_message_bytes(message: &str) -> &[u8] {
+    let msg = message.as_bytes();
+    &msg[..msg.len().min(u16::MAX as usize)]
+}
+
+/// Append one encoded frame — header, payload, trailing checksum — to
+/// `out`, leaving what `out` already holds untouched. The appended
+/// bytes are exactly [`encode_frame`]'s.
+pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+    match frame {
+        Frame::Query { id, query } => put_query(out, *id, query),
         Frame::Answer {
             id,
             generation,
             value,
-        } => {
-            payload.extend_from_slice(&id.to_le_bytes());
-            payload.extend_from_slice(&generation.to_le_bytes());
-            payload.extend_from_slice(&value.to_le_bytes());
-        }
-        Frame::Reject { id, code } => {
-            payload.extend_from_slice(&id.to_le_bytes());
-            payload.push(code.to_u8());
-        }
-        Frame::Error { code, message } => {
-            let msg = message.as_bytes();
-            let len = msg.len().min(u16::MAX as usize);
-            payload.push(*code);
-            payload.extend_from_slice(&(len as u16).to_le_bytes());
-            payload.extend_from_slice(&msg[..len]);
-        }
-        Frame::InfoRequest => {}
-        Frame::InfoResponse(info) => {
-            payload.extend_from_slice(&(info.dims as u16).to_le_bytes());
-            payload.extend_from_slice(&info.generation.to_le_bytes());
-            payload.extend_from_slice(&info.queue_cap.to_le_bytes());
-            payload.extend_from_slice(&info.max_batch.to_le_bytes());
-        }
+        } => put_frame(out, KIND_ANSWER, |p| {
+            p.extend_from_slice(&id.to_le_bytes());
+            p.extend_from_slice(&generation.to_le_bytes());
+            p.extend_from_slice(&value.to_le_bytes());
+        }),
+        Frame::Reject { id, code } => put_frame(out, KIND_REJECT, |p| {
+            p.extend_from_slice(&id.to_le_bytes());
+            p.push(code.to_u8());
+        }),
+        Frame::Error { code, message } => put_frame(out, KIND_ERROR, |p| {
+            let msg = error_message_bytes(message);
+            p.push(*code);
+            p.extend_from_slice(&(msg.len() as u16).to_le_bytes());
+            p.extend_from_slice(msg);
+        }),
+        Frame::InfoRequest => put_frame(out, KIND_INFO_REQUEST, |_| {}),
+        Frame::InfoResponse(info) => put_frame(out, KIND_INFO_RESPONSE, |p| {
+            p.extend_from_slice(&(info.dims as u16).to_le_bytes());
+            p.extend_from_slice(&info.generation.to_le_bytes());
+            p.extend_from_slice(&info.queue_cap.to_le_bytes());
+            p.extend_from_slice(&info.max_batch.to_le_bytes());
+        }),
     }
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len() + FRAME_TRAILER);
-    out.extend_from_slice(&NET_MAGIC);
-    out.push(NET_VERSION);
-    out.push(kind_of(frame));
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    let sum = fnv1a_64(out.iter().copied());
-    out.extend_from_slice(&sum.to_le_bytes());
+}
+
+/// Encode one frame: header, payload, trailing checksum — one
+/// exact-capacity allocation around [`encode_frame_into`].
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let payload = match frame {
+        Frame::Query { query, .. } => QUERY_PREFIX + 8 * query.len(),
+        Frame::Answer { .. } => ANSWER_PAYLOAD,
+        Frame::Reject { .. } => REJECT_PAYLOAD,
+        Frame::Error { message, .. } => ERROR_PREFIX + error_message_bytes(message).len(),
+        Frame::InfoRequest => 0,
+        Frame::InfoResponse(_) => INFO_PAYLOAD,
+    };
+    let mut out = Vec::with_capacity(FRAME_HEADER + payload + FRAME_TRAILER);
+    encode_frame_into(frame, &mut out);
     out
 }
 
@@ -499,37 +576,48 @@ fn mismatch(kind: u8, declared: usize, needed: usize) -> NetError {
     }
 }
 
+/// Decode a Query payload into `row` (cleared first, so a recycled row
+/// costs no allocation) and return the request id. These are the only
+/// Query checks there are: [`decode_frame`] reaches them through
+/// [`decode_payload`], the server's query path calls them directly.
+fn decode_query_into(p: &[u8], row: &mut Vec<f64>) -> Result<u64, NetError> {
+    if p.len() < QUERY_PREFIX {
+        return Err(mismatch(KIND_QUERY, p.len(), QUERY_PREFIX));
+    }
+    let id = le_u64(&p[0..8]);
+    let dims = le_u16(&p[8..10]) as usize;
+    if dims == 0 || dims > MAX_QUERY_DIMS {
+        return Err(NetError::BadQueryDim {
+            got: dims,
+            expected: MAX_QUERY_DIMS,
+        });
+    }
+    let needed = QUERY_PREFIX + 8 * dims;
+    if p.len() != needed {
+        return Err(mismatch(KIND_QUERY, p.len(), needed));
+    }
+    row.clear();
+    row.reserve(dims);
+    for (index, bytes) in p[QUERY_PREFIX..].chunks_exact(8).enumerate() {
+        let v = le_f64(bytes);
+        if !v.is_finite() {
+            return Err(NetError::NonFinite { index });
+        }
+        row.push(v);
+    }
+    Ok(id)
+}
+
 fn decode_payload(kind: u8, p: &[u8]) -> Result<Frame, NetError> {
     match kind {
         KIND_QUERY => {
-            if p.len() < 10 {
-                return Err(mismatch(kind, p.len(), 10));
-            }
-            let id = le_u64(&p[0..8]);
-            let dims = le_u16(&p[8..10]) as usize;
-            if dims == 0 || dims > MAX_QUERY_DIMS {
-                return Err(NetError::BadQueryDim {
-                    got: dims,
-                    expected: MAX_QUERY_DIMS,
-                });
-            }
-            let needed = 10 + 8 * dims;
-            if p.len() != needed {
-                return Err(mismatch(kind, p.len(), needed));
-            }
-            let mut query = Vec::with_capacity(dims);
-            for i in 0..dims {
-                let v = le_f64(&p[10 + 8 * i..18 + 8 * i]);
-                if !v.is_finite() {
-                    return Err(NetError::NonFinite { index: i });
-                }
-                query.push(v);
-            }
+            let mut query = Vec::new();
+            let id = decode_query_into(p, &mut query)?;
             Ok(Frame::Query { id, query })
         }
         KIND_ANSWER => {
-            if p.len() != 24 {
-                return Err(mismatch(kind, p.len(), 24));
+            if p.len() != ANSWER_PAYLOAD {
+                return Err(mismatch(kind, p.len(), ANSWER_PAYLOAD));
             }
             Ok(Frame::Answer {
                 id: le_u64(&p[0..8]),
@@ -538,8 +626,8 @@ fn decode_payload(kind: u8, p: &[u8]) -> Result<Frame, NetError> {
             })
         }
         KIND_REJECT => {
-            if p.len() != 9 {
-                return Err(mismatch(kind, p.len(), 9));
+            if p.len() != REJECT_PAYLOAD {
+                return Err(mismatch(kind, p.len(), REJECT_PAYLOAD));
             }
             let code = RejectCode::from_u8(p[8]).ok_or(NetError::BadRejectCode { found: p[8] })?;
             Ok(Frame::Reject {
@@ -548,13 +636,13 @@ fn decode_payload(kind: u8, p: &[u8]) -> Result<Frame, NetError> {
             })
         }
         KIND_ERROR => {
-            if p.len() < 3 {
-                return Err(mismatch(kind, p.len(), 3));
+            if p.len() < ERROR_PREFIX {
+                return Err(mismatch(kind, p.len(), ERROR_PREFIX));
             }
             let code = p[0];
             let len = le_u16(&p[1..3]) as usize;
-            if p.len() != 3 + len {
-                return Err(mismatch(kind, p.len(), 3 + len));
+            if p.len() != ERROR_PREFIX + len {
+                return Err(mismatch(kind, p.len(), ERROR_PREFIX + len));
             }
             let message = std::str::from_utf8(&p[3..]).map_err(|_| NetError::BadUtf8)?;
             Ok(Frame::Error {
@@ -569,8 +657,8 @@ fn decode_payload(kind: u8, p: &[u8]) -> Result<Frame, NetError> {
             Ok(Frame::InfoRequest)
         }
         KIND_INFO_RESPONSE => {
-            if p.len() != 18 {
-                return Err(mismatch(kind, p.len(), 18));
+            if p.len() != INFO_PAYLOAD {
+                return Err(mismatch(kind, p.len(), INFO_PAYLOAD));
             }
             Ok(Frame::InfoResponse(ServerInfo {
                 dims: le_u16(&p[0..2]) as usize,
@@ -583,19 +671,16 @@ fn decode_payload(kind: u8, p: &[u8]) -> Result<Frame, NetError> {
     }
 }
 
-/// Try to decode one frame from the front of `buf`.
+/// The one envelope validator: prologue, declared length, checksum of
+/// the frame at the front of `buf`. `Ok(Some((kind, total)))` says a
+/// whole, checksum-valid frame of `total` bytes sits there, payload at
+/// `[FRAME_HEADER, total - FRAME_TRAILER)`; `Ok(None)` and `Err(_)` are
+/// [`decode_frame`]'s.
 ///
-/// * `Ok(Some((frame, consumed)))` — a complete, checksum-valid frame;
-///   the caller should drop the first `consumed` bytes.
-/// * `Ok(None)` — the bytes so far are a plausible frame prefix; read
-///   more.
-/// * `Err(_)` — the stream is corrupt at the front of `buf`; the error
-///   is typed and the connection should be torn down. Garbage
-///   prologues fail as soon as the offending byte is present: bad
-///   magic at 4 bytes, bad version at 5, bad kind at 6, an oversized
-///   declared length at [`FRAME_HEADER`] — **before** any payload is
-///   buffered or allocated.
-pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize)>, NetError> {
+/// `#[inline]`: out of line, handing the wide `Result` back through
+/// memory costs [`decode_frame`] ≈ 5 ns on a 42-byte `Answer`.
+#[inline]
+fn check_envelope(buf: &[u8], max_payload: u32) -> Result<Option<(u8, usize)>, NetError> {
     if buf.len() < 4 {
         if buf.iter().zip(NET_MAGIC.iter()).any(|(a, b)| a != b) {
             // The prefix can never grow into a valid magic; fail now
@@ -644,7 +729,26 @@ pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize
     if expected != found {
         return Err(NetError::ChecksumMismatch { expected, found });
     }
-    let frame = decode_payload(kind, &buf[FRAME_HEADER..body])?;
+    Ok(Some((kind, total)))
+}
+
+/// Try to decode one frame from the front of `buf`.
+///
+/// * `Ok(Some((frame, consumed)))` — a complete, checksum-valid frame;
+///   the caller should drop the first `consumed` bytes.
+/// * `Ok(None)` — the bytes so far are a plausible frame prefix; read
+///   more.
+/// * `Err(_)` — the stream is corrupt at the front of `buf`; the error
+///   is typed and the connection should be torn down. Garbage
+///   prologues fail as soon as the offending byte is present: bad
+///   magic at 4 bytes, bad version at 5, bad kind at 6, an oversized
+///   declared length at [`FRAME_HEADER`] — **before** any payload is
+///   buffered or allocated.
+pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize)>, NetError> {
+    let Some((kind, total)) = check_envelope(buf, max_payload)? else {
+        return Ok(None);
+    };
+    let frame = decode_payload(kind, &buf[FRAME_HEADER..total - FRAME_TRAILER])?;
     Ok(Some((frame, total)))
 }
 
@@ -687,6 +791,57 @@ impl Default for NetOptions {
     }
 }
 
+/// Bytes one socket `read` is offered, and the spare room a receive
+/// buffer guarantees before it: one default client window (512 four-
+/// dimensional queries, 30 KiB) arrives in a single `read`.
+const READ_STEP: usize = 32 * 1024;
+/// Bytes one connection may be read per [`NetServer::pump_io`] pass
+/// before the pass moves on to the next connection — what keeps a
+/// sender faster than the loop from holding it.
+const READ_BUDGET: usize = 256 * 1024;
+/// Floor of the unsent-output high-water mark.
+const MIN_HIGH_WATER: usize = 64 * 1024;
+/// Largest response one received byte can stage: an 18-byte
+/// `InfoRequest` earns a 36-byte `InfoResponse`.
+const REPLY_AMPLIFICATION: usize = 2;
+/// Room for the one `Error` farewell a connection can be sent (its
+/// message is a rendered [`NetError`], a line of text).
+const FAREWELL_ROOM: usize = 512;
+
+const ANSWER_FRAME: usize = FRAME_HEADER + ANSWER_PAYLOAD + FRAME_TRAILER;
+
+impl NetOptions {
+    /// Unsent output above which a connection is not read: a full
+    /// queue's worth of answers, at least 64 KiB. A peer that stops
+    /// reading its responses stops being read, and TCP flow control
+    /// carries the pushback to its `write`.
+    fn high_water(&self) -> usize {
+        (self.queue_cap.max(1) * ANSWER_FRAME).max(MIN_HIGH_WATER)
+    }
+
+    /// Upper bound on the bytes of buffer memory one connection can
+    /// make the server hold, whatever the peer does — a function of
+    /// [`NetOptions::queue_cap`], [`NetOptions::max_payload`] and
+    /// constants (docs/serving.md derives it):
+    ///
+    /// * receive: one largest frame plus one 32 KiB read step;
+    /// * send: the high-water mark, plus what one read step can stage
+    ///   on top of it (2 response bytes per received byte at worst),
+    ///   plus the answers to a full pending queue, plus the farewell —
+    ///   doubled, because the buffer grows by doubling.
+    ///
+    /// Decoded queries waiting for a batch are bounded separately, by
+    /// `queue_cap` rows.
+    pub fn conn_buffer_bound(&self) -> usize {
+        let receive = FRAME_HEADER + self.max_payload as usize + FRAME_TRAILER + READ_STEP;
+        let unsent = self.high_water()
+            + REPLY_AMPLIFICATION * READ_STEP
+            + self.queue_cap.max(1) * ANSWER_FRAME
+            + FAREWELL_ROOM;
+        receive + 2 * unsent
+    }
+}
+
 /// Cumulative server-side tallies, drained via [`NetServer::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
@@ -720,6 +875,10 @@ pub struct NetStats {
     /// compute (zero when caching is off — an uncached deployment
     /// reports no cache traffic at all, not all-misses).
     pub cache_misses: u64,
+    /// Read turns skipped because the connection's unsent output stood
+    /// above the high-water mark (the peer is not reading its
+    /// responses; see [`NetOptions::conn_buffer_bound`]).
+    pub stalled_reads: u64,
 }
 
 /// What one serving step coalesced — the observable the fairness and
@@ -738,22 +897,79 @@ pub struct NetBatch {
     pub per_client: Vec<(u64, usize)>,
 }
 
+/// The one receive buffer, server and client side: bytes are read
+/// straight into spare room at the tail (no staging copy), frames are
+/// parsed in place from [`ReadBuf::window`], and consuming a frame moves
+/// an offset, not the bytes behind it. Live bytes are `buf[start..end]`;
+/// `buf.len()` is the room allocated (and zeroed) so far.
+#[derive(Default)]
+struct ReadBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl ReadBuf {
+    /// The received, not yet consumed bytes.
+    fn window(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Drop the first `n` bytes of the window.
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        debug_assert!(self.start <= self.end);
+        if self.start == self.end {
+            self.clear();
+        }
+    }
+
+    /// Forget everything received.
+    fn clear(&mut self) {
+        self.start = 0;
+        self.end = 0;
+    }
+
+    /// One `read` of up to [`READ_STEP`] bytes onto the end of the
+    /// window; the count read (0 = end of stream). Makes room first,
+    /// and only if the tail is short of a step: by sliding the window
+    /// to the front when bytes before it are dead, by growing (exactly,
+    /// so a frame larger than a step costs its size, not double) when
+    /// the window itself is in the way.
+    fn fill(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        if self.buf.len() - self.end < READ_STEP {
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            }
+            let need = self.end + READ_STEP;
+            if self.buf.len() < need {
+                self.buf.reserve_exact(need - self.buf.len());
+                self.buf.resize(need, 0);
+            }
+        }
+        let n = src.read(&mut self.buf[self.end..self.end + READ_STEP])?;
+        self.end += n;
+        Ok(n)
+    }
+}
+
 struct Conn {
     id: u64,
     stream: TcpStream,
-    rbuf: Vec<u8>,
+    rbuf: ReadBuf,
+    /// Staged, unsent output; [`NetServer::flush_all`] drops what it
+    /// sends, so the length *is* the backlog the high-water mark reads.
     wbuf: Vec<u8>,
-    wpos: usize,
-    pending: VecDeque<(u64, Vec<f64>)>,
+    /// Request ids of the decoded queries waiting for a micro-batch,
+    /// and their coordinates flat, `dims` per id, in the same order —
+    /// a waiting query owns no allocation of its own.
+    pending: VecDeque<u64>,
+    coords: VecDeque<f64>,
     /// A violation was sent (or the peer vanished); close once the
     /// write buffer drains. Pending queries are discarded, not served.
     dead: bool,
-}
-
-impl Conn {
-    fn push_frame(&mut self, frame: &Frame) {
-        self.wbuf.extend_from_slice(&encode_frame(frame));
-    }
 }
 
 /// The non-blocking protocol server. One instance owns the listening
@@ -775,6 +991,15 @@ pub struct NetServer {
     next_conn: u64,
     cursor: u64,
     stats: NetStats,
+    /// Scratch that lives across calls so a served query allocates
+    /// nothing: the row a query payload is decoded into, and one
+    /// micro-batch's `(conn index, request id)` jobs in drain order,
+    /// its rows (row `k` is job `k`'s query; the `Vec`s are reused
+    /// batch after batch) and their dedup hashes.
+    row: Vec<f64>,
+    jobs: Vec<(usize, u64)>,
+    batch: Vec<Vec<f64>>,
+    hashes: Vec<u64>,
 }
 
 impl NetServer {
@@ -797,6 +1022,10 @@ impl NetServer {
             next_conn: 0,
             cursor: 0,
             stats: NetStats::default(),
+            row: Vec::new(),
+            jobs: Vec::new(),
+            batch: Vec::new(),
+            hashes: Vec::new(),
         })
     }
 
@@ -812,12 +1041,6 @@ impl NetServer {
         self.stats
     }
 
-    /// Fold one micro-batch's deployment stats into the server tallies.
-    fn tally_cache(&mut self, stats: &crate::deploy::DeployStats) {
-        self.stats.cache_hits += stats.cache_hits as u64;
-        self.stats.cache_misses += stats.cache_misses as u64;
-    }
-
     /// Live connections.
     pub fn connections(&self) -> usize {
         self.conns.len()
@@ -829,18 +1052,31 @@ impl NetServer {
         self.conns.iter().map(|c| c.pending.len()).sum()
     }
 
+    /// Bytes of receive and send buffer allocated across all
+    /// connections — at most [`NetOptions::conn_buffer_bound`] each.
+    pub fn buffer_bytes(&self) -> usize {
+        self.conns
+            .iter()
+            .map(|c| c.rbuf.buf.capacity() + c.wbuf.capacity())
+            .sum()
+    }
+
     /// The served deployment handle.
     pub fn deployment(&self) -> &Arc<LiveDeployment> {
         &self.live
     }
 
-    /// One I/O pass: accept new connections, read and parse every
-    /// connection (enqueueing queries, rejecting over-budget ones,
-    /// answering info requests, tearing down violators), and flush
-    /// write buffers. Returns whether any byte moved or any state
-    /// changed — the idle signal [`NetServer::serve`] sleeps on.
+    /// One I/O pass: accept new connections, flush what the last
+    /// serving step staged, read and parse every connection (enqueueing
+    /// queries, rejecting over-budget ones, answering info requests,
+    /// tearing down violators), and flush what that staged. Returns
+    /// whether any byte moved or any state changed — the idle signal
+    /// [`NetServer::serve`] sleeps on.
     pub fn pump_io(&mut self) -> bool {
         let mut progress = self.accept_new();
+        // Before reading, so the high-water check sees what the peer
+        // has not taken, not what was never offered to it.
+        progress |= self.flush_all();
         progress |= self.read_all();
         progress |= self.flush_all();
         self.reap();
@@ -860,9 +1096,7 @@ impl NetServer {
         if self.conns.is_empty() {
             return None;
         }
-        // jobs: (conn index, request id), in drain order.
-        let mut jobs: Vec<(usize, u64)> = Vec::new();
-        let mut queries: Vec<Vec<f64>> = Vec::new();
+        self.jobs.clear();
         let n = self.conns.len();
         let start = (self.cursor % n as u64) as usize;
         'fill: loop {
@@ -873,11 +1107,16 @@ impl NetServer {
                 if conn.dead {
                     continue;
                 }
-                if let Some((id, q)) = conn.pending.pop_front() {
-                    jobs.push((ci, id));
-                    queries.push(q);
+                if let Some(id) = conn.pending.pop_front() {
+                    let k = self.jobs.len();
+                    if k == self.batch.len() {
+                        self.batch.push(Vec::with_capacity(self.dims));
+                    }
+                    self.batch[k].clear();
+                    self.batch[k].extend(conn.coords.drain(..self.dims));
+                    self.jobs.push((ci, id));
                     took_any = true;
-                    if jobs.len() >= self.opts.max_batch.max(1) {
+                    if self.jobs.len() >= self.opts.max_batch.max(1) {
                         break 'fill;
                     }
                 }
@@ -886,68 +1125,71 @@ impl NetServer {
                 break;
             }
         }
-        if jobs.is_empty() {
+        let size = self.jobs.len();
+        if size == 0 {
             return None;
         }
         // Start the next batch's rotation one connection later, so the
         // head-of-line slot itself rotates across batches.
         self.cursor = self.cursor.wrapping_add(1);
+        let queries = &mut self.batch[..size];
         // Collapse in-batch duplicates onto their first occurrence: the
         // deployment sees only the distinct queries (one snapshot, one
         // generation stamp for the whole micro-batch), and the fan-out
         // below hands every duplicate its representative's answer —
         // bitwise the answer it would have computed itself.
-        let (answers, generation, unique) = if self.opts.dedup {
-            let hashes: Vec<u64> = queries
-                .iter()
-                .map(|q| crate::cache::key_hash(0, 0, q))
-                .collect();
-            let (rep, distinct) = crate::cache::dedup_reps(&queries, &hashes);
-            if distinct == queries.len() {
-                let (answers, stats, generation) = self.live.answer_batch_tagged(&queries);
-                self.tally_cache(&stats);
-                (answers, generation, distinct)
-            } else {
-                let mut uniq: Vec<Vec<f64>> = Vec::with_capacity(distinct);
-                let mut fan: Vec<u32> = vec![0; queries.len()];
-                for (i, q) in queries.into_iter().enumerate() {
+        let mut fan: Vec<u32> = Vec::new();
+        let mut unique = size;
+        if self.opts.dedup {
+            self.hashes.clear();
+            self.hashes
+                .extend(queries.iter().map(|q| crate::cache::key_hash(0, 0, q)));
+            let (rep, distinct) = crate::cache::dedup_reps(queries, &self.hashes);
+            if distinct < size {
+                // Gather the distinct rows at the front, in first-seen
+                // order: a swap only ever displaces a duplicate, whose
+                // row is not needed again.
+                fan.resize(size, 0);
+                let mut front = 0usize;
+                for i in 0..size {
                     if rep[i] as usize == i {
-                        fan[i] = uniq.len() as u32;
-                        uniq.push(q);
+                        fan[i] = front as u32;
+                        queries.swap(front, i);
+                        front += 1;
                     } else {
                         fan[i] = fan[rep[i] as usize];
                     }
                 }
-                let (unique_answers, stats, generation) = self.live.answer_batch_tagged(&uniq);
-                self.tally_cache(&stats);
-                let answers: Vec<f64> = fan.iter().map(|&u| unique_answers[u as usize]).collect();
-                self.stats.deduped += (answers.len() - distinct) as u64;
-                (answers, generation, distinct)
+                unique = distinct;
+                self.stats.deduped += (size - distinct) as u64;
             }
-        } else {
-            let (answers, stats, generation) = self.live.answer_batch_tagged(&queries);
-            self.tally_cache(&stats);
-            let n = answers.len();
-            (answers, generation, n)
-        };
+        }
+        let (answers, stats, generation) = self.live.answer_batch_tagged(&queries[..unique]);
+        self.stats.cache_hits += stats.cache_hits as u64;
+        self.stats.cache_misses += stats.cache_misses as u64;
         let mut per_client: Vec<(u64, usize)> = Vec::new();
-        for (&(ci, id), &value) in jobs.iter().zip(answers.iter()) {
+        for (k, &(ci, id)) in self.jobs.iter().enumerate() {
             let conn = &mut self.conns[ci];
-            conn.push_frame(&Frame::Answer {
-                id,
-                generation,
-                value,
-            });
+            // `fan` is empty when every query was computed in its slot.
+            let value = answers[fan.get(k).map_or(k, |&u| u as usize)];
+            encode_frame_into(
+                &Frame::Answer {
+                    id,
+                    generation,
+                    value,
+                },
+                &mut conn.wbuf,
+            );
             match per_client.iter_mut().find(|(cid, _)| *cid == conn.id) {
                 Some((_, count)) => *count += 1,
                 None => per_client.push((conn.id, 1)),
             }
         }
         self.stats.batches += 1;
-        self.stats.answered += jobs.len() as u64;
-        self.stats.largest_batch = self.stats.largest_batch.max(jobs.len());
+        self.stats.answered += size as u64;
+        self.stats.largest_batch = self.stats.largest_batch.max(size);
         Some(NetBatch {
-            size: jobs.len(),
+            size,
             unique,
             generation,
             per_client,
@@ -979,12 +1221,16 @@ impl NetServer {
         }
         // Drain: refuse queued work typed, then flush what we can.
         for conn in &mut self.conns {
-            while let Some((id, _)) = conn.pending.pop_front() {
+            conn.coords.clear();
+            while let Some(id) = conn.pending.pop_front() {
                 self.stats.rejected += 1;
-                conn.push_frame(&Frame::Reject {
-                    id,
-                    code: RejectCode::ShuttingDown,
-                });
+                encode_frame_into(
+                    &Frame::Reject {
+                        id,
+                        code: RejectCode::ShuttingDown,
+                    },
+                    &mut conn.wbuf,
+                );
             }
         }
         self.flush_all();
@@ -994,7 +1240,7 @@ impl NetServer {
         let mut progress = false;
         loop {
             match self.listener.accept() {
-                Ok((stream, _)) => {
+                Ok((mut stream, _)) => {
                     progress = true;
                     if self.conns.len() >= self.opts.max_clients {
                         // Turn the connection away typed; blocking is
@@ -1002,12 +1248,7 @@ impl NetServer {
                         let err = NetError::ServerFull {
                             max: self.opts.max_clients,
                         };
-                        let frame = Frame::Error {
-                            code: err.code(),
-                            message: err.to_string(),
-                        };
-                        let mut stream = stream;
-                        let _ = stream.write_all(&encode_frame(&frame));
+                        let _ = stream.write_all(&encode_frame(&error_frame(&err)));
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -1018,10 +1259,10 @@ impl NetServer {
                     self.conns.push(Conn {
                         id: self.next_conn,
                         stream,
-                        rbuf: Vec::new(),
+                        rbuf: ReadBuf::default(),
                         wbuf: Vec::new(),
-                        wpos: 0,
                         pending: VecDeque::new(),
+                        coords: VecDeque::new(),
                         dead: false,
                     });
                     self.next_conn += 1;
@@ -1034,24 +1275,39 @@ impl NetServer {
         progress
     }
 
+    /// Give every live connection one read turn: read a step, parse
+    /// what it completed, repeat — until the socket runs dry, the
+    /// turn's [`READ_BUDGET`] is spent (the rest waits for the next
+    /// pass, so no sender can hold this one), or the connection's
+    /// unsent output stands above the high-water mark (a peer that does
+    /// not read its responses is not read either). Parsing after every
+    /// step is what bounds the receive buffer at a frame plus a step.
     fn read_all(&mut self) -> bool {
         let mut progress = false;
-        let mut tmp = [0u8; 4096];
+        let high_water = self.opts.high_water();
         for ci in 0..self.conns.len() {
-            let conn = &mut self.conns[ci];
-            if conn.dead {
-                continue;
-            }
+            let mut budget = READ_BUDGET;
             let mut eof = false;
-            loop {
-                match conn.stream.read(&mut tmp) {
+            while budget > 0 && !self.conns[ci].dead {
+                let conn = &mut self.conns[ci];
+                if conn.wbuf.len() > high_water {
+                    self.stats.stalled_reads += 1;
+                    break;
+                }
+                match conn.rbuf.fill(&mut conn.stream) {
                     Ok(0) => {
                         eof = true;
                         break;
                     }
                     Ok(n) => {
                         progress = true;
-                        conn.rbuf.extend_from_slice(&tmp[..n]);
+                        budget = budget.saturating_sub(n);
+                        self.parse_conn(ci);
+                        if n < READ_STEP {
+                            // A short read drained the socket; skip the
+                            // `read` that would only say `WouldBlock`.
+                            break;
+                        }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -1061,10 +1317,9 @@ impl NetServer {
                     }
                 }
             }
-            progress |= self.parse_conn(ci);
             let conn = &mut self.conns[ci];
             if eof && !conn.dead {
-                if !conn.rbuf.is_empty() {
+                if !conn.rbuf.window().is_empty() {
                     // The peer hung up mid-frame: a truncated stream is
                     // a typed protocol error even though there is no
                     // one left to tell.
@@ -1077,107 +1332,106 @@ impl NetServer {
         progress
     }
 
-    /// Parse every complete frame in `conns[ci].rbuf`. A decode error
-    /// or direction violation stages one [`Frame::Error`] and marks the
-    /// connection dead — its remaining bytes and queued queries are
-    /// discarded; no other connection is touched.
-    fn parse_conn(&mut self, ci: usize) -> bool {
+    /// Parse every complete frame in `conns[ci].rbuf`, in place: the
+    /// envelope validator, then — for a query — the payload straight
+    /// into the connection's flat queue, never a [`Frame`]. A decode
+    /// error or direction violation stages one [`Frame::Error`] and
+    /// marks the connection dead — its remaining bytes and queued
+    /// queries are discarded; no other connection is touched.
+    fn parse_conn(&mut self, ci: usize) {
         let max_payload = self.opts.max_payload;
         let queue_cap = self.opts.queue_cap.max(1);
         let dims = self.dims;
-        let mut progress = false;
-        let mut consumed = 0usize;
-        // Split borrows: info() needs &self, so precompute lazily.
-        let mut info: Option<ServerInfo> = None;
-        let generation = self.live.generation();
         let conn = &mut self.conns[ci];
-        loop {
-            let violation = match decode_frame(&conn.rbuf[consumed..], max_payload) {
-                Ok(None) => break,
-                Ok(Some((frame, used))) => {
-                    consumed += used;
-                    progress = true;
-                    match frame {
-                        Frame::Query { id, query } => {
-                            self.stats.queries += 1;
-                            if query.len() != dims {
-                                Some(NetError::BadQueryDim {
-                                    got: query.len(),
-                                    expected: dims,
-                                })
-                            } else if conn.pending.len() >= queue_cap {
-                                self.stats.rejected += 1;
-                                conn.push_frame(&Frame::Reject {
+        let err = loop {
+            let window = conn.rbuf.window();
+            let (kind, total) = match check_envelope(window, max_payload) {
+                Ok(None) => return,
+                Ok(Some(frame)) => frame,
+                Err(e) => break e,
+            };
+            let payload = &window[FRAME_HEADER..total - FRAME_TRAILER];
+            let violation = if kind == KIND_QUERY {
+                match decode_query_into(payload, &mut self.row) {
+                    Err(e) => Some(e),
+                    Ok(id) => {
+                        self.stats.queries += 1;
+                        if self.row.len() != dims {
+                            Some(NetError::BadQueryDim {
+                                got: self.row.len(),
+                                expected: dims,
+                            })
+                        } else if conn.pending.len() >= queue_cap {
+                            self.stats.rejected += 1;
+                            encode_frame_into(
+                                &Frame::Reject {
                                     id,
                                     code: RejectCode::QueueFull,
-                                });
-                                None
-                            } else {
-                                conn.pending.push_back((id, query));
-                                None
-                            }
-                        }
-                        Frame::InfoRequest => {
-                            self.stats.info_requests += 1;
-                            let payload = *info.get_or_insert(ServerInfo {
-                                dims,
-                                generation,
-                                queue_cap: queue_cap.min(u32::MAX as usize) as u32,
-                                max_batch: self.opts.max_batch.min(u32::MAX as usize) as u32,
-                            });
-                            conn.push_frame(&Frame::InfoResponse(payload));
+                                },
+                                &mut conn.wbuf,
+                            );
+                            None
+                        } else {
+                            conn.pending.push_back(id);
+                            conn.coords.extend(&self.row);
                             None
                         }
-                        other => Some(NetError::UnexpectedKind {
-                            kind: kind_of(&other),
-                        }),
                     }
                 }
-                Err(e) => Some(e),
+            } else {
+                match decode_payload(kind, payload) {
+                    Err(e) => Some(e),
+                    Ok(Frame::InfoRequest) => {
+                        self.stats.info_requests += 1;
+                        let info = ServerInfo {
+                            dims,
+                            generation: self.live.generation(),
+                            queue_cap: queue_cap.min(u32::MAX as usize) as u32,
+                            max_batch: self.opts.max_batch.min(u32::MAX as usize) as u32,
+                        };
+                        encode_frame_into(&Frame::InfoResponse(info), &mut conn.wbuf);
+                        None
+                    }
+                    Ok(_) => Some(NetError::UnexpectedKind { kind }),
+                }
             };
             if let Some(err) = violation {
-                self.stats.protocol_errors += 1;
-                conn.push_frame(&Frame::Error {
-                    code: err.code(),
-                    message: err.to_string(),
-                });
-                conn.dead = true;
-                conn.rbuf.clear();
-                conn.pending.clear();
-                return true;
+                break err;
             }
-        }
-        if consumed > 0 {
-            conn.rbuf.drain(..consumed);
-        }
-        progress
+            conn.rbuf.consume(total);
+        };
+        self.stats.protocol_errors += 1;
+        encode_frame_into(&error_frame(&err), &mut conn.wbuf);
+        conn.dead = true;
+        conn.rbuf.clear();
+        conn.pending.clear();
+        conn.coords.clear();
     }
 
+    /// Write every connection's staged output until the socket would
+    /// block, and drop what was sent. A connection whose peer is gone
+    /// (a failed or zero-length write) is marked dead and its unsent
+    /// tail discarded — there is no one to send it to, and keeping it
+    /// would keep the connection from ever being reaped.
     fn flush_all(&mut self) -> bool {
         let mut progress = false;
         for conn in &mut self.conns {
-            while conn.wpos < conn.wbuf.len() {
-                match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.wpos += n;
+            let mut sent = 0usize;
+            while sent < conn.wbuf.len() {
+                match conn.stream.write(&conn.wbuf[sent..]) {
+                    Ok(n) if n > 0 => {
+                        sent += n;
                         progress = true;
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
+                    Ok(_) | Err(_) => {
                         conn.dead = true;
-                        break;
+                        sent = conn.wbuf.len();
                     }
                 }
             }
-            if conn.wpos == conn.wbuf.len() && conn.wpos > 0 {
-                conn.wbuf.clear();
-                conn.wpos = 0;
-            }
+            conn.wbuf.drain(..sent);
         }
         progress
     }
@@ -1185,8 +1439,16 @@ impl NetServer {
     /// Drop connections that are dead with nothing left to flush.
     fn reap(&mut self) {
         let before = self.conns.len();
-        self.conns.retain(|c| !(c.dead && c.wpos >= c.wbuf.len()));
+        self.conns.retain(|c| !(c.dead && c.wbuf.is_empty()));
         self.stats.closed += (before - self.conns.len()) as u64;
+    }
+}
+
+/// The farewell frame for a violation.
+fn error_frame(err: &NetError) -> Frame {
+    Frame::Error {
+        code: err.code(),
+        message: err.to_string(),
     }
 }
 
@@ -1218,9 +1480,18 @@ pub struct NetAnswer {
 /// A blocking protocol client over one TCP connection — what the
 /// tests, the loopback example and the `netbench` load generator
 /// drive. Request ids are assigned sequentially per connection.
+///
+/// Pipelining callers must keep reading: a server stops reading a
+/// connection whose responses pile up unread
+/// ([`NetOptions::conn_buffer_bound`]), so a client that sends without
+/// bound and never calls [`NetClient::recv`] ends up blocked in its own
+/// `write`. A window of at most the server's `queue_cap`
+/// ([`NetClient::info`]) never gets there.
 pub struct NetClient {
     stream: TcpStream,
-    rbuf: Vec<u8>,
+    rbuf: ReadBuf,
+    /// Frames of the window being sent; reused send after send.
+    wbuf: Vec<u8>,
     next_id: u64,
     max_payload: u32,
 }
@@ -1232,7 +1503,8 @@ impl NetClient {
         let _ = stream.set_nodelay(true);
         Ok(NetClient {
             stream,
-            rbuf: Vec::new(),
+            rbuf: ReadBuf::default(),
+            wbuf: Vec::new(),
             next_id: 0,
             max_payload: NetOptions::default().max_payload,
         })
@@ -1247,14 +1519,22 @@ impl NetClient {
     /// Send a query frame without waiting for its response; returns
     /// the request id that will come back on the answer.
     pub fn send_query(&mut self, query: &[f64]) -> Result<u64, NetError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let frame = Frame::Query {
-            id,
-            query: query.to_vec(),
-        };
-        self.stream.write_all(&encode_frame(&frame))?;
-        Ok(id)
+        self.send_queries(&[query])
+    }
+
+    /// Send one query frame per element without waiting for responses:
+    /// the whole window is framed into one buffer and written with one
+    /// `write_all` — one system call per window, not per query. Returns
+    /// the request id of the first; the rest follow consecutively.
+    pub fn send_queries<Q: AsRef<[f64]>>(&mut self, queries: &[Q]) -> Result<u64, NetError> {
+        let first = self.next_id;
+        self.wbuf.clear();
+        for query in queries {
+            put_query(&mut self.wbuf, self.next_id, query.as_ref());
+            self.next_id += 1;
+        }
+        self.stream.write_all(&self.wbuf)?;
+        Ok(first)
     }
 
     /// Send raw bytes on the wire — the corruption suite's way of
@@ -1264,22 +1544,30 @@ impl NetClient {
         Ok(())
     }
 
+    /// The next complete frame among the bytes already received, without
+    /// touching the socket; `None` when there is not a whole one — how a
+    /// pipelining caller collects every response a `read` brought in
+    /// before it refills its window.
+    pub fn recv_buffered(&mut self) -> Result<Option<Frame>, NetError> {
+        let Some((frame, used)) = decode_frame(self.rbuf.window(), self.max_payload)? else {
+            return Ok(None);
+        };
+        self.rbuf.consume(used);
+        Ok(Some(frame))
+    }
+
     /// Block until the next complete frame arrives.
     pub fn recv(&mut self) -> Result<Frame, NetError> {
-        let mut tmp = [0u8; 4096];
         loop {
-            if let Some((frame, used)) = decode_frame(&self.rbuf, self.max_payload)? {
-                self.rbuf.drain(..used);
+            if let Some(frame) = self.recv_buffered()? {
                 return Ok(frame);
             }
-            let n = self.stream.read(&mut tmp)?;
-            if n == 0 {
+            if self.rbuf.fill(&mut self.stream)? == 0 {
                 return Err(NetError::Truncated {
-                    have: self.rbuf.len(),
+                    have: self.rbuf.window().len(),
                     need: 0,
                 });
             }
-            self.rbuf.extend_from_slice(&tmp[..n]);
         }
     }
 
@@ -1287,27 +1575,17 @@ impl NetClient {
     /// responses come back as typed errors.
     pub fn query(&mut self, query: &[f64]) -> Result<NetAnswer, NetError> {
         self.send_query(query)?;
-        match self.recv()? {
-            Frame::Answer {
-                id,
-                generation,
-                value,
-            } => Ok(NetAnswer {
-                id,
-                generation,
-                value,
-            }),
-            Frame::Reject { id, code } => Err(NetError::Rejected { id, code }),
-            Frame::Error { code, message } => Err(NetError::Remote { code, message }),
-            other => Err(NetError::UnexpectedKind {
-                kind: kind_of(&other),
-            }),
+        match response_of(self.recv()?)? {
+            NetResponse::Answered(answer) => Ok(answer),
+            NetResponse::Rejected { id, code } => Err(NetError::Rejected { id, code }),
         }
     }
 
     /// Ask the server to describe itself.
     pub fn info(&mut self) -> Result<ServerInfo, NetError> {
-        self.stream.write_all(&encode_frame(&Frame::InfoRequest))?;
+        self.wbuf.clear();
+        encode_frame_into(&Frame::InfoRequest, &mut self.wbuf);
+        self.stream.write_all(&self.wbuf)?;
         match self.recv()? {
             Frame::InfoResponse(info) => Ok(info),
             Frame::Error { code, message } => Err(NetError::Remote { code, message }),
@@ -1318,9 +1596,13 @@ impl NetClient {
     }
 
     /// Pipelined stream: keep up to `window` requests outstanding,
-    /// collect every response. Responses come back in request order on
-    /// a single connection (the server drains each connection FIFO);
-    /// they are returned in arrival order, one per query.
+    /// collect every response. Each refill of the window is one
+    /// [`NetClient::send_queries`] call, made after every response
+    /// already received has been collected — so the writes track the
+    /// server's batches, not the queries. Responses come back in
+    /// request order on a single connection (the server drains each
+    /// connection FIFO); they are returned in arrival order, one per
+    /// query.
     pub fn query_stream(
         &mut self,
         queries: &[Vec<f64>],
@@ -1330,30 +1612,42 @@ impl NetClient {
         let mut responses = Vec::with_capacity(queries.len());
         let mut sent = 0usize;
         while responses.len() < queries.len() {
-            while sent < queries.len() && sent - responses.len() < window {
-                self.send_query(&queries[sent])?;
-                sent += 1;
+            let refill = (window - (sent - responses.len())).min(queries.len() - sent);
+            if refill > 0 {
+                self.send_queries(&queries[sent..sent + refill])?;
+                sent += refill;
             }
-            match self.recv()? {
-                Frame::Answer {
-                    id,
-                    generation,
-                    value,
-                } => responses.push(NetResponse::Answered(NetAnswer {
-                    id,
-                    generation,
-                    value,
-                })),
-                Frame::Reject { id, code } => responses.push(NetResponse::Rejected { id, code }),
-                Frame::Error { code, message } => return Err(NetError::Remote { code, message }),
-                other => {
-                    return Err(NetError::UnexpectedKind {
-                        kind: kind_of(&other),
-                    })
+            responses.push(response_of(self.recv()?)?);
+            while responses.len() < sent {
+                match self.recv_buffered()? {
+                    Some(frame) => responses.push(response_of(frame)?),
+                    None => break,
                 }
             }
         }
         Ok(responses)
+    }
+}
+
+/// A server → client frame as the response it carries; an
+/// [`Frame::Error`] farewell or a frame that never travels this way is
+/// the typed error.
+fn response_of(frame: Frame) -> Result<NetResponse, NetError> {
+    match frame {
+        Frame::Answer {
+            id,
+            generation,
+            value,
+        } => Ok(NetResponse::Answered(NetAnswer {
+            id,
+            generation,
+            value,
+        })),
+        Frame::Reject { id, code } => Ok(NetResponse::Rejected { id, code }),
+        Frame::Error { code, message } => Err(NetError::Remote { code, message }),
+        other => Err(NetError::UnexpectedKind {
+            kind: kind_of(&other),
+        }),
     }
 }
 
@@ -1394,6 +1688,162 @@ mod tests {
             queue_cap: 64,
             max_batch: 256,
         }));
+    }
+
+    /// One frame of every kind, with the bytes the protocol has put on
+    /// the wire for it since version 1 (taken from the encoder as it
+    /// stood before it wrote in place). An optimisation that moves a
+    /// byte fails here, not in a peer built last month.
+    fn golden_frames() -> Vec<(Frame, &'static str)> {
+        vec![
+            (
+                Frame::Query {
+                    id: 0x0102_0304_0506_0708,
+                    query: vec![0.25, -1.5, 3.0],
+                },
+                "4e534b5701012200000008070605040302010300000000000000d03f000000000000f8bf\
+                 0000000000000840e734cef3c970a704",
+            ),
+            (
+                Frame::Answer {
+                    id: 7,
+                    generation: 3,
+                    value: 42.5,
+                },
+                "4e534b57010218000000070000000000000003000000000000000000000000404540\
+                 a28b9a2705d14513",
+            ),
+            (
+                Frame::Reject {
+                    id: 9,
+                    code: RejectCode::QueueFull,
+                },
+                "4e534b57010309000000090000000000000001b3fb7d0db398157e",
+            ),
+            (
+                Frame::Error {
+                    code: 5,
+                    message: "bad sum".into(),
+                },
+                "4e534b5701040a0000000507006261642073756d7f28cc0543a5854c",
+            ),
+            (Frame::InfoRequest, "4e534b57010500000000423baa548e77eeb6"),
+            (
+                Frame::InfoResponse(ServerInfo {
+                    dims: 3,
+                    generation: 11,
+                    queue_cap: 64,
+                    max_batch: 256,
+                }),
+                "4e534b5701061200000003000b000000000000004000000000010000ca2980ca357565ec",
+            ),
+        ]
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+        digits
+            .chunks(2)
+            .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn wire_bytes_of_every_kind_are_frozen() {
+        for (frame, hex) in golden_frames() {
+            let golden = unhex(hex);
+            assert_eq!(encode_frame(&frame), golden, "{frame:?}");
+            let (decoded, used) = decode_frame(&golden, u32::MAX).unwrap().unwrap();
+            assert_eq!((decoded, used), (frame, golden.len()));
+        }
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_the_encoded_frame() {
+        let mut out = b"already here".to_vec();
+        let mut want = out.clone();
+        for (frame, _) in golden_frames() {
+            encode_frame_into(&frame, &mut out);
+            let bytes = encode_frame(&frame);
+            assert_eq!(bytes.capacity(), bytes.len(), "exact-capacity encode");
+            want.extend_from_slice(&bytes);
+            assert_eq!(out, want);
+        }
+        // An error message past the u16 length field is cut, in both.
+        let long = Frame::Error {
+            code: 1,
+            message: "x".repeat(70_000),
+        };
+        let bytes = encode_frame(&long);
+        assert_eq!(bytes.len(), FRAME_HEADER + 3 + 65_535 + FRAME_TRAILER);
+        let mut appended = vec![0xAA];
+        encode_frame_into(&long, &mut appended);
+        assert_eq!(appended[1..], bytes[..]);
+    }
+
+    /// A byte source that hands out at most `chunk` bytes per `read`.
+    struct Chunked<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.chunk.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Whatever the read granularity — one byte, around a frame, around
+    /// the old 4 KiB step, whole — a [`ReadBuf`] yields the same frames,
+    /// through compaction (small frames marching across the buffer) and
+    /// growth (frames larger than a read step), and never holds more
+    /// than a largest frame plus a step.
+    #[test]
+    fn read_buf_yields_the_same_frames_at_any_chunking() {
+        let mut frames: Vec<Frame> = Vec::new();
+        for i in 0..1500u64 {
+            frames.push(Frame::Query {
+                id: i,
+                query: vec![i as f64, 0.5, -2.0, 8.0],
+            });
+        }
+        frames.push(Frame::Error {
+            code: 4,
+            message: "m".repeat(65_535),
+        });
+        frames.push(Frame::Query {
+            id: 9_000,
+            query: (0..MAX_QUERY_DIMS).map(|d| d as f64).collect(),
+        });
+        frames.push(Frame::InfoRequest);
+        let mut stream = Vec::new();
+        for frame in &frames {
+            encode_frame_into(frame, &mut stream);
+        }
+        let largest = FRAME_HEADER + 3 + 65_535 + FRAME_TRAILER;
+        for chunk in [1, 59, 60, 61, 4095, 4096, 4097, usize::MAX] {
+            let mut src = Chunked {
+                bytes: &stream,
+                chunk,
+            };
+            let mut rbuf = ReadBuf::default();
+            let mut decoded = Vec::new();
+            loop {
+                while let Some((frame, used)) = decode_frame(rbuf.window(), u32::MAX).unwrap() {
+                    decoded.push(frame);
+                    rbuf.consume(used);
+                }
+                if rbuf.fill(&mut src).unwrap() == 0 {
+                    break;
+                }
+                assert!(rbuf.buf.len() < largest + READ_STEP, "chunk {chunk}");
+            }
+            assert!(rbuf.window().is_empty(), "chunk {chunk}");
+            assert!(decoded == frames, "chunk {chunk}: frames differ");
+        }
     }
 
     #[test]

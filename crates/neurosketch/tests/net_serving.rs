@@ -6,9 +6,13 @@
 //! the never-blend-generations contract under a hot swap mid-traffic.
 
 use neurosketch::deploy::LiveDeployment;
-use neurosketch::net::{NetClient, NetOptions, NetResponse, NetServer};
+use neurosketch::net::{
+    decode_frame, encode_frame, Frame, NetClient, NetOptions, NetResponse, NetServer,
+};
 use neurosketch::router::{DqdRouter, RoutingPolicy};
 use neurosketch::{Deployment, NeuroSketch, NeuroSketchConfig, ServeOptions, SketchServer};
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -358,4 +362,234 @@ fn hot_swap_under_load_never_blends_generations() {
     shutdown.store(true, Ordering::Relaxed);
     let server = handle.join().unwrap();
     assert_eq!(server.stats().protocol_errors, 0);
+}
+
+/// Query frames a [`SilentPeer`] tries to pipeline: ≈ 17 MB of answers,
+/// several times what the kernel's socket buffers absorb.
+const FLOOD: usize = 400_000;
+/// Consecutive server steps through which the socket may refuse bytes
+/// before the peer concludes it is being held back.
+const PATIENCE: usize = 50;
+
+/// A peer that pipelines queries and never reads a response, on a
+/// non-blocking socket driven from the test's own thread. `flood`
+/// writes up to [`FLOOD`] query frames, stepping the server as it goes,
+/// and gives up once the socket has refused bytes through [`PATIENCE`]
+/// consecutive server steps — the peer's view of flow control. Returns
+/// the frames fully written.
+struct SilentPeer {
+    stream: TcpStream,
+    next_id: u64,
+    /// Largest [`NetServer::buffer_bytes`] seen after any server step.
+    peak_buffer_bytes: usize,
+}
+
+impl SilentPeer {
+    fn connect(server: &mut NetServer) -> SilentPeer {
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nonblocking(true).unwrap();
+        server.pump_io();
+        assert_eq!(server.connections(), 1);
+        SilentPeer {
+            stream,
+            next_id: 0,
+            peak_buffer_bytes: 0,
+        }
+    }
+
+    fn step(&mut self, server: &mut NetServer) {
+        step(server);
+        self.peak_buffer_bytes = self.peak_buffer_bytes.max(server.buffer_bytes());
+    }
+
+    fn flood(&mut self, server: &mut NetServer) -> usize {
+        let queries = workload(1000);
+        for sent in 0..FLOOD {
+            let frame = encode_frame(&Frame::Query {
+                id: self.next_id,
+                query: queries[sent % queries.len()].clone(),
+            });
+            let (mut off, mut refused) = (0usize, 0usize);
+            while off < frame.len() {
+                match self.stream.write(&frame[off..]) {
+                    Ok(n) => {
+                        off += n;
+                        refused = 0;
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                        self.step(server);
+                        refused += 1;
+                        if refused >= PATIENCE {
+                            // Mid-frame or not, the peer stops here.
+                            return sent;
+                        }
+                    }
+                    Err(e) => panic!("flood write: {e}"),
+                }
+            }
+            self.next_id += 1;
+            if sent % 1000 == 999 {
+                self.step(server);
+            }
+        }
+        FLOOD
+    }
+
+    /// Start reading at last: step the server and collect response
+    /// frames until `want` have arrived; `(answers, rejects)`.
+    fn drain(&mut self, server: &mut NetServer, want: usize) -> (usize, usize) {
+        let (mut answers, mut rejects) = (0usize, 0usize);
+        let mut buf: Vec<u8> = Vec::new();
+        let mut tmp = vec![0u8; 64 * 1024];
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while answers + rejects < want {
+            assert!(std::time::Instant::now() < deadline, "drain wedged");
+            self.step(server);
+            match self.stream.read(&mut tmp) {
+                Ok(0) => panic!("server closed a well-behaved flooder"),
+                Ok(n) => buf.extend_from_slice(&tmp[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                Err(e) => panic!("drain read: {e}"),
+            }
+            let mut used = 0usize;
+            while let Some((frame, n)) = decode_frame(&buf[used..], u32::MAX).unwrap() {
+                used += n;
+                match frame {
+                    Frame::Answer { .. } => answers += 1,
+                    Frame::Reject { .. } => rejects += 1,
+                    other => panic!("unexpected frame {other:?}"),
+                }
+            }
+            buf.drain(..used);
+        }
+        (answers, rejects)
+    }
+}
+
+/// One full turn of the stepped server: I/O, every pending batch, I/O.
+fn step(server: &mut NetServer) {
+    server.pump_io();
+    while server.serve_pending_batch().is_some() {}
+    server.pump_io();
+}
+
+/// A connection that dies with output still staged is reaped: a peer
+/// pipelines until the server holds answers it cannot deliver, then
+/// drops without reading one. The server must notice, discard the
+/// undeliverable tail and free the slot — `connections()` back to 0,
+/// `closed` 1 — not carry the socket and its buffers forever.
+#[test]
+fn dead_connection_with_unflushed_output_is_reaped() {
+    let queries = workload(64);
+    let (sketch, _) = trained(&queries, |q| q[0] - q[1]);
+    let live = Arc::new(LiveDeployment::new(sketch, 0));
+    let mut server = NetServer::bind("127.0.0.1:0", live, 2, NetOptions::default()).unwrap();
+
+    let mut peer = SilentPeer::connect(&mut server);
+    peer.flood(&mut server);
+    assert!(server.stats().answered > 0, "the flood was being served");
+    drop(peer);
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while server.connections() > 0 && std::time::Instant::now() < deadline {
+        step(&mut server);
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    assert_eq!(server.connections(), 0, "dead connection never reaped");
+    assert_eq!(server.stats().closed, 1);
+}
+
+/// Per-connection buffering is bounded whatever the peer does: a peer
+/// that floods and never reads is read only until its unsent responses
+/// pass the high-water mark, after which TCP flow control stops *it* —
+/// it cannot make the server stage [`FLOOD`] answers. The server's buffer
+/// memory for the connection stays within
+/// [`NetOptions::conn_buffer_bound`] throughout, stalled reads are
+/// counted, and nothing is lost: once the peer does read, every query
+/// it managed to send has exactly one response.
+#[test]
+fn flooding_without_reading_stays_within_the_buffer_bound() {
+    let queries = workload(64);
+    let (sketch, _) = trained(&queries, |q| q[0] - q[1]);
+    let live = Arc::new(LiveDeployment::new(sketch, 0));
+    let opts = NetOptions::default();
+    let mut server = NetServer::bind("127.0.0.1:0", live, 2, opts).unwrap();
+
+    let mut peer = SilentPeer::connect(&mut server);
+    let written = peer.flood(&mut server);
+    assert!(
+        written < FLOOD,
+        "flow control never pushed back on a peer that does not read"
+    );
+    assert!(server.stats().stalled_reads > 0);
+    assert!(
+        peer.peak_buffer_bytes <= opts.conn_buffer_bound(),
+        "connection buffers reached {} B, bound is {} B",
+        peer.peak_buffer_bytes,
+        opts.conn_buffer_bound()
+    );
+
+    let (answers, rejects) = peer.drain(&mut server, written);
+    assert_eq!(answers + rejects, written, "one response per query sent");
+    let stats = server.stats();
+    assert_eq!(stats.queries, written as u64);
+    assert_eq!(stats.answered, answers as u64);
+    assert_eq!(stats.rejected, rejects as u64);
+    assert_eq!(stats.protocol_errors, 0);
+    // The bound held while the backlog drained, too.
+    assert!(peer.peak_buffer_bytes <= opts.conn_buffer_bound());
+}
+
+/// In-batch dedup over the wire: a window in which most queries repeat
+/// (in no particular pattern, first occurrences scattered among the
+/// repeats) is served as one micro-batch that computes only the
+/// distinct ones, and every response still carries bitwise the answer
+/// its own query gets from a direct `answer_batch` — with dedup on and,
+/// as the control, off.
+#[test]
+fn in_batch_duplicates_are_computed_once_and_answered_bitwise() {
+    let distinct = workload(7);
+    let (sketch, _) = trained(&workload(64), |q| 5.0 * q[0] - q[1]);
+    let window: Vec<Vec<f64>> = (0..40)
+        .map(|i| distinct[(i * i + 3 * i) % 7].clone())
+        .collect();
+    let (expected, _) = Deployment::answer_batch(&sketch, &window);
+    let used: std::collections::BTreeSet<usize> = (0..40).map(|i| (i * i + 3 * i) % 7).collect();
+
+    for dedup in [true, false] {
+        let live = Arc::new(LiveDeployment::new(sketch.clone(), 0));
+        let opts = NetOptions {
+            dedup,
+            ..NetOptions::default()
+        };
+        let mut server = NetServer::bind("127.0.0.1:0", live, 2, opts).unwrap();
+        let mut client = NetClient::connect(server.local_addr()).unwrap();
+        client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+        let first = client.send_queries(&window).unwrap();
+
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while server.pending() < window.len() {
+            server.pump_io();
+            assert!(std::time::Instant::now() < deadline, "server wedged");
+        }
+        let batch = server.serve_pending_batch().expect("one window pending");
+        assert_eq!(batch.size, window.len());
+        let want_unique = if dedup { used.len() } else { window.len() };
+        assert_eq!(batch.unique, want_unique, "dedup {dedup}");
+        assert_eq!(
+            server.stats().deduped,
+            (window.len() - want_unique) as u64,
+            "dedup {dedup}"
+        );
+        server.pump_io();
+        for (k, want) in expected.iter().enumerate() {
+            match client.recv().unwrap() {
+                Frame::Answer { id, value, .. } => {
+                    assert_eq!(id, first + k as u64);
+                    assert_eq!(value.to_bits(), want.to_bits(), "dedup {dedup} id {id}");
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
 }
