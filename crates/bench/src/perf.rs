@@ -440,7 +440,7 @@ pub fn run_build_suite(fast: bool, reps: usize) -> PerfReport {
 /// Run the query-side suite: per-query latency of the sketch's hot path
 /// and of the exact engine it is sketching.
 pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
-    use neurosketch::cache::{AnswerCache, CachePolicy, CachedDeployment};
+    use neurosketch::cache::{AnswerCache, CachedDeployment};
     use neurosketch::deploy::Deployment;
     use neurosketch::router::{DqdRouter, RoutingPolicy};
     use neurosketch::serve::{ServeOptions, SketchServer};
@@ -523,7 +523,6 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
                 threads: 2,
                 max_shard: 1024,
                 active_attrs: None,
-                cache: CachePolicy::OFF,
             },
         );
         // Served through the unified `Deployment` surface — what every
@@ -540,9 +539,8 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
         );
     }
 
-    // Answer-cache serving (`serve_cached_cold` / `serve_cached_hot` /
-    // `serve_dedup_batch`): the generation-keyed answer cache and the
-    // in-batch dedup front over the same t1 server as
+    // Answer-cache serving (`serve_cached_cold` / `serve_cached_hot`):
+    // the one answer front (`CachedDeployment`) over the same t1 server as
     // `serve_throughput_batched_t1`, so the medians decompose cleanly
     // (the block runs back-to-back with the t1/t2 entries so the
     // compared medians also share the machine state of the moment):
@@ -563,27 +561,7 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
     //     full stream length; `time_reps`'s untimed warm-up populates
     //     the cache, so every timed repetition is ~100% hits — the
     //     median ratio vs cold is the tracked repeat-workload win.
-    //   * `serve_dedup_batch` turns caching off (capacity 0) and dedup
-    //     on over a stream with 100 distinct queries: the server
-    //     computes ~100 per batch and fans the rest out.
     {
-        let cache_opts = |cache: CachePolicy| ServeOptions {
-            threads: 1,
-            max_shard: 1024,
-            active_attrs: None,
-            cache,
-        };
-        let mk_server = |cache: CachePolicy| {
-            SketchServer::new(
-                DqdRouter::new(
-                    sketch.clone(),
-                    build_report.leaf_aqcs.clone(),
-                    RoutingPolicy::default(),
-                ),
-                cache_opts(cache),
-            )
-        };
-
         // Cold: the t1 stream, de-duplicated by a sub-ulp-of-routing
         // nudge so the batch is 2000 *distinct* keys (the cycled stream
         // repeats each query ~4x, which in-batch dedup would collapse),
@@ -600,12 +578,22 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
                 q
             })
             .collect();
-        // `inner` doubles as the `serve_throughput_batched_t1` server:
-        // same options as the cache-fronted servers minus the front, so
-        // the paired timing below compares exactly "front on" vs
+        // `inner` doubles as the `serve_throughput_batched_t1` server,
+        // so the paired timing below compares exactly "front on" vs
         // "front off" over the same code path.
-        let inner = std::sync::Arc::new(mk_server(CachePolicy::OFF));
-        let cold_cache = AnswerCache::from_policy(&CachePolicy::cached(256 << 10));
+        let inner = std::sync::Arc::new(SketchServer::new(
+            DqdRouter::new(
+                sketch.clone(),
+                build_report.leaf_aqcs.clone(),
+                RoutingPolicy::default(),
+            ),
+            ServeOptions {
+                threads: 1,
+                max_shard: 1024,
+                active_attrs: None,
+            },
+        ));
+        let cold_cache = std::sync::Arc::new(AnswerCache::new(256 << 10, 8));
         let generation = std::cell::Cell::new(0u64);
         // More samples than the suite default: the tracked number here
         // is a ~5% *ratio*, which needs tighter medians than a plain
@@ -637,33 +625,14 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
             .take(SERVE_STREAM_LEN)
             .cloned()
             .collect();
-        let server = mk_server(CachePolicy::cached(1 << 20));
-        let server: &dyn Deployment = &server;
+        let hot_cache = std::sync::Arc::new(AnswerCache::new(1 << 20, 8));
+        let server = CachedDeployment::new(inner.clone(), hot_cache, 0);
         push(
             "serve_cached_hot",
             iters,
             time_reps(reps, || {
                 for _ in 0..iters {
                     std::hint::black_box(server.answer_batch(&hot_queries));
-                }
-            }),
-        );
-
-        let dedup_queries: Vec<Vec<f64>> = serve_queries
-            .iter()
-            .take(100)
-            .cycle()
-            .take(SERVE_STREAM_LEN)
-            .cloned()
-            .collect();
-        let server = mk_server(CachePolicy::dedup_only());
-        let server: &dyn Deployment = &server;
-        push(
-            "serve_dedup_batch",
-            iters,
-            time_reps(reps, || {
-                for _ in 0..iters {
-                    std::hint::black_box(server.answer_batch(&dedup_queries));
                 }
             }),
         );
@@ -756,7 +725,6 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
                     threads: 1,
                     max_shard: 1024,
                     active_attrs: None,
-                    cache: CachePolicy::OFF,
                 },
             );
             let server: &dyn Deployment = &server;
@@ -810,7 +778,6 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
                 threads: 2,
                 max_shard: 1024,
                 active_attrs: None,
-                cache: CachePolicy::OFF,
             },
         );
         let server: &dyn Deployment = &server;
@@ -874,10 +841,10 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
     // Network serving (`net_saturation_qps`): the
     // [`SERVE_STREAM_LEN`]-query stream through the NSKW protocol server
     // over TCP loopback, as 4 pipelined clients the server coalesces
-    // into adaptive micro-batches. It is here as the yardstick for
-    // `net_repeat_traffic` below; the wire's latency and throughput
-    // numbers of record are nsbench's (`net.single_trip_us`,
-    // `net.paced_*`, `net.saturate_p99_us`, `wire_saturate`).
+    // into adaptive micro-batches. A tripwire only; the wire's latency
+    // and throughput numbers of record are nsbench's
+    // (`net.single_trip_us`, `net.paced_*`, `net.saturate_p99_us`,
+    // `wire_saturate`).
     {
         use crate::netload;
         use neurosketch::deploy::LiveDeployment;
@@ -908,28 +875,6 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
             time_reps(reps, || {
                 let report = netload::run_load(addr, &serve_queries, 4, 64);
                 assert_eq!(report.rejected, 0, "saturation run must not shed load");
-            }),
-        );
-
-        // Repeat-heavy traffic (`net_repeat_traffic`): the saturation
-        // run again, but over a stream cycling 64 distinct queries — the
-        // server's in-batch dedup (`NetOptions::dedup`, on by default)
-        // collapses each coalesced micro-batch to its distinct queries,
-        // so the median vs `net_saturation_qps` is the tracked dedup win
-        // on repeat workloads (identical total work on the wire).
-        let repeat_queries: Vec<Vec<f64>> = serve_queries
-            .iter()
-            .take(64)
-            .cycle()
-            .take(SERVE_STREAM_LEN)
-            .cloned()
-            .collect();
-        push(
-            "net_repeat_traffic",
-            iters,
-            time_reps(reps, || {
-                let report = netload::run_load(addr, &repeat_queries, 4, 64);
-                assert_eq!(report.rejected, 0, "repeat run must not shed load");
             }),
         );
         under_test.stop();

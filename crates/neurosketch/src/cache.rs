@@ -1,10 +1,13 @@
-//! Generation-keyed answer caching and in-batch deduplication.
+//! Generation-keyed answer caching and in-batch deduplication: the one
+//! answer front.
 //!
 //! The paper's query-time cost is one forward pass; real AQP dashboard
 //! traffic is repeat-heavy (the same COUNT/AVG tiles refresh on a
 //! cadence, many clients ask identical ranges), so the cheapest query
-//! is the one never recomputed. This module is the shared front every
-//! serving layer can put in front of its compute path:
+//! is the one never recomputed. This module is the only place in the
+//! stack an answer is cached or deduplicated — servers compute what
+//! they are sent, the wire server adds no dedup of its own, and a
+//! [`crate::cluster::Cluster`] holds no cache:
 //!
 //! * [`AnswerCache`] — a bounded, striped-lock LRU cache of finished
 //!   answers keyed by `(canonical query bytes, aggregate, generation)`.
@@ -16,13 +19,14 @@
 //!   an invalidation protocol entirely: a hot swap bumps the
 //!   generation, so stale entries simply stop being addressable and
 //!   age out of the LRU.
-//! * in-batch deduplication ([`serve_cached`] with
-//!   [`CachePolicy::dedup`]) — identical queries inside one batch
-//!   collapse to a single computation and the result is fanned back
-//!   out in input order, before anything reaches the GEMM path.
 //! * [`CachedDeployment`] — a [`Deployment`] wrapper that pins an
 //!   explicit generation stamp to a shared [`AnswerCache`], the
-//!   composition [`crate::deploy::LiveDeployment`] hot-swaps.
+//!   composition [`crate::deploy::LiveDeployment`] hot-swaps. In-batch
+//!   deduplication is part of what it does, not a flag: identical
+//!   queries inside one batch collapse to a single computation and the
+//!   result is fanned back out in input order, before anything reaches
+//!   the GEMM path. A zero-byte cache admits nothing, which leaves
+//!   exactly the dedup.
 //!
 //! The contract is the repo's house rule: a cached or deduplicated
 //! answer is **bitwise identical** to the uncached computation at any
@@ -50,72 +54,6 @@ use crate::deploy::{DeployStats, Deployment, DeploymentInfo};
 use query::aggregate::Aggregate;
 use std::sync::atomic::{AtomicU16, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Caching/deduplication knob carried by serving options
-/// ([`crate::serve::ServeOptions::cache`],
-/// [`crate::cluster::ClusterOptions::cache`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CachePolicy {
-    /// Total answer-cache budget in bytes, split evenly across
-    /// stripes; `0` disables caching entirely (deduplication may still
-    /// be on). Entries are charged [`entry_bytes`].
-    pub capacity_bytes: usize,
-    /// Lock stripes the budget and the key space are sharded across
-    /// (rounded up to a power of two, minimum 1). More stripes means
-    /// less contention between concurrent batches.
-    pub stripes: usize,
-    /// Collapse bitwise-identical queries within one batch to a single
-    /// computation, fanning the answer back out in input order.
-    pub dedup: bool,
-}
-
-impl CachePolicy {
-    /// Everything off: batches go straight to the compute path.
-    pub const OFF: CachePolicy = CachePolicy {
-        capacity_bytes: 0,
-        stripes: 1,
-        dedup: false,
-    };
-
-    /// Cache `capacity_bytes` of answers across 8 stripes, with
-    /// in-batch deduplication on — the one-knob production setting.
-    pub fn cached(capacity_bytes: usize) -> CachePolicy {
-        CachePolicy {
-            capacity_bytes,
-            stripes: 8,
-            dedup: true,
-        }
-    }
-
-    /// In-batch deduplication without any answer retention — bounded
-    /// memory use of exactly nothing, still collapses repeat-heavy
-    /// batches.
-    pub fn dedup_only() -> CachePolicy {
-        CachePolicy {
-            capacity_bytes: 0,
-            stripes: 1,
-            dedup: true,
-        }
-    }
-
-    /// Whether the front does anything at all.
-    pub fn enabled(&self) -> bool {
-        self.capacity_bytes > 0 || self.dedup
-    }
-
-    /// Whether answers are retained across batches.
-    pub fn caching(&self) -> bool {
-        self.capacity_bytes > 0
-    }
-}
-
-impl Default for CachePolicy {
-    /// Off. Caching changes no answers, but it does retain memory and
-    /// alter tallies — production deployments opt in explicitly.
-    fn default() -> CachePolicy {
-        CachePolicy::OFF
-    }
-}
 
 /// The aggregate byte folded into every cache key, so one shared
 /// [`AnswerCache`] can serve deployments answering different
@@ -472,7 +410,7 @@ fn pack_meta(tag: u8, dims: usize) -> u32 {
 /// multiply-xor mix, a few cycles per word, shared by the cache index
 /// and the in-batch dedup table.
 #[inline]
-pub(crate) fn key_hash(tag: u8, gen: u64, q: &[f64]) -> u64 {
+fn key_hash(tag: u8, gen: u64, q: &[f64]) -> u64 {
     #[inline]
     fn mix(mut h: u64, w: u64) -> u64 {
         h ^= w;
@@ -499,7 +437,7 @@ fn same_bits(a: &[f64], b: &[f64]) -> bool {
 ///
 /// Thread-safe: lookups and inserts take one stripe's mutex; batches
 /// lock each stripe at most twice (one probe pass, one insert pass)
-/// via [`serve_cached`]. Memory is bounded by the byte budget, split
+/// via [`CachedDeployment`]. Memory is bounded by the byte budget, split
 /// evenly across stripes, with per-stripe LRU eviction.
 pub struct AnswerCache {
     stripes: Vec<Mutex<Stripe>>,
@@ -549,12 +487,6 @@ impl AnswerCache {
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// A cache sized by a [`CachePolicy`] (shared [`Arc`], the shape
-    /// every serving layer stores).
-    pub fn from_policy(policy: &CachePolicy) -> Arc<AnswerCache> {
-        Arc::new(AnswerCache::new(policy.capacity_bytes, policy.stripes))
     }
 
     /// The configured byte budget.
@@ -699,52 +631,6 @@ impl AnswerCache {
     }
 }
 
-/// What one batch through the front did, for the layer's tally
-/// ([`crate::serve::ServeStats`], [`DeployStats`], …).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrontTally {
-    /// Queries answered from the cache.
-    pub cache_hits: usize,
-    /// Cache lookups that fell through to compute (0 with caching
-    /// off).
-    pub cache_misses: usize,
-    /// Queries collapsed onto an identical query in the same batch.
-    pub dedup_hits: usize,
-}
-
-/// Map each query to the index of the first bitwise-identical query in
-/// the batch (itself, for first occurrences). Returns the map and the
-/// number of distinct queries. Open-addressed over the precomputed
-/// hashes — one table allocation per batch, no per-query allocation.
-pub(crate) fn dedup_reps(queries: &[Vec<f64>], hashes: &[u64]) -> (Vec<u32>, usize) {
-    let n = queries.len();
-    let cap = (n * 2).next_power_of_two();
-    let mask = cap - 1;
-    let mut table = vec![0u32; cap]; // slot = input index + 1, 0 = empty
-    let mut rep = vec![0u32; n];
-    let mut distinct = 0usize;
-    for i in 0..n {
-        let h = hashes[i];
-        let mut j = (h as usize) & mask;
-        loop {
-            let slot = table[j];
-            if slot == 0 {
-                table[j] = (i + 1) as u32;
-                rep[i] = i as u32;
-                distinct += 1;
-                break;
-            }
-            let c = (slot - 1) as usize;
-            if hashes[c] == h && same_bits(&queries[c], &queries[i]) {
-                rep[i] = c as u32;
-                break;
-            }
-            j = (j + 1) & mask;
-        }
-    }
-    (rep, distinct)
-}
-
 /// The in-batch dedup table of one [`serve_cached`] call,
 /// open-addressed, probed once per query. The narrow form (batches
 /// under 65535 queries) packs `index + 1` (low 16 bits) with a 16-bit
@@ -758,19 +644,17 @@ struct DedupProbe {
     hashes: Vec<u64>,
     mask: usize,
     narrow: bool,
-    enabled: bool,
 }
 
 impl DedupProbe {
-    fn new(n: usize, enabled: bool) -> DedupProbe {
+    fn new(n: usize) -> DedupProbe {
         let cap = (n * 2).next_power_of_two();
         let narrow = n < u16::MAX as usize;
         DedupProbe {
-            table: if enabled { vec![0u32; cap] } else { Vec::new() },
-            hashes: Vec::with_capacity(if enabled && !narrow { n } else { 0 }),
+            table: vec![0u32; cap],
+            hashes: Vec::with_capacity(if narrow { 0 } else { n }),
             mask: cap - 1,
             narrow,
-            enabled,
         }
     }
 
@@ -779,9 +663,6 @@ impl DedupProbe {
     /// Must be called exactly once per index, in input order.
     #[inline]
     fn rep(&mut self, i: usize, h: u64, queries: &[Vec<f64>]) -> usize {
-        if !self.enabled {
-            return i;
-        }
         let q = &queries[i];
         let mut j = (h as usize) & self.mask;
         if self.narrow {
@@ -818,257 +699,218 @@ impl DedupProbe {
     }
 }
 
-/// Serve one batch through the dedup + cache front.
+/// Run `compute` over the queries at `misses` (input order) and settle
+/// their answers into `out`, which is sized here if no hit sized it
+/// already. Returns the tally `compute` reported.
+fn compute_misses<F>(
+    queries: &[Vec<f64>],
+    misses: &[usize],
+    out: &mut Vec<f64>,
+    compute: F,
+) -> DeployStats
+where
+    F: FnOnce(&[Vec<f64>]) -> (Vec<f64>, DeployStats),
+{
+    if misses.len() == queries.len() {
+        // Everything missed (cold traffic): `misses` is `0..n` in
+        // order, so the batch passes through without copying a query
+        // and the computed values *are* the batch answer.
+        let (values, computed) = compute(queries);
+        debug_assert_eq!(values.len(), misses.len());
+        *out = values;
+        return computed;
+    }
+    let sub: Vec<Vec<f64>> = misses.iter().map(|&i| queries[i].clone()).collect();
+    let (values, computed) = compute(&sub);
+    debug_assert_eq!(values.len(), misses.len());
+    if out.is_empty() {
+        *out = vec![0.0; queries.len()];
+    }
+    for (&i, &v) in misses.iter().zip(&values) {
+        out[i] = v;
+    }
+    computed
+}
+
+/// Serve one batch through the dedup + cache front, keying every entry
+/// with `(tag, gen)`.
 ///
-/// `cache` is `(cache, aggregate tag, generation)` or `None`;
-/// `compute` receives the input indices (in input order) of the
-/// queries that must actually be computed and returns their answers in
-/// the same order. Answers come back in input order, bitwise identical
-/// to calling `compute` on the full batch — duplicates receive their
-/// representative's bits, hits receive the bits stored when the key
-/// was computed.
-///
-/// This is the one implementation of the front; `SketchServer`,
-/// `ShardedServer`, `Cluster` and [`CachedDeployment`] all call it
-/// with their own compute closure.
-pub fn serve_cached<F>(
-    cache: Option<(&AnswerCache, u8, u64)>,
-    dedup: bool,
+/// `compute` receives the queries that must actually be computed — the
+/// distinct, cold ones, in input order — and returns their answers in
+/// the same order plus its own tally, which the front's hit / miss /
+/// dedup counts are added to. Answers come back in input order, bitwise
+/// identical to calling `compute` on the full batch — duplicates
+/// receive their representative's bits, hits receive the bits stored
+/// when the key was computed.
+fn serve_cached<F>(
+    c: &AnswerCache,
+    tag: u8,
+    gen: u64,
     queries: &[Vec<f64>],
     compute: F,
-) -> (Vec<f64>, FrontTally)
+) -> (Vec<f64>, DeployStats)
 where
-    F: FnOnce(&[usize]) -> Vec<f64>,
+    F: FnOnce(&[Vec<f64>]) -> (Vec<f64>, DeployStats),
 {
     let n = queries.len();
-    let mut tally = FrontTally::default();
     if n == 0 {
-        return (Vec::new(), tally);
+        return (Vec::new(), DeployStats::default());
     }
-    let (tag, gen) = match cache {
-        Some((_, t, g)) => (t, g),
-        None => (0, 0),
-    };
-    let mut out: Vec<f64>;
-    match cache {
-        Some((c, tag, gen)) if c.capacity > 0 => {
-            // Allocated lazily: a batch of all-new queries (the cold
-            // path) never zeroes it — the computed values are moved in
-            // wholesale at the end.
-            out = Vec::new();
-            // Duplicates are recorded as `(index, representative)`
-            // pairs so a duplicate-free batch pays nothing for the
-            // fan-out bookkeeping.
-            let mut dups: Vec<(u32, u32)> = Vec::new();
-            let mut probe = DedupProbe::new(n, dedup);
-            let lo = c.gen_lo.load(Ordering::Relaxed);
-            let hi = c.gen_hi.load(Ordering::Relaxed);
-            if gen < lo || gen > hi {
-                // Generation fast path: no resident entry carries this
-                // batch's generation, so not one lookup can hit — which
-                // is every batch right after a hot swap (and, in a
-                // fresh cache, before the first insert). One lock-free
-                // sweep does it all: hash, in-batch dedup, doorkeeper
-                // admission marks; no stripe lock is taken unless a key
-                // actually earned admission.
-                let mut misses: Vec<usize> = Vec::with_capacity(n);
-                let mut admitted: Vec<(u32, u64)> = Vec::new();
-                for (i, q) in queries.iter().enumerate() {
-                    let h = key_hash(tag, gen, q);
-                    let r = probe.rep(i, h, queries);
-                    if r == i {
-                        misses.push(i);
-                        if c.admit(h, q.len()) {
-                            admitted.push((i as u32, h));
-                        }
-                    } else {
-                        dups.push((i as u32, r as u32));
-                    }
-                }
-                tally.dedup_hits = dups.len();
-                tally.cache_misses = misses.len();
-                c.misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
-                let values = compute(&misses);
-                debug_assert_eq!(values.len(), misses.len());
-                if misses.len() == n {
-                    // Everything missed: `misses` is `0..n` in order,
-                    // so the computed values *are* the batch answer.
-                    out = values;
-                } else {
-                    out = vec![0.0; n];
-                    for (&i, &v) in misses.iter().zip(&values) {
-                        out[i] = v;
-                    }
-                }
-                // Steady state on uncacheable traffic admits nothing;
-                // right after a swap, the new generation's repeats land
-                // here and re-populate the cache.
-                for &(i, h) in &admitted {
-                    let i = i as usize;
-                    let si = c.stripe_of(h);
-                    let mut stripe = c.stripes[si].lock().expect("cache stripe");
-                    c.insert_locked(si, &mut stripe, h, tag, gen, &queries[i], out[i], !dedup);
+    // Allocated lazily: a batch of all-new queries (the cold path)
+    // never zeroes it — the computed values are moved in wholesale.
+    let mut out: Vec<f64> = Vec::new();
+    // Duplicates are recorded as `(index, representative)` pairs so a
+    // duplicate-free batch pays nothing for the fan-out bookkeeping.
+    let mut dups: Vec<(u32, u32)> = Vec::new();
+    let mut probe = DedupProbe::new(n);
+    let mut misses: Vec<usize> = Vec::new();
+    let mut computed = DeployStats::default();
+    let lo = c.gen_lo.load(Ordering::Relaxed);
+    let hi = c.gen_hi.load(Ordering::Relaxed);
+    if gen < lo || gen > hi {
+        // Generation fast path: no resident entry carries this batch's
+        // generation, so not one lookup can hit — which is every batch
+        // right after a hot swap (and, in a fresh or zero-byte cache,
+        // before the first insert). One lock-free sweep does it all:
+        // hash, in-batch dedup, doorkeeper admission marks; no stripe
+        // lock is taken unless a key actually earned admission.
+        misses.reserve(n);
+        let mut admitted: Vec<(u32, u64)> = Vec::new();
+        for (i, q) in queries.iter().enumerate() {
+            let h = key_hash(tag, gen, q);
+            let r = probe.rep(i, h, queries);
+            if r == i {
+                misses.push(i);
+                if c.admit(h, q.len()) {
+                    admitted.push((i as u32, h));
                 }
             } else {
-                // Pass 1, fused: hash each query, dedup-probe it, and
-                // stripe-group the representatives — one sweep over the
-                // batch instead of three. Each group entry carries
-                // `(index, hash)` so the later passes never index a
-                // side array of hashes — on a cold batch every such
-                // read is a cache miss the compute behind it ends up
-                // paying for.
-                let mut groups: Vec<Vec<(u32, u64)>> =
-                    vec![Vec::with_capacity(n / c.stripes.len() + 8); c.stripes.len()];
-                for (i, q) in queries.iter().enumerate() {
-                    let h = key_hash(tag, gen, q);
-                    let r = probe.rep(i, h, queries);
-                    if r == i {
-                        groups[c.stripe_of(h)].push((i as u32, h));
-                    } else {
-                        dups.push((i as u32, r as u32));
-                    }
-                }
-                tally.dedup_hits = dups.len();
+                dups.push((i as u32, r as u32));
+            }
+        }
+        c.misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
+        computed = compute_misses(queries, &misses, &mut out, compute);
+        // Steady state on uncacheable traffic admits nothing; right
+        // after a swap, the new generation's repeats land here and
+        // re-populate the cache.
+        for &(i, h) in &admitted {
+            let i = i as usize;
+            let si = c.stripe_of(h);
+            let mut stripe = c.stripes[si].lock().expect("cache stripe");
+            c.insert_locked(si, &mut stripe, h, tag, gen, &queries[i], out[i], false);
+        }
+    } else {
+        // Pass 1, fused: hash each query, dedup-probe it, and
+        // stripe-group the representatives — one sweep over the batch
+        // instead of three. Each group entry carries `(index, hash)` so
+        // the later passes never index a side array of hashes — on a
+        // cold batch every such read is a cache miss the compute behind
+        // it ends up paying for.
+        let mut groups: Vec<Vec<(u32, u64)>> =
+            vec![Vec::with_capacity(n / c.stripes.len() + 8); c.stripes.len()];
+        for (i, q) in queries.iter().enumerate() {
+            let h = key_hash(tag, gen, q);
+            let r = probe.rep(i, h, queries);
+            if r == i {
+                groups[c.stripe_of(h)].push((i as u32, h));
+            } else {
+                dups.push((i as u32, r as u32));
+            }
+        }
 
-                // Pass 2: per stripe, under one lock hold: look every
-                // representative up, and decide *admission* for the
-                // misses right here — so the post-compute insert pass
-                // only revisits the keys actually being admitted, which
-                // on a stream of never-repeated queries is none at all.
-                const DUP: u8 = 0;
-                const HIT: u8 = 1;
-                const MISS_ADMIT: u8 = 2;
-                const MISS_SKIP: u8 = 3;
-                let mut state = vec![DUP; n];
-                for (si, group) in groups.iter().enumerate() {
-                    if group.is_empty() {
-                        continue;
-                    }
-                    let mut stripe = c.stripes[si].lock().expect("cache stripe");
-                    for &(i, h) in group {
-                        let i = i as usize;
-                        match stripe.find(h, tag, gen, &queries[i]) {
-                            Some(slot) => {
-                                stripe.touch(slot);
-                                if out.is_empty() {
-                                    out = vec![0.0; n];
-                                }
-                                out[i] = stripe.pay[slot].value;
-                                state[i] = HIT;
-                            }
-                            None => {
-                                state[i] = if c.admit(h, queries[i].len()) {
-                                    MISS_ADMIT
-                                } else {
-                                    MISS_SKIP
-                                };
-                            }
-                        }
-                    }
-                }
-                let mut misses = Vec::new();
-                let mut any_admitted = false;
-                for (i, &s) in state.iter().enumerate() {
-                    if s >= MISS_ADMIT {
-                        misses.push(i);
-                        any_admitted |= s == MISS_ADMIT;
-                    }
-                }
-                tally.cache_hits = n - tally.dedup_hits - misses.len();
-                tally.cache_misses = misses.len();
-                c.hits.fetch_add(tally.cache_hits as u64, Ordering::Relaxed);
-                c.misses
-                    .fetch_add(tally.cache_misses as u64, Ordering::Relaxed);
-                if !misses.is_empty() {
-                    let values = compute(&misses);
-                    debug_assert_eq!(values.len(), misses.len());
-                    if misses.len() == n {
-                        // Everything missed: `misses` is `0..n` in
-                        // order, so the computed values *are* the batch
-                        // answer.
-                        out = values;
-                    } else {
+        // Pass 2: per stripe, under one lock hold: look every
+        // representative up, and decide *admission* for the misses
+        // right here — so the post-compute insert pass only revisits
+        // the keys actually being admitted, which on a stream of
+        // never-repeated queries is none at all.
+        const DUP: u8 = 0;
+        const HIT: u8 = 1;
+        const MISS_ADMIT: u8 = 2;
+        const MISS_SKIP: u8 = 3;
+        let mut state = vec![DUP; n];
+        for (si, group) in groups.iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            let mut stripe = c.stripes[si].lock().expect("cache stripe");
+            for &(i, h) in group {
+                let i = i as usize;
+                match stripe.find(h, tag, gen, &queries[i]) {
+                    Some(slot) => {
+                        stripe.touch(slot);
                         if out.is_empty() {
                             out = vec![0.0; n];
                         }
-                        for (&i, &v) in misses.iter().zip(&values) {
-                            out[i] = v;
-                        }
+                        out[i] = stripe.pay[slot].value;
+                        state[i] = HIT;
                     }
-                } else if out.is_empty() {
-                    // n > 0 with no misses implies at least one hit
-                    // filled `out` — this arm is unreachable, but keep
-                    // `out` sized defensively rather than prove it at a
-                    // distance.
-                    out = vec![0.0; n];
-                }
-                if any_admitted {
-                    // Insert pass over the admitted keys only. The
-                    // pass-1 groups are already stripe-partitioned, so
-                    // walk them again, skipping everything pass 2 did
-                    // not admit, and only take a stripe's lock once an
-                    // admitted key of its group actually comes up. With
-                    // dedup on, the admitted keys are distinct
-                    // representatives that just probed absent — skip
-                    // the pre-insert lookup (see [`Stripe::insert`]);
-                    // with dedup off, a batch may carry the same key
-                    // twice, so the lookup stays.
-                    let check_dup = !dedup;
-                    for (si, group) in groups.iter().enumerate() {
-                        let mut stripe = None;
-                        for &(i, h) in group {
-                            let i = i as usize;
-                            if state[i] != MISS_ADMIT {
-                                continue;
-                            }
-                            let guard = stripe
-                                .get_or_insert_with(|| c.stripes[si].lock().expect("cache stripe"));
-                            c.insert_locked(si, guard, h, tag, gen, &queries[i], out[i], check_dup);
-                        }
+                    None => {
+                        state[i] = if c.admit(h, queries[i].len()) {
+                            MISS_ADMIT
+                        } else {
+                            MISS_SKIP
+                        };
                     }
                 }
-            }
-            // Fan duplicates back out. A representative is always a
-            // key's first occurrence — never itself a duplicate — so
-            // `out[r]` is already settled by the hit/miss paths above.
-            for &(i, r) in &dups {
-                out[i as usize] = out[r as usize];
             }
         }
-        _ => {
-            out = vec![0.0; n];
-            let rep: Option<Vec<u32>> = if dedup {
-                let hashes: Vec<u64> = queries.iter().map(|q| key_hash(tag, gen, q)).collect();
-                let (rep, distinct) = dedup_reps(queries, &hashes);
-                tally.dedup_hits = n - distinct;
-                Some(rep)
-            } else {
-                None
-            };
-            let is_rep = |i: usize| rep.as_ref().is_none_or(|r| r[i] as usize == i);
-            let misses: Vec<usize> = (0..n).filter(|&i| is_rep(i)).collect();
-            if !misses.is_empty() {
-                let values = compute(&misses);
-                debug_assert_eq!(values.len(), misses.len());
-                for (&i, &v) in misses.iter().zip(&values) {
-                    out[i] = v;
-                }
+        let mut any_admitted = false;
+        for (i, &s) in state.iter().enumerate() {
+            if s >= MISS_ADMIT {
+                misses.push(i);
+                any_admitted |= s == MISS_ADMIT;
             }
-            if let Some(rep) = &rep {
-                for i in 0..n {
-                    let r = rep[i] as usize;
-                    if r != i {
-                        out[i] = out[r];
+        }
+        c.hits
+            .fetch_add((n - dups.len() - misses.len()) as u64, Ordering::Relaxed);
+        c.misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
+        // No miss means every representative hit, and the first hit
+        // sized `out`.
+        if !misses.is_empty() {
+            computed = compute_misses(queries, &misses, &mut out, compute);
+        }
+        if any_admitted {
+            // Insert pass over the admitted keys only. The pass-1
+            // groups are already stripe-partitioned, so walk them
+            // again, skipping everything pass 2 did not admit, and only
+            // take a stripe's lock once an admitted key of its group
+            // actually comes up. The admitted keys are distinct
+            // representatives that just probed absent, so the
+            // pre-insert lookup is skipped (see [`Stripe::insert`]).
+            for (si, group) in groups.iter().enumerate() {
+                let mut stripe = None;
+                for &(i, h) in group {
+                    let i = i as usize;
+                    if state[i] != MISS_ADMIT {
+                        continue;
                     }
+                    let guard =
+                        stripe.get_or_insert_with(|| c.stripes[si].lock().expect("cache stripe"));
+                    c.insert_locked(si, guard, h, tag, gen, &queries[i], out[i], false);
                 }
             }
         }
     }
-    (out, tally)
+    // Fan duplicates back out. A representative is always a key's first
+    // occurrence — never itself a duplicate — so `out[r]` is already
+    // settled by the hit/miss paths above.
+    for &(i, r) in &dups {
+        out[i as usize] = out[r as usize];
+    }
+    let stats = DeployStats {
+        queries: n,
+        cache_hits: computed.cache_hits + n - dups.len() - misses.len(),
+        cache_misses: computed.cache_misses + misses.len(),
+        dedup_hits: computed.dedup_hits + dups.len(),
+        ..computed
+    };
+    (out, stats)
 }
 
 /// A [`Deployment`] served through a shared [`AnswerCache`] under an
-/// explicit generation stamp.
+/// explicit generation stamp — the one answer front: in-batch
+/// deduplication first, then the cache, and only distinct cold queries
+/// reach the wrapped deployment.
 ///
 /// This is the composition live maintenance uses: the cache [`Arc`] is
 /// shared across swaps, each generation gets its own wrapper, and
@@ -1080,26 +922,20 @@ pub struct CachedDeployment {
     cache: Arc<AnswerCache>,
     generation: u64,
     tag: u8,
-    dedup: bool,
+    /// The wrapped deployment's [`DeployStats::shard_count`], read once:
+    /// an all-hit batch never asks the inner for a tally.
+    shard_count: usize,
 }
 
 impl CachedDeployment {
     /// Wrap `inner`, keying every cache entry with `generation` and no
     /// aggregate tag (the wrapped deployment answers one aggregate).
-    /// In-batch deduplication is on; [`CachedDeployment::without_dedup`]
-    /// turns it off.
     pub fn new(
         inner: impl Deployment + 'static,
         cache: Arc<AnswerCache>,
         generation: u64,
     ) -> CachedDeployment {
-        CachedDeployment {
-            inner: Box::new(inner),
-            cache,
-            generation,
-            tag: 0,
-            dedup: true,
-        }
+        CachedDeployment::tagged(Box::new(inner), cache, generation, 0)
     }
 
     /// Fold `agg` into every key — required when one shared cache
@@ -1111,19 +947,22 @@ impl CachedDeployment {
         generation: u64,
         agg: Aggregate,
     ) -> CachedDeployment {
-        CachedDeployment {
-            inner: Box::new(inner),
-            cache,
-            generation,
-            tag: aggregate_tag(agg),
-            dedup: true,
-        }
+        CachedDeployment::tagged(Box::new(inner), cache, generation, aggregate_tag(agg))
     }
 
-    /// Disable in-batch deduplication (caching stays on).
-    pub fn without_dedup(mut self) -> CachedDeployment {
-        self.dedup = false;
-        self
+    fn tagged(
+        inner: Box<dyn Deployment>,
+        cache: Arc<AnswerCache>,
+        generation: u64,
+        tag: u8,
+    ) -> CachedDeployment {
+        CachedDeployment {
+            shard_count: inner.describe().shard_count(),
+            inner,
+            cache,
+            generation,
+            tag,
+        }
     }
 
     /// The shared cache (hand the same [`Arc`] to the next
@@ -1145,33 +984,11 @@ impl CachedDeployment {
 
 impl Deployment for CachedDeployment {
     fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
-        let mut inner_stats = DeployStats::default();
-        let (answers, tally) = serve_cached(
-            Some((&self.cache, self.tag, self.generation)),
-            self.dedup,
-            queries,
-            |misses| {
-                // All-miss batches (cold traffic) pass straight through
-                // without copying a single query.
-                if misses.len() == queries.len() {
-                    let (values, stats) = self.inner.answer_batch(queries);
-                    inner_stats = stats;
-                    return values;
-                }
-                let sub: Vec<Vec<f64>> = misses.iter().map(|&i| queries[i].clone()).collect();
-                let (values, stats) = self.inner.answer_batch(&sub);
-                inner_stats = stats;
-                values
-            },
-        );
-        let stats = DeployStats {
-            queries: queries.len(),
-            cache_hits: tally.cache_hits,
-            cache_misses: tally.cache_misses,
-            dedup_hits: tally.dedup_hits,
-            shard_count: 1.max(inner_stats.shard_count),
-            ..inner_stats
-        };
+        let (answers, mut stats) =
+            serve_cached(&self.cache, self.tag, self.generation, queries, |cold| {
+                self.inner.answer_batch(cold)
+            });
+        stats.shard_count = self.shard_count;
         (answers, stats)
     }
 
@@ -1315,10 +1132,24 @@ mod tests {
             q(&[0.1, -0.2]), // sign differs: distinct
             q(&[0.3, 0.4]),  // dup of 1
         ];
-        let hashes: Vec<u64> = queries.iter().map(|x| key_hash(0, 0, x)).collect();
-        let (rep, distinct) = dedup_reps(&queries, &hashes);
+        let mut probe = DedupProbe::new(queries.len());
+        let rep: Vec<usize> = (0..queries.len())
+            .map(|i| probe.rep(i, key_hash(0, 0, &queries[i]), &queries))
+            .collect();
         assert_eq!(rep, vec![0, 1, 0, 3, 1]);
-        assert_eq!(distinct, 3);
+    }
+
+    /// `value = f(first coordinate)` per cold query, with an
+    /// all-sketch tally — a stand-in for the wrapped deployment.
+    fn compute_with(f: impl Fn(f64) -> f64) -> impl FnOnce(&[Vec<f64>]) -> (Vec<f64>, DeployStats) {
+        move |cold| {
+            let stats = DeployStats {
+                queries: cold.len(),
+                sketch: cold.len(),
+                ..DeployStats::default()
+            };
+            (cold.iter().map(|x| f(x[0])).collect(), stats)
+        }
     }
 
     #[test]
@@ -1331,39 +1162,44 @@ mod tests {
             q(&[2.0]),
             q(&[1.0]),
         ];
-        let mut computed: Vec<usize> = Vec::new();
-        let (out, tally) = serve_cached(None, true, &queries, |misses| {
-            computed = misses.to_vec();
-            misses.iter().map(|&i| queries[i][0] * 10.0).collect()
+        // A zero-byte cache admits nothing: what is left is the dedup.
+        let cache = AnswerCache::new(0, 1);
+        let mut computed: Vec<Vec<f64>> = Vec::new();
+        let (out, stats) = serve_cached(&cache, 0, 0, &queries, |cold| {
+            computed = cold.to_vec();
+            compute_with(|x| x * 10.0)(cold)
         });
         assert_eq!(
             computed,
-            vec![0, 1, 3],
+            vec![q(&[1.0]), q(&[2.0]), q(&[3.0])],
             "one computation per distinct query"
         );
         assert_eq!(out, vec![10.0, 20.0, 10.0, 30.0, 20.0, 10.0]);
-        assert_eq!(tally.dedup_hits, 3);
-        assert_eq!((tally.cache_hits, tally.cache_misses), (0, 0));
+        assert_eq!((stats.queries, stats.sketch), (6, 3));
+        assert_eq!(stats.dedup_hits, 3);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 3));
+        // Repeats do not make a zero-byte cache retain anything.
+        for _ in 0..3 {
+            let (again, stats) = serve_cached(&cache, 0, 0, &queries, compute_with(|x| x * 10.0));
+            assert_eq!(again, out);
+            assert_eq!(stats.cache_hits, 0);
+        }
+        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
     fn serve_cached_second_batch_is_all_hits() {
         let cache = AnswerCache::new(1 << 16, 2);
         let queries: Vec<Vec<f64>> = (0..10).map(|i| q(&[i as f64, 0.5])).collect();
-        let front = Some((&cache, 3u8, 11u64));
-        let (first, t1) = serve_cached(front, true, &queries, |misses| {
-            misses.iter().map(|&i| queries[i][0] + 100.0).collect()
-        });
-        assert_eq!((t1.cache_hits, t1.cache_misses), (0, 10));
-        let (second, t2) = serve_cached(front, true, &queries, |_| {
+        let (first, t1) = serve_cached(&cache, 3, 11, &queries, compute_with(|x| x + 100.0));
+        assert_eq!((t1.cache_hits, t1.cache_misses, t1.sketch), (0, 10, 10));
+        let (second, t2) = serve_cached(&cache, 3, 11, &queries, |_| {
             panic!("a fully warm batch must not compute")
         });
         assert_eq!(second, first);
-        assert_eq!((t2.cache_hits, t2.cache_misses), (10, 0));
+        assert_eq!((t2.cache_hits, t2.cache_misses, t2.sketch), (10, 0, 0));
         // A different generation sees none of those entries.
-        let (_, t3) = serve_cached(Some((&cache, 3, 12)), true, &queries, |misses| {
-            misses.iter().map(|&i| queries[i][0] + 200.0).collect()
-        });
+        let (_, t3) = serve_cached(&cache, 3, 12, &queries, compute_with(|x| x + 200.0));
         assert_eq!((t3.cache_hits, t3.cache_misses), (0, 10));
     }
 
@@ -1372,22 +1208,19 @@ mod tests {
         // Budget for exactly two 1-d entries; fill it through the front.
         let cache = AnswerCache::new(2 * entry_bytes(1), 1);
         let resident = vec![q(&[1.0]), q(&[2.0])];
-        let front = Some((&cache, 0u8, 0u64));
-        fn compute(qs: &[Vec<f64>]) -> impl FnOnce(&[usize]) -> Vec<f64> + '_ {
-            move |misses| misses.iter().map(|&i| qs[i][0] * 3.0).collect()
-        }
-        serve_cached(front, true, &resident, compute(&resident));
+        let triple = || compute_with(|x| x * 3.0);
+        serve_cached(&cache, 0, 0, &resident, triple());
         assert_eq!(cache.stats().entries, 2);
 
         // A new key's first miss through the full stripe must not evict.
         let newcomer = vec![q(&[9.0])];
-        serve_cached(front, true, &newcomer, compute(&newcomer));
+        serve_cached(&cache, 0, 0, &newcomer, triple());
         let s = cache.stats();
         assert_eq!((s.entries, s.evictions), (2, 0), "first miss only marks");
         assert_eq!(cache.get(0, 0, &[1.0]), Some(3.0), "working set intact");
 
         // Its second miss is admitted and pays the one eviction.
-        serve_cached(front, true, &newcomer, compute(&newcomer));
+        serve_cached(&cache, 0, 0, &newcomer, triple());
         let s = cache.stats();
         assert_eq!((s.entries, s.evictions), (2, 1));
         assert_eq!(cache.get(0, 0, &[9.0]), Some(27.0));
@@ -1396,9 +1229,9 @@ mod tests {
     #[test]
     fn serve_cached_empty_batch() {
         let cache = AnswerCache::new(1 << 12, 1);
-        let (out, tally) = serve_cached(Some((&cache, 0, 0)), true, &[], |_| unreachable!());
+        let (out, stats) = serve_cached(&cache, 0, 0, &[], |_| unreachable!());
         assert!(out.is_empty());
-        assert_eq!(tally, FrontTally::default());
+        assert_eq!(stats, DeployStats::default());
     }
 
     #[test]
@@ -1408,9 +1241,7 @@ mod tests {
         let cache = AnswerCache::new(2 * entry_bytes(1), 1);
         let queries: Vec<Vec<f64>> = (0..50).map(|i| q(&[(i % 7) as f64])).collect();
         for round in 0..4 {
-            let (out, _) = serve_cached(Some((&cache, 0, round)), true, &queries, |misses| {
-                misses.iter().map(|&i| queries[i][0] * 3.0).collect()
-            });
+            let (out, _) = serve_cached(&cache, 0, round, &queries, compute_with(|x| x * 3.0));
             for (o, query) in out.iter().zip(&queries) {
                 assert_eq!(*o, query[0] * 3.0);
             }

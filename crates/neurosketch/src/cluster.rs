@@ -18,13 +18,17 @@
 //! never a silent blend of generations: one batch is served entirely
 //! from one generation.
 //!
+//! A batch is route → scatter → finish, and the cluster holds no answer
+//! cache: a degraded batch's partial answers (uncovered groups fold
+//! zero moments into every query) have nowhere to be stored or served
+//! from.
+//!
 //! Determinism contract: with the same cluster state, fault plan, and
 //! batch sequence, answers **and the event log** are bitwise identical
 //! at any thread count. All routing and fault decisions are made on
 //! the coordinator before the parallel scatter; workers only run
 //! pre-assigned `(group, replica)` jobs.
 
-use crate::cache::{aggregate_tag, serve_cached, AnswerCache, CachePolicy, CacheStats};
 use crate::deploy::{DeployKind, DeployStats, Deployment, DeploymentInfo};
 use crate::persist::{self, PersistError};
 use crate::shard::{
@@ -37,7 +41,6 @@ use query::aggregate::{Aggregate, Moments};
 use query::predicate::PredicateFn;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
-use std::sync::Arc;
 
 /// How the coordinator picks which healthy replica of a group serves a
 /// batch. All policies are deterministic functions of cluster state, so
@@ -69,15 +72,6 @@ pub struct ClusterOptions {
     /// partial (quorum) answer with the uncovered groups contributing
     /// nothing to the merge.
     pub quorum: f64,
-    /// Answer cache + in-batch dedup front ([`crate::cache`]) for
-    /// [`Cluster::answer_batch`]. Keys carry the generation each batch
-    /// actually served (the routing decision's target), so a rolling
-    /// upgrade yields zero stale hits by construction and a batch that
-    /// degrades to an older generation looks that generation's entries
-    /// up, never the newest's. Routing, fault injection and quorum
-    /// accounting run for every batch whether or not it computes. Off
-    /// by default.
-    pub cache: CachePolicy,
 }
 
 impl Default for ClusterOptions {
@@ -86,7 +80,6 @@ impl Default for ClusterOptions {
             threads: 4,
             max_shard: 1024,
             quorum: 1.0,
-            cache: CachePolicy::OFF,
         }
     }
 }
@@ -475,20 +468,10 @@ pub struct ClusterBatchReport {
     pub failovers: usize,
     /// Replica chosen per group (`None` = uncovered this batch).
     pub chosen: Vec<Option<usize>>,
-    /// Queries answered from the answer cache
-    /// ([`ClusterOptions::cache`]) at this batch's serving generation.
-    pub cache_hits: usize,
-    /// Cache lookups that fell through to the scatter (0 with caching
-    /// off).
-    pub cache_misses: usize,
-    /// Queries collapsed onto a bitwise-identical query in the same
-    /// batch.
-    pub dedup_hits: usize,
 }
 
 /// Every decision [`Cluster::route_batch`] made for one batch, enough
-/// to scatter queries later (or not at all, on a full cache hit) and
-/// to assemble the batch report.
+/// to scatter the queries and to assemble the batch report.
 struct RouteDecision {
     target: u64,
     latest: u64,
@@ -499,14 +482,7 @@ struct RouteDecision {
 }
 
 impl RouteDecision {
-    fn into_report(
-        self,
-        queries: usize,
-        groups: usize,
-        cache_hits: usize,
-        cache_misses: usize,
-        dedup_hits: usize,
-    ) -> ClusterBatchReport {
+    fn into_report(self, queries: usize, groups: usize) -> ClusterBatchReport {
         ClusterBatchReport {
             queries,
             generation: self.target,
@@ -516,9 +492,6 @@ impl RouteDecision {
             groups,
             failovers: self.failovers,
             chosen: self.chosen,
-            cache_hits,
-            cache_misses,
-            dedup_hits,
         }
     }
 }
@@ -595,10 +568,6 @@ pub struct Cluster {
     faults: Vec<Fault>,
     fired: Vec<bool>,
     events: Vec<ClusterEvent>,
-    /// Built at construction when `opts.cache` retains answers. Shared
-    /// (`Arc`) so the serve front can hold it while the coordinator
-    /// mutates routing state.
-    cache: Option<Arc<AnswerCache>>,
 }
 
 fn validate_opts(opts: &ClusterOptions) -> Result<(), ClusterError> {
@@ -652,7 +621,6 @@ impl Cluster {
             aggregate: sketch.aggregate(),
             groups,
             policy,
-            cache: Cluster::build_cache(&opts),
             opts,
             batches: 0,
             upgrade_seq: 0,
@@ -660,21 +628,6 @@ impl Cluster {
             fired: Vec::new(),
             events: Vec::new(),
         })
-    }
-
-    fn build_cache(opts: &ClusterOptions) -> Option<Arc<AnswerCache>> {
-        opts.cache.caching().then(|| {
-            Arc::new(AnswerCache::new(
-                opts.cache.capacity_bytes,
-                opts.cache.stripes,
-            ))
-        })
-    }
-
-    /// Counters and occupancy of the answer cache, when
-    /// [`ClusterOptions::cache`] retains answers.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_deref().map(AnswerCache::stats)
     }
 
     /// Stand up a cluster from one NSKM manifest per replica column —
@@ -804,7 +757,6 @@ impl Cluster {
             aggregate: base.aggregate,
             groups,
             policy,
-            cache: Cluster::build_cache(&opts),
             opts,
             batches: 0,
             upgrade_seq: 0,
@@ -1005,15 +957,13 @@ impl Cluster {
     ) -> Result<(Vec<Moments>, ClusterBatchReport), ClusterError> {
         let route = self.route_batch()?;
         let merged = self.scatter_chosen(&route.chosen, queries);
-        let report = route.into_report(queries.len(), self.groups.len(), 0, 0, 0);
+        let report = route.into_report(queries.len(), self.groups.len());
         Ok((merged, report))
     }
 
     /// Make every routing decision for one batch — generation
     /// selection, kill firing, failover re-validation, quorum check,
-    /// stale event — without touching any query. Runs once per batch
-    /// whether or not the scatter later computes anything, so cache
-    /// hits still exercise (and are keyed by) the real routing state.
+    /// stale event — without touching any query.
     fn route_batch(&mut self) -> Result<RouteDecision, ClusterError> {
         let batch = self.batches;
         self.batches += 1;
@@ -1102,8 +1052,6 @@ impl Cluster {
                     .fold(Moments::ZERO, Moments::merge)
             })
             .collect();
-        // `served` counts queries a replica actually computed — cache
-        // hits never reach this point.
         for &(g, r) in &jobs {
             self.groups[g].replicas[r].served += queries.len() as u64;
         }
@@ -1113,62 +1061,18 @@ impl Cluster {
     /// Serve a batch of final answers: [`Cluster::moments_batch`]
     /// finished per query with the shared guarded finisher, so a
     /// healthy cluster is bitwise a [`crate::shard::ShardedServer`].
-    ///
-    /// With [`ClusterOptions::cache`] enabled, answers are fronted by
-    /// the generation-keyed cache and in-batch dedup. Routing still
-    /// runs for every batch (kills fire, failovers re-validate, quorum
-    /// is checked, staleness is reported) and cache keys carry the
-    /// generation this batch actually routed to — a stale batch can
-    /// only hit entries served at that same stale generation, so hits
-    /// are bitwise the answers the scatter would have computed.
-    ///
-    /// The cache only engages on a **fully covered** batch. A degraded
-    /// batch (quorum met with uncovered groups) folds [`Moments::ZERO`]
-    /// into every answer — bits no fully-covered batch at the same
-    /// generation would compute — so it must neither store its partial
-    /// answers (a later healthy batch would serve them as hits) nor be
-    /// served full answers from the cache (contradicting its report's
-    /// `covered` count). In-batch dedup stays on either way: every
-    /// query in a batch shares one route, so collapsing duplicates is
-    /// bitwise safe even when degraded.
+    /// The cluster holds no answer cache: a degraded batch's partial
+    /// answers have nowhere to be stored or served from.
     pub fn answer_batch(
         &mut self,
         queries: &[Vec<f64>],
     ) -> Result<(Vec<f64>, ClusterBatchReport), ClusterError> {
-        let policy = self.opts.cache;
-        if !policy.enabled() {
-            let (moments, report) = self.moments_batch(queries)?;
-            let agg = self.aggregate;
-            let answers = moments
-                .into_iter()
-                .map(|m| finish_guarded(agg, m))
-                .collect();
-            return Ok((answers, report));
-        }
-        let route = self.route_batch()?;
-        let cache = self.cache.clone();
-        let front = if route.covered == self.groups.len() {
-            cache
-                .as_deref()
-                .map(|c| (c, aggregate_tag(self.aggregate), route.target))
-        } else {
-            None
-        };
+        let (moments, report) = self.moments_batch(queries)?;
         let agg = self.aggregate;
-        let (answers, tally) = serve_cached(front, policy.dedup, queries, |miss_idxs| {
-            let sub: Vec<Vec<f64>> = miss_idxs.iter().map(|&i| queries[i].clone()).collect();
-            self.scatter_chosen(&route.chosen, &sub)
-                .into_iter()
-                .map(|m| finish_guarded(agg, m))
-                .collect()
-        });
-        let report = route.into_report(
-            queries.len(),
-            self.groups.len(),
-            tally.cache_hits,
-            tally.cache_misses,
-            tally.dedup_hits,
-        );
+        let answers = moments
+            .into_iter()
+            .map(|m| finish_guarded(agg, m))
+            .collect();
         Ok((answers, report))
     }
 

@@ -6,8 +6,10 @@
 //! caller (benches, examples, the drift monitor) to pick one at compile
 //! time. [`Deployment`] is the refactor that collapses them: *anything
 //! that answers query batches* — a bare [`NeuroSketch`], either server,
-//! or the hot-swappable [`LiveDeployment`] handle — exposes the same
-//! four methods, and routers, benches, examples and
+//! the answer front ([`crate::cache::CachedDeployment`]) over any of
+//! them, or the hot-swappable [`LiveDeployment`] handle — exposes the
+//! same four methods and reports the same per-batch tally
+//! ([`DeployStats`]), and routers, benches, examples and
 //! [`crate::maintenance`] are written once against the trait.
 //!
 //! [`LiveDeployment`] adds the piece live maintenance needs: an owning
@@ -40,16 +42,20 @@
 //! assert_eq!(live.describe().generation, Some(0));
 //! ```
 
-use crate::serve::{ServeStats, SketchServer};
-use crate::shard::{ShardedServeStats, ShardedServer};
+use crate::serve::SketchServer;
+use crate::shard::ShardedServer;
 use crate::sketch::NeuroSketch;
 use query::aggregate::Moments;
 use std::sync::{Arc, RwLock};
 
-/// Unified per-batch tally across deployment shapes. Monolithic fields
-/// and sharded fields coexist; a path that does not track a field
-/// leaves it at its identity (`shard_count` 1 for monolithic,
-/// `model_batches` 0 where GEMM batches are not tallied).
+/// The one per-batch tally: every serving layer — both servers, the
+/// cache front, the live handle, the wire server's [`crate::net::NetBatch`]
+/// — fills and returns this type. Monolithic fields and sharded fields
+/// coexist; a path that does not track a field leaves it at its
+/// identity (`model_batches` 0 where GEMM batches are not tallied).
+/// Every query is counted exactly once by where its answer came from:
+/// `queries == sketch + exact_small_range + exact_hard_leaf +
+/// cache_hits + dedup_hits`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeployStats {
     /// Queries answered.
@@ -60,18 +66,21 @@ pub struct DeployStats {
     pub exact_small_range: usize,
     /// Queries sent to the exact engine by the DQD complexity rule.
     pub exact_hard_leaf: usize,
-    /// Data shards each query was scattered to (1 for monolithic).
+    /// Data shards the deployment scatters a computed query to (1 for
+    /// monolithic). A property of the deployment, not of the batch: the
+    /// same on an empty, an all-hit and an all-miss batch.
     pub shard_count: usize,
     /// Batched GEMM model evaluations performed, where tallied.
     pub model_batches: usize,
     /// Queries answered from the generation-keyed answer cache
-    /// ([`crate::cache`]); 0 when the serving path has no cache.
+    /// ([`crate::cache`]); 0 when the serving path has no front.
     pub cache_hits: usize,
-    /// Cache lookups that fell through to compute; 0 when the serving
-    /// path has no cache.
+    /// Cache lookups that fell through to compute (these queries are
+    /// also tallied under `sketch` / `exact_*` by where they were then
+    /// computed); 0 when the serving path has no front.
     pub cache_misses: usize,
     /// Queries collapsed onto a bitwise-identical query in the same
-    /// batch (in-batch deduplication).
+    /// batch by the front; they inherit their representative's bits.
     pub dedup_hits: usize,
 }
 
@@ -83,38 +92,6 @@ impl DeployStats {
             sketch: queries,
             shard_count: 1,
             ..DeployStats::default()
-        }
-    }
-}
-
-impl From<ServeStats> for DeployStats {
-    fn from(s: ServeStats) -> DeployStats {
-        DeployStats {
-            queries: s.total(),
-            sketch: s.sketch,
-            exact_small_range: s.exact_small_range,
-            exact_hard_leaf: s.exact_hard_leaf,
-            shard_count: 1,
-            model_batches: 0,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            dedup_hits: s.dedup_hits,
-        }
-    }
-}
-
-impl From<ShardedServeStats> for DeployStats {
-    fn from(s: ShardedServeStats) -> DeployStats {
-        DeployStats {
-            queries: s.queries,
-            sketch: s.queries - s.cache_hits - s.dedup_hits,
-            exact_small_range: 0,
-            exact_hard_leaf: 0,
-            shard_count: s.shard_count,
-            model_batches: s.model_batches,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            dedup_hits: s.dedup_hits,
         }
     }
 }
@@ -146,6 +123,18 @@ pub struct DeploymentInfo {
     /// NSKM manifest generation, when served behind a
     /// [`LiveDeployment`] handle; `None` for a bare deployment.
     pub generation: Option<u64>,
+}
+
+impl DeploymentInfo {
+    /// The [`DeployStats::shard_count`] this deployment reports on every
+    /// batch: its units when they are data shards (or shard groups), 1
+    /// when they are kd-tree partitions of one sketch.
+    pub fn shard_count(&self) -> usize {
+        match self.kind {
+            DeployKind::Monolithic => 1,
+            DeployKind::Sharded | DeployKind::Replicated => self.units,
+        }
+    }
 }
 
 impl std::fmt::Display for DeploymentInfo {
@@ -255,8 +244,7 @@ impl Deployment for NeuroSketch {
 
 impl Deployment for SketchServer<'_> {
     fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
-        let (answers, stats) = SketchServer::answer_batch(self, queries);
-        (answers, stats.into())
+        SketchServer::answer_batch(self, queries)
     }
 
     fn moments_batch(&self, _queries: &[Vec<f64>]) -> Option<Vec<Moments>> {
@@ -279,8 +267,7 @@ impl Deployment for SketchServer<'_> {
 
 impl Deployment for ShardedServer {
     fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
-        let (answers, stats) = ShardedServer::answer_batch(self, queries);
-        (answers, stats.into())
+        ShardedServer::answer_batch(self, queries)
     }
 
     fn moments_batch(&self, queries: &[Vec<f64>]) -> Option<Vec<Moments>> {
@@ -421,8 +408,9 @@ impl Deployment for LiveDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{entry_bytes, AnswerCache, CachedDeployment};
     use crate::router::{DqdRouter, RoutingPolicy};
-    use crate::serve::ServeOptions;
+    use crate::serve::{ExactBackend, ServeOptions};
     use crate::shard::{build_sharded, ShardPlan};
     use crate::sketch::NeuroSketchConfig;
     use datagen::simple::uniform;
@@ -447,6 +435,25 @@ mod tests {
         let mut cfg = NeuroSketchConfig::small();
         cfg.train.epochs = 10;
         cfg
+    }
+
+    /// The tally counts every query once, by where its answer came
+    /// from, and `shard_count` does not depend on the batch.
+    fn assert_tally_adds_up(d: &dyn Deployment, queries: &[Vec<f64>], shard_count: usize) {
+        // The same batch twice (a front hits the second time), a batch
+        // of in-batch repeats, and the empty batch.
+        let doubled: Vec<Vec<f64>> = queries.iter().chain(queries).cloned().collect();
+        for batch in [queries, queries, &doubled[..], &[]] {
+            let (answers, s) = d.answer_batch(batch);
+            assert_eq!(answers.len(), batch.len());
+            assert_eq!(s.queries, batch.len());
+            assert_eq!(
+                s.queries,
+                s.sketch + s.exact_small_range + s.exact_hard_leaf + s.cache_hits + s.dedup_hits,
+                "{s:?}"
+            );
+            assert_eq!(s.shard_count, shard_count, "{s:?}");
+        }
     }
 
     /// Every implementation's trait surface must agree bitwise with its
@@ -477,6 +484,7 @@ mod tests {
         assert_eq!(info.units, sketch.partitions());
         assert_eq!(info.generation, None);
         assert_eq!(Deployment::storage_bytes(&sketch), sketch.storage_bytes());
+        assert_tally_adds_up(&sketch, &wl.queries, 1);
 
         // Routed server.
         let router = DqdRouter::new(sketch.clone(), report.leaf_aqcs, RoutingPolicy::default());
@@ -484,8 +492,29 @@ mod tests {
         let inherent = SketchServer::answer_batch(&server, &wl.queries);
         let (via_trait, stats) = Deployment::answer_batch(&server, &wl.queries);
         assert_eq!(via_trait, inherent.0);
-        assert_eq!(stats, inherent.1.into());
+        assert_eq!(stats, inherent.1);
         assert_eq!(Deployment::describe(&server).kind, DeployKind::Monolithic);
+        assert_tally_adds_up(&server, &wl.queries, 1);
+
+        // Routed server with the exact fallback live.
+        let policy = RoutingPolicy {
+            min_range_volume: 0.3,
+            max_leaf_aqc: f64::INFINITY,
+        };
+        let routed = SketchServer::with_fallback(
+            DqdRouter::new(sketch.clone(), server.router().leaf_aqcs().to_vec(), policy),
+            ExactBackend {
+                engine: &engine,
+                predicate: &wl.predicate,
+                aggregate: Aggregate::Count,
+            },
+            ServeOptions {
+                active_attrs: Some(1),
+                ..ServeOptions::default()
+            },
+        );
+        assert!(routed.answer_batch(&wl.queries).1.exact_small_range > 0);
+        assert_tally_adds_up(&routed, &wl.queries, 1);
 
         // Sharded server.
         let (sharded, _) = build_sharded(
@@ -510,6 +539,35 @@ mod tests {
         }
         let info = Deployment::describe(&server);
         assert_eq!((info.kind, info.units), (DeployKind::Sharded, 2));
+        assert_tally_adds_up(&server, &wl.queries, 2);
+
+        // One replica column of a cluster over the same shards.
+        let cluster = crate::cluster::Cluster::new(
+            server.sketch(),
+            1,
+            0,
+            crate::cluster::RoutePolicy::RoundRobin,
+            crate::cluster::ClusterOptions::default(),
+        )
+        .unwrap();
+        assert_tally_adds_up(&cluster.replica_view(0).unwrap(), &wl.queries, 2);
+
+        // The front and the live handle, over both servers; the cache
+        // holds a third of the workload, so hits, misses and in-batch
+        // repeats all occur.
+        let server = Arc::new(server);
+        let cache = |entries: usize| Arc::new(AnswerCache::new(entries * entry_bytes(2), 1));
+        let cached = CachedDeployment::new(server.clone(), cache(50), 0);
+        assert_tally_adds_up(&cached, &wl.queries, 2);
+        assert_tally_adds_up(&LiveDeployment::new(cached, 0), &wl.queries, 2);
+        let cached = CachedDeployment::new(sketch.clone(), cache(50), 0);
+        assert_tally_adds_up(&cached, &wl.queries, 1);
+        // All-hit and all-duplicate batches never reach the inner.
+        let warm = CachedDeployment::new(server, cache(1000), 0);
+        warm.answer_batch(&wl.queries);
+        let (_, stats) = warm.answer_batch(&wl.queries);
+        assert_eq!((stats.cache_hits, stats.sketch), (wl.queries.len(), 0));
+        assert_eq!(stats.shard_count, 2);
     }
 
     /// A swap flips answers and generation atomically; the handle's

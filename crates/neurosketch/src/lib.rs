@@ -61,7 +61,7 @@ pub mod shard;
 pub mod sketch;
 
 pub use aqc::{aqc, normalized_aqc_std};
-pub use cache::{AnswerCache, CachePolicy, CacheStats, CachedDeployment};
+pub use cache::{AnswerCache, CacheStats, CachedDeployment};
 pub use cluster::{
     Cluster, ClusterBatchReport, ClusterError, ClusterEvent, ClusterOptions, ClusterReplicaView,
     Fault, FaultPlan, RoutePolicy, UpgradeStep,
@@ -73,7 +73,7 @@ pub use net::{
     RejectCode, ServerInfo,
 };
 pub use persist::{Artifact, PersistError};
-pub use serve::{ServeOptions, ServeStats, SketchServer};
+pub use serve::{ServeOptions, SketchServer};
 pub use shard::{build_sharded, ShardPlan, ShardedServer, ShardedSketch};
 pub use sketch::{BatchScratch, BuildReport, NeuroSketch, NeuroSketchConfig};
 
@@ -109,8 +109,6 @@ pub enum SketchError {
         /// Number of units the deployment actually has.
         units: usize,
     },
-    /// Model (de)serialization failed.
-    Serde(String),
 }
 
 impl std::fmt::Display for SketchError {
@@ -128,7 +126,6 @@ impl std::fmt::Display for SketchError {
             SketchError::NoSuchUnit { unit, units } => {
                 write!(f, "no refreshable unit {unit}: deployment has {units}")
             }
-            SketchError::Serde(s) => write!(f, "serialization error: {s}"),
         }
     }
 }

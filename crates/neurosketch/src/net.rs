@@ -25,7 +25,10 @@
 //!   query is answered alone (minimum latency); under heavy load the
 //!   batch grows to whatever arrived while the previous batch was
 //!   being served (maximum throughput) — the batch size *adapts to the
-//!   arrival rate* with no timer and no tuning.
+//!   arrival rate* with no timer and no tuning. The micro-batch goes to
+//!   the deployment as drained: a wire deployment that wants caching or
+//!   in-batch dedup is a [`crate::cache::CachedDeployment`], like every
+//!   other, and [`NetBatch::stats`] carries its tally.
 //! * **Bounded queues, typed backpressure, fairness.** Each
 //!   connection's pending queue is bounded
 //!   ([`NetOptions::queue_cap`]); an over-budget query is answered
@@ -136,7 +139,7 @@
 //! handle.join().unwrap();
 //! ```
 
-use crate::deploy::LiveDeployment;
+use crate::deploy::{DeployStats, LiveDeployment};
 use query::exec::fnv1a_64;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -769,16 +772,11 @@ pub struct NetOptions {
     /// How long [`NetServer::serve`] sleeps when a poll makes no
     /// progress (no new bytes, nothing pending).
     pub idle: Duration,
-    /// Collapse bitwise-identical queries within one micro-batch onto a
-    /// single deployment computation (the whole batch still carries one
-    /// generation stamp, and fan-out preserves drain order — observably
-    /// identical either way, per the serving determinism contract).
-    pub dedup: bool,
 }
 
 impl Default for NetOptions {
     /// 256-query micro-batches, 1024-deep per-connection queues, 64 KiB
-    /// frames, 1024 connections, 100 µs idle backoff, in-batch dedup on.
+    /// frames, 1024 connections, 100 µs idle backoff.
     fn default() -> NetOptions {
         NetOptions {
             max_batch: 256,
@@ -786,7 +784,6 @@ impl Default for NetOptions {
             max_payload: 64 * 1024,
             max_clients: 1024,
             idle: Duration::from_micros(100),
-            dedup: true,
         }
     }
 }
@@ -863,17 +860,18 @@ pub struct NetStats {
     pub largest_batch: usize,
     /// Info requests answered.
     pub info_requests: u64,
-    /// Queries answered by collapsing onto a bitwise-identical query in
-    /// the same micro-batch ([`NetOptions::dedup`]) instead of a
-    /// deployment computation of their own.
+    /// Queries the served deployment's front collapsed onto a
+    /// bitwise-identical query in the same micro-batch. This and the
+    /// two counters below sum each micro-batch's
+    /// [`NetBatch::stats`]; all three stay zero unless the deployment
+    /// is a [`crate::cache::CachedDeployment`] — the wire server adds
+    /// no dedup or cache of its own.
     pub deduped: u64,
-    /// Queries the served deployment answered from its answer cache
-    /// (zero unless the deployment runs a [`crate::cache::CachePolicy`]
-    /// with caching on).
+    /// Queries the served deployment answered from its answer cache.
     pub cache_hits: u64,
     /// Queries that fell through the deployment's answer cache to
-    /// compute (zero when caching is off — an uncached deployment
-    /// reports no cache traffic at all, not all-misses).
+    /// compute (an uncached deployment reports no cache traffic at
+    /// all, not all-misses).
     pub cache_misses: u64,
     /// Read turns skipped because the connection's unsent output stood
     /// above the high-water mark (the peer is not reading its
@@ -887,9 +885,9 @@ pub struct NetStats {
 pub struct NetBatch {
     /// Queries in the micro-batch.
     pub size: usize,
-    /// Distinct queries the deployment actually computed (`size` minus
-    /// in-batch duplicates; equals `size` with dedup off).
-    pub unique: usize,
+    /// The deployment's tally for the micro-batch, as returned by
+    /// [`LiveDeployment::answer_batch_tagged`].
+    pub stats: DeployStats,
     /// Generation the whole batch was answered by.
     pub generation: u64,
     /// `(connection id, queries taken)` per contributing connection,
@@ -995,11 +993,10 @@ pub struct NetServer {
     /// nothing: the row a query payload is decoded into, and one
     /// micro-batch's `(conn index, request id)` jobs in drain order,
     /// its rows (row `k` is job `k`'s query; the `Vec`s are reused
-    /// batch after batch) and their dedup hashes.
+    /// batch after batch).
     row: Vec<f64>,
     jobs: Vec<(usize, u64)>,
     batch: Vec<Vec<f64>>,
-    hashes: Vec<u64>,
 }
 
 impl NetServer {
@@ -1025,7 +1022,6 @@ impl NetServer {
             row: Vec::new(),
             jobs: Vec::new(),
             batch: Vec::new(),
-            hashes: Vec::new(),
         })
     }
 
@@ -1132,46 +1128,13 @@ impl NetServer {
         // Start the next batch's rotation one connection later, so the
         // head-of-line slot itself rotates across batches.
         self.cursor = self.cursor.wrapping_add(1);
-        let queries = &mut self.batch[..size];
-        // Collapse in-batch duplicates onto their first occurrence: the
-        // deployment sees only the distinct queries (one snapshot, one
-        // generation stamp for the whole micro-batch), and the fan-out
-        // below hands every duplicate its representative's answer —
-        // bitwise the answer it would have computed itself.
-        let mut fan: Vec<u32> = Vec::new();
-        let mut unique = size;
-        if self.opts.dedup {
-            self.hashes.clear();
-            self.hashes
-                .extend(queries.iter().map(|q| crate::cache::key_hash(0, 0, q)));
-            let (rep, distinct) = crate::cache::dedup_reps(queries, &self.hashes);
-            if distinct < size {
-                // Gather the distinct rows at the front, in first-seen
-                // order: a swap only ever displaces a duplicate, whose
-                // row is not needed again.
-                fan.resize(size, 0);
-                let mut front = 0usize;
-                for i in 0..size {
-                    if rep[i] as usize == i {
-                        fan[i] = front as u32;
-                        queries.swap(front, i);
-                        front += 1;
-                    } else {
-                        fan[i] = fan[rep[i] as usize];
-                    }
-                }
-                unique = distinct;
-                self.stats.deduped += (size - distinct) as u64;
-            }
-        }
-        let (answers, stats, generation) = self.live.answer_batch_tagged(&queries[..unique]);
+        let (answers, stats, generation) = self.live.answer_batch_tagged(&self.batch[..size]);
+        self.stats.deduped += stats.dedup_hits as u64;
         self.stats.cache_hits += stats.cache_hits as u64;
         self.stats.cache_misses += stats.cache_misses as u64;
         let mut per_client: Vec<(u64, usize)> = Vec::new();
-        for (k, &(ci, id)) in self.jobs.iter().enumerate() {
+        for (&(ci, id), &value) in self.jobs.iter().zip(&answers) {
             let conn = &mut self.conns[ci];
-            // `fan` is empty when every query was computed in its slot.
-            let value = answers[fan.get(k).map_or(k, |&u| u as usize)];
             encode_frame_into(
                 &Frame::Answer {
                     id,
@@ -1190,7 +1153,7 @@ impl NetServer {
         self.stats.largest_batch = self.stats.largest_batch.max(size);
         Some(NetBatch {
             size,
-            unique,
+            stats,
             generation,
             per_client,
         })

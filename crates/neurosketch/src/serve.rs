@@ -25,6 +25,11 @@
 //! engine) query-by-query, in input order, at any thread count — the
 //! sharding and leaf-grouping change scheduling, not arithmetic.
 //!
+//! A server computes what it is sent: caching and in-batch
+//! deduplication live in exactly one place, the
+//! [`CachedDeployment`](crate::cache::CachedDeployment) wrapper, and the
+//! per-batch tally is the [`DeployStats`] every layer returns.
+//!
 //! `SketchServer` fronts **one** sketch over the whole table; when the
 //! data itself is partitioned across shards, [`crate::shard`] layers a
 //! scatter/gather [`ShardedServer`](crate::shard::ShardedServer) over
@@ -50,7 +55,7 @@
 //! assert_eq!(stats.sketch, queries.len());
 //! ```
 
-use crate::cache::{aggregate_tag, serve_cached, AnswerCache, CachePolicy, CacheStats};
+use crate::deploy::DeployStats;
 use crate::router::{range_volume, DqdRouter, Route};
 use crate::sketch::{BatchScratch, NeuroSketch, NO_LEAF};
 use query::aggregate::Aggregate;
@@ -58,9 +63,11 @@ use query::exec::QueryEngine;
 use query::predicate::PredicateFn;
 
 /// Tuning knobs for a [`SketchServer`] — how a batch is *scheduled*
-/// (threads, shard size), which DQD rule inputs it has, and the cache
-/// front. None of them selects a compute path: there is one (see the
-/// module docs), and answers are bitwise identical under every setting.
+/// (threads, shard size) and which DQD rule inputs it has. None of them
+/// selects a compute path: there is one (see the module docs), and
+/// answers are bitwise identical under every setting. A server computes
+/// what it is sent; caching and deduplication are
+/// [`crate::cache::CachedDeployment`]'s job.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
     /// Worker threads a batch fans out across.
@@ -72,25 +79,15 @@ pub struct ServeOptions {
     /// the range volume for the router's range rule (Lemma 3.6). `None`
     /// skips the range rule (predicates without a meaningful volume).
     pub active_attrs: Option<usize>,
-    /// Answer cache + in-batch deduplication front ([`crate::cache`]).
-    /// With caching on, the server owns a private [`AnswerCache`]
-    /// (keyed at generation 0 — a rebuilt server starts cold, so stale
-    /// hits are impossible); share one cache across generations with
-    /// [`crate::cache::CachedDeployment`] instead. Cached and deduped
-    /// answers are bitwise identical to the uncached path. Off by
-    /// default.
-    pub cache: CachePolicy,
 }
 
 impl Default for ServeOptions {
-    /// Four workers, 1024-query shards, range rule off, cache front
-    /// off.
+    /// Four workers, 1024-query shards, range rule off.
     fn default() -> Self {
         ServeOptions {
             threads: 4,
             max_shard: 1024,
             active_attrs: None,
-            cache: CachePolicy::OFF,
         }
     }
 }
@@ -107,56 +104,11 @@ pub struct ExactBackend<'a> {
     pub aggregate: Aggregate,
 }
 
-/// Per-batch routing tally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Queries answered by the sketch's forward pass.
-    pub sketch: usize,
-    /// Queries sent to the exact engine by the range rule.
-    pub exact_small_range: usize,
-    /// Queries sent to the exact engine by the complexity rule.
-    pub exact_hard_leaf: usize,
-    /// Queries answered from the server's answer cache
-    /// ([`ServeOptions::cache`]); they were neither routed nor
-    /// computed.
-    pub cache_hits: usize,
-    /// Cache lookups that fell through to the compute path (0 with
-    /// caching off). These queries are also tallied under `sketch` /
-    /// `exact_*` by where they were then computed.
-    pub cache_misses: usize,
-    /// Queries collapsed onto a bitwise-identical query in the same
-    /// batch; they inherit their representative's answer bits.
-    pub dedup_hits: usize,
-}
-
-impl ServeStats {
-    /// Total queries answered (computed, cached, or deduplicated).
-    pub fn total(&self) -> usize {
-        self.sketch
-            + self.exact_small_range
-            + self.exact_hard_leaf
-            + self.cache_hits
-            + self.dedup_hits
-    }
-
-    fn absorb(&mut self, other: ServeStats) {
-        self.sketch += other.sketch;
-        self.exact_small_range += other.exact_small_range;
-        self.exact_hard_leaf += other.exact_hard_leaf;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.dedup_hits += other.dedup_hits;
-    }
-}
-
 /// A loaded sketch behind a concurrent, batch-oriented serving front.
 pub struct SketchServer<'a> {
     router: DqdRouter,
     fallback: Option<ExactBackend<'a>>,
     opts: ServeOptions,
-    /// Built once at construction when `opts.cache` retains answers;
-    /// private to this server instance, keyed at generation 0.
-    cache: Option<AnswerCache>,
 }
 
 impl<'a> SketchServer<'a> {
@@ -168,7 +120,6 @@ impl<'a> SketchServer<'a> {
             router,
             fallback: None,
             opts,
-            cache: Self::build_cache(&opts),
         }
     }
 
@@ -203,28 +154,7 @@ impl<'a> SketchServer<'a> {
             router,
             fallback: Some(fallback),
             opts,
-            cache: Self::build_cache(&opts),
         }
-    }
-
-    fn build_cache(opts: &ServeOptions) -> Option<AnswerCache> {
-        opts.cache
-            .caching()
-            .then(|| AnswerCache::new(opts.cache.capacity_bytes, opts.cache.stripes))
-    }
-
-    /// Counters and occupancy of the embedded answer cache, when
-    /// [`ServeOptions::cache`] retains answers.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(AnswerCache::stats)
-    }
-
-    /// The aggregate byte folded into cache keys: the fallback's
-    /// aggregate when routing is live, else the untyped tag.
-    fn cache_tag(&self) -> u8 {
-        self.fallback
-            .as_ref()
-            .map_or(0, |fb| aggregate_tag(fb.aggregate))
     }
 
     /// The served sketch.
@@ -255,88 +185,60 @@ impl<'a> SketchServer<'a> {
     /// each worker locates and routes its shard, answers the
     /// sketch-routed queries with leaf-grouped forward passes, and the
     /// rest through the exact backend.
-    pub fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, ServeStats) {
-        if queries.is_empty() {
-            return (Vec::new(), ServeStats::default());
-        }
-        if self.opts.cache.enabled() {
-            return self.answer_batch_fronted(queries);
-        }
-        // No cache front: the subset to compute is the whole batch.
-        let all: Vec<usize> = (0..queries.len()).collect();
-        self.serve_subset(queries, &all)
-    }
-
-    /// The cache/dedup path: the shared front collapses duplicates and
-    /// answers warm keys, and only the remaining distinct queries reach
-    /// the parallel compute fan-out — by index into the original batch,
-    /// so nothing is copied on the way in.
-    fn answer_batch_fronted(&self, queries: &[Vec<f64>]) -> (Vec<f64>, ServeStats) {
-        let front = self.cache.as_ref().map(|c| (c, self.cache_tag(), 0u64));
-        let mut computed = ServeStats::default();
-        let (answers, tally) = serve_cached(front, self.opts.cache.dedup, queries, |misses| {
-            let (values, stats) = self.serve_subset(queries, misses);
-            computed = stats;
-            values
-        });
-        computed.cache_hits = tally.cache_hits;
-        computed.cache_misses = tally.cache_misses;
-        computed.dedup_hits = tally.dedup_hits;
-        (answers, computed)
-    }
-
-    /// Answer the subset of `queries` selected by `idxs`, returning
-    /// values aligned with `idxs`: split the index list into up to
-    /// `opts.threads` chunks (each at most `opts.max_shard` queries) and
-    /// serve them on the shared worker pool.
-    fn serve_subset(&self, queries: &[Vec<f64>], idxs: &[usize]) -> (Vec<f64>, ServeStats) {
+    pub fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
         let threads = self.opts.threads.max(1);
-        let shard = idxs
+        let shard = queries
             .len()
             .div_ceil(threads)
             .clamp(1, self.opts.max_shard.max(1));
-        let chunks: Vec<&[usize]> = idxs.chunks(shard).collect();
+        let chunks: Vec<&[Vec<f64>]> = queries.chunks(shard).collect();
         let parts = par::par_map_init(
             &chunks,
             threads,
             || (BatchScratch::default(), Vec::new(), Vec::new()),
             |(scratch, exact_scratch, leaves), _, chunk| {
-                self.serve_chunk(scratch, exact_scratch, leaves, queries, chunk)
+                self.serve_chunk(scratch, exact_scratch, leaves, chunk)
             },
         );
-        let mut values = Vec::with_capacity(idxs.len());
-        let mut stats = ServeStats::default();
-        for (part, part_stats) in parts {
-            values.extend(part);
-            stats.absorb(part_stats);
+        let mut answers = Vec::with_capacity(queries.len());
+        let mut stats = DeployStats {
+            queries: queries.len(),
+            shard_count: 1,
+            ..DeployStats::default()
+        };
+        for (part, small_range, hard_leaf) in parts {
+            answers.extend(part);
+            stats.exact_small_range += small_range;
+            stats.exact_hard_leaf += hard_leaf;
         }
-        (values, stats)
+        stats.sketch = queries.len() - stats.exact_small_range - stats.exact_hard_leaf;
+        (answers, stats)
     }
 
-    /// Serve one index chunk with this worker's scratch state: locate
-    /// every query once, let the DQD rules pull the refused ones out to
-    /// the exact engine (marking them [`NO_LEAF`]), and hand the rest —
+    /// Serve one chunk with this worker's scratch state: locate every
+    /// query once, let the DQD rules pull the refused ones out to the
+    /// exact engine (marking them [`NO_LEAF`]), and hand the rest —
     /// still carrying their leaf ids — to the sketch's grouped forward.
+    /// Returns the answers and how many queries the range rule and the
+    /// complexity rule refused.
     fn serve_chunk(
         &self,
         scratch: &mut BatchScratch,
         exact_scratch: &mut Vec<f64>,
         leaves: &mut Vec<u32>,
         queries: &[Vec<f64>],
-        idxs: &[usize],
-    ) -> (Vec<f64>, ServeStats) {
-        let mut out = vec![0.0; idxs.len()];
-        let mut stats = ServeStats::default();
-        self.sketch().locate_batch(queries, idxs, leaves);
+    ) -> (Vec<f64>, usize, usize) {
+        let mut out = vec![0.0; queries.len()];
+        let (mut small_range, mut hard_leaf) = (0, 0);
+        self.sketch().locate_batch(queries, leaves);
         // No fallback: routing is moot, everything goes to the sketch.
         if let Some(fb) = &self.fallback {
-            for ((leaf, slot), &i) in leaves.iter_mut().zip(&mut out).zip(idxs) {
-                let q = &queries[i];
+            for ((leaf, slot), q) in leaves.iter_mut().zip(&mut out).zip(queries) {
                 let volume = self.opts.active_attrs.map(|k| range_volume(q, k));
                 match self.router.route_located(*leaf as usize, volume) {
                     Route::Sketch => continue,
-                    Route::ExactSmallRange => stats.exact_small_range += 1,
-                    Route::ExactHardLeaf => stats.exact_hard_leaf += 1,
+                    Route::ExactSmallRange => small_range += 1,
+                    Route::ExactHardLeaf => hard_leaf += 1,
                 }
                 *leaf = NO_LEAF;
                 *slot = fb
@@ -344,10 +246,9 @@ impl<'a> SketchServer<'a> {
                     .answer_with(exact_scratch, fb.predicate, fb.aggregate, q);
             }
         }
-        stats.sketch = idxs.len() - stats.exact_small_range - stats.exact_hard_leaf;
         self.sketch()
-            .answer_located(scratch, queries, idxs, leaves, &mut out);
-        (out, stats)
+            .answer_located(scratch, queries, leaves, &mut out);
+        (out, small_range, hard_leaf)
     }
 }
 
@@ -403,13 +304,12 @@ mod tests {
                         threads,
                         max_shard,
                         active_attrs: None,
-                        cache: CachePolicy::OFF,
                     },
                 );
                 let (answers, stats) = server.answer_batch(&wl.queries);
                 assert_eq!(answers, expected, "threads={threads} max_shard={max_shard}");
                 assert_eq!(stats.sketch, wl.queries.len());
-                assert_eq!(stats.total(), wl.queries.len());
+                assert_eq!(stats.queries, wl.queries.len());
             }
         }
     }
@@ -436,7 +336,6 @@ mod tests {
                 threads: 2,
                 max_shard: 128,
                 active_attrs: Some(1),
-                cache: CachePolicy::OFF,
             },
         );
         let (answers, stats) = server.answer_batch(&wl.queries);
@@ -444,7 +343,10 @@ mod tests {
         assert_eq!(stats.exact_small_range, reference.1);
         assert!(stats.exact_small_range > 0, "range rule never fired");
         assert!(stats.sketch > 0, "sketch never answered");
-        assert_eq!(stats.total(), wl.queries.len());
+        assert_eq!(
+            stats.sketch + stats.exact_small_range + stats.exact_hard_leaf,
+            wl.queries.len()
+        );
     }
 
     impl DqdRouter {
@@ -518,7 +420,7 @@ mod tests {
         let server = SketchServer::new(router, ServeOptions::default());
         let (answers, stats) = server.answer_batch(&[]);
         assert!(answers.is_empty());
-        assert_eq!(stats.total(), 0);
+        assert_eq!(stats.queries, 0);
         assert_eq!(server.answer(&wl.queries[0]), expect);
     }
 

@@ -21,6 +21,10 @@
 //! SUM/AVG/STD recombination). MEDIAN is not a function of moments and
 //! is rejected at build time.
 //!
+//! The server computes every query it is sent and reports the
+//! [`DeployStats`] every layer reports; to cache or deduplicate, wrap it
+//! in a [`CachedDeployment`](crate::cache::CachedDeployment).
+//!
 //! What sharding buys, per the paper's constant-cost story: per-shard
 //! artifacts have bounded size regardless of total data volume, shards
 //! build in parallel (each labels only its own rows), and serve-side
@@ -79,7 +83,7 @@
 //! assert!((answers[0] - exact).abs() < 0.25 * data.rows() as f64);
 //! ```
 
-use crate::cache::{aggregate_tag, serve_cached, AnswerCache, CacheStats};
+use crate::deploy::DeployStats;
 use crate::serve::ServeOptions;
 use crate::sketch::{BatchScratch, NeuroSketch, NeuroSketchConfig};
 use crate::SketchError;
@@ -598,30 +602,6 @@ pub(crate) fn build_shard_sketch(
     Ok((ShardSketch::from_models(models), labeling, t1.elapsed()))
 }
 
-/// Per-batch scatter/gather tally.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardedServeStats {
-    /// Queries answered.
-    pub queries: usize,
-    /// Data shards each query was scattered to.
-    pub shard_count: usize,
-    /// Batched GEMM model evaluations actually performed:
-    /// `shards × required components × ⌈computed queries / max_shard⌉`
-    /// (0 for an empty batch) — the capacity-accounting tally. With the
-    /// cache front on, only queries that missed both the dedup map and
-    /// the cache are computed.
-    pub model_batches: usize,
-    /// Queries answered from the server's answer cache
-    /// ([`ServeOptions::cache`]) instead of being scattered.
-    pub cache_hits: usize,
-    /// Cache lookups that fell through to the scatter (0 with caching
-    /// off).
-    pub cache_misses: usize,
-    /// Queries collapsed onto a bitwise-identical query in the same
-    /// batch.
-    pub dedup_hits: usize,
-}
-
 /// A sharded deployment behind a concurrent scatter/gather serving
 /// front.
 ///
@@ -637,12 +617,6 @@ pub struct ShardedServeStats {
 pub struct ShardedServer {
     sketch: ShardedSketch,
     opts: ServeOptions,
-    /// Built once at construction when `opts.cache` retains answers;
-    /// private to this server instance, keyed at generation 0 (a
-    /// reloaded server — e.g. [`crate::deploy::LiveDeployment`]'s
-    /// manifest reload path — starts cold, so stale hits are
-    /// impossible).
-    cache: Option<AnswerCache>,
 }
 
 impl ShardedServer {
@@ -652,21 +626,7 @@ impl ShardedServer {
     /// (scatter/gather has no DQD routing — shard sketches answer
     /// everything).
     pub fn new(sketch: ShardedSketch, opts: ServeOptions) -> ShardedServer {
-        let cache = opts
-            .cache
-            .caching()
-            .then(|| AnswerCache::new(opts.cache.capacity_bytes, opts.cache.stripes));
-        ShardedServer {
-            sketch,
-            opts,
-            cache,
-        }
-    }
-
-    /// Counters and occupancy of the embedded answer cache, when
-    /// [`ServeOptions::cache`] retains answers.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(AnswerCache::stats)
+        ShardedServer { sketch, opts }
     }
 
     /// The served deployment.
@@ -686,36 +646,7 @@ impl ShardedServer {
 
     /// Answer a batch: scatter to all shards, gather exact moment
     /// compositions. Returns answers in input order plus the tally.
-    /// With [`ServeOptions::cache`] on, the cache/dedup front runs
-    /// first and only distinct, cold queries are scattered — answers
-    /// are bitwise identical either way.
-    pub fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, ShardedServeStats) {
-        if !self.opts.cache.enabled() || queries.is_empty() {
-            return self.answer_batch_direct(queries);
-        }
-        let front = self
-            .cache
-            .as_ref()
-            .map(|c| (c, aggregate_tag(self.sketch.aggregate()), 0u64));
-        let mut computed = ShardedServeStats::default();
-        let (answers, tally) = serve_cached(front, self.opts.cache.dedup, queries, |misses| {
-            let sub: Vec<Vec<f64>> = misses.iter().map(|&i| queries[i].clone()).collect();
-            let (values, stats) = self.answer_batch_direct(&sub);
-            computed = stats;
-            values
-        });
-        let stats = ShardedServeStats {
-            queries: queries.len(),
-            shard_count: self.sketch.shard_count(),
-            model_batches: computed.model_batches,
-            cache_hits: tally.cache_hits,
-            cache_misses: tally.cache_misses,
-            dedup_hits: tally.dedup_hits,
-        };
-        (answers, stats)
-    }
-
-    fn answer_batch_direct(&self, queries: &[Vec<f64>]) -> (Vec<f64>, ShardedServeStats) {
+    pub fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
         let (per_shard, stats) = self.scatter(queries);
         let answers = (0..queries.len())
             .map(|i| self.sketch.gather(per_shard.iter().map(|s| s[i])))
@@ -729,47 +660,7 @@ impl ShardedServer {
     /// the moment-level serving surface the [`crate::deploy::Deployment`]
     /// trait exposes; `finish_guarded` of each entry is exactly the
     /// corresponding `answer_batch` answer.
-    /// With [`ServeOptions::cache`] deduplication on, identical
-    /// queries are predicted once and their merged moments fanned back
-    /// out (moments are never *cached* — the cache stores finished
-    /// answers only).
-    pub fn moments_batch(&self, queries: &[Vec<f64>]) -> (Vec<Moments>, ShardedServeStats) {
-        if !self.opts.cache.dedup || queries.is_empty() {
-            return self.moments_batch_direct(queries);
-        }
-        let hashes: Vec<u64> = queries
-            .iter()
-            .map(|q| crate::cache::key_hash(0, 0, q))
-            .collect();
-        let (rep, distinct) = crate::cache::dedup_reps(queries, &hashes);
-        if distinct == queries.len() {
-            return self.moments_batch_direct(queries);
-        }
-        let uniques: Vec<usize> = (0..queries.len())
-            .filter(|&i| rep[i] as usize == i)
-            .collect();
-        let sub: Vec<Vec<f64>> = uniques.iter().map(|&i| queries[i].clone()).collect();
-        let (values, computed) = self.moments_batch_direct(&sub);
-        // Position of each representative's moments in `values`.
-        let mut pos = vec![0u32; queries.len()];
-        for (k, &i) in uniques.iter().enumerate() {
-            pos[i] = k as u32;
-        }
-        let merged = (0..queries.len())
-            .map(|i| values[pos[rep[i] as usize] as usize])
-            .collect();
-        let stats = ShardedServeStats {
-            queries: queries.len(),
-            shard_count: self.sketch.shard_count(),
-            model_batches: computed.model_batches,
-            cache_hits: 0,
-            cache_misses: 0,
-            dedup_hits: queries.len() - distinct,
-        };
-        (merged, stats)
-    }
-
-    fn moments_batch_direct(&self, queries: &[Vec<f64>]) -> (Vec<Moments>, ShardedServeStats) {
+    pub fn moments_batch(&self, queries: &[Vec<f64>]) -> (Vec<Moments>, DeployStats) {
         let (per_shard, stats) = self.scatter(queries);
         let merged = (0..queries.len())
             .map(|i| {
@@ -784,16 +675,18 @@ impl ShardedServer {
 
     /// Scatter a batch to every shard on the worker pool; returns the
     /// per-shard moment predictions (outer index = shard) and the tally.
-    fn scatter(&self, queries: &[Vec<f64>]) -> (Vec<Vec<Moments>>, ShardedServeStats) {
+    /// `model_batches` is the capacity-accounting count of batched GEMM
+    /// model evaluations: `shards × required components × ⌈queries /
+    /// max_shard⌉` (0 for an empty batch).
+    fn scatter(&self, queries: &[Vec<f64>]) -> (Vec<Vec<Moments>>, DeployStats) {
         let max_chunk = self.opts.max_shard.max(1);
         let total_kinds: usize = self.sketch.shards().iter().map(|s| s.kinds().count()).sum();
-        let stats = ShardedServeStats {
+        let stats = DeployStats {
             queries: queries.len(),
+            sketch: queries.len(),
             shard_count: self.sketch.shard_count(),
             model_batches: total_kinds * queries.len().div_ceil(max_chunk),
-            cache_hits: 0,
-            cache_misses: 0,
-            dedup_hits: 0,
+            ..DeployStats::default()
         };
         if queries.is_empty() {
             return (Vec::new(), stats);
@@ -817,7 +710,6 @@ impl ShardedServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CachePolicy;
     use datagen::simple::uniform;
     use query::error::normalized_mae;
     use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
@@ -1050,7 +942,6 @@ mod tests {
                         threads,
                         max_shard,
                         active_attrs: None,
-                        cache: CachePolicy::OFF,
                     },
                 );
                 let (answers, stats) = server.answer_batch(&wl.queries);

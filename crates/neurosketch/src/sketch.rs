@@ -10,7 +10,6 @@ use nn::{Mlp, QuantMode, ServingLayout};
 use query::aggregate::Aggregate;
 use query::exec::QueryEngine;
 use query::predicate::PredicateFn;
-use serde::{Deserialize, Serialize};
 use spatial::KdTree;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -183,7 +182,6 @@ pub struct BatchScratch {
     starts: Vec<usize>,
     /// Positions grouped by partition.
     order: Vec<usize>,
-    all: Vec<usize>,
 }
 
 /// Timings and diagnostics from a build (feeds Figs. 10/13 and Table 3).
@@ -349,52 +347,46 @@ impl NeuroSketch {
     /// [`ServingLayout`]. Results come back in input order.
     pub fn answer_batch_with(&self, scratch: &mut BatchScratch, queries: &[Vec<f64>]) -> Vec<f64> {
         let mut out = vec![0.0; queries.len()];
-        let mut idxs = std::mem::take(&mut scratch.all);
-        idxs.clear();
-        idxs.extend(0..queries.len());
         let mut leaves = std::mem::take(&mut scratch.leaves);
-        self.locate_batch(queries, &idxs, &mut leaves);
-        self.answer_located(scratch, queries, &idxs, &leaves, &mut out);
-        scratch.all = idxs;
+        self.locate_batch(queries, &mut leaves);
+        self.answer_located(scratch, queries, &leaves, &mut out);
         scratch.leaves = leaves;
         out
     }
 
-    /// Locate `queries[i]` for every `i` in `idxs`: `leaves` is
-    /// overwritten with one partition index per entry of `idxs`.
+    /// Locate every query: `leaves` is overwritten with one partition
+    /// index per query.
     ///
     /// # Panics
-    /// Panics if a selected query's dimensionality does not match the
-    /// sketch or an index is out of range.
-    pub(crate) fn locate_batch(&self, queries: &[Vec<f64>], idxs: &[usize], leaves: &mut Vec<u32>) {
+    /// Panics if a query's dimensionality does not match the sketch.
+    pub(crate) fn locate_batch(&self, queries: &[Vec<f64>], leaves: &mut Vec<u32>) {
         leaves.clear();
-        leaves.extend(idxs.iter().map(|&i| self.leaf_slot_of(&queries[i])));
+        leaves.extend(queries.iter().map(|q| self.leaf_slot_of(q)));
     }
 
     /// The batched compute path: for every position `p` whose
     /// `leaves[p]` is a partition index, write the sketch's answer to
-    /// `queries[idxs[p]]` into `out[p]`; positions marked [`NO_LEAF`]
-    /// (routed elsewhere by the serving layer) are skipped and their
-    /// `out` slots left untouched.
+    /// `queries[p]` into `out[p]`; positions marked [`NO_LEAF`] (routed
+    /// elsewhere by the serving layer) are skipped and their `out`
+    /// slots left untouched.
     ///
     /// Grouping is a counting sort over the partitions — stable, so
-    /// rows are assembled in `idxs` order — and every row's arithmetic
+    /// rows are assembled in input order — and every row's arithmetic
     /// is independent of which rows share its tile, so answers are
     /// **bitwise identical** to [`NeuroSketch::answer`] whatever the
     /// batch composition or order.
     ///
     /// # Panics
-    /// Panics if `idxs`, `leaves` and `out` differ in length.
+    /// Panics if `queries`, `leaves` and `out` differ in length.
     pub(crate) fn answer_located(
         &self,
         scratch: &mut BatchScratch,
         queries: &[Vec<f64>],
-        idxs: &[usize],
         leaves: &[u32],
         out: &mut [f64],
     ) {
-        assert_eq!(idxs.len(), leaves.len(), "one leaf id per selected query");
-        assert_eq!(idxs.len(), out.len(), "one output slot per selected query");
+        assert_eq!(queries.len(), leaves.len(), "one leaf id per query");
+        assert_eq!(queries.len(), out.len(), "one output slot per query");
         let BatchScratch {
             ws,
             x,
@@ -431,7 +423,7 @@ impl NeuroSketch {
             }
             x.clear();
             for &pos in group {
-                x.extend_from_slice(&queries[idxs[pos]]);
+                x.extend_from_slice(&queries[pos]);
             }
             y.resize(group.len(), 0.0);
             model.layout().forward_into(ws, x, y);
@@ -640,60 +632,6 @@ impl NeuroSketch {
         let models: usize = self.models.iter().map(|m| m.mlp.storage_bytes() + 16).sum();
         models + 12 * (2 * self.partitions()).saturating_sub(1)
     }
-
-    /// Serialize to JSON ("models are saved after training", Sec. 5.1).
-    pub fn to_json(&self) -> Result<String, SketchError> {
-        let parts = SketchJson {
-            tree: self.tree.clone(),
-            models: self
-                .models
-                .iter()
-                .map(|m| (m.mlp.clone(), m.y_mean, m.y_std))
-                .collect(),
-            query_dim: self.query_dim,
-            quant: self.quant,
-        };
-        serde_json::to_string(&parts).map_err(|e| SketchError::Serde(e.to_string()))
-    }
-
-    /// Load a sketch saved with [`NeuroSketch::to_json`].
-    pub fn from_json(s: &str) -> Result<NeuroSketch, SketchError> {
-        let parts: SketchJson =
-            serde_json::from_str(s).map_err(|e| SketchError::Serde(e.to_string()))?;
-        if parts.models.len() != parts.tree.leaf_count()
-            || parts.tree.dims() != parts.query_dim
-            || parts
-                .models
-                .iter()
-                .any(|(mlp, ..)| mlp.input_dim() != parts.query_dim || mlp.output_dim() != 1)
-        {
-            return Err(SketchError::Serde(
-                "models do not fit the kd-tree's leaves and dimensions".into(),
-            ));
-        }
-        let models = parts
-            .models
-            .into_iter()
-            .map(|(mlp, y_mean, y_std)| LeafModel::new(mlp, y_mean, y_std))
-            .collect();
-        Ok(NeuroSketch::from_parts(
-            parts.tree,
-            models,
-            parts.query_dim,
-            parts.quant,
-        ))
-    }
-}
-
-/// The serialized parts of a [`NeuroSketch`]; the leaf table and the
-/// serving layouts are derived state and are rebuilt on load.
-#[derive(Serialize, Deserialize)]
-struct SketchJson {
-    tree: KdTree,
-    /// `(mlp, y_mean, y_std)` per partition, in leaf order.
-    models: Vec<(Mlp, f64, f64)>,
-    query_dim: usize,
-    quant: QuantMode,
 }
 
 #[cfg(test)]
@@ -803,7 +741,7 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_preserves_answers() {
+    fn nsk2_roundtrip_preserves_answers() {
         let (data, wl) = count_setup(300, 150);
         let engine = QueryEngine::new(&data, 1);
         let mut cfg = NeuroSketchConfig::small();
@@ -811,9 +749,13 @@ mod tests {
         let (sketch, _) =
             NeuroSketch::build(&engine, &wl.predicate, Aggregate::Count, &wl.queries, &cfg)
                 .unwrap();
-        let loaded = NeuroSketch::from_json(&sketch.to_json().unwrap()).unwrap();
+        let loaded = crate::persist::decode(crate::persist::encode_sketch(&sketch))
+            .unwrap()
+            .sketch;
+        // NSK2 stores f32 parameters: lossy once, exactly `quantized()`.
+        let stored = sketch.quantized();
         for q in wl.queries.iter().take(10) {
-            assert_eq!(sketch.answer(q), loaded.answer(q));
+            assert_eq!(stored.answer(q), loaded.answer(q));
         }
     }
 
@@ -875,25 +817,25 @@ mod tests {
     }
 
     #[test]
-    fn answer_subset_touches_only_selected_slots() {
+    fn answer_located_leaves_no_leaf_slots_untouched() {
         let qs: Vec<Vec<f64>> = (0..60).map(|i| vec![i as f64 / 60.0, 0.4]).collect();
         let labels: Vec<f64> = qs.iter().map(|q| q[0] * 3.0).collect();
         let mut cfg = NeuroSketchConfig::small();
         cfg.train.epochs = 10;
         let (sketch, _) = NeuroSketch::build_from_labeled(&qs, &labels, &cfg).unwrap();
-        // Four selected queries, the second routed away from the sketch.
-        let idxs = [41usize, 3, 17, 58];
+        // A four-query slice, the second routed away from the sketch.
+        let chunk = &qs[40..44];
         let mut leaves = Vec::new();
-        sketch.locate_batch(&qs, &idxs, &mut leaves);
+        sketch.locate_batch(chunk, &mut leaves);
         leaves[1] = NO_LEAF;
-        let mut out = vec![f64::NAN; idxs.len()];
+        let mut out = vec![f64::NAN; chunk.len()];
         let mut scratch = BatchScratch::default();
-        sketch.answer_located(&mut scratch, &qs, &idxs, &leaves, &mut out);
-        for (pos, (&i, v)) in idxs.iter().zip(&out).enumerate() {
+        sketch.answer_located(&mut scratch, chunk, &leaves, &mut out);
+        for (pos, (q, v)) in chunk.iter().zip(&out).enumerate() {
             if pos == 1 {
                 assert!(v.is_nan(), "skipped slot {pos} was written");
             } else {
-                assert_eq!(v.to_bits(), sketch.answer(&qs[i]).to_bits(), "slot {pos}");
+                assert_eq!(v.to_bits(), sketch.answer(q).to_bits(), "slot {pos}");
             }
         }
     }

@@ -1,6 +1,6 @@
-//! The answer-cache contract, property-tested: a cached or deduplicated
-//! serving path returns **bitwise identical** answers to the uncached
-//! one, at any thread count, for every aggregate, through evictions,
+//! The answer-cache contract, property-tested: a deployment behind the
+//! one answer front ([`CachedDeployment`]) returns **bitwise identical**
+//! answers to the bare one, at any thread count, for every aggregate, through evictions,
 //! and across hot swaps — where generation keying must also mean **zero
 //! cross-generation hits** by construction.
 //!
@@ -9,7 +9,7 @@
 //! against the uncached baseline, so the hit path — not just the
 //! fill path — is what the bitwise assertions pin down.
 
-use neurosketch::cache::{entry_bytes, AnswerCache, CachePolicy, CachedDeployment};
+use neurosketch::cache::{entry_bytes, AnswerCache, CachedDeployment};
 use neurosketch::deploy::{Deployment, LiveDeployment};
 use neurosketch::router::{DqdRouter, RoutingPolicy};
 use neurosketch::serve::{ServeOptions, SketchServer};
@@ -84,20 +84,28 @@ fn base() -> &'static Base {
     })
 }
 
-fn opts(threads: usize, cache: CachePolicy) -> ServeOptions {
+fn opts(threads: usize) -> ServeOptions {
     ServeOptions {
         threads,
-        cache,
         ..ServeOptions::default()
     }
 }
 
-fn server(agg_idx: usize, threads: usize, cache: CachePolicy) -> SketchServer<'static> {
+fn server(agg_idx: usize, threads: usize) -> SketchServer<'static> {
     let (sketch, aqcs) = &base().by_agg[agg_idx];
     SketchServer::new(
         DqdRouter::new(sketch.clone(), aqcs.clone(), RoutingPolicy::default()),
-        opts(threads, cache),
+        opts(threads),
     )
+}
+
+/// `inner` behind the front, keyed at generation 0 with `agg`'s tag.
+fn fronted(
+    inner: impl Deployment + 'static,
+    cache: AnswerCache,
+    agg: Aggregate,
+) -> CachedDeployment {
+    CachedDeployment::with_aggregate(inner, Arc::new(cache), 0, agg)
 }
 
 /// A repeat-heavy stream: the workload queries selected by `picks`,
@@ -138,11 +146,15 @@ proptest! {
         threads in (0usize..2).prop_map(|b| if b == 0 { 1 } else { 4 }),
     ) {
         let (stream, idx) = stream_of(&picks);
-        let baseline = server(agg_idx, 1, CachePolicy::OFF);
+        let baseline = server(agg_idx, 1);
         let (direct, _) = baseline.answer_batch(&base().wl.queries);
         let want: Vec<f64> = idx.iter().map(|&i| direct[i]).collect();
 
-        let cached = server(agg_idx, threads, CachePolicy::cached(64 << 10));
+        let cached = fronted(
+            server(agg_idx, threads),
+            AnswerCache::new(64 << 10, 8),
+            AGGREGATES[agg_idx],
+        );
         let (cold, _) = cached.answer_batch(&stream);
         assert_bitwise("cold pass", &cold, &want);
         let (warm, warm_stats) = cached.answer_batch(&stream);
@@ -162,18 +174,14 @@ proptest! {
         threads in (0usize..2).prop_map(|b| if b == 0 { 1 } else { 4 }),
     ) {
         let (stream, idx) = stream_of(&picks);
-        let baseline = server(0, 1, CachePolicy::OFF);
+        let baseline = server(0, 1);
         let (direct, _) = baseline.answer_batch(&base().wl.queries);
         let want: Vec<f64> = idx.iter().map(|&i| direct[i]).collect();
 
         // Room for ~3 entries across 2 stripes: almost every insert
         // evicts, and the doorkeeper gates almost every admission.
-        let tiny = CachePolicy {
-            capacity_bytes: 3 * entry_bytes(base().wl.queries[0].len()),
-            stripes: 2,
-            dedup: true,
-        };
-        let cached = server(0, threads, tiny);
+        let tiny = AnswerCache::new(3 * entry_bytes(base().wl.queries[0].len()), 2);
+        let cached = fronted(server(0, threads), tiny, AGGREGATES[0]);
         for pass in 0..3 {
             let (got, _) = cached.answer_batch(&stream);
             assert_bitwise(&format!("tiny-budget pass {pass}"), &got, &want);
@@ -181,18 +189,18 @@ proptest! {
     }
 }
 
-/// The sharded scatter/gather layer under its embedded cache: bitwise
-/// parity against the uncached sharded path, cold and warm, at 1 and 4
-/// threads.
+/// The sharded scatter/gather layer behind the front: bitwise parity
+/// against the bare sharded path, cold and warm, at 1 and 4 threads.
 #[test]
 fn sharded_cached_serving_is_bitwise_identical() {
     let b = base();
-    let baseline = ShardedServer::new(b.sharded.clone(), opts(1, CachePolicy::OFF));
+    let baseline = ShardedServer::new(b.sharded.clone(), opts(1));
     let (want, _) = baseline.answer_batch(&b.wl.queries);
     for threads in [1usize, 4] {
-        let cached = ShardedServer::new(
-            b.sharded.clone(),
-            opts(threads, CachePolicy::cached(64 << 10)),
+        let cached = fronted(
+            ShardedServer::new(b.sharded.clone(), opts(threads)),
+            AnswerCache::new(64 << 10, 8),
+            Aggregate::Count,
         );
         let (cold, _) = cached.answer_batch(&b.wl.queries);
         assert_bitwise("sharded cold", &cold, &want);
@@ -215,8 +223,8 @@ fn hot_swap_has_zero_cross_generation_hits() {
     let b = base();
     // Two genuinely different deployments (different aggregates), so a
     // stale hit would be visible in the bits, not just the counters.
-    let inner0 = Arc::new(server(0, 2, CachePolicy::OFF));
-    let inner1 = Arc::new(server(1, 2, CachePolicy::OFF));
+    let inner0 = Arc::new(server(0, 2));
+    let inner1 = Arc::new(server(1, 2));
     let (want0, _) = inner0.answer_batch(&b.wl.queries);
     let (want1, _) = inner1.answer_batch(&b.wl.queries);
     assert_ne!(
@@ -225,7 +233,7 @@ fn hot_swap_has_zero_cross_generation_hits() {
         "test must distinguish generations"
     );
 
-    let cache = AnswerCache::from_policy(&CachePolicy::cached(256 << 10));
+    let cache = Arc::new(AnswerCache::new(256 << 10, 8));
     let live = LiveDeployment::new(CachedDeployment::new(inner0.clone(), cache.clone(), 0), 0);
     // Warm generation 0: second pass is all hits.
     live.answer_batch(&b.wl.queries);

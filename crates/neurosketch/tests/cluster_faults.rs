@@ -8,7 +8,6 @@
 //! (one generation per batch, never blended), and through a row-stable
 //! K→2K rebalance.
 
-use neurosketch::cache::CachePolicy;
 use neurosketch::cluster::{
     Cluster, ClusterError, ClusterEvent, ClusterOptions, Fault, FaultPlan, RoutePolicy, UpgradeStep,
 };
@@ -233,88 +232,6 @@ fn losing_every_replica_of_a_group_is_typed_quorum_loss() {
         .events()
         .iter()
         .any(|e| matches!(e, ClusterEvent::GroupUncovered { group: 0, .. })));
-}
-
-/// A degraded batch (quorum met, a group uncovered) must bypass the
-/// answer cache in both directions: its partial answers — uncovered
-/// groups fold zero moments into every query — are never stored where
-/// a later healthy batch at the same generation would serve them as
-/// hits, and warm full answers are never served into it (which would
-/// contradict its report's `covered` count). Both clusters below share
-/// one fault plan; the cached one must stay bitwise the uncached one
-/// through warm, degraded, and repeat-degraded batches.
-#[test]
-fn degraded_batches_bypass_the_answer_cache_both_ways() {
-    let b = base();
-    let expect = single_box(&b.sharded);
-    let kill_group0_at_batch2 = FaultPlan {
-        seed: 0,
-        faults: vec![
-            Fault::Kill {
-                batch: 2,
-                group: 0,
-                replica: 0,
-            },
-            Fault::Kill {
-                batch: 2,
-                group: 0,
-                replica: 1,
-            },
-        ],
-    };
-    let mut cached = Cluster::new(
-        &b.sharded,
-        2,
-        0,
-        RoutePolicy::RoundRobin,
-        ClusterOptions {
-            cache: CachePolicy::cached(1 << 20),
-            ..opts(0.5)
-        },
-    )
-    .unwrap()
-    .with_faults(kill_group0_at_batch2.clone());
-    let mut plain = Cluster::new(&b.sharded, 2, 0, RoutePolicy::RoundRobin, opts(0.5))
-        .unwrap()
-        .with_faults(kill_group0_at_batch2);
-
-    // Batches 0 and 1 are healthy; batch 1 is served warm.
-    for batch in 0..2u64 {
-        let (answers, report) = cached.answer_batch(&b.wl.queries).unwrap();
-        assert_eq!(answers, plain.answer_batch(&b.wl.queries).unwrap().0);
-        assert_eq!(answers, expect, "healthy batch {batch} drifted");
-        assert_eq!(report.covered, SHARDS);
-        if batch == 1 {
-            assert!(report.cache_hits > 0, "the repeat batch must hit");
-        }
-    }
-    let warm = cached.cache_stats().unwrap();
-
-    // The kills land at batch 2 and the replicas stay dead: every
-    // batch from here on is degraded. Degraded answers must match the
-    // uncached cluster bitwise (no warm full answers served into a
-    // partial batch) and the cache must not move (no partial answers
-    // stored, no hits granted).
-    for batch in 2..4u64 {
-        let (answers, report) = cached.answer_batch(&b.wl.queries).unwrap();
-        assert_eq!(
-            answers,
-            plain.answer_batch(&b.wl.queries).unwrap().0,
-            "degraded batch {batch} diverged from the uncached cluster"
-        );
-        assert_eq!(report.covered, SHARDS - 1);
-        assert_eq!(
-            (report.cache_hits, report.cache_misses),
-            (0, 0),
-            "degraded batch {batch} must not touch the cache"
-        );
-    }
-    let after = cached.cache_stats().unwrap();
-    assert_eq!(
-        (after.insertions, after.hits),
-        (warm.insertions, warm.hits),
-        "degraded batches must neither insert nor hit"
-    );
 }
 
 /// Land a generation-1 refresh of every shard at `dir` and return

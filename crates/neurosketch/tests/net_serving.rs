@@ -5,7 +5,8 @@
 //! backpressure, round-robin fairness against a flooding client, and
 //! the never-blend-generations contract under a hot swap mid-traffic.
 
-use neurosketch::deploy::LiveDeployment;
+use neurosketch::cache::{entry_bytes, AnswerCache, CachedDeployment};
+use neurosketch::deploy::{DeployStats, LiveDeployment};
 use neurosketch::net::{
     decode_frame, encode_frame, Frame, NetClient, NetOptions, NetResponse, NetServer,
 };
@@ -540,53 +541,145 @@ fn flooding_without_reading_stays_within_the_buffer_bound() {
     assert!(peer.peak_buffer_bytes <= opts.conn_buffer_bound());
 }
 
-/// In-batch dedup over the wire: a window in which most queries repeat
-/// (in no particular pattern, first occurrences scattered among the
-/// repeats) is served as one micro-batch that computes only the
-/// distinct ones, and every response still carries bitwise the answer
-/// its own query gets from a direct `answer_batch` — with dedup on and,
-/// as the control, off.
+/// The whole serving composition, stepped: two connections send
+/// overlapping, repeat-heavy windows → [`NetServer`] →
+/// [`LiveDeployment`] → [`CachedDeployment`] over a cache too small for
+/// the working set → the sketch, with one hot swap between
+/// micro-batches. The wire server adds no dedup of its own, so each
+/// micro-batch's tally is the front's: its `dedup_hits` are exactly the
+/// duplicates that batch carried, the cumulative counters reconcile
+/// with `answered`, and every answer is bitwise the per-query oracle of
+/// the generation stamped on its frame.
 #[test]
 fn in_batch_duplicates_are_computed_once_and_answered_bitwise() {
+    const WINDOW: usize = 40;
+    const MAX_BATCH: usize = 20;
     let distinct = workload(7);
-    let (sketch, _) = trained(&workload(64), |q| 5.0 * q[0] - q[1]);
-    let window: Vec<Vec<f64>> = (0..40)
-        .map(|i| distinct[(i * i + 3 * i) % 7].clone())
+    let training = workload(64);
+    let oracles = [
+        trained(&training, |q| 5.0 * q[0] - q[1]).0,
+        trained(&training, |q| 2.0 - 3.0 * q[0] + q[1]).0,
+    ];
+    // First occurrences scattered among the repeats, in no particular
+    // pattern, and the two windows overlap.
+    let windows: [Vec<Vec<f64>>; 2] = [
+        (0..WINDOW)
+            .map(|i| distinct[(i * i + 3 * i) % 7].clone())
+            .collect(),
+        (0..WINDOW)
+            .map(|i| distinct[(5 * i + 2) % 6].clone())
+            .collect(),
+    ];
+
+    // Room for three of the seven distinct queries.
+    let cache = Arc::new(AnswerCache::new(3 * entry_bytes(2), 1));
+    let front = |generation: usize| {
+        CachedDeployment::new(
+            oracles[generation].clone(),
+            cache.clone(),
+            generation as u64,
+        )
+    };
+    let live = Arc::new(LiveDeployment::new(front(0), 0));
+    let opts = NetOptions {
+        max_batch: MAX_BATCH,
+        ..NetOptions::default()
+    };
+    let mut server = NetServer::bind("127.0.0.1:0", live.clone(), 2, opts).unwrap();
+    // Accept one at a time, so connection ids 0 and 1 are clients 0 and 1.
+    let mut clients: Vec<NetClient> = (0..2)
+        .map(|_| {
+            let mut client = NetClient::connect(server.local_addr()).unwrap();
+            client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+            let accepted = server.connections() + 1;
+            while server.connections() < accepted {
+                server.pump_io();
+            }
+            client
+        })
         .collect();
-    let (expected, _) = Deployment::answer_batch(&sketch, &window);
-    let used: std::collections::BTreeSet<usize> = (0..40).map(|i| (i * i + 3 * i) % 7).collect();
-
-    for dedup in [true, false] {
-        let live = Arc::new(LiveDeployment::new(sketch.clone(), 0));
-        let opts = NetOptions {
-            dedup,
-            ..NetOptions::default()
-        };
-        let mut server = NetServer::bind("127.0.0.1:0", live, 2, opts).unwrap();
-        let mut client = NetClient::connect(server.local_addr()).unwrap();
-        client.set_timeout(Some(Duration::from_secs(30))).unwrap();
-        let first = client.send_queries(&window).unwrap();
-
-        let deadline = std::time::Instant::now() + Duration::from_secs(30);
-        while server.pending() < window.len() {
-            server.pump_io();
-            assert!(std::time::Instant::now() < deadline, "server wedged");
-        }
-        let batch = server.serve_pending_batch().expect("one window pending");
-        assert_eq!(batch.size, window.len());
-        let want_unique = if dedup { used.len() } else { window.len() };
-        assert_eq!(batch.unique, want_unique, "dedup {dedup}");
-        assert_eq!(
-            server.stats().deduped,
-            (window.len() - want_unique) as u64,
-            "dedup {dedup}"
-        );
+    let first_ids: Vec<u64> = clients
+        .iter_mut()
+        .zip(&windows)
+        .map(|(client, window)| client.send_queries(window).unwrap())
+        .collect();
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while server.pending() < 2 * WINDOW {
         server.pump_io();
-        for (k, want) in expected.iter().enumerate() {
+        assert!(std::time::Instant::now() < deadline, "server wedged");
+    }
+
+    // Serve micro-batch by micro-batch, swapping generations half way.
+    // A connection's queries leave its queue in order, so
+    // `per_client` says exactly which queries a batch carried.
+    let mut taken = [0usize; 2];
+    let mut stamped: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+    let mut tally = DeployStats::default();
+    for step in 0..2 * WINDOW / MAX_BATCH {
+        if step == WINDOW / MAX_BATCH {
+            live.swap(front(1), 1);
+        }
+        let batch = server.serve_pending_batch().expect("queries pending");
+        assert_eq!(batch.size, MAX_BATCH);
+        assert_eq!(batch.generation, (step >= WINDOW / MAX_BATCH) as u64);
+        let mut carried: Vec<Vec<u64>> = Vec::new();
+        for &(conn, count) in &batch.per_client {
+            let c = conn as usize;
+            for q in &windows[c][taken[c]..taken[c] + count] {
+                carried.push(q.iter().map(|v| v.to_bits()).collect());
+                stamped[c].push(batch.generation);
+            }
+            taken[c] += count;
+        }
+        assert_eq!(carried.len(), batch.size);
+        carried.sort();
+        carried.dedup();
+        assert_eq!(batch.stats.queries, batch.size);
+        assert_eq!(
+            batch.stats.dedup_hits,
+            batch.size - carried.len(),
+            "micro-batch {step}: the front collapses exactly the duplicates sent"
+        );
+        assert_eq!(
+            batch.stats.cache_hits + batch.stats.cache_misses,
+            carried.len(),
+            "micro-batch {step}: every distinct query is one hit or one miss"
+        );
+        tally.dedup_hits += batch.stats.dedup_hits;
+        tally.cache_hits += batch.stats.cache_hits;
+        tally.cache_misses += batch.stats.cache_misses;
+    }
+    assert_eq!(server.pending(), 0);
+    assert!(tally.cache_hits > 0, "no micro-batch ever hit the cache");
+    assert!(cache.stats().evictions > 0, "the budget never evicted");
+    let stats = server.stats();
+    assert_eq!(stats.answered, 2 * WINDOW as u64);
+    assert_eq!(
+        (stats.deduped, stats.cache_hits, stats.cache_misses),
+        (
+            tally.dedup_hits as u64,
+            tally.cache_hits as u64,
+            tally.cache_misses as u64
+        )
+    );
+    assert_eq!(
+        stats.deduped + stats.cache_hits + stats.cache_misses,
+        stats.answered
+    );
+
+    server.pump_io();
+    for (c, client) in clients.iter_mut().enumerate() {
+        for (k, q) in windows[c].iter().enumerate() {
             match client.recv().unwrap() {
-                Frame::Answer { id, value, .. } => {
-                    assert_eq!(id, first + k as u64);
-                    assert_eq!(value.to_bits(), want.to_bits(), "dedup {dedup} id {id}");
+                Frame::Answer {
+                    id,
+                    generation,
+                    value,
+                } => {
+                    assert_eq!(id, first_ids[c] + k as u64);
+                    assert_eq!(generation, stamped[c][k], "client {c} id {id}");
+                    let want = oracles[generation as usize].answer(q);
+                    assert_eq!(value.to_bits(), want.to_bits(), "client {c} id {id}");
                 }
                 other => panic!("unexpected frame {other:?}"),
             }

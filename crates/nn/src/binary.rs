@@ -1,8 +1,8 @@
 //! Compact binary model format.
 //!
-//! JSON serialization ([`Mlp::to_json`]) is convenient but ~5x larger
-//! than the paper's model-size accounting (4 bytes per parameter). This
-//! module provides that compact form — and two opt-in quantized
+//! The serde (JSON) form of an [`Mlp`] is ~5x larger than the paper's
+//! model-size accounting (4 bytes per parameter). This module provides
+//! that compact form — and two opt-in quantized
 //! variants below it — the formats a production release of NeuroSketch
 //! would actually ship to consumers. The [`QuantMode`] selects the
 //! parameter encoding:
@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn binary_is_much_smaller_than_json() {
         let mlp = Mlp::new(&[4, 60, 30, 30, 1], 0);
-        let json = mlp.to_json().unwrap().len();
+        let json = serde_json::to_string(&mlp).unwrap().len();
         let bin = encode(&mlp).len();
         assert!(bin * 3 < json, "bin {bin} json {json}");
         // Within 1% of the paper's 4-bytes-per-parameter accounting.

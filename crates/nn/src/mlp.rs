@@ -645,16 +645,6 @@ impl Mlp {
             .collect();
         Mlp { layers }
     }
-
-    /// Serialize to a JSON string.
-    pub fn to_json(&self) -> Result<String, NnError> {
-        serde_json::to_string(self).map_err(|e| NnError::Serde(e.to_string()))
-    }
-
-    /// Deserialize from a JSON string produced by [`Mlp::to_json`].
-    pub fn from_json(s: &str) -> Result<Self, NnError> {
-        serde_json::from_str(s).map_err(|e| NnError::Serde(e.to_string()))
-    }
 }
 
 /// Gradients mirroring an [`Mlp`]'s layer structure.
@@ -796,8 +786,8 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let m = tiny();
-        let s = m.to_json().unwrap();
-        let m2 = Mlp::from_json(&s).unwrap();
+        let s = serde_json::to_string(&m).unwrap();
+        let m2: Mlp = serde_json::from_str(&s).unwrap();
         assert_eq!(m, m2);
         assert_eq!(m.predict(&[0.1, 0.9]), m2.predict(&[0.1, 0.9]));
     }

@@ -7,8 +7,9 @@
 //! protocol over TCP loopback while concurrent pipelined clients load
 //! it:
 //!
-//! 1. build a sketch, wrap it in a [`SketchServer`] behind a
-//!    [`LiveDeployment`], and bind an ephemeral loopback port,
+//! 1. build a sketch, put its [`SketchServer`] behind the answer front
+//!    ([`CachedDeployment`]) and a [`LiveDeployment`], and bind an
+//!    ephemeral loopback port,
 //! 2. drive it with concurrent pipelined clients and verify every
 //!    answer is **bitwise identical** to calling
 //!    [`Deployment::answer_batch`] directly — coalescing into adaptive
@@ -25,7 +26,7 @@
 //! cargo run --release --example net_serve -- --fast  # CI smoke
 //! ```
 
-use neurosketch::cache::CachePolicy;
+use neurosketch::cache::{AnswerCache, CachedDeployment};
 use neurosketch::deploy::LiveDeployment;
 use neurosketch::net::{NetClient, NetOptions, NetResponse, NetServer};
 use neurosketch::router::{DqdRouter, RoutingPolicy};
@@ -69,27 +70,28 @@ fn main() {
         let (sketch, report) =
             NeuroSketch::build_from_labeled(&wl.queries, &labels, &c).expect("sketch build");
         let router = DqdRouter::new(sketch, report.leaf_aqcs, RoutingPolicy::default());
-        // The production cache setting: the flooder below replays the
-        // workload, so the tallies at the end show real hits — and the
-        // bitwise parity asserts double as a cache-parity check over
-        // the wire.
         SketchServer::new(
             router,
             ServeOptions {
                 threads: 2,
-                cache: CachePolicy::cached(256 << 10),
                 ..ServeOptions::default()
             },
         )
     };
     let gen0 = build(cfg.train.epochs);
     let gen1 = build(cfg.train.epochs + 7);
-    // These direct calls also warm each server's embedded answer cache,
-    // so the tallies at the end show the network traffic hitting it.
     let (expect0, _) = gen0.answer_batch(&wl.queries);
     let (expect1, _) = gen1.answer_batch(&wl.queries);
 
-    let live = Arc::new(LiveDeployment::new(gen0, 0));
+    // The answer front: one cache shared across generations, one
+    // wrapper per generation. The flooder below replays the workload,
+    // so the tallies at the end show real hits — and the bitwise parity
+    // asserts double as a cache-parity check over the wire.
+    let cache = Arc::new(AnswerCache::new(256 << 10, 8));
+    let live = Arc::new(LiveDeployment::new(
+        CachedDeployment::new(gen0, cache.clone(), 0),
+        0,
+    ));
     let dims = wl.queries[0].len();
     let mut server = NetServer::bind("127.0.0.1:0", live.clone(), dims, NetOptions::default())
         .expect("bind loopback");
@@ -166,7 +168,7 @@ fn main() {
         }
         by_gen
     });
-    live.swap(gen1, 1);
+    live.swap(CachedDeployment::new(gen1, cache, 1), 1);
     println!("swapped in generation 1 mid-traffic");
     let by_gen = flooder.join().expect("flooder");
     println!(

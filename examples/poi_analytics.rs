@@ -12,7 +12,7 @@
 //! ```
 
 use datagen::veraset::{generate, VerasetConfig};
-use neurosketch::{NeuroSketch, NeuroSketchConfig};
+use neurosketch::{persist, NeuroSketch, NeuroSketchConfig};
 use query::aggregate::Aggregate;
 use query::error::normalized_mae;
 use query::exec::QueryEngine;
@@ -47,7 +47,7 @@ fn main() {
         NeuroSketch::build(&engine, &pred, Aggregate::Avg, train, &cfg).expect("build succeeds");
 
     // Publish: serialize the model instead of the data.
-    let blob = sketch.to_json().expect("serialize");
+    let blob = persist::encode_sketch(&sketch);
     println!(
         "published model: {:.1} KiB vs {:.0} KiB of raw data",
         blob.len() as f64 / 1024.0,
@@ -55,7 +55,7 @@ fn main() {
     );
 
     // A consumer loads the model and asks about a POI.
-    let loaded = NeuroSketch::from_json(&blob).expect("load");
+    let loaded = persist::decode(blob).expect("load").sketch;
     let truth: Vec<f64> = test
         .iter()
         .map(|q| engine.answer(&pred, Aggregate::Avg, q))

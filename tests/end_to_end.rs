@@ -4,7 +4,7 @@
 use baselines::tree_agg::TreeAgg;
 use baselines::AqpEngine;
 use datagen::PaperDataset;
-use neurosketch::{NeuroSketch, NeuroSketchConfig};
+use neurosketch::{persist, NeuroSketch, NeuroSketchConfig};
 use nn::train::TrainConfig;
 use query::aggregate::Aggregate;
 use query::error::normalized_mae;
@@ -69,10 +69,14 @@ fn pipeline_on_pm_dataset() {
         "sketch {err} must beat constant {const_err}"
     );
 
-    // Serialization round trip.
-    let loaded = NeuroSketch::from_json(&sketch.to_json().unwrap()).unwrap();
+    // Serialization round trip: NSK2 stores f32 parameters, so the
+    // loaded sketch answers exactly like `quantized()`.
+    let loaded = persist::decode(persist::encode_sketch(&sketch))
+        .unwrap()
+        .sketch;
+    let stored = sketch.quantized();
     for q in test.iter().take(10) {
-        assert_eq!(sketch.answer(q), loaded.answer(q));
+        assert_eq!(stored.answer(q), loaded.answer(q));
     }
 }
 
@@ -216,7 +220,7 @@ fn deterministic_end_to_end() {
             &small_cfg(),
         )
         .unwrap();
-        s.to_json().unwrap()
+        persist::encode_sketch(&s).to_vec()
     };
     assert_eq!(build(), build());
 }
