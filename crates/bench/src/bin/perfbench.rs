@@ -6,6 +6,7 @@
 //! perfbench --fast             # CI-smoke scale
 //! perfbench --fast --check     # also fail (exit 1) if any median
 //!                              # regressed >2x vs the committed files
+//!                              # or a committed row is no longer produced
 //! perfbench --out target/perf  # write elsewhere
 //! ```
 //!
@@ -69,33 +70,12 @@ fn main() {
         if let Some(gflops) = report.median_of("train_leaf_gflops") {
             println!("  leaf training: {gflops:.1} GFLOP/s over the whole step");
         }
-        if let (Some(full), Some(partial)) = (
-            report.median_of("refresh_full"),
-            report.median_of("refresh_partial_1of4"),
-        ) {
-            println!(
-                "  partial refresh (1 of 4 shards): {:.2}x of a full rebuild ({:.2}x faster)",
-                partial / full,
-                full / partial
-            );
-        }
         // queries/sec falls out of the recorded median latency and the
         // suite's fixed per-iteration stream length.
         let qps = |e: &bench::PerfEntry| {
             bench::perf::SERVE_STREAM_LEN as f64 * e.iters as f64 / (e.median_ms / 1e3)
         };
         let entry = |name: &str| report.entries.iter().find(|e| e.name == name);
-        if let (Some(single), Some(t2)) = (
-            entry("serve_single_query_loop"),
-            entry("serve_throughput_batched_t2"),
-        ) {
-            println!(
-                "  serve throughput: {:.0} qps single-query loop, {:.0} qps batched t2 ({:.2}x)",
-                qps(single),
-                qps(t2),
-                single.median_ms / t2.median_ms
-            );
-        }
         if let (Some(fused), Some(per_example), Some(gflops)) = (
             report.median_of("serve_forward_fused"),
             report.median_of("serve_forward_per_example"),
@@ -142,15 +122,6 @@ fn main() {
                 cold.median_ms / hot.median_ms
             );
         }
-        if let (Some(k1), Some(k4)) = (entry("serve_sharded_k1"), entry("serve_sharded_k4")) {
-            println!(
-                "  sharded scatter/gather: {:.0} qps k=1, {:.0} qps k=4 \
-                 ({:.2}x cost for 4x the shards on one box)",
-                qps(k1),
-                qps(k4),
-                k4.median_ms / k1.median_ms
-            );
-        }
 
         let path = format!("{out_dir}/{file}");
         if check {
@@ -164,6 +135,11 @@ fn main() {
                         eprintln!("REGRESSION {r}");
                     }
                     failed |= !regressions.is_empty();
+                    for e in &report.entries {
+                        if baseline.median_of(&e.name).is_none() {
+                            eprintln!("NEW {}: no baseline row at {path}", e.name);
+                        }
+                    }
                 }
                 Ok(baseline) => {
                     eprintln!(
@@ -183,7 +159,7 @@ fn main() {
         println!("  wrote {path}");
     }
     if failed {
-        eprintln!("perfbench: median regression(s) beyond 2x — failing");
+        eprintln!("perfbench: median regression(s) beyond 2x or stale baseline rows — failing");
         std::process::exit(1);
     }
 }

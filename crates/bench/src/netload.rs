@@ -1,9 +1,8 @@
 //! Load generation for the [`neurosketch::net`] protocol server:
 //! spawn a serving loop over a [`LiveDeployment`], drive it with N
 //! pipelined clients, and report throughput plus per-request latency
-//! percentiles. Shared by the `netbench` binary and the
-//! `net_saturation_qps` entry of
-//! `BENCH_query.json`.
+//! percentiles. The engine of the `netbench` binary, whose `--addr` is
+//! the only load generator that can drive a remote server.
 
 use neurosketch::deploy::LiveDeployment;
 use neurosketch::net::{Frame, NetClient, NetOptions, NetServer};

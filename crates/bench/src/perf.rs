@@ -7,32 +7,20 @@
 //! (with `--check`) fails when any median regresses more than 2x, so the
 //! perf trajectory of the build and query paths is tracked from PR to PR.
 //!
-//! The scenarios deliberately mirror the criterion benches in
-//! `crates/bench/benches/` (which reuse [`scenarios`]): exact labeling,
-//! partition+merge, per-leaf training (`train_leaf_batched`, with
-//! `train_leaf_gflops` computed from the shapes), the full sketch
-//! build, per-query answer latency, the exact engine's rank-verified
-//! scan timed rep-for-rep against the predicate-verified one
-//! (`exact_scan_two_attr` vs `exact_scan_two_attr_generic`), the
-//! serving engine's
-//! `serve_throughput` scenario (the same query stream through the
-//! single-query loop and the batched `SketchServer`, so the recorded
-//! ratio is the serving-throughput multiplier), the scatter/gather
-//! `serve_sharded_k{1,4}` scenarios (the same stream through a
-//! `ShardedServer` over 1 and 4 data shards — the k1/k4 ratio is the
-//! per-query cost of scattering to more shards on one box; in a real
-//! deployment each shard runs on its own hardware), the serving
-//! kernel's own pair (`serve_forward_fused` timed rep-for-rep against
-//! `serve_forward_per_example` on the same rows — the entry that pins
-//! the `nn::fused` tile shape — with `serve_forward_fused_gflops`
-//! computed from the shapes) and `route_batch_4096`, the quantized
-//! serving entries (`serve_batched_{f16,i8}` pin that quantized models
-//! serve at full speed) with the `artifact_bytes_{f32,f16,i8}` size
-//! curve, and the
-//! maintenance-path `refresh_full` vs `refresh_partial_1of4` pair
-//! (rebuild all four shards of a drifted deployment vs only the stale
-//! one; same iters, so the median ratio is the tracked partial-refresh
-//! speedup).
+//! This is the micro-kernel tier. End-to-end serving, sharded,
+//! replicated, wire and refresh timings are `nsbench`'s (the gated
+//! benchmark of record, with an output check); the suites here keep
+//! only what it cannot see: kernel-shape pins timed rep for rep against
+//! their reference (`serve_forward_fused` vs
+//! `serve_forward_per_example` with `serve_forward_fused_gflops`,
+//! `exact_scan_two_attr` vs `exact_scan_two_attr_generic`,
+//! `serve_throughput_batched_t1` vs `serve_cached_cold`), the build
+//! steps on their own (`label_queries_exact`, `partition_merge_aqc`,
+//! `train_leaf_batched` with `train_leaf_gflops`, `build_sketch_h2`),
+//! the Alg. 5 per-query path (`neurosketch_answer_testset`,
+//! `serve_single_query_loop`), `route_batch_4096`, the quantized
+//! serving entries (`serve_batched_{f16,i8}`) and the
+//! `artifact_bytes_{f32,f16,i8}` size curve.
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -91,25 +79,29 @@ impl PerfReport {
         self.suite == baseline.suite && self.fast == baseline.fast
     }
 
-    /// Compare against a baseline: every scenario present in both whose
-    /// median regressed by more than `factor` is reported. Skipped as
-    /// incomparable: sub-millisecond baseline medians (at that scale the
-    /// comparison measures timer noise, not the code — the suites size
-    /// `iters` so no tracked scenario lands under the floor in practice),
-    /// `*_gflops` entries (rates riding the report: higher is better)
-    /// and entries whose per-repetition `iters` changed (the medians then
-    /// measure different amounts of work).
+    /// Compare against a baseline: every scenario whose median regressed
+    /// by more than `factor` is reported, and so is every baseline row
+    /// this run no longer produces (a stale row is how a baseline rots;
+    /// a produced entry without a row is not a finding — the rewritten
+    /// file carries it). Skipped as incomparable: sub-millisecond
+    /// baseline medians (at that scale the comparison measures timer
+    /// noise, not the code — the suites size `iters` so no tracked
+    /// scenario lands under the floor in practice), `*_gflops` entries
+    /// (rates riding the report: higher is better) and entries whose
+    /// per-repetition `iters` changed (the medians then measure
+    /// different amounts of work).
     pub fn regressions_vs(&self, baseline: &PerfReport, factor: f64) -> Vec<String> {
         let mut out = Vec::new();
         for base in &baseline.entries {
-            // Sub-ms: noise. `*_gflops`: a rate, higher is better.
-            if base.median_ms < 1.0 || base.name.ends_with("_gflops") {
-                continue;
-            }
             let Some(cur) = self.entries.iter().find(|e| e.name == base.name) else {
+                out.push(format!(
+                    "{}: in the baseline, not produced by this run",
+                    base.name
+                ));
                 continue;
             };
-            if cur.iters != base.iters {
+            // Sub-ms: noise. `*_gflops`: a rate, higher is better.
+            if base.median_ms < 1.0 || base.name.ends_with("_gflops") || cur.iters != base.iters {
                 continue;
             }
             if cur.median_ms > base.median_ms * factor {
@@ -182,7 +174,7 @@ fn sample_stats(mut samples: Vec<f64>) -> (f64, f64) {
     (median, p95)
 }
 
-/// The fixed workloads the perf suites and the criterion benches share.
+/// The fixed workloads the perf suites, `netbench` and the examples share.
 pub mod scenarios {
     use datagen::simple::uniform;
     use datagen::Dataset;
@@ -201,8 +193,8 @@ pub mod scenarios {
         pub labels: Vec<f64>,
     }
 
-    /// Build the scenario behind `BENCH_build.json` and
-    /// `benches/build_time.rs`. `fast` shrinks it to CI-smoke size.
+    /// Build the scenario behind `BENCH_build.json`. `fast` shrinks it
+    /// to CI-smoke size.
     pub fn build_scenario(fast: bool) -> BuildScenario {
         let (rows, queries) = if fast { (2_000, 300) } else { (5_000, 600) };
         let data = uniform(rows, 2, 3);
@@ -236,8 +228,7 @@ pub mod scenarios {
         pub test: Vec<Vec<f64>>,
     }
 
-    /// Build the scenario behind `BENCH_query.json` and
-    /// `benches/query_time.rs`.
+    /// Build the scenario behind `BENCH_query.json`.
     pub fn query_scenario(fast: bool) -> QueryScenario {
         let (rows, queries) = if fast { (5_000, 500) } else { (20_000, 1_200) };
         let data = uniform(rows, 3, 7);
@@ -367,69 +358,6 @@ pub fn run_build_suite(fast: bool, reps: usize) -> PerfReport {
         }),
     );
 
-    // Partial vs full refresh of a 4-shard COUNT deployment after a
-    // drifted delta lands (`refresh_full` rebuilds all four shards,
-    // `refresh_partial_1of4` only the stale one). Same iters, so the
-    // median ratio IS the partial-refresh speedup the maintenance path
-    // delivers — each stale shard relabels and retrains only its own
-    // rows, fresh shards are never touched.
-    {
-        use datagen::simple::drift_batch;
-        use neurosketch::maintenance::retrain_shards;
-        use neurosketch::shard::{build_sharded, ShardPlan};
-
-        let mut refresh_cfg = NeuroSketchConfig::small();
-        refresh_cfg.tree_height = 2;
-        refresh_cfg.target_partitions = 4;
-        refresh_cfg.train.epochs = 15;
-        let plan = ShardPlan::RoundRobin { shards: 4 };
-        let (sharded, _) = build_sharded(
-            &sc.data,
-            1,
-            &plan,
-            &sc.wl.predicate,
-            Aggregate::Count,
-            &sc.wl.queries,
-            &refresh_cfg,
-        )
-        .expect("sharded build for refresh suite");
-        let mut grown = sc.data.clone();
-        grown
-            .append(&drift_batch(sc.data.rows() / 4, 2, 1.0, 0.2, 5))
-            .expect("drift delta");
-        let iters = 3;
-        for (name, stale) in [
-            ("refresh_full", &[0usize, 1, 2, 3][..]),
-            ("refresh_partial_1of4", &[0usize][..]),
-        ] {
-            // Clone once *outside* the timed region (an in-region clone
-            // would add the same constant to both entries and bias the
-            // tracked ratio toward 1). Repeated retrains into the same
-            // deployment redo identical work: rebuilds depend only on
-            // the data and seeds, not on the current models.
-            let mut s = sharded.clone();
-            push(
-                name,
-                iters,
-                time_reps(reps, || {
-                    for _ in 0..iters {
-                        retrain_shards(
-                            &mut s,
-                            &grown,
-                            1,
-                            &sc.wl.predicate,
-                            &sc.wl.queries,
-                            &refresh_cfg,
-                            stale,
-                        )
-                        .expect("refresh");
-                        std::hint::black_box(s.param_count());
-                    }
-                }),
-            );
-        }
-    }
-
     PerfReport {
         suite: "build".into(),
         fast,
@@ -481,12 +409,11 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
     );
 
     // Serving throughput (`serve_throughput`): a fixed [`SERVE_STREAM_LEN`]-query
-    // stream answered (a) one query at a time — the pre-serving
-    // deployment model — and (b) through the batched `SketchServer` at
-    // 1 and 2 worker threads (t1 is timed further down, paired with the
-    // cold-cache entry). All three entries time the *same* total work,
-    // so throughput ratios are just inverse median ratios
-    // (qps = queries x iters / median); `perfbench` prints both.
+    // stream answered (a) one query at a time — Alg. 5's path — and
+    // (b) through the batched `SketchServer` on one worker thread (t1,
+    // timed further down, paired with the cold-cache entry). Both
+    // entries time the *same* total work, so the throughput ratio is
+    // the inverse median ratio (qps = queries x iters / median).
     let serve_queries: Vec<Vec<f64>> = sc
         .wl
         .queries
@@ -507,43 +434,13 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
             }
         }),
     );
-    // `serve_throughput_batched_t1` itself is timed inside the
-    // answer-cache block below, interleaved rep-for-rep with
-    // `serve_cached_cold` — their ratio is the tracked cold-overhead
-    // number, and paired sampling keeps that ratio out of the noise.
-    {
-        let router = DqdRouter::new(
-            sketch.clone(),
-            build_report.leaf_aqcs.clone(),
-            RoutingPolicy::default(),
-        );
-        let server = SketchServer::new(
-            router,
-            ServeOptions {
-                threads: 2,
-                max_shard: 1024,
-                active_attrs: None,
-            },
-        );
-        // Served through the unified `Deployment` surface — what every
-        // batch consumer (monitor, examples, front ends) calls.
-        let server: &dyn Deployment = &server;
-        push(
-            "serve_throughput_batched_t2",
-            iters,
-            time_reps(reps, || {
-                for _ in 0..iters {
-                    std::hint::black_box(server.answer_batch(&serve_queries));
-                }
-            }),
-        );
-    }
 
     // Answer-cache serving (`serve_cached_cold` / `serve_cached_hot`):
     // the one answer front (`CachedDeployment`) over the same t1 server as
-    // `serve_throughput_batched_t1`, so the medians decompose cleanly
-    // (the block runs back-to-back with the t1/t2 entries so the
-    // compared medians also share the machine state of the moment):
+    // `serve_throughput_batched_t1`, which is timed here too,
+    // interleaved rep for rep with `serve_cached_cold` — their ratio is
+    // the tracked cold-overhead number, and paired sampling keeps that
+    // ratio out of the noise:
     //
     //   * `serve_cached_cold` serves the *same* fixed batch as the t1
     //     baseline (identical compute and memory profile), but each
@@ -753,133 +650,6 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
         );
     }
 
-    // Scatter/gather serving over data shards (`serve_sharded_k{1,4}`):
-    // the same stream through a `ShardedServer` whose per-shard AVG
-    // deployments (count + sum model per shard) were built at the same
-    // architecture as the monolithic sketch. All shards run on this one
-    // box, so k4 pays ~4x the model evaluations of k1 — the number to
-    // watch is per-shard serving cost staying flat as K grows.
-    for k in [1usize, 4] {
-        use neurosketch::shard::{build_sharded, ShardPlan, ShardedServer};
-        let plan = ShardPlan::RoundRobin { shards: k };
-        let (sharded, _) = build_sharded(
-            &sc.data,
-            sc.measure,
-            &plan,
-            &sc.wl.predicate,
-            Aggregate::Avg,
-            &sc.train,
-            &ns_cfg,
-        )
-        .expect("sharded build for query suite");
-        let server = ShardedServer::new(
-            sharded,
-            ServeOptions {
-                threads: 2,
-                max_shard: 1024,
-                active_attrs: None,
-            },
-        );
-        let server: &dyn Deployment = &server;
-        push(
-            &format!("serve_sharded_k{k}"),
-            iters,
-            time_reps(reps, || {
-                for _ in 0..iters {
-                    std::hint::black_box(server.answer_batch(&serve_queries));
-                }
-            }),
-        );
-    }
-
-    // Replicated cluster serving (`serve_replicated_k4x2`): the same
-    // stream through a `Cluster` of 4 shard groups x 2 replicas under
-    // round-robin routing. Versus `serve_sharded_k4` the delta is the
-    // coordinator overhead per batch — generation selection, routing,
-    // and the failover re-validation — on top of the identical
-    // scatter/gather; the answers themselves are bitwise the same.
-    {
-        use neurosketch::cluster::{Cluster, ClusterOptions, RoutePolicy};
-        use neurosketch::shard::{build_sharded, ShardPlan};
-        let (sharded, _) = build_sharded(
-            &sc.data,
-            sc.measure,
-            &ShardPlan::RoundRobin { shards: 4 },
-            &sc.wl.predicate,
-            Aggregate::Avg,
-            &sc.train,
-            &ns_cfg,
-        )
-        .expect("sharded build for cluster suite");
-        let mut cluster = Cluster::new(
-            &sharded,
-            2,
-            0,
-            RoutePolicy::RoundRobin,
-            ClusterOptions {
-                threads: 2,
-                quorum: 1.0,
-                ..ClusterOptions::default()
-            },
-        )
-        .expect("cluster for query suite");
-        push(
-            "serve_replicated_k4x2",
-            iters,
-            time_reps(reps, || {
-                for _ in 0..iters {
-                    std::hint::black_box(
-                        cluster
-                            .answer_batch(&serve_queries)
-                            .expect("healthy cluster batch"),
-                    );
-                }
-            }),
-        );
-    }
-
-    // Network serving (`net_saturation_qps`): the
-    // [`SERVE_STREAM_LEN`]-query stream through the NSKW protocol server
-    // over TCP loopback, as 4 pipelined clients the server coalesces
-    // into adaptive micro-batches. A tripwire only; the wire's latency
-    // and throughput numbers of record are nsbench's
-    // (`net.single_trip_us`, `net.paced_*`, `net.saturate_p99_us`,
-    // `wire_saturate`).
-    {
-        use crate::netload;
-        use neurosketch::deploy::LiveDeployment;
-        use neurosketch::net::NetOptions;
-        use std::sync::Arc;
-
-        let router = DqdRouter::new(
-            sketch.clone(),
-            build_report.leaf_aqcs.clone(),
-            RoutingPolicy::default(),
-        );
-        let server = SketchServer::new(
-            router,
-            ServeOptions {
-                threads: 2,
-                ..ServeOptions::default()
-            },
-        );
-        let live = Arc::new(LiveDeployment::new(server, 0));
-        let dims = serve_queries[0].len();
-        let under_test = netload::spawn_server(live, dims, NetOptions::default());
-        let addr = under_test.addr;
-
-        let iters = 1;
-        push(
-            "net_saturation_qps",
-            iters,
-            time_reps(reps, || {
-                let report = netload::run_load(addr, &serve_queries, 4, 64);
-                assert_eq!(report.rejected, 0, "saturation run must not shed load");
-            }),
-        );
-        under_test.stop();
-    }
-
     let mut scratch = Vec::new();
     let iters = 1200;
     push(
@@ -1026,6 +796,17 @@ mod tests {
         // A retuned iters count makes the medians incomparable.
         cur.entries[0].iters = 2;
         assert!(cur.regressions_vs(&base, 2.0).is_empty());
+        // An entry the baseline has no row for is not a finding...
+        cur.entries.push(PerfEntry {
+            name: "new".into(),
+            ..cur.entries[0].clone()
+        });
+        assert!(cur.regressions_vs(&base, 2.0).is_empty());
+        // ...a baseline row the run no longer produces is, even a sub-ms one.
+        cur.entries.remove(1);
+        let stale = cur.regressions_vs(&base, 2.0);
+        assert_eq!(stale.len(), 1);
+        assert!(stale[0].starts_with("tiny:"), "{stale:?}");
     }
 
     #[test]

@@ -1037,21 +1037,7 @@ impl Cluster {
             .enumerate()
             .filter_map(|(g, r)| r.map(|r| (g, r)))
             .collect();
-        let per_group = scatter_moments(
-            &self.groups,
-            &jobs,
-            queries,
-            self.opts.threads.max(1),
-            self.opts.max_shard.max(1),
-        );
-        let merged: Vec<Moments> = (0..queries.len())
-            .map(|i| {
-                per_group
-                    .iter()
-                    .map(|g| g[i])
-                    .fold(Moments::ZERO, Moments::merge)
-            })
-            .collect();
+        let merged = self.gather(&jobs, queries);
         for &(g, r) in &jobs {
             self.groups[g].replicas[r].served += queries.len() as u64;
         }
@@ -1414,35 +1400,38 @@ impl Cluster {
             None
         }
     }
-}
 
-/// Pure fan-out: evaluate pre-assigned `(group, replica)` jobs over a
-/// query batch on the worker pool. Outer index of the result = job
-/// index (ascending group order), so the caller's merge order is fixed
-/// before any thread runs.
-fn scatter_moments(
-    groups: &[ShardGroup],
-    jobs: &[(usize, usize)],
-    queries: &[Vec<f64>],
-    threads: usize,
-    max_chunk: usize,
-) -> Vec<Vec<Moments>> {
-    if queries.is_empty() {
-        return jobs.iter().map(|_| Vec::new()).collect();
+    /// Evaluate pre-assigned `(group, replica)` jobs over a query batch
+    /// on the worker pool and merge each query's moments in job order
+    /// (ascending group), so the merge order is fixed before any thread
+    /// runs.
+    fn gather(&self, jobs: &[(usize, usize)], queries: &[Vec<f64>]) -> Vec<Moments> {
+        if queries.is_empty() {
+            return Vec::new();
+        }
+        let max_chunk = self.opts.max_shard.max(1);
+        let per_job = par::par_map_init(
+            jobs,
+            self.opts.threads.max(1),
+            BatchScratch::default,
+            |scratch, _, &(g, r)| {
+                let rep = &self.groups[g].replicas[r];
+                let mut moments = Vec::with_capacity(queries.len());
+                for chunk in queries.chunks(max_chunk) {
+                    moments.extend(rep.sketch.moments_batch_with(scratch, chunk));
+                }
+                moments
+            },
+        );
+        (0..queries.len())
+            .map(|i| {
+                per_job
+                    .iter()
+                    .map(|job| job[i])
+                    .fold(Moments::ZERO, Moments::merge)
+            })
+            .collect()
     }
-    par::par_map_init(
-        jobs,
-        threads,
-        BatchScratch::default,
-        |scratch, _, &(g, r)| {
-            let rep = &groups[g].replicas[r];
-            let mut moments = Vec::with_capacity(queries.len());
-            for chunk in queries.chunks(max_chunk) {
-                moments.extend(rep.sketch.moments_batch_with(scratch, chunk));
-            }
-            moments
-        },
-    )
 }
 
 /// Read-only [`Deployment`] over one replica column of a [`Cluster`].
@@ -1464,21 +1453,7 @@ impl ClusterReplicaView<'_> {
         let jobs: Vec<(usize, usize)> = (0..self.cluster.groups.len())
             .map(|g| (g, self.replica))
             .collect();
-        let per_group = scatter_moments(
-            &self.cluster.groups,
-            &jobs,
-            queries,
-            self.cluster.opts.threads.max(1),
-            self.cluster.opts.max_shard.max(1),
-        );
-        (0..queries.len())
-            .map(|i| {
-                per_group
-                    .iter()
-                    .map(|g| g[i])
-                    .fold(Moments::ZERO, Moments::merge)
-            })
-            .collect()
+        self.cluster.gather(&jobs, queries)
     }
 }
 

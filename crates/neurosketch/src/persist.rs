@@ -11,11 +11,12 @@
 //! (parameters dominate; the tree and headers are a few dozen bytes per
 //! partition).
 //!
-//! Layout (little-endian, container version 3):
+//! Layout (little-endian, container version 3 — the only version this
+//! build reads or writes):
 //!
 //! ```text
 //! magic      u32 = 0x4E53_4B32 ("NSK2")
-//! version    u32 = 3             (v1/v2 — no quant byte, no trailer — still read)
+//! version    u32 = 3
 //! query_dim  u32
 //! node_count u32
 //! per node, preorder (root = 0):
@@ -25,13 +26,13 @@
 //! per model:
 //!   leaf u32                    (node-table index of its leaf)
 //!   y_mean f64, y_std f64       (output de-standardization)
-//!   quant u8                    (v3+: QuantMode tag — 0 f32, 1 f16, 2 i8)
+//!   quant u8                    (QuantMode tag — 0 f32, 1 f16, 2 i8)
 //!   blob_len u32, blob          (the MLP via nn::binary, in that mode)
 //! router u8: 0 = absent, 1 = present
 //! router only:
 //!   min_range_volume f64, max_leaf_aqc f64
 //!   aqc_count u32, aqc f64 per leaf (sketch leaf order)
-//! checksum u64                  (v3+: FNV-1a-64 of every preceding byte)
+//! checksum u64                  (FNV-1a-64 of every preceding byte)
 //! ```
 //!
 //! ## Quantized parameter sections and the accuracy contract
@@ -49,16 +50,18 @@
 //! What f16/i8 trade away is accuracy *against the data*, not
 //! reproducibility — `docs/serving.md` quantifies the NMAE curve.
 //!
-//! The version-3 trailing checksum ([`artifact_checksum`], same FNV-1a
-//! as NSKM) is verified before any section is parsed, closing the
+//! The trailing checksum ([`artifact_checksum`], same FNV-1a as NSKM)
+//! is verified before any section is parsed, closing the
 //! single-artifact integrity gap: flipped bits anywhere in the
 //! container are [`PersistError::TrailerMismatch`], not a
-//! silently-wrong weight. Corrupt input — truncation, bad magic, an
-//! unsupported version, structural tree damage, implausible layer
-//! dimensions, non-finite f16 bits, or a non-power-of-two i8 scale —
-//! yields a typed [`PersistError`], never a panic. Version-1/2
-//! artifacts (written before the quant byte and trailer existed) still
-//! decode, as pure-f32 containers without end-to-end verification.
+//! silently-wrong weight. Corrupt input — truncation, bad magic,
+//! structural tree damage, implausible layer dimensions, non-finite
+//! f16 bits, or a non-power-of-two i8 scale — yields a typed
+//! [`PersistError`], never a panic. Any version other than
+//! [`NSK2_VERSION`] (NSKM: [`NSKM_VERSION`]) is refused as
+//! [`PersistError::UnsupportedVersion`] before anything else is read:
+//! the version field cannot select a layout without the trailer, so no
+//! artifact is ever parsed unverified.
 //!
 //! ## NSKM: the sharded-deployment manifest
 //!
@@ -74,8 +77,8 @@
 //!
 //! ```text
 //! magic       u32 = 0x4D4B_534E ("NSKM")
-//! version     u32 = 2             (v1, without the generation, still reads)
-//! generation  u64                 (v2+ only; a v1 manifest is generation 0)
+//! version     u32 = 2
+//! generation  u64
 //! aggregate   u8: 0 = COUNT, 1 = SUM, 2 = AVG, 3 = STD
 //! plan tag    u8: 0 = round-robin, 1 = blocks, 2 = hash
 //! plan shards u32;  hash only: seed u64
@@ -121,14 +124,9 @@ use std::path::{Path, PathBuf};
 /// NSK2 container magic ("NSK2" little-endian).
 pub const NSK2_MAGIC: u32 = 0x4E53_4B32;
 
-/// Newest container version this build reads and writes. Versions 1
-/// and 2 — the pre-quantization layout without the per-model mode byte
-/// and trailing checksum — still decode.
+/// The container version this build reads and writes; every other
+/// version is [`PersistError::UnsupportedVersion`].
 pub const NSK2_VERSION: u32 = 3;
-
-/// Oldest container version carrying the per-model quant byte and the
-/// trailing FNV-1a checksum.
-const NSK2_V3: u32 = 3;
 
 /// Why a persisted sketch could not be read.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,7 +138,7 @@ pub enum PersistError {
         /// The magic actually found.
         found: u32,
     },
-    /// The container version is newer than this build understands.
+    /// The container version is not the one this build reads.
     UnsupportedVersion {
         /// The version actually found.
         found: u32,
@@ -158,7 +156,7 @@ pub enum PersistError {
         /// The manifest-relative path of the missing artifact.
         path: String,
     },
-    /// A version-3 NSK2 container's trailing end-to-end checksum does
+    /// An NSK2 container's trailing end-to-end checksum does
     /// not match its bytes (partial write, bit rot, or tampering) —
     /// detected before any section is parsed.
     TrailerMismatch {
@@ -191,7 +189,7 @@ impl std::fmt::Display for PersistError {
             PersistError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "unsupported NSK2 version {found} (newest known: {NSK2_VERSION})"
+                    "unsupported NSK2 version {found} (this build reads {NSK2_VERSION})"
                 )
             }
             PersistError::Tree(e) => write!(f, "corrupt kd-tree section: {e}"),
@@ -384,8 +382,7 @@ fn encode(sketch: &NeuroSketch, router: Option<&RouterMeta>, mode: QuantMode) ->
 }
 
 /// Decode an NSK2 container produced by [`encode_sketch`] /
-/// [`encode_router`] (any version this build reads — see
-/// [`NSK2_VERSION`]).
+/// [`encode_router`].
 pub fn decode(mut data: Bytes) -> Result<Artifact, PersistError> {
     if data.remaining() < 12 {
         return Err(PersistError::Truncated("header"));
@@ -395,25 +392,23 @@ pub fn decode(mut data: Bytes) -> Result<Artifact, PersistError> {
         return Err(PersistError::BadMagic { found: magic });
     }
     let version = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes"));
-    if version == 0 || version > NSK2_VERSION {
+    if version != NSK2_VERSION {
         return Err(PersistError::UnsupportedVersion { found: version });
     }
-    if version >= NSK2_V3 {
-        // Verify the end-to-end trailer before parsing anything: a
-        // flipped bit anywhere in the container must surface as the
-        // integrity error, not as whatever section-level symptom it
-        // happens to cause (or worse, a silently-wrong weight).
-        if data.remaining() < 12 + 8 {
-            return Err(PersistError::Truncated("checksum trailer"));
-        }
-        let body = data.remaining() - 8;
-        let expected = u64::from_le_bytes(data[body..].try_into().expect("8 bytes"));
-        let found = artifact_checksum(&data[..body]);
-        if found != expected {
-            return Err(PersistError::TrailerMismatch { expected, found });
-        }
-        data = data.split_to(body);
+    // Verify the end-to-end trailer before parsing anything: a flipped
+    // bit anywhere in the container must surface as the integrity
+    // error, not as whatever section-level symptom it happens to cause
+    // (or worse, a silently-wrong weight).
+    if data.remaining() < 12 + 8 {
+        return Err(PersistError::Truncated("checksum trailer"));
     }
+    let body = data.remaining() - 8;
+    let expected = u64::from_le_bytes(data[body..].try_into().expect("8 bytes"));
+    let found = artifact_checksum(&data[..body]);
+    if found != expected {
+        return Err(PersistError::TrailerMismatch { expected, found });
+    }
+    data = data.split_to(body);
     data.advance(8); // magic + version, validated above
     let query_dim = data.get_u32_le() as usize;
 
@@ -470,11 +465,11 @@ pub fn decode(mut data: Bytes) -> Result<Artifact, PersistError> {
             leaves.len()
         )));
     }
-    let record_head = if version >= NSK2_V3 { 25 } else { 24 };
     let mut container_mode: Option<QuantMode> = None;
     let mut models = BTreeMap::new();
     for _ in 0..model_count {
-        if data.remaining() < record_head {
+        // leaf + y_mean + y_std + quant + blob_len
+        if data.remaining() < 25 {
             return Err(PersistError::Truncated("model section"));
         }
         let leaf = data.get_u32_le() as usize;
@@ -493,13 +488,9 @@ pub fn decode(mut data: Bytes) -> Result<Artifact, PersistError> {
                 "model attached to non-leaf node {leaf}"
             )));
         }
-        let mode = if version >= NSK2_V3 {
-            let tag = data.get_u8();
-            QuantMode::from_tag(tag)
-                .ok_or_else(|| PersistError::Corrupt(format!("unknown quant mode tag {tag}")))?
-        } else {
-            QuantMode::F32
-        };
+        let tag = data.get_u8();
+        let mode = QuantMode::from_tag(tag)
+            .ok_or_else(|| PersistError::Corrupt(format!("unknown quant mode tag {tag}")))?;
         // The save API writes one mode for the whole container; a mixed
         // container could not re-encode byte-idempotently, so it is
         // structural corruption, not a feature.
@@ -608,64 +599,6 @@ pub fn decode(mut data: Bytes) -> Result<Artifact, PersistError> {
     })
 }
 
-/// Write a sketch with an explicit parameter encoding — the on-disk
-/// counterpart of [`encode_sketch_with`].
-pub fn save_sketch_with(
-    path: impl AsRef<Path>,
-    sketch: &NeuroSketch,
-    mode: QuantMode,
-) -> Result<(), PersistError> {
-    std::fs::write(path, encode_sketch_with(sketch, mode))
-        .map_err(|e| PersistError::Io(e.to_string()))
-}
-
-/// Encode a sketch in the **legacy version-1 layout**: f32 parameters,
-/// no per-model quant byte, no trailing checksum. Today's builds only
-/// ever write version 3 ([`encode_sketch`]); this writer exists so
-/// backward-compatibility tests (and interop with a pre-v3 reader)
-/// can produce genuine old-format bytes instead of hand-patched ones.
-pub fn encode_sketch_legacy_v1(sketch: &NeuroSketch) -> Bytes {
-    let flat = sketch.tree().to_flat();
-    let mut buf = BytesMut::with_capacity(encoded_len_with(sketch, QuantMode::F32));
-    buf.put_u32_le(NSK2_MAGIC);
-    buf.put_u32_le(1);
-    buf.put_u32_le(sketch.query_dim() as u32);
-    buf.put_u32_le(flat.len() as u32);
-    for node in &flat {
-        match *node {
-            FlatNode::Internal {
-                dim,
-                val,
-                left,
-                right,
-            } => {
-                buf.put_u8(0);
-                buf.put_u32_le(dim as u32);
-                buf.put_f64_le(val);
-                buf.put_u32_le(left as u32);
-                buf.put_u32_le(right as u32);
-            }
-            FlatNode::Leaf => buf.put_u8(1),
-        }
-    }
-    let flat_leaves: Vec<usize> = flat
-        .iter()
-        .enumerate()
-        .filter_map(|(i, n)| matches!(n, FlatNode::Leaf).then_some(i))
-        .collect();
-    buf.put_u32_le(flat_leaves.len() as u32);
-    for (&flat_leaf, model) in flat_leaves.iter().zip(sketch.models()) {
-        buf.put_u32_le(flat_leaf as u32);
-        buf.put_f64_le(model.y_mean);
-        buf.put_f64_le(model.y_std);
-        let blob = nn::binary::encode(&model.mlp);
-        buf.put_u32_le(blob.len() as u32);
-        buf.put_slice(&blob);
-    }
-    buf.put_u8(0);
-    buf.freeze()
-}
-
 /// Write a sketch to `path` in NSK2 form.
 pub fn save_sketch(path: impl AsRef<Path>, sketch: &NeuroSketch) -> Result<(), PersistError> {
     std::fs::write(path, encode_sketch(sketch)).map_err(|e| PersistError::Io(e.to_string()))
@@ -700,9 +633,8 @@ pub fn load(path: impl AsRef<Path>) -> Result<Artifact, PersistError> {
 /// NSKM manifest magic ("NSKM" little-endian).
 pub const NSKM_MAGIC: u32 = 0x4D4B_534E;
 
-/// Newest manifest version this build writes. Version 1 — identical
-/// except for the absence of the generation field — still decodes (as
-/// generation 0).
+/// The manifest version this build reads and writes; every other
+/// version is [`PersistError::UnsupportedVersion`].
 pub const NSKM_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit hash of an artifact's bytes — the checksum the NSKM
@@ -734,8 +666,7 @@ pub struct ShardManifest {
     /// The row-assignment plan.
     pub plan: ShardPlan,
     /// Deployment generation: 0 for a fresh [`save_sharded`], bumped by
-    /// one per [`save_refreshed`]. A version-1 manifest (written before
-    /// generations existed) decodes as generation 0.
+    /// one per [`save_refreshed`].
     pub generation: u64,
     /// Per shard (in shard order), the artifact references in moment
     /// slot order.
@@ -843,19 +774,13 @@ pub fn decode_manifest(mut data: Bytes) -> Result<ShardManifest, PersistError> {
         return Err(PersistError::BadMagic { found: magic });
     }
     let version = data.get_u32_le();
-    if version == 0 || version > NSKM_VERSION {
+    if version != NSKM_VERSION {
         return Err(PersistError::UnsupportedVersion { found: version });
     }
-    // Version 1 predates generations; everything after the generation
-    // field is byte-identical across versions.
-    let generation = if version >= 2 {
-        if data.remaining() < 8 {
-            return Err(PersistError::Truncated("manifest generation"));
-        }
-        data.get_u64_le()
-    } else {
-        0
-    };
+    if data.remaining() < 8 {
+        return Err(PersistError::Truncated("manifest generation"));
+    }
+    let generation = data.get_u64_le();
     if data.remaining() < 6 {
         return Err(PersistError::Truncated("manifest plan"));
     }
@@ -1329,6 +1254,134 @@ mod tests {
         blob[body..].copy_from_slice(&c.to_le_bytes());
     }
 
+    /// A two-leaf sketch written out by hand — no training, so its bytes
+    /// are the same on every build (FMA or not).
+    fn hand_built_router() -> DqdRouter {
+        use nn::mlp::Dense;
+        use nn::{Activation, Matrix, Mlp};
+        let tree = KdTree::from_flat(
+            &[
+                FlatNode::Internal {
+                    dim: 1,
+                    val: 0.375,
+                    left: 1,
+                    right: 2,
+                },
+                FlatNode::Leaf,
+                FlatNode::Leaf,
+            ],
+            2,
+        )
+        .unwrap();
+        let mlp = |w0: [f64; 4], b0: [f64; 2], w1: [f64; 2], b1: f64| {
+            Mlp::from_layers(vec![
+                Dense {
+                    weights: Matrix::from_vec(2, 2, w0.to_vec()),
+                    biases: b0.to_vec(),
+                    activation: Activation::Relu,
+                },
+                Dense {
+                    weights: Matrix::from_vec(1, 2, w1.to_vec()),
+                    biases: vec![b1],
+                    activation: Activation::Identity,
+                },
+            ])
+            .unwrap()
+        };
+        let models = vec![
+            LeafModel::new(
+                mlp([0.5, -1.25, 0.1, 3.0], [0.0, -0.7], [2.0, -0.333], 0.25),
+                12.5,
+                3.75,
+            ),
+            LeafModel::new(
+                mlp([-0.8, 0.015625, 1e-3, 0.6], [1.5, 0.2], [-0.45, 1.0], -2.0),
+                -4.0,
+                0.5,
+            ),
+        ];
+        DqdRouter::new(
+            NeuroSketch::from_parts(tree, models, 2, QuantMode::F32),
+            vec![0.125, 7.5],
+            RoutingPolicy {
+                min_range_volume: 0.015,
+                max_leaf_aqc: 42.5,
+            },
+        )
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(u8::is_ascii_hexdigit).collect();
+        digits
+            .chunks(2)
+            .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// The NSK2 / NSKM counterpart of the wire's frozen-bytes test:
+    /// deployed artifacts are these bytes, so no edit may move one
+    /// without a new format version.
+    #[test]
+    fn artifact_bytes_of_every_mode_and_the_manifest_are_frozen() {
+        let router = hand_built_router();
+        for (mode, hex) in [
+            (
+                QuantMode::F32,
+                "324b534e 03000000 02000000 03000000 00010000 00000000 000000d8 3f010000 \
+                 00020000 00010102 00000001 00000000 00000000 00294000 00000000 000e4000 \
+                 3e000000 314b534e 02000000 02000000 02000000 00010000 00020000 00010000 \
+                 003f0000 a0bfcdcc cc3d0000 40400000 00003333 33bf0000 0040fa7e aabe0000 \
+                 803e0200 00000000 00000000 10c00000 00000000 e03f003e 00000031 4b534e02 \
+                 00000002 00000002 00000000 01000000 02000000 01cdcc4c bf000080 3c6f1283 \
+                 3a9a9919 3f0000c0 3fcdcc4c 3e6666e6 be000080 3f000000 c001b81e 85eb51b8 \
+                 8e3f0000 00000040 45400200 00000000 00000000 c03f0000 00000000 1e40628f \
+                 1033bb5d 5fe8",
+            ),
+            (
+                QuantMode::F16,
+                "324b534e 03000000 02000000 03000000 00010000 00000000 000000d8 3f010000 \
+                 00020000 00010102 00000001 00000000 00000000 00294000 00000000 000e4001 \
+                 2c000000 664b534e 02000000 02000000 02000000 00010000 00020000 00010038 \
+                 00bd662e 00420000 9ab90040 54b50034 02000000 00000000 000010c0 00000000 \
+                 0000e03f 012c0000 00664b53 4e020000 00020000 00020000 00000100 00000200 \
+                 00000166 ba002419 14cd3800 3e663233 b7003c00 c001b81e 85eb51b8 8e3f0000 \
+                 00000040 45400200 00000000 00000000 c03f0000 00000000 1e40eb08 8cad7e6b \
+                 12a5",
+            ),
+            (
+                QuantMode::I8,
+                "324b534e 03000000 02000000 03000000 00010000 00000000 000000d8 3f010000 \
+                 00020000 00010102 00000001 00000000 00000000 00294000 00000000 000e4002 \
+                 33000000 714b534e 02000000 02000000 02000000 00010000 00020000 00010000 \
+                 003d10d8 03600000 003c00a6 0000003d 40f50000 803b4002 00000000 00000000 \
+                 0010c000 00000000 00e03f02 33000000 714b534e 02000000 02000000 02000000 \
+                 00010000 00020000 00010000 003c9a02 004d0000 803c600d 0000803c e3400000 \
+                 003dc001 b81e85eb 51b88e3f 00000000 00404540 02000000 00000000 0000c03f \
+                 00000000 00001e40 6bf2edcb 5c80fd75",
+            ),
+        ] {
+            let golden = unhex(hex);
+            assert_eq!(
+                &encode_router_with(&router, mode)[..],
+                &golden[..],
+                "{mode:?}"
+            );
+            let artifact = decode(Bytes::from(golden.clone())).unwrap();
+            assert_eq!(artifact.sketch.quant_mode(), mode);
+            assert_eq!(&encode_router(&artifact.into_router())[..], &golden[..]);
+        }
+        let golden = unhex(
+            "4e534b4d 02000000 07000000 00000000 02020200 00000900 00000000 00000200 \
+             00000134 12000000 00000014 00736861 72642d30 30302e63 6f756e74 2e6e736b \
+             32017698 00000000 00001200 73686172 642d3030 302e7375 6d2e6e73 6b320001 \
+             35120000 00000000 14007368 6172642d 3030312e 636f756e 742e6e73 6b320175 \
+             98000000 00000012 00736861 72642d30 30312e73 756d2e6e 736b3200",
+        );
+        let manifest = literal_manifest();
+        assert_eq!(&encode_manifest(&manifest).unwrap()[..], &golden[..]);
+        assert_eq!(decode_manifest(Bytes::from(golden)).unwrap(), manifest);
+    }
+
     #[test]
     fn roundtrip_matches_quantized_sketch_bitwise() {
         let (sketch, _) = trained_sketch();
@@ -1443,20 +1496,20 @@ mod tests {
     #[test]
     fn rejects_trailing_garbage() {
         let (sketch, _) = trained_sketch();
-        // v3: appended bytes shift the trailer window, so the end-to-end
+        // Appended bytes shift the trailer window, so the end-to-end
         // checksum is what trips.
         let mut blob = encode_sketch(&sketch).to_vec();
         blob.extend_from_slice(b"leftover");
-        let err = decode(Bytes::from(blob)).unwrap_err();
+        let err = decode(Bytes::from(blob.clone())).unwrap_err();
         assert!(
             matches!(err, PersistError::TrailerMismatch { .. }),
             "expected trailer mismatch, got {err}"
         );
-        // Legacy v1 has no trailer; the structural trailing-bytes check
-        // still catches concatenation.
-        let mut v1 = encode_sketch_legacy_v1(&sketch).to_vec();
-        v1.extend_from_slice(b"leftover");
-        let err = decode(Bytes::from(v1)).unwrap_err();
+        // With the last eight bytes re-patched into a trailer that
+        // matches, the original trailer is left over after the router
+        // section and the structural check catches it.
+        patch_trailer(&mut blob);
+        let err = decode(Bytes::from(blob)).unwrap_err();
         assert!(
             matches!(&err, PersistError::Corrupt(m) if m.contains("trailing")),
             "expected trailing-bytes error, got {err}"
@@ -1524,12 +1577,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn manifest_encoding_roundtrips_and_validates() {
-        use crate::shard::ShardPlan;
-        use query::aggregate::{Aggregate, MomentKind};
-
-        let manifest = ShardManifest {
+    fn literal_manifest() -> ShardManifest {
+        ShardManifest {
             aggregate: Aggregate::Avg,
             plan: ShardPlan::Hash { shards: 2, seed: 9 },
             generation: 7,
@@ -1549,27 +1598,32 @@ mod tests {
                     ]
                 })
                 .collect(),
-        };
+        }
+    }
+
+    #[test]
+    fn manifest_encoding_roundtrips_and_validates() {
+        let manifest = literal_manifest();
         let blob = encode_manifest(&manifest).unwrap();
         assert_eq!(decode_manifest(blob.clone()).unwrap(), manifest);
 
-        // A version-1 manifest — same bytes minus the generation field —
-        // still decodes, as generation 0.
+        // Any other version is a typed refusal — including a genuine
+        // version-1 manifest (same bytes minus the generation field).
         let mut v1 = blob.to_vec();
         v1.drain(8..16);
         v1[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let decoded = decode_manifest(Bytes::from(v1)).unwrap();
-        assert_eq!(decoded.generation, 0);
-        assert_eq!(decoded.shards, manifest.shards);
-        assert_eq!(decoded.plan, manifest.plan);
-
-        // Versions beyond the newest known stay a typed refusal.
-        let mut future = blob.to_vec();
-        future[4..8].copy_from_slice(&9u32.to_le_bytes());
-        assert!(matches!(
-            decode_manifest(Bytes::from(future)),
-            Err(PersistError::UnsupportedVersion { found: 9 })
-        ));
+        assert_eq!(
+            decode_manifest(Bytes::from(v1)),
+            Err(PersistError::UnsupportedVersion { found: 1 })
+        );
+        for found in [0u32, 1, 9] {
+            let mut other = blob.to_vec();
+            other[4..8].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                decode_manifest(Bytes::from(other)),
+                Err(PersistError::UnsupportedVersion { found })
+            );
+        }
 
         // Wrong component set for the aggregate is structural corruption.
         let mut wrong = manifest.clone();
@@ -1717,34 +1771,27 @@ mod tests {
         assert!(encoded_len_with(&sketch, QuantMode::F16) < f32_len);
     }
 
+    /// The version field cannot opt out of verification: a valid
+    /// container whose header claims an older (or any other) version is
+    /// refused by name, with or without a matching trailer — never
+    /// parsed as a trailer-less layout.
     #[test]
-    fn legacy_v1_and_v2_artifacts_still_decode() {
-        let (sketch, _) = trained_sketch();
-        let v1 = encode_sketch_legacy_v1(&sketch);
-        let loaded = decode(v1.clone()).unwrap().sketch;
-        assert_eq!(loaded.quant_mode(), QuantMode::F32);
-        let q = sketch.quantized();
-        for i in 0..40 {
-            let query = vec![(i as f64 * 0.137) % 1.0, (i as f64 * 0.311) % 1.0];
-            assert_eq!(loaded.answer(&query), q.answer(&query), "v1 query {i}");
+    fn version_field_cannot_opt_out_of_verification() {
+        let blob = encode_router(&hand_built_router()).to_vec();
+        for found in [0u32, 1, 2, 9] {
+            let mut other = blob.clone();
+            other[4..8].copy_from_slice(&found.to_le_bytes());
+            for repatched in [false, true] {
+                if repatched {
+                    patch_trailer(&mut other);
+                }
+                assert_eq!(
+                    decode(Bytes::from(other.clone())).unwrap_err(),
+                    PersistError::UnsupportedVersion { found },
+                    "repatched trailer: {repatched}"
+                );
+            }
         }
-        // v2 shares the v1 layout; only the version field differs.
-        let mut v2 = v1.to_vec();
-        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
-        let loaded2 = decode(Bytes::from(v2)).unwrap().sketch;
-        let query = [0.5, 0.25];
-        assert_eq!(loaded2.answer(&query), q.answer(&query));
-        // Re-encoding a legacy load writes today's v3 container, which
-        // still answers identically.
-        let upgraded = decode(encode_sketch(&loaded)).unwrap().sketch;
-        assert_eq!(upgraded.answer(&query), q.answer(&query));
-        // Version 0 stays a typed refusal.
-        let mut v0 = v1.to_vec();
-        v0[4..8].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            decode(Bytes::from(v0)),
-            Err(PersistError::UnsupportedVersion { found: 0 })
-        ));
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl DqdRouter {
         self.policy
     }
 
-    /// Unwrap into the sketch, discarding AQCs and policy.
-    pub fn into_sketch(self) -> NeuroSketch {
-        self.sketch
-    }
-
     /// Decide where a query should go. `range_volume` is the product of
     /// the query's active range widths (`None` when the predicate has no
     /// meaningful volume, e.g. half-spaces — the range rule is skipped).

@@ -4,7 +4,7 @@
 //! the NeuroSketch reproduction. It provides exactly what the paper needs:
 //!
 //! * dense [`Mlp`] models with ReLU hidden layers and a linear output,
-//!   with allocation-free inference via [`Mlp::infer_with`] and a reused
+//!   with allocation-free inference via [`Mlp::forward_with`] and a reused
 //!   [`mlp::Workspace`],
 //! * mini-batch training with MSE loss and the [`optimizer::Adam`] optimizer
 //!   (Alg. 4 of the paper), executed as whole-batch GEMMs

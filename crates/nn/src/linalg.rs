@@ -246,28 +246,10 @@ pub fn matmul(c: &mut Matrix, a: &Matrix, b: &Matrix) {
     }
 }
 
-/// `y += alpha * x` for equal-length slices.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = fmadd(alpha, *xi, *yi);
-    }
-}
-
 /// Dot product of two equal-length slices.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Euclidean (L2) norm.
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
-}
-
-/// L1 norm.
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
 }
 
 #[cfg(test)]
@@ -314,8 +296,6 @@ mod tests {
 
     #[test]
     fn norms() {
-        assert_eq!(norm1(&[1.0, -2.0, 3.0]), 6.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
     }
 

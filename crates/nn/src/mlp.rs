@@ -289,7 +289,21 @@ impl Mlp {
     }
 
     /// Forward pass using caller-provided scratch space; returns a slice
-    /// into the workspace valid until the next call.
+    /// into the workspace valid until the next call. Reuse one
+    /// [`Workspace`] across calls (e.g. one per worker thread) and no
+    /// allocation happens after the first call:
+    ///
+    /// ```
+    /// use nn::mlp::Workspace;
+    /// use nn::Mlp;
+    ///
+    /// let mlp = Mlp::new(&[2, 8, 1], 7);
+    /// let mut ws = Workspace::default();
+    /// for q in [[0.1, 0.2], [0.3, 0.4]] {
+    ///     let y = mlp.forward_with(&mut ws, &q)[0];
+    ///     assert!(y.is_finite());
+    /// }
+    /// ```
     pub fn forward_with<'w>(&self, ws: &'w mut Workspace, x: &[f64]) -> &'w [f64] {
         assert_eq!(
             x.len(),
@@ -357,29 +371,6 @@ impl Mlp {
             acts.push(z);
         }
         (pre, acts)
-    }
-
-    /// Inference with caller-provided scratch space — the public
-    /// allocation-free entry point for answering queries.
-    ///
-    /// Identical to [`Mlp::forward_with`]; the name exists so call sites
-    /// that *serve* rather than *train* read naturally. Reuse one
-    /// [`Workspace`] across calls (e.g. one per worker thread) and no
-    /// allocation happens after the first call:
-    ///
-    /// ```
-    /// use nn::mlp::Workspace;
-    /// use nn::Mlp;
-    ///
-    /// let mlp = Mlp::new(&[2, 8, 1], 7);
-    /// let mut ws = Workspace::default();
-    /// for q in [[0.1, 0.2], [0.3, 0.4]] {
-    ///     let y = mlp.infer_with(&mut ws, &q)[0];
-    ///     assert!(y.is_finite());
-    /// }
-    /// ```
-    pub fn infer_with<'w>(&self, ws: &'w mut Workspace, x: &[f64]) -> &'w [f64] {
-        self.forward_with(ws, x)
     }
 
     /// Input width followed by every layer's output width.
@@ -1114,13 +1105,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn infer_with_matches_forward() {
-        let m = tiny();
-        let mut ws = Workspace::default();
-        let x = [0.4, 0.6];
-        assert_eq!(m.infer_with(&mut ws, &x).to_vec(), m.forward(&x));
     }
 }
