@@ -18,23 +18,25 @@
 //! never a silent blend of generations: one batch is served entirely
 //! from one generation.
 //!
-//! A batch is route → scatter → finish, and the cluster holds no answer
-//! cache: a degraded batch's partial answers (uncovered groups fold
-//! zero moments into every query) have nowhere to be stored or served
-//! from.
+//! A batch is route → scatter → finish: the router picks one replica
+//! per group, and that selection — a [`ClusterReplicaView`] — runs
+//! [`crate::shard`]'s scatter/gather over the chosen sketches. The
+//! cluster holds no answer cache: a degraded batch's partial answers
+//! (uncovered groups contribute nothing to a query's merge) have
+//! nowhere to be stored or served from.
 //!
 //! Determinism contract: with the same cluster state, fault plan, and
 //! batch sequence, answers **and the event log** are bitwise identical
 //! at any thread count. All routing and fault decisions are made on
-//! the coordinator before the parallel scatter; workers only run
-//! pre-assigned `(group, replica)` jobs.
+//! the coordinator before the parallel scatter; workers only evaluate
+//! the sketches they were handed, and the merge order is group order.
 
 use crate::deploy::{DeployKind, DeployStats, Deployment, DeploymentInfo};
 use crate::persist::{self, PersistError};
 use crate::shard::{
-    build_shard_sketch, finish_guarded, splitmix64, ShardPlan, ShardSketch, ShardedSketch,
+    finish_guarded, scatter_gather, splitmix64, ShardPlan, ShardSketch, ShardTables, ShardedSketch,
 };
-use crate::sketch::{BatchScratch, NeuroSketchConfig};
+use crate::sketch::NeuroSketchConfig;
 use crate::SketchError;
 use datagen::Dataset;
 use query::aggregate::{Aggregate, Moments};
@@ -112,6 +114,31 @@ pub struct Replica {
 }
 
 impl Replica {
+    /// A replica that has served nothing and was never upgraded or
+    /// pinned — how every slot starts, in rotation or not.
+    fn new(sketch: ShardSketch, generation: u64, health: ReplicaHealth) -> Replica {
+        Replica {
+            sketch,
+            generation,
+            health,
+            pinned: false,
+            served: 0,
+            upgrade_seq: 0,
+        }
+    }
+
+    /// A slot whose artifact never loaded: no models, out of rotation
+    /// until [`Cluster::repair_replica`].
+    fn load_failed() -> Replica {
+        let no_models = ShardSketch::from_models([None, None, None]);
+        Replica::new(no_models, 0, ReplicaHealth::LoadFailed)
+    }
+
+    /// Whether routing may send a batch served at `generation` here.
+    fn serves(&self, generation: u64) -> bool {
+        self.health == ReplicaHealth::Healthy && self.generation == generation
+    }
+
     /// NSKM generation of the artifact this replica serves.
     pub fn generation(&self) -> u64 {
         self.generation
@@ -470,89 +497,6 @@ pub struct ClusterBatchReport {
     pub chosen: Vec<Option<usize>>,
 }
 
-/// Every decision [`Cluster::route_batch`] made for one batch, enough
-/// to scatter the queries and to assemble the batch report.
-struct RouteDecision {
-    target: u64,
-    latest: u64,
-    stale: bool,
-    chosen: Vec<Option<usize>>,
-    covered: usize,
-    failovers: usize,
-}
-
-impl RouteDecision {
-    fn into_report(self, queries: usize, groups: usize) -> ClusterBatchReport {
-        ClusterBatchReport {
-            queries,
-            generation: self.target,
-            latest: self.latest,
-            stale: self.stale,
-            covered: self.covered,
-            groups,
-            failovers: self.failovers,
-            chosen: self.chosen,
-        }
-    }
-}
-
-/// Outcome of one [`Cluster::rolling_upgrade_step`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum UpgradeStep {
-    /// A replica was swapped to the manifest's generation.
-    Upgraded {
-        /// Group index.
-        group: usize,
-        /// Replica index.
-        replica: usize,
-        /// Generation before.
-        from: u64,
-        /// Generation after.
-        to: u64,
-    },
-    /// A [`Fault::StaleGeneration`] pinned the replica instead.
-    PinnedStale {
-        /// Group index.
-        group: usize,
-        /// Replica index.
-        replica: usize,
-        /// Generation it is pinned at.
-        generation: u64,
-    },
-    /// A [`Fault::TornManifest`] tore the upgrade; the replica stays
-    /// at its old generation, pinned.
-    Torn {
-        /// Group index.
-        group: usize,
-        /// Replica index.
-        replica: usize,
-        /// Generation it remains at.
-        generation: u64,
-    },
-    /// A [`Fault::CorruptArtifact`] corrupted the new artifact; the
-    /// replica left rotation.
-    Corrupt {
-        /// Group index.
-        group: usize,
-        /// Replica index.
-        replica: usize,
-    },
-    /// Loading the new artifact failed with a typed persistence error.
-    LoadFailed {
-        /// Group index.
-        group: usize,
-        /// Replica index.
-        replica: usize,
-        /// The typed error, rendered.
-        error: String,
-    },
-    /// Every upgradeable replica is at the manifest's generation.
-    Done {
-        /// The generation the cluster converged to.
-        generation: u64,
-    },
-}
-
 /// A replicated scatter/gather deployment over shard groups, plus the
 /// control plane (rolling upgrades, repair, rebalance) and the fault
 /// harness. See the [module docs](crate::cluster) for the determinism
@@ -568,6 +512,12 @@ pub struct Cluster {
     faults: Vec<Fault>,
     fired: Vec<bool>,
     events: Vec<ClusterEvent>,
+}
+
+/// Shard groups a batch must cover: `⌈quorum × groups⌉`, at least one
+/// and never more than there are.
+fn quorum_needed(groups: usize, quorum: f64) -> usize {
+    ((quorum * groups as f64).ceil() as usize).clamp(1, groups.max(1))
 }
 
 fn validate_opts(opts: &ClusterOptions) -> Result<(), ClusterError> {
@@ -604,14 +554,7 @@ impl Cluster {
                 logical: vec![i],
                 physical: Some(i),
                 replicas: (0..replicas)
-                    .map(|_| Replica {
-                        sketch: shard.clone(),
-                        generation,
-                        health: ReplicaHealth::Healthy,
-                        pinned: false,
-                        served: 0,
-                        upgrade_seq: 0,
-                    })
+                    .map(|_| Replica::new(shard.clone(), generation, ReplicaHealth::Healthy))
                     .collect(),
                 rr_cursor: 0,
             })
@@ -649,77 +592,54 @@ impl Cluster {
             ));
         }
         let mut events = Vec::new();
+        // One read and one decode per column; every shard of the column
+        // then loads against that value.
         let decoded: Vec<Result<persist::ShardManifest, PersistError>> = replica_manifests
             .iter()
-            .map(|p| {
-                let raw = std::fs::read(p.as_ref()).map_err(|e| PersistError::Io(e.to_string()))?;
-                persist::decode_manifest(bytes::Bytes::from(raw))
+            .map(persist::read_manifest)
+            .collect();
+        let Some(base) = decoded.iter().find_map(|d| d.as_ref().ok()).cloned() else {
+            // No readable manifest at all: surface the first error.
+            let first = decoded.into_iter().next().expect("non-empty").unwrap_err();
+            return Err(ClusterError::Persist(first));
+        };
+        let columns: Vec<Option<persist::ShardManifest>> = decoded
+            .into_iter()
+            .enumerate()
+            .map(|(r, d)| {
+                let error = match d {
+                    Ok(m) if m.plan == base.plan && m.aggregate == base.aggregate => {
+                        return Some(m);
+                    }
+                    Ok(m) => format!(
+                        "replica manifest disagrees with the cluster: plan {:?} vs {:?}, \
+                         aggregate {} vs {}",
+                        m.plan,
+                        base.plan,
+                        m.aggregate.name(),
+                        base.aggregate.name()
+                    ),
+                    Err(e) => e.to_string(),
+                };
+                events.push(ClusterEvent::ManifestRejected { replica: r, error });
+                None
             })
             .collect();
-        let base = match decoded.iter().find_map(|d| d.as_ref().ok()) {
-            Some(m) => m.clone(),
-            None => {
-                // No readable manifest at all: surface the first error.
-                let first = decoded.into_iter().next().expect("non-empty").unwrap_err();
-                return Err(ClusterError::Persist(first));
-            }
-        };
-        let mut usable: Vec<bool> = Vec::with_capacity(decoded.len());
-        for (r, d) in decoded.iter().enumerate() {
-            match d {
-                Ok(m) if m.plan == base.plan && m.aggregate == base.aggregate => usable.push(true),
-                Ok(m) => {
-                    events.push(ClusterEvent::ManifestRejected {
-                        replica: r,
-                        error: format!(
-                            "replica manifest disagrees with the cluster: plan {:?} vs {:?}, \
-                             aggregate {} vs {}",
-                            m.plan,
-                            base.plan,
-                            m.aggregate.name(),
-                            base.aggregate.name()
-                        ),
-                    });
-                    usable.push(false);
-                }
-                Err(e) => {
-                    events.push(ClusterEvent::ManifestRejected {
-                        replica: r,
-                        error: e.to_string(),
-                    });
-                    usable.push(false);
-                }
-            }
-        }
-        let shards = base.plan.shards();
         let mut healthy_total = 0usize;
-        let groups: Vec<ShardGroup> = (0..shards)
+        let groups: Vec<ShardGroup> = (0..base.plan.shards())
             .map(|g| {
-                let replicas = replica_manifests
+                let replicas = columns
                     .iter()
+                    .zip(replica_manifests)
                     .enumerate()
-                    .map(|(r, path)| {
-                        if !usable[r] {
-                            return Replica {
-                                sketch: ShardSketch::from_models([None, None, None]),
-                                generation: 0,
-                                health: ReplicaHealth::LoadFailed,
-                                pinned: false,
-                                served: 0,
-                                upgrade_seq: 0,
-                            };
-                        }
-                        match persist::load_shard(path.as_ref(), g) {
-                            Ok((sketch, manifest)) => {
+                    .map(|(r, (column, path))| {
+                        let Some(manifest) = column else {
+                            return Replica::load_failed();
+                        };
+                        match persist::load_shard(manifest, path, g) {
+                            Ok(sketch) => {
                                 healthy_total += 1;
-                                Replica {
-                                    sketch,
-                                    generation: manifest.generation,
-                                    health: ReplicaHealth::Healthy,
-                                    pinned: false,
-                                    served: 0,
-                                    upgrade_seq: 0,
-                                }
+                                Replica::new(sketch, manifest.generation, ReplicaHealth::Healthy)
                             }
                             Err(e) => {
                                 events.push(ClusterEvent::ReplicaLoadFailed {
@@ -727,14 +647,7 @@ impl Cluster {
                                     replica: r,
                                     error: e.to_string(),
                                 });
-                                Replica {
-                                    sketch: ShardSketch::from_models([None, None, None]),
-                                    generation: 0,
-                                    health: ReplicaHealth::LoadFailed,
-                                    pinned: false,
-                                    served: 0,
-                                    upgrade_seq: 0,
-                                }
+                                Replica::load_failed()
                             }
                         }
                     })
@@ -785,16 +698,6 @@ impl Cluster {
         self.aggregate
     }
 
-    /// The routing policy.
-    pub fn policy(&self) -> RoutePolicy {
-        self.policy
-    }
-
-    /// The serving options.
-    pub fn options(&self) -> ClusterOptions {
-        self.opts
-    }
-
     /// The shard groups, in gather (merge) order.
     pub fn groups(&self) -> &[ShardGroup] {
         &self.groups
@@ -816,39 +719,30 @@ impl Cluster {
     }
 
     fn quorum_needed(&self) -> usize {
-        let groups = self.groups.len();
-        ((self.opts.quorum * groups as f64).ceil() as usize).clamp(1, groups.max(1))
+        quorum_needed(self.groups.len(), self.opts.quorum)
+    }
+
+    /// Take the first armed fault `hit` accepts, in plan order. The one
+    /// place a fault fires, so each fires at most once.
+    fn take_fault(&mut self, hit: impl Fn(&Fault) -> bool) -> Option<Fault> {
+        let i = (0..self.faults.len()).find(|&i| !self.fired[i] && hit(&self.faults[i]))?;
+        self.fired[i] = true;
+        Some(self.faults[i])
     }
 
     /// Fire pending kill faults whose batch counter has arrived.
     fn fire_kills(&mut self, batch: u64) {
-        for (i, fault) in self.faults.iter().enumerate() {
-            if self.fired[i] {
-                continue;
-            }
-            if let Fault::Kill {
-                batch: at,
-                group,
-                replica,
-            } = *fault
-            {
-                if at <= batch {
-                    self.fired[i] = true;
-                    if let Some(rep) = self
-                        .groups
-                        .get_mut(group)
-                        .and_then(|g| g.replicas.get_mut(replica))
-                    {
-                        if rep.health == ReplicaHealth::Healthy {
-                            rep.health = ReplicaHealth::Killed;
-                            self.events.push(ClusterEvent::ReplicaKilled {
-                                batch,
-                                group,
-                                replica,
-                            });
-                        }
-                    }
-                }
+        let due = |f: &Fault| matches!(f, Fault::Kill { batch: at, .. } if *at <= batch);
+        while let Some(Fault::Kill { group, replica, .. }) = self.take_fault(due) {
+            let slot = self.groups.get_mut(group);
+            let slot = slot.and_then(|g| g.replicas.get_mut(replica));
+            if let Some(rep) = slot.filter(|r| r.health == ReplicaHealth::Healthy) {
+                rep.health = ReplicaHealth::Killed;
+                self.events.push(ClusterEvent::ReplicaKilled {
+                    batch,
+                    group,
+                    replica,
+                });
             }
         }
     }
@@ -860,7 +754,7 @@ impl Cluster {
             .replicas
             .iter()
             .enumerate()
-            .filter(|(_, r)| r.health == ReplicaHealth::Healthy && r.generation == generation)
+            .filter(|(_, r)| r.serves(generation))
             .map(|(i, _)| i)
             .collect();
         if eligible.is_empty() {
@@ -908,11 +802,7 @@ impl Cluster {
             let covered = self
                 .groups
                 .iter()
-                .filter(|g| {
-                    g.replicas
-                        .iter()
-                        .any(|r| r.health == ReplicaHealth::Healthy && r.generation == gen)
-                })
+                .filter(|g| g.replicas.iter().any(|r| r.serves(gen)))
                 .count();
             best_covered = best_covered.max(covered);
             if covered >= needed {
@@ -940,11 +830,12 @@ impl Cluster {
         })
     }
 
-    /// Serve a batch at the moment level: scatter each query to the
-    /// chosen replica of every covered group, gather by merging group
-    /// moments in group order. Same merge order and finisher as
-    /// [`crate::shard::ShardedServer`], so a fully-healthy cluster's
-    /// answers are bitwise the single-box answers.
+    /// Serve a batch at the moment level: route, then scatter every
+    /// query to the chosen replica of every covered group and merge
+    /// group moments in group order — [`crate::shard`]'s one
+    /// scatter/gather over the replicas routing selected, so a
+    /// fully-healthy cluster's answers are bitwise the single-box
+    /// [`crate::shard::ShardedServer`] answers.
     ///
     /// Degrades typed: a down replica fails over
     /// ([`ClusterEvent::Failover`]), a generation behind the newest
@@ -955,16 +846,27 @@ impl Cluster {
         &mut self,
         queries: &[Vec<f64>],
     ) -> Result<(Vec<Moments>, ClusterBatchReport), ClusterError> {
-        let route = self.route_batch()?;
-        let merged = self.scatter_chosen(&route.chosen, queries);
-        let report = route.into_report(queries.len(), self.groups.len());
-        Ok((merged, report))
+        self.serve(queries, |m| m)
     }
 
-    /// Make every routing decision for one batch — generation
-    /// selection, kill firing, failover re-validation, quorum check,
-    /// stale event — without touching any query.
-    fn route_batch(&mut self) -> Result<RouteDecision, ClusterError> {
+    /// Route one batch, then scatter it through the view the routing
+    /// decision selected, finishing each query's merged moments once.
+    fn serve<T>(
+        &mut self,
+        queries: &[Vec<f64>],
+        finish: impl Fn(Moments) -> T,
+    ) -> Result<(Vec<T>, ClusterBatchReport), ClusterError> {
+        let report = self.route_batch(queries.len())?;
+        let (served, _) = self.view(report.chosen.clone()).scatter(queries, finish);
+        Ok((served, report))
+    }
+
+    /// Make every routing decision for one batch of `queries` queries —
+    /// generation selection, kill firing, failover re-validation, quorum
+    /// check, stale event, load accounting — without touching any
+    /// query. What is left is pure compute over the report's `chosen`
+    /// replicas, deterministic at any thread count.
+    fn route_batch(&mut self, queries: usize) -> Result<ClusterBatchReport, ClusterError> {
         let batch = self.batches;
         self.batches += 1;
         let (target, latest, mut chosen) = self.select(batch)?;
@@ -976,9 +878,7 @@ impl Cluster {
         let mut failovers = 0usize;
         for (gi, slot) in chosen.iter_mut().enumerate() {
             if let Some(r) = *slot {
-                let healthy = self.groups[gi].replicas[r].health == ReplicaHealth::Healthy
-                    && self.groups[gi].replicas[r].generation == target;
-                if !healthy {
+                if !self.groups[gi].replicas[r].serves(target) {
                     let repick = Cluster::pick(&mut self.groups[gi], self.policy, target);
                     match repick {
                         Some(to) => {
@@ -1000,7 +900,7 @@ impl Cluster {
                 }
             }
         }
-        let covered = chosen.iter().filter(|c| c.is_some()).count();
+        let covered = chosen.iter().flatten().count();
         let needed = self.quorum_needed();
         if covered < needed {
             return Err(ClusterError::QuorumLost {
@@ -1017,31 +917,21 @@ impl Cluster {
                 latest,
             });
         }
-        Ok(RouteDecision {
-            target,
+        for (group, r) in self.groups.iter_mut().zip(&chosen) {
+            if let Some(r) = *r {
+                group.replicas[r].served += queries as u64;
+            }
+        }
+        Ok(ClusterBatchReport {
+            queries,
+            generation: target,
             latest,
             stale,
-            chosen,
             covered,
+            groups: self.groups.len(),
             failovers,
+            chosen,
         })
-    }
-
-    /// Fan a batch out over pre-assigned (group, replica) jobs and
-    /// merge per-group moments in group order. All decisions were made
-    /// by [`Cluster::route_batch`]; this is pure compute —
-    /// deterministic at any thread count.
-    fn scatter_chosen(&mut self, chosen: &[Option<usize>], queries: &[Vec<f64>]) -> Vec<Moments> {
-        let jobs: Vec<(usize, usize)> = chosen
-            .iter()
-            .enumerate()
-            .filter_map(|(g, r)| r.map(|r| (g, r)))
-            .collect();
-        let merged = self.gather(&jobs, queries);
-        for &(g, r) in &jobs {
-            self.groups[g].replicas[r].served += queries.len() as u64;
-        }
-        merged
     }
 
     /// Serve a batch of final answers: [`Cluster::moments_batch`]
@@ -1053,49 +943,29 @@ impl Cluster {
         &mut self,
         queries: &[Vec<f64>],
     ) -> Result<(Vec<f64>, ClusterBatchReport), ClusterError> {
-        let (moments, report) = self.moments_batch(queries)?;
         let agg = self.aggregate;
-        let answers = moments
-            .into_iter()
-            .map(|m| finish_guarded(agg, m))
-            .collect();
-        Ok((answers, report))
-    }
-
-    /// Find the first unfired upgrade fault targeting `(group,
-    /// replica)` and mark it fired.
-    fn take_upgrade_fault(&mut self, group: usize, replica: usize) -> Option<Fault> {
-        for (i, fault) in self.faults.iter().enumerate() {
-            if self.fired[i] {
-                continue;
-            }
-            let hit = matches!(
-                *fault,
-                Fault::StaleGeneration { group: g, replica: r }
-                | Fault::TornManifest { group: g, replica: r }
-                | Fault::CorruptArtifact { group: g, replica: r }
-                    if g == group && r == replica
-            );
-            if hit {
-                self.fired[i] = true;
-                return Some(self.faults[i]);
-            }
-        }
-        None
+        self.serve(queries, |m| finish_guarded(agg, m))
     }
 
     /// Advance the rolling upgrade by one replica: find the first
     /// healthy, unpinned replica behind the manifest's generation (in
     /// group, then replica order) and swap its artifact in. Armed
     /// upgrade faults intercept the swap with their typed outcome.
-    /// Returns [`UpgradeStep::Done`] when no replica is upgradeable.
+    /// Returns the event the step logged — one of
+    /// [`ClusterEvent::UpgradeApplied`], [`ClusterEvent::UpgradePinnedStale`],
+    /// [`ClusterEvent::UpgradeTorn`], [`ClusterEvent::UpgradeCorrupt`],
+    /// [`ClusterEvent::ReplicaLoadFailed`] — or `None` (nothing logged)
+    /// when every upgradeable replica is at the manifest's generation.
+    ///
+    /// The manifest is read once: the generation the step reports, the
+    /// checks it makes and the shard it installs all come from that one
+    /// value, whatever lands on disk meanwhile.
     pub fn rolling_upgrade_step(
         &mut self,
         manifest_path: impl AsRef<Path>,
-    ) -> Result<UpgradeStep, ClusterError> {
+    ) -> Result<Option<ClusterEvent>, ClusterError> {
         let manifest_path = manifest_path.as_ref();
-        let raw = std::fs::read(manifest_path).map_err(|e| PersistError::Io(e.to_string()))?;
-        let manifest = persist::decode_manifest(bytes::Bytes::from(raw))?;
+        let manifest = persist::read_manifest(manifest_path)?;
         if manifest.aggregate != self.aggregate {
             return Err(ClusterError::BadTopology(format!(
                 "manifest aggregate {} does not match cluster aggregate {}",
@@ -1114,111 +984,89 @@ impl Cluster {
                     .map(|ri| (gi, ri, phys))
             })
         });
-        let Some((gi, ri, phys)) = candidate else {
-            return Ok(UpgradeStep::Done { generation: target });
+        let Some((group, replica, phys)) = candidate else {
+            return Ok(None);
         };
         if phys >= manifest.shards.len() {
             return Err(ClusterError::BadTopology(format!(
-                "group {gi} is backed by manifest shard {phys}, but the manifest has only {} shards",
+                "group {group} is backed by manifest shard {phys}, but the manifest has only {} shards",
                 manifest.shards.len()
             )));
         }
-        match self.take_upgrade_fault(gi, ri) {
+        let fault = self.take_fault(|f| {
+            matches!(
+                *f,
+                Fault::StaleGeneration { group: g, replica: r }
+                | Fault::TornManifest { group: g, replica: r }
+                | Fault::CorruptArtifact { group: g, replica: r }
+                    if (g, r) == (group, replica)
+            )
+        });
+        let rep = &mut self.groups[group].replicas[replica];
+        let generation = rep.generation;
+        let event = match fault {
             Some(Fault::StaleGeneration { .. }) => {
-                let gen = self.groups[gi].replicas[ri].generation;
-                self.groups[gi].replicas[ri].pinned = true;
-                self.events.push(ClusterEvent::UpgradePinnedStale {
-                    group: gi,
-                    replica: ri,
-                    generation: gen,
-                });
-                Ok(UpgradeStep::PinnedStale {
-                    group: gi,
-                    replica: ri,
-                    generation: gen,
-                })
+                rep.pinned = true;
+                ClusterEvent::UpgradePinnedStale {
+                    group,
+                    replica,
+                    generation,
+                }
             }
             Some(Fault::TornManifest { .. }) => {
-                let gen = self.groups[gi].replicas[ri].generation;
-                self.groups[gi].replicas[ri].pinned = true;
-                self.events.push(ClusterEvent::UpgradeTorn {
-                    group: gi,
-                    replica: ri,
-                    generation: gen,
-                });
-                Ok(UpgradeStep::Torn {
-                    group: gi,
-                    replica: ri,
-                    generation: gen,
-                })
+                rep.pinned = true;
+                ClusterEvent::UpgradeTorn {
+                    group,
+                    replica,
+                    generation,
+                }
             }
             Some(Fault::CorruptArtifact { .. }) => {
-                self.groups[gi].replicas[ri].health = ReplicaHealth::CorruptArtifact;
-                self.events.push(ClusterEvent::UpgradeCorrupt {
-                    group: gi,
-                    replica: ri,
-                });
-                Ok(UpgradeStep::Corrupt {
-                    group: gi,
-                    replica: ri,
-                })
+                rep.health = ReplicaHealth::CorruptArtifact;
+                ClusterEvent::UpgradeCorrupt { group, replica }
             }
-            _ => match persist::load_shard(manifest_path, phys) {
-                Ok((sketch, m)) => {
-                    let from = self.groups[gi].replicas[ri].generation;
+            _ => match persist::load_shard(&manifest, manifest_path, phys) {
+                Ok(sketch) => {
                     self.upgrade_seq += 1;
-                    let rep = &mut self.groups[gi].replicas[ri];
                     rep.sketch = sketch;
-                    rep.generation = m.generation;
+                    rep.generation = target;
                     rep.upgrade_seq = self.upgrade_seq;
-                    self.events.push(ClusterEvent::UpgradeApplied {
-                        group: gi,
-                        replica: ri,
-                        from,
-                        to: m.generation,
-                    });
-                    Ok(UpgradeStep::Upgraded {
-                        group: gi,
-                        replica: ri,
-                        from,
-                        to: m.generation,
-                    })
+                    ClusterEvent::UpgradeApplied {
+                        group,
+                        replica,
+                        from: generation,
+                        to: target,
+                    }
                 }
                 Err(e) => {
-                    self.groups[gi].replicas[ri].health = ReplicaHealth::LoadFailed;
-                    let error = e.to_string();
-                    self.events.push(ClusterEvent::ReplicaLoadFailed {
-                        group: gi,
-                        replica: ri,
-                        error: error.clone(),
-                    });
-                    Ok(UpgradeStep::LoadFailed {
-                        group: gi,
-                        replica: ri,
-                        error,
-                    })
+                    rep.health = ReplicaHealth::LoadFailed;
+                    ClusterEvent::ReplicaLoadFailed {
+                        group,
+                        replica,
+                        error: e.to_string(),
+                    }
                 }
             },
-        }
+        };
+        self.events.push(event.clone());
+        Ok(Some(event))
     }
 
-    /// Run [`Cluster::rolling_upgrade_step`] to completion. Returns
-    /// the step log ending in [`UpgradeStep::Done`]. Faulted replicas
-    /// stay behind or out of rotation — the roll completes around
-    /// them; quorum-checking their absence is the serving path's job.
+    /// Run [`Cluster::rolling_upgrade_step`] to completion and return
+    /// the events its steps logged, in order. Faulted replicas stay
+    /// behind or out of rotation — the roll completes around them;
+    /// quorum-checking their absence is the serving path's job.
     pub fn rolling_upgrade(
         &mut self,
         manifest_path: impl AsRef<Path>,
-    ) -> Result<Vec<UpgradeStep>, ClusterError> {
+    ) -> Result<Vec<ClusterEvent>, ClusterError> {
         let manifest_path = manifest_path.as_ref();
         let cap = self.groups.iter().map(|g| g.replicas.len()).sum::<usize>() + 1;
         let mut steps = Vec::new();
         for _ in 0..cap {
-            let step = self.rolling_upgrade_step(manifest_path)?;
-            let done = matches!(step, UpgradeStep::Done { .. });
-            steps.push(step);
-            if done {
-                return Ok(steps);
+            match self.rolling_upgrade_step(manifest_path)? {
+                Some(event) => steps.push(event),
+                None => return Ok(steps),
             }
         }
         Err(ClusterError::BadTopology(
@@ -1248,20 +1096,22 @@ impl Cluster {
                 "group {group} has no replica {replica}"
             )));
         }
-        let (sketch, m) = persist::load_shard(manifest_path.as_ref(), phys)?;
+        let manifest_path = manifest_path.as_ref();
+        let manifest = persist::read_manifest(manifest_path)?;
+        let sketch = persist::load_shard(&manifest, manifest_path, phys)?;
         self.upgrade_seq += 1;
         let rep = &mut self.groups[group].replicas[replica];
         rep.sketch = sketch;
-        rep.generation = m.generation;
+        rep.generation = manifest.generation;
         rep.health = ReplicaHealth::Healthy;
         rep.pinned = false;
         rep.upgrade_seq = self.upgrade_seq;
         self.events.push(ClusterEvent::ReplicaRepaired {
             group,
             replica,
-            generation: m.generation,
+            generation: manifest.generation,
         });
-        Ok(m.generation)
+        Ok(manifest.generation)
     }
 
     /// Refine the plan K → K·`factor` without rebuilding: each group
@@ -1291,12 +1141,15 @@ impl Cluster {
     }
 
     /// Split a coarse (post-rebalance) group into one group per
-    /// logical shard, building each fine shard's models from the data.
-    /// Seed derivation is positional (new-plan shard index), so a
+    /// logical shard, building each fine shard's models from the data
+    /// through the same validation and build step as
+    /// [`crate::shard::build_sharded`] (`cfg.threads` wide). Seed
+    /// derivation is positional (new-plan shard index), so a
     /// fully materialized K→2K cluster is bitwise a fresh 2K build.
     /// New groups inherit the parent's replica bookkeeping
     /// (generation, health, pin, served, cursor) but have no
-    /// persistence backing until re-saved.
+    /// persistence backing until re-saved. Any error leaves the group
+    /// as it was.
     #[allow(clippy::too_many_arguments)]
     pub fn materialize_group(
         &mut self,
@@ -1315,41 +1168,10 @@ impl Cluster {
         if g.logical.len() <= 1 {
             return Ok(());
         }
-        let kinds = self.aggregate.required_moments().ok_or_else(|| {
-            ClusterError::BadTopology(format!(
-                "aggregate {} is not moment-composable",
-                self.aggregate.name()
-            ))
-        })?;
-        self.plan.validate(data.rows())?;
-        let assignment = self.plan.assignment(data.rows());
         let logical = g.logical.clone();
-        let tables: Vec<(usize, Dataset)> = logical
-            .iter()
-            .map(|&l| {
-                let rows = assignment.get(l).map(Vec::as_slice).unwrap_or(&[]);
-                if rows.is_empty() {
-                    return Err(ClusterError::Sketch(SketchError::BadConfig(format!(
-                        "logical shard {l} owns no rows; materialization would build an \
-                         untrained model"
-                    ))));
-                }
-                Ok((l, data.select_rows(rows)))
-            })
-            .collect::<Result<_, _>>()?;
-        let built: Vec<Result<(usize, ShardSketch), SketchError>> = par::par_map_init(
-            &tables,
-            self.opts.threads.max(1),
-            || (),
-            |_, _, (l, table)| {
-                build_shard_sketch(*l, table, measure, predicate, kinds, train_queries, cfg)
-                    .map(|(sketch, _, _)| (*l, sketch))
-            },
-        );
-        let mut fine: Vec<(usize, ShardSketch)> = Vec::with_capacity(built.len());
-        for r in built {
-            fine.push(r?);
-        }
+        // `partial`: every other group keeps the models it has.
+        let tables = ShardTables::new(&self.plan, self.aggregate, data, &logical, true)?;
+        let (fine, _) = tables.build(measure, predicate, train_queries, cfg)?;
         let parent = self.groups.remove(group);
         for (l, sketch) in fine {
             let replicas = parent
@@ -1357,11 +1179,7 @@ impl Cluster {
                 .iter()
                 .map(|r| Replica {
                     sketch: sketch.clone(),
-                    generation: r.generation,
-                    health: r.health,
-                    pinned: r.pinned,
-                    served: r.served,
-                    upgrade_seq: r.upgrade_seq,
+                    ..*r
                 })
                 .collect();
             self.groups.push(ShardGroup {
@@ -1391,98 +1209,70 @@ impl Cluster {
     /// scores each column against one probe labeling to expose
     /// per-replica drift that whole-cluster checks average away.
     pub fn replica_view(&self, replica: usize) -> Option<ClusterReplicaView<'_>> {
-        if self.groups.iter().all(|g| replica < g.replicas.len()) && !self.groups.is_empty() {
-            Some(ClusterReplicaView {
-                cluster: self,
-                replica,
-            })
-        } else {
-            None
-        }
+        let has_column = self.groups.iter().all(|g| replica < g.replicas.len());
+        (has_column && !self.groups.is_empty())
+            .then(|| self.view(vec![Some(replica); self.groups.len()]))
     }
 
-    /// Evaluate pre-assigned `(group, replica)` jobs over a query batch
-    /// on the worker pool and merge each query's moments in job order
-    /// (ascending group), so the merge order is fixed before any thread
-    /// runs.
-    fn gather(&self, jobs: &[(usize, usize)], queries: &[Vec<f64>]) -> Vec<Moments> {
-        if queries.is_empty() {
-            return Vec::new();
+    fn view(&self, chosen: Vec<Option<usize>>) -> ClusterReplicaView<'_> {
+        ClusterReplicaView {
+            cluster: self,
+            chosen,
         }
-        let max_chunk = self.opts.max_shard.max(1);
-        let per_job = par::par_map_init(
-            jobs,
-            self.opts.threads.max(1),
-            BatchScratch::default,
-            |scratch, _, &(g, r)| {
-                let rep = &self.groups[g].replicas[r];
-                let mut moments = Vec::with_capacity(queries.len());
-                for chunk in queries.chunks(max_chunk) {
-                    moments.extend(rep.sketch.moments_batch_with(scratch, chunk));
-                }
-                moments
-            },
-        );
-        (0..queries.len())
-            .map(|i| {
-                per_job
-                    .iter()
-                    .map(|job| job[i])
-                    .fold(Moments::ZERO, Moments::merge)
-            })
-            .collect()
     }
 }
 
-/// Read-only [`Deployment`] over one replica column of a [`Cluster`].
-/// See [`Cluster::replica_view`].
+/// One replica per shard group of a [`Cluster`] (`None` = the group is
+/// uncovered and contributes nothing to the merge), as a read-only
+/// [`Deployment`] — the only thing in this module that scatters a
+/// batch. A served batch goes through the view its routing decision
+/// selected ([`ClusterBatchReport::chosen`]);
+/// [`Cluster::replica_view`] hands out a whole column.
+///
+/// This, not the [`Cluster`], is what implements [`Deployment`]: every
+/// implementor of the trait is a pure function of the batch (which is
+/// what lets [`crate::cache::CachedDeployment`] key on a fixed
+/// generation and [`crate::deploy::LiveDeployment`] hand out
+/// snapshots). A router with a fault clock, cursors and a per-batch
+/// serving generation is not, so what a routing decision *selects* is in
+/// the trait and the router stays a `&mut self` control plane.
 pub struct ClusterReplicaView<'a> {
     cluster: &'a Cluster,
-    replica: usize,
+    chosen: Vec<Option<usize>>,
 }
 
 impl ClusterReplicaView<'_> {
-    fn column(&self) -> impl Iterator<Item = &Replica> {
-        self.cluster
-            .groups
-            .iter()
-            .map(move |g| &g.replicas[self.replica])
+    /// The selected replicas, in group (merge) order.
+    fn replicas(&self) -> impl Iterator<Item = &Replica> + '_ {
+        let groups = self.cluster.groups.iter().zip(&self.chosen);
+        groups.filter_map(|(g, r)| r.map(|r| &g.replicas[r]))
     }
 
-    fn scatter(&self, queries: &[Vec<f64>]) -> Vec<Moments> {
-        let jobs: Vec<(usize, usize)> = (0..self.cluster.groups.len())
-            .map(|g| (g, self.replica))
-            .collect();
-        self.cluster.gather(&jobs, queries)
+    /// [`scatter_gather`] over the selected replicas' sketches, under
+    /// the cluster's serving options.
+    fn scatter<T>(
+        &self,
+        queries: &[Vec<f64>],
+        finish: impl Fn(Moments) -> T,
+    ) -> (Vec<T>, DeployStats) {
+        let shards: Vec<&ShardSketch> = self.replicas().map(|r| &r.sketch).collect();
+        let opts = self.cluster.opts;
+        scatter_gather(&shards, queries, opts.threads, opts.max_shard, finish)
     }
 }
 
 impl Deployment for ClusterReplicaView<'_> {
     fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
         let agg = self.cluster.aggregate;
-        let answers = self
-            .scatter(queries)
-            .into_iter()
-            .map(|m| finish_guarded(agg, m))
-            .collect();
-        let max_chunk = self.cluster.opts.max_shard.max(1);
-        let total_kinds: usize = self.column().map(|r| r.sketch.kinds().count()).sum();
-        let stats = DeployStats {
-            queries: queries.len(),
-            sketch: queries.len(),
-            shard_count: self.cluster.groups.len(),
-            model_batches: total_kinds * queries.len().div_ceil(max_chunk),
-            ..DeployStats::default()
-        };
-        (answers, stats)
+        self.scatter(queries, |m| finish_guarded(agg, m))
     }
 
     fn moments_batch(&self, queries: &[Vec<f64>]) -> Option<Vec<Moments>> {
-        Some(self.scatter(queries))
+        Some(self.scatter(queries, |m| m).0)
     }
 
     fn describe(&self) -> DeploymentInfo {
-        let mut gens = self.column().map(|r| r.generation);
+        let mut gens = self.replicas().map(|r| r.generation);
         let first = gens.next();
         let generation = match first {
             Some(g) if gens.all(|other| other == g) => Some(g),
@@ -1490,14 +1280,14 @@ impl Deployment for ClusterReplicaView<'_> {
         };
         DeploymentInfo {
             kind: DeployKind::Replicated,
-            units: self.cluster.groups.len(),
-            param_count: self.column().map(|r| r.sketch.param_count()).sum(),
+            units: self.chosen.len(),
+            param_count: self.replicas().map(|r| r.sketch.param_count()).sum(),
             generation,
         }
     }
 
     fn storage_bytes(&self) -> usize {
-        self.column().map(|r| r.sketch.artifact_bytes()).sum()
+        self.replicas().map(|r| r.sketch.artifact_bytes()).sum()
     }
 }
 
@@ -1536,14 +1326,167 @@ mod tests {
 
     #[test]
     fn quorum_needed_math() {
-        fn needed(groups: usize, quorum: f64) -> usize {
-            ((quorum * groups as f64).ceil() as usize).clamp(1, groups.max(1))
+        assert_eq!(quorum_needed(4, 1.0), 4);
+        assert_eq!(quorum_needed(4, 0.5), 2);
+        assert_eq!(quorum_needed(4, 0.51), 3);
+        assert_eq!(quorum_needed(1, 0.1), 1);
+        assert_eq!(quorum_needed(3, 0.34), 2);
+    }
+
+    /// The one validation step in front of every shard build
+    /// ([`ShardTables::new`]) refuses the same three things with the same
+    /// typed error whichever entry point reaches it, and a refused call
+    /// leaves every model bitwise as it was.
+    #[test]
+    fn every_build_entry_point_shares_one_validation_step() {
+        use crate::maintenance::{retrain_shards, DriftMonitor, MaintenancePlan};
+        use crate::shard::build_sharded;
+        use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
+
+        let data = datagen::simple::uniform(40, 2, 3);
+        let wl = Workload::generate(&WorkloadConfig {
+            dims: 2,
+            active: ActiveMode::Fixed(vec![0]),
+            range: RangeMode::Uniform,
+            count: 30,
+            seed: 5,
+        })
+        .unwrap();
+        let mut cfg = NeuroSketchConfig::small();
+        cfg.train.epochs = 3;
+        let build = |plan: ShardPlan, agg: Aggregate, data: &Dataset| {
+            build_sharded(data, 1, &plan, &wl.predicate, agg, &wl.queries, &cfg).map(|(s, _)| s)
+        };
+        let maintenance = MaintenancePlan::new(
+            DriftMonitor::new(wl.queries[..10].to_vec(), 0.05).unwrap(),
+            cfg.clone(),
+        );
+        let cluster_of = |sketch: &ShardedSketch| {
+            Cluster::new(
+                sketch,
+                1,
+                0,
+                RoutePolicy::RoundRobin,
+                ClusterOptions::default(),
+            )
+            .unwrap()
+        };
+        let bits = |shards: &[&ShardSketch]| -> Vec<u64> {
+            let mut scratch = crate::sketch::BatchScratch::default();
+            let per_shard = shards
+                .iter()
+                .flat_map(|s| s.moments_batch_with(&mut scratch, &wl.queries));
+            per_shard.map(|m| m.n.to_bits()).collect()
+        };
+        let sketch_bits = |s: &ShardedSketch| bits(&s.shards().iter().collect::<Vec<_>>());
+        let cluster_bits = |c: &Cluster| {
+            let replicas = c.groups.iter().flat_map(|g| &g.replicas);
+            bits(&replicas.map(|r| &r.sketch).collect::<Vec<_>>())
+        };
+
+        // A hash plan that fills every shard of the 40-row table but
+        // leaves one dry on its first 6 rows.
+        let tiny = data.select_rows(&[0, 1, 2, 3, 4, 5]);
+        let hash = (0..u64::MAX)
+            .map(|seed| ShardPlan::Hash { shards: 4, seed })
+            .find(|p| {
+                p.assignment(6).iter().any(Vec::is_empty)
+                    && !p.assignment(40).iter().any(Vec::is_empty)
+            })
+            .unwrap();
+        let round_robin = build(ShardPlan::RoundRobin { shards: 2 }, Aggregate::Count, &data);
+        let round_robin = round_robin.unwrap();
+        let median = ShardedSketch::from_parts(
+            round_robin.plan(),
+            Aggregate::Median,
+            round_robin.shards().to_vec(),
+        );
+        // A full build under a non-row-stable plan is fine; only a
+        // partial one is refused.
+        let blocks = build(ShardPlan::Blocks { shards: 2 }, Aggregate::Count, &data).unwrap();
+
+        // (refusal, deployment, table it is rebuilt against, message)
+        let cases = [
+            (
+                "empty shard",
+                build(hash, Aggregate::Count, &data).unwrap(),
+                &tiny,
+                "no rows",
+            ),
+            ("MEDIAN", median, &data, "not a function of (n, Σ, Σ²)"),
+            (
+                "partial refresh under Blocks",
+                blocks,
+                &data,
+                "not row-stable",
+            ),
+        ];
+        for (refusal, sketch, table, message) in cases {
+            let before = sketch_bits(&sketch);
+            let mut results: Vec<(&str, Result<(), ClusterError>)> = Vec::new();
+            if refusal != "partial refresh under Blocks" {
+                let rebuilt = build(sketch.plan(), sketch.aggregate(), table);
+                results.push(("build_sharded", rebuilt.map(|_| ()).map_err(Into::into)));
+            }
+            let mut retrained = sketch.clone();
+            let r = retrain_shards(
+                &mut retrained,
+                table,
+                1,
+                &wl.predicate,
+                &wl.queries,
+                &cfg,
+                &[0],
+            );
+            results.push(("retrain_shards", r.map_err(Into::into)));
+            assert_eq!(sketch_bits(&retrained), before, "{refusal}: retrain_shards");
+            let mut refreshed = sketch.clone();
+            let r =
+                maintenance.refresh_sharded(&mut refreshed, table, 1, &wl.predicate, &wl.queries);
+            results.push(("refresh_sharded", r.map(|_| ()).map_err(Into::into)));
+            assert_eq!(
+                sketch_bits(&refreshed),
+                before,
+                "{refusal}: refresh_sharded"
+            );
+            for (entry, result) in results {
+                assert!(
+                    matches!(&result, Err(ClusterError::Sketch(SketchError::BadConfig(m))) if m.contains(message)),
+                    "{refusal}: {entry} returned {result:?}"
+                );
+            }
+
+            // A coarse group to materialize. Only round-robin plans
+            // refine, and round-robin leaves a shard empty only when
+            // there are fewer rows than shards — which the plan
+            // pre-check inside the same step reports; no public path
+            // reaches a coarse group under Blocks, so that one is
+            // hand-built to show the step itself refuses it.
+            let (mut cluster, table, message) = match refusal {
+                "empty shard" => {
+                    let mut c = cluster_of(&round_robin);
+                    c.rebalance(2).unwrap();
+                    (c, data.select_rows(&[0, 1, 2]), "every shard needs data")
+                }
+                "MEDIAN" => {
+                    let mut c = cluster_of(&sketch);
+                    c.rebalance(2).unwrap();
+                    (c, table.clone(), message)
+                }
+                _ => {
+                    let mut c = cluster_of(&sketch);
+                    c.groups[0].logical = vec![0, 1];
+                    (c, table.clone(), message)
+                }
+            };
+            let cluster_before = cluster_bits(&cluster);
+            let r = cluster.materialize_group(0, &table, 1, &wl.predicate, &wl.queries, &cfg);
+            assert_eq!(cluster_bits(&cluster), cluster_before, "{refusal}: cluster");
+            assert!(
+                matches!(&r, Err(ClusterError::Sketch(SketchError::BadConfig(m))) if m.contains(message)),
+                "{refusal}: materialize_group returned {r:?}"
+            );
         }
-        assert_eq!(needed(4, 1.0), 4);
-        assert_eq!(needed(4, 0.5), 2);
-        assert_eq!(needed(4, 0.51), 3);
-        assert_eq!(needed(1, 0.1), 1);
-        assert_eq!(needed(3, 0.34), 2);
     }
 
     #[test]

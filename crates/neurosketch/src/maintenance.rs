@@ -32,11 +32,11 @@
 //! operator's guide to choosing.
 
 use crate::deploy::Deployment;
-use crate::shard::{build_shard_sketch, ShardedSketch};
+use crate::shard::{ShardTables, ShardedSketch};
 use crate::sketch::{BuildReport, NeuroSketch, NeuroSketchConfig};
 use crate::SketchError;
 use datagen::Dataset;
-use query::aggregate::{Aggregate, MomentKind};
+use query::aggregate::Aggregate;
 use query::error::normalized_mae;
 use query::exec::QueryEngine;
 use query::predicate::PredicateFn;
@@ -326,7 +326,7 @@ impl MaintenancePlan {
     /// labels the probe with shard-local moments, and the shard's
     /// predicted moments ([`crate::shard::ShardSketch`]'s batched path,
     /// finished with the deployment's aggregate) are compared on
-    /// normalized MAE. Stale shards rebuild via [`retrain_shards`] —
+    /// normalized MAE. Stale shards rebuild as in [`retrain_shards`] —
     /// same per-(shard, component) seeds as [`crate::shard::build_sharded`],
     /// so a rebuilt shard is bitwise what a full rebuild would have
     /// produced — and fresh shards' models stay bitwise untouched.
@@ -346,32 +346,20 @@ impl MaintenancePlan {
         train_queries: &[Vec<f64>],
     ) -> Result<MaintenanceReport, SketchError> {
         let t0 = Instant::now();
-        let plan = sketch.plan();
-        if !plan.row_stable() {
-            return Err(SketchError::BadConfig(format!(
-                "{plan:?} is not row-stable: appends reassign rows across shards, so a partial \
-                 refresh would leave untouched shards serving rows they never saw — rebuild the \
-                 whole deployment instead"
-            )));
-        }
-        plan.validate(data.rows())?;
-        let shard_data = plan.split(data);
-        if let Some(empty) = shard_data.iter().position(|s| s.rows() == 0) {
-            return Err(SketchError::BadConfig(format!(
-                "{plan:?} leaves shard {empty} with no rows: every shard needs data"
-            )));
-        }
+        // `partial`: a cycle retrains at most a stale subset, so the
+        // non-row-stable refusal lands here, before any checking work.
+        let all: Vec<usize> = (0..sketch.shard_count()).collect();
+        let mut tables = ShardTables::new(&sketch.plan(), sketch.aggregate(), data, &all, true)?;
         let probe = self.monitor.probe();
         let agg = sketch.aggregate();
         let threshold = self.monitor.threshold();
         let shards = sketch.shards();
-        let jobs: Vec<usize> = (0..shards.len()).collect();
         let units: Vec<UnitDrift> = par::par_map_init(
-            &jobs,
+            &tables.per_shard,
             self.monitor.threads(),
             crate::sketch::BatchScratch::default,
-            |scratch, _, &unit| {
-                let engine = QueryEngine::new(&shard_data[unit], measure);
+            |scratch, _, (unit, table)| {
+                let engine = QueryEngine::new(table, measure);
                 let truth: Vec<f64> = engine
                     .label_moments_batch(pred, probe, 1)
                     .into_iter()
@@ -380,14 +368,14 @@ impl MaintenancePlan {
                             .expect("sharded aggregates are moment-composable")
                     })
                     .collect();
-                let preds: Vec<f64> = shards[unit]
+                let preds: Vec<f64> = shards[*unit]
                     .moments_batch_with(scratch, probe)
                     .into_iter()
                     .map(|m| sketch.finish_guarded(m))
                     .collect();
                 let nmae = normalized_mae(&truth, &preds);
                 UnitDrift {
-                    unit,
+                    unit: *unit,
                     probes: probe.len(),
                     nmae,
                     stale: nmae > threshold,
@@ -400,17 +388,11 @@ impl MaintenancePlan {
         let t1 = Instant::now();
         // The check phase already split the table; rebuild straight from
         // those per-shard tables instead of re-materializing them.
-        let kinds = required_kinds(sketch)?;
-        let jobs: Vec<(usize, &Dataset)> = retrained.iter().map(|&u| (u, &shard_data[u])).collect();
-        rebuild_shards(
-            sketch,
-            &jobs,
-            measure,
-            pred,
-            train_queries,
-            &self.retrain,
-            kinds,
-        )?;
+        tables
+            .per_shard
+            .retain(|(unit, _)| retrained.contains(unit));
+        let (rebuilt, _) = tables.build(measure, pred, train_queries, &self.retrain)?;
+        sketch.replace_shards(rebuilt);
         Ok(MaintenanceReport {
             units,
             retrained,
@@ -421,43 +403,6 @@ impl MaintenancePlan {
     }
 }
 
-/// The moment components this deployment's aggregate requires (always
-/// present for a constructible [`ShardedSketch`]; typed for hand-built
-/// edge cases).
-fn required_kinds(sketch: &ShardedSketch) -> Result<&'static [MomentKind], SketchError> {
-    sketch.aggregate().required_moments().ok_or_else(|| {
-        SketchError::BadConfig(format!(
-            "{} is not a function of (n, Σ, Σ²) and cannot be sharded by moment composition",
-            sketch.aggregate().name()
-        ))
-    })
-}
-
-/// Rebuild the given (shard index, shard table) pairs in parallel on
-/// the worker pool and install the results — the shared tail of
-/// [`MaintenancePlan::refresh_sharded`] and [`retrain_shards`].
-fn rebuild_shards(
-    sketch: &mut ShardedSketch,
-    jobs: &[(usize, &Dataset)],
-    measure: usize,
-    pred: &dyn PredicateFn,
-    train_queries: &[Vec<f64>],
-    cfg: &NeuroSketchConfig,
-    kinds: &'static [MomentKind],
-) -> Result<(), SketchError> {
-    let built = par::par_map(jobs, cfg.threads, |_, (unit, shard)| {
-        build_shard_sketch(*unit, shard, measure, pred, kinds, train_queries, cfg)
-            .map(|(s, _, _)| (*unit, s))
-    });
-    // All-or-nothing install, mirroring the monolithic path: any build
-    // error leaves every shard's models exactly as they were.
-    let rebuilt = built.into_iter().collect::<Result<Vec<_>, _>>()?;
-    for (unit, shard) in rebuilt {
-        sketch.replace_shard(unit, shard);
-    }
-    Ok(())
-}
-
 /// Rebuild the given shards of a deployment against the current table,
 /// leaving every other shard's models bitwise untouched — the partial
 /// refresh mechanism under [`MaintenancePlan::refresh_sharded`],
@@ -466,7 +411,9 @@ fn rebuild_shards(
 /// pool with the same per-(shard, component) seed derivation as
 /// [`crate::shard::build_sharded`], so with the original build
 /// configuration a rebuilt shard is bitwise what a full rebuild over
-/// the same table would produce.
+/// the same table would produce. Only the stale shards' tables are
+/// materialized; fresh shards' rows are never touched, read or
+/// re-labeled.
 ///
 /// A plan that is not row-stable is refused (typed) unless `stale`
 /// covers every shard — under [`crate::shard::ShardPlan::Blocks`],
@@ -481,7 +428,6 @@ pub fn retrain_shards(
     cfg: &NeuroSketchConfig,
     stale: &[usize],
 ) -> Result<(), SketchError> {
-    let plan = sketch.plan();
     let mut stale: Vec<usize> = stale.to_vec();
     stale.sort_unstable();
     stale.dedup();
@@ -496,29 +442,11 @@ pub fn retrain_shards(
     if stale.is_empty() {
         return Ok(());
     }
-    if !plan.row_stable() && stale.len() < sketch.shard_count() {
-        return Err(SketchError::BadConfig(format!(
-            "{plan:?} is not row-stable: appends reassign rows across shards, so a partial \
-             refresh would leave untouched shards serving rows they never saw — rebuild all \
-             shards (or the whole deployment) instead"
-        )));
-    }
-    let kinds = required_kinds(sketch)?;
-    plan.validate(data.rows())?;
-    let assignment = plan.assignment(data.rows());
-    if let Some(&empty) = stale.iter().find(|&&u| assignment[u].is_empty()) {
-        return Err(SketchError::BadConfig(format!(
-            "{plan:?} leaves shard {empty} with no rows: every shard needs data"
-        )));
-    }
-    // Materialize only the stale shards' tables; fresh shards' rows are
-    // never touched, read or re-labeled.
-    let tables: Vec<(usize, Dataset)> = stale
-        .iter()
-        .map(|&u| (u, data.select_rows(&assignment[u])))
-        .collect();
-    let jobs: Vec<(usize, &Dataset)> = tables.iter().map(|(u, d)| (*u, d)).collect();
-    rebuild_shards(sketch, &jobs, measure, pred, train_queries, cfg, kinds)
+    let partial = stale.len() < sketch.shard_count();
+    let tables = ShardTables::new(&sketch.plan(), sketch.aggregate(), data, &stale, partial)?;
+    let (rebuilt, _) = tables.build(measure, pred, train_queries, cfg)?;
+    sketch.replace_shards(rebuilt);
+    Ok(())
 }
 
 /// Retrain a sketch against the current data from scratch: relabel the

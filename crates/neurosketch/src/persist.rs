@@ -937,24 +937,12 @@ pub fn save_sharded(
 ) -> Result<PathBuf, PersistError> {
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir).map_err(|e| PersistError::Io(e.to_string()))?;
-    let mut table = Vec::with_capacity(sketch.shard_count());
-    for (shard_idx, shard) in sketch.shards().iter().enumerate() {
-        let mut artifacts = Vec::new();
-        for kind in MomentKind::ALL {
-            let Some(model) = shard.model(kind) else {
-                continue;
-            };
-            let bytes = encode_sketch(model);
-            let name = shard_artifact_name(shard_idx, kind);
-            write_synced(&dir.join(&name), &bytes)?;
-            artifacts.push(ShardArtifactRef {
-                kind,
-                path: name,
-                checksum: artifact_checksum(&bytes),
-            });
-        }
-        table.push(artifacts);
-    }
+    let table = sketch
+        .shards()
+        .iter()
+        .enumerate()
+        .map(|(shard_idx, shard)| write_shard_artifacts(dir, shard_idx, shard, 0))
+        .collect::<Result<_, _>>()?;
     let manifest = ShardManifest {
         aggregate: sketch.aggregate(),
         plan: sketch.plan(),
@@ -1000,8 +988,7 @@ pub fn save_refreshed(
     replaced: &[usize],
 ) -> Result<PathBuf, PersistError> {
     let manifest_path = manifest_path.as_ref();
-    let raw = std::fs::read(manifest_path).map_err(|e| PersistError::Io(e.to_string()))?;
-    let old = decode_manifest(Bytes::from(raw))?;
+    let old = read_manifest(manifest_path)?;
     if old.plan != sketch.plan() || old.aggregate != sketch.aggregate() {
         return Err(PersistError::Corrupt(format!(
             "refresh of a {:?}/{} deployment with a {:?}/{} sketch",
@@ -1054,7 +1041,7 @@ pub fn save_refreshed(
             }
         }
     }
-    let dir = manifest_path.parent().unwrap_or(Path::new("."));
+    let dir = manifest_dir(manifest_path);
     let mut table = old.shards;
     for &idx in replaced {
         let Some(shard) = sketch.shards().get(idx) else {
@@ -1063,21 +1050,7 @@ pub fn save_refreshed(
                 sketch.shard_count()
             )));
         };
-        let mut artifacts = Vec::new();
-        for kind in MomentKind::ALL {
-            let Some(model) = shard.model(kind) else {
-                continue;
-            };
-            let bytes = encode_sketch(model);
-            let name = shard_artifact_name_gen(idx, kind, generation);
-            write_synced(&dir.join(&name), &bytes)?;
-            artifacts.push(ShardArtifactRef {
-                kind,
-                path: name,
-                checksum: artifact_checksum(&bytes),
-            });
-        }
-        table[idx] = artifacts;
+        table[idx] = write_shard_artifacts(dir, idx, shard, generation)?;
     }
     let manifest = ShardManifest {
         aggregate: old.aggregate,
@@ -1086,6 +1059,35 @@ pub fn save_refreshed(
         shards: table,
     };
     land_manifest(dir, &manifest)
+}
+
+/// Encode, write, fsync and checksum every component model of one shard
+/// into `dir` under generation `generation`'s names
+/// ([`shard_artifact_name_gen`]), returning the manifest entries that
+/// reference them. The one artifact-writing loop under [`save_sharded`]
+/// (every shard, generation 0) and [`save_refreshed`] (the replaced
+/// shards, the bumped generation).
+fn write_shard_artifacts(
+    dir: &Path,
+    shard_idx: usize,
+    shard: &ShardSketch,
+    generation: u64,
+) -> Result<Vec<ShardArtifactRef>, PersistError> {
+    let mut artifacts = Vec::new();
+    for kind in MomentKind::ALL {
+        let Some(model) = shard.model(kind) else {
+            continue;
+        };
+        let bytes = encode_sketch(model);
+        let name = shard_artifact_name_gen(shard_idx, kind, generation);
+        write_synced(&dir.join(&name), &bytes)?;
+        artifacts.push(ShardArtifactRef {
+            kind,
+            path: name,
+            checksum: artifact_checksum(&bytes),
+        });
+    }
+    Ok(artifacts)
 }
 
 /// Write `manifest` into `dir` as `manifest.nskm`, fsynced via a
@@ -1123,6 +1125,22 @@ fn write_synced(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     Ok(())
 }
 
+/// Read and decode the NSKM manifest at `manifest_path` — the one place
+/// a manifest file becomes a [`ShardManifest`]. Every operation here and
+/// in [`crate::cluster`] reads its manifest through this **once** and
+/// resolves everything else (generation, plan, artifact names) against
+/// that value, so a [`save_refreshed`] landing concurrently can never
+/// make one operation see two generations.
+pub fn read_manifest(manifest_path: impl AsRef<Path>) -> Result<ShardManifest, PersistError> {
+    let raw = std::fs::read(manifest_path).map_err(|e| PersistError::Io(e.to_string()))?;
+    decode_manifest(Bytes::from(raw))
+}
+
+/// The directory a manifest's relative artifact paths resolve against.
+fn manifest_dir(manifest_path: &Path) -> &Path {
+    manifest_path.parent().unwrap_or(Path::new("."))
+}
+
 /// Load a sharded deployment from its NSKM manifest: decode and
 /// validate the manifest, then read every referenced artifact
 /// (manifest-relative), verify its checksum, and decode it. The result
@@ -1134,18 +1152,16 @@ pub fn load_sharded(manifest_path: impl AsRef<Path>) -> Result<ShardedSketch, Pe
 }
 
 /// [`load_sharded`], also returning the decoded manifest the artifacts
-/// were resolved against. The manifest is read and decoded **once**, so
-/// the (deployment, generation) pair is guaranteed consistent even when
-/// a concurrent [`save_refreshed`] lands between calls — the property
+/// were resolved against ([`read_manifest`]'s one-read contract), so the
+/// (deployment, generation) pair is guaranteed consistent — the property
 /// [`crate::deploy::LiveDeployment::reload_sharded`] relies on to
 /// report the generation it actually serves.
 pub fn load_sharded_with_manifest(
     manifest_path: impl AsRef<Path>,
 ) -> Result<(ShardedSketch, ShardManifest), PersistError> {
     let manifest_path = manifest_path.as_ref();
-    let raw = std::fs::read(manifest_path).map_err(|e| PersistError::Io(e.to_string()))?;
-    let manifest = decode_manifest(Bytes::from(raw))?;
-    let dir = manifest_path.parent().unwrap_or(Path::new("."));
+    let manifest = read_manifest(manifest_path)?;
+    let dir = manifest_dir(manifest_path);
     let mut shards = Vec::with_capacity(manifest.shards.len());
     let mut query_dim: Option<usize> = None;
     for artifacts in &manifest.shards {
@@ -1155,31 +1171,27 @@ pub fn load_sharded_with_manifest(
     Ok((sketch, manifest))
 }
 
-/// Load **one** shard of a manifested deployment: decode the manifest,
-/// then read, checksum-verify and decode only shard `shard`'s
-/// artifacts. Returns the shard sketch together with the decoded
-/// manifest (same one-read consistency contract as
-/// [`load_sharded_with_manifest`]), so the caller knows which
-/// generation the shard belongs to. This is the per-replica loading
-/// unit [`crate::cluster`]'s rolling upgrades use — a cluster of
+/// Load **one** shard of a manifested deployment: read,
+/// checksum-verify and decode only shard `shard`'s artifacts, as listed
+/// by the already-decoded `manifest` that [`read_manifest`] returned for
+/// `manifest_path`. The shard therefore belongs to
+/// `manifest.generation` whatever has landed on disk since (a refresh
+/// never overwrites a generation's artifacts). This is the per-replica
+/// loading unit [`crate::cluster`]'s rolling upgrades use — a cluster of
 /// `K × N` replicas never has to read `K × N × K` artifacts to bring
 /// one replica to a new generation.
 pub fn load_shard(
+    manifest: &ShardManifest,
     manifest_path: impl AsRef<Path>,
     shard: usize,
-) -> Result<(ShardSketch, ShardManifest), PersistError> {
-    let manifest_path = manifest_path.as_ref();
-    let raw = std::fs::read(manifest_path).map_err(|e| PersistError::Io(e.to_string()))?;
-    let manifest = decode_manifest(Bytes::from(raw))?;
+) -> Result<ShardSketch, PersistError> {
     let Some(artifacts) = manifest.shards.get(shard) else {
         return Err(PersistError::Corrupt(format!(
             "shard {shard} out of range for a {}-shard manifest",
             manifest.shards.len()
         )));
     };
-    let dir = manifest_path.parent().unwrap_or(Path::new("."));
-    let sketch = load_shard_models(dir, artifacts, &mut None)?;
-    Ok((sketch, manifest))
+    load_shard_models(manifest_dir(manifest_path.as_ref()), artifacts, &mut None)
 }
 
 /// Read, checksum-verify and decode one shard's artifact set — the
@@ -1538,11 +1550,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_deployment_roundtrips_through_manifest() {
-        use crate::shard::{build_sharded, ShardPlan};
+    /// A 2-shard AVG deployment over 240 rows and its training
+    /// workload; `salt` moves the build seed, and with it every model.
+    fn small_sharded(salt: u64) -> (ShardedSketch, Vec<Vec<f64>>) {
+        use crate::shard::build_sharded;
         use datagen::Dataset;
-        use query::aggregate::Aggregate;
         use query::predicate::Range;
 
         let rows: Vec<Vec<f64>> = (0..240)
@@ -1555,10 +1567,16 @@ mod tests {
             .collect();
         let mut cfg = NeuroSketchConfig::small();
         cfg.train.epochs = 6;
+        cfg.seed = cfg.seed.wrapping_add(salt);
         let plan = ShardPlan::Hash { shards: 2, seed: 3 };
         let (sharded, _) =
             build_sharded(&data, 1, &plan, &pred, Aggregate::Avg, &queries, &cfg).unwrap();
+        (sharded, queries)
+    }
 
+    #[test]
+    fn sharded_deployment_roundtrips_through_manifest() {
+        let (sharded, queries) = small_sharded(0);
         let dir = std::env::temp_dir().join("nskm_roundtrip_test");
         std::fs::remove_dir_all(&dir).ok();
         let manifest_path = save_sharded(&dir, &sharded).unwrap();
@@ -1566,7 +1584,7 @@ mod tests {
         let loaded = load_sharded(&manifest_path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
-        assert_eq!(loaded.plan(), plan);
+        assert_eq!(loaded.plan(), ShardPlan::Hash { shards: 2, seed: 3 });
         assert_eq!(loaded.aggregate(), Aggregate::Avg);
         assert_eq!(loaded.shard_count(), 2);
         // Save is lossy exactly once (f32 storage): the loaded
@@ -1575,6 +1593,40 @@ mod tests {
         for q in queries.iter().take(20) {
             assert_eq!(loaded.answer(q), quantized.answer(q));
         }
+    }
+
+    /// A shard loaded against a decoded manifest belongs to *that*
+    /// manifest's generation even when a refresh lands in between: the
+    /// rolling upgrade validates generation G's manifest and must
+    /// install G's shard, not whatever a second read of the file finds.
+    #[test]
+    fn load_shard_resolves_against_the_manifest_it_was_given() {
+        let (gen0, queries) = small_sharded(0);
+        let dir = std::env::temp_dir().join("nskm_load_shard_generation_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let manifest_path = save_sharded(&dir, &gen0).unwrap();
+        let validated = read_manifest(&manifest_path).unwrap();
+        assert_eq!(validated.generation, 0);
+
+        // Generation 1 lands with a different shard 0.
+        let reseeded = small_sharded(1).0.shards()[0].clone();
+        let mut gen1 = load_sharded(&manifest_path).unwrap();
+        gen1.replace_shards(vec![(0, reseeded.clone())]);
+        save_refreshed(&manifest_path, &gen1, &[0]).unwrap();
+        let landed = read_manifest(&manifest_path).unwrap();
+        assert_eq!(landed.generation, 1);
+
+        let bits = |shard: &ShardSketch| -> Vec<u64> {
+            let mut scratch = crate::sketch::BatchScratch::default();
+            let moments = shard.moments_batch_with(&mut scratch, &queries);
+            moments.iter().map(|m| m.s.to_bits()).collect()
+        };
+        let old = load_shard(&validated, &manifest_path, 0).unwrap();
+        let new = load_shard(&landed, &manifest_path, 0).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(bits(&old), bits(&gen0.shards()[0].quantized()));
+        assert_eq!(bits(&new), bits(&reseeded.quantized()));
+        assert_ne!(bits(&old), bits(&new), "the refresh changed nothing");
     }
 
     fn literal_manifest() -> ShardManifest {

@@ -388,43 +388,29 @@ impl ShardedSketch {
         self.shards.len()
     }
 
-    /// Swap in a rebuilt shard (crate-internal: the partial-refresh path
+    /// Swap in rebuilt shards (crate-internal: the partial-refresh path
     /// in [`crate::maintenance`] retrains stale shards in place; the
-    /// caller guarantees the replacement was trained for the same
-    /// aggregate's components).
-    pub(crate) fn replace_shard(&mut self, idx: usize, shard: ShardSketch) {
-        self.shards[idx] = shard;
+    /// caller guarantees the replacements were trained for the same
+    /// aggregate's components, as [`ShardTables::build`] output is).
+    pub(crate) fn replace_shards(&mut self, rebuilt: Vec<(usize, ShardSketch)>) {
+        for (idx, shard) in rebuilt {
+            self.shards[idx] = shard;
+        }
     }
 
     /// Finish one set of (possibly predicted) moments into this
-    /// deployment's aggregate, with the near-empty guard
-    /// [`ShardedSketch::gather`] applies: AVG and STD divide by the
-    /// count, which for *predicted* moments on an empty-selectivity
-    /// query is model noise near zero, so a count below half a row takes
-    /// the empty-range convention (`0.0`) instead of amplifying the
-    /// noise into an arbitrary ratio.
+    /// deployment's aggregate, with the near-empty guard of the free
+    /// [`finish_guarded`].
     pub fn finish_guarded(&self, total: Moments) -> f64 {
         finish_guarded(self.aggregate, total)
     }
 
-    /// Gather a query's answer from per-shard moments: merge in shard
-    /// order, then finish once ([`ShardedSketch::finish_guarded`]). The
-    /// merge is component-wise f64 addition, so the result is an exact
-    /// composition of the shard predictions.
-    pub fn gather(&self, per_shard: impl Iterator<Item = Moments>) -> f64 {
-        self.finish_guarded(per_shard.fold(Moments::ZERO, Moments::merge))
-    }
-
     /// Answer one query through the full scatter/gather path (a batch of
-    /// one; see [`ShardedServer`] for the batched, parallel front).
+    /// one on the calling thread; see [`ShardedServer`] for the batched,
+    /// parallel front).
     pub fn answer(&self, q: &[f64]) -> f64 {
-        let mut scratch = BatchScratch::default();
-        let query = [q.to_vec()];
-        self.gather(
-            self.shards
-                .iter()
-                .map(|s| s.moments_batch_with(&mut scratch, &query)[0]),
-        )
+        let shards: Vec<&ShardSketch> = self.shards.iter().collect();
+        scatter_gather(&shards, &[q.to_vec()], 1, 1, |m| self.finish_guarded(m)).0[0]
     }
 
     /// The deployment with every model quantized through `f32` — what a
@@ -462,11 +448,10 @@ impl ShardedSketch {
 /// STD divide by the count, which for *predicted* moments on an
 /// empty-selectivity query is model noise near zero, so a count below
 /// half a row takes the empty-range convention (`0.0`) instead of
-/// amplifying the noise into an arbitrary ratio. Shared by
-/// [`ShardedSketch::finish_guarded`] and the replicated gather in
-/// [`crate::cluster`], so a cluster's answers are bitwise the
-/// single-box scatter/gather answers whenever the same moments are
-/// merged in the same order.
+/// amplifying the noise into an arbitrary ratio. Every serving path
+/// hands this to the one scatter/gather as its finisher, so a cluster's
+/// answers are bitwise the single-box answers whenever the same
+/// sketches are merged in the same order.
 ///
 /// # Panics
 /// Panics on an aggregate that is not moment-composable (MEDIAN);
@@ -507,9 +492,10 @@ pub struct ShardedBuildReport {
 /// component) seeds derive from `cfg.seed`, so builds are deterministic
 /// at any thread count.
 ///
-/// Errors: MEDIAN (not moment-composable), a plan with zero shards or
-/// more shards than rows, and every error [`NeuroSketch::build_from_labeled`]
-/// itself produces.
+/// Errors: everything the shared validation step refuses (MEDIAN, a
+/// plan with zero shards or more shards than rows, a shard left without
+/// rows) and every error [`NeuroSketch::build_from_labeled`] itself
+/// produces.
 pub fn build_sharded(
     data: &Dataset,
     measure: usize,
@@ -519,60 +505,117 @@ pub fn build_sharded(
     queries: &[Vec<f64>],
     cfg: &NeuroSketchConfig,
 ) -> Result<(ShardedSketch, ShardedBuildReport), SketchError> {
-    let Some(kinds) = agg.required_moments() else {
-        return Err(SketchError::BadConfig(format!(
-            "{} is not a function of (n, Σ, Σ²) and cannot be sharded by moment composition",
-            agg.name()
-        )));
-    };
-    plan.validate(data.rows())?;
-    let shard_data = plan.split(data);
-    let shard_rows: Vec<usize> = shard_data.iter().map(Dataset::rows).collect();
-    // validate() is a cheap pigeonhole pre-check; only the materialized
-    // assignment can prove every shard non-empty (a Hash plan over a
-    // small table may leave one dry even with K ≤ rows).
-    if let Some(empty) = shard_rows.iter().position(|&r| r == 0) {
-        return Err(SketchError::BadConfig(format!(
-            "{plan:?} leaves shard {empty} with no rows: every shard needs data"
-        )));
-    }
+    let all: Vec<usize> = (0..plan.shards()).collect();
+    let tables = ShardTables::new(plan, agg, data, &all, false)?;
+    let (built, report) = tables.build(measure, predicate, queries, cfg)?;
+    let shards = built.into_iter().map(|(_, shard)| shard).collect();
+    Ok((ShardedSketch::from_parts(*plan, agg, shards), report))
+}
 
-    // One task per shard; the inner builds run single-threaded so K
-    // shards use K workers, not K × cfg.threads.
-    let built: Vec<Result<(ShardSketch, Duration, Duration), SketchError>> =
-        par::par_map(&shard_data, cfg.threads, |shard_idx, shard| {
-            build_shard_sketch(shard_idx, shard, measure, predicate, kinds, queries, cfg)
+/// The input of every shard build: the moment components the aggregate
+/// needs and a non-empty table per shard to build, which only
+/// [`ShardTables::new`] — the one validation step — hands out.
+/// [`build_sharded`], both partial-refresh entry points in
+/// [`crate::maintenance`] and
+/// [`crate::cluster::Cluster::materialize_group`] all validate there and
+/// train through [`ShardTables::build`].
+pub(crate) struct ShardTables {
+    kinds: &'static [MomentKind],
+    /// `(shard id, that shard's rows)`, ascending by id. A caller may
+    /// drop entries it decides not to build.
+    pub(crate) per_shard: Vec<(usize, Dataset)>,
+}
+
+impl ShardTables {
+    /// Validate a build of shards `units` (ascending ids under `plan`)
+    /// against `data` and materialize their tables — only the requested
+    /// shards' rows are read or copied. Each refusal exists once, here:
+    ///
+    /// * an aggregate that is not a function of `(n, Σ, Σ²)` (MEDIAN);
+    /// * `partial` — the caller will leave some of the plan's shards as
+    ///   they are — under a plan that is not row-stable
+    ///   ([`ShardPlan::row_stable`]);
+    /// * a plan [`ShardPlan::validate`] rejects for this table;
+    /// * a requested shard the assignment leaves without rows.
+    pub(crate) fn new(
+        plan: &ShardPlan,
+        agg: Aggregate,
+        data: &Dataset,
+        units: &[usize],
+        partial: bool,
+    ) -> Result<ShardTables, SketchError> {
+        let Some(kinds) = agg.required_moments() else {
+            return Err(SketchError::BadConfig(format!(
+                "{} is not a function of (n, Σ, Σ²) and cannot be sharded by moment composition",
+                agg.name()
+            )));
+        };
+        if partial && !plan.row_stable() {
+            return Err(SketchError::BadConfig(format!(
+                "{plan:?} is not row-stable: appends reassign rows across shards, so a partial \
+                 refresh would leave untouched shards serving rows they never saw — rebuild all \
+                 shards (or the whole deployment) instead"
+            )));
+        }
+        plan.validate(data.rows())?;
+        let assignment = plan.assignment(data.rows());
+        // validate() is a cheap pigeonhole pre-check; only the
+        // materialized assignment can prove a shard non-empty (a Hash
+        // plan over a small table may leave one dry even with K ≤ rows).
+        let tables = units.iter().map(|&unit| match assignment.get(unit) {
+            Some(rows) if !rows.is_empty() => Ok((unit, data.select_rows(rows))),
+            _ => Err(SketchError::BadConfig(format!(
+                "{plan:?} leaves shard {unit} with no rows: every shard needs data"
+            ))),
         });
-
-    let mut shards = Vec::with_capacity(built.len());
-    let mut labeling = Duration::ZERO;
-    let mut training = Duration::ZERO;
-    for b in built {
-        let (shard, label_t, train_t) = b?;
-        labeling += label_t;
-        training += train_t;
-        shards.push(shard);
+        Ok(ShardTables {
+            kinds,
+            per_shard: tables.collect::<Result<_, _>>()?,
+        })
     }
-    let models_trained = shards.len() * kinds.len();
-    Ok((
-        ShardedSketch::from_parts(*plan, agg, shards),
-        ShardedBuildReport {
-            shard_rows,
-            labeling,
-            training,
-            models_trained,
-        },
-    ))
+
+    /// The one fan-out that trains shard models: every table becomes
+    /// its shard's [`ShardSketch`], one task per shard on the [`par`]
+    /// pool (`cfg.threads` wide; the inner builds run single-threaded so
+    /// K shards use K workers, not K × `cfg.threads`). All-or-nothing:
+    /// any shard's error is returned before a caller can install
+    /// anything, so a failed build leaves a deployment exactly as it
+    /// was.
+    pub(crate) fn build(
+        &self,
+        measure: usize,
+        predicate: &dyn PredicateFn,
+        queries: &[Vec<f64>],
+        cfg: &NeuroSketchConfig,
+    ) -> Result<(Vec<(usize, ShardSketch)>, ShardedBuildReport), SketchError> {
+        let built = par::par_map(&self.per_shard, cfg.threads, |_, (unit, table)| {
+            build_shard_sketch(*unit, table, measure, predicate, self.kinds, queries, cfg)
+        });
+        let mut shards = Vec::with_capacity(built.len());
+        let mut report = ShardedBuildReport {
+            shard_rows: self.per_shard.iter().map(|(_, t)| t.rows()).collect(),
+            labeling: Duration::ZERO,
+            training: Duration::ZERO,
+            models_trained: self.per_shard.len() * self.kinds.len(),
+        };
+        for ((unit, _), b) in self.per_shard.iter().zip(built) {
+            let (shard, labeling, training) = b?;
+            report.labeling += labeling;
+            report.training += training;
+            shards.push((*unit, shard));
+        }
+        Ok((shards, report))
+    }
 }
 
 /// Build one shard's per-component sketches against its own rows — the
-/// unit of work shared by [`build_sharded`] and the partial-refresh path
-/// in [`crate::maintenance`]. Per-(shard, component) seeds derive from
-/// (`cfg.seed`, `shard_idx`, slot) via splitmix64, and the inner build
-/// runs single-threaded, so rebuilding shard `i` alone yields **bitwise**
-/// the models a full [`build_sharded`] over the same data would give
-/// that shard. Returns the sketch plus (labeling, training) wall-clock.
-pub(crate) fn build_shard_sketch(
+/// unit of work inside [`ShardTables::build`]. Per-(shard, component) seeds
+/// derive from (`cfg.seed`, `shard_idx`, slot) via splitmix64, and the
+/// inner build runs single-threaded, so rebuilding shard `i` alone yields
+/// **bitwise** the models a full [`build_sharded`] over the same data
+/// would give that shard. Returns the sketch plus (labeling, training)
+/// wall-clock.
+fn build_shard_sketch(
     shard_idx: usize,
     shard: &Dataset,
     measure: usize,
@@ -602,18 +645,71 @@ pub(crate) fn build_shard_sketch(
     Ok((ShardSketch::from_models(models), labeling, t1.elapsed()))
 }
 
+/// The one scatter/gather: evaluate every sketch in `shards` on the
+/// whole batch — one task per sketch on the [`par`] pool, `max_shard`
+/// queries per GEMM call, a reusable [`BatchScratch`] per worker — then
+/// merge each query's moments **in slice order** and hand the total to
+/// `finish`. [`ShardedServer`], [`ShardedSketch::answer`] and every
+/// serving path of [`crate::cluster`] go through here, so the same
+/// sketches in the same order give bitwise the same output whoever
+/// asks, at any thread count: the merge order is the slice's, fixed
+/// before a thread runs.
+///
+/// The tally's `model_batches` is the capacity-accounting count of
+/// batched GEMM model evaluations: `Σ trained components × ⌈queries /
+/// max_shard⌉` (0 for an empty batch, which skips the pool).
+pub(crate) fn scatter_gather<T>(
+    shards: &[&ShardSketch],
+    queries: &[Vec<f64>],
+    threads: usize,
+    max_shard: usize,
+    finish: impl Fn(Moments) -> T,
+) -> (Vec<T>, DeployStats) {
+    let max_chunk = max_shard.max(1);
+    let total_kinds: usize = shards.iter().map(|s| s.kinds().count()).sum();
+    let stats = DeployStats {
+        queries: queries.len(),
+        sketch: queries.len(),
+        shard_count: shards.len(),
+        model_batches: total_kinds * queries.len().div_ceil(max_chunk),
+        ..DeployStats::default()
+    };
+    if queries.is_empty() {
+        return (Vec::new(), stats);
+    }
+    let per_shard: Vec<Vec<Moments>> = par::par_map_init(
+        shards,
+        threads.max(1),
+        BatchScratch::default,
+        |scratch, _, shard| {
+            let mut moments = Vec::with_capacity(queries.len());
+            for chunk in queries.chunks(max_chunk) {
+                moments.extend(shard.moments_batch_with(scratch, chunk));
+            }
+            moments
+        },
+    );
+    let gathered = (0..queries.len())
+        .map(|i| {
+            let total = per_shard
+                .iter()
+                .map(|s| s[i])
+                .fold(Moments::ZERO, Moments::merge);
+            finish(total)
+        })
+        .collect();
+    (gathered, stats)
+}
+
 /// A sharded deployment behind a concurrent scatter/gather serving
 /// front.
 ///
 /// Unlike [`crate::serve::SketchServer`] — which *splits* a batch
 /// because one sketch holds the whole answer — a data-sharded
 /// deployment must send **every query to every shard** (any shard's
-/// rows may match any query) and gather. The batch is scattered across
-/// the [`par`] pool one task per shard; each worker predicts its
-/// shard's moments with the batched leaf-grouped GEMM path and a
-/// reusable per-worker [`BatchScratch`], then the gather merges moments
-/// in shard order and finishes once per query. Answers are in input
-/// order and independent of the thread count.
+/// rows may match any query) and gather: the one scatter/gather over the
+/// deployment's shards in shard order, finished once per query. Answers
+/// are in input order and independent of the thread count.
 pub struct ShardedServer {
     sketch: ShardedSketch,
     opts: ServeOptions,
@@ -634,24 +730,10 @@ impl ShardedServer {
         &self.sketch
     }
 
-    /// The active options.
-    pub fn options(&self) -> ServeOptions {
-        self.opts
-    }
-
-    /// Answer one query through the same path as a batch of one.
-    pub fn answer(&self, q: &[f64]) -> f64 {
-        self.answer_batch(std::slice::from_ref(&q.to_vec())).0[0]
-    }
-
     /// Answer a batch: scatter to all shards, gather exact moment
     /// compositions. Returns answers in input order plus the tally.
     pub fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
-        let (per_shard, stats) = self.scatter(queries);
-        let answers = (0..queries.len())
-            .map(|i| self.sketch.gather(per_shard.iter().map(|s| s[i])))
-            .collect();
-        (answers, stats)
+        self.scatter(queries, |m| self.sketch.finish_guarded(m))
     }
 
     /// The gathered `(n, Σ, Σ²)` prediction per query — the same scatter
@@ -661,49 +743,22 @@ impl ShardedServer {
     /// trait exposes; `finish_guarded` of each entry is exactly the
     /// corresponding `answer_batch` answer.
     pub fn moments_batch(&self, queries: &[Vec<f64>]) -> (Vec<Moments>, DeployStats) {
-        let (per_shard, stats) = self.scatter(queries);
-        let merged = (0..queries.len())
-            .map(|i| {
-                per_shard
-                    .iter()
-                    .map(|s| s[i])
-                    .fold(Moments::ZERO, Moments::merge)
-            })
-            .collect();
-        (merged, stats)
+        self.scatter(queries, |m| m)
     }
 
-    /// Scatter a batch to every shard on the worker pool; returns the
-    /// per-shard moment predictions (outer index = shard) and the tally.
-    /// `model_batches` is the capacity-accounting count of batched GEMM
-    /// model evaluations: `shards × required components × ⌈queries /
-    /// max_shard⌉` (0 for an empty batch).
-    fn scatter(&self, queries: &[Vec<f64>]) -> (Vec<Vec<Moments>>, DeployStats) {
-        let max_chunk = self.opts.max_shard.max(1);
-        let total_kinds: usize = self.sketch.shards().iter().map(|s| s.kinds().count()).sum();
-        let stats = DeployStats {
-            queries: queries.len(),
-            sketch: queries.len(),
-            shard_count: self.sketch.shard_count(),
-            model_batches: total_kinds * queries.len().div_ceil(max_chunk),
-            ..DeployStats::default()
-        };
-        if queries.is_empty() {
-            return (Vec::new(), stats);
-        }
-        let per_shard: Vec<Vec<Moments>> = par::par_map_init(
-            self.sketch.shards(),
-            self.opts.threads.max(1),
-            BatchScratch::default,
-            |scratch, _, shard| {
-                let mut moments = Vec::with_capacity(queries.len());
-                for chunk in queries.chunks(max_chunk) {
-                    moments.extend(shard.moments_batch_with(scratch, chunk));
-                }
-                moments
-            },
-        );
-        (per_shard, stats)
+    fn scatter<T>(
+        &self,
+        queries: &[Vec<f64>],
+        finish: impl Fn(Moments) -> T,
+    ) -> (Vec<T>, DeployStats) {
+        let shards: Vec<&ShardSketch> = self.sketch.shards().iter().collect();
+        scatter_gather(
+            &shards,
+            queries,
+            self.opts.threads,
+            self.opts.max_shard,
+            finish,
+        )
     }
 }
 
@@ -989,7 +1044,7 @@ mod tests {
                     .iter()
                     .map(|s| s.moments_batch_with(&mut scratch, std::slice::from_ref(q))[0])
                     .fold(Moments::ZERO, Moments::merge);
-                // Mirror gather()'s documented near-empty guard.
+                // Mirror finish_guarded's documented near-empty guard.
                 let manual = if matches!(agg, Aggregate::Avg | Aggregate::Std) && total.n < 0.5 {
                     0.0
                 } else {
@@ -1100,7 +1155,7 @@ mod tests {
         assert!(answers.is_empty());
         assert_eq!(stats.queries, 0);
         assert_eq!(stats.model_batches, 0, "nothing ran, nothing tallied");
-        let one = server.answer(&wl.queries[0]);
+        let one = server.sketch().answer(&wl.queries[0]);
         assert_eq!(one, server.answer_batch(&wl.queries[..1]).0[0]);
     }
 
@@ -1126,23 +1181,20 @@ mod tests {
                 s: 0.02,
                 s2: 0.01,
             };
-            assert_eq!(sharded.gather([tiny].into_iter()), 0.0, "{}", agg.name());
+            assert_eq!(sharded.finish_guarded(tiny), 0.0, "{}", agg.name());
             let negative = Moments {
                 n: -0.02,
                 s: 0.5,
                 s2: 0.2,
             };
-            assert_eq!(sharded.gather([negative].into_iter()), 0.0);
+            assert_eq!(sharded.finish_guarded(negative), 0.0);
             // Above the threshold the ratio is served untouched.
             let real = Moments {
                 n: 3.0,
                 s: 6.0,
                 s2: 14.0,
             };
-            assert_eq!(
-                sharded.gather([real].into_iter()),
-                real.finish(agg).unwrap()
-            );
+            assert_eq!(sharded.finish_guarded(real), real.finish(agg).unwrap());
         }
         // COUNT/SUM never divide, so they pass through unclamped.
         let (counted, _) = build_sharded(
@@ -1160,7 +1212,7 @@ mod tests {
             s: 0.0,
             s2: 0.0,
         };
-        assert_eq!(counted.gather([tiny].into_iter()), 0.004);
+        assert_eq!(counted.finish_guarded(tiny), 0.004);
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //! K→2K rebalance.
 
 use neurosketch::cluster::{
-    Cluster, ClusterError, ClusterEvent, ClusterOptions, Fault, FaultPlan, RoutePolicy, UpgradeStep,
+    Cluster, ClusterError, ClusterEvent, ClusterOptions, Fault, FaultPlan, RoutePolicy,
 };
 use neurosketch::maintenance::retrain_shards;
 use neurosketch::persist;
 use neurosketch::serve::ServeOptions;
 use neurosketch::shard::{build_sharded, ShardPlan, ShardedServer, ShardedSketch};
-use neurosketch::NeuroSketchConfig;
+use neurosketch::{BatchScratch, NeuroSketchConfig};
 use proptest::prelude::*;
-use query::aggregate::Aggregate;
+use query::aggregate::{Aggregate, Moments};
 use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -272,9 +272,14 @@ fn rolling_upgrade_serves_one_generation_at_a_time_with_stale_flag() {
     // never a blend.
     let step = cluster.rolling_upgrade_step(&manifest).unwrap();
     assert!(
-        matches!(step, UpgradeStep::Upgraded { from: 0, to: 1, .. }),
+        matches!(
+            step,
+            Some(ClusterEvent::UpgradeApplied { from: 0, to: 1, .. })
+        ),
         "got {step:?}"
     );
+    // The step returns exactly what it logged.
+    assert_eq!(cluster.events().last(), step.as_ref());
     let (mid_answers, mid_report) = cluster.answer_batch(&b.wl.queries).unwrap();
     assert_eq!(
         mid_answers, gen0_expect,
@@ -294,10 +299,19 @@ fn rolling_upgrade_serves_one_generation_at_a_time_with_stale_flag() {
     // Roll to completion: every replica lands on generation 1 and the
     // staleness flag clears.
     let steps = cluster.rolling_upgrade(&manifest).unwrap();
-    assert!(matches!(
-        steps.last(),
-        Some(UpgradeStep::Done { generation: 1 })
-    ));
+    assert_eq!(
+        steps.len(),
+        2 * SHARDS - 1,
+        "one step per remaining replica"
+    );
+    assert!(steps
+        .iter()
+        .all(|s| matches!(s, ClusterEvent::UpgradeApplied { from: 0, to: 1, .. })));
+    // Converged on generation 1: a further step finds nothing to do
+    // and logs nothing.
+    let logged = cluster.events().len();
+    assert_eq!(cluster.rolling_upgrade_step(&manifest).unwrap(), None);
+    assert_eq!(cluster.events().len(), logged);
     let (answers, report) = cluster.answer_batch(&b.wl.queries).unwrap();
     assert_eq!(answers, gen1_expect);
     assert!(!report.stale);
@@ -339,24 +353,27 @@ fn upgrade_faults_are_typed_and_repairable() {
         .unwrap()
         .with_faults(plan);
     let steps = cluster.rolling_upgrade(&manifest).unwrap();
-    assert!(steps.contains(&UpgradeStep::PinnedStale {
+    assert!(steps.contains(&ClusterEvent::UpgradePinnedStale {
         group: 0,
         replica: 0,
         generation: 0,
     }));
-    assert!(steps.contains(&UpgradeStep::Torn {
+    assert!(steps.contains(&ClusterEvent::UpgradeTorn {
         group: 1,
         replica: 0,
         generation: 0,
     }));
-    assert!(steps.contains(&UpgradeStep::Corrupt {
+    assert!(steps.contains(&ClusterEvent::UpgradeCorrupt {
         group: 2,
         replica: 0,
     }));
-    assert!(matches!(
-        steps.last(),
-        Some(UpgradeStep::Done { generation: 1 })
-    ));
+    // The roll's return value is the slice of the event log it wrote,
+    // and it converged on generation 1 around the faulted replicas.
+    assert_eq!(cluster.events(), &steps[..]);
+    assert_eq!(cluster.rolling_upgrade_step(&manifest).unwrap(), None);
+    for group in cluster.groups() {
+        assert_eq!(group.replicas()[1].generation(), 1);
+    }
 
     // Each group still has its replica-1 at generation 1, so serving
     // converged — around the faulted replicas, never through them.
@@ -401,7 +418,7 @@ fn run_embedded_scenario(
     threads: usize,
     manifest: &PathBuf,
     gen0: &ShardedSketch,
-) -> (Vec<Vec<f64>>, Vec<ClusterEvent>, Vec<UpgradeStep>) {
+) -> (Vec<Vec<f64>>, Vec<ClusterEvent>, Vec<ClusterEvent>) {
     let b = base();
     let plan: FaultPlan = serde_json::from_str(EMBEDDED_PLAN).unwrap();
     let mut cluster = Cluster::new(
@@ -469,7 +486,7 @@ fn embedded_fault_plan_replays_identically_at_any_thread_count() {
             ..
         }
     )));
-    assert!(steps_t1.contains(&UpgradeStep::Corrupt {
+    assert!(steps_t1.contains(&ClusterEvent::UpgradeCorrupt {
         group: 2,
         replica: 1,
     }));
@@ -477,38 +494,90 @@ fn embedded_fault_plan_replays_identically_at_any_thread_count() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Seeded plans replay identically at 1 and 4 threads, and every batch
+/// the cluster answers is bitwise the dumbest oracle over exactly the
+/// groups its report says were covered: per query, each covered group's
+/// source shard evaluated alone, merged in group order, finished once.
 #[test]
 fn generated_plans_replay_identically_from_their_seed() {
     let b = base();
-    for seed in [1u64, 2, 3] {
-        let run = |threads: usize| {
-            let plan = FaultPlan::generate(seed, SHARDS, 2, 4, 6);
-            let mut cluster = Cluster::new(
-                &b.sharded,
-                2,
-                0,
-                RoutePolicy::RoundRobin,
-                ClusterOptions {
-                    threads,
-                    quorum: 0.5,
-                    ..ClusterOptions::default()
-                },
-            )
-            .unwrap()
-            .with_faults(plan);
-            let mut out = Vec::new();
-            for _ in 0..4 {
-                // Quorum may be typed-lost under an aggressive plan;
-                // capture either outcome — both must replay.
-                match cluster.answer_batch(&b.wl.queries) {
-                    Ok((answers, report)) => out.push(Ok((answers, report))),
-                    Err(e) => out.push(Err(format!("{e}"))),
+    let oracle = |chosen: &[Option<usize>]| -> Vec<f64> {
+        let mut scratch = BatchScratch::default();
+        b.wl.queries
+            .iter()
+            .map(|q| {
+                let total = b
+                    .sharded
+                    .shards()
+                    .iter()
+                    .zip(chosen)
+                    .filter(|(_, c)| c.is_some())
+                    .map(|(s, _)| s.moments_batch_with(&mut scratch, std::slice::from_ref(q))[0])
+                    .fold(Moments::ZERO, Moments::merge);
+                b.sharded.finish_guarded(total)
+            })
+            .collect()
+    };
+    // Two replicas per group fail over; one replica per group makes
+    // every kill an uncovered group (a degraded answer, or typed quorum
+    // loss), so the oracle is also checked on partial merges.
+    let (mut degraded, mut lost) = (0usize, 0usize);
+    for (seed, replicas) in (1u64..=8).flat_map(|s| [(s, 2usize), (s, 1)]) {
+        for policy in [
+            RoutePolicy::RoundRobin,
+            RoutePolicy::LeastLoaded,
+            RoutePolicy::GenerationAware,
+        ] {
+            let run = |threads: usize| {
+                let plan = FaultPlan::generate(seed, SHARDS, replicas, 4, 6);
+                let mut cluster = Cluster::new(
+                    &b.sharded,
+                    replicas,
+                    0,
+                    policy,
+                    ClusterOptions {
+                        threads,
+                        quorum: 0.5,
+                        ..ClusterOptions::default()
+                    },
+                )
+                .unwrap()
+                .with_faults(plan);
+                let mut out = Vec::new();
+                for _ in 0..4 {
+                    // Quorum may be typed-lost under an aggressive plan;
+                    // capture either outcome — both must replay.
+                    match cluster.answer_batch(&b.wl.queries) {
+                        Ok((answers, report)) => out.push(Ok((answers, report))),
+                        Err(e) => out.push(Err(format!("{e}"))),
+                    }
                 }
+                (out, cluster.take_events())
+            };
+            let replay = run(1);
+            let case = format!("seed {seed}, {replicas} replicas, {policy:?}");
+            assert_eq!(replay, run(4), "{case}: replay diverged across threads");
+            let (batches, _) = replay;
+            lost += batches.iter().filter(|b| b.is_err()).count();
+            for (i, (answers, report)) in batches.iter().flatten().enumerate() {
+                assert_eq!(
+                    report.covered,
+                    report.chosen.iter().flatten().count(),
+                    "{case}: batch {i}"
+                );
+                assert_eq!(
+                    answers,
+                    &oracle(&report.chosen),
+                    "{case}: batch {i} drifted from the per-query oracle"
+                );
+                degraded += usize::from(report.covered < SHARDS);
             }
-            (out, cluster.take_events())
-        };
-        assert_eq!(run(1), run(4), "seed {seed} replay diverged across threads");
+        }
     }
+    assert!(
+        degraded > 0 && lost > 0,
+        "the sweep must reach partial merges ({degraded}) and quorum loss ({lost})"
+    );
 }
 
 /// Satellite: K→2K rebalance is bitwise invariant for every

@@ -29,9 +29,7 @@
 //! ```
 
 use datagen::simple::{drift_batch, uniform};
-use neurosketch::cluster::{
-    Cluster, ClusterEvent, ClusterOptions, Fault, FaultPlan, RoutePolicy, UpgradeStep,
-};
+use neurosketch::cluster::{Cluster, ClusterEvent, ClusterOptions, Fault, FaultPlan, RoutePolicy};
 use neurosketch::maintenance::{retrain_shards, DriftMonitor};
 use neurosketch::serve::ServeOptions;
 use neurosketch::shard::{build_sharded, ShardPlan, ShardedServer};
@@ -186,7 +184,10 @@ fn main() {
     .0;
 
     let step = cluster.rolling_upgrade_step(&manifest).expect("first step");
-    assert!(matches!(step, UpgradeStep::Upgraded { from: 0, to: 1, .. }));
+    assert!(matches!(
+        step,
+        Some(ClusterEvent::UpgradeApplied { from: 0, to: 1, .. })
+    ));
     let (mid, mid_report) = cluster.answer_batch(&wl.queries).expect("mid-roll batch");
     assert_eq!(
         mid, gen0_expect,
@@ -200,8 +201,13 @@ fn main() {
     let steps = cluster.rolling_upgrade(&manifest).expect("finish roll");
     assert!(matches!(
         steps.last(),
-        Some(UpgradeStep::Done { generation: 1 })
+        Some(ClusterEvent::UpgradeApplied { to: 1, .. })
     ));
+    assert_eq!(
+        cluster.rolling_upgrade_step(&manifest).expect("converged"),
+        None,
+        "a finished roll has nothing left to upgrade"
+    );
     let (post, post_report) = cluster.answer_batch(&wl.queries).expect("post-roll batch");
     assert_eq!(post, gen1_expect, "post-roll answers must be gen 1");
     assert!(!post_report.stale);
