@@ -275,7 +275,7 @@ pub fn run_comparison(
 
     let mut rows = Vec::new();
     // NeuroSketch: allocation-free hot path.
-    let mut ws = nn::mlp::Workspace::default();
+    let mut ws = neurosketch::BatchScratch::default();
     let (preds, us) = time_queries(&test, |q| lineup.sketch.answer_with(&mut ws, q));
     rows.push(EngineRow {
         engine: "NeuroSketch",

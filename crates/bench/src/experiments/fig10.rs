@@ -61,7 +61,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<TradeoffPoint> {
         let Ok((sketch, _)) = NeuroSketch::build_from_labeled(&train, &labels, &cfg) else {
             return;
         };
-        let mut ws = nn::mlp::Workspace::default();
+        let mut ws = neurosketch::BatchScratch::default();
         let (preds, us) = crate::common::time_queries(&test, |q| sketch.answer_with(&mut ws, q));
         points.push(TradeoffPoint {
             label,

@@ -146,7 +146,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Fig14Row> {
                 smallest_width_for_error(&train, &labels, &test, &truth, &widths, target_err, &cfg);
             let (width_for_target, query_us) = match found {
                 Some((w, small)) => {
-                    let mut ws = nn::mlp::Workspace::default();
+                    let mut ws = neurosketch::BatchScratch::default();
                     let (_, us) =
                         crate::common::time_queries(&test, |q| small.answer_with(&mut ws, q));
                     (Some(w), Some(us))

@@ -75,7 +75,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<EngineRow> {
     );
 
     let mut rows = Vec::new();
-    let mut ws = nn::mlp::Workspace::default();
+    let mut ws = neurosketch::BatchScratch::default();
     let test_v: Vec<Vec<f64>> = test.to_vec();
     let (preds, us) = time_queries(&test_v, |q| sketch.answer_with(&mut ws, q));
     rows.push(EngineRow {

@@ -394,7 +394,7 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
         });
     };
 
-    let mut ws = nn::mlp::Workspace::default();
+    let mut ws = neurosketch::BatchScratch::default();
     let iters = 40;
     push(
         "neurosketch_answer_testset",
@@ -422,7 +422,10 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
         .take(SERVE_STREAM_LEN)
         .cloned()
         .collect();
-    let iters = 4;
+    // Eight passes per repetition: the f32 forward halved every entry
+    // of this group, and at four the batched ones sat under `--check`'s
+    // 1 ms noise floor.
+    let iters = 8;
     push(
         "serve_single_query_loop",
         iters,
@@ -537,9 +540,10 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
 
     // The serving kernel on its own (`serve_forward_fused`): 4 096 rows
     // through one paper-shaped model's `ServingLayout`, timed rep for
-    // rep against the per-example `forward_with` loop over the same rows
-    // (`serve_forward_per_example`) — the ratio is what batching buys
-    // per forward pass, and the fused median pins the `nn::fused` tile
+    // rep against the scalar f32 oracle `nn::fused::forward_per_example`
+    // over the same rows (`serve_forward_per_example`) — asserted
+    // bit-equal first; the ratio is what the tiled kernel buys per
+    // forward pass, and the fused median pins the `nn::fused` tile
     // shape: a shape the autovectoriser stops handling shows up here as
     // a multiple, not a percentage. `serve_forward_fused_gflops` is
     // computed from the shapes (real multiply-adds, padding excluded).
@@ -548,12 +552,20 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
         let sizes = [4usize, 60, 30, 30, 1];
         let mlp = nn::Mlp::new(&sizes, 0);
         let layout = mlp.serving_layout();
-        let x: Vec<f64> = (0..ROWS * sizes[0])
-            .map(|i| ((i * 37 % 101) as f64) / 101.0 - 0.3)
+        let x: Vec<f32> = (0..ROWS * sizes[0])
+            .map(|i| ((i * 37 % 101) as f32) / 101.0 - 0.3)
             .collect();
         let mut out = vec![0.0; ROWS];
         let mut sws = nn::fused::ServingWorkspace::default();
-        let mut pws = nn::mlp::Workspace::default();
+        layout.forward_into(&mut sws, &x, &mut out);
+        for (row, got) in x.chunks_exact(sizes[0]).zip(&out) {
+            let want = nn::fused::forward_per_example(&mlp, row)[0];
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "fused forward left its oracle"
+            );
+        }
         let (fused, per_example) = time_paired(
             reps,
             || {
@@ -565,7 +577,7 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
             || {
                 for _ in 0..iters {
                     for row in x.chunks_exact(sizes[0]) {
-                        std::hint::black_box(mlp.forward_with(&mut pws, row)[0]);
+                        std::hint::black_box(nn::fused::forward_per_example(&mlp, row)[0]);
                     }
                 }
             },
@@ -604,7 +616,8 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
     // `serve_batched_{f16,i8}` serve the quantized sketches through the
     // same front as `serve_throughput_batched_t1`, so the recorded
     // medians document that quantization changes artifact size, not
-    // serving cost (both decode to plain f64 models at load).
+    // serving cost (every mode's parameters are served from the same
+    // f32 layout).
     {
         use nn::QuantMode;
         for (name, model) in [

@@ -1409,6 +1409,34 @@ mod tests {
         }
     }
 
+    /// Serving precision is storage precision: the serving layout rounds
+    /// every parameter to `f32`, which *is* the F32 artifact's rounding,
+    /// so a freshly trained sketch, its `quantized()` twin and its
+    /// save/load round trip answer with the same bits — saving changes
+    /// no served answer.
+    #[test]
+    fn fresh_quantized_and_decoded_sketches_serve_the_same_bits() {
+        let (sketch, _) = trained_sketch();
+        let queries: Vec<Vec<f64>> = (0..97)
+            .map(|i| vec![(i as f64 * 0.137) % 1.0, (i as f64 * 0.311) % 1.0])
+            .collect();
+        let bits = |s: &NeuroSketch| -> Vec<u64> {
+            (s.answer_batch(&queries).iter())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let fresh = bits(&sketch);
+        assert_eq!(bits(&sketch.quantized()), fresh);
+        assert_eq!(bits(&decode(encode_sketch(&sketch)).unwrap().sketch), fresh);
+        // The narrower modes do move answers, each exactly once: the
+        // in-memory rounding and the decoded artifact agree.
+        for mode in [QuantMode::F16, QuantMode::I8] {
+            let loaded = decode(encode_sketch_with(&sketch, mode)).unwrap().sketch;
+            assert_eq!(bits(&loaded), bits(&sketch.quantized_to(mode)), "{mode:?}");
+            assert_ne!(bits(&loaded), fresh, "{mode:?} rounding must be visible");
+        }
+    }
+
     #[test]
     fn second_roundtrip_is_byte_identical() {
         let (sketch, _) = trained_sketch();

@@ -16,14 +16,18 @@
 //!   then a counting sort that groups the sketch-routed queries by
 //!   partition;
 //! * each group runs through its model's serving layout
-//!   ([`nn::fused`]): a register-tiled forward pass with bias and ReLU
-//!   fused into the tile store, so batching pays even on a single core.
-//!   There is one compute path; docs/serving.md describes it.
+//!   ([`nn::fused`]): a register-tiled `f32` forward pass — the
+//!   precision the artifact stores — with bias and ReLU fused into the
+//!   tile store, so batching pays even on a single core. There is one
+//!   compute path, the one [`NeuroSketch::answer`](crate::NeuroSketch::answer)
+//!   runs on a tile of one row; docs/serving.md describes it.
 //!
 //! Answers are **bitwise identical** to calling
 //! [`NeuroSketch::answer`](crate::NeuroSketch::answer) (or the exact
 //! engine) query-by-query, in input order, at any thread count — the
-//! sharding and leaf-grouping change scheduling, not arithmetic.
+//! sharding and leaf-grouping change scheduling, not arithmetic. They
+//! are the bits of the `f32` forward, not of the `f64`
+//! `Mlp::forward_with` (docs/serving.md, "Determinism contract").
 //!
 //! A server computes what it is sent: caching and in-batch
 //! deduplication live in exactly one place, the

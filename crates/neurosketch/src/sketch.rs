@@ -1,10 +1,19 @@
 //! The NeuroSketch model: build pipeline (Fig. 4) and query answering
 //! (Alg. 5).
+//!
+//! Building is `f64` end to end (labels, standardization, training).
+//! Answering has **one** forward pass, [`nn::fused`]'s `f32` kernel over
+//! the leaf's lazily built [`ServingLayout`], whether the caller brings
+//! one query ([`NeuroSketch::answer`], a tile of one row) or a batch
+//! ([`NeuroSketch::answer_batch`]): the kd-tree descent reads the `f64`
+//! query, its coordinates are cast to `f32` as they are gathered for the
+//! kernel, and the `f32` output is widened before the `f64`
+//! de-standardization. A query's answer is therefore the same bits
+//! however it arrives.
 
 use crate::aqc::aqc_sampled;
 use crate::SketchError;
 use nn::fused::ServingWorkspace;
-use nn::mlp::Workspace;
 use nn::train::{train, TrainConfig, TrainReport};
 use nn::{Mlp, QuantMode, ServingLayout};
 use query::aggregate::Aggregate;
@@ -123,9 +132,9 @@ pub(crate) struct LeafModel {
     pub(crate) mlp: Mlp,
     pub(crate) y_mean: f64,
     pub(crate) y_std: f64,
-    /// What the batched path forwards through: derived from `mlp` on
-    /// the first batched use (a sketch that is only built, saved or
-    /// answered query by query never pays its ~30 KB). Private, and a
+    /// What every answer forwards through: derived from `mlp` on the
+    /// first query this leaf answers (a sketch that is only built, saved
+    /// or inspected never pays its ~15 KB). Private, and a
     /// `LeafModel` is immutable once made — a retrain *replaces* it —
     /// so the layout cannot describe any other weights.
     layout: OnceLock<ServingLayout>,
@@ -141,8 +150,22 @@ impl LeafModel {
         }
     }
 
-    fn layout(&self) -> &ServingLayout {
-        self.layout.get_or_init(|| self.mlp.serving_layout())
+    /// Answer the gathered rows `x` of this leaf: the serving forward
+    /// into `y`, then each output widened, de-standardized in `f64` and
+    /// handed to `emit` with its row number.
+    fn answer_rows(
+        &self,
+        ws: &mut ServingWorkspace,
+        x: &[f32],
+        y: &mut Vec<f32>,
+        mut emit: impl FnMut(usize, f64),
+    ) {
+        let layout = self.layout.get_or_init(|| self.mlp.serving_layout());
+        y.resize(x.len() / self.mlp.input_dim(), 0.0);
+        layout.forward_into(ws, x, y);
+        for (row, v) in y.iter().enumerate() {
+            emit(row, f64::from(*v) * self.y_std + self.y_mean);
+        }
     }
 }
 
@@ -168,15 +191,16 @@ pub struct NeuroSketch {
     quant: QuantMode,
 }
 
-/// Reusable scratch for batched answering: the serving kernel's
-/// activation tiles, the gathered input/output rows of one partition,
-/// and the locate/grouping buffers. Keep one per serving thread;
-/// steady-state batched answering then allocates only the output vector.
+/// Reusable scratch for answering: the serving kernel's activation
+/// tiles, the gathered `f32` input/output rows of one partition, and
+/// the locate/grouping buffers. Keep one per serving thread;
+/// steady-state batched answering then allocates only the output vector
+/// and per-query answering ([`NeuroSketch::answer_with`]) nothing.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     ws: ServingWorkspace,
-    x: Vec<f64>,
-    y: Vec<f64>,
+    x: Vec<f32>,
+    y: Vec<f32>,
     leaves: Vec<u32>,
     /// Bucket boundaries of the counting sort, `partitions + 1` long.
     starts: Vec<usize>,
@@ -313,13 +337,13 @@ impl NeuroSketch {
 
     /// Answer a query (Alg. 5): kd-tree descent then a forward pass.
     pub fn answer(&self, q: &[f64]) -> f64 {
-        let mut ws = Workspace::default();
-        self.answer_with(&mut ws, q)
+        self.answer_with(&mut BatchScratch::default(), q)
     }
 
     /// Answer with caller-provided scratch space — the allocation-free
-    /// hot path used for query-time measurements.
-    pub fn answer_with(&self, ws: &mut Workspace, q: &[f64]) -> f64 {
+    /// hot path used for query-time measurements. The forward pass is
+    /// the batched path's kernel on a tile of one row.
+    pub fn answer_with(&self, scratch: &mut BatchScratch, q: &[f64]) -> f64 {
         assert_eq!(
             q.len(),
             self.query_dim,
@@ -327,12 +351,16 @@ impl NeuroSketch {
             q.len(),
             self.query_dim
         );
-        let model = &self.models[self.leaf_index_of(q)];
-        model.mlp.predict_with(ws, q) * model.y_std + model.y_mean
+        let BatchScratch { ws, x, y, .. } = scratch;
+        x.clear();
+        x.extend(q.iter().map(|&c| c as f32));
+        let mut answer = 0.0;
+        self.models[self.leaf_index_of(q)].answer_rows(ws, x, y, |_, v| answer = v);
+        answer
     }
 
     /// Answer a batch of queries with one tiled forward pass per
-    /// partition instead of one matvec chain per query. Convenience
+    /// partition instead of one single-row pass per query. Convenience
     /// wrapper around [`NeuroSketch::answer_batch_with`]; answers are
     /// **bitwise identical** to calling [`NeuroSketch::answer`] per query.
     pub fn answer_batch(&self, queries: &[Vec<f64>]) -> Vec<f64> {
@@ -374,7 +402,11 @@ impl NeuroSketch {
     /// rows are assembled in input order — and every row's arithmetic
     /// is independent of which rows share its tile, so answers are
     /// **bitwise identical** to [`NeuroSketch::answer`] whatever the
-    /// batch composition or order.
+    /// batch composition or order. Coordinates are cast to `f32` as a
+    /// group is gathered (everything before this — the kd-tree descent,
+    /// the DQD rules, the cache key, the exact engine — read the `f64`
+    /// query); [`ServingLayout::forward_into`] says what that means for
+    /// a coordinate beyond `f32` range.
     ///
     /// # Panics
     /// Panics if `queries`, `leaves` and `out` differ in length.
@@ -423,32 +455,30 @@ impl NeuroSketch {
             }
             x.clear();
             for &pos in group {
-                x.extend_from_slice(&queries[pos]);
+                x.extend(queries[pos].iter().map(|&c| c as f32));
             }
-            y.resize(group.len(), 0.0);
-            model.layout().forward_into(ws, x, y);
-            for (&pos, v) in group.iter().zip(y.iter()) {
-                out[pos] = v * model.y_std + model.y_mean;
-            }
+            model.answer_rows(ws, x, y, |row, v| out[group[row]] = v);
         }
     }
 
     /// The sketch with every model parameter rounded through `f32` — the
     /// exact values the persistent NSK2 format ([`crate::persist`])
-    /// stores. Saving is lossy once (training precision → storage
-    /// precision) and lossless ever after:
-    /// `persist::decode(persist::encode_sketch(&s))` answers bitwise
-    /// identically to `s.quantized()`.
+    /// stores, and the exact values every answer is computed with.
+    /// Serving precision is storage precision: `s`, `s.quantized()` and
+    /// `persist::decode(persist::encode_sketch(&s))` answer every query
+    /// with identical bits, so saving a freshly trained sketch changes
+    /// nothing it serves.
     pub fn quantized(&self) -> NeuroSketch {
         self.quantized_to(QuantMode::F32)
     }
 
     /// The sketch with every model parameter rounded through the given
     /// storage encoding — exactly the values an NSK2 artifact saved with
-    /// that [`QuantMode`] decodes to. Each mode is lossy exactly once:
-    /// `s.quantized_to(mode)` is a fixed point of itself, so load →
-    /// re-encode is byte-idempotent and answers are bitwise reproducible
-    /// across loads. The result carries `mode` as its
+    /// that [`QuantMode`] decodes to. `F16` and `I8` move answers, each
+    /// exactly once: `s.quantized_to(mode)` is a fixed point of itself
+    /// and all its values are `f32`-representable, so load → re-encode
+    /// is byte-idempotent and answers are bitwise reproducible across
+    /// loads. The result carries `mode` as its
     /// [`NeuroSketch::quant_mode`].
     pub fn quantized_to(&self, mode: QuantMode) -> NeuroSketch {
         let models = self
@@ -688,7 +718,7 @@ mod tests {
             &NeuroSketchConfig::small(),
         )
         .unwrap();
-        let mut ws = Workspace::default();
+        let mut ws = BatchScratch::default();
         for q in wl.queries.iter().take(20) {
             assert_eq!(sketch.answer(q), sketch.answer_with(&mut ws, q));
         }
@@ -804,7 +834,7 @@ mod tests {
             NeuroSketch::build(&engine, &wl.predicate, Aggregate::Count, &wl.queries, &cfg)
                 .unwrap();
         let batched = sketch.answer_batch(&wl.queries);
-        let mut ws = Workspace::default();
+        let mut ws = BatchScratch::default();
         for (q, b) in wl.queries.iter().zip(&batched) {
             assert_eq!(sketch.answer_with(&mut ws, q), *b);
         }
@@ -841,6 +871,24 @@ mod tests {
     }
 
     #[test]
+    fn coordinate_beyond_f32_range_is_nan_in_its_own_slot_only() {
+        // The kd-tree locates the finite f64 query; the cast for the
+        // kernel makes the coordinate infinite and the answer NaN. No
+        // panic, and the queries sharing its leaf group and tile keep
+        // the bits they have without it.
+        let (sketch, wl, _) = four_partition_sketch();
+        let mut batch = wl.queries[..40].to_vec();
+        let want = sketch.answer_batch(&batch);
+        batch[17][1] = 1e300;
+        let got = sketch.answer_batch(&batch);
+        assert!(got[17].is_nan(), "answered {}", got[17]);
+        assert!(sketch.answer(&batch[17]).is_nan());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!(i == 17 || g.to_bits() == w.to_bits(), "query {i}");
+        }
+    }
+
+    #[test]
     fn quantized_preserves_structure_and_is_idempotent() {
         let (data, wl) = count_setup(300, 150);
         let engine = QueryEngine::new(&data, 1);
@@ -853,10 +901,9 @@ mod tests {
         assert_eq!(q.partitions(), sketch.partitions());
         assert_eq!(q.param_count(), sketch.param_count());
         for query in wl.queries.iter().take(10) {
-            // Quantization moves answers only by f32 rounding...
-            let (a, b) = (sketch.answer(query), q.answer(query));
-            assert!((a - b).abs() <= 1e-3 * (1.0 + a.abs()), "{a} vs {b}");
-            // ...and is idempotent (bitwise).
+            // Serving rounds parameters to f32 anyway, so the f32
+            // quantization is invisible in the answers and idempotent.
+            assert_eq!(sketch.answer(query), q.answer(query));
             assert_eq!(q.answer(query), q.quantized().answer(query));
         }
     }

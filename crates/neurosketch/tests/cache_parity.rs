@@ -189,6 +189,47 @@ proptest! {
     }
 }
 
+/// The cache key is the query's `f64` bits, the model's input is its
+/// `f32` rounding: two queries one `f64` ulp apart are the same row to
+/// the kernel and must still be two keys — neither collapsed by the
+/// in-batch dedup nor answered from the other's entry — with equal
+/// answers, cold and warm.
+#[test]
+fn queries_closer_than_f32_resolution_keep_their_own_entries() {
+    let (sketch, _) = &base().by_agg[0];
+    let twin = |q: &Vec<f64>| {
+        let mut t = q.clone();
+        t[0] = f64::from_bits(t[0].to_bits() + 1);
+        assert_eq!(t[0] as f32, q[0] as f32, "twin must round to the same f32");
+        t
+    };
+    // The kd-tree reads the f64 query: a training query sitting exactly
+    // on a split value has its twin in the neighbouring leaf, under
+    // another model. Those pairs are not the subject here.
+    let originals: Vec<Vec<f64>> = (base().wl.queries.iter())
+        .filter(|q| sketch.leaf_index_of(&twin(q)) == sketch.leaf_index_of(q))
+        .cloned()
+        .collect();
+    assert!(originals.len() + 4 > base().wl.queries.len());
+    let twins: Vec<Vec<f64>> = originals.iter().map(twin).collect();
+    let n = originals.len();
+    let batch: Vec<Vec<f64>> = originals.iter().chain(&twins).cloned().collect();
+    let cached = fronted(
+        server(0, 1),
+        AnswerCache::new(256 << 10, 8),
+        Aggregate::Count,
+    );
+    let (want, _) = server(0, 1).answer_batch(&batch);
+    assert_bitwise("twins answer alike", &want[n..], &want[..n]);
+    let (cold, cold_stats) = cached.answer_batch(&batch);
+    assert_bitwise("cold", &cold, &want);
+    assert_eq!((cold_stats.dedup_hits, cold_stats.cache_hits), (0, 0));
+    assert_eq!(cached.cache().stats().entries, 2 * n);
+    let (warm, warm_stats) = cached.answer_batch(&batch);
+    assert_bitwise("warm", &warm, &want);
+    assert_eq!(warm_stats.cache_hits, 2 * n);
+}
+
 /// The sharded scatter/gather layer behind the front: bitwise parity
 /// against the bare sharded path, cold and warm, at 1 and 4 threads.
 #[test]

@@ -1,38 +1,53 @@
-//! The serving forward pass: the crate's register-tiled GEMM
-//! ([`crate::gemm`]) with bias and activation fused into the tile's
-//! single store, run over row blocks whose activations never leave L1.
+//! The serving forward pass — the **one** forward every served answer
+//! goes through, batched or one query at a time: the crate's
+//! register-tiled GEMM ([`crate::gemm`]) instantiated at `f32`, with
+//! bias and activation fused into the tile's single store, run over row
+//! blocks whose activations never leave L1.
 //!
-//! [`Mlp::forward_batch`] is the *training* forward over the same
-//! kernel: it keeps every layer's `batch x width` activations for
-//! backprop and re-packs the weights on every call, because the
-//! optimizer moves them between calls. Serving a frozen model wants
-//! neither, so a [`ServingLayout`] is a self-contained copy of a
-//! model's parameters in the shape the kernel reads:
+//! **Why `f32`.** Every persisted parameter is `f32` or narrower
+//! ([`crate::binary`]: f32 / f16 / i8), so a served model has no bits an
+//! `f32` cannot hold; computing in `f64` would spend half of every
+//! vector on precision the artifact does not have. Training
+//! ([`Mlp::forward_batch`] / [`Mlp::backward_batch`], the same kernel
+//! source at `f64`), labels and [`Mlp::forward_with`] stay `f64`.
 //!
-//! * each layer's weights transposed and packed once into `NR`-column
-//!   panels (`in_dim x NR` doubles, contiguous), the output width
-//!   zero-padded to a multiple of [`NR`];
+//! [`Mlp::forward_batch`] is the *training* forward over that kernel: it
+//! keeps every layer's `batch x width` activations for backprop and
+//! re-packs the weights on every call, because the optimizer moves them
+//! between calls. Serving a frozen model wants neither, so a
+//! [`ServingLayout`] is a self-contained copy of a model's parameters in
+//! the shape the kernel reads:
+//!
+//! * each layer's weights rounded to `f32` — the rounding
+//!   [`Mlp::quantized`] and the F32 artifact apply, so a fresh model, its
+//!   `quantized()` twin and its save/load round trip serve the same bits
+//!   — transposed and packed once into `NR`-column panels (`in_dim x NR`
+//!   floats, contiguous), the output width zero-padded to a multiple of
+//!   [`NR`];
 //! * [`BLOCK_ROWS`] rows at a time ping-pong between two scratch tiles
 //!   through every layer, so nothing `batch x width` is materialised.
 //!
-//! **Bitwise contract.** Every output entry is one `fmadd` chain over
-//! ascending contraction index starting from `0.0`, then `+ bias`, then
-//! the activation's own comparison — operation for operation what
-//! [`Mlp::forward_with`] does per example (`Matrix::matvec_into`, the
-//! bias loop, `Activation::apply`). Fusing bias and ReLU into the store
-//! moves *where* those two operations happen, not their operands or
-//! order, and the contraction runs over the layer's real input width
-//! only, so padding columns are written but never read. Answers are
-//! therefore bit-for-bit the per-example ones at any batch size and in
-//! any row order.
+//! **Bitwise contract.** Every output entry is one `f32` `fmadd` chain
+//! over ascending contraction index starting from `+0.0`, then `+ bias`,
+//! then the activation's own comparison — operation for operation what
+//! [`forward_per_example`], the scalar oracle, does. Fusing bias and
+//! ReLU into the store moves *where* those two operations happen, not
+//! their operands or order, the contraction runs over the layer's real
+//! input width only (padding columns are written but never read), and a
+//! row's arithmetic does not depend on which rows share its tile.
+//! Answers are therefore bit-for-bit the oracle's at any batch size —
+//! a batch of one included — and in any row order. They are **not** the
+//! bits of the `f64` [`Mlp::forward_with`]; `tests/serving_accuracy.rs`
+//! bounds the distance.
 
 use crate::activation::Activation;
 use crate::gemm::{gemm, pack, padded, unpad, TileStore};
 pub use crate::gemm::{MR, NR};
+use crate::linalg::Elem;
 use crate::mlp::Mlp;
 
 /// Rows per L1-resident block (a multiple of [`MR`]): the two tiles are
-/// `BLOCK_ROWS x 64` doubles = 18 KiB each at the paper's widths.
+/// `BLOCK_ROWS x 64` floats = 9 KiB each at the paper's widths.
 pub const BLOCK_ROWS: usize = 36;
 
 #[derive(Debug, Clone)]
@@ -40,9 +55,9 @@ struct FusedLayer {
     /// `n_pad / NR` panels, each `in_dim x NR` row-major: panel `p`, row
     /// `t` holds `W[p * NR + j][t]` for `j in 0..NR` (zero past
     /// `out_dim`).
-    panels: Vec<f64>,
+    panels: Vec<f32>,
     /// Biases zero-padded to `n_pad`.
-    bias: Vec<f64>,
+    bias: Vec<f32>,
     in_dim: usize,
     n_pad: usize,
     activation: Activation,
@@ -69,8 +84,8 @@ pub struct ServingLayout {
 /// models and batches.
 #[derive(Debug, Clone, Default)]
 pub struct ServingWorkspace {
-    a: Vec<f64>,
-    b: Vec<f64>,
+    a: Vec<f32>,
+    b: Vec<f32>,
 }
 
 impl ServingLayout {
@@ -83,8 +98,8 @@ impl ServingLayout {
                 let n_pad = padded(out);
                 let mut panels = Vec::new();
                 pack(&mut panels, l.weights.as_slice(), (1, k), k, out);
-                let mut bias = vec![0.0; n_pad];
-                bias[..out].copy_from_slice(&l.biases);
+                let mut bias: Vec<f32> = l.biases.iter().map(|&b| b as f32).collect();
+                bias.resize(n_pad, 0.0);
                 FusedLayer {
                     panels,
                     bias,
@@ -106,18 +121,26 @@ impl ServingLayout {
     pub fn padded_bytes(&self) -> usize {
         self.layers
             .iter()
-            .map(|l| (l.panels.len() + l.bias.len()) * 8)
+            .map(|l| (l.panels.len() + l.bias.len()) * size_of::<f32>())
             .sum()
     }
 
     /// Forward `x` (`rows x input_dim`, row-major, unpadded) through
     /// every layer and write the `rows x output_dim` result into `out`.
-    /// Bitwise identical to [`Mlp::forward_with`] on each row.
+    /// Bitwise identical to [`forward_per_example`] on each row.
+    ///
+    /// Callers holding `f64` coordinates cast them (`as f32`) on the way
+    /// in. That cast rounds to nearest, so two coordinates closer than
+    /// `f32` resolution forward identically, and a finite `f64` beyond
+    /// `f32` range arrives as `±inf`: its row's output is then `NaN`
+    /// (`inf · w` summed against `-inf · w'`, or `0 · inf` at a dead
+    /// unit) or `±inf`, never a panic, and no other row is touched —
+    /// rows share a tile, not arithmetic.
     ///
     /// # Panics
     /// Panics if `x` is not a whole number of input rows or `out` does
     /// not hold exactly one output row per input row.
-    pub fn forward_into(&self, ws: &mut ServingWorkspace, x: &[f64], out: &mut [f64]) {
+    pub fn forward_into(&self, ws: &mut ServingWorkspace, x: &[f32], out: &mut [f32]) {
         let (d, o) = (self.input_dim, self.output_dim);
         assert_eq!(x.len() % d, 0, "input is not rows x {d}");
         let m = x.len() / d;
@@ -146,7 +169,7 @@ impl ServingLayout {
 impl FusedLayer {
     /// `c[r] = act(a[r] · Wᵀ + bias)` for `rows` rows; `a` has row
     /// stride `a_stride`, `c` has row stride `n_pad`.
-    fn apply(&self, rows: usize, a: &[f64], a_stride: usize, c: &mut [f64]) {
+    fn apply(&self, rows: usize, a: &[f32], a_stride: usize, c: &mut [f32]) {
         let (k, n) = (self.in_dim, self.n_pad);
         gemm(
             (rows, k, n / NR),
@@ -167,30 +190,60 @@ impl FusedLayer {
 /// The forward epilogue, `c = act(acc + bias)` fused into the tile
 /// store: per entry the operations of the per-example forward, `+ bias`
 /// then [`Activation::apply`]'s own comparison, so `-0.0` and NaN come
-/// out as [`Mlp::forward_with`]'s do. `bias` is zero-padded to whole
+/// out as the per-example paths' do ([`Mlp::forward_with`] at `f64`,
+/// [`forward_per_example`] at `f32`). `bias` is zero-padded to whole
 /// panels and `c` has the padded row stride `sc`.
-pub(crate) struct BiasAct<'a> {
-    pub c: &'a mut [f64],
+pub(crate) struct BiasAct<'a, T> {
+    pub c: &'a mut [T],
     pub sc: usize,
-    pub bias: &'a [f64],
+    pub bias: &'a [T],
     pub activation: Activation,
 }
 
-impl TileStore for BiasAct<'_> {
+impl<T: Elem> TileStore<T> for BiasAct<'_, T> {
     #[inline(always)]
-    fn row(&mut self, r: usize, p: usize, acc: &[f64; NR]) {
+    fn row(&mut self, r: usize, p: usize, acc: &[T; NR]) {
         let bias = &self.bias[p * NR..(p + 1) * NR];
         // Into a local first: the compiler cannot see that `c` and
         // `bias` are disjoint, and would not vectorise a direct store.
-        let mut v = [0.0; NR];
+        let mut v = [T::default(); NR];
         for j in 0..NR {
             let z = acc[j] + bias[j];
             v[j] = match self.activation {
-                Activation::Relu if z < 0.0 => 0.0,
+                Activation::Relu if z < T::default() => T::default(),
                 _ => z,
             };
         }
         let at = r * self.sc + p * NR;
         self.c[at..at + NR].copy_from_slice(&v);
     }
+}
+
+/// The serving forward's oracle: one row through `mlp` in scalar `f32`,
+/// no tiles, no layout — per output one `fmadd` chain over ascending
+/// input index from `+0.0`, then `+ bias`, then the activation's own
+/// comparison, every parameter rounded `as f32` first. The parity
+/// suites and `perfbench` hold [`ServingLayout::forward_into`] to it
+/// with `to_bits()`; nothing serves through it.
+pub fn forward_per_example(mlp: &Mlp, x: &[f32]) -> Vec<f32> {
+    assert_eq!(x.len(), mlp.input_dim(), "input is not one row");
+    let mut a = x.to_vec();
+    for layer in mlp.layers() {
+        let rows = layer.weights.as_slice().chunks_exact(layer.in_dim());
+        a = rows
+            .zip(&layer.biases)
+            .map(|(row, b)| {
+                let mut acc = 0.0f32;
+                for (w, xi) in row.iter().zip(&a) {
+                    acc = (*w as f32).fmadd(*xi, acc);
+                }
+                let z = acc + *b as f32;
+                match layer.activation {
+                    Activation::Relu if z < 0.0 => 0.0,
+                    _ => z,
+                }
+            })
+            .collect();
+    }
+    a
 }

@@ -3,6 +3,11 @@
 //! mini-batch forward and backward ([`Mlp::forward_batch`],
 //! [`Mlp::backward_batch`]) and [`crate::linalg::matmul`].
 //!
+//! One source, two element types (`Elem` in [`crate::linalg`]): the
+//! training products and `matmul` run it at `f64`, serving at `f32`,
+//! where the same [`MR`] x [`NR`] tile is half as many vector registers
+//! and twice the lanes per `fmadd`. Nothing below depends on which.
+//!
 //! `row_tile` computes `M x NR` blocks of `C = A · B`. Its accumulators
 //! stay in registers across the **entire** contraction and are handed
 //! to the caller's epilogue exactly once, so bias, activation, ReLU
@@ -24,12 +29,14 @@
 //! zeros) and copies the real columns out where an unpadded [`Matrix`]
 //! is the interface.
 //!
-//! **Bitwise contract.** Every entry is one `fmadd` chain over ascending
-//! contraction index starting from `+0.0` — the order of
-//! `Matrix::matvec_into` (forward), `Matrix::matvec_transpose_into`
-//! (`dX`) and `Matrix::rank1_add` summed in batch order (`dW`). Those
-//! per-example helpers skip exact-zero multipliers and this kernel does
-//! not; the results are still the same bits, for finite operands:
+//! **Bitwise contract.** Every entry is one `fmadd` chain, in the
+//! element type, over ascending contraction index starting from `+0.0`
+//! — at `f64` the order of `Matrix::matvec_into` (forward),
+//! `Matrix::matvec_transpose_into` (`dX`) and `Matrix::rank1_add` summed
+//! in batch order (`dW`), at `f32` that of
+//! [`crate::fused::forward_per_example`]. Those `f64` per-example
+//! helpers skip exact-zero multipliers and this kernel does not; the
+//! results are still the same bits, for finite operands:
 //! `fmadd(±0.0, b, acc)` returns `acc` unchanged unless `acc` is `-0.0`,
 //! and a chain that starts at `+0.0` cannot reach `-0.0` short of a
 //! product underflowing to it. With a non-finite parameter `0 · ∞` is
@@ -37,14 +44,16 @@
 //! for finite parameters only.
 //!
 //! The tile shape is fragile under autovectorisation and was chosen by
-//! measurement (docs/serving.md has the table); `perfbench`'s
-//! `serve_forward_fused` and `train_leaf_batched` entries pin it.
+//! measurement, once per element type (docs/serving.md has the `f32`
+//! table and the `f64` numbers beside it; 6 x 16 won both);
+//! `perfbench`'s `serve_forward_fused` and `train_leaf_batched` entries
+//! pin it.
 //!
 //! [`Matrix`]: crate::linalg::Matrix
 //! [`Mlp::forward_batch`]: crate::mlp::Mlp::forward_batch
 //! [`Mlp::backward_batch`]: crate::mlp::Mlp::backward_batch
 
-use crate::linalg::fmadd;
+use crate::linalg::Elem;
 
 /// Rows per micro-kernel tile.
 pub const MR: usize = 6;
@@ -57,22 +66,24 @@ pub(crate) fn padded(n: usize) -> usize {
 }
 
 /// Pack the `k x n` operand `B(t, j) = b[t * sb_t + j * sb_j]` into
-/// `n.div_ceil(NR)` panels of `k x NR` doubles each (panel `p`, row `t`
-/// holds columns `p * NR..`, zero past `n`), reusing `panels`.
-pub(crate) fn pack(
-    panels: &mut Vec<f64>,
+/// `n.div_ceil(NR)` panels of `k x NR` elements each (panel `p`, row `t`
+/// holds columns `p * NR..`, zero past `n`), reusing `panels`. `B` is a
+/// model's `f64` parameters; packing is where they are rounded to the
+/// element type the product runs in.
+pub(crate) fn pack<T: Elem>(
+    panels: &mut Vec<T>,
     b: &[f64],
     (sb_t, sb_j): (usize, usize),
     k: usize,
     n: usize,
 ) {
     panels.clear();
-    panels.resize(k * padded(n), 0.0);
+    panels.resize(k * padded(n), T::default());
     for (p, panel) in panels.chunks_exact_mut((k * NR).max(1)).enumerate() {
         let j0 = p * NR;
         for (t, row) in panel.chunks_exact_mut(NR).enumerate() {
             for (j, v) in row[..NR.min(n - j0)].iter_mut().enumerate() {
-                *v = b[t * sb_t + (j0 + j) * sb_j];
+                *v = T::from_f64(b[t * sb_t + (j0 + j) * sb_j]);
             }
         }
     }
@@ -82,10 +93,10 @@ pub(crate) fn pack(
 /// epilogue and the single store. A trait rather than a closure so that
 /// the implementation can be `#[inline(always)]` — a tile that escapes
 /// into an out-of-line call lives on the stack, not in registers.
-pub(crate) trait TileStore {
+pub(crate) trait TileStore<T> {
     /// Receives columns `p * NR..(p + 1) * NR` of row `r` of `C`,
     /// exactly once; a panel's rows arrive in ascending order.
-    fn row(&mut self, r: usize, p: usize, acc: &[f64; NR]);
+    fn row(&mut self, r: usize, p: usize, acc: &[T; NR]);
 }
 
 /// Expand `$body` once per row of an `M`-row tile (`M` is 1 or [`MR`])
@@ -116,22 +127,22 @@ macro_rules! each_row {
 /// B(t, j)` for `i < M`, `j < NR`, `t` ascending over `0..k` (operands
 /// as in [`gemm`]); each finished row goes to `c` once.
 #[inline(always)]
-fn row_tile<const M: usize>(
+fn row_tile<T: Elem, const M: usize>(
     i0: usize,
     (k, panels): (usize, usize),
-    a: &[f64],
+    a: &[T],
     (sa_i, sa_t): (usize, usize),
-    b: &[f64],
+    b: &[T],
     (b_panel, sb): (usize, usize),
-    c: &mut impl TileStore,
+    c: &mut impl TileStore<T>,
 ) {
     // Equal-length views of the `M` rows of `A`, sized for `k` steps.
-    let arows: [&[f64]; M] = std::array::from_fn(|i| match k {
+    let arows: [&[T]; M] = std::array::from_fn(|i| match k {
         0 => &a[..0],
         _ => &a[(i0 + i) * sa_i..(i0 + i) * sa_i + (k - 1) * sa_t + 1],
     });
     for p in 0..panels {
-        let mut acc = [[0.0f64; NR]; M];
+        let mut acc = [[T::default(); NR]; M];
         if k > 0 {
             let b = &b[p * b_panel..p * b_panel + (k - 1) * sb + NR];
             for t in 0..k {
@@ -139,7 +150,7 @@ fn row_tile<const M: usize>(
                 each_row!(M, |I| {
                     let x = arows[I][t * sa_t];
                     for j in 0..NR {
-                        acc[I][j] = fmadd(brow[j], x, acc[I][j]);
+                        acc[I][j] = brow[j].fmadd(x, acc[I][j]);
                     }
                 });
             }
@@ -159,21 +170,21 @@ fn row_tile<const M: usize>(
 /// so what the vectoriser makes of the tile does not depend on the
 /// function it is called from.
 #[inline(never)]
-pub(crate) fn gemm(
+pub(crate) fn gemm<T: Elem>(
     (m, k, panels): (usize, usize, usize),
-    a: &[f64],
+    a: &[T],
     sa: (usize, usize),
-    b: &[f64],
+    b: &[T],
     sb: (usize, usize),
-    c: &mut impl TileStore,
+    c: &mut impl TileStore<T>,
 ) {
     let mut i = 0;
     while i + MR <= m {
-        row_tile::<MR>(i, (k, panels), a, sa, b, sb, c);
+        row_tile::<T, MR>(i, (k, panels), a, sa, b, sb, c);
         i += MR;
     }
     while i < m {
-        row_tile::<1>(i, (k, panels), a, sa, b, sb, c);
+        row_tile::<T, 1>(i, (k, panels), a, sa, b, sb, c);
         i += 1;
     }
 }
@@ -183,7 +194,7 @@ pub(crate) fn gemm(
 /// whole panels, so a store is always [`NR`] wide.
 pub(crate) struct Plain<'c>(pub &'c mut [f64], pub usize);
 
-impl TileStore for Plain<'_> {
+impl TileStore<f64> for Plain<'_> {
     #[inline(always)]
     fn row(&mut self, r: usize, p: usize, acc: &[f64; NR]) {
         let at = r * self.1 + p * NR;
@@ -193,7 +204,7 @@ impl TileStore for Plain<'_> {
 
 /// Copy the first `n` columns of every `stride`-wide row of the padded
 /// `src` into the dense `n`-wide rows of `dst`.
-pub(crate) fn unpad(dst: &mut [f64], n: usize, src: &[f64], stride: usize) {
+pub(crate) fn unpad<T: Copy>(dst: &mut [T], n: usize, src: &[T], stride: usize) {
     for (d, s) in dst.chunks_exact_mut(n).zip(src.chunks_exact(stride)) {
         d.copy_from_slice(&s[..n]);
     }

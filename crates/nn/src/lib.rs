@@ -9,19 +9,25 @@
 //! * mini-batch training with MSE loss and the [`optimizer::Adam`] optimizer
 //!   (Alg. 4 of the paper), executed as whole-batch GEMMs
 //!   ([`Mlp::forward_batch`] / [`Mlp::backward_batch`]) on the crate's
-//!   one register-tiled micro-kernel ([`gemm`]) — the kernel the serving
-//!   forward ([`fused`]) and [`linalg::matmul`] also run on — with bias,
-//!   activation, ReLU mask and bias-gradient sums fused into the tile
-//!   store, and bitwise equal to the per-example path
-//!   ([`mlp::accumulate_example_gradient`]) for finite parameters,
+//!   one register-tiled micro-kernel ([`gemm`]) — the kernel
+//!   [`linalg::matmul`] also runs on — with bias, activation, ReLU mask
+//!   and bias-gradient sums fused into the tile store, and bitwise equal
+//!   to the per-example path ([`mlp::accumulate_example_gradient`]) for
+//!   finite parameters,
+//! * the serving forward ([`fused`]): the same kernel source
+//!   instantiated at `f32` — the precision every stored artifact has —
+//!   over a packed [`ServingLayout`], bitwise equal to a scalar `f32`
+//!   oracle at any batch size,
 //! * the explicit **memorization construction** of Theorem 3.4 / Algorithm 1
 //!   ([`construction`]), usable directly ("CS") or as an initialization for
 //!   SGD ("CS+SGD", Sec. A.5),
 //! * parameter/storage accounting used by the paper's space-complexity
 //!   arguments.
 //!
-//! Everything is `f64`; storage is *reported* as if parameters were stored
-//! as `f32` (4 bytes each), matching how the paper counts model size.
+//! Models, training and every path above but serving are `f64`; storage
+//! is *reported* as if parameters were stored as `f32` (4 bytes each),
+//! matching how the paper counts model size, and serving computes in
+//! that `f32`.
 //!
 //! ```
 //! use nn::{Mlp, train::{train, TrainConfig}};

@@ -2,7 +2,7 @@
 //! matrix–vector helpers of the per-example MLP paths
 //! ([`Matrix::matvec_into`], [`Matrix::matvec_transpose_into`],
 //! [`Matrix::rank1_add`] — the reference the batched training step is
-//! held to bit for bit), [`matmul`] and a few vector ops.
+//! held to bit for bit) and [`matmul`].
 //!
 //! This is deliberately not a general-purpose linear algebra library: the
 //! MLPs in NeuroSketch are tiny (tens of units per layer), so a simple
@@ -10,8 +10,8 @@
 //! matrix–matrix kernel in the crate, the register-tiled micro-kernel of
 //! [`crate::gemm`]; [`matmul`] is a thin entry to it, and the mini-batch
 //! forward and backward ([`crate::mlp`]) and the serving forward
-//! ([`crate::fused`]) call it with their own operand strides and tile
-//! epilogues.
+//! ([`crate::fused`], at `f32`) call it with their own operand strides
+//! and tile epilogues.
 //!
 //! **Determinism contract:** the kernel accumulates each output entry in
 //! one `fmadd` chain over ascending contraction index from `+0.0` —
@@ -24,28 +24,51 @@
 use crate::gemm::{gemm, pack, padded, unpad, Plain, MR, NR};
 use serde::{Deserialize, Serialize};
 
-/// Fused multiply-add `a * b + c`, used by every kernel in this crate —
-/// the per-example helpers and the tiled GEMM alike — so the two
-/// training paths round identically and stay bitwise comparable.
-///
-/// When the build target has hardware FMA (e.g. `-C target-cpu=native`
-/// from this repo's `.cargo/config.toml` on any x86-64 from the last
-/// decade), this is a single `vfmadd` — one rounding, twice the
-/// arithmetic throughput of separate mul+add. Without the target
-/// feature it falls back to plain `a * b + c` rather than the libm
-/// software `fma` routine, which would be ~20x slower than the two
-/// operations it replaces.
-#[inline(always)]
-pub(crate) fn fmadd(a: f64, b: f64, c: f64) -> f64 {
-    #[cfg(target_feature = "fma")]
-    {
-        a.mul_add(b, c)
-    }
-    #[cfg(not(target_feature = "fma"))]
-    {
-        a * b + c
-    }
+/// An element type the crate's kernels compute in: `f64` for training
+/// and [`matmul`], `f32` for the serving forward ([`crate::fused`]).
+pub(crate) trait Elem: Copy + Default + PartialOrd + std::ops::Add<Output = Self> {
+    /// A model parameter (held as `f64`) rounded to this type.
+    fn from_f64(v: f64) -> Self;
+
+    /// Fused multiply-add `self * b + c`, used by every kernel in this
+    /// crate — the per-example helpers, the tiled GEMM and the serving
+    /// oracle alike — so a batched path and its per-example reference
+    /// round identically and stay bitwise comparable.
+    ///
+    /// When the build target has hardware FMA (e.g. `-C target-cpu=native`
+    /// from this repo's `.cargo/config.toml` on any x86-64 from the last
+    /// decade), this is a single `vfmadd` — one rounding, twice the
+    /// arithmetic throughput of separate mul+add. Without the target
+    /// feature it falls back to plain `self * b + c` rather than the
+    /// libm software `fma` routine, which would be ~20x slower than the
+    /// two operations it replaces.
+    fn fmadd(self, b: Self, c: Self) -> Self;
 }
+
+macro_rules! impl_elem {
+    ($t:ty, $from_f64:expr) => {
+        impl Elem for $t {
+            #[inline(always)]
+            fn from_f64(v: f64) -> $t {
+                $from_f64(v)
+            }
+
+            #[inline(always)]
+            fn fmadd(self, b: $t, c: $t) -> $t {
+                #[cfg(target_feature = "fma")]
+                {
+                    self.mul_add(b, c)
+                }
+                #[cfg(not(target_feature = "fma"))]
+                {
+                    self * b + c
+                }
+            }
+        }
+    };
+}
+impl_elem!(f64, |v| v);
+impl_elem!(f32, |v| v as f32);
 
 /// A dense row-major `rows x cols` matrix of `f64`.
 ///
@@ -138,7 +161,7 @@ impl Matrix {
             let row = &self.data[r * self.cols..(r + 1) * self.cols];
             let mut acc = 0.0;
             for (w, xi) in row.iter().zip(x) {
-                acc = fmadd(*w, *xi, acc);
+                acc = w.fmadd(*xi, acc);
             }
             *o = acc;
         }
@@ -157,7 +180,7 @@ impl Matrix {
             }
             let row = &self.data[r * self.cols..(r + 1) * self.cols];
             for (o, w) in out.iter_mut().zip(row) {
-                *o = fmadd(*w, *xr, *o);
+                *o = w.fmadd(*xr, *o);
             }
         }
     }
@@ -174,7 +197,7 @@ impl Matrix {
             let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
             let s = alpha * ar;
             for (w, bi) in row.iter_mut().zip(b) {
-                *w = fmadd(s, *bi, *w);
+                *w = s.fmadd(*bi, *w);
             }
         }
     }
@@ -246,12 +269,6 @@ pub fn matmul(c: &mut Matrix, a: &Matrix, b: &Matrix) {
     }
 }
 
-/// Dot product of two equal-length slices.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,11 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn norms() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-    }
-
-    #[test]
     #[should_panic(expected = "matrix buffer size mismatch")]
     fn from_vec_checks_size() {
         let _ = Matrix::from_vec(2, 2, vec![0.0; 3]);
@@ -314,7 +326,7 @@ mod tests {
             for j in 0..b.cols() {
                 let mut acc = 0.0;
                 for k in 0..a.cols() {
-                    acc = fmadd(b.get(k, j), a.get(i, k), acc);
+                    acc = b.get(k, j).fmadd(a.get(i, k), acc);
                 }
                 c.set(i, j, acc);
             }

@@ -146,7 +146,7 @@ struct MaskSum<'a> {
     db: &'a mut [f64],
 }
 
-impl TileStore for MaskSum<'_> {
+impl TileStore<f64> for MaskSum<'_> {
     #[inline(always)]
     fn row(&mut self, r: usize, p: usize, acc: &[f64; NR]) {
         let at = r * self.stride + p * NR;
@@ -347,7 +347,10 @@ impl Mlp {
         self.forward(x)[0]
     }
 
-    /// Scalar prediction with scratch space.
+    /// Scalar prediction with scratch space: the `f64` per-example
+    /// forward that training's validation pass, the baselines and the
+    /// non-sketch models of `repro` use. A served sketch does not answer
+    /// through it (see [`crate::fused`]).
     pub fn predict_with(&self, ws: &mut Workspace, x: &[f64]) -> f64 {
         self.forward_with(ws, x)[0]
     }
@@ -424,8 +427,9 @@ impl Mlp {
     }
 
     /// Build the serving copy of this model's parameters — the
-    /// self-contained, panel-packed form the fused serving kernel reads
-    /// (see [`crate::fused`]). Rebuild it whenever the model changes.
+    /// self-contained, panel-packed `f32` form the fused serving kernel
+    /// reads (see [`crate::fused`]). Rebuild it whenever the model
+    /// changes.
     pub fn serving_layout(&self) -> ServingLayout {
         ServingLayout::new(self)
     }
@@ -575,14 +579,17 @@ impl Mlp {
     }
 
     /// The model with every parameter rounded through `f32` — exactly
-    /// the values the compact binary format ([`crate::binary`]) stores.
+    /// the values the compact binary format ([`crate::binary`]) stores,
+    /// and exactly the values the serving layout ([`crate::fused`])
+    /// computes with.
     ///
-    /// Persisting a model is lossy once (f64 training precision → f32
-    /// storage precision) and lossless ever after; `quantized` applies
-    /// that first rounding in memory, so
-    /// `binary::decode(binary::encode(&m))` equals `m.quantized()`
-    /// bitwise. Serving layers use it to state (and test) that a loaded
-    /// model answers identically to the in-memory one it was saved from.
+    /// Serving precision is storage precision: [`Mlp::serving_layout`]
+    /// applies this same rounding as it packs, so a model, its
+    /// `quantized()` twin and `binary::decode(binary::encode(&m))`
+    /// (which equals `m.quantized()` bitwise) all serve the same bits —
+    /// persisting changes no served answer. What `quantized` does change
+    /// is the `f64` paths ([`Mlp::forward_with`], further training),
+    /// which read the parameters at full width.
     pub fn quantized(&self) -> Mlp {
         self.quantized_to(QuantMode::F32)
     }
@@ -591,12 +598,12 @@ impl Mlp {
     /// encoding — exactly the values
     /// `binary::decode_any(binary::encode_with(&m, mode))` yields.
     ///
-    /// Extends the [`Mlp::quantized`] contract to the quantized
-    /// encodings: each mode is lossy exactly once and idempotent ever
-    /// after (`m.quantized_to(mode).quantized_to(mode)` is bitwise equal
-    /// to `m.quantized_to(mode)`), so load → re-encode reproduces the
-    /// artifact bytes and answers are bitwise reproducible across loads
-    /// for every mode.
+    /// The narrower encodings do move served answers, each exactly
+    /// once: a mode is idempotent (`m.quantized_to(mode).quantized_to(mode)`
+    /// is bitwise equal to `m.quantized_to(mode)`) and every value it
+    /// produces is `f32`-representable, so the serving layout's rounding
+    /// is exact on it, load → re-encode reproduces the artifact bytes
+    /// and answers are bitwise reproducible across loads for every mode.
     pub fn quantized_to(&self, mode: QuantMode) -> Mlp {
         let squash: fn(f64) -> f64 = match mode {
             QuantMode::F32 => |v| v as f32 as f64,
@@ -726,7 +733,7 @@ pub fn accumulate_example_gradient(mlp: &Mlp, x: &[f64], y: &[f64], grads: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fused::ServingWorkspace;
+    use crate::fused::{forward_per_example, ServingWorkspace};
 
     fn tiny() -> Mlp {
         Mlp::new(&[2, 4, 1], 42)
@@ -1025,33 +1032,35 @@ mod tests {
         }
     }
 
+    /// `rows` as the serving kernel takes them: flat, cast to `f32`.
+    fn serving_rows(x: &Matrix) -> Vec<f32> {
+        x.as_slice().iter().map(|&v| v as f32).collect()
+    }
+
+    fn assert_layout_is_oracle(m: &Mlp, sws: &mut ServingWorkspace, x: &Matrix) {
+        let rows = serving_rows(x);
+        let mut got = vec![f32::NAN; x.rows() * m.output_dim()];
+        m.serving_layout().forward_into(sws, &rows, &mut got);
+        for (e, row) in rows.chunks_exact(m.input_dim()).enumerate() {
+            let want = forward_per_example(m, row);
+            let got = &got[e * want.len()..(e + 1) * want.len()];
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&want), "{} rows, row {e}", x.rows());
+        }
+    }
+
     #[test]
-    fn layout_forward_matches_forward_batch_bitwise() {
+    fn layout_forward_matches_the_f32_oracle_bitwise() {
         // Odd widths force padding in every layer; batch sizes cover
         // whole tiles, remainder rows and more than one row block.
         let m = Mlp::new(&[3, 7, 5, 1], 13);
-        let layout = m.serving_layout();
         // The per-leaf footprint docs/serving.md quotes for the paper's
-        // shape: 3 616 padded weights + 144 padded biases.
+        // shape: 3 616 padded weights + 144 padded biases, 4 bytes each.
         let paper = Mlp::new(&[4, 60, 30, 30, 1], 0).serving_layout();
-        assert_eq!(paper.padded_bytes(), 30_080);
+        assert_eq!(paper.padded_bytes(), 15_040);
         let mut sws = ServingWorkspace::default();
-        let mut ws = Workspace::default();
         for bsz in [1, 3, 4, 9, 16, 70] {
-            let x = batch_inputs(bsz, 3);
-            let mut bws = BatchWorkspace::default();
-            let want = m.forward_batch(&mut bws, &x).clone();
-            let mut got = vec![f64::NAN; bsz];
-            layout.forward_into(&mut sws, x.as_slice(), &mut got);
-            for e in 0..bsz {
-                assert_eq!(
-                    got[e].to_bits(),
-                    want.row(e)[0].to_bits(),
-                    "bsz {bsz} row {e}"
-                );
-                let single = m.forward_with(&mut ws, x.row(e))[0];
-                assert_eq!(got[e].to_bits(), single.to_bits(), "bsz {bsz} row {e}");
-            }
+            assert_layout_is_oracle(&m, &mut sws, &batch_inputs(bsz, 3));
         }
     }
 
@@ -1064,13 +1073,29 @@ mod tests {
         let narrow = Mlp::new(&[2, 6, 1], 4);
         let mut sws = ServingWorkspace::default();
         for (m, bsz) in [(&wide, 37), (&narrow, 5), (&wide, 2), (&narrow, 33)] {
-            let x = batch_inputs(bsz, 2);
-            let mut got = vec![0.0; bsz];
+            assert_layout_is_oracle(m, &mut sws, &batch_inputs(bsz, 2));
+        }
+    }
+
+    #[test]
+    fn serving_precision_is_storage_precision() {
+        // The layout's cast is the F32 storage rounding, and the F16 / I8
+        // grids are f32-representable: a model and its `quantized()`
+        // twin serve the same bits, and so does each narrower mode and
+        // its own decode.
+        let m = Mlp::new(&[3, 9, 4, 1], 17);
+        let rows = serving_rows(&batch_inputs(13, 3));
+        let serve = |m: &Mlp| {
+            let mut out = vec![0.0f32; 13];
             m.serving_layout()
-                .forward_into(&mut sws, x.as_slice(), &mut got);
-            for e in 0..bsz {
-                assert_eq!(got[e].to_bits(), m.predict(x.row(e)).to_bits(), "row {e}");
-            }
+                .forward_into(&mut ServingWorkspace::default(), &rows, &mut out);
+            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(serve(&m), serve(&m.quantized()));
+        for mode in QuantMode::ALL {
+            let bytes = crate::binary::encode_with(&m, mode);
+            let (loaded, _) = crate::binary::decode_any(bytes).unwrap();
+            assert_eq!(serve(&m.quantized_to(mode)), serve(&loaded), "{mode:?}");
         }
     }
 

@@ -1,19 +1,21 @@
 //! Kernel parity properties for the serving forward pass
 //! (`nn::fused`): on random architectures and inputs the tiled, fused
-//! kernel must equal `Mlp::forward_with` on every row **bit for bit**
+//! `f32` kernel must equal the scalar `f32` oracle
+//! `nn::fused::forward_per_example` on every row **bit for bit**
 //! (`to_bits()`, so `-0.0` vs `0.0` and NaN payloads count) — across
 //! batch sizes that hit empty batches, remainder rows, whole tiles and
 //! several row blocks, layer widths that are not multiples of the tile
 //! width (including width 1 and a contraction of length 1), rows whose
 //! ReLUs are all dead, inputs containing `-0.0`, and a final layer wider
-//! than one unit.
+//! than one unit. The last test is the edge of the `f64 → f32` cast
+//! callers make on the way in: a coordinate beyond `f32` range poisons
+//! its own row only.
 //!
 //! CI runs this file twice: once at the workspace's `target-cpu=native`
 //! (hardware FMA) and once under `RUSTFLAGS="-C target-cpu=x86-64"`, so
 //! the `a * b + c` fallback of `fmadd` is held to the same contract.
 
-use nn::fused::{ServingWorkspace, BLOCK_ROWS, MR, NR};
-use nn::mlp::Workspace;
+use nn::fused::{forward_per_example, ServingWorkspace, BLOCK_ROWS, MR, NR};
 use nn::Mlp;
 use proptest::prelude::*;
 
@@ -56,27 +58,36 @@ fn model(sizes: &[usize], seed: u64, pool: &[f64]) -> Mlp {
     mlp
 }
 
-/// Fused forward of `rows` rows cut from `pool` against the per-example
-/// oracle, bit for bit. One workspace is reused across every call of a
-/// test, so stale tile contents are part of what is being checked.
-fn assert_parity(mlp: &Mlp, sws: &mut ServingWorkspace, rows: usize, pool: &[f64], offset: usize) {
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Fused forward of the flat rows `x` against the per-example oracle,
+/// bit for bit; returns the fused output.
+fn assert_rows_parity(mlp: &Mlp, sws: &mut ServingWorkspace, x: &[f32]) -> Vec<f32> {
     let (d, o) = (mlp.input_dim(), mlp.output_dim());
-    let x: Vec<f64> = (0..rows * d)
-        .map(|i| pool[(offset + i) % pool.len()])
-        .collect();
-    let mut got = vec![f64::NAN; rows * o];
-    mlp.serving_layout().forward_into(sws, &x, &mut got);
-    let mut ws = Workspace::default();
-    for r in 0..rows {
-        let want = mlp.forward_with(&mut ws, &x[r * d..(r + 1) * d]);
-        for (c, (g, w)) in got[r * o..(r + 1) * o].iter().zip(want).enumerate() {
-            assert_eq!(
-                g.to_bits(),
-                w.to_bits(),
-                "rows {rows}, row {r}, output {c}: fused {g:e} vs per-example {w:e}"
-            );
-        }
+    let rows = x.len() / d;
+    let mut got = vec![f32::NAN; rows * o];
+    mlp.serving_layout().forward_into(sws, x, &mut got);
+    for (r, row) in x.chunks_exact(d).enumerate() {
+        assert_eq!(
+            bits(&got[r * o..(r + 1) * o]),
+            bits(&forward_per_example(mlp, row)),
+            "rows {rows}, row {r}: fused vs per-example"
+        );
     }
+    got
+}
+
+/// [`assert_rows_parity`] on `rows` rows cut from `pool` (cast to `f32`
+/// the way a serving caller casts coordinates). One workspace is reused
+/// across every call of a test, so stale tile contents are part of what
+/// is being checked.
+fn assert_parity(mlp: &Mlp, sws: &mut ServingWorkspace, rows: usize, pool: &[f64], offset: usize) {
+    let x: Vec<f32> = (0..rows * mlp.input_dim())
+        .map(|i| pool[(offset + i) % pool.len()] as f32)
+        .collect();
+    assert_rows_parity(mlp, sws, &x);
 }
 
 proptest! {
@@ -128,11 +139,9 @@ proptest! {
     ) {
         let mut mlp = model(&[d, h, 7, 2], seed, &pool);
         mlp.layers_mut()[0].biases.fill(-1e9);
-        let mut ws = Workspace::default();
-        let hidden_free = mlp.forward_with(&mut ws, &vec![0.5; d]).to_vec();
         prop_assert_eq!(
-            mlp.forward_with(&mut ws, &vec![-1.5; d]),
-            &hidden_free[..],
+            bits(&forward_per_example(&mlp, &vec![-1.5; d])),
+            bits(&forward_per_example(&mlp, &vec![0.5; d])),
             "first layer is dead for every input"
         );
         let mut sws = ServingWorkspace::default();
@@ -176,5 +185,37 @@ fn many_blocks_and_many_panels() {
         3 * BLOCK_ROWS + MR + 1,
     ] {
         assert_parity(&mlp, &mut sws, rows, &pool, rows);
+    }
+}
+
+/// A finite `f64` coordinate beyond `f32` range reaches the kernel as
+/// `±inf`: its own row comes out non-finite (NaN here — the infinities
+/// meet weights of both signs), nothing panics, and the other rows of
+/// the same tile and block keep the bits they have without it.
+#[test]
+fn out_of_range_coordinate_poisons_only_its_own_row() {
+    let pool: Vec<f64> = (0..211).map(|i| ((i * 29 % 97) as f64) / 97.0).collect();
+    let mlp = model(&[4, 60, 30, 30, 1], 3, &[0.75, -1.25, 0.5, -0.5, 1.5]);
+    let mut sws = ServingWorkspace::default();
+    for rows in [1, MR, MR + 1, BLOCK_ROWS + 2] {
+        let clean: Vec<f32> = (0..rows * 4).map(|i| pool[i % pool.len()] as f32).collect();
+        let want = assert_rows_parity(&mlp, &mut sws, &clean);
+        for (victim, huge) in [(0, 1e300f64), (rows - 1, -1e300), (rows / 2, f64::MAX)] {
+            let mut x = clean.clone();
+            x[victim * 4 + 1] = huge as f32;
+            assert!(x[victim * 4 + 1].is_infinite());
+            let got = assert_rows_parity(&mlp, &mut sws, &x);
+            for r in 0..rows {
+                if r == victim {
+                    assert!(
+                        got[r].is_nan(),
+                        "rows {rows}: victim {r} answered {}",
+                        got[r]
+                    );
+                } else {
+                    assert_eq!(got[r].to_bits(), want[r].to_bits(), "rows {rows}, row {r}");
+                }
+            }
+        }
     }
 }

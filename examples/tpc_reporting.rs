@@ -52,7 +52,7 @@ fn main() {
         "engine", "nMAE", "query time", "storage"
     );
     // NeuroSketch row.
-    let mut ws = nn::mlp::Workspace::default();
+    let mut ws = neurosketch::BatchScratch::default();
     let t = std::time::Instant::now();
     let preds: Vec<f64> = test
         .iter()
