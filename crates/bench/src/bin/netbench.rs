@@ -157,9 +157,10 @@ fn local(fast: bool, serial: bool, clients: usize, window: usize, queries: usize
         stats.protocol_errors,
         stats.stalled_reads
     );
+    let front = stats.deploy;
     println!(
         "server front: {} cache hits, {} cache misses, {} deduped in-batch",
-        stats.cache_hits, stats.cache_misses, stats.deduped
+        front.cache_hits, front.cache_misses, front.dedup_hits
     );
 }
 

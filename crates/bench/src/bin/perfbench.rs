@@ -70,12 +70,6 @@ fn main() {
         if let Some(gflops) = report.median_of("train_leaf_gflops") {
             println!("  leaf training: {gflops:.1} GFLOP/s over the whole step");
         }
-        // queries/sec falls out of the recorded median latency and the
-        // suite's fixed per-iteration stream length.
-        let qps = |e: &bench::PerfEntry| {
-            bench::perf::SERVE_STREAM_LEN as f64 * e.iters as f64 / (e.median_ms / 1e3)
-        };
-        let entry = |name: &str| report.entries.iter().find(|e| e.name == name);
         if let (Some(fused), Some(per_example), Some(gflops)) = (
             report.median_of("serve_forward_fused"),
             report.median_of("serve_forward_per_example"),
@@ -107,19 +101,6 @@ fn main() {
                 f16b / f32b,
                 i8b,
                 i8b / f32b
-            );
-        }
-        if let (Some(t1), Some(cold), Some(hot)) = (
-            entry("serve_throughput_batched_t1"),
-            entry("serve_cached_cold"),
-            entry("serve_cached_hot"),
-        ) {
-            println!(
-                "  answer cache: cold {:.0} qps ({:+.1}% vs uncached t1), hot {:.0} qps ({:.2}x cold)",
-                qps(cold),
-                (cold.median_ms / t1.median_ms - 1.0) * 100.0,
-                qps(hot),
-                cold.median_ms / hot.median_ms
             );
         }
 

@@ -13,8 +13,7 @@
 //! only what it cannot see: kernel-shape pins timed rep for rep against
 //! their reference (`serve_forward_fused` vs
 //! `serve_forward_per_example` with `serve_forward_fused_gflops`,
-//! `exact_scan_two_attr` vs `exact_scan_two_attr_generic`,
-//! `serve_throughput_batched_t1` vs `serve_cached_cold`), the build
+//! `exact_scan_two_attr` vs `exact_scan_two_attr_generic`), the build
 //! steps on their own (`label_queries_exact`, `partition_merge_aqc`,
 //! `train_leaf_batched` with `train_leaf_gflops`, `build_sketch_h2`),
 //! the Alg. 5 per-query path (`neurosketch_answer_testset`,
@@ -118,10 +117,9 @@ impl PerfReport {
     }
 }
 
-/// Queries per iteration in the `serve_throughput` scenarios of
-/// [`run_query_suite`]. Shared with `perfbench`'s queries/sec math so
-/// the two can never drift apart.
-pub const SERVE_STREAM_LEN: usize = 2_000;
+/// Queries per pass of the streamed serving entries of
+/// [`run_query_suite`].
+const SERVE_STREAM_LEN: usize = 2_000;
 
 /// Time `f` over `reps` repetitions; returns `(median_ms, p95_ms)`.
 pub fn time_reps(reps: usize, mut f: impl FnMut()) -> (f64, f64) {
@@ -368,7 +366,6 @@ pub fn run_build_suite(fast: bool, reps: usize) -> PerfReport {
 /// Run the query-side suite: per-query latency of the sketch's hot path
 /// and of the exact engine it is sketching.
 pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
-    use neurosketch::cache::{AnswerCache, CachedDeployment};
     use neurosketch::deploy::Deployment;
     use neurosketch::router::{DqdRouter, RoutingPolicy};
     use neurosketch::serve::{ServeOptions, SketchServer};
@@ -408,12 +405,11 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
         }),
     );
 
-    // Serving throughput (`serve_throughput`): a fixed [`SERVE_STREAM_LEN`]-query
-    // stream answered (a) one query at a time — Alg. 5's path — and
-    // (b) through the batched `SketchServer` on one worker thread (t1,
-    // timed further down, paired with the cold-cache entry). Both
-    // entries time the *same* total work, so the throughput ratio is
-    // the inverse median ratio (qps = queries x iters / median).
+    // A fixed [`SERVE_STREAM_LEN`]-query stream answered one query at a
+    // time — Alg. 5's path — and, further down, through the batched
+    // `SketchServer` on one worker thread per quantized model
+    // (`serve_batched_{f16,i8}`). The entries time the *same* total
+    // work, so a throughput ratio is the inverse median ratio.
     let serve_queries: Vec<Vec<f64>> = sc
         .wl
         .queries
@@ -437,106 +433,6 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
             }
         }),
     );
-
-    // Answer-cache serving (`serve_cached_cold` / `serve_cached_hot`):
-    // the one answer front (`CachedDeployment`) over the same t1 server as
-    // `serve_throughput_batched_t1`, which is timed here too,
-    // interleaved rep for rep with `serve_cached_cold` — their ratio is
-    // the tracked cold-overhead number, and paired sampling keeps that
-    // ratio out of the noise:
-    //
-    //   * `serve_cached_cold` serves the *same* fixed batch as the t1
-    //     baseline (identical compute and memory profile), but each
-    //     batch goes through a `CachedDeployment` stamped with a fresh
-    //     generation — by construction not one lookup can hit (that is
-    //     the generation-keying contract), so every repetition is the
-    //     cache's worst case and the delta vs t1 IS the tracked
-    //     steady-state front overhead on uncacheable traffic
-    //     (budget: <= 5%). The byte budget fills during the warm-up
-    //     repetition; after that the admission doorkeeper holds the
-    //     never-repeated keys out, so the steady state performs no
-    //     inserts or evictions — just hash, dedup probe, index probe,
-    //     and doorkeeper marks.
-    //   * `serve_cached_hot` streams 64 distinct queries cycled to the
-    //     full stream length; `time_reps`'s untimed warm-up populates
-    //     the cache, so every timed repetition is ~100% hits — the
-    //     median ratio vs cold is the tracked repeat-workload win.
-    {
-        // Cold: the t1 stream, de-duplicated by a sub-ulp-of-routing
-        // nudge so the batch is 2000 *distinct* keys (the cycled stream
-        // repeats each query ~4x, which in-batch dedup would collapse),
-        // served under a fresh generation per batch. The batch itself
-        // is reused every iteration — exactly like the t1 baseline — so
-        // the only difference between the two entries is the front.
-        let cold_queries: Vec<Vec<f64>> = serve_queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                let mut q = q.clone();
-                // ~1e-12 per step: unique bits, same routing.
-                q[0] += (i + 1) as f64 * 1e-12;
-                q
-            })
-            .collect();
-        // `inner` doubles as the `serve_throughput_batched_t1` server,
-        // so the paired timing below compares exactly "front on" vs
-        // "front off" over the same code path.
-        let inner = std::sync::Arc::new(SketchServer::new(
-            DqdRouter::new(
-                sketch.clone(),
-                build_report.leaf_aqcs.clone(),
-                RoutingPolicy::default(),
-            ),
-            ServeOptions {
-                threads: 1,
-                max_shard: 1024,
-                active_attrs: None,
-            },
-        ));
-        let cold_cache = std::sync::Arc::new(AnswerCache::new(256 << 10, 8));
-        let generation = std::cell::Cell::new(0u64);
-        // More samples than the suite default: the tracked number here
-        // is a ~5% *ratio*, which needs tighter medians than a plain
-        // throughput entry does.
-        let (t1_stats, cold_stats) = time_paired(
-            reps * 2 + 1,
-            || {
-                for _ in 0..iters {
-                    let server: &dyn Deployment = &*inner;
-                    std::hint::black_box(server.answer_batch(&serve_queries));
-                }
-            },
-            || {
-                for _ in 0..iters {
-                    let gen = generation.get();
-                    generation.set(gen + 1);
-                    let dep = CachedDeployment::new(inner.clone(), cold_cache.clone(), gen);
-                    std::hint::black_box(dep.answer_batch(&cold_queries));
-                }
-            },
-        );
-        push("serve_throughput_batched_t1", iters, t1_stats);
-        push("serve_cached_cold", iters, cold_stats);
-
-        let hot_queries: Vec<Vec<f64>> = serve_queries
-            .iter()
-            .take(64)
-            .cycle()
-            .take(SERVE_STREAM_LEN)
-            .cloned()
-            .collect();
-        let hot_cache = std::sync::Arc::new(AnswerCache::new(1 << 20, 8));
-        let server = CachedDeployment::new(inner.clone(), hot_cache, 0);
-        push(
-            "serve_cached_hot",
-            iters,
-            time_reps(reps, || {
-                for _ in 0..iters {
-                    std::hint::black_box(server.answer_batch(&hot_queries));
-                }
-            }),
-        );
-    }
 
     // The serving kernel on its own (`serve_forward_fused`): 4 096 rows
     // through one paper-shaped model's `ServingLayout`, timed rep for
@@ -613,9 +509,9 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
         );
     }
 
-    // `serve_batched_{f16,i8}` serve the quantized sketches through the
-    // same front as `serve_throughput_batched_t1`, so the recorded
-    // medians document that quantization changes artifact size, not
+    // `serve_batched_{f16,i8}` serve the quantized sketches through a
+    // one-thread `SketchServer`, so the two medians read against each
+    // other document that quantization changes artifact size, not
     // serving cost (every mode's parameters are served from the same
     // f32 layout).
     {

@@ -43,16 +43,19 @@
 //! in the spirit of TinyLFU's admission filter): a one-shot scan of
 //! never-repeated queries costs no inserts and cannot flush the
 //! resident working set, while genuinely repeating keys become
-//! resident from their second occurrence. The admission gate is probed
-//! lock-free, and a batch whose generation falls outside the cache's
-//! resident generation range (the steady state right after a hot swap)
-//! skips the stripe locks entirely — the cold path costs one hash, one
-//! dedup probe and one doorkeeper mark per query on top of the compute
-//! it was going to do anyway.
+//! resident from their second occurrence.
+//!
+//! A batch takes one pass: hash, dedup-probe and stripe-group every
+//! query, then per stripe, under one lock hold, look each distinct key
+//! up and decide its admission. After a hot swap, each stripe's
+//! generation range keeps probes off the stale entries' chains while
+//! those age out. A batch longer than 65 534 queries is served as
+//! consecutive sub-batches of that many, so
+//! [`DeployStats::dedup_hits`] counts duplicates within a sub-batch.
 
-use crate::deploy::{DeployStats, Deployment, DeploymentInfo};
-use query::aggregate::Aggregate;
-use std::sync::atomic::{AtomicU16, AtomicU64, AtomicUsize, Ordering};
+use crate::deploy::{DeployStats, Deployment, DeploymentInfo, QueryBatch};
+use query::aggregate::{Aggregate, Moments};
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// The aggregate byte folded into every cache key, so one shared
@@ -113,8 +116,8 @@ struct ProbeSlot {
     hash: u64,
     /// Next slot in the bucket chain.
     chain: u32,
-    /// `tag | dims << 8` — the non-coordinate half of the key.
-    meta: u32,
+    /// The aggregate tag (the width is the stripe's `stride`).
+    tag: u8,
 }
 
 /// The payload half, only touched on a hash match (hit verification,
@@ -186,9 +189,9 @@ impl Stripe {
         }
     }
 
-    fn key_matches(&self, slot: usize, h: u64, meta: u32, gen: u64, q: &[f64]) -> bool {
+    fn key_matches(&self, slot: usize, h: u64, tag: u8, gen: u64, q: &[f64]) -> bool {
         let s = &self.slots[slot];
-        if s.hash != h || s.meta != meta || self.pay[slot].generation != gen {
+        if s.hash != h || s.tag != tag || self.pay[slot].generation != gen {
             return false;
         }
         let base = slot * self.stride;
@@ -202,11 +205,10 @@ impl Stripe {
         if self.stride != q.len() || self.live == 0 || gen < self.gen_lo || gen > self.gen_hi {
             return None;
         }
-        let meta = pack_meta(tag, q.len());
         let mut slot = self.buckets[(h as usize) & (self.buckets.len() - 1)];
         while slot != NIL {
             let s = slot as usize;
-            if self.key_matches(s, h, meta, gen, q) {
+            if self.key_matches(s, h, tag, gen, q) {
                 return Some(s);
             }
             slot = self.slots[s].chain;
@@ -329,7 +331,7 @@ impl Stripe {
                 self.slots.push(ProbeSlot {
                     hash: 0,
                     chain: NIL,
-                    meta: 0,
+                    tag: 0,
                 });
                 self.pay.push(Payload {
                     generation: 0,
@@ -356,7 +358,7 @@ impl Stripe {
         self.slots[slot] = ProbeSlot {
             hash: h,
             chain: self.buckets[b],
-            meta: pack_meta(tag, q.len()),
+            tag,
         };
         self.pay[slot] = Payload {
             generation: gen,
@@ -394,16 +396,6 @@ impl Stripe {
             slot = next;
         }
     }
-
-    fn clear(&mut self) {
-        *self = Stripe::new();
-    }
-}
-
-fn pack_meta(tag: u8, dims: usize) -> u32 {
-    // `dims` beyond 24 bits cannot collide anyway: a stripe only holds
-    // one width (`stride`), which `find` checks first.
-    tag as u32 | ((dims as u32) & 0x00FF_FFFF) << 8
 }
 
 /// Hash the canonical key `(tag, generation, coordinate bits)` — a
@@ -444,24 +436,10 @@ pub struct AnswerCache {
     stripe_mask: usize,
     stripe_budget: usize,
     capacity: usize,
-    /// Doorkeeper admission gate, shared by all stripes and probed
-    /// lock-free (relaxed atomics; races only perturb one admission).
-    /// See [`AnswerCache::admit`].
+    /// Doorkeeper admission gate, shared by all stripes (relaxed
+    /// atomics; races only perturb one admission). See
+    /// [`AnswerCache::admit`].
     door: Vec<AtomicU16>,
-    /// Per-stripe occupancy mirror for the admission gate's "still
-    /// filling" check, readable without the stripe lock; exact budget
-    /// enforcement stays in [`Stripe::insert`]. Per stripe, not a
-    /// cache-wide sum: stripes fill unevenly, so a global count sits
-    /// just under capacity forever and would admit (and churn) every
-    /// key on a full cache.
-    stripe_bytes: Vec<AtomicUsize>,
-    /// Cache-wide generation range (`lo > hi` = empty), read lock-free
-    /// by [`serve_cached`]: a batch whose generation falls outside it
-    /// cannot hit anything and skips the stripe machinery entirely —
-    /// the post-hot-swap batches land here until the new generation's
-    /// repeats earn their way back in through the doorkeeper.
-    gen_lo: AtomicU64,
-    gen_hi: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     insertions: AtomicU64,
@@ -479,9 +457,6 @@ impl AnswerCache {
             stripe_budget: capacity_bytes / stripes,
             capacity: capacity_bytes,
             door: (0..DOOR_SLOTS).map(|_| AtomicU16::new(0)).collect(),
-            stripe_bytes: (0..stripes).map(|_| AtomicUsize::new(0)).collect(),
-            gen_lo: AtomicU64::new(u64::MAX),
-            gen_hi: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
@@ -489,31 +464,26 @@ impl AnswerCache {
         }
     }
 
-    /// The configured byte budget.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity
-    }
-
     fn stripe_of(&self, h: u64) -> usize {
         ((h >> 32) as usize) & self.stripe_mask
     }
 
     /// Admission gate for the batch front ([`serve_cached`]'s insert
-    /// pass — explicit [`AnswerCache::insert`] always admits).
+    /// pass — explicit [`AnswerCache::insert`] always admits), asked
+    /// under the lock of `stripe`, the key's stripe.
     ///
-    /// While the cache has free budget, everything is admitted. Once it
+    /// While the stripe has free budget, everything is admitted. Once it
     /// is full, a first-time key only leaves a fingerprint in the
     /// doorkeeper and is *not* inserted; it gets admitted (and may
-    /// evict a stripe's LRU entry) on its second miss. So a one-shot
+    /// evict the stripe's LRU entry) on its second miss. So a one-shot
     /// scan of unique queries never pays insert/eviction cost and —
     /// just as important — never flushes the resident working set,
     /// while any key that repeats becomes resident from its second
-    /// occurrence. Lock-free: all accesses are relaxed atomics, and a
-    /// racing mark from another batch at worst delays or duplicates one
-    /// admission.
-    fn admit(&self, h: u64, dims: usize) -> bool {
-        let occupied = self.stripe_bytes[self.stripe_of(h)].load(Ordering::Relaxed);
-        if occupied + entry_bytes(dims) <= self.stripe_budget {
+    /// occurrence. The doorkeeper is shared by all stripes (relaxed
+    /// atomics): a racing mark from another batch at worst delays or
+    /// duplicates one admission.
+    fn admit(&self, stripe: &Stripe, h: u64, dims: usize) -> bool {
+        if stripe.bytes + entry_bytes(dims) <= self.stripe_budget {
             return true;
         }
         let fp = (h >> 48) as u16 | 1;
@@ -528,13 +498,11 @@ impl AnswerCache {
         }
     }
 
-    /// Insert under an already-held stripe lock, keeping the
-    /// cache-level bookkeeping (occupancy estimate, generation range,
-    /// counters) in step with the stripe's.
+    /// Insert under an already-held stripe lock, keeping the cache's
+    /// counters in step with the stripe.
     #[allow(clippy::too_many_arguments)]
     fn insert_locked(
         &self,
-        si: usize,
         stripe: &mut Stripe,
         h: u64,
         tag: u8,
@@ -543,7 +511,6 @@ impl AnswerCache {
         v: f64,
         check_dup: bool,
     ) {
-        let before = stripe.bytes;
         if let Some((evicted, inserted)) =
             stripe.insert(h, tag, gen, q, v, self.stripe_budget, check_dup)
         {
@@ -553,14 +520,6 @@ impl AnswerCache {
                 self.insertions.fetch_add(1, Ordering::Relaxed);
             }
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            let after = stripe.bytes;
-            if after >= before {
-                self.stripe_bytes[si].fetch_add(after - before, Ordering::Relaxed);
-            } else {
-                self.stripe_bytes[si].fetch_sub(before - after, Ordering::Relaxed);
-            }
-            self.gen_lo.fetch_min(gen, Ordering::Relaxed);
-            self.gen_hi.fetch_max(gen, Ordering::Relaxed);
         }
     }
 
@@ -590,24 +549,10 @@ impl AnswerCache {
     /// worth caching.
     pub fn insert(&self, tag: u8, generation: u64, query: &[f64], value: f64) {
         let h = key_hash(tag, generation, query);
-        let si = self.stripe_of(h);
-        let mut stripe = self.stripes[si].lock().expect("cache stripe");
-        self.insert_locked(si, &mut stripe, h, tag, generation, query, value, true);
-    }
-
-    /// Drop every entry (counters are kept — they are cumulative).
-    pub fn clear(&self) {
-        for stripe in &self.stripes {
-            stripe.lock().expect("cache stripe").clear();
-        }
-        for d in &self.door {
-            d.store(0, Ordering::Relaxed);
-        }
-        for b in &self.stripe_bytes {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.gen_lo.store(u64::MAX, Ordering::Relaxed);
-        self.gen_hi.store(0, Ordering::Relaxed);
+        let mut stripe = self.stripes[self.stripe_of(h)]
+            .lock()
+            .expect("cache stripe");
+        self.insert_locked(&mut stripe, h, tag, generation, query, value, true);
     }
 
     /// Counters and occupancy. Occupancy sums over stripes under their
@@ -631,30 +576,27 @@ impl AnswerCache {
     }
 }
 
-/// The in-batch dedup table of one [`serve_cached`] call,
-/// open-addressed, probed once per query. The narrow form (batches
-/// under 65535 queries) packs `index + 1` (low 16 bits) with a 16-bit
-/// hash fingerprint (high bits), so a colliding slot is rejected *in
-/// place* — no dereference of the colliding key at all; a fingerprint
-/// false positive only costs one coordinate compare. Larger batches
-/// fall back to a plain index table plus a hash side array.
+/// Longest (sub-)batch the in-batch dedup table addresses: positions
+/// `+ 1` must fit the 16 bits a table entry keeps for them.
+const MAX_DEDUP_ROWS: usize = u16::MAX as usize - 1;
+
+/// The in-batch dedup table of one sub-batch, open-addressed, probed
+/// once per query. Each entry packs `index + 1` (low 16 bits) with a
+/// 16-bit hash fingerprint (high bits), so a colliding slot is rejected
+/// *in place* — no dereference of the colliding key at all; a
+/// fingerprint false positive only costs one coordinate compare.
 struct DedupProbe {
     table: Vec<u32>,
-    /// Wide form only: hash of each query seen so far, by position.
-    hashes: Vec<u64>,
     mask: usize,
-    narrow: bool,
 }
 
 impl DedupProbe {
     fn new(n: usize) -> DedupProbe {
+        debug_assert!(n <= MAX_DEDUP_ROWS);
         let cap = (n * 2).next_power_of_two();
-        let narrow = n < u16::MAX as usize;
         DedupProbe {
             table: vec![0u32; cap],
-            hashes: Vec::with_capacity(if narrow { 0 } else { n }),
             mask: cap - 1,
-            narrow,
         }
     }
 
@@ -662,39 +604,23 @@ impl DedupProbe {
     /// occurrence), recording it for later queries to collapse onto.
     /// Must be called exactly once per index, in input order.
     #[inline]
-    fn rep(&mut self, i: usize, h: u64, queries: &[Vec<f64>]) -> usize {
-        let q = &queries[i];
+    fn rep(&mut self, i: usize, h: u64, batch: QueryBatch<'_>) -> usize {
+        let q = batch.row(i);
+        let fp = ((h >> 32) as u32) & 0xFFFF_0000;
         let mut j = (h as usize) & self.mask;
-        if self.narrow {
-            let fp = ((h >> 32) as u32) & 0xFFFF_0000;
-            loop {
-                let e = self.table[j];
-                if e == 0 {
-                    self.table[j] = fp | (i as u32 + 1);
-                    return i;
-                }
-                if (e & 0xFFFF_0000) == fp {
-                    let cand = (e & 0xFFFF) as usize - 1;
-                    if same_bits(&queries[cand], q) {
-                        return cand;
-                    }
-                }
-                j = (j + 1) & self.mask;
+        loop {
+            let e = self.table[j];
+            if e == 0 {
+                self.table[j] = fp | (i as u32 + 1);
+                return i;
             }
-        } else {
-            self.hashes.push(h);
-            loop {
-                let e = self.table[j];
-                if e == 0 {
-                    self.table[j] = i as u32 + 1;
-                    return i;
-                }
-                let cand = e as usize - 1;
-                if self.hashes[cand] == h && same_bits(&queries[cand], q) {
+            if (e & 0xFFFF_0000) == fp {
+                let cand = (e & 0xFFFF) as usize - 1;
+                if same_bits(batch.row(cand), q) {
                     return cand;
                 }
-                j = (j + 1) & self.mask;
             }
+            j = (j + 1) & self.mask;
         }
     }
 }
@@ -703,28 +629,31 @@ impl DedupProbe {
 /// their answers into `out`, which is sized here if no hit sized it
 /// already. Returns the tally `compute` reported.
 fn compute_misses<F>(
-    queries: &[Vec<f64>],
+    batch: QueryBatch<'_>,
     misses: &[usize],
     out: &mut Vec<f64>,
     compute: F,
 ) -> DeployStats
 where
-    F: FnOnce(&[Vec<f64>]) -> (Vec<f64>, DeployStats),
+    F: FnOnce(QueryBatch<'_>) -> (Vec<f64>, DeployStats),
 {
-    if misses.len() == queries.len() {
+    if misses.len() == batch.len() {
         // Everything missed (cold traffic): `misses` is `0..n` in
         // order, so the batch passes through without copying a query
         // and the computed values *are* the batch answer.
-        let (values, computed) = compute(queries);
+        let (values, computed) = compute(batch);
         debug_assert_eq!(values.len(), misses.len());
         *out = values;
         return computed;
     }
-    let sub: Vec<Vec<f64>> = misses.iter().map(|&i| queries[i].clone()).collect();
-    let (values, computed) = compute(&sub);
+    let mut cold = Vec::with_capacity(misses.len() * batch.dims());
+    for &i in misses {
+        cold.extend_from_slice(batch.row(i));
+    }
+    let (values, computed) = compute(QueryBatch::new(&cold, batch.dims()));
     debug_assert_eq!(values.len(), misses.len());
     if out.is_empty() {
-        *out = vec![0.0; queries.len()];
+        *out = vec![0.0; batch.len()];
     }
     for (&i, &v) in misses.iter().zip(&values) {
         out[i] = v;
@@ -732,8 +661,9 @@ where
     computed
 }
 
-/// Serve one batch through the dedup + cache front, keying every entry
-/// with `(tag, gen)`.
+/// Serve one batch of at most [`MAX_DEDUP_ROWS`] queries through the
+/// dedup + cache front, in one pass, keying every entry with
+/// `(tag, gen)`.
 ///
 /// `compute` receives the queries that must actually be computed — the
 /// distinct, cold ones, in input order — and returns their answers in
@@ -746,16 +676,13 @@ fn serve_cached<F>(
     c: &AnswerCache,
     tag: u8,
     gen: u64,
-    queries: &[Vec<f64>],
+    batch: QueryBatch<'_>,
     compute: F,
 ) -> (Vec<f64>, DeployStats)
 where
-    F: FnOnce(&[Vec<f64>]) -> (Vec<f64>, DeployStats),
+    F: FnOnce(QueryBatch<'_>) -> (Vec<f64>, DeployStats),
 {
-    let n = queries.len();
-    if n == 0 {
-        return (Vec::new(), DeployStats::default());
-    }
+    let n = batch.len();
     // Allocated lazily: a batch of all-new queries (the cold path)
     // never zeroes it — the computed values are moved in wholesale.
     let mut out: Vec<f64> = Vec::new();
@@ -763,131 +690,95 @@ where
     // duplicate-free batch pays nothing for the fan-out bookkeeping.
     let mut dups: Vec<(u32, u32)> = Vec::new();
     let mut probe = DedupProbe::new(n);
-    let mut misses: Vec<usize> = Vec::new();
     let mut computed = DeployStats::default();
-    let lo = c.gen_lo.load(Ordering::Relaxed);
-    let hi = c.gen_hi.load(Ordering::Relaxed);
-    if gen < lo || gen > hi {
-        // Generation fast path: no resident entry carries this batch's
-        // generation, so not one lookup can hit — which is every batch
-        // right after a hot swap (and, in a fresh or zero-byte cache,
-        // before the first insert). One lock-free sweep does it all:
-        // hash, in-batch dedup, doorkeeper admission marks; no stripe
-        // lock is taken unless a key actually earned admission.
-        misses.reserve(n);
-        let mut admitted: Vec<(u32, u64)> = Vec::new();
-        for (i, q) in queries.iter().enumerate() {
-            let h = key_hash(tag, gen, q);
-            let r = probe.rep(i, h, queries);
-            if r == i {
-                misses.push(i);
-                if c.admit(h, q.len()) {
-                    admitted.push((i as u32, h));
-                }
-            } else {
-                dups.push((i as u32, r as u32));
-            }
-        }
-        c.misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
-        computed = compute_misses(queries, &misses, &mut out, compute);
-        // Steady state on uncacheable traffic admits nothing; right
-        // after a swap, the new generation's repeats land here and
-        // re-populate the cache.
-        for &(i, h) in &admitted {
-            let i = i as usize;
-            let si = c.stripe_of(h);
-            let mut stripe = c.stripes[si].lock().expect("cache stripe");
-            c.insert_locked(si, &mut stripe, h, tag, gen, &queries[i], out[i], false);
-        }
-    } else {
-        // Pass 1, fused: hash each query, dedup-probe it, and
-        // stripe-group the representatives — one sweep over the batch
-        // instead of three. Each group entry carries `(index, hash)` so
-        // the later passes never index a side array of hashes — on a
-        // cold batch every such read is a cache miss the compute behind
-        // it ends up paying for.
-        let mut groups: Vec<Vec<(u32, u64)>> =
-            vec![Vec::with_capacity(n / c.stripes.len() + 8); c.stripes.len()];
-        for (i, q) in queries.iter().enumerate() {
-            let h = key_hash(tag, gen, q);
-            let r = probe.rep(i, h, queries);
-            if r == i {
-                groups[c.stripe_of(h)].push((i as u32, h));
-            } else {
-                dups.push((i as u32, r as u32));
-            }
-        }
 
-        // Pass 2: per stripe, under one lock hold: look every
-        // representative up, and decide *admission* for the misses
-        // right here — so the post-compute insert pass only revisits
-        // the keys actually being admitted, which on a stream of
-        // never-repeated queries is none at all.
-        const DUP: u8 = 0;
-        const HIT: u8 = 1;
-        const MISS_ADMIT: u8 = 2;
-        const MISS_SKIP: u8 = 3;
-        let mut state = vec![DUP; n];
-        for (si, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
+    // Pass 1, fused: hash each query, dedup-probe it, and stripe-group
+    // the representatives — one sweep over the batch instead of three.
+    // Each group entry carries `(index, hash)` so the later passes
+    // never index a side array of hashes — on a cold batch every such
+    // read is a cache miss the compute behind it ends up paying for.
+    let mut groups: Vec<Vec<(u32, u64)>> =
+        vec![Vec::with_capacity(n / c.stripes.len() + 8); c.stripes.len()];
+    for (i, q) in batch.rows().enumerate() {
+        let h = key_hash(tag, gen, q);
+        let r = probe.rep(i, h, batch);
+        if r == i {
+            groups[c.stripe_of(h)].push((i as u32, h));
+        } else {
+            dups.push((i as u32, r as u32));
+        }
+    }
+
+    // Pass 2: per stripe, under one lock hold: look every
+    // representative up, and decide *admission* for the misses right
+    // here — so the post-compute insert pass only revisits the keys
+    // actually being admitted, which on a stream of never-repeated
+    // queries is none at all.
+    const DUP: u8 = 0;
+    const HIT: u8 = 1;
+    const MISS_ADMIT: u8 = 2;
+    const MISS_SKIP: u8 = 3;
+    let mut state = vec![DUP; n];
+    for (si, group) in groups.iter().enumerate() {
+        if group.is_empty() {
+            continue;
+        }
+        let mut stripe = c.stripes[si].lock().expect("cache stripe");
+        for &(i, h) in group {
+            let i = i as usize;
+            match stripe.find(h, tag, gen, batch.row(i)) {
+                Some(slot) => {
+                    stripe.touch(slot);
+                    if out.is_empty() {
+                        out = vec![0.0; n];
+                    }
+                    out[i] = stripe.pay[slot].value;
+                    state[i] = HIT;
+                }
+                None => {
+                    state[i] = if c.admit(&stripe, h, batch.dims()) {
+                        MISS_ADMIT
+                    } else {
+                        MISS_SKIP
+                    };
+                }
             }
-            let mut stripe = c.stripes[si].lock().expect("cache stripe");
+        }
+    }
+    let mut misses: Vec<usize> = Vec::new();
+    let mut any_admitted = false;
+    for (i, &s) in state.iter().enumerate() {
+        if s >= MISS_ADMIT {
+            misses.push(i);
+            any_admitted |= s == MISS_ADMIT;
+        }
+    }
+    c.hits
+        .fetch_add((n - dups.len() - misses.len()) as u64, Ordering::Relaxed);
+    c.misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
+    // No miss means every representative hit, and the first hit sized
+    // `out`.
+    if !misses.is_empty() {
+        computed = compute_misses(batch, &misses, &mut out, compute);
+    }
+    if any_admitted {
+        // Insert pass over the admitted keys only. The pass-1 groups
+        // are already stripe-partitioned, so walk them again, skipping
+        // everything pass 2 did not admit, and only take a stripe's
+        // lock once an admitted key of its group actually comes up. The
+        // admitted keys are distinct representatives that just probed
+        // absent, so the pre-insert lookup is skipped (see
+        // [`Stripe::insert`]).
+        for (si, group) in groups.iter().enumerate() {
+            let mut stripe = None;
             for &(i, h) in group {
                 let i = i as usize;
-                match stripe.find(h, tag, gen, &queries[i]) {
-                    Some(slot) => {
-                        stripe.touch(slot);
-                        if out.is_empty() {
-                            out = vec![0.0; n];
-                        }
-                        out[i] = stripe.pay[slot].value;
-                        state[i] = HIT;
-                    }
-                    None => {
-                        state[i] = if c.admit(h, queries[i].len()) {
-                            MISS_ADMIT
-                        } else {
-                            MISS_SKIP
-                        };
-                    }
+                if state[i] != MISS_ADMIT {
+                    continue;
                 }
-            }
-        }
-        let mut any_admitted = false;
-        for (i, &s) in state.iter().enumerate() {
-            if s >= MISS_ADMIT {
-                misses.push(i);
-                any_admitted |= s == MISS_ADMIT;
-            }
-        }
-        c.hits
-            .fetch_add((n - dups.len() - misses.len()) as u64, Ordering::Relaxed);
-        c.misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
-        // No miss means every representative hit, and the first hit
-        // sized `out`.
-        if !misses.is_empty() {
-            computed = compute_misses(queries, &misses, &mut out, compute);
-        }
-        if any_admitted {
-            // Insert pass over the admitted keys only. The pass-1
-            // groups are already stripe-partitioned, so walk them
-            // again, skipping everything pass 2 did not admit, and only
-            // take a stripe's lock once an admitted key of its group
-            // actually comes up. The admitted keys are distinct
-            // representatives that just probed absent, so the
-            // pre-insert lookup is skipped (see [`Stripe::insert`]).
-            for (si, group) in groups.iter().enumerate() {
-                let mut stripe = None;
-                for &(i, h) in group {
-                    let i = i as usize;
-                    if state[i] != MISS_ADMIT {
-                        continue;
-                    }
-                    let guard =
-                        stripe.get_or_insert_with(|| c.stripes[si].lock().expect("cache stripe"));
-                    c.insert_locked(si, guard, h, tag, gen, &queries[i], out[i], false);
-                }
+                let guard =
+                    stripe.get_or_insert_with(|| c.stripes[si].lock().expect("cache stripe"));
+                c.insert_locked(guard, h, tag, gen, batch.row(i), out[i], false);
             }
         }
     }
@@ -970,32 +861,28 @@ impl CachedDeployment {
     pub fn cache(&self) -> &Arc<AnswerCache> {
         &self.cache
     }
-
-    /// The generation stamped into this wrapper's keys.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The wrapped deployment.
-    pub fn inner(&self) -> &dyn Deployment {
-        self.inner.as_ref()
-    }
 }
 
 impl Deployment for CachedDeployment {
-    fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
-        let (answers, mut stats) =
-            serve_cached(&self.cache, self.tag, self.generation, queries, |cold| {
-                self.inner.answer_batch(cold)
-            });
+    fn answer_flat(&self, batch: QueryBatch<'_>) -> (Vec<f64>, DeployStats) {
+        let mut subs = batch.chunks(MAX_DEDUP_ROWS).map(|sub| {
+            serve_cached(&self.cache, self.tag, self.generation, sub, |cold| {
+                self.inner.answer_flat(cold)
+            })
+        });
+        let (mut answers, mut stats) = subs.next().unwrap_or_default();
+        for (more, sub_stats) in subs {
+            answers.extend(more);
+            stats += sub_stats;
+        }
         stats.shard_count = self.shard_count;
         (answers, stats)
     }
 
-    fn moments_batch(&self, queries: &[Vec<f64>]) -> Option<Vec<query::aggregate::Moments>> {
+    fn moments_flat(&self, batch: QueryBatch<'_>) -> Option<Vec<Moments>> {
         // Moments are not cached (the cache stores finished answers);
         // the moment surface passes straight through.
-        self.inner.moments_batch(queries)
+        self.inner.moments_flat(batch)
     }
 
     fn describe(&self) -> DeploymentInfo {
@@ -1003,10 +890,6 @@ impl Deployment for CachedDeployment {
             generation: Some(self.generation),
             ..self.inner.describe()
         }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.inner.storage_bytes()
     }
 }
 
@@ -1125,48 +1008,45 @@ mod tests {
 
     #[test]
     fn dedup_collapses_bitwise_identical_queries_only() {
-        let queries = vec![
-            q(&[0.1, 0.2]),
-            q(&[0.3, 0.4]),
-            q(&[0.1, 0.2]),  // dup of 0
-            q(&[0.1, -0.2]), // sign differs: distinct
-            q(&[0.3, 0.4]),  // dup of 1
+        let queries = [
+            0.1, 0.2, //
+            0.3, 0.4, //
+            0.1, 0.2, // dup of 0
+            0.1, -0.2, // sign differs: distinct
+            0.3, 0.4, // dup of 1
         ];
-        let mut probe = DedupProbe::new(queries.len());
-        let rep: Vec<usize> = (0..queries.len())
-            .map(|i| probe.rep(i, key_hash(0, 0, &queries[i]), &queries))
+        let batch = QueryBatch::new(&queries, 2);
+        let mut probe = DedupProbe::new(batch.len());
+        let rep: Vec<usize> = (0..batch.len())
+            .map(|i| probe.rep(i, key_hash(0, 0, batch.row(i)), batch))
             .collect();
         assert_eq!(rep, vec![0, 1, 0, 3, 1]);
     }
 
     /// `value = f(first coordinate)` per cold query, with an
     /// all-sketch tally — a stand-in for the wrapped deployment.
-    fn compute_with(f: impl Fn(f64) -> f64) -> impl FnOnce(&[Vec<f64>]) -> (Vec<f64>, DeployStats) {
+    fn compute_with(
+        f: impl Fn(f64) -> f64,
+    ) -> impl FnMut(QueryBatch<'_>) -> (Vec<f64>, DeployStats) {
         move |cold| {
             let stats = DeployStats {
                 queries: cold.len(),
                 sketch: cold.len(),
                 ..DeployStats::default()
             };
-            (cold.iter().map(|x| f(x[0])).collect(), stats)
+            (cold.rows().map(|x| f(x[0])).collect(), stats)
         }
     }
 
     #[test]
     fn serve_cached_fans_out_in_input_order_and_computes_once() {
-        let queries = vec![
-            q(&[1.0]),
-            q(&[2.0]),
-            q(&[1.0]),
-            q(&[3.0]),
-            q(&[2.0]),
-            q(&[1.0]),
-        ];
+        let queries = [1.0, 2.0, 1.0, 3.0, 2.0, 1.0];
+        let batch = QueryBatch::new(&queries, 1);
         // A zero-byte cache admits nothing: what is left is the dedup.
         let cache = AnswerCache::new(0, 1);
         let mut computed: Vec<Vec<f64>> = Vec::new();
-        let (out, stats) = serve_cached(&cache, 0, 0, &queries, |cold| {
-            computed = cold.to_vec();
+        let (out, stats) = serve_cached(&cache, 0, 0, batch, |cold| {
+            computed = cold.rows().map(<[f64]>::to_vec).collect();
             compute_with(|x| x * 10.0)(cold)
         });
         assert_eq!(
@@ -1180,7 +1060,7 @@ mod tests {
         assert_eq!((stats.cache_hits, stats.cache_misses), (0, 3));
         // Repeats do not make a zero-byte cache retain anything.
         for _ in 0..3 {
-            let (again, stats) = serve_cached(&cache, 0, 0, &queries, compute_with(|x| x * 10.0));
+            let (again, stats) = serve_cached(&cache, 0, 0, batch, compute_with(|x| x * 10.0));
             assert_eq!(again, out);
             assert_eq!(stats.cache_hits, 0);
         }
@@ -1190,16 +1070,17 @@ mod tests {
     #[test]
     fn serve_cached_second_batch_is_all_hits() {
         let cache = AnswerCache::new(1 << 16, 2);
-        let queries: Vec<Vec<f64>> = (0..10).map(|i| q(&[i as f64, 0.5])).collect();
-        let (first, t1) = serve_cached(&cache, 3, 11, &queries, compute_with(|x| x + 100.0));
+        let queries: Vec<f64> = (0..10).flat_map(|i| [i as f64, 0.5]).collect();
+        let batch = QueryBatch::new(&queries, 2);
+        let (first, t1) = serve_cached(&cache, 3, 11, batch, compute_with(|x| x + 100.0));
         assert_eq!((t1.cache_hits, t1.cache_misses, t1.sketch), (0, 10, 10));
-        let (second, t2) = serve_cached(&cache, 3, 11, &queries, |_| {
+        let (second, t2) = serve_cached(&cache, 3, 11, batch, |_| {
             panic!("a fully warm batch must not compute")
         });
         assert_eq!(second, first);
         assert_eq!((t2.cache_hits, t2.cache_misses, t2.sketch), (10, 0, 0));
         // A different generation sees none of those entries.
-        let (_, t3) = serve_cached(&cache, 3, 12, &queries, compute_with(|x| x + 200.0));
+        let (_, t3) = serve_cached(&cache, 3, 12, batch, compute_with(|x| x + 200.0));
         assert_eq!((t3.cache_hits, t3.cache_misses), (0, 10));
     }
 
@@ -1207,20 +1088,20 @@ mod tests {
     fn full_stripe_admits_batch_front_keys_on_second_miss_only() {
         // Budget for exactly two 1-d entries; fill it through the front.
         let cache = AnswerCache::new(2 * entry_bytes(1), 1);
-        let resident = vec![q(&[1.0]), q(&[2.0])];
+        let resident = [1.0, 2.0];
         let triple = || compute_with(|x| x * 3.0);
-        serve_cached(&cache, 0, 0, &resident, triple());
+        serve_cached(&cache, 0, 0, QueryBatch::new(&resident, 1), triple());
         assert_eq!(cache.stats().entries, 2);
 
         // A new key's first miss through the full stripe must not evict.
-        let newcomer = vec![q(&[9.0])];
-        serve_cached(&cache, 0, 0, &newcomer, triple());
+        let newcomer = QueryBatch::new(&[9.0], 1);
+        serve_cached(&cache, 0, 0, newcomer, triple());
         let s = cache.stats();
         assert_eq!((s.entries, s.evictions), (2, 0), "first miss only marks");
         assert_eq!(cache.get(0, 0, &[1.0]), Some(3.0), "working set intact");
 
         // Its second miss is admitted and pays the one eviction.
-        serve_cached(&cache, 0, 0, &newcomer, triple());
+        serve_cached(&cache, 0, 0, newcomer, triple());
         let s = cache.stats();
         assert_eq!((s.entries, s.evictions), (2, 1));
         assert_eq!(cache.get(0, 0, &[9.0]), Some(27.0));
@@ -1229,7 +1110,7 @@ mod tests {
     #[test]
     fn serve_cached_empty_batch() {
         let cache = AnswerCache::new(1 << 12, 1);
-        let (out, stats) = serve_cached(&cache, 0, 0, &[], |_| unreachable!());
+        let (out, stats) = serve_cached(&cache, 0, 0, QueryBatch::new(&[], 0), |_| unreachable!());
         assert!(out.is_empty());
         assert_eq!(stats, DeployStats::default());
     }
@@ -1239,13 +1120,15 @@ mod tests {
         // Budget so small the batch itself cannot fully fit: answers
         // must still be exactly the computed values.
         let cache = AnswerCache::new(2 * entry_bytes(1), 1);
-        let queries: Vec<Vec<f64>> = (0..50).map(|i| q(&[(i % 7) as f64])).collect();
+        let queries: Vec<f64> = (0..50).map(|i| (i % 7) as f64).collect();
+        let batch = QueryBatch::new(&queries, 1);
         for round in 0..4 {
-            let (out, _) = serve_cached(&cache, 0, round, &queries, compute_with(|x| x * 3.0));
-            for (o, query) in out.iter().zip(&queries) {
+            let (out, _) = serve_cached(&cache, 0, round, batch, compute_with(|x| x * 3.0));
+            for (o, query) in out.iter().zip(batch.rows()) {
                 assert_eq!(*o, query[0] * 3.0);
             }
         }
-        assert!(cache.stats().bytes <= cache.capacity_bytes());
+        let s = cache.stats();
+        assert!(s.bytes <= s.capacity_bytes);
     }
 }

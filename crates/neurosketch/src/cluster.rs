@@ -31,7 +31,7 @@
 //! the coordinator before the parallel scatter; workers only evaluate
 //! the sketches they were handed, and the merge order is group order.
 
-use crate::deploy::{DeployKind, DeployStats, Deployment, DeploymentInfo};
+use crate::deploy::{DeployKind, DeployStats, Deployment, DeploymentInfo, QueryBatch};
 use crate::persist::{self, PersistError};
 use crate::shard::{
     finish_guarded, scatter_gather, splitmix64, ShardPlan, ShardSketch, ShardTables, ShardedSketch,
@@ -830,37 +830,6 @@ impl Cluster {
         })
     }
 
-    /// Serve a batch at the moment level: route, then scatter every
-    /// query to the chosen replica of every covered group and merge
-    /// group moments in group order — [`crate::shard`]'s one
-    /// scatter/gather over the replicas routing selected, so a
-    /// fully-healthy cluster's answers are bitwise the single-box
-    /// [`crate::shard::ShardedServer`] answers.
-    ///
-    /// Degrades typed: a down replica fails over
-    /// ([`ClusterEvent::Failover`]), a generation behind the newest
-    /// sets [`ClusterBatchReport::stale`], lost coverage below quorum
-    /// is [`ClusterError::QuorumLost`]. Never panics on injected
-    /// faults; never blends generations within a batch.
-    pub fn moments_batch(
-        &mut self,
-        queries: &[Vec<f64>],
-    ) -> Result<(Vec<Moments>, ClusterBatchReport), ClusterError> {
-        self.serve(queries, |m| m)
-    }
-
-    /// Route one batch, then scatter it through the view the routing
-    /// decision selected, finishing each query's merged moments once.
-    fn serve<T>(
-        &mut self,
-        queries: &[Vec<f64>],
-        finish: impl Fn(Moments) -> T,
-    ) -> Result<(Vec<T>, ClusterBatchReport), ClusterError> {
-        let report = self.route_batch(queries.len())?;
-        let (served, _) = self.view(report.chosen.clone()).scatter(queries, finish);
-        Ok((served, report))
-    }
-
     /// Make every routing decision for one batch of `queries` queries —
     /// generation selection, kill firing, failover re-validation, quorum
     /// check, stale event, load accounting — without touching any
@@ -934,17 +903,28 @@ impl Cluster {
         })
     }
 
-    /// Serve a batch of final answers: [`Cluster::moments_batch`]
-    /// finished per query with the shared guarded finisher, so a
-    /// healthy cluster is bitwise a [`crate::shard::ShardedServer`].
-    /// The cluster holds no answer cache: a degraded batch's partial
-    /// answers have nowhere to be stored or served from.
+    /// Serve a batch: route, then scatter every query to the chosen
+    /// replica of every covered group through that selection's
+    /// [`ClusterReplicaView`] — [`crate::shard`]'s one scatter/gather,
+    /// group moments merged in group order and finished once with the
+    /// shared guarded finisher — so a fully-healthy cluster's answers
+    /// are bitwise the single-box [`crate::shard::ShardedServer`]
+    /// answers.
+    ///
+    /// Degrades typed: a down replica fails over
+    /// ([`ClusterEvent::Failover`]), a generation behind the newest
+    /// sets [`ClusterBatchReport::stale`], lost coverage below quorum
+    /// is [`ClusterError::QuorumLost`]. Never panics on injected
+    /// faults; never blends generations within a batch. The cluster
+    /// holds no answer cache: a degraded batch's partial answers have
+    /// nowhere to be stored or served from.
     pub fn answer_batch(
         &mut self,
         queries: &[Vec<f64>],
     ) -> Result<(Vec<f64>, ClusterBatchReport), ClusterError> {
-        let agg = self.aggregate;
-        self.serve(queries, |m| finish_guarded(agg, m))
+        let report = self.route_batch(queries.len())?;
+        let (answers, _) = self.view(report.chosen.clone()).answer_batch(queries);
+        Ok((answers, report))
     }
 
     /// Advance the rolling upgrade by one replica: find the first
@@ -1252,23 +1232,23 @@ impl ClusterReplicaView<'_> {
     /// the cluster's serving options.
     fn scatter<T>(
         &self,
-        queries: &[Vec<f64>],
+        batch: QueryBatch<'_>,
         finish: impl Fn(Moments) -> T,
     ) -> (Vec<T>, DeployStats) {
         let shards: Vec<&ShardSketch> = self.replicas().map(|r| &r.sketch).collect();
         let opts = self.cluster.opts;
-        scatter_gather(&shards, queries, opts.threads, opts.max_shard, finish)
+        scatter_gather(&shards, batch, opts.threads, opts.max_shard, finish)
     }
 }
 
 impl Deployment for ClusterReplicaView<'_> {
-    fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
+    fn answer_flat(&self, batch: QueryBatch<'_>) -> (Vec<f64>, DeployStats) {
         let agg = self.cluster.aggregate;
-        self.scatter(queries, |m| finish_guarded(agg, m))
+        self.scatter(batch, |m| finish_guarded(agg, m))
     }
 
-    fn moments_batch(&self, queries: &[Vec<f64>]) -> Option<Vec<Moments>> {
-        Some(self.scatter(queries, |m| m).0)
+    fn moments_flat(&self, batch: QueryBatch<'_>) -> Option<Vec<Moments>> {
+        Some(self.scatter(batch, |m| m).0)
     }
 
     fn describe(&self) -> DeploymentInfo {
@@ -1284,10 +1264,6 @@ impl Deployment for ClusterReplicaView<'_> {
             param_count: self.replicas().map(|r| r.sketch.param_count()).sum(),
             generation,
         }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.replicas().map(|r| r.sketch.artifact_bytes()).sum()
     }
 }
 
@@ -1371,11 +1347,13 @@ mod tests {
             )
             .unwrap()
         };
+        let flat = wl.queries.concat();
         let bits = |shards: &[&ShardSketch]| -> Vec<u64> {
             let mut scratch = crate::sketch::BatchScratch::default();
+            let batch = QueryBatch::new(&flat, 2);
             let per_shard = shards
                 .iter()
-                .flat_map(|s| s.moments_batch_with(&mut scratch, &wl.queries));
+                .flat_map(|s| s.moments_batch_with(&mut scratch, batch));
             per_shard.map(|m| m.n.to_bits()).collect()
         };
         let sketch_bits = |s: &ShardedSketch| bits(&s.shards().iter().collect::<Vec<_>>());

@@ -1,16 +1,18 @@
 //! One serving surface for every deployment shape.
 //!
-//! PR 3 and PR 4 left two parallel serving stacks — the monolithic
-//! [`SketchServer`] and the scatter/gather [`ShardedServer`] — that
-//! duplicated batching, options and fallback plumbing, and forced every
-//! caller (benches, examples, the drift monitor) to pick one at compile
-//! time. [`Deployment`] is the refactor that collapses them: *anything
-//! that answers query batches* — a bare [`NeuroSketch`], either server,
-//! the answer front ([`crate::cache::CachedDeployment`]) over any of
-//! them, or the hot-swappable [`LiveDeployment`] handle — exposes the
-//! same four methods and reports the same per-batch tally
-//! ([`DeployStats`]), and routers, benches, examples and
-//! [`crate::maintenance`] are written once against the trait.
+//! *Anything that answers query batches* — a bare [`NeuroSketch`], the
+//! monolithic [`SketchServer`](crate::serve::SketchServer), the
+//! scatter/gather [`ShardedServer`], the answer front
+//! ([`crate::cache::CachedDeployment`]) over any of them, or the
+//! hot-swappable [`LiveDeployment`] handle — is a [`Deployment`]: it
+//! exposes the same methods and reports the same per-batch tally
+//! ([`DeployStats`]), so routers, benches, examples and
+//! [`crate::maintenance`] are written once, against the trait.
+//!
+//! A batch crosses every layer in one shape, [`QueryBatch`]: the
+//! coordinates laid end to end, `dims` per query. Row-form callers
+//! (`&[Vec<f64>]`) go through [`Deployment::answer_batch`] /
+//! [`Deployment::moments_batch`], which flatten once at the top.
 //!
 //! [`LiveDeployment`] adds the piece live maintenance needs: an owning
 //! handle whose inner deployment can be **atomically swapped** (or
@@ -42,18 +44,116 @@
 //! assert_eq!(live.describe().generation, Some(0));
 //! ```
 
-use crate::serve::SketchServer;
 use crate::shard::ShardedServer;
 use crate::sketch::NeuroSketch;
 use query::aggregate::Moments;
 use std::sync::{Arc, RwLock};
 
+/// A borrowed batch of queries, flat: query `i` is
+/// `data[i * dims..(i + 1) * dims]`. The input of every serving layer
+/// from the wire server's drained queues down to the GEMM gather; its
+/// shape is checked once, when it is built.
+#[derive(Debug, Clone, Copy)]
+pub struct QueryBatch<'a> {
+    data: &'a [f64],
+    dims: usize,
+}
+
+impl<'a> QueryBatch<'a> {
+    /// `data` read as consecutive queries of `dims` coordinates.
+    ///
+    /// # Panics
+    /// Panics if `data` is not a whole number of `dims`-wide rows (with
+    /// `dims == 0`, only an empty `data` is).
+    pub fn new(data: &'a [f64], dims: usize) -> QueryBatch<'a> {
+        assert!(
+            data.len().checked_rem(dims).unwrap_or(data.len()) == 0,
+            "{} coordinates are not a whole number of {dims}-wide queries",
+            data.len()
+        );
+        QueryBatch { data, dims }
+    }
+
+    /// Queries in the batch.
+    pub fn len(&self) -> usize {
+        self.data.len().checked_div(self.dims).unwrap_or(0)
+    }
+
+    /// Whether the batch holds no query.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Coordinates per query.
+    pub fn dims(&self) -> usize {
+        self.dims
+    }
+
+    /// Query `i`.
+    pub fn row(&self, i: usize) -> &'a [f64] {
+        &self.data[i * self.dims..(i + 1) * self.dims]
+    }
+
+    /// The queries, in order.
+    pub fn rows(&self) -> std::slice::ChunksExact<'a, f64> {
+        self.data.chunks_exact(self.dims.max(1))
+    }
+
+    /// Consecutive sub-batches of at most `rows` queries.
+    pub fn chunks(&self, rows: usize) -> impl Iterator<Item = QueryBatch<'a>> {
+        let dims = self.dims;
+        let step = rows.max(1) * dims.max(1);
+        self.data
+            .chunks(step)
+            .map(move |data| QueryBatch { data, dims })
+    }
+}
+
+/// The two forms a batch arrives in — flat, or one `Vec` per query — for
+/// the entry points that take either.
+pub trait Queries {
+    /// Hand the batch to `f` as a [`QueryBatch`]. Row form is flattened
+    /// here: the one place a serving path converts rows.
+    ///
+    /// # Panics
+    /// Panics on ragged rows, naming the first row whose width differs
+    /// from row 0's, and on rows without coordinates.
+    fn with_flat<R>(self, f: impl FnOnce(QueryBatch<'_>) -> R) -> R;
+}
+
+impl Queries for QueryBatch<'_> {
+    fn with_flat<R>(self, f: impl FnOnce(QueryBatch<'_>) -> R) -> R {
+        f(self)
+    }
+}
+
+impl Queries for &[Vec<f64>] {
+    fn with_flat<R>(self, f: impl FnOnce(QueryBatch<'_>) -> R) -> R {
+        let dims = self.first().map_or(0, Vec::len);
+        assert!(
+            dims > 0 || self.is_empty(),
+            "query rows have no coordinates"
+        );
+        let mut data = Vec::with_capacity(self.len() * dims);
+        for (i, q) in self.iter().enumerate() {
+            assert!(
+                q.len() == dims,
+                "ragged query batch: row {i} has {} coordinates, row 0 has {dims}",
+                q.len()
+            );
+            data.extend_from_slice(q);
+        }
+        f(QueryBatch::new(&data, dims))
+    }
+}
+
 /// The one per-batch tally: every serving layer — both servers, the
 /// cache front, the live handle, the wire server's [`crate::net::NetBatch`]
-/// — fills and returns this type. Monolithic fields and sharded fields
-/// coexist; a path that does not track a field leaves it at its
-/// identity (`model_batches` 0 where GEMM batches are not tallied).
-/// Every query is counted exactly once by where its answer came from:
+/// and its cumulative [`crate::net::NetStats::deploy`] — fills and
+/// returns this type. Monolithic fields and sharded fields coexist; a
+/// path that does not track a field leaves it at its identity
+/// (`model_batches` 0 where GEMM batches are not tallied). Every query
+/// is counted exactly once by where its answer came from:
 /// `queries == sketch + exact_small_range + exact_hard_leaf +
 /// cache_hits + dedup_hits`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -84,15 +184,19 @@ pub struct DeployStats {
     pub dedup_hits: usize,
 }
 
-impl DeployStats {
-    /// Tally for a batch answered entirely by sketch forward passes.
-    fn all_sketch(queries: usize) -> DeployStats {
-        DeployStats {
-            queries,
-            sketch: queries,
-            shard_count: 1,
-            ..DeployStats::default()
-        }
+/// Fold another batch's tally in: every count adds; `shard_count`, a
+/// property of the deployment rather than of a batch, keeps the larger.
+impl std::ops::AddAssign for DeployStats {
+    fn add_assign(&mut self, other: DeployStats) {
+        self.queries += other.queries;
+        self.sketch += other.sketch;
+        self.exact_small_range += other.exact_small_range;
+        self.exact_hard_leaf += other.exact_hard_leaf;
+        self.shard_count = self.shard_count.max(other.shard_count);
+        self.model_batches += other.model_batches;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.dedup_hits += other.dedup_hits;
     }
 }
 
@@ -167,31 +271,39 @@ impl std::fmt::Display for DeploymentInfo {
 /// surface.
 ///
 /// Implementations: a bare [`NeuroSketch`] (every query takes the
-/// forward pass), a routed [`SketchServer`] (DQD rules may divert
-/// queries to its exact backend), a scatter/gather [`ShardedServer`],
-/// and the hot-swappable [`LiveDeployment`] handle over any of them.
-/// Write batch consumers — benches, examples, drift checks — against
+/// forward pass), a routed [`crate::serve::SketchServer`] (DQD rules may
+/// divert queries to its exact backend), a scatter/gather
+/// [`ShardedServer`], a cluster's [`crate::cluster::ClusterReplicaView`],
+/// the answer front [`crate::cache::CachedDeployment`] and the
+/// hot-swappable [`LiveDeployment`] handle over any of them. Write batch
+/// consumers — benches, examples, drift checks — against
 /// `&dyn Deployment`, not a concrete server.
 pub trait Deployment: Send + Sync {
     /// Answer a batch of queries. Answers come back in input order; the
     /// tally says where they came from.
-    fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats);
+    fn answer_flat(&self, batch: QueryBatch<'_>) -> (Vec<f64>, DeployStats);
 
     /// The predicted `(n, Σ, Σ²)` per query, for deployments that model
     /// moment components (sharded: the gathered cross-shard merge).
     /// `None` when the deployment predicts the aggregate directly and
     /// has no moment decomposition to offer (monolithic sketches).
-    fn moments_batch(&self, queries: &[Vec<f64>]) -> Option<Vec<Moments>>;
+    fn moments_flat(&self, batch: QueryBatch<'_>) -> Option<Vec<Moments>>;
 
     /// What is deployed: stack, refreshable units, parameter count, and
     /// (behind a live handle) the manifest generation.
     fn describe(&self) -> DeploymentInfo;
 
-    /// Storage footprint of the deployed models in bytes — the paper's
-    /// 4-bytes-per-parameter-dominated accounting (exact definition per
-    /// implementation: artifact bytes where the deployment is
-    /// artifact-backed).
-    fn storage_bytes(&self) -> usize;
+    /// [`Deployment::answer_flat`] of row-form queries, flattened once
+    /// ([`Queries::with_flat`], which panics on a ragged batch).
+    fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
+        queries.with_flat(|batch| self.answer_flat(batch))
+    }
+
+    /// [`Deployment::moments_flat`] of row-form queries, flattened once
+    /// ([`Queries::with_flat`], which panics on a ragged batch).
+    fn moments_batch(&self, queries: &[Vec<f64>]) -> Option<Vec<Moments>> {
+        queries.with_flat(|batch| self.moments_flat(batch))
+    }
 }
 
 /// A shared handle serves exactly like the deployment it points to —
@@ -199,32 +311,32 @@ pub trait Deployment: Send + Sync {
 /// [`crate::cache::CachedDeployment`] per generation over one compute
 /// engine).
 impl<T: Deployment + ?Sized> Deployment for Arc<T> {
-    fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
-        (**self).answer_batch(queries)
+    fn answer_flat(&self, batch: QueryBatch<'_>) -> (Vec<f64>, DeployStats) {
+        (**self).answer_flat(batch)
     }
 
-    fn moments_batch(&self, queries: &[Vec<f64>]) -> Option<Vec<Moments>> {
-        (**self).moments_batch(queries)
+    fn moments_flat(&self, batch: QueryBatch<'_>) -> Option<Vec<Moments>> {
+        (**self).moments_flat(batch)
     }
 
     fn describe(&self) -> DeploymentInfo {
         (**self).describe()
     }
-
-    fn storage_bytes(&self) -> usize {
-        (**self).storage_bytes()
-    }
 }
 
 impl Deployment for NeuroSketch {
-    fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
-        (
-            NeuroSketch::answer_batch(self, queries),
-            DeployStats::all_sketch(queries.len()),
-        )
+    fn answer_flat(&self, batch: QueryBatch<'_>) -> (Vec<f64>, DeployStats) {
+        let answers = self.answer_batch_with(&mut Default::default(), batch);
+        let stats = DeployStats {
+            queries: batch.len(),
+            sketch: batch.len(),
+            shard_count: 1,
+            ..DeployStats::default()
+        };
+        (answers, stats)
     }
 
-    fn moments_batch(&self, _queries: &[Vec<f64>]) -> Option<Vec<Moments>> {
+    fn moments_flat(&self, _batch: QueryBatch<'_>) -> Option<Vec<Moments>> {
         None
     }
 
@@ -235,56 +347,6 @@ impl Deployment for NeuroSketch {
             param_count: self.param_count(),
             generation: None,
         }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        NeuroSketch::storage_bytes(self)
-    }
-}
-
-impl Deployment for SketchServer<'_> {
-    fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
-        SketchServer::answer_batch(self, queries)
-    }
-
-    fn moments_batch(&self, _queries: &[Vec<f64>]) -> Option<Vec<Moments>> {
-        None
-    }
-
-    fn describe(&self) -> DeploymentInfo {
-        DeploymentInfo {
-            kind: DeployKind::Monolithic,
-            units: self.sketch().partitions(),
-            param_count: self.sketch().param_count(),
-            generation: None,
-        }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.sketch().storage_bytes()
-    }
-}
-
-impl Deployment for ShardedServer {
-    fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
-        ShardedServer::answer_batch(self, queries)
-    }
-
-    fn moments_batch(&self, queries: &[Vec<f64>]) -> Option<Vec<Moments>> {
-        Some(ShardedServer::moments_batch(self, queries).0)
-    }
-
-    fn describe(&self) -> DeploymentInfo {
-        DeploymentInfo {
-            kind: DeployKind::Sharded,
-            units: self.sketch().shard_count(),
-            param_count: self.sketch().param_count(),
-            generation: None,
-        }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        self.sketch().artifact_bytes()
     }
 }
 
@@ -369,10 +431,10 @@ impl LiveDeployment {
     /// `G + 1` (or vice versa). This is the serving surface
     /// [`crate::net`] stamps every response frame from — the
     /// batch-level guarantee behind its never-blend-generations
-    /// contract.
-    pub fn answer_batch_tagged(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats, u64) {
+    /// contract. Takes the batch in either form ([`Queries`]).
+    pub fn answer_batch_tagged(&self, queries: impl Queries) -> (Vec<f64>, DeployStats, u64) {
         let state = self.snapshot();
-        let (answers, stats) = state.deployment.answer_batch(queries);
+        let (answers, stats) = queries.with_flat(|batch| state.deployment.answer_flat(batch));
         (answers, stats, state.generation)
     }
 
@@ -384,12 +446,12 @@ impl LiveDeployment {
 }
 
 impl Deployment for LiveDeployment {
-    fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
-        self.snapshot().deployment.answer_batch(queries)
+    fn answer_flat(&self, batch: QueryBatch<'_>) -> (Vec<f64>, DeployStats) {
+        self.snapshot().deployment.answer_flat(batch)
     }
 
-    fn moments_batch(&self, queries: &[Vec<f64>]) -> Option<Vec<Moments>> {
-        self.snapshot().deployment.moments_batch(queries)
+    fn moments_flat(&self, batch: QueryBatch<'_>) -> Option<Vec<Moments>> {
+        self.snapshot().deployment.moments_flat(batch)
     }
 
     fn describe(&self) -> DeploymentInfo {
@@ -399,10 +461,6 @@ impl Deployment for LiveDeployment {
             ..state.deployment.describe()
         }
     }
-
-    fn storage_bytes(&self) -> usize {
-        self.snapshot().deployment.storage_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -410,7 +468,7 @@ mod tests {
     use super::*;
     use crate::cache::{entry_bytes, AnswerCache, CachedDeployment};
     use crate::router::{DqdRouter, RoutingPolicy};
-    use crate::serve::{ExactBackend, ServeOptions};
+    use crate::serve::{ExactBackend, ServeOptions, SketchServer};
     use crate::shard::{build_sharded, ShardPlan};
     use crate::sketch::NeuroSketchConfig;
     use datagen::simple::uniform;
@@ -456,8 +514,10 @@ mod tests {
         }
     }
 
-    /// Every implementation's trait surface must agree bitwise with its
-    /// inherent batch path and report a coherent tally.
+    /// Every implementation's row-form shims must agree bitwise with its
+    /// flat methods on a batch flattened by hand (`concat`), the bare
+    /// sketch's with its inherent batch path, and every tally must add
+    /// up.
     #[test]
     fn trait_paths_match_inherent_paths() {
         let (data, wl) = setup();
@@ -483,16 +543,23 @@ mod tests {
         assert_eq!(info.kind, DeployKind::Monolithic);
         assert_eq!(info.units, sketch.partitions());
         assert_eq!(info.generation, None);
-        assert_eq!(Deployment::storage_bytes(&sketch), sketch.storage_bytes());
+        let flat = wl.queries.concat();
+        let batch = QueryBatch::new(&flat, 2);
+        assert_eq!(batch.len(), wl.queries.len());
+        assert_eq!(Deployment::answer_flat(&sketch, batch).0, inherent);
         assert_tally_adds_up(&sketch, &wl.queries, 1);
 
         // Routed server.
         let router = DqdRouter::new(sketch.clone(), report.leaf_aqcs, RoutingPolicy::default());
         let server = SketchServer::new(router, ServeOptions::default());
-        let inherent = SketchServer::answer_batch(&server, &wl.queries);
+        let flat_path = server.answer_flat(batch);
         let (via_trait, stats) = Deployment::answer_batch(&server, &wl.queries);
-        assert_eq!(via_trait, inherent.0);
-        assert_eq!(stats, inherent.1);
+        assert_eq!(via_trait, flat_path.0);
+        assert_eq!(
+            via_trait, inherent,
+            "no fallback: every query is the sketch's"
+        );
+        assert_eq!(stats, flat_path.1);
         assert_eq!(Deployment::describe(&server).kind, DeployKind::Monolithic);
         assert_tally_adds_up(&server, &wl.queries, 1);
 
@@ -528,12 +595,14 @@ mod tests {
         )
         .unwrap();
         let server = crate::shard::ShardedServer::new(sharded, ServeOptions::default());
-        let inherent = crate::shard::ShardedServer::answer_batch(&server, &wl.queries);
+        let flat_path = server.answer_flat(batch);
         let (via_trait, stats) = Deployment::answer_batch(&server, &wl.queries);
-        assert_eq!(via_trait, inherent.0);
+        assert_eq!(via_trait, flat_path.0);
         assert_eq!(stats.shard_count, 2);
-        assert_eq!(stats.model_batches, inherent.1.model_batches);
+        assert_eq!(stats.model_batches, flat_path.1.model_batches);
         let moments = Deployment::moments_batch(&server, &wl.queries).expect("sharded has moments");
+        let flat_moments = server.moments_flat(batch).expect("sharded has moments");
+        assert_eq!(moments, flat_moments);
         for (m, a) in moments.iter().zip(&via_trait) {
             assert_eq!(server.sketch().finish_guarded(*m), *a);
         }
@@ -589,16 +658,109 @@ mod tests {
         assert_eq!(live.describe().generation, Some(4));
         assert_eq!(live.answer_batch(&wl.queries).0, expect_a);
 
-        let (tagged, _, generation) = live.answer_batch_tagged(&wl.queries);
+        let (tagged, _, generation) = live.answer_batch_tagged(&wl.queries[..]);
+        assert_eq!((tagged, generation), (expect_a.clone(), 4));
+        let flat = wl.queries.concat();
+        let (tagged, _, generation) = live.answer_batch_tagged(QueryBatch::new(&flat, 2));
         assert_eq!((tagged, generation), (expect_a.clone(), 4));
 
         let replaced = live.swap(gen_b, 5);
         assert_eq!(replaced, 4);
         assert_eq!(live.generation(), 5);
         assert_eq!(live.answer_batch(&wl.queries).0, expect_b);
-        let (tagged, _, generation) = live.answer_batch_tagged(&wl.queries);
+        let (tagged, _, generation) = live.answer_batch_tagged(&wl.queries[..]);
         assert_eq!((tagged, generation), (expect_b.clone(), 5));
         assert_ne!(expect_a, expect_b, "test must distinguish generations");
+    }
+
+    /// A deployment that must never be reached: the shims' conversion
+    /// refuses a malformed batch before any layer sees it.
+    struct Unreachable;
+
+    impl Deployment for Unreachable {
+        fn answer_flat(&self, _: QueryBatch<'_>) -> (Vec<f64>, DeployStats) {
+            unreachable!("a ragged batch reached the deployment")
+        }
+
+        fn moments_flat(&self, _: QueryBatch<'_>) -> Option<Vec<Moments>> {
+            unreachable!("a ragged batch reached the deployment")
+        }
+
+        fn describe(&self) -> DeploymentInfo {
+            unreachable!()
+        }
+    }
+
+    fn ragged() -> Vec<Vec<f64>> {
+        vec![vec![0.1, 0.2], vec![0.3, 0.4], vec![0.5], vec![0.6, 0.7]]
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged query batch: row 2 has 1 coordinates, row 0 has 2")]
+    fn ragged_rows_panic_at_the_answer_shim() {
+        Unreachable.answer_batch(&ragged());
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged query batch: row 2 has 1 coordinates, row 0 has 2")]
+    fn ragged_rows_panic_at_the_moments_shim() {
+        Unreachable.moments_batch(&ragged());
+    }
+
+    #[test]
+    fn query_batch_shapes() {
+        let data = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let batch = QueryBatch::new(&data, 2);
+        assert_eq!((batch.len(), batch.dims()), (3, 2));
+        assert_eq!(batch.row(1), &[3.0, 4.0]);
+        let rows: Vec<&[f64]> = batch.rows().collect();
+        assert_eq!(rows, [&data[..2], &data[2..4], &data[4..]]);
+        let subs: Vec<usize> = batch.chunks(2).map(|b| b.len()).collect();
+        assert_eq!(subs, [2, 1]);
+        let empty = QueryBatch::new(&[], 0);
+        assert_eq!((empty.len(), empty.rows().count()), (0, 0));
+        assert!(empty.is_empty());
+        assert_eq!(empty.chunks(4).count(), 0);
+        let none: &[Vec<f64>] = &[];
+        assert!(none.with_flat(|b| b.is_empty()));
+        let result = std::panic::catch_unwind(|| QueryBatch::new(&data[..5], 2));
+        assert!(result.is_err(), "a partial row must be refused");
+    }
+
+    #[test]
+    fn tallies_add_and_keep_the_widest_scatter() {
+        let mut total = DeployStats {
+            queries: 3,
+            sketch: 2,
+            exact_hard_leaf: 1,
+            shard_count: 4,
+            ..DeployStats::default()
+        };
+        total += DeployStats {
+            queries: 5,
+            sketch: 1,
+            exact_small_range: 1,
+            shard_count: 2,
+            model_batches: 3,
+            cache_hits: 2,
+            cache_misses: 2,
+            dedup_hits: 1,
+            ..DeployStats::default()
+        };
+        assert_eq!(
+            total,
+            DeployStats {
+                queries: 8,
+                sketch: 3,
+                exact_small_range: 1,
+                exact_hard_leaf: 1,
+                shard_count: 4,
+                model_batches: 3,
+                cache_hits: 2,
+                cache_misses: 2,
+                dedup_hits: 1,
+            }
+        );
     }
 
     #[test]

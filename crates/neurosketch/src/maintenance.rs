@@ -31,7 +31,7 @@
 //! under a non-row-stable shard plan; `docs/maintenance.md` is the
 //! operator's guide to choosing.
 
-use crate::deploy::Deployment;
+use crate::deploy::{Deployment, Queries};
 use crate::shard::{ShardTables, ShardedSketch};
 use crate::sketch::{BuildReport, NeuroSketch, NeuroSketchConfig};
 use crate::SketchError;
@@ -354,34 +354,36 @@ impl MaintenancePlan {
         let agg = sketch.aggregate();
         let threshold = self.monitor.threshold();
         let shards = sketch.shards();
-        let units: Vec<UnitDrift> = par::par_map_init(
-            &tables.per_shard,
-            self.monitor.threads(),
-            crate::sketch::BatchScratch::default,
-            |scratch, _, (unit, table)| {
-                let engine = QueryEngine::new(table, measure);
-                let truth: Vec<f64> = engine
-                    .label_moments_batch(pred, probe, 1)
-                    .into_iter()
-                    .map(|m| {
-                        m.finish(agg)
-                            .expect("sharded aggregates are moment-composable")
-                    })
-                    .collect();
-                let preds: Vec<f64> = shards[*unit]
-                    .moments_batch_with(scratch, probe)
-                    .into_iter()
-                    .map(|m| sketch.finish_guarded(m))
-                    .collect();
-                let nmae = normalized_mae(&truth, &preds);
-                UnitDrift {
-                    unit: *unit,
-                    probes: probe.len(),
-                    nmae,
-                    stale: nmae > threshold,
-                }
-            },
-        );
+        let units: Vec<UnitDrift> = probe.with_flat(|batch| {
+            par::par_map_init(
+                &tables.per_shard,
+                self.monitor.threads(),
+                crate::sketch::BatchScratch::default,
+                |scratch, _, (unit, table)| {
+                    let engine = QueryEngine::new(table, measure);
+                    let truth: Vec<f64> = engine
+                        .label_moments_batch(pred, probe, 1)
+                        .into_iter()
+                        .map(|m| {
+                            m.finish(agg)
+                                .expect("sharded aggregates are moment-composable")
+                        })
+                        .collect();
+                    let preds: Vec<f64> = shards[*unit]
+                        .moments_batch_with(scratch, batch)
+                        .into_iter()
+                        .map(|m| sketch.finish_guarded(m))
+                        .collect();
+                    let nmae = normalized_mae(&truth, &preds);
+                    UnitDrift {
+                        unit: *unit,
+                        probes: probe.len(),
+                        nmae,
+                        stale: nmae > threshold,
+                    }
+                },
+            )
+        });
         let check = t0.elapsed();
 
         let (retrained, deferred) = self.triage(&units);

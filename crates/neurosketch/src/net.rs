@@ -80,8 +80,10 @@
 //!   read step, so a client window arrives in one `read`.
 //! * **Flat queues, reused batch state.** A waiting query is an id and
 //!   `dims` coordinates in its connection's two flat ring buffers; a
-//!   micro-batch copies them into rows the server keeps, answers, and
-//!   encodes each [`Frame::Answer`] into its connection's send buffer.
+//!   micro-batch drains them into one flat coordinate buffer the server
+//!   keeps, hands that to the deployment as a [`QueryBatch`] — no row
+//!   of its own — and encodes each [`Frame::Answer`] into its
+//!   connection's send buffer.
 //!
 //! # Wire format
 //!
@@ -139,7 +141,7 @@
 //! handle.join().unwrap();
 //! ```
 
-use crate::deploy::{DeployStats, LiveDeployment};
+use crate::deploy::{DeployStats, LiveDeployment, QueryBatch};
 use query::exec::fnv1a_64;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -860,19 +862,11 @@ pub struct NetStats {
     pub largest_batch: usize,
     /// Info requests answered.
     pub info_requests: u64,
-    /// Queries the served deployment's front collapsed onto a
-    /// bitwise-identical query in the same micro-batch. This and the
-    /// two counters below sum each micro-batch's
-    /// [`NetBatch::stats`]; all three stay zero unless the deployment
-    /// is a [`crate::cache::CachedDeployment`] — the wire server adds
-    /// no dedup or cache of its own.
-    pub deduped: u64,
-    /// Queries the served deployment answered from its answer cache.
-    pub cache_hits: u64,
-    /// Queries that fell through the deployment's answer cache to
-    /// compute (an uncached deployment reports no cache traffic at
-    /// all, not all-misses).
-    pub cache_misses: u64,
+    /// Every micro-batch's [`NetBatch::stats`], summed: where the served
+    /// answers came from. Its cache and dedup counts stay zero unless
+    /// the deployment is a [`crate::cache::CachedDeployment`] — the wire
+    /// server adds no dedup or cache of its own.
+    pub deploy: DeployStats,
     /// Read turns skipped because the connection's unsent output stood
     /// above the high-water mark (the peer is not reading its
     /// responses; see [`NetOptions::conn_buffer_bound`]).
@@ -991,12 +985,12 @@ pub struct NetServer {
     stats: NetStats,
     /// Scratch that lives across calls so a served query allocates
     /// nothing: the row a query payload is decoded into, and one
-    /// micro-batch's `(conn index, request id)` jobs in drain order,
-    /// its rows (row `k` is job `k`'s query; the `Vec`s are reused
-    /// batch after batch).
+    /// micro-batch's `(conn index, request id)` jobs in drain order and
+    /// their coordinates, flat (job `k`'s query is the `k`-th `dims`
+    /// of them).
     row: Vec<f64>,
     jobs: Vec<(usize, u64)>,
-    batch: Vec<Vec<f64>>,
+    batch: Vec<f64>,
 }
 
 impl NetServer {
@@ -1057,11 +1051,6 @@ impl NetServer {
             .sum()
     }
 
-    /// The served deployment handle.
-    pub fn deployment(&self) -> &Arc<LiveDeployment> {
-        &self.live
-    }
-
     /// One I/O pass: accept new connections, flush what the last
     /// serving step staged, read and parse every connection (enqueueing
     /// queries, rejecting over-budget ones, answering info requests,
@@ -1093,6 +1082,7 @@ impl NetServer {
             return None;
         }
         self.jobs.clear();
+        self.batch.clear();
         let n = self.conns.len();
         let start = (self.cursor % n as u64) as usize;
         'fill: loop {
@@ -1104,12 +1094,7 @@ impl NetServer {
                     continue;
                 }
                 if let Some(id) = conn.pending.pop_front() {
-                    let k = self.jobs.len();
-                    if k == self.batch.len() {
-                        self.batch.push(Vec::with_capacity(self.dims));
-                    }
-                    self.batch[k].clear();
-                    self.batch[k].extend(conn.coords.drain(..self.dims));
+                    self.batch.extend(conn.coords.drain(..self.dims));
                     self.jobs.push((ci, id));
                     took_any = true;
                     if self.jobs.len() >= self.opts.max_batch.max(1) {
@@ -1128,10 +1113,9 @@ impl NetServer {
         // Start the next batch's rotation one connection later, so the
         // head-of-line slot itself rotates across batches.
         self.cursor = self.cursor.wrapping_add(1);
-        let (answers, stats, generation) = self.live.answer_batch_tagged(&self.batch[..size]);
-        self.stats.deduped += stats.dedup_hits as u64;
-        self.stats.cache_hits += stats.cache_hits as u64;
-        self.stats.cache_misses += stats.cache_misses as u64;
+        let batch = QueryBatch::new(&self.batch, self.dims);
+        let (answers, stats, generation) = self.live.answer_batch_tagged(batch);
+        self.stats.deploy += stats;
         let mut per_client: Vec<(u64, usize)> = Vec::new();
         for (&(ci, id), &value) in self.jobs.iter().zip(&answers) {
             let conn = &mut self.conns[ci];

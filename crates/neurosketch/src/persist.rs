@@ -1646,7 +1646,9 @@ mod tests {
 
         let bits = |shard: &ShardSketch| -> Vec<u64> {
             let mut scratch = crate::sketch::BatchScratch::default();
-            let moments = shard.moments_batch_with(&mut scratch, &queries);
+            let flat = queries.concat();
+            let batch = crate::deploy::QueryBatch::new(&flat, 2);
+            let moments = shard.moments_batch_with(&mut scratch, batch);
             moments.iter().map(|m| m.s.to_bits()).collect()
         };
         let old = load_shard(&validated, &manifest_path, 0).unwrap();

@@ -43,7 +43,7 @@
 //! ```
 //! use neurosketch::serve::{ServeOptions, SketchServer};
 //! use neurosketch::router::{DqdRouter, RoutingPolicy};
-//! use neurosketch::{NeuroSketch, NeuroSketchConfig};
+//! use neurosketch::{Deployment, NeuroSketch, NeuroSketchConfig};
 //!
 //! let queries: Vec<Vec<f64>> = (0..160)
 //!     .map(|i| vec![(i as f64 * 0.7548) % 1.0, (i as f64 * 0.5698) % 1.0])
@@ -59,10 +59,10 @@
 //! assert_eq!(stats.sketch, queries.len());
 //! ```
 
-use crate::deploy::DeployStats;
+use crate::deploy::{DeployStats, Deployment, DeploymentInfo, QueryBatch};
 use crate::router::{range_volume, DqdRouter, Route};
 use crate::sketch::{BatchScratch, NeuroSketch, NO_LEAF};
-use query::aggregate::Aggregate;
+use query::aggregate::{Aggregate, Moments};
 use query::exec::QueryEngine;
 use query::predicate::PredicateFn;
 
@@ -171,54 +171,6 @@ impl<'a> SketchServer<'a> {
         &self.router
     }
 
-    /// The active options.
-    pub fn options(&self) -> ServeOptions {
-        self.opts
-    }
-
-    /// Answer one query through the same routing as a batch of one.
-    pub fn answer(&self, q: &[f64]) -> f64 {
-        self.answer_batch(std::slice::from_ref(&q.to_vec())).0[0]
-    }
-
-    /// Answer a batch of queries. Returns the answers in input order and
-    /// the routing tally.
-    ///
-    /// The batch is split into up to `opts.threads` shards (each at most
-    /// `opts.max_shard` queries) and served on the shared worker pool;
-    /// each worker locates and routes its shard, answers the
-    /// sketch-routed queries with leaf-grouped forward passes, and the
-    /// rest through the exact backend.
-    pub fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
-        let threads = self.opts.threads.max(1);
-        let shard = queries
-            .len()
-            .div_ceil(threads)
-            .clamp(1, self.opts.max_shard.max(1));
-        let chunks: Vec<&[Vec<f64>]> = queries.chunks(shard).collect();
-        let parts = par::par_map_init(
-            &chunks,
-            threads,
-            || (BatchScratch::default(), Vec::new(), Vec::new()),
-            |(scratch, exact_scratch, leaves), _, chunk| {
-                self.serve_chunk(scratch, exact_scratch, leaves, chunk)
-            },
-        );
-        let mut answers = Vec::with_capacity(queries.len());
-        let mut stats = DeployStats {
-            queries: queries.len(),
-            shard_count: 1,
-            ..DeployStats::default()
-        };
-        for (part, small_range, hard_leaf) in parts {
-            answers.extend(part);
-            stats.exact_small_range += small_range;
-            stats.exact_hard_leaf += hard_leaf;
-        }
-        stats.sketch = queries.len() - stats.exact_small_range - stats.exact_hard_leaf;
-        (answers, stats)
-    }
-
     /// Serve one chunk with this worker's scratch state: locate every
     /// query once, let the DQD rules pull the refused ones out to the
     /// exact engine (marking them [`NO_LEAF`]), and hand the rest —
@@ -230,14 +182,14 @@ impl<'a> SketchServer<'a> {
         scratch: &mut BatchScratch,
         exact_scratch: &mut Vec<f64>,
         leaves: &mut Vec<u32>,
-        queries: &[Vec<f64>],
+        chunk: QueryBatch<'_>,
     ) -> (Vec<f64>, usize, usize) {
-        let mut out = vec![0.0; queries.len()];
+        let mut out = vec![0.0; chunk.len()];
         let (mut small_range, mut hard_leaf) = (0, 0);
-        self.sketch().locate_batch(queries, leaves);
+        self.sketch().locate_batch(chunk, leaves);
         // No fallback: routing is moot, everything goes to the sketch.
         if let Some(fb) = &self.fallback {
-            for ((leaf, slot), q) in leaves.iter_mut().zip(&mut out).zip(queries) {
+            for ((leaf, slot), q) in leaves.iter_mut().zip(&mut out).zip(chunk.rows()) {
                 let volume = self.opts.active_attrs.map(|k| range_volume(q, k));
                 match self.router.route_located(*leaf as usize, volume) {
                     Route::Sketch => continue,
@@ -251,8 +203,56 @@ impl<'a> SketchServer<'a> {
             }
         }
         self.sketch()
-            .answer_located(scratch, queries, leaves, &mut out);
+            .answer_located(scratch, chunk, leaves, &mut out);
         (out, small_range, hard_leaf)
+    }
+}
+
+impl Deployment for SketchServer<'_> {
+    /// Answer a batch of queries. Returns the answers in input order and
+    /// the routing tally.
+    ///
+    /// The batch is split into up to `opts.threads` shards (each at most
+    /// `opts.max_shard` queries) and served on the shared worker pool;
+    /// each worker locates and routes its shard, answers the
+    /// sketch-routed queries with leaf-grouped forward passes, and the
+    /// rest through the exact backend.
+    fn answer_flat(&self, batch: QueryBatch<'_>) -> (Vec<f64>, DeployStats) {
+        let threads = self.opts.threads.max(1);
+        let shard = batch
+            .len()
+            .div_ceil(threads)
+            .clamp(1, self.opts.max_shard.max(1));
+        let chunks: Vec<QueryBatch<'_>> = batch.chunks(shard).collect();
+        let parts = par::par_map_init(
+            &chunks,
+            threads,
+            || (BatchScratch::default(), Vec::new(), Vec::new()),
+            |(scratch, exact_scratch, leaves), _, chunk| {
+                self.serve_chunk(scratch, exact_scratch, leaves, *chunk)
+            },
+        );
+        let mut answers = Vec::with_capacity(batch.len());
+        let mut stats = DeployStats {
+            queries: batch.len(),
+            shard_count: 1,
+            ..DeployStats::default()
+        };
+        for (part, small_range, hard_leaf) in parts {
+            answers.extend(part);
+            stats.exact_small_range += small_range;
+            stats.exact_hard_leaf += hard_leaf;
+        }
+        stats.sketch = batch.len() - stats.exact_small_range - stats.exact_hard_leaf;
+        (answers, stats)
+    }
+
+    fn moments_flat(&self, _batch: QueryBatch<'_>) -> Option<Vec<Moments>> {
+        None
+    }
+
+    fn describe(&self) -> DeploymentInfo {
+        self.sketch().describe()
     }
 }
 
@@ -425,7 +425,8 @@ mod tests {
         let (answers, stats) = server.answer_batch(&[]);
         assert!(answers.is_empty());
         assert_eq!(stats.queries, 0);
-        assert_eq!(server.answer(&wl.queries[0]), expect);
+        let one = QueryBatch::new(&wl.queries[0], 2);
+        assert_eq!(server.answer_flat(one).0, [expect]);
     }
 
     #[test]

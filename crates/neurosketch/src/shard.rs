@@ -38,7 +38,7 @@
 //! use datagen::Dataset;
 //! use neurosketch::shard::{build_sharded, ShardPlan, ShardedServer};
 //! use neurosketch::serve::ServeOptions;
-//! use neurosketch::NeuroSketchConfig;
+//! use neurosketch::{Deployment, NeuroSketchConfig};
 //! use query::aggregate::{Aggregate, Moments};
 //! use query::exec::QueryEngine;
 //! use query::predicate::Range;
@@ -83,7 +83,7 @@
 //! assert!((answers[0] - exact).abs() < 0.25 * data.rows() as f64);
 //! ```
 
-use crate::deploy::DeployStats;
+use crate::deploy::{DeployKind, DeployStats, Deployment, DeploymentInfo, QueryBatch};
 use crate::serve::ServeOptions;
 use crate::sketch::{BatchScratch, NeuroSketch, NeuroSketchConfig};
 use crate::SketchError;
@@ -285,12 +285,12 @@ impl ShardSketch {
     pub fn moments_batch_with(
         &self,
         scratch: &mut BatchScratch,
-        queries: &[Vec<f64>],
+        batch: QueryBatch<'_>,
     ) -> Vec<Moments> {
-        let mut out = vec![Moments::ZERO; queries.len()];
+        let mut out = vec![Moments::ZERO; batch.len()];
         for kind in MomentKind::ALL {
             if let Some(model) = &self.models[kind.slot()] {
-                let component = model.answer_batch_with(scratch, queries);
+                let component = model.answer_batch_with(scratch, batch);
                 for (m, v) in out.iter_mut().zip(component) {
                     m.set_component(kind, v);
                 }
@@ -410,7 +410,8 @@ impl ShardedSketch {
     /// parallel front).
     pub fn answer(&self, q: &[f64]) -> f64 {
         let shards: Vec<&ShardSketch> = self.shards.iter().collect();
-        scatter_gather(&shards, &[q.to_vec()], 1, 1, |m| self.finish_guarded(m)).0[0]
+        let one = QueryBatch::new(q, q.len());
+        scatter_gather(&shards, one, 1, 1, |m| self.finish_guarded(m)).0[0]
     }
 
     /// The deployment with every model quantized through `f32` — what a
@@ -660,7 +661,7 @@ fn build_shard_sketch(
 /// max_shard⌉` (0 for an empty batch, which skips the pool).
 pub(crate) fn scatter_gather<T>(
     shards: &[&ShardSketch],
-    queries: &[Vec<f64>],
+    batch: QueryBatch<'_>,
     threads: usize,
     max_shard: usize,
     finish: impl Fn(Moments) -> T,
@@ -668,13 +669,13 @@ pub(crate) fn scatter_gather<T>(
     let max_chunk = max_shard.max(1);
     let total_kinds: usize = shards.iter().map(|s| s.kinds().count()).sum();
     let stats = DeployStats {
-        queries: queries.len(),
-        sketch: queries.len(),
+        queries: batch.len(),
+        sketch: batch.len(),
         shard_count: shards.len(),
-        model_batches: total_kinds * queries.len().div_ceil(max_chunk),
+        model_batches: total_kinds * batch.len().div_ceil(max_chunk),
         ..DeployStats::default()
     };
-    if queries.is_empty() {
+    if batch.is_empty() {
         return (Vec::new(), stats);
     }
     let per_shard: Vec<Vec<Moments>> = par::par_map_init(
@@ -682,14 +683,14 @@ pub(crate) fn scatter_gather<T>(
         threads.max(1),
         BatchScratch::default,
         |scratch, _, shard| {
-            let mut moments = Vec::with_capacity(queries.len());
-            for chunk in queries.chunks(max_chunk) {
+            let mut moments = Vec::with_capacity(batch.len());
+            for chunk in batch.chunks(max_chunk) {
                 moments.extend(shard.moments_batch_with(scratch, chunk));
             }
             moments
         },
     );
-    let gathered = (0..queries.len())
+    let gathered = (0..batch.len())
         .map(|i| {
             let total = per_shard
                 .iter()
@@ -730,35 +731,44 @@ impl ShardedServer {
         &self.sketch
     }
 
-    /// Answer a batch: scatter to all shards, gather exact moment
-    /// compositions. Returns answers in input order plus the tally.
-    pub fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
-        self.scatter(queries, |m| self.sketch.finish_guarded(m))
-    }
-
-    /// The gathered `(n, Σ, Σ²)` prediction per query — the same scatter
-    /// as [`ShardedServer::answer_batch`] with per-shard moments merged
-    /// in shard order but not yet finished into the aggregate. This is
-    /// the moment-level serving surface the [`crate::deploy::Deployment`]
-    /// trait exposes; `finish_guarded` of each entry is exactly the
-    /// corresponding `answer_batch` answer.
-    pub fn moments_batch(&self, queries: &[Vec<f64>]) -> (Vec<Moments>, DeployStats) {
-        self.scatter(queries, |m| m)
-    }
-
     fn scatter<T>(
         &self,
-        queries: &[Vec<f64>],
+        batch: QueryBatch<'_>,
         finish: impl Fn(Moments) -> T,
     ) -> (Vec<T>, DeployStats) {
         let shards: Vec<&ShardSketch> = self.sketch.shards().iter().collect();
         scatter_gather(
             &shards,
-            queries,
+            batch,
             self.opts.threads,
             self.opts.max_shard,
             finish,
         )
+    }
+}
+
+impl Deployment for ShardedServer {
+    /// Scatter to all shards, gather exact moment compositions. Returns
+    /// answers in input order plus the tally.
+    fn answer_flat(&self, batch: QueryBatch<'_>) -> (Vec<f64>, DeployStats) {
+        self.scatter(batch, |m| self.sketch.finish_guarded(m))
+    }
+
+    /// The gathered `(n, Σ, Σ²)` prediction per query — the same scatter
+    /// with per-shard moments merged in shard order but not yet finished
+    /// into the aggregate; `finish_guarded` of each entry is exactly the
+    /// corresponding answer.
+    fn moments_flat(&self, batch: QueryBatch<'_>) -> Option<Vec<Moments>> {
+        Some(self.scatter(batch, |m| m).0)
+    }
+
+    fn describe(&self) -> DeploymentInfo {
+        DeploymentInfo {
+            kind: DeployKind::Sharded,
+            units: self.sketch.shard_count(),
+            param_count: self.sketch.param_count(),
+            generation: None,
+        }
     }
 }
 
@@ -855,9 +865,11 @@ mod tests {
         )
         .unwrap();
         let server = ShardedServer::new(sharded, ServeOptions::default());
-        let (answers, a_stats) = server.answer_batch(&wl.queries);
-        let (moments, m_stats) = server.moments_batch(&wl.queries);
-        assert_eq!(a_stats, m_stats);
+        let (answers, _) = server.answer_batch(&wl.queries);
+        let moments = server
+            .moments_batch(&wl.queries)
+            .expect("sharded has moments");
+        assert_eq!(moments.len(), answers.len());
         for (m, a) in moments.iter().zip(&answers) {
             assert_eq!(server.sketch().finish_guarded(*m), *a);
         }
@@ -1042,7 +1054,7 @@ mod tests {
                 let total = sharded
                     .shards()
                     .iter()
-                    .map(|s| s.moments_batch_with(&mut scratch, std::slice::from_ref(q))[0])
+                    .map(|s| s.moments_batch_with(&mut scratch, QueryBatch::new(q, 2))[0])
                     .fold(Moments::ZERO, Moments::merge);
                 // Mirror finish_guarded's documented near-empty guard.
                 let manual = if matches!(agg, Aggregate::Avg | Aggregate::Std) && total.n < 0.5 {

@@ -12,6 +12,7 @@
 //! however it arrives.
 
 use crate::aqc::aqc_sampled;
+use crate::deploy::QueryBatch;
 use crate::SketchError;
 use nn::fused::ServingWorkspace;
 use nn::train::{train, TrainConfig, TrainReport};
@@ -359,13 +360,13 @@ impl NeuroSketch {
         answer
     }
 
-    /// Answer a batch of queries with one tiled forward pass per
-    /// partition instead of one single-row pass per query. Convenience
-    /// wrapper around [`NeuroSketch::answer_batch_with`]; answers are
-    /// **bitwise identical** to calling [`NeuroSketch::answer`] per query.
+    /// Answer a batch of row-form queries with one tiled forward pass per
+    /// partition instead of one single-row pass per query: the
+    /// [`Deployment::answer_batch`](crate::Deployment::answer_batch) of a
+    /// bare sketch. Answers are **bitwise identical** to calling
+    /// [`NeuroSketch::answer`] per query.
     pub fn answer_batch(&self, queries: &[Vec<f64>]) -> Vec<f64> {
-        let mut scratch = BatchScratch::default();
-        self.answer_batch_with(&mut scratch, queries)
+        crate::Deployment::answer_batch(self, queries).0
     }
 
     /// Batched answering with caller-provided scratch — the
@@ -373,11 +374,11 @@ impl NeuroSketch {
     /// scratch per worker thread): locate every query once, group by
     /// partition, forward each group through its model's
     /// [`ServingLayout`]. Results come back in input order.
-    pub fn answer_batch_with(&self, scratch: &mut BatchScratch, queries: &[Vec<f64>]) -> Vec<f64> {
-        let mut out = vec![0.0; queries.len()];
+    pub fn answer_batch_with(&self, scratch: &mut BatchScratch, batch: QueryBatch<'_>) -> Vec<f64> {
+        let mut out = vec![0.0; batch.len()];
         let mut leaves = std::mem::take(&mut scratch.leaves);
-        self.locate_batch(queries, &mut leaves);
-        self.answer_located(scratch, queries, &leaves, &mut out);
+        self.locate_batch(batch, &mut leaves);
+        self.answer_located(scratch, batch, &leaves, &mut out);
         scratch.leaves = leaves;
         out
     }
@@ -386,15 +387,15 @@ impl NeuroSketch {
     /// index per query.
     ///
     /// # Panics
-    /// Panics if a query's dimensionality does not match the sketch.
-    pub(crate) fn locate_batch(&self, queries: &[Vec<f64>], leaves: &mut Vec<u32>) {
+    /// Panics if the batch's dimensionality does not match the sketch.
+    pub(crate) fn locate_batch(&self, batch: QueryBatch<'_>, leaves: &mut Vec<u32>) {
         leaves.clear();
-        leaves.extend(queries.iter().map(|q| self.leaf_slot_of(q)));
+        leaves.extend(batch.rows().map(|q| self.leaf_slot_of(q)));
     }
 
     /// The batched compute path: for every position `p` whose
     /// `leaves[p]` is a partition index, write the sketch's answer to
-    /// `queries[p]` into `out[p]`; positions marked [`NO_LEAF`] (routed
+    /// query `p` into `out[p]`; positions marked [`NO_LEAF`] (routed
     /// elsewhere by the serving layer) are skipped and their `out`
     /// slots left untouched.
     ///
@@ -409,16 +410,16 @@ impl NeuroSketch {
     /// a coordinate beyond `f32` range.
     ///
     /// # Panics
-    /// Panics if `queries`, `leaves` and `out` differ in length.
+    /// Panics if `batch`, `leaves` and `out` differ in length.
     pub(crate) fn answer_located(
         &self,
         scratch: &mut BatchScratch,
-        queries: &[Vec<f64>],
+        batch: QueryBatch<'_>,
         leaves: &[u32],
         out: &mut [f64],
     ) {
-        assert_eq!(queries.len(), leaves.len(), "one leaf id per query");
-        assert_eq!(queries.len(), out.len(), "one output slot per query");
+        assert_eq!(batch.len(), leaves.len(), "one leaf id per query");
+        assert_eq!(batch.len(), out.len(), "one output slot per query");
         let BatchScratch {
             ws,
             x,
@@ -455,7 +456,7 @@ impl NeuroSketch {
             }
             x.clear();
             for &pos in group {
-                x.extend(queries[pos].iter().map(|&c| c as f32));
+                x.extend(batch.row(pos).iter().map(|&c| c as f32));
             }
             model.answer_rows(ws, x, y, |row, v| out[group[row]] = v);
         }
@@ -667,6 +668,7 @@ impl NeuroSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deploy::Queries;
     use datagen::simple::uniform;
     use query::predicate::Range;
     use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
@@ -840,8 +842,8 @@ mod tests {
         }
         // Scratch reuse across differently-sized batches stays correct.
         let mut scratch = BatchScratch::default();
-        let big = sketch.answer_batch_with(&mut scratch, &wl.queries);
-        let small = sketch.answer_batch_with(&mut scratch, &wl.queries[..7]);
+        let big = batch_with(&sketch, &mut scratch, &wl.queries);
+        let small = batch_with(&sketch, &mut scratch, &wl.queries[..7]);
         assert_eq!(&big[..7], &batched[..7]);
         assert_eq!(small, batched[..7]);
     }
@@ -856,11 +858,13 @@ mod tests {
         // A four-query slice, the second routed away from the sketch.
         let chunk = &qs[40..44];
         let mut leaves = Vec::new();
-        sketch.locate_batch(chunk, &mut leaves);
+        let flat = chunk.concat();
+        let batch = QueryBatch::new(&flat, 2);
+        sketch.locate_batch(batch, &mut leaves);
         leaves[1] = NO_LEAF;
         let mut out = vec![f64::NAN; chunk.len()];
         let mut scratch = BatchScratch::default();
-        sketch.answer_located(&mut scratch, chunk, &leaves, &mut out);
+        sketch.answer_located(&mut scratch, batch, &leaves, &mut out);
         for (pos, (q, v)) in chunk.iter().zip(&out).enumerate() {
             if pos == 1 {
                 assert!(v.is_nan(), "skipped slot {pos} was written");
@@ -921,13 +925,18 @@ mod tests {
         (sketch, wl, cfg)
     }
 
+    /// [`NeuroSketch::answer_batch_with`] over row-form queries.
+    fn batch_with(sketch: &NeuroSketch, scratch: &mut BatchScratch, qs: &[Vec<f64>]) -> Vec<f64> {
+        qs.with_flat(|batch| sketch.answer_batch_with(scratch, batch))
+    }
+
     /// The batched path against the per-query oracle, bit for bit.
     fn assert_batch_is_per_query(
         sketch: &NeuroSketch,
         scratch: &mut BatchScratch,
         qs: &[Vec<f64>],
     ) {
-        let batched = sketch.answer_batch_with(scratch, qs);
+        let batched = batch_with(sketch, scratch, qs);
         for (i, (q, b)) in qs.iter().zip(&batched).enumerate() {
             assert_eq!(b.to_bits(), sketch.answer(q).to_bits(), "query {i}");
         }
@@ -954,7 +963,7 @@ mod tests {
         // through a copy of the old ones.
         let (mut sketch, wl, cfg) = four_partition_sketch();
         let mut scratch = BatchScratch::default();
-        let before = sketch.answer_batch_with(&mut scratch, &wl.queries);
+        let before = batch_with(&sketch, &mut scratch, &wl.queries);
 
         // retrain_partition: fresh labels move partition 1's model only.
         let unit = 1;
@@ -966,7 +975,7 @@ mod tests {
             .unzip();
         sketch.retrain_partition(unit, &qs, &labels, &cfg).unwrap();
         assert_batch_is_per_query(&sketch, &mut scratch, &wl.queries);
-        let after = sketch.answer_batch_with(&mut scratch, &wl.queries);
+        let after = batch_with(&sketch, &mut scratch, &wl.queries);
         for (i, q) in wl.queries.iter().enumerate() {
             let moved = before[i].to_bits() != after[i].to_bits();
             assert_eq!(moved, sketch.leaf_index_of(q) == unit, "query {i}");
@@ -975,15 +984,12 @@ mod tests {
         // quantized_to, and an NSK2 decode of the same weights.
         let i8_sketch = sketch.quantized_to(QuantMode::I8);
         assert_batch_is_per_query(&i8_sketch, &mut scratch, &wl.queries);
-        let i8_answers = i8_sketch.answer_batch_with(&mut scratch, &wl.queries);
+        let i8_answers = batch_with(&i8_sketch, &mut scratch, &wl.queries);
         assert_ne!(i8_answers, after, "i8 rounding must be visible");
         let bytes = crate::persist::encode_sketch_with(&sketch, QuantMode::I8);
         let decoded = crate::persist::decode(bytes).unwrap().sketch;
         assert_batch_is_per_query(&decoded, &mut scratch, &wl.queries);
-        assert_eq!(
-            decoded.answer_batch_with(&mut scratch, &wl.queries),
-            i8_answers
-        );
+        assert_eq!(batch_with(&decoded, &mut scratch, &wl.queries), i8_answers);
     }
 
     #[test]
@@ -1049,8 +1055,8 @@ mod tests {
         let perm: Vec<usize> = (0..n).map(|i| (i * 7 + 3) % n).collect();
         assert_ne!(n % 7, 0, "7 must be coprime to the batch size");
         let permuted: Vec<Vec<f64>> = perm.iter().map(|&i| batch[i].clone()).collect();
-        let straight = sketch.answer_batch_with(&mut scratch, &batch);
-        let shuffled = sketch.answer_batch_with(&mut scratch, &permuted);
+        let straight = batch_with(&sketch, &mut scratch, &batch);
+        let shuffled = batch_with(&sketch, &mut scratch, &permuted);
         for (p, &i) in perm.iter().enumerate() {
             assert_eq!(shuffled[p].to_bits(), straight[i].to_bits(), "query {i}");
         }

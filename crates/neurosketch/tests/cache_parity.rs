@@ -305,3 +305,67 @@ fn hot_swap_has_zero_cross_generation_hits() {
     assert_bitwise("generation 1 warm", &got1b, &want1);
     assert_eq!(stats1b.cache_hits, b.wl.queries.len());
 }
+
+/// A batch longer than the front's dedup table addresses (65 534
+/// queries) is served as consecutive sub-batches: the answers are
+/// bitwise the inner deployment's, a duplicate collapses only onto a
+/// representative in its own sub-batch, and the tally still counts every
+/// query exactly once.
+#[test]
+fn batches_longer_than_the_dedup_table_are_served_in_sub_batches() {
+    const SPLIT: usize = 65_534;
+    const N: usize = 70_000;
+    let wl = &base().wl;
+    // Distinct queries (a workload query nudged by its position), except
+    // a run of one query straddling the split and a second query
+    // repeated every 1 000 positions on both sides of it.
+    let batch: Vec<Vec<f64>> = (0..N)
+        .map(|i| {
+            if (SPLIT - 5..SPLIT + 5).contains(&i) {
+                wl.queries[0].clone()
+            } else if i % 1_000 == 7 {
+                wl.queries[1].clone()
+            } else {
+                let mut q = wl.queries[i % wl.queries.len()].clone();
+                q[0] += i as f64 * 1e-9;
+                q
+            }
+        })
+        .collect();
+    let duplicates = |rows: &[Vec<f64>]| {
+        let distinct: std::collections::HashSet<Vec<u64>> = rows
+            .iter()
+            .map(|q| q.iter().map(|v| v.to_bits()).collect())
+            .collect();
+        rows.len() - distinct.len()
+    };
+    let within_sub_batches = duplicates(&batch[..SPLIT]) + duplicates(&batch[SPLIT..]);
+    assert!(
+        within_sub_batches < duplicates(&batch),
+        "no duplicate straddles the split"
+    );
+
+    let (want, _) = server(0, 1).answer_batch(&batch);
+    let cached = fronted(server(0, 1), AnswerCache::new(8 << 20, 8), Aggregate::Count);
+    let (got, stats) = cached.answer_batch(&batch);
+    assert_bitwise("sub-batched", &got, &want);
+    assert_eq!(stats.queries, N);
+    assert_eq!(stats.dedup_hits, within_sub_batches);
+    assert_eq!(
+        stats.sketch + stats.exact_small_range + stats.exact_hard_leaf,
+        stats.cache_misses
+    );
+    assert_eq!(
+        stats.sketch
+            + stats.exact_small_range
+            + stats.exact_hard_leaf
+            + stats.cache_hits
+            + stats.dedup_hits,
+        N,
+        "{stats:?}"
+    );
+    assert!(
+        stats.cache_hits > 0,
+        "the second sub-batch hits what the first stored"
+    );
+}

@@ -11,6 +11,7 @@
 use neurosketch::cluster::{
     Cluster, ClusterError, ClusterEvent, ClusterOptions, Fault, FaultPlan, RoutePolicy,
 };
+use neurosketch::deploy::{Deployment, QueryBatch};
 use neurosketch::maintenance::retrain_shards;
 use neurosketch::persist;
 use neurosketch::serve::ServeOptions;
@@ -512,7 +513,9 @@ fn generated_plans_replay_identically_from_their_seed() {
                     .iter()
                     .zip(chosen)
                     .filter(|(_, c)| c.is_some())
-                    .map(|(s, _)| s.moments_batch_with(&mut scratch, std::slice::from_ref(q))[0])
+                    .map(|(s, _)| {
+                        s.moments_batch_with(&mut scratch, QueryBatch::new(q, q.len()))[0]
+                    })
                     .fold(Moments::ZERO, Moments::merge);
                 b.sharded.finish_guarded(total)
             })

@@ -1,6 +1,6 @@
 //! Shared by the wire-protocol test targets (`mod common;`).
 
-use neurosketch::deploy::{DeployKind, DeployStats, DeploymentInfo};
+use neurosketch::deploy::{DeployKind, DeployStats, DeploymentInfo, QueryBatch};
 use neurosketch::Deployment;
 
 /// A deployment of any dimensionality with answers a test can predict:
@@ -9,12 +9,12 @@ use neurosketch::Deployment;
 pub struct SumDeployment;
 
 impl Deployment for SumDeployment {
-    fn answer_batch(&self, queries: &[Vec<f64>]) -> (Vec<f64>, DeployStats) {
-        let answers = queries.iter().map(|q| q.iter().sum()).collect();
+    fn answer_flat(&self, batch: QueryBatch<'_>) -> (Vec<f64>, DeployStats) {
+        let answers = batch.rows().map(|q| q.iter().sum()).collect();
         (answers, DeployStats::default())
     }
 
-    fn moments_batch(&self, _: &[Vec<f64>]) -> Option<Vec<query::aggregate::Moments>> {
+    fn moments_flat(&self, _: QueryBatch<'_>) -> Option<Vec<query::aggregate::Moments>> {
         None
     }
 
@@ -25,9 +25,5 @@ impl Deployment for SumDeployment {
             param_count: 0,
             generation: None,
         }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        0
     }
 }

@@ -645,26 +645,18 @@ fn in_batch_duplicates_are_computed_once_and_answered_bitwise() {
             carried.len(),
             "micro-batch {step}: every distinct query is one hit or one miss"
         );
-        tally.dedup_hits += batch.stats.dedup_hits;
-        tally.cache_hits += batch.stats.cache_hits;
-        tally.cache_misses += batch.stats.cache_misses;
+        tally += batch.stats;
     }
     assert_eq!(server.pending(), 0);
     assert!(tally.cache_hits > 0, "no micro-batch ever hit the cache");
     assert!(cache.stats().evictions > 0, "the budget never evicted");
     let stats = server.stats();
     assert_eq!(stats.answered, 2 * WINDOW as u64);
+    assert_eq!(stats.deploy, tally, "the server sums the front's tally");
+    assert_eq!(stats.deploy.queries as u64, stats.answered);
     assert_eq!(
-        (stats.deduped, stats.cache_hits, stats.cache_misses),
-        (
-            tally.dedup_hits as u64,
-            tally.cache_hits as u64,
-            tally.cache_misses as u64
-        )
-    );
-    assert_eq!(
-        stats.deduped + stats.cache_hits + stats.cache_misses,
-        stats.answered
+        stats.deploy.dedup_hits + stats.deploy.cache_hits + stats.deploy.cache_misses,
+        stats.deploy.queries
     );
 
     server.pump_io();

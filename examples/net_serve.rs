@@ -27,7 +27,7 @@
 //! ```
 
 use neurosketch::cache::{AnswerCache, CachedDeployment};
-use neurosketch::deploy::LiveDeployment;
+use neurosketch::deploy::{Deployment, LiveDeployment};
 use neurosketch::net::{NetClient, NetOptions, NetResponse, NetServer};
 use neurosketch::router::{DqdRouter, RoutingPolicy};
 use neurosketch::serve::{ServeOptions, SketchServer};
@@ -184,11 +184,16 @@ fn main() {
         "server: {} queries in {} micro-batches (largest {}), {} rejected, {} protocol errors",
         stats.answered, stats.batches, stats.largest_batch, stats.rejected, stats.protocol_errors
     );
+    let front = stats.deploy;
     println!(
         "answer front: {} cache hits, {} cache misses, {} collapsed onto an in-batch duplicate",
-        stats.cache_hits, stats.cache_misses, stats.deduped
+        front.cache_hits, front.cache_misses, front.dedup_hits
     );
     assert_eq!(stats.protocol_errors, 0);
+    assert_eq!(
+        (front.cache_hits + front.cache_misses + front.dedup_hits) as u64,
+        stats.answered
+    );
     assert_eq!(stats.answered as usize, served + flood_len);
     println!("net_serve: OK");
 }
