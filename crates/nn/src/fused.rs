@@ -7,14 +7,16 @@
 //! **Why `f32`.** Every persisted parameter is `f32` or narrower
 //! ([`crate::binary`]: f32 / f16 / i8), so a served model has no bits an
 //! `f32` cannot hold; computing in `f64` would spend half of every
-//! vector on precision the artifact does not have. Training
-//! ([`Mlp::forward_batch`] / [`Mlp::backward_batch`], the same kernel
-//! source at `f64`), labels and [`Mlp::forward_with`] stay `f64`.
+//! vector on precision the artifact does not have. Training's GEMMs run
+//! at `f32` too ([`Mlp::forward_batch`] / [`Mlp::backward_batch`]);
+//! master weights, labels and [`Mlp::forward_with`] stay `f64`.
 //!
-//! [`Mlp::forward_batch`] is the *training* forward over that kernel: it
-//! keeps every layer's `batch x width` activations for backprop and
-//! re-packs the weights on every call, because the optimizer moves them
-//! between calls. Serving a frozen model wants neither, so a
+//! [`Mlp::forward_batch`] is the *training* forward over that kernel,
+//! bitwise this one (same packing cast, same bias + activation
+//! epilogue, same tile): it keeps every layer's `batch x width`
+//! activations for backprop and re-packs the weights on every call,
+//! because the optimizer moves them between calls. Serving a frozen
+//! model wants neither, so a
 //! [`ServingLayout`] is a self-contained copy of a model's parameters in
 //! the shape the kernel reads:
 //!
@@ -190,9 +192,9 @@ impl FusedLayer {
 /// The forward epilogue, `c = act(acc + bias)` fused into the tile
 /// store: per entry the operations of the per-example forward, `+ bias`
 /// then [`Activation::apply`]'s own comparison, so `-0.0` and NaN come
-/// out as the per-example paths' do ([`Mlp::forward_with`] at `f64`,
-/// [`forward_per_example`] at `f32`). `bias` is zero-padded to whole
-/// panels and `c` has the padded row stride `sc`.
+/// out as [`forward_per_example`]'s do. Serving and the training
+/// forward share it. `bias` is zero-padded to whole panels and `c` has
+/// the padded row stride `sc`.
 pub(crate) struct BiasAct<'a, T> {
     pub c: &'a mut [T],
     pub sc: usize,
@@ -223,18 +225,29 @@ impl<T: Elem> TileStore<T> for BiasAct<'_, T> {
 /// no tiles, no layout — per output one `fmadd` chain over ascending
 /// input index from `+0.0`, then `+ bias`, then the activation's own
 /// comparison, every parameter rounded `as f32` first. The parity
-/// suites and `perfbench` hold [`ServingLayout::forward_into`] to it
-/// with `to_bits()`; nothing serves through it.
+/// suites and `perfbench` hold [`ServingLayout::forward_into`] and
+/// [`Mlp::forward_batch`] to it with `to_bits()`; nothing serves through
+/// it.
 pub fn forward_per_example(mlp: &Mlp, x: &[f32]) -> Vec<f32> {
+    activations_per_example(mlp, x)
+        .pop()
+        .expect("an Mlp has layers")
+}
+
+/// [`forward_per_example`] keeping every layer's activations, the input
+/// first — the forward half of
+/// [`crate::mlp::batch_gradient_per_example`].
+pub(crate) fn activations_per_example(mlp: &Mlp, x: &[f32]) -> Vec<Vec<f32>> {
     assert_eq!(x.len(), mlp.input_dim(), "input is not one row");
-    let mut a = x.to_vec();
+    let mut acts = vec![x.to_vec()];
     for layer in mlp.layers() {
         let rows = layer.weights.as_slice().chunks_exact(layer.in_dim());
-        a = rows
+        let a = acts.last().expect("starts with the input");
+        let next = rows
             .zip(&layer.biases)
             .map(|(row, b)| {
                 let mut acc = 0.0f32;
-                for (w, xi) in row.iter().zip(&a) {
+                for (w, xi) in row.iter().zip(a) {
                     acc = (*w as f32).fmadd(*xi, acc);
                 }
                 let z = acc + *b as f32;
@@ -244,6 +257,7 @@ pub fn forward_per_example(mlp: &Mlp, x: &[f32]) -> Vec<f32> {
                 }
             })
             .collect();
+        acts.push(next);
     }
-    a
+    acts
 }

@@ -3,10 +3,11 @@
 //! mini-batch forward and backward ([`Mlp::forward_batch`],
 //! [`Mlp::backward_batch`]) and [`crate::linalg::matmul`].
 //!
-//! One source, two element types (`Elem` in [`crate::linalg`]): the
-//! training products and `matmul` run it at `f64`, serving at `f32`,
-//! where the same [`MR`] x [`NR`] tile is half as many vector registers
-//! and twice the lanes per `fmadd`. Nothing below depends on which.
+//! One source, two element types (`Elem` in [`crate::linalg`]): serving
+//! and the three training products run it at `f32` — the precision every
+//! stored artifact has — where the same [`MR`] x [`NR`] tile is half as
+//! many vector registers as at `f64` and twice the lanes per `fmadd`;
+//! `matmul` runs it at `f64`. Nothing below depends on which.
 //!
 //! `row_tile` computes `M x NR` blocks of `C = A · B`. Its accumulators
 //! stay in registers across the **entire** contraction and are handed
@@ -26,22 +27,16 @@
 //! whose row stride is already a multiple of [`NR`], and `C` is such a
 //! matrix — which is why the training workspace keeps activations,
 //! deltas and the gradient tile at padded stride (padding holds exact
-//! zeros) and copies the real columns out where an unpadded [`Matrix`]
-//! is the interface.
+//! zeros) and copies the real columns out, widened to `f64`, where an
+//! unpadded [`Matrix`] is the interface.
 //!
 //! **Bitwise contract.** Every entry is one `fmadd` chain, in the
 //! element type, over ascending contraction index starting from `+0.0`
-//! — at `f64` the order of `Matrix::matvec_into` (forward),
-//! `Matrix::matvec_transpose_into` (`dX`) and `Matrix::rank1_add` summed
-//! in batch order (`dW`), at `f32` that of
-//! [`crate::fused::forward_per_example`]. Those `f64` per-example
-//! helpers skip exact-zero multipliers and this kernel does not; the
-//! results are still the same bits, for finite operands:
-//! `fmadd(±0.0, b, acc)` returns `acc` unchanged unless `acc` is `-0.0`,
-//! and a chain that starts at `+0.0` cannot reach `-0.0` short of a
-//! product underflowing to it. With a non-finite parameter `0 · ∞` is
-//! NaN where the skip kept the accumulator, so the contract is stated
-//! for finite parameters only.
+//! — at `f32` the order of the scalar oracles
+//! [`crate::fused::forward_per_example`] (forward) and
+//! [`crate::mlp::batch_gradient_per_example`] (`dX` per example, `dW`
+//! summed in batch order), at `f64` that of a naive triple loop
+//! (`matmul`). Zero multipliers are multiplied through, never skipped.
 //!
 //! The tile shape is fragile under autovectorisation and was chosen by
 //! measurement, once per element type (docs/serving.md has the `f32`
@@ -192,20 +187,24 @@ pub(crate) fn gemm<T: Elem>(
 /// The plain epilogue: write each tile into `C` (`.0`) as it is. Like
 /// every `C` of this kernel, the buffer has a row stride (`.1`) of
 /// whole panels, so a store is always [`NR`] wide.
-pub(crate) struct Plain<'c>(pub &'c mut [f64], pub usize);
+pub(crate) struct Plain<'c, T>(pub &'c mut [T], pub usize);
 
-impl TileStore<f64> for Plain<'_> {
+impl<T: Copy> TileStore<T> for Plain<'_, T> {
     #[inline(always)]
-    fn row(&mut self, r: usize, p: usize, acc: &[f64; NR]) {
+    fn row(&mut self, r: usize, p: usize, acc: &[T; NR]) {
         let at = r * self.1 + p * NR;
         self.0[at..at + NR].copy_from_slice(acc);
     }
 }
 
 /// Copy the first `n` columns of every `stride`-wide row of the padded
-/// `src` into the dense `n`-wide rows of `dst`.
-pub(crate) fn unpad<T: Copy>(dst: &mut [T], n: usize, src: &[T], stride: usize) {
+/// `src` into the dense `n`-wide rows of `dst`, widening on the way
+/// where the two differ (a training step's `f32` results into its `f64`
+/// interfaces).
+pub(crate) fn unpad<S: Copy, D: From<S>>(dst: &mut [D], n: usize, src: &[S], stride: usize) {
     for (d, s) in dst.chunks_exact_mut(n).zip(src.chunks_exact(stride)) {
-        d.copy_from_slice(&s[..n]);
+        for (d, s) in d.iter_mut().zip(&s[..n]) {
+            *d = D::from(*s);
+        }
     }
 }

@@ -7,27 +7,27 @@
 //!   with allocation-free inference via [`Mlp::forward_with`] and a reused
 //!   [`mlp::Workspace`],
 //! * mini-batch training with MSE loss and the [`optimizer::Adam`] optimizer
-//!   (Alg. 4 of the paper), executed as whole-batch GEMMs
+//!   (Alg. 4 of the paper), executed as whole-batch `f32` GEMMs
 //!   ([`Mlp::forward_batch`] / [`Mlp::backward_batch`]) on the crate's
 //!   one register-tiled micro-kernel ([`gemm`]) — the kernel
-//!   [`linalg::matmul`] also runs on — with bias, activation, ReLU mask
-//!   and bias-gradient sums fused into the tile store, and bitwise equal
-//!   to the per-example path ([`mlp::accumulate_example_gradient`]) for
-//!   finite parameters,
-//! * the serving forward ([`fused`]): the same kernel source
-//!   instantiated at `f32` — the precision every stored artifact has —
-//!   over a packed [`ServingLayout`], bitwise equal to a scalar `f32`
-//!   oracle at any batch size,
+//!   [`linalg::matmul`] also runs on, at `f64` — with bias, activation,
+//!   ReLU mask and bias-gradient sums fused into the tile store, and
+//!   bitwise equal to a scalar `f32` per-example step
+//!   ([`mlp::batch_gradient_per_example`]),
+//! * the serving forward ([`fused`]): the same kernel instantiated at
+//!   `f32` — the precision every stored artifact has — over a packed
+//!   [`ServingLayout`], bitwise equal to a scalar `f32` oracle at any
+//!   batch size, and so bitwise the training forward,
 //! * the explicit **memorization construction** of Theorem 3.4 / Algorithm 1
 //!   ([`construction`]), usable directly ("CS") or as an initialization for
 //!   SGD ("CS+SGD", Sec. A.5),
 //! * parameter/storage accounting used by the paper's space-complexity
 //!   arguments.
 //!
-//! Models, training and every path above but serving are `f64`; storage
-//! is *reported* as if parameters were stored as `f32` (4 bytes each),
-//! matching how the paper counts model size, and serving computes in
-//! that `f32`.
+//! Model parameters (the training master weights), the Adam state and the
+//! per-example paths are `f64`; storage is *reported* as if parameters
+//! were stored as `f32` (4 bytes each), matching how the paper counts
+//! model size, and serving and the training GEMMs compute in that `f32`.
 //!
 //! ```
 //! use nn::{Mlp, train::{train, TrainConfig}};

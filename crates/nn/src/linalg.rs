@@ -1,31 +1,31 @@
 //! Minimal dense linear algebra: a row-major [`Matrix`], the
-//! matrix–vector helpers of the per-example MLP paths
+//! matrix–vector helpers of the `f64` per-example MLP paths
 //! ([`Matrix::matvec_into`], [`Matrix::matvec_transpose_into`],
-//! [`Matrix::rank1_add`] — the reference the batched training step is
-//! held to bit for bit) and [`matmul`].
+//! [`Matrix::rank1_add`] — [`crate::Mlp::forward_with`] and the `f64`
+//! gradient the training step's accuracy is measured against) and
+//! [`matmul`].
 //!
 //! This is deliberately not a general-purpose linear algebra library: the
 //! MLPs in NeuroSketch are tiny (tens of units per layer), so a simple
 //! row-major layout keeps the code auditable. There is exactly one
 //! matrix–matrix kernel in the crate, the register-tiled micro-kernel of
-//! [`crate::gemm`]; [`matmul`] is a thin entry to it, and the mini-batch
-//! forward and backward ([`crate::mlp`]) and the serving forward
-//! ([`crate::fused`], at `f32`) call it with their own operand strides
-//! and tile epilogues.
+//! [`crate::gemm`]; [`matmul`] is a thin entry to it at `f64`, and the
+//! mini-batch forward and backward ([`crate::mlp`]) and the serving
+//! forward ([`crate::fused`]) call it at `f32` with their own operand
+//! strides and tile epilogues.
 //!
 //! **Determinism contract:** the kernel accumulates each output entry in
-//! one `fmadd` chain over ascending contraction index from `+0.0` —
-//! the order of the per-example helpers here. Those skip exact-zero
-//! multipliers and the kernel does not; for finite operands the bits
-//! are the same anyway ([`crate::gemm`] has the `±0.0` argument), so
-//! batched training is bitwise reproducible against the per-example
-//! reference — a property `tests/batched_vs_scalar.rs` asserts.
+//! one `fmadd` chain over ascending contraction index from `+0.0`; for
+//! [`matmul`] that is a naive triple loop's order, which
+//! `tests/batched_vs_scalar.rs` holds it to bit for bit.
 
 use crate::gemm::{gemm, pack, padded, unpad, Plain, MR, NR};
 use serde::{Deserialize, Serialize};
 
-/// An element type the crate's kernels compute in: `f64` for training
-/// and [`matmul`], `f32` for the serving forward ([`crate::fused`]).
+/// An element type the crate's kernels compute in: `f32` for the
+/// serving forward ([`crate::fused`]) and the training step
+/// ([`crate::mlp`]), `f64` for [`matmul`] and the per-example `f64`
+/// paths.
 pub(crate) trait Elem: Copy + Default + PartialOrd + std::ops::Add<Output = Self> {
     /// A model parameter (held as `f64`) rounded to this type.
     fn from_f64(v: f64) -> Self;
@@ -501,9 +501,11 @@ mod tests {
     }
 
     /// The bias gradient is the column sums of the deltas, accumulated
-    /// in batch (row) order as the `dX` tiles are stored: with a zero
-    /// first layer and zero targets, the hidden deltas are `2 w₂ · out`
-    /// per row, and `1e16 + 1 − 1e16` is 0 in row order and 1 otherwise.
+    /// in `f32` and in batch (row) order as the `dX` tiles are stored:
+    /// with a zero first layer, the hidden deltas are `2 w₂ · (out − y)`
+    /// per row, and in `f32` `1e8 + 1 − 1e8` is 0 in row order and 1
+    /// otherwise (the `f32` ulp at `1e8` is 8). The output layer's bias
+    /// gradient, summed in the output sweep, is held to the same order.
     #[test]
     fn col_sums_reduce_in_row_order() {
         let mlp = Mlp::from_layers(vec![
@@ -522,14 +524,15 @@ mod tests {
         // Output is 5.5 for every row; targets put `out − y` at the
         // wanted delta.
         let x = Matrix::zeros(3, 1);
-        let deltas = [1e16, 1.0, -1e16];
-        let y = Matrix::from_vec(3, 1, deltas.iter().map(|d| 5.5 - d).collect());
+        let deltas = [1e8f32, 1.0, -1e8];
+        let y = Matrix::from_vec(3, 1, deltas.iter().map(|&d| 5.5 - f64::from(d)).collect());
         let mut ws = BatchWorkspace::default();
         let mut grads = Gradients::zeros_like(&mlp);
         mlp.forward_batch(&mut ws, &x);
         mlp.backward_batch(&mut ws, &x, &y, &mut grads);
-        let in_row_order = |w: f64| deltas.iter().fold(0.0, |s, d| s + 2.0 * d * w);
+        let in_row_order = |w: f32| f64::from(deltas.iter().fold(0.0, |s, d| s + 2.0 * d * w));
         assert_eq!(grads.layers[0].1, [in_row_order(0.5), in_row_order(5.0)]);
+        assert_eq!(grads.layers[1].1, [in_row_order(1.0)]);
         assert_eq!(grads.layers[0].1[0], 0.0);
     }
 

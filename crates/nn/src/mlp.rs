@@ -12,7 +12,7 @@ use crate::binary::{
 use crate::fused::{BiasAct, ServingLayout};
 use crate::gemm::{gemm, pack, padded, unpad, Plain, TileStore, NR};
 use crate::init::Init;
-use crate::linalg::Matrix;
+use crate::linalg::{Elem, Matrix};
 use crate::NnError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,20 +40,22 @@ impl Dense {
         self.weights.cols()
     }
 
-    /// `c[r] = act(a[r] · Wᵀ + b)` for `m` rows through the tiled GEMM;
-    /// `a` has row stride `sa`, `c` the padded output width. `panels` is
-    /// scratch for the packed `Wᵀ` followed by the zero-padded biases.
+    /// `c[r] = act(a[r] · Wᵀ + b)` for `m` rows through the tiled GEMM
+    /// at `f32`, exactly as the serving layout computes a row; `a` has
+    /// row stride `sa`, `c` the padded output width. `panels` is scratch
+    /// for the packed `Wᵀ` followed by the zero-padded biases, both
+    /// rounded `as f32`.
     fn forward_rows(
         &self,
-        panels: &mut Vec<f64>,
+        panels: &mut Vec<f32>,
         m: usize,
-        (a, sa): (&[f64], usize),
-        c: &mut [f64],
+        (a, sa): (&[f32], usize),
+        c: &mut [f32],
     ) {
         let (k, n) = (self.in_dim(), self.out_dim());
         pack(panels, self.weights.as_slice(), (1, k), k, n);
         let wt = panels.len();
-        panels.extend_from_slice(&self.biases);
+        panels.extend(self.biases.iter().map(|&b| b as f32));
         panels.resize(wt + padded(n), 0.0);
         let (wt, bias) = panels.split_at(wt);
         gemm(
@@ -99,26 +101,28 @@ pub struct Workspace {
 /// workspace remembers the shape of the forward pass it holds, and a
 /// backward pass against any other shape is refused.
 ///
-/// Everything the kernel touches is kept at a row stride padded to
-/// whole `NR`-column panels (see [`crate::gemm`]); only
-/// [`BatchWorkspace::output`] is a plain `batch x output_dim`
-/// [`Matrix`].
+/// Everything the kernel touches is `f32` and kept at a row stride
+/// padded to whole `NR`-column panels (see [`crate::gemm`]); only
+/// [`BatchWorkspace::output`] is a plain `batch x output_dim` `f64`
+/// [`Matrix`] (the `f32` outputs, widened).
 #[derive(Debug, Clone, Default)]
 pub struct BatchWorkspace {
     /// `acts[l]` holds layer `l`'s activations, `rows x padded(out_dim(l))`.
-    acts: Vec<Vec<f64>>,
+    acts: Vec<Vec<f32>>,
     /// The real columns of the last layer's activations.
     out: Matrix,
     /// One layer's packed weight panels (and, on the way forward, its
     /// padded biases), re-packed per GEMM — the optimizer moves the
     /// weights between calls, so nothing is cached.
-    panels: Vec<f64>,
-    /// Delta ping-pong buffers and the input batch, at padded stride.
-    delta: Vec<f64>,
-    delta_prev: Vec<f64>,
-    x_pad: Vec<f64>,
+    panels: Vec<f32>,
+    /// Delta ping-pong buffers, at padded stride.
+    delta: Vec<f32>,
+    delta_prev: Vec<f32>,
+    /// The input batch cast to `f32` at padded stride: written once by
+    /// the forward pass, read by it and by the backward pass.
+    x_pad: Vec<f32>,
     /// One layer's padded gradient: the `dW` tile, then the `db` sums.
-    grad: Vec<f64>,
+    grad: Vec<f32>,
     /// What the last forward pass ran on: batch rows, then the input
     /// width followed by every layer's output width.
     rows: usize,
@@ -139,22 +143,25 @@ impl BatchWorkspace {
 /// `delta_prev` and `a_prev` share the padded row stride `stride`, and
 /// `db` is as wide.
 struct MaskSum<'a> {
-    delta_prev: &'a mut [f64],
-    a_prev: &'a [f64],
+    delta_prev: &'a mut [f32],
+    a_prev: &'a [f32],
     stride: usize,
     activation: Activation,
-    db: &'a mut [f64],
+    db: &'a mut [f32],
 }
 
-impl TileStore<f64> for MaskSum<'_> {
+impl TileStore<f32> for MaskSum<'_> {
     #[inline(always)]
-    fn row(&mut self, r: usize, p: usize, acc: &[f64; NR]) {
+    fn row(&mut self, r: usize, p: usize, acc: &[f32; NR]) {
         let at = r * self.stride + p * NR;
         let a = &self.a_prev[at..at + NR];
         // Into a local first, so the loops vectorise (see `BiasAct`).
+        // A multiply by the derivative, as the per-example step does,
+        // not a branch to zero: a non-finite delta stays NaN at a dead
+        // unit instead of vanishing.
         let mut v = *acc;
         for (vj, aj) in v.iter_mut().zip(a) {
-            *vj *= self.activation.derivative_from_output(*aj);
+            *vj *= self.activation.derivative_from_output(f64::from(*aj)) as f32;
         }
         self.delta_prev[at..at + NR].copy_from_slice(&v);
         // Through a copy as well: six straight-line `db[j] += ..` on the
@@ -384,15 +391,21 @@ impl Mlp {
     /// Batched forward pass: compute activations for a whole
     /// `batch x input_dim` matrix (one example per row), reusing `ws`.
     ///
-    /// Each layer is one tiled GEMM ([`crate::gemm`]) of the previous
-    /// activations against the layer's weights, packed into `Wᵀ` panels
-    /// inside this call, with `+ bias` and the activation fused into the
-    /// tile store. All per-layer activations are retained in `ws` for
+    /// Computes in `f32`, the precision the model is stored and served
+    /// in: `x` is cast `as f32` once into `ws` (the backward pass reads
+    /// the same cast), and each layer is one tiled GEMM
+    /// ([`crate::gemm`]) of the previous activations against the layer's
+    /// weights, rounded and packed into `Wᵀ` panels inside this call,
+    /// with `+ bias` and the activation fused into the tile store. All
+    /// per-layer activations are retained in `ws` for
     /// [`Mlp::backward_batch`]; the returned reference is the final
-    /// layer's output (`batch x output_dim`).
+    /// layer's output (`batch x output_dim`), widened to `f64`.
     ///
-    /// The floating-point result is bitwise identical to running
-    /// [`Mlp::forward_with`] on every row.
+    /// Each row is bitwise [`crate::fused::forward_per_example`] of the
+    /// row cast `as f32` — and therefore bitwise what
+    /// [`ServingLayout::forward_into`] serves for it, including at the
+    /// cast's edge (a finite coordinate beyond `f32` range arrives as
+    /// `±inf`). It is not the `f64` [`Mlp::forward_with`].
     ///
     /// # Panics
     /// Panics if `x.cols()` does not match the network's input
@@ -405,7 +418,19 @@ impl Mlp {
             x.cols(),
             self.input_dim()
         );
-        let m = x.rows();
+        let (m, d) = (x.rows(), x.cols());
+        let sx = padded(d);
+        ws.x_pad.clear();
+        ws.x_pad.resize(m * sx, 0.0);
+        for (dst, src) in ws
+            .x_pad
+            .chunks_exact_mut(sx)
+            .zip(x.as_slice().chunks_exact(d))
+        {
+            for (v, s) in dst.iter_mut().zip(src) {
+                *v = *s as f32;
+            }
+        }
         ws.rows = m;
         ws.widths.clear();
         ws.widths.extend(self.widths());
@@ -414,7 +439,7 @@ impl Mlp {
             let (done, rest) = ws.acts.split_at_mut(li);
             let a = match done.last() {
                 Some(prev) => (&prev[..], padded(layer.in_dim())),
-                None => (x.as_slice(), x.cols()),
+                None => (&ws.x_pad[..], sx),
             };
             rest[0].resize(m * padded(layer.out_dim()), 0.0);
             layer.forward_rows(&mut ws.panels, m, a, &mut rest[0]);
@@ -437,19 +462,26 @@ impl Mlp {
     /// Batched backward pass for the MSE loss `Σ_e Σ_o (f(x_e)_o − y_eo)²`.
     ///
     /// Requires that [`Mlp::forward_batch`] was just called on `ws` with
-    /// the same `x`. Overwrites `grads` with the **summed** (not
-    /// averaged) gradients of the batch — fold the `1/batch` factor into
-    /// the optimizer step via
+    /// the same `x` (its `f32` cast, kept in `ws`, is what this reads).
+    /// Overwrites `grads` with the **summed** (not averaged) gradients
+    /// of the batch — fold the `1/batch` factor into the optimizer step
+    /// via
     /// [`Optimizer::step_scaled`](crate::optimizer::Optimizer::step_scaled).
     /// Returns the summed batch loss.
     ///
-    /// Per layer, two calls of the tiled GEMM ([`crate::gemm`]): the
-    /// weight gradient `δᵀ · input` (columns of `δ` against the stored
+    /// Computes in `f32`. The loss and the output delta
+    /// `2 (a − y) · act'(a)` are taken in `f64` from the widened outputs
+    /// and the `f64` targets; the delta is rounded to `f32` once. Per
+    /// layer, two calls of the tiled GEMM ([`crate::gemm`]): the weight
+    /// gradient `δᵀ · input` (columns of `δ` against the stored
     /// activations, contraction over the batch) and the delta
     /// propagation `δ · W`, whose tile store applies the ReLU mask and
-    /// accumulates the next bias gradient's column sums. Accumulation
-    /// order is bitwise identical to summing
-    /// [`accumulate_example_gradient`] over the batch.
+    /// accumulates the next bias gradient's column sums. Each gradient
+    /// is summed over the whole batch in `f32` and widened to `f64` once,
+    /// as it is copied into `grads`. The result is bitwise
+    /// [`batch_gradient_per_example`]; how far it is from the `f64`
+    /// [`accumulate_example_gradient`] sum is bounded by
+    /// `tests/training_accuracy.rs`.
     ///
     /// # Panics
     /// Panics if `y`'s shape does not match `(x.rows(), output_dim)`, or
@@ -500,8 +532,9 @@ impl Mlp {
         let mut sd = padded(out_dim);
         ws.delta.clear();
         ws.delta.resize(m * sd, 0.0);
+        ws.grad.clear();
+        ws.grad.resize(sd, 0.0);
         let mut loss = 0.0;
-        grads.layers[last].1.fill(0.0);
         for e in 0..m {
             let (orow, yrow) = (ws.out.row(e), y.row(e));
             loss += orow
@@ -510,34 +543,20 @@ impl Mlp {
                 .map(|(a, t)| (a - t) * (a - t))
                 .sum::<f64>();
             let drow = &mut ws.delta[e * sd..e * sd + out_dim];
-            for (((d, a), t), db) in drow
-                .iter_mut()
-                .zip(orow)
-                .zip(yrow)
-                .zip(&mut grads.layers[last].1)
-            {
-                *d = 2.0 * (a - t) * last_act.derivative_from_output(*a);
+            for (((d, a), t), db) in drow.iter_mut().zip(orow).zip(yrow).zip(&mut ws.grad) {
+                *d = (2.0 * (a - t) * last_act.derivative_from_output(*a)) as f32;
                 *db += *d;
             }
         }
+        unpad(&mut grads.layers[last].1, out_dim, &ws.grad, sd);
         for li in (0..self.layers.len()).rev() {
             let layer = &self.layers[li];
             let (out, inp) = (layer.out_dim(), layer.in_dim());
             let s_in = padded(inp);
             let (below, here) = grads.layers.split_at_mut(li);
-            let input = if li == 0 {
-                ws.x_pad.clear();
-                ws.x_pad.resize(m * s_in, 0.0);
-                for (dst, src) in ws
-                    .x_pad
-                    .chunks_exact_mut(s_in)
-                    .zip(x.as_slice().chunks_exact(inp))
-                {
-                    dst[..inp].copy_from_slice(src);
-                }
-                &ws.x_pad
-            } else {
-                &ws.acts[li - 1]
+            let input = match li {
+                0 => &ws.x_pad,
+                _ => &ws.acts[li - 1],
             };
             // dW = δᵀ · input: columns of δ against the input's rows.
             ws.grad.resize(out * s_in, 0.0);
@@ -570,7 +589,7 @@ impl Mlp {
                         db: &mut ws.grad,
                     },
                 );
-                below[li - 1].1.copy_from_slice(&ws.grad[..inp]);
+                unpad(&mut below[li - 1].1, inp, &ws.grad, s_in);
                 std::mem::swap(&mut ws.delta, &mut ws.delta_prev);
                 sd = s_in;
             }
@@ -690,7 +709,9 @@ impl Gradients {
     }
 }
 
-/// Accumulate into `grads` the MSE gradient contribution of one example.
+/// Accumulate into `grads` the MSE gradient contribution of one example,
+/// in `f64` — the reference `tests/training_accuracy.rs` bounds the
+/// `f32` training step against.
 ///
 /// Loss convention: `L = (f(x) - y)^2` summed over outputs; the caller is
 /// responsible for averaging over the batch via [`Gradients::scale`].
@@ -725,6 +746,73 @@ pub fn accumulate_example_gradient(mlp: &Mlp, x: &[f64], y: &[f64], grads: &mut 
                 *p *= prev_layer.activation.derivative(*z);
             }
             delta = prev;
+        }
+    }
+    loss
+}
+
+/// The training step's oracle: overwrite `grads` (shaped like `mlp`)
+/// with the summed MSE gradients of the rows of `x` against `y`, one
+/// example at a time in scalar `f32`, and return the summed loss.
+/// Parity suites hold
+/// [`Mlp::backward_batch`] to it with `to_bits()`; nothing trains
+/// through it.
+///
+/// Per example, in batch order: the row cast `as f32` and run forward as
+/// [`crate::fused::forward_per_example`] runs it; the loss and the output
+/// delta `2 (a − y) · act'(a)` in `f64` from the widened output, the
+/// delta rounded to `f32`; then per layer, top down, `dW += δ xᵀ` and
+/// `db += δ` in `f32` and `δ ← (Wᵀ δ) · act'(x)`, one `fmadd` chain
+/// from `+0.0` over ascending output index. The `f32` sums are widened
+/// into `grads` once, after the last example.
+pub fn batch_gradient_per_example(mlp: &Mlp, x: &Matrix, y: &Matrix, grads: &mut Gradients) -> f64 {
+    let mut sums: Vec<(Vec<f32>, Vec<f32>)> = mlp
+        .layers
+        .iter()
+        .map(|l| (vec![0.0; l.weights.len()], vec![0.0; l.out_dim()]))
+        .collect();
+    let last = mlp.layers.len() - 1;
+    let mut loss = 0.0;
+    for e in 0..x.rows() {
+        let row: Vec<f32> = x.row(e).iter().map(|&v| v as f32).collect();
+        let acts = crate::fused::activations_per_example(mlp, &row);
+        let out = acts[last + 1].iter().map(|&a| f64::from(a));
+        loss += out
+            .clone()
+            .zip(y.row(e))
+            .map(|(a, t)| (a - t) * (a - t))
+            .sum::<f64>();
+        let act = mlp.layers[last].activation;
+        let mut delta: Vec<f32> = out
+            .zip(y.row(e))
+            .map(|(a, t)| (2.0 * (a - t) * act.derivative_from_output(a)) as f32)
+            .collect();
+        for (li, layer) in mlp.layers.iter().enumerate().rev() {
+            let (dw, db) = &mut sums[li];
+            for ((dw_row, db_o), d) in dw.chunks_exact_mut(layer.in_dim()).zip(db).zip(&delta) {
+                for (w, xi) in dw_row.iter_mut().zip(&acts[li]) {
+                    *w = d.fmadd(*xi, *w);
+                }
+                *db_o += d;
+            }
+            if li > 0 {
+                let act = mlp.layers[li - 1].activation;
+                delta = (0..layer.in_dim())
+                    .map(|i| {
+                        let mut acc = 0.0f32;
+                        for (o, d) in delta.iter().enumerate() {
+                            acc = (layer.weights.get(o, i) as f32).fmadd(*d, acc);
+                        }
+                        acc * act.derivative_from_output(f64::from(acts[li][i])) as f32
+                    })
+                    .collect();
+            }
+        }
+    }
+    for ((dw, db), (sw, sb)) in grads.layers.iter_mut().zip(&sums) {
+        let dst = dw.as_mut_slice().iter_mut().chain(db);
+        for (g, s) in dst.zip(sw.iter().chain(sb)) {
+            *g = f64::from(*s);
         }
     }
     loss
@@ -853,16 +941,25 @@ mod tests {
         x
     }
 
+    /// The `f32` oracle's output for row `e` of `x`, widened.
+    fn oracle_row(m: &Mlp, x: &Matrix, e: usize) -> Vec<u64> {
+        let row: Vec<f32> = x.row(e).iter().map(|&v| v as f32).collect();
+        let out = forward_per_example(m, &row);
+        out.iter().map(|&v| f64::from(v).to_bits()).collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn forward_batch_matches_per_example_bitwise() {
         let m = Mlp::new(&[3, 7, 5, 1], 13);
         let x = batch_inputs(9, 3);
         let mut bws = BatchWorkspace::default();
         let out = m.forward_batch(&mut bws, &x);
-        let mut ws = Workspace::default();
         for e in 0..x.rows() {
-            let want = m.forward_with(&mut ws, x.row(e)).to_vec();
-            assert_eq!(out.row(e), &want[..], "row {e}");
+            assert_eq!(bits(out.row(e)), oracle_row(&m, &x, e), "row {e}");
         }
     }
 
@@ -877,7 +974,7 @@ mod tests {
         let out = m.forward_batch(&mut bws, &small).clone();
         assert_eq!(out.rows(), 3);
         for e in 0..3 {
-            assert_eq!(out.row(e)[0], m.predict(small.row(e)), "row {e}");
+            assert_eq!(bits(out.row(e)), oracle_row(&m, &small, e), "row {e}");
         }
     }
 
@@ -891,22 +988,23 @@ mod tests {
             y.set(e, 0, (e as f64 * 0.31).cos());
         }
 
-        // Reference: per-example accumulation in batch order.
+        // Reference: per-example `f32` accumulation in batch order.
         let mut ref_grads = Gradients::zeros_like(&m);
-        let mut ref_loss = 0.0;
-        for e in 0..n {
-            ref_loss += accumulate_example_gradient(&m, x.row(e), y.row(e), &mut ref_grads);
-        }
+        let ref_loss = batch_gradient_per_example(&m, &x, &y, &mut ref_grads);
 
         let mut bws = BatchWorkspace::default();
         let mut grads = Gradients::zeros_like(&m);
         m.forward_batch(&mut bws, &x);
         let loss = m.backward_batch(&mut bws, &x, &y, &mut grads);
 
-        assert_eq!(loss, ref_loss);
+        assert_eq!(loss.to_bits(), ref_loss.to_bits());
         for (li, ((dw, db), (rw, rb))) in grads.layers.iter().zip(&ref_grads.layers).enumerate() {
-            assert_eq!(dw.as_slice(), rw.as_slice(), "layer {li} weights");
-            assert_eq!(&db[..], &rb[..], "layer {li} biases");
+            assert_eq!(
+                bits(dw.as_slice()),
+                bits(rw.as_slice()),
+                "layer {li} weights"
+            );
+            assert_eq!(bits(db), bits(rb), "layer {li} biases");
         }
     }
 

@@ -12,16 +12,25 @@
 //! per-example allocation — and the Adam step consumes the summed batch
 //! gradients directly.
 //!
+//! **Precision.** The GEMMs run at `f32`, the precision the trained
+//! model is stored and served in: each mini-batch is cast to `f32`
+//! once, the weights are rounded as they are packed, and each batch's
+//! gradient sums are widened to `f64` once. The master weights, the
+//! Adam moments and step, and the loss stay `f64`, so updates smaller
+//! than an `f32` ulp of a weight still accumulate.
+//!
 //! **Determinism contract.** The shuffle RNG is consumed once per epoch
 //! and every gradient entry is accumulated in the per-example
-//! floating-point order, so for finite parameters `train` produces, bit
-//! for bit, the weights of the one-example-at-a-time loop
-//! ([`accumulate_example_gradient`] over each batch, then the same
+//! floating-point order, so `train` produces, bit for bit, the weights
+//! of the one-example-at-a-time loop
+//! ([`batch_gradient_per_example`] over each batch, then the same
 //! [`Optimizer::step_scaled`]). That loop is kept as the oracle in
 //! `tests/batched_vs_scalar.rs`, which asserts the equality with
-//! `to_bits()` on both the FMA and the non-FMA build.
+//! `to_bits()` on both the FMA and the non-FMA build. The trained
+//! weights are not those of an `f64` step; `tests/training_accuracy.rs`
+//! bounds how far one step's gradients are from it.
 //!
-//! [`accumulate_example_gradient`]: crate::mlp::accumulate_example_gradient
+//! [`batch_gradient_per_example`]: crate::mlp::batch_gradient_per_example
 
 use crate::linalg::Matrix;
 use crate::mlp::{BatchWorkspace, Gradients, Mlp};
@@ -251,7 +260,7 @@ mod tests {
     fn batched_and_per_example_paths_agree_bitwise() {
         // The per-example loop in its shortest form (no stopping rule);
         // `tests/batched_vs_scalar.rs` holds the full oracle.
-        use crate::mlp::accumulate_example_gradient;
+        use crate::mlp::batch_gradient_per_example;
         let (xs, ys) = make_linear_set(83); // odd size: ragged final batch
         let cfg = TrainConfig {
             epochs: 25,
@@ -270,10 +279,10 @@ mod tests {
         for _ in 0..cfg.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch_size) {
-                grads.zero();
-                for &i in chunk {
-                    accumulate_example_gradient(&reference, &xs[i], &[ys[i]], &mut grads);
-                }
+                let rows: Vec<f64> = chunk.iter().flat_map(|&i| xs[i].clone()).collect();
+                let x = Matrix::from_vec(chunk.len(), 2, rows);
+                let y = Matrix::from_vec(chunk.len(), 1, chunk.iter().map(|&i| ys[i]).collect());
+                batch_gradient_per_example(&reference, &x, &y, &mut grads);
                 adam.step_scaled(&mut reference, &grads, 1.0 / chunk.len() as f64);
             }
         }

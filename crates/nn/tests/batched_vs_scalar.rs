@@ -1,27 +1,27 @@
-//! Kernel parity properties for the mini-batch training step: the tiled
-//! GEMM forward and backward (`Mlp::forward_batch` /
-//! `Mlp::backward_batch`), `train` and `linalg::matmul` must equal the
-//! per-example path — `forward_with`, `accumulate_example_gradient`
-//! summed in batch order, and the one-example-at-a-time training loop
-//! kept below as the oracle — **bit for bit** (`to_bits()`, so `-0.0` vs
-//! `0.0` counts).
+//! Kernel parity properties for the mini-batch training step, which
+//! computes in `f32`: the tiled GEMM forward and backward
+//! (`Mlp::forward_batch` / `Mlp::backward_batch`) and `train` must equal
+//! the scalar `f32` per-example path — `fused::forward_per_example`,
+//! `mlp::batch_gradient_per_example` (per-example `f32` gradients
+//! summed in batch order, widened once), and the one-example-at-a-time
+//! training loop kept below as the oracle — and the `f64`
+//! `linalg::matmul` a naive triple loop, all **bit for bit**
+//! (`to_bits()`, so `-0.0` vs `0.0` counts).
 //!
-//! The per-example helpers skip exact-zero multipliers and the kernel
-//! multiplies through them, so the properties lean on zeros of both
-//! signs: in inputs and weights, in output deltas (targets equal to the
-//! prediction), in hidden deltas (dead ReLUs, whose mask turns a
-//! negative delta into `-0.0`), and in whole all-dead layers. Batch
-//! sizes cover one row, the tile height and its neighbours, and ragged
-//! final batches; layer widths sit off the tile grid; the last layer is
-//! linear or ReLU.
+//! The properties lean on zeros of both signs: in inputs and weights,
+//! in output deltas (targets equal to the prediction), in hidden deltas
+//! (dead ReLUs, whose mask turns a negative delta into `-0.0`), and in
+//! whole all-dead layers. Batch sizes cover one row, the tile height and
+//! its neighbours, and ragged final batches; layer widths sit off the
+//! tile grid; the last layer is linear or ReLU.
 //!
 //! CI runs this file twice: once at the workspace's `target-cpu=native`
 //! (hardware FMA) and once under `RUSTFLAGS="-C target-cpu=x86-64"`, so
 //! the `a * b + c` fallback of `fmadd` is held to the same contract.
 
-use nn::fused::MR;
+use nn::fused::{forward_per_example, MR};
 use nn::linalg::{matmul, Matrix};
-use nn::mlp::{accumulate_example_gradient, BatchWorkspace, Gradients, Workspace};
+use nn::mlp::{batch_gradient_per_example, BatchWorkspace, Gradients};
 use nn::optimizer::{Adam, Optimizer};
 use nn::train::{train, TrainConfig, TrainReport};
 use nn::{Activation, Mlp};
@@ -36,9 +36,9 @@ const BATCHES: [usize; 7] = [1, MR - 1, MR, MR + 1, 49, 64, 65];
 const WIDTHS: [usize; 5] = [1, 4, 17, 30, 60];
 
 /// The one-example-at-a-time training loop, the reference `train` is
-/// held to: the same `StdRng` shuffle, gradients accumulated example by
-/// example in batch order, the same `Adam::step_scaled`, the same
-/// stopping rule.
+/// held to: the same `StdRng` shuffle, `f32` gradients accumulated
+/// example by example in batch order and widened once, the same
+/// `Adam::step_scaled`, the same stopping rule.
 fn train_per_example(mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[f64], cfg: &TrainConfig) -> TrainReport {
     let start = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -52,11 +52,10 @@ fn train_per_example(mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[f64], cfg: &TrainConf
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0;
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            grads.zero();
-            let mut batch_loss = 0.0;
-            for &i in chunk {
-                batch_loss += accumulate_example_gradient(mlp, &xs[i], &[ys[i]], &mut grads);
-            }
+            let rows = chunk.iter().flat_map(|&i| xs[i].iter().copied()).collect();
+            let x = Matrix::from_vec(chunk.len(), mlp.input_dim(), rows);
+            let y = Matrix::from_vec(chunk.len(), 1, chunk.iter().map(|&i| ys[i]).collect());
+            let batch_loss = batch_gradient_per_example(mlp, &x, &y, &mut grads);
             adam.step_scaled(mlp, &grads, 1.0 / chunk.len() as f64);
             epoch_loss += batch_loss;
         }
@@ -82,8 +81,17 @@ fn train_per_example(mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[f64], cfg: &TrainConf
     }
 }
 
-/// `a * b + c` as the crate's kernels round it.
+/// `a * b + c` as the crate's kernels round it, at `f64`.
 fn fmadd(a: f64, b: f64, c: f64) -> f64 {
+    if cfg!(target_feature = "fma") {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
+    }
+}
+
+/// The same at `f32`.
+fn fmadd32(a: f32, b: f32, c: f32) -> f32 {
     if cfg!(target_feature = "fma") {
         a.mul_add(b, c)
     } else {
@@ -151,6 +159,34 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
+/// The naive triple loop in `f32`: every entry of `a` and `b` rounded
+/// `as f32`, one `f32` `fmadd` chain per output entry, widened back.
+fn naive_matmul_f32(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            let mut acc = 0.0f32;
+            for k in 0..a.cols() {
+                acc = fmadd32(a.get(i, k) as f32, b.get(k, j) as f32, acc);
+            }
+            c.set(i, j, f64::from(acc));
+        }
+    }
+    c
+}
+
+/// `mlp`'s served output for each row of `x` — the `f32` oracle on the
+/// row cast `as f32` — widened, row after row.
+fn oracle_forward(mlp: &Mlp, x: &Matrix) -> Vec<f64> {
+    (0..x.rows())
+        .flat_map(|e| {
+            let row: Vec<f32> = x.row(e).iter().map(|&v| v as f32).collect();
+            forward_per_example(mlp, &row)
+        })
+        .map(f64::from)
+        .collect()
+}
+
 fn transpose(m: &Matrix) -> Matrix {
     let mut t = Matrix::zeros(m.cols(), m.rows());
     for r in 0..m.rows() {
@@ -180,24 +216,20 @@ fn linear(weights: Matrix) -> Mlp {
 }
 
 /// One `forward_batch` + `backward_batch` against the summed
-/// per-example oracle: outputs, loss and every gradient, bit for bit.
-/// Rows whose pool gate says so get their own prediction as the target,
-/// so their output delta is an exact zero.
+/// per-example `f32` oracle: outputs, loss and every gradient, bit for
+/// bit. Rows whose pool gate says so get their own prediction as the
+/// target, so their output delta is an exact zero.
 fn assert_step_parity(mlp: &Mlp, ws: &mut BatchWorkspace, bsz: usize, pool: &[f64], offset: usize) {
     let (d, o) = (mlp.input_dim(), mlp.output_dim());
     let x = mk(bsz, d, pool, offset);
     let mut y = mk(bsz, o, pool, offset + 101);
-    let mut single = Workspace::default();
+    let served = oracle_forward(mlp, &x);
     for e in (0..bsz).filter(|e| pool[(offset + e) % pool.len()] == 0.0) {
-        y.row_mut(e)
-            .copy_from_slice(mlp.forward_with(&mut single, x.row(e)));
+        y.row_mut(e).copy_from_slice(&served[e * o..(e + 1) * o]);
     }
 
     let mut want = Gradients::zeros_like(mlp);
-    let mut want_loss = 0.0;
-    for e in 0..bsz {
-        want_loss += accumulate_example_gradient(mlp, x.row(e), y.row(e), &mut want);
-    }
+    let want_loss = batch_gradient_per_example(mlp, &x, &y, &mut want);
 
     let mut got = Gradients::zeros_like(mlp);
     for (w, b) in &mut got.layers {
@@ -205,14 +237,7 @@ fn assert_step_parity(mlp: &Mlp, ws: &mut BatchWorkspace, bsz: usize, pool: &[f6
         b.fill(f64::NAN);
     }
     let out = mlp.forward_batch(ws, &x).clone();
-    for e in 0..bsz {
-        let per_example = mlp.forward_with(&mut single, x.row(e));
-        assert_same_bits(
-            out.row(e),
-            per_example,
-            &format!("batch {bsz}, output row {e}"),
-        );
-    }
+    assert_same_bits(out.as_slice(), &served, &format!("batch {bsz}, outputs"));
     let loss = mlp.backward_batch(ws, &x, &y, &mut got);
     assert_eq!(
         loss.to_bits(),
@@ -250,9 +275,11 @@ proptest! {
     }
 
     /// The kernel's two transposed operand shapes, reached through the
-    /// public step: `Aᵀ·B` is the weight gradient of a zero linear layer
-    /// with input `B` and targets `-A/2` (so the deltas are `A`), and
-    /// `A·Bᵀ` is the forward pass of a linear layer with weights `B`.
+    /// public `f32` step: `Aᵀ·B` is the weight gradient of a zero linear
+    /// layer with input `B` and targets `-A/2` (so the deltas are `A`),
+    /// and `A·Bᵀ` is the forward pass of a linear layer with weights `B`.
+    /// A `-0.0` in `A` arrives as a `+0.0` delta (`2 · (0 − 0)`); a chain
+    /// from `+0.0` reads the two alike.
     #[test]
     fn transpose_kernels_match_naive(
         m in 1usize..20,
@@ -271,22 +298,22 @@ proptest! {
         let mut grads = Gradients::zeros_like(&zero);
         zero.forward_batch(&mut ws, &b);
         zero.backward_batch(&mut ws, &b, &y, &mut grads);
-        let want = naive_matmul(&transpose(&a), &b);
+        let want = naive_matmul_f32(&transpose(&a), &b);
         assert_same_bits(grads.layers[0].0.as_slice(), want.as_slice(), "Aᵀ·B");
 
         let b2 = mk(n, k, &pool, 131);
         let out = linear(b2.clone()).forward_batch(&mut ws, &a).clone();
         // The layer adds its (zero) bias after the contraction.
-        let want: Vec<f64> = naive_matmul(&a, &transpose(&b2))
+        let want: Vec<f64> = naive_matmul_f32(&a, &transpose(&b2))
             .as_slice()
             .iter()
-            .map(|v| v + 0.0)
+            .map(|&v| f64::from(v as f32 + 0.0))
             .collect();
         assert_same_bits(out.as_slice(), &want, "A·Bᵀ");
     }
 
-    /// Batched forward is the per-example forward on random
-    /// architectures, through one workspace reused across batch sizes.
+    /// Batched forward is the `f32` oracle on random architectures,
+    /// through one workspace reused across batch sizes.
     #[test]
     fn forward_batch_matches_per_example(
         d in 1usize..7,
@@ -298,20 +325,16 @@ proptest! {
     ) {
         let mlp = model(&[d, WIDTHS[h1], WIDTHS[h2], out], seed, &pool, Activation::Identity);
         let mut ws = BatchWorkspace::default();
-        let mut single = Workspace::default();
         for (i, bsz) in BATCHES.into_iter().enumerate() {
             let x = mk(bsz, d, &pool, 31 * i);
             let got = mlp.forward_batch(&mut ws, &x);
-            for e in 0..bsz {
-                let want = mlp.forward_with(&mut single, x.row(e));
-                assert_same_bits(got.row(e), want, &format!("batch {bsz}, row {e}"));
-            }
+            assert_same_bits(got.as_slice(), &oracle_forward(&mlp, &x), &format!("batch {bsz}"));
         }
     }
 
-    /// One forward + backward equals the summed per-example gradients
-    /// and loss: every batch size, widths off the tile grid, linear and
-    /// ReLU last layers, one workspace throughout.
+    /// One forward + backward equals the summed per-example `f32`
+    /// gradients and loss: every batch size, widths off the tile grid,
+    /// linear and ReLU last layers, one workspace throughout.
     #[test]
     fn backward_batch_matches_per_example(
         d in 1usize..6,
@@ -416,7 +439,8 @@ fn matmul_edge_shapes() {
 }
 
 /// The paper's architecture at the default batch size, with signed
-/// zeros in the inputs and exact-zero output deltas.
+/// zeros in the inputs and exact-zero output deltas, against the `f32`
+/// per-example step.
 #[test]
 fn paper_shape_step() {
     let pool: Vec<f64> = (0..1009)
