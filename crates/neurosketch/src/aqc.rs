@@ -21,50 +21,53 @@
 /// # Panics
 /// Panics if `queries` and `values` differ in length.
 pub fn aqc(queries: &[Vec<f64>], values: &[f64]) -> f64 {
-    assert_eq!(queries.len(), values.len(), "queries/values must pair up");
-    let n = queries.len();
-    let mut total = 0.0;
-    let mut pairs = 0usize;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if let Some(r) = ratio(&queries[i], &queries[j], values[i], values[j]) {
-                total += r;
-                pairs += 1;
-            }
-        }
-    }
-    if pairs == 0 {
-        0.0
-    } else {
-        total / pairs as f64
-    }
+    aqc_sampled(queries, values, usize::MAX)
 }
 
 /// AQC over at most `max_pairs` deterministically sampled pairs. With
 /// `max_pairs >= C(n,2)` this equals [`aqc`].
 pub fn aqc_sampled(queries: &[Vec<f64>], values: &[f64], max_pairs: usize) -> f64 {
     assert_eq!(queries.len(), values.len(), "queries/values must pair up");
-    let n = queries.len();
+    aqc_of(queries.len(), |i| (&queries[i], values[i]), max_pairs)
+}
+
+/// The one AQC loop, over `n` points read through `point(i)` (query,
+/// value): every pair in `(i, j)` order when there are at most
+/// `max_pairs`, else `max_pairs` pairs walked with a large stride
+/// coprime with the pair count. A caller holding a subset of its rows
+/// (a kd-tree leaf's query ids) reads them in place.
+pub(crate) fn aqc_of<'a>(
+    n: usize,
+    point: impl Fn(usize) -> (&'a [f64], f64),
+    max_pairs: usize,
+) -> f64 {
     if n < 2 {
         return 0.0;
     }
-    let all_pairs = n * (n - 1) / 2;
-    if all_pairs <= max_pairs {
-        return aqc(queries, values);
-    }
-    // Deterministic pair sampling: walk pair space with a large odd stride
-    // (coprime with the pair count), visiting max_pairs distinct pairs.
-    let stride = largest_coprime_stride(all_pairs);
     let mut total = 0.0;
     let mut pairs = 0usize;
-    let mut idx = 0usize;
-    for _ in 0..max_pairs {
-        let (i, j) = unrank_pair(idx, n);
-        if let Some(r) = ratio(&queries[i], &queries[j], values[i], values[j]) {
+    let mut add = |i: usize, j: usize| {
+        let ((qi, vi), (qj, vj)) = (point(i), point(j));
+        if let Some(r) = ratio(qi, qj, vi, vj) {
             total += r;
             pairs += 1;
         }
-        idx = (idx + stride) % all_pairs;
+    };
+    let all_pairs = n * (n - 1) / 2;
+    if all_pairs <= max_pairs {
+        for i in 0..n {
+            for j in (i + 1)..n {
+                add(i, j);
+            }
+        }
+    } else {
+        let stride = largest_coprime_stride(all_pairs);
+        let mut idx = 0usize;
+        for _ in 0..max_pairs {
+            let (i, j) = unrank_pair(idx, n);
+            add(i, j);
+            idx = (idx + stride) % all_pairs;
+        }
     }
     if pairs == 0 {
         0.0

@@ -25,15 +25,15 @@
 //!    atomically adopts it via
 //!    [`crate::deploy::LiveDeployment::reload_sharded`].
 //!
-//! [`refresh`] remains the degenerate full rebuild — still the right
-//! tool when *every* unit is stale, when the query distribution itself
-//! moved (the kd-tree partitioning is only retrainable wholesale), or
-//! under a non-row-stable shard plan; `docs/maintenance.md` is the
-//! operator's guide to choosing.
+//! The degenerate full refresh is a fresh [`NeuroSketch::build`] over
+//! the current data — still the right tool when *every* unit is stale,
+//! when the query distribution itself moved (the kd-tree partitioning
+//! is only retrainable wholesale), or under a non-row-stable shard
+//! plan; `docs/maintenance.md` is the operator's guide to choosing.
 
 use crate::deploy::{Deployment, Queries};
 use crate::shard::{ShardTables, ShardedSketch};
-use crate::sketch::{BuildReport, NeuroSketch, NeuroSketchConfig};
+use crate::sketch::{NeuroSketch, NeuroSketchConfig};
 use crate::SketchError;
 use datagen::Dataset;
 use query::aggregate::Aggregate;
@@ -281,25 +281,29 @@ impl MaintenancePlan {
 
         let (retrained, deferred) = self.triage(&units);
         let t1 = Instant::now();
-        // Gather each stale partition's slice of the training workload
-        // up front so the per-unit tasks are self-contained.
-        let mut slices: Vec<Vec<Vec<f64>>> = vec![Vec::new(); retrained.len()];
+        // Each stale partition's training queries, as ids into
+        // `train_queries` in workload order, read in place by its task.
+        let mut ids: Vec<Vec<usize>> = vec![Vec::new(); retrained.len()];
         if !retrained.is_empty() {
-            for q in train_queries {
+            for (i, q) in train_queries.iter().enumerate() {
                 let unit = sketch.leaf_index_of(q);
                 if let Some(slot) = retrained.iter().position(|&u| u == unit) {
-                    slices[slot].push(q.clone());
+                    ids[slot].push(i);
                 }
             }
         }
         // One task per stale unit on the shared pool; relabeling and
         // training both run inside the task (single-threaded there, so
         // U stale units use U workers).
-        let jobs: Vec<(usize, Vec<Vec<f64>>)> = retrained.iter().copied().zip(slices).collect();
-        let results = par::par_map(&jobs, self.retrain.threads, |_, (unit, qs)| {
-            let labels = engine.label_batch(pred, agg, qs, 1);
+        let jobs: Vec<(usize, Vec<usize>)> = retrained.iter().copied().zip(ids).collect();
+        let results = par::par_map(&jobs, self.retrain.threads, |_, (unit, ids)| {
+            let mut scratch = Vec::new();
+            let labels: Vec<f64> = ids
+                .iter()
+                .map(|&i| engine.answer_with(&mut scratch, pred, agg, &train_queries[i]))
+                .collect();
             sketch
-                .train_partition_model(*unit, qs, &labels, &self.retrain)
+                .train_partition_model(*unit, |k| &train_queries[ids[k]], &labels, &self.retrain)
                 .map(|(model, _)| (*unit, model))
         });
         // All-or-nothing install: surface any per-unit error *before*
@@ -451,21 +455,6 @@ pub fn retrain_shards(
     Ok(())
 }
 
-/// Retrain a sketch against the current data from scratch: relabel the
-/// training workload and rebuild with the same configuration. The
-/// degenerate full refresh — right when every unit is stale, when the
-/// *query* distribution moved (partitioning is not retrainable per
-/// unit), or under a non-row-stable shard plan.
-pub fn refresh(
-    engine: &QueryEngine<'_>,
-    pred: &dyn PredicateFn,
-    agg: Aggregate,
-    train_queries: &[Vec<f64>],
-    cfg: &NeuroSketchConfig,
-) -> Result<(NeuroSketch, BuildReport), SketchError> {
-    NeuroSketch::build(engine, pred, agg, train_queries, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,7 +519,7 @@ mod tests {
         let drifted = monitor.check(&sketch, &new_engine, &wl.predicate, Aggregate::Count);
         assert!(drifted.stale, "drift not detected (nmae {})", drifted.nmae);
 
-        let (fresh, _) = refresh(
+        let (fresh, _) = NeuroSketch::build(
             &new_engine,
             &wl.predicate,
             Aggregate::Count,
@@ -698,6 +687,45 @@ mod tests {
             .refresh_monolithic(&mut sketch, &engine, &wl.predicate, Aggregate::Count, &[])
             .unwrap_err();
         assert!(matches!(err, SketchError::BadWorkload(_)), "{err:?}");
+    }
+
+    /// The build and every retrain share one leaf trainer: retraining
+    /// each partition of an AQC-merged tree on its own leaf's rows, in
+    /// the leaf's order, with the build's labels reproduces the build
+    /// bit for bit.
+    #[test]
+    fn monolithic_retrain_on_the_builds_own_rows_is_bitwise_the_build() {
+        let data = uniform(2_000, 1, 4);
+        let wl = workload(8);
+        let engine = QueryEngine::new(&data, 0);
+        let labels = engine.label_batch(&wl.predicate, Aggregate::Count, &wl.queries, 2);
+        let mut cfg = NeuroSketchConfig::small();
+        cfg.tree_height = 3;
+        cfg.target_partitions = 3;
+        cfg.train.epochs = 10;
+        let (built, _) = NeuroSketch::build_from_labeled(&wl.queries, &labels, &cfg).unwrap();
+        let leaf_ids = built.tree().leaf_ids();
+        assert_eq!(leaf_ids.len(), 3);
+        // A merged leaf lists its left subtree's queries before its
+        // right one's, so query order is not the order it trains in.
+        assert!(
+            leaf_ids.iter().any(|&l| {
+                let qids = built.tree().leaf_queries(l);
+                qids.windows(2).any(|w| w[0] > w[1])
+            }),
+            "no leaf trains out of query order"
+        );
+        let mut retrained = built.clone();
+        for (unit, &leaf) in leaf_ids.iter().enumerate() {
+            let qids = built.tree().leaf_queries(leaf);
+            let rows: Vec<Vec<f64>> = qids.iter().map(|&i| wl.queries[i].clone()).collect();
+            let ys: Vec<f64> = qids.iter().map(|&i| labels[i]).collect();
+            retrained.retrain_partition(unit, &rows, &ys, &cfg).unwrap();
+        }
+        for (i, q) in wl.queries.iter().enumerate() {
+            let (got, want) = (retrained.answer(q), built.answer(q));
+            assert_eq!(got.to_bits(), want.to_bits(), "query {i}");
+        }
     }
 
     /// Sharded partial refresh: an explicitly forced stale set rebuilds

@@ -1,7 +1,12 @@
 //! The NeuroSketch model: build pipeline (Fig. 4) and query answering
 //! (Alg. 5).
 //!
-//! Building is `f64` end to end (labels, standardization, training).
+//! Building reads the caller's rows in place: a partition is its kd-tree
+//! leaf's list of query ids, through which the AQC scorer and the one
+//! leaf trainer (`train_leaf`, for the build and every retrain) read.
+//! Labels are standardized per leaf in `f64`; training computes in `f32`
+//! on `f64` master weights ([`nn::train`]).
+//!
 //! Answering has **one** forward pass, [`nn::fused`]'s `f32` kernel over
 //! the leaf's lazily built [`ServingLayout`], whether the caller brings
 //! one query ([`NeuroSketch::answer`], a tile of one row) or a batch
@@ -11,11 +16,11 @@
 //! de-standardization. A query's answer is therefore the same bits
 //! however it arrives.
 
-use crate::aqc::aqc_sampled;
+use crate::aqc::aqc_of;
 use crate::deploy::QueryBatch;
 use crate::SketchError;
 use nn::fused::ServingWorkspace;
-use nn::train::{train, TrainConfig, TrainReport};
+use nn::train::{train_rows, TrainConfig, TrainReport};
 use nn::{Mlp, QuantMode, ServingLayout};
 use query::aggregate::Aggregate;
 use query::exec::QueryEngine;
@@ -268,29 +273,21 @@ impl NeuroSketch {
 
         // Partition (Alg. 2) and merge (Alg. 3) with AQC as the score;
         // the per-leaf AQC evaluations run on the shared worker pool.
+        let leaf_aqc = |qids: &[usize]| {
+            let point = |k: usize| (&queries[qids[k]][..], labels[qids[k]]);
+            aqc_of(qids.len(), point, cfg.aqc_max_pairs)
+        };
         let t0 = Instant::now();
         let mut tree = KdTree::build(queries, cfg.tree_height);
         if cfg.target_partitions < tree.leaf_count() {
-            let max_pairs = cfg.aqc_max_pairs;
-            tree.merge_leaves(
-                |qids| {
-                    let qs: Vec<Vec<f64>> = qids.iter().map(|&i| queries[i].clone()).collect();
-                    let vs: Vec<f64> = qids.iter().map(|&i| labels[i]).collect();
-                    aqc_sampled(&qs, &vs, max_pairs)
-                },
-                cfg.target_partitions,
-                cfg.threads,
-            );
+            tree.merge_leaves(leaf_aqc, cfg.target_partitions, cfg.threads);
         }
         let partitioning = t0.elapsed();
 
         // Final leaf diagnostics, one worker task per leaf.
         let leaf_ids = tree.leaf_ids();
         let leaf_aqcs: Vec<f64> = par::par_map(&leaf_ids, cfg.threads, |_, &l| {
-            let qids = tree.leaf_queries(l);
-            let qs: Vec<Vec<f64>> = qids.iter().map(|&i| queries[i].clone()).collect();
-            let vs: Vec<f64> = qids.iter().map(|&i| labels[i]).collect();
-            aqc_sampled(&qs, &vs, cfg.aqc_max_pairs)
+            leaf_aqc(tree.leaf_queries(l))
         });
         let leaf_sizes: Vec<usize> = leaf_ids
             .iter()
@@ -302,22 +299,11 @@ impl NeuroSketch {
         // queries than untouched ones, so static chunking would serialize
         // behind the unluckiest worker.
         let t1 = Instant::now();
-        let sizes = cfg.layer_sizes(query_dim);
         let results: Vec<(LeafModel, TrainReport)> =
             par::par_map(&leaf_ids, cfg.threads, |_, &leaf| {
                 let qids = tree.leaf_queries(leaf);
-                let xs: Vec<Vec<f64>> = qids.iter().map(|&i| queries[i].clone()).collect();
-                let ys_raw: Vec<f64> = qids.iter().map(|&i| labels[i]).collect();
-                let n = ys_raw.len() as f64;
-                let y_mean = ys_raw.iter().sum::<f64>() / n;
-                let var = ys_raw.iter().map(|y| (y - y_mean).powi(2)).sum::<f64>() / n;
-                let y_std = var.sqrt().max(1e-12);
-                let ys: Vec<f64> = ys_raw.iter().map(|y| (y - y_mean) / y_std).collect();
-                let mut mlp = Mlp::new(&sizes, cfg.seed ^ (leaf as u64).wrapping_mul(0x9E37_79B9));
-                let mut leaf_train = cfg.train.clone();
-                leaf_train.seed = cfg.seed.wrapping_add(leaf as u64);
-                let report = train(&mut mlp, &xs, &ys, &leaf_train);
-                (LeafModel::new(mlp, y_mean, y_std), report)
+                let ys: Vec<f64> = qids.iter().map(|&i| labels[i]).collect();
+                train_leaf(cfg, query_dim, leaf, |k| &queries[qids[k]], &ys)
             });
         let training = t1.elapsed();
 
@@ -536,21 +522,22 @@ impl NeuroSketch {
     }
 
     /// Train a replacement model for partition `unit` (leaf order, as in
-    /// [`BuildReport::leaf_aqcs`]) against fresh labels, with the
-    /// standardization and seed derivation the full build applies.
-    /// Deterministic given the inputs; it reproduces a full rebuild's
-    /// model **bitwise** only when `queries`/`labels` arrive in the
-    /// same order the build would train them (true for un-merged
-    /// trees; an AQC-merged leaf trains in subtree order, which a
-    /// caller slicing a workload in query order will not match — the
-    /// retrained model is then equally valid but not bit-equal).
+    /// [`BuildReport::leaf_aqcs`]) on `labels.len()` rows read through
+    /// `row`, with [`train_leaf`], the build's own leaf trainer.
+    /// Deterministic given the inputs; it reproduces the build's model
+    /// **bitwise** when the rows arrive in the build's order, the
+    /// leaf's `KdTree::leaf_queries` order: ascending query id for an
+    /// un-merged leaf, left subtree before right for an AQC-merged one.
+    /// A caller slicing a workload in query order matches it on an
+    /// un-merged tree only; on a merged one the retrained model is
+    /// equally valid but not bit-equal.
     /// Pure: nothing is installed; [`crate::maintenance`] fans these
     /// out on the worker pool and installs the results with
     /// [`NeuroSketch::install_partition_model`].
-    pub(crate) fn train_partition_model(
+    pub(crate) fn train_partition_model<'a>(
         &self,
         unit: usize,
-        queries: &[Vec<f64>],
+        row: impl Fn(usize) -> &'a [f64],
         labels: &[f64],
         cfg: &NeuroSketchConfig,
     ) -> Result<(LeafModel, TrainReport), SketchError> {
@@ -565,35 +552,21 @@ impl NeuroSketch {
                 units: self.models.len(),
             });
         };
-        if queries.is_empty() {
+        if labels.is_empty() {
             return Err(SketchError::BadWorkload(format!(
                 "no training queries for partition {unit} retrain"
             )));
         }
-        if queries.len() != labels.len() {
-            return Err(SketchError::BadWorkload(format!(
-                "{} queries but {} labels",
-                queries.len(),
-                labels.len()
-            )));
-        }
-        if let Some(q) = queries.iter().find(|q| q.len() != self.query_dim) {
+        let ragged = (0..labels.len())
+            .map(&row)
+            .find(|q| q.len() != self.query_dim);
+        if let Some(q) = ragged {
             return Err(SketchError::BadQueryDim {
                 expected: self.query_dim,
                 got: q.len(),
             });
         }
-        let n = labels.len() as f64;
-        let y_mean = labels.iter().sum::<f64>() / n;
-        let var = labels.iter().map(|y| (y - y_mean).powi(2)).sum::<f64>() / n;
-        let y_std = var.sqrt().max(1e-12);
-        let ys: Vec<f64> = labels.iter().map(|y| (y - y_mean) / y_std).collect();
-        let sizes = cfg.layer_sizes(self.query_dim);
-        let mut mlp = Mlp::new(&sizes, cfg.seed ^ (leaf as u64).wrapping_mul(0x9E37_79B9));
-        let mut leaf_train = cfg.train.clone();
-        leaf_train.seed = cfg.seed.wrapping_add(leaf as u64);
-        let report = train(&mut mlp, queries, &ys, &leaf_train);
-        Ok((LeafModel::new(mlp, y_mean, y_std), report))
+        Ok(train_leaf(cfg, self.query_dim, leaf, row, labels))
     }
 
     /// Install a replacement model for partition `unit` (crate-internal:
@@ -614,7 +587,14 @@ impl NeuroSketch {
         labels: &[f64],
         cfg: &NeuroSketchConfig,
     ) -> Result<TrainReport, SketchError> {
-        let (model, report) = self.train_partition_model(unit, queries, labels, cfg)?;
+        if queries.len() != labels.len() {
+            return Err(SketchError::BadWorkload(format!(
+                "{} queries but {} labels",
+                queries.len(),
+                labels.len()
+            )));
+        }
+        let (model, report) = self.train_partition_model(unit, |k| &queries[k], labels, cfg)?;
         self.install_partition_model(unit, model);
         Ok(report)
     }
@@ -663,6 +643,33 @@ impl NeuroSketch {
         let models: usize = self.models.iter().map(|m| m.mlp.storage_bytes() + 16).sum();
         models + 12 * (2 * self.partitions()).saturating_sub(1)
     }
+}
+
+/// The one leaf trainer, shared by the build and every retrain: train
+/// kd-tree node `leaf`'s model on `labels.len()` rows read through
+/// `row`. The labels are standardized over the leaf, and the node id
+/// seeds both the weight init and the shuffle, so the same rows in the
+/// same order give the same model bits.
+fn train_leaf<'a>(
+    cfg: &NeuroSketchConfig,
+    query_dim: usize,
+    leaf: usize,
+    row: impl Fn(usize) -> &'a [f64],
+    labels: &[f64],
+) -> (LeafModel, TrainReport) {
+    let n = labels.len() as f64;
+    let y_mean = labels.iter().sum::<f64>() / n;
+    let var = labels.iter().map(|y| (y - y_mean).powi(2)).sum::<f64>() / n;
+    let y_std = var.sqrt().max(1e-12);
+    let ys: Vec<f64> = labels.iter().map(|y| (y - y_mean) / y_std).collect();
+    let seed = cfg.seed ^ (leaf as u64).wrapping_mul(0x9E37_79B9);
+    let mut mlp = Mlp::new(&cfg.layer_sizes(query_dim), seed);
+    let train_cfg = TrainConfig {
+        seed: cfg.seed.wrapping_add(leaf as u64),
+        ..cfg.train.clone()
+    };
+    let report = train_rows(&mut mlp, row, &ys, &train_cfg);
+    (LeafModel::new(mlp, y_mean, y_std), report)
 }
 
 #[cfg(test)]

@@ -52,7 +52,6 @@ pub mod fused;
 pub mod gemm;
 pub mod init;
 pub mod linalg;
-pub mod loss;
 pub mod mlp;
 pub mod optimizer;
 pub mod prune;

@@ -529,7 +529,7 @@ mod tests {
         let mut ws = BatchWorkspace::default();
         let mut grads = Gradients::zeros_like(&mlp);
         mlp.forward_batch(&mut ws, &x);
-        mlp.backward_batch(&mut ws, &x, &y, &mut grads);
+        mlp.backward_batch(&mut ws, &y, &mut grads);
         let in_row_order = |w: f32| f64::from(deltas.iter().fold(0.0, |s, d| s + 2.0 * d * w));
         assert_eq!(grads.layers[0].1, [in_row_order(0.5), in_row_order(5.0)]);
         assert_eq!(grads.layers[1].1, [in_row_order(1.0)]);

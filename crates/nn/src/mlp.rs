@@ -393,7 +393,8 @@ impl Mlp {
     ///
     /// Computes in `f32`, the precision the model is stored and served
     /// in: `x` is cast `as f32` once into `ws` (the backward pass reads
-    /// the same cast), and each layer is one tiled GEMM
+    /// the same cast; [`crate::train::train_rows`] gathers its
+    /// mini-batches in the same way), and each layer is one tiled GEMM
     /// ([`crate::gemm`]) of the previous activations against the layer's
     /// weights, rounded and packed into `Wᵀ` panels inside this call,
     /// with `+ bias` and the activation fused into the tile store. All
@@ -418,15 +419,21 @@ impl Mlp {
             x.cols(),
             self.input_dim()
         );
-        let (m, d) = (x.rows(), x.cols());
-        let sx = padded(d);
+        self.forward_gather(ws, x.as_slice().chunks_exact(x.cols()))
+    }
+
+    /// [`Mlp::forward_batch`] over rows gathered from anywhere: each row
+    /// is cast `as f32` straight into `ws`'s padded input, then the one
+    /// forward runs. The caller checks every row is `input_dim` wide.
+    pub(crate) fn forward_gather<'w, 'a>(
+        &self,
+        ws: &'w mut BatchWorkspace,
+        rows: impl ExactSizeIterator<Item = &'a [f64]>,
+    ) -> &'w Matrix {
+        let (m, sx) = (rows.len(), padded(self.input_dim()));
         ws.x_pad.clear();
         ws.x_pad.resize(m * sx, 0.0);
-        for (dst, src) in ws
-            .x_pad
-            .chunks_exact_mut(sx)
-            .zip(x.as_slice().chunks_exact(d))
-        {
+        for (dst, src) in ws.x_pad.chunks_exact_mut(sx).zip(rows) {
             for (v, s) in dst.iter_mut().zip(src) {
                 *v = *s as f32;
             }
@@ -461,8 +468,8 @@ impl Mlp {
 
     /// Batched backward pass for the MSE loss `Σ_e Σ_o (f(x_e)_o − y_eo)²`.
     ///
-    /// Requires that [`Mlp::forward_batch`] was just called on `ws` with
-    /// the same `x` (its `f32` cast, kept in `ws`, is what this reads).
+    /// Requires that [`Mlp::forward_batch`] was just called on `ws`: the
+    /// input it cast to `f32`, kept in `ws`, is what this reads.
     /// Overwrites `grads` with the **summed** (not averaged) gradients
     /// of the batch — fold the `1/batch` factor into the optimizer step
     /// via
@@ -484,29 +491,25 @@ impl Mlp {
     /// `tests/training_accuracy.rs`.
     ///
     /// # Panics
-    /// Panics if `y`'s shape does not match `(x.rows(), output_dim)`, or
-    /// if `ws` does not hold a forward pass of this model's shape over
-    /// `x.rows()` rows.
+    /// Panics if `y` is not `output_dim` wide, or if `ws` does not hold
+    /// a forward pass of this model's shape over `y.rows()` rows.
     pub fn backward_batch(
         &self,
         ws: &mut BatchWorkspace,
-        x: &Matrix,
         y: &Matrix,
         grads: &mut Gradients,
     ) -> f64 {
-        let m = x.rows();
+        let m = y.rows();
         let out_dim = self.output_dim();
         assert_eq!(
-            (y.rows(), y.cols()),
-            (m, out_dim),
-            "target shape {}x{} does not match batch {}x{}",
-            y.rows(),
             y.cols(),
-            m,
-            out_dim
+            out_dim,
+            "target shape {}x{} does not match batch {m}x{out_dim}",
+            y.rows(),
+            y.cols()
         );
         assert!(
-            self.widths().eq(ws.widths.iter().copied()) && x.cols() == self.input_dim(),
+            self.widths().eq(ws.widths.iter().copied()),
             "workspace holds a forward pass of widths {:?}, not this model's: run forward_batch first",
             ws.widths
         );
@@ -995,7 +998,7 @@ mod tests {
         let mut bws = BatchWorkspace::default();
         let mut grads = Gradients::zeros_like(&m);
         m.forward_batch(&mut bws, &x);
-        let loss = m.backward_batch(&mut bws, &x, &y, &mut grads);
+        let loss = m.backward_batch(&mut bws, &y, &mut grads);
 
         assert_eq!(loss.to_bits(), ref_loss.to_bits());
         for (li, ((dw, db), (rw, rb))) in grads.layers.iter().zip(&ref_grads.layers).enumerate() {
@@ -1021,11 +1024,11 @@ mod tests {
             b.fill(-9.0);
         }
         m.forward_batch(&mut bws, &x);
-        m.backward_batch(&mut bws, &x, &y, &mut grads);
+        m.backward_batch(&mut bws, &y, &mut grads);
         let mut fresh = Gradients::zeros_like(&m);
         let mut bws2 = BatchWorkspace::default();
         m.forward_batch(&mut bws2, &x);
-        m.backward_batch(&mut bws2, &x, &y, &mut fresh);
+        m.backward_batch(&mut bws2, &y, &mut fresh);
         for ((dw, db), (fw, fb)) in grads.layers.iter().zip(&fresh.layers) {
             assert_eq!(dw.as_slice(), fw.as_slice());
             assert_eq!(&db[..], &fb[..]);
@@ -1037,11 +1040,11 @@ mod tests {
     fn backward_batch_checks_target_shape() {
         let m = tiny();
         let x = batch_inputs(4, 2);
-        let y = Matrix::zeros(3, 1);
+        let y = Matrix::zeros(4, 2);
         let mut bws = BatchWorkspace::default();
         m.forward_batch(&mut bws, &x);
         let mut grads = Gradients::zeros_like(&m);
-        m.backward_batch(&mut bws, &x, &y, &mut grads);
+        m.backward_batch(&mut bws, &y, &mut grads);
     }
 
     fn batch_targets(n: usize) -> Matrix {
@@ -1058,7 +1061,7 @@ mod tests {
         let (x, y) = (batch_inputs(8, 3), batch_targets(8));
         let mut bws = BatchWorkspace::default();
         a.forward_batch(&mut bws, &x);
-        b.backward_batch(&mut bws, &x, &y, &mut Gradients::zeros_like(&b));
+        b.backward_batch(&mut bws, &y, &mut Gradients::zeros_like(&b));
     }
 
     #[test]
@@ -1067,8 +1070,8 @@ mod tests {
         let m = tiny();
         let mut bws = BatchWorkspace::default();
         m.forward_batch(&mut bws, &batch_inputs(8, 2));
-        let (x, y) = (batch_inputs(7, 2), batch_targets(7));
-        m.backward_batch(&mut bws, &x, &y, &mut Gradients::zeros_like(&m));
+        let y = batch_targets(7);
+        m.backward_batch(&mut bws, &y, &mut Gradients::zeros_like(&m));
     }
 
     #[test]
@@ -1079,7 +1082,7 @@ mod tests {
         let mut bws = BatchWorkspace::default();
         m.forward_batch(&mut bws, &x);
         let mut grads = Gradients::zeros_like(&Mlp::new(&[2, 5, 1], 0));
-        m.backward_batch(&mut bws, &x, &y, &mut grads);
+        m.backward_batch(&mut bws, &y, &mut grads);
     }
 
     #[test]
@@ -1099,12 +1102,12 @@ mod tests {
                     b.fill(f64::NAN);
                 }
                 m.forward_batch(&mut shared, &x);
-                let loss = m.backward_batch(&mut shared, &x, &y, &mut got);
+                let loss = m.backward_batch(&mut shared, &y, &mut got);
 
                 let mut fresh = BatchWorkspace::default();
                 let mut want = Gradients::zeros_like(m);
                 m.forward_batch(&mut fresh, &x);
-                let want_loss = m.backward_batch(&mut fresh, &x, &y, &mut want);
+                let want_loss = m.backward_batch(&mut fresh, &y, &mut want);
                 assert_eq!(loss.to_bits(), want_loss.to_bits(), "batch {bsz}");
                 for ((dw, db), (fw, fb)) in got.layers.iter().zip(&want.layers) {
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

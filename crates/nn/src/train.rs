@@ -5,19 +5,22 @@
 //! convergence. We add a small patience-based stopping rule so "until
 //! convergence" is well defined and deterministic.
 //!
-//! [`train`] runs the batched hot path: each mini-batch is gathered into
-//! a matrix and pushed through [`Mlp::forward_batch`] /
-//! [`Mlp::backward_batch`] — three calls of the crate's tiled GEMM
-//! ([`crate::gemm`]) per layer into a reused [`BatchWorkspace`], zero
-//! per-example allocation — and the Adam step consumes the summed batch
-//! gradients directly.
+//! [`train_rows`] is the batched hot path, and [`train`] is it over a
+//! row-form set. The rows are read through an index, so a caller
+//! training on a subset of its workload (a kd-tree leaf's query ids)
+//! copies none of them. Each mini-batch is gathered once, cast `as f32`
+//! straight into the reused [`BatchWorkspace`]'s padded input (the one
+//! gather and the one cast of the loop), and pushed through the forward
+//! and [`Mlp::backward_batch`] — three calls of the crate's tiled GEMM
+//! ([`crate::gemm`]) per layer, zero per-example allocation — and the
+//! Adam step consumes the summed batch gradients directly.
 //!
 //! **Precision.** The GEMMs run at `f32`, the precision the trained
-//! model is stored and served in: each mini-batch is cast to `f32`
-//! once, the weights are rounded as they are packed, and each batch's
-//! gradient sums are widened to `f64` once. The master weights, the
-//! Adam moments and step, and the loss stay `f64`, so updates smaller
-//! than an `f32` ulp of a weight still accumulate.
+//! model is stored and served in: each mini-batch is cast to `f32` as
+//! it is gathered, the weights are rounded as they are packed, and each
+//! batch's gradient sums are widened to `f64` once. The master weights,
+//! the Adam moments and step, and the loss stay `f64`, so updates
+//! smaller than an `f32` ulp of a weight still accumulate.
 //!
 //! **Determinism contract.** The shuffle RNG is consumed once per epoch
 //! and every gradient entry is accumulated in the per-example
@@ -91,33 +94,48 @@ pub struct TrainReport {
     pub elapsed: std::time::Duration,
 }
 
-/// Train `mlp` on `(xs, ys)` with MSE + Adam — the batched hot path.
-///
-/// Each mini-batch is gathered into a `batch x d` matrix and pushed
-/// through [`Mlp::forward_batch`] / [`Mlp::backward_batch`]; the Adam
-/// step consumes the summed batch gradients directly via
-/// [`Optimizer::step_scaled`]. All scratch lives in buffers grown once
-/// and reused for the whole run.
+/// Train `mlp` on `(xs, ys)` with MSE + Adam: [`train_rows`] over the
+/// rows of `xs`.
 ///
 /// # Panics
-/// Panics if `xs` and `ys` differ in length, `xs` is empty, or any
-/// feature vector's length differs from the network's input
-/// dimensionality.
+/// As [`train_rows`], and if `xs` and `ys` differ in length.
 pub fn train(mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[f64], cfg: &TrainConfig) -> TrainReport {
     assert_eq!(xs.len(), ys.len(), "features/targets must pair up");
-    assert!(!xs.is_empty(), "training set must be nonempty");
+    train_rows(mlp, |i| &xs[i], ys, cfg)
+}
+
+/// Train `mlp` with MSE + Adam on the `ys.len()` examples
+/// `(row(i), ys[i])` — the batched hot path.
+///
+/// Each mini-batch's rows are gathered through `row`, cast `as f32`
+/// into the workspace and pushed through the forward pass and
+/// [`Mlp::backward_batch`]; the Adam step consumes the summed batch
+/// gradients directly via [`Optimizer::step_scaled`]. All scratch lives
+/// in buffers grown once and reused for the whole run. The shuffle
+/// permutes the numbers `0..ys.len()`, so the same rows under the same
+/// numbers train the same bits whatever they are read from.
+///
+/// # Panics
+/// Panics if `ys` is empty or any `row(i)`'s length differs from the
+/// network's input dimensionality.
+pub fn train_rows<'a>(
+    mlp: &mut Mlp,
+    row: impl Fn(usize) -> &'a [f64],
+    ys: &[f64],
+    cfg: &TrainConfig,
+) -> TrainReport {
+    assert!(!ys.is_empty(), "training set must be nonempty");
     let d = mlp.input_dim();
     assert!(
-        xs.iter().all(|x| x.len() == d),
+        (0..ys.len()).all(|i| row(i).len() == d),
         "feature dim does not match network input dim {d}"
     );
     let start = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut order: Vec<usize> = (0..xs.len()).collect();
+    let mut order: Vec<usize> = (0..ys.len()).collect();
     let mut adam = Adam::new(cfg.lr);
     let mut grads = Gradients::zeros_like(mlp);
     let mut ws = BatchWorkspace::default();
-    let mut xb = Matrix::zeros(0, 0);
     let mut yb = Matrix::zeros(0, 0);
     let mut curve = Vec::with_capacity(cfg.epochs);
     let mut best = f64::INFINITY;
@@ -129,24 +147,22 @@ pub fn train(mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[f64], cfg: &TrainConfig) -> T
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0;
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            xb.resize(chunk.len(), d);
             yb.resize(chunk.len(), 1);
             for (r, &i) in chunk.iter().enumerate() {
-                xb.row_mut(r).copy_from_slice(&xs[i]);
                 yb.set(r, 0, ys[i]);
             }
-            mlp.forward_batch(&mut ws, &xb);
-            let batch_loss = mlp.backward_batch(&mut ws, &xb, &yb, &mut grads);
+            mlp.forward_gather(&mut ws, chunk.iter().map(|&i| row(i)));
+            let batch_loss = mlp.backward_batch(&mut ws, &yb, &mut grads);
             adam.step_scaled(mlp, &grads, 1.0 / chunk.len() as f64);
             epoch_loss += batch_loss;
             if let Some(budget) = cfg.time_budget {
                 if start.elapsed() > budget {
-                    curve.push(epoch_loss / xs.len() as f64);
+                    curve.push(epoch_loss / ys.len() as f64);
                     break 'outer;
                 }
             }
         }
-        epoch_loss /= xs.len() as f64;
+        epoch_loss /= ys.len() as f64;
         curve.push(epoch_loss);
         if cfg.patience > 0 {
             if epoch_loss < best * (1.0 - cfg.min_delta) {
@@ -168,22 +184,6 @@ pub fn train(mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[f64], cfg: &TrainConfig) -> T
         loss_curve: curve,
         elapsed: start.elapsed(),
     }
-}
-
-/// Evaluate mean squared error of `mlp` on a supervised set without
-/// touching its weights.
-pub fn evaluate_mse(mlp: &Mlp, xs: &[Vec<f64>], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "features/targets must pair up");
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut ws = crate::mlp::Workspace::default();
-    let mut acc = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        let p = mlp.predict_with(&mut ws, x);
-        acc += (p - y) * (p - y);
-    }
-    acc / xs.len() as f64
 }
 
 #[cfg(test)]
@@ -290,6 +290,45 @@ mod tests {
     }
 
     #[test]
+    fn index_path_is_bitwise_the_rows_cloned_in_that_order() {
+        // A permuted subset of 83 of 120 rows (37 is coprime to 120, so
+        // the ids are distinct): batch 16 leaves a ragged final batch.
+        let (xs, ys) = make_linear_set(120);
+        let ids: Vec<usize> = (0..83).map(|k| (k * 37 + 11) % 120).collect();
+        let cloned: Vec<Vec<f64>> = ids.iter().map(|&i| xs[i].clone()).collect();
+        let ys: Vec<f64> = ids.iter().map(|&i| ys[i]).collect();
+        let cfg = TrainConfig {
+            epochs: 25,
+            batch_size: 16,
+            patience: 0,
+            ..Default::default()
+        };
+        let mut indexed = Mlp::new(&[2, 12, 6, 1], 77);
+        let mut copied = indexed.clone();
+        let a = train_rows(&mut indexed, |k| &xs[ids[k]], &ys, &cfg);
+        let b = train(&mut copied, &cloned, &ys, &cfg);
+        assert_eq!(indexed, copied, "weights must match bit for bit");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.loss_curve), bits(&b.loss_curve));
+    }
+
+    #[test]
+    #[should_panic(expected = "feature dim does not match")]
+    fn index_path_refuses_a_row_of_the_wrong_width() {
+        // The gather's cast loop zips a row against the input width, so
+        // an unchecked wide row would lose its last coordinate silently.
+        let (xs, ys) = make_linear_set(10);
+        let wide = [0.1, 0.2, 0.3];
+        let row = |k: usize| if k == 7 { &wide[..] } else { &xs[k][..] };
+        train_rows(
+            &mut Mlp::new(&[2, 4, 1], 1),
+            row,
+            &ys,
+            &TrainConfig::default(),
+        );
+    }
+
+    #[test]
     fn time_budget_is_checked_per_batch_not_per_epoch() {
         // With a zero budget the loop must stop after the FIRST mini-batch
         // of the first epoch. A per-epoch check would run all batches and
@@ -314,19 +353,5 @@ mod tests {
             budgeted, unbudgeted,
             "budgeted run must have stopped before finishing the epoch"
         );
-    }
-
-    #[test]
-    fn evaluate_mse_matches_training_objective() {
-        let (xs, ys) = make_linear_set(30);
-        let mlp = Mlp::new(&[2, 4, 1], 2);
-        let e = evaluate_mse(&mlp, &xs, &ys);
-        let manual: f64 = xs
-            .iter()
-            .zip(&ys)
-            .map(|(x, y)| (mlp.predict(x) - y).powi(2))
-            .sum::<f64>()
-            / 30.0;
-        assert!((e - manual).abs() < 1e-12);
     }
 }

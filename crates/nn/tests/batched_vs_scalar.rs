@@ -238,7 +238,7 @@ fn assert_step_parity(mlp: &Mlp, ws: &mut BatchWorkspace, bsz: usize, pool: &[f6
     }
     let out = mlp.forward_batch(ws, &x).clone();
     assert_same_bits(out.as_slice(), &served, &format!("batch {bsz}, outputs"));
-    let loss = mlp.backward_batch(ws, &x, &y, &mut got);
+    let loss = mlp.backward_batch(ws, &y, &mut got);
     assert_eq!(
         loss.to_bits(),
         want_loss.to_bits(),
@@ -297,7 +297,7 @@ proptest! {
         let mut ws = BatchWorkspace::default();
         let mut grads = Gradients::zeros_like(&zero);
         zero.forward_batch(&mut ws, &b);
-        zero.backward_batch(&mut ws, &b, &y, &mut grads);
+        zero.backward_batch(&mut ws, &y, &mut grads);
         let want = naive_matmul_f32(&transpose(&a), &b);
         assert_same_bits(grads.layers[0].0.as_slice(), want.as_slice(), "Aᵀ·B");
 

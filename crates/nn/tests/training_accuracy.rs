@@ -64,7 +64,7 @@ fn worst_gradient_error(mlp: &Mlp, seed: u64) -> f64 {
     let mut got = Gradients::zeros_like(mlp);
     let mut ws = BatchWorkspace::default();
     mlp.forward_batch(&mut ws, &x);
-    mlp.backward_batch(&mut ws, &x, &y, &mut got);
+    mlp.backward_batch(&mut ws, &y, &mut got);
     got.layers
         .iter()
         .zip(&want.layers)

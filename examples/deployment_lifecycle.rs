@@ -13,7 +13,7 @@
 //! ```
 
 use datagen::simple::{gaussian, uniform};
-use neurosketch::maintenance::{refresh, DriftMonitor};
+use neurosketch::maintenance::DriftMonitor;
 use neurosketch::router::{range_volume, DqdRouter, Route, RoutingPolicy};
 use neurosketch::{NeuroSketch, NeuroSketchConfig};
 use query::aggregate::Aggregate;
@@ -82,14 +82,14 @@ fn main() {
 
     // Retrain against the new data with the same configuration.
     if check.stale {
-        let (fresh, _) = refresh(
+        let (fresh, _) = NeuroSketch::build(
             &drifted_engine,
             &wl.predicate,
             Aggregate::Count,
             &wl.queries,
             &cfg,
         )
-        .expect("refresh");
+        .expect("rebuild");
         let after = monitor.check(&fresh, &drifted_engine, &wl.predicate, Aggregate::Count);
         println!(
             "after retraining: normalized MAE {:.3} ({})",
