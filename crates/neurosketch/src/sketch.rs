@@ -5,7 +5,7 @@
 //! leaf's list of query ids, through which the AQC scorer and the one
 //! leaf trainer (`train_leaf`, for the build and every retrain) read.
 //! Labels are standardized per leaf in `f64`; training computes in `f32`
-//! on `f64` master weights ([`nn::train`]).
+//! end to end, on `f32` master weights ([`nn::train`]).
 //!
 //! Answering has **one** forward pass, [`nn::fused`]'s `f32` kernel over
 //! the leaf's lazily built [`ServingLayout`], whether the caller brings

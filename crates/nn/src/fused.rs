@@ -7,25 +7,25 @@
 //! **Why `f32`.** Every persisted parameter is `f32` or narrower
 //! ([`crate::binary`]: f32 / f16 / i8), so a served model has no bits an
 //! `f32` cannot hold; computing in `f64` would spend half of every
-//! vector on precision the artifact does not have. Training's GEMMs run
-//! at `f32` too ([`Mlp::forward_batch`] / [`Mlp::backward_batch`]);
-//! master weights, labels and [`Mlp::forward_with`] stay `f64`.
+//! vector on precision the artifact does not have. Training runs at
+//! `f32` end to end: [`crate::train`] holds its master weights, their
+//! gradient and the Adam moments as `f32` vectors in a
+//! [`ServingLayout`]'s order; labels and [`Mlp::forward_with`] stay
+//! `f64`.
 //!
-//! [`Mlp::forward_batch`] is the *training* forward over that kernel,
-//! bitwise this one (same packing cast, same bias + activation
-//! epilogue, same tile): it keeps every layer's `batch x width`
-//! activations for backprop and re-packs the weights on every call,
-//! because the optimizer moves them between calls. Serving a frozen
-//! model wants neither, so a
+//! The training forward runs every layer through the same call as
+//! serving (same panels, same bias + activation epilogue, same tile), so
+//! it is bitwise this one; it only keeps every layer's `batch x width`
+//! activations for backprop. Serving a frozen model does not, and a
 //! [`ServingLayout`] is a self-contained copy of a model's parameters in
-//! the shape the kernel reads:
+//! the shape the kernel reads, one flat `f32` vector:
 //!
 //! * each layer's weights rounded to `f32` — the rounding
 //!   [`Mlp::quantized`] and the F32 artifact apply, so a fresh model, its
 //!   `quantized()` twin and its save/load round trip serve the same bits
 //!   — transposed and packed once into `NR`-column panels (`in_dim x NR`
 //!   floats, contiguous), the output width zero-padded to a multiple of
-//!   [`NR`];
+//!   [`NR`], then the layer's biases padded alike;
 //! * [`BLOCK_ROWS`] rows at a time ping-pong between two scratch tiles
 //!   through every layer, so nothing `batch x width` is materialised.
 //!
@@ -46,23 +46,23 @@ use crate::activation::Activation;
 use crate::gemm::{gemm, pack, padded, unpad, TileStore};
 pub use crate::gemm::{MR, NR};
 use crate::linalg::Elem;
-use crate::mlp::Mlp;
+use crate::mlp::{Dense, Mlp};
 
 /// Rows per L1-resident block (a multiple of [`MR`]): the two tiles are
 /// `BLOCK_ROWS x 64` floats = 9 KiB each at the paper's widths.
 pub const BLOCK_ROWS: usize = 36;
 
+/// Where one layer lives in [`ServingLayout`]'s parameter vector: at
+/// `at`, `n_pad / NR` panels, each `in_dim x NR` row-major — panel `p`,
+/// row `t` holds `W[p * NR + j][t]` for `j in 0..NR` (zero past
+/// `out_dim`) — then the biases zero-padded to `n_pad`.
 #[derive(Debug, Clone)]
-struct FusedLayer {
-    /// `n_pad / NR` panels, each `in_dim x NR` row-major: panel `p`, row
-    /// `t` holds `W[p * NR + j][t]` for `j in 0..NR` (zero past
-    /// `out_dim`).
-    panels: Vec<f32>,
-    /// Biases zero-padded to `n_pad`.
-    bias: Vec<f32>,
-    in_dim: usize,
-    n_pad: usize,
-    activation: Activation,
+pub(crate) struct FusedLayer {
+    at: usize,
+    pub(crate) in_dim: usize,
+    pub(crate) out_dim: usize,
+    pub(crate) n_pad: usize,
+    pub(crate) activation: Activation,
 }
 
 /// Serving copy of one [`Mlp`]'s parameters (see the module docs).
@@ -71,9 +71,12 @@ struct FusedLayer {
 /// built from, so a layout can never be run against the wrong weights.
 /// It is derived, in-memory-only state — build it with
 /// [`Mlp::serving_layout`] whenever the model changes; it is never
-/// serialized.
+/// serialized. Training holds its `f32` master weights in one
+/// ([`crate::train`]).
 #[derive(Debug, Clone)]
 pub struct ServingLayout {
+    /// Every layer's panels and biases, back to back.
+    params: Vec<f32>,
     layers: Vec<FusedLayer>,
     input_dim: usize,
     output_dim: usize,
@@ -92,39 +95,73 @@ pub struct ServingWorkspace {
 
 impl ServingLayout {
     pub(crate) fn new(mlp: &Mlp) -> ServingLayout {
-        let layers: Vec<FusedLayer> = mlp
-            .layers()
-            .iter()
-            .map(|l| {
-                let (out, k) = (l.out_dim(), l.in_dim());
-                let n_pad = padded(out);
-                let mut panels = Vec::new();
-                pack(&mut panels, l.weights.as_slice(), (1, k), k, out);
-                let mut bias: Vec<f32> = l.biases.iter().map(|&b| b as f32).collect();
-                bias.resize(n_pad, 0.0);
-                FusedLayer {
-                    panels,
-                    bias,
-                    in_dim: k,
-                    n_pad,
-                    activation: l.activation,
-                }
-            })
-            .collect();
+        let len = |l: &Dense| (l.in_dim() + 1) * padded(l.out_dim());
+        let mut params = Vec::with_capacity(mlp.layers().iter().map(len).sum());
+        let mut layers = Vec::with_capacity(mlp.layers().len());
+        for l in mlp.layers() {
+            let (n, k) = (l.out_dim(), l.in_dim());
+            let layer = FusedLayer {
+                at: params.len(),
+                in_dim: k,
+                out_dim: n,
+                n_pad: padded(n),
+                activation: l.activation,
+            };
+            pack(&mut params, l.weights.as_slice(), (1, k), k, n);
+            params.extend(l.biases.iter().map(|&b| b as f32));
+            params.resize(layer.span().end, 0.0);
+            layers.push(layer);
+        }
         ServingLayout {
             tile_cols: layers.iter().map(|l| l.n_pad).max().unwrap_or(0),
+            params,
             layers,
             input_dim: mlp.input_dim(),
             output_dim: mlp.output_dim(),
         }
     }
 
+    /// Every parameter, in the order the kernel reads them.
+    pub(crate) fn params(&self) -> &[f32] {
+        &self.params
+    }
+
+    pub(crate) fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.params
+    }
+
+    pub(crate) fn layers(&self) -> &[FusedLayer] {
+        &self.layers
+    }
+
+    /// Input width followed by every layer's output width.
+    pub(crate) fn widths(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.input_dim).chain(self.layers.iter().map(|l| l.out_dim))
+    }
+
+    /// Copy `flat` — any vector laid out like [`Self::params`] — into
+    /// one row-major `(weights, biases)` pair per layer, widened to
+    /// `f64`; padding is not read.
+    pub(crate) fn unpack<'a>(
+        &self,
+        flat: &[f32],
+        into: impl Iterator<Item = (&'a mut [f64], &'a mut [f64])>,
+    ) {
+        for (l, (w, b)) in self.layers.iter().zip(into) {
+            let (panels, bias) = l.split(flat);
+            for (o, (row, bo)) in w.chunks_exact_mut(l.in_dim).zip(b).enumerate() {
+                let panel = &panels[o / NR * l.in_dim * NR + o % NR..];
+                for (t, wt) in row.iter_mut().enumerate() {
+                    *wt = f64::from(panel[t * NR]);
+                }
+                *bo = f64::from(bias[o]);
+            }
+        }
+    }
+
     /// Heap footprint of the padded parameter copies, in bytes.
     pub fn padded_bytes(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| (l.panels.len() + l.bias.len()) * size_of::<f32>())
-            .sum()
+        self.params.len() * size_of::<f32>()
     }
 
     /// Forward `x` (`rows x input_dim`, row-major, unpadded) through
@@ -156,10 +193,10 @@ impl ServingLayout {
         let (first, rest) = self.layers.split_first().expect("an Mlp has layers");
         for (xblk, oblk) in x.chunks(BLOCK_ROWS * d).zip(out.chunks_mut(BLOCK_ROWS * o)) {
             let rows = xblk.len() / d;
-            first.apply(rows, xblk, d, cur);
+            first.apply(&self.params, rows, (xblk, d), cur);
             let mut stride = first.n_pad;
             for layer in rest {
-                layer.apply(rows, cur, stride, next);
+                layer.apply(&self.params, rows, (cur, stride), next);
                 std::mem::swap(&mut cur, &mut next);
                 stride = layer.n_pad;
             }
@@ -169,20 +206,43 @@ impl ServingLayout {
 }
 
 impl FusedLayer {
-    /// `c[r] = act(a[r] · Wᵀ + bias)` for `rows` rows; `a` has row
-    /// stride `a_stride`, `c` has row stride `n_pad`.
-    fn apply(&self, rows: usize, a: &[f32], a_stride: usize, c: &mut [f32]) {
+    /// The layer's range of the parameter vector: panels, then biases.
+    pub(crate) fn span(&self) -> std::ops::Range<usize> {
+        self.at..self.at + (self.in_dim + 1) * self.n_pad
+    }
+
+    /// The layer's `(panels, biases)` within `flat`, a vector laid out
+    /// like the layout's parameters.
+    #[inline(always)]
+    pub(crate) fn split<'f>(&self, flat: &'f [f32]) -> (&'f [f32], &'f [f32]) {
+        flat[self.span()].split_at(self.in_dim * self.n_pad)
+    }
+
+    /// `c[r] = act(a[r] · Wᵀ + bias)` for `rows` rows of `a` (row stride
+    /// `sa`) with this layer's parameters in `params`; `c` has row
+    /// stride `n_pad`. The serving and the training forward both run
+    /// every layer through this call, inlined into both so the serving
+    /// forward's per-block loop makes no call but the GEMM's.
+    #[inline(always)]
+    pub(crate) fn apply(
+        &self,
+        params: &[f32],
+        rows: usize,
+        (a, sa): (&[f32], usize),
+        c: &mut [f32],
+    ) {
         let (k, n) = (self.in_dim, self.n_pad);
+        let (panels, bias) = self.split(params);
         gemm(
             (rows, k, n / NR),
             a,
-            (a_stride, 1),
-            &self.panels,
+            (sa, 1),
+            panels,
             (k * NR, NR),
             &mut BiasAct {
                 c,
                 sc: n,
-                bias: &self.bias,
+                bias,
                 activation: self.activation,
             },
         );
@@ -193,13 +253,13 @@ impl FusedLayer {
 /// store: per entry the operations of the per-example forward, `+ bias`
 /// then [`Activation::apply`]'s own comparison, so `-0.0` and NaN come
 /// out as [`forward_per_example`]'s do. Serving and the training
-/// forward share it. `bias` is zero-padded to whole panels and `c` has
-/// the padded row stride `sc`.
-pub(crate) struct BiasAct<'a, T> {
-    pub c: &'a mut [T],
-    pub sc: usize,
-    pub bias: &'a [T],
-    pub activation: Activation,
+/// forward share it (through [`FusedLayer::apply`]). `bias` is
+/// zero-padded to whole panels and `c` has the padded row stride `sc`.
+struct BiasAct<'a, T> {
+    c: &'a mut [T],
+    sc: usize,
+    bias: &'a [T],
+    activation: Activation,
 }
 
 impl<T: Elem> TileStore<T> for BiasAct<'_, T> {

@@ -16,25 +16,26 @@
 //! The operands are described by strides, which is all that separates
 //! the three products of a training step:
 //!
-//! | product | `A(i, t)` | `B(t, ·)` |
-//! |---|---|---|
-//! | forward `X · Wᵀ` | rows of `X` (`sa = (stride, 1)`) | packed `Wᵀ` panels |
-//! | `dX = δ · W` | rows of `δ` (`sa = (stride, 1)`) | packed `W` panels |
-//! | `dW = δᵀ · X` | columns of `δ` (`sa = (1, stride)`) | `X` in place, `NR`-padded rows |
+//! | product | `A(i, t)` | `B(t, ·)` | `C` stored as |
+//! |---|---|---|---|
+//! | forward `X · Wᵀ` | rows of `X` (`sa = (stride, 1)`) | `Wᵀ` panels | rows ([`crate::fused`]'s `BiasAct`) |
+//! | `dX = δ · W` | rows of `δ` (`sa = (stride, 1)`) | `W` panels (`transpose_panels`) | rows (`MaskSum` in [`crate::mlp`]) |
+//! | `dWᵀ = Xᵀ · δ` | columns of `X` (`sa = (1, stride)`) | `δ` in place, `NR`-padded rows | `Wᵀ` panels (`Panels`) |
 //!
 //! `B` is always read, and `C` always written, as whole `NR`-wide rows:
-//! `B` is either a panel made by `pack` (row stride `NR`) or a matrix
-//! whose row stride is already a multiple of [`NR`], and `C` is such a
-//! matrix — which is why the training workspace keeps activations,
-//! deltas and the gradient tile at padded stride (padding holds exact
-//! zeros) and copies the real columns out, widened to `f64`, where an
-//! unpadded [`Matrix`] is the interface.
+//! `B` is either a panel (row stride `NR`) or a matrix whose row stride
+//! is already a multiple of [`NR`], and `C` is such a matrix or a set of
+//! panels — which is why the training workspace keeps activations and
+//! deltas at padded stride (padding holds exact zeros) and a training
+//! step's weights and gradient live in the panel order `pack` makes, the
+//! order the forward reads; only [`Mlp::forward_batch`]'s output is
+//! copied out of its padding, widened to `f64`, into a [`Matrix`].
 //!
 //! **Bitwise contract.** Every entry is one `fmadd` chain, in the
 //! element type, over ascending contraction index starting from `+0.0`
 //! — at `f32` the order of the scalar oracles
 //! [`crate::fused::forward_per_example`] (forward) and
-//! [`crate::mlp::batch_gradient_per_example`] (`dX` per example, `dW`
+//! [`crate::mlp::batch_gradient_per_example`] (`dX` per example, `dWᵀ`
 //! summed in batch order), at `f64` that of a naive triple loop
 //! (`matmul`). Zero multipliers are multiplied through, never skipped.
 //!
@@ -62,9 +63,9 @@ pub(crate) fn padded(n: usize) -> usize {
 
 /// Pack the `k x n` operand `B(t, j) = b[t * sb_t + j * sb_j]` into
 /// `n.div_ceil(NR)` panels of `k x NR` elements each (panel `p`, row `t`
-/// holds columns `p * NR..`, zero past `n`), reusing `panels`. `B` is a
-/// model's `f64` parameters; packing is where they are rounded to the
-/// element type the product runs in.
+/// holds columns `p * NR..`, zero past `n`), appended to `panels`. `B`
+/// is a model's `f64` parameters; packing is where they are rounded to
+/// the element type the product runs in.
 pub(crate) fn pack<T: Elem>(
     panels: &mut Vec<T>,
     b: &[f64],
@@ -72,13 +73,36 @@ pub(crate) fn pack<T: Elem>(
     k: usize,
     n: usize,
 ) {
-    panels.clear();
-    panels.resize(k * padded(n), T::default());
-    for (p, panel) in panels.chunks_exact_mut((k * NR).max(1)).enumerate() {
+    let at = panels.len();
+    panels.resize(at + k * padded(n), T::default());
+    for (p, panel) in panels[at..].chunks_exact_mut((k * NR).max(1)).enumerate() {
         let j0 = p * NR;
         for (t, row) in panel.chunks_exact_mut(NR).enumerate() {
             for (j, v) in row[..NR.min(n - j0)].iter_mut().enumerate() {
                 *v = T::from_f64(b[t * sb_t + (j0 + j) * sb_j]);
+            }
+        }
+    }
+}
+
+/// Repack `wt`, the panels `pack` makes of `B = Wᵀ` (`k x n`), as the
+/// panels of `W` itself (`n x k`: panel `q`, row `o` holds
+/// `W[o][q * NR..]`, zero past `k`) into `panels` — the `dX` operand of
+/// a training step whose weights live as `Wᵀ` panels. One `NR x NR`
+/// block at a time through a local copy; every entry of `panels` is
+/// written, so nothing is cleared first.
+pub(crate) fn transpose_panels(panels: &mut Vec<f32>, wt: &[f32], k: usize, n: usize) {
+    panels.resize(n * padded(k), 0.0);
+    for (p, src) in wt.chunks_exact((k * NR).max(1)).enumerate() {
+        for (q, rows) in src.chunks(NR * NR).enumerate() {
+            let mut blk = [[0.0f32; NR]; NR];
+            for (b, r) in blk.iter_mut().zip(rows.chunks_exact(NR)) {
+                b.copy_from_slice(r);
+            }
+            for j in 0..NR.min(n - p * NR) {
+                let at = (q * n + p * NR + j) * NR;
+                let col: [f32; NR] = std::array::from_fn(|t| blk[t][j]);
+                panels[at..at + NR].copy_from_slice(&col);
             }
         }
     }
@@ -197,10 +221,23 @@ impl<T: Copy> TileStore<T> for Plain<'_, T> {
     }
 }
 
+/// The panel epilogue: write row `r` of `C` into panel `p` of a packed
+/// operand whose panels are `.1` rows deep — `C` laid out as [`pack`]
+/// lays out a `B`. A training step's `dWᵀ` lands in its weights' order.
+pub(crate) struct Panels<'c, T>(pub &'c mut [T], pub usize);
+
+impl<T: Copy> TileStore<T> for Panels<'_, T> {
+    #[inline(always)]
+    fn row(&mut self, r: usize, p: usize, acc: &[T; NR]) {
+        let at = (p * self.1 + r) * NR;
+        self.0[at..at + NR].copy_from_slice(acc);
+    }
+}
+
 /// Copy the first `n` columns of every `stride`-wide row of the padded
 /// `src` into the dense `n`-wide rows of `dst`, widening on the way
-/// where the two differ (a training step's `f32` results into its `f64`
-/// interfaces).
+/// where the two differ ([`Mlp::forward_batch`]'s `f32` outputs into its
+/// `f64` matrix).
 pub(crate) fn unpad<S: Copy, D: From<S>>(dst: &mut [D], n: usize, src: &[S], stride: usize) {
     for (d, s) in dst.chunks_exact_mut(n).zip(src.chunks_exact(stride)) {
         for (d, s) in d.iter_mut().zip(&s[..n]) {

@@ -7,7 +7,8 @@
 //!   with allocation-free inference via [`Mlp::forward_with`] and a reused
 //!   [`mlp::Workspace`],
 //! * mini-batch training with MSE loss and the [`optimizer::Adam`] optimizer
-//!   (Alg. 4 of the paper), executed as whole-batch `f32` GEMMs
+//!   (Alg. 4 of the paper), in `f32` end to end on master weights held
+//!   in a [`ServingLayout`] ([`train`]), executed as whole-batch GEMMs
 //!   ([`Mlp::forward_batch`] / [`Mlp::backward_batch`]) on the crate's
 //!   one register-tiled micro-kernel ([`gemm`]) — the kernel
 //!   [`linalg::matmul`] also runs on, at `f64` — with bias, activation,
@@ -24,10 +25,10 @@
 //! * parameter/storage accounting used by the paper's space-complexity
 //!   arguments.
 //!
-//! Model parameters (the training master weights), the Adam state and the
-//! per-example paths are `f64`; storage is *reported* as if parameters
-//! were stored as `f32` (4 bytes each), matching how the paper counts
-//! model size, and serving and the training GEMMs compute in that `f32`.
+//! An [`Mlp`]'s parameters and the per-example paths are `f64`; a
+//! trained model's parameters are all `f32` values, storage is
+//! *reported* as `f32` (4 bytes each), matching how the paper counts
+//! model size, and serving and training compute in that `f32`.
 //!
 //! ```
 //! use nn::{Mlp, train::{train, TrainConfig}};

@@ -9,8 +9,8 @@ use crate::activation::Activation;
 use crate::binary::{
     f16_bits_to_f32, f32_to_f16_bits, i8_quant, max_abs_f32, pow2_scale, QuantMode,
 };
-use crate::fused::{BiasAct, ServingLayout};
-use crate::gemm::{gemm, pack, padded, unpad, Plain, TileStore, NR};
+use crate::fused::ServingLayout;
+use crate::gemm::{gemm, padded, transpose_panels, unpad, Panels, TileStore, NR};
 use crate::init::Init;
 use crate::linalg::{Elem, Matrix};
 use crate::NnError;
@@ -39,39 +39,6 @@ impl Dense {
     pub fn in_dim(&self) -> usize {
         self.weights.cols()
     }
-
-    /// `c[r] = act(a[r] · Wᵀ + b)` for `m` rows through the tiled GEMM
-    /// at `f32`, exactly as the serving layout computes a row; `a` has
-    /// row stride `sa`, `c` the padded output width. `panels` is scratch
-    /// for the packed `Wᵀ` followed by the zero-padded biases, both
-    /// rounded `as f32`.
-    fn forward_rows(
-        &self,
-        panels: &mut Vec<f32>,
-        m: usize,
-        (a, sa): (&[f32], usize),
-        c: &mut [f32],
-    ) {
-        let (k, n) = (self.in_dim(), self.out_dim());
-        pack(panels, self.weights.as_slice(), (1, k), k, n);
-        let wt = panels.len();
-        panels.extend(self.biases.iter().map(|&b| b as f32));
-        panels.resize(wt + padded(n), 0.0);
-        let (wt, bias) = panels.split_at(wt);
-        gemm(
-            (m, k, n.div_ceil(NR)),
-            a,
-            (sa, 1),
-            wt,
-            (k * NR, NR),
-            &mut BiasAct {
-                c,
-                sc: padded(n),
-                bias,
-                activation: self.activation,
-            },
-        );
-    }
 }
 
 /// A feed-forward network with ReLU hidden layers and a linear output.
@@ -90,9 +57,9 @@ pub struct Workspace {
     b: Vec<f64>,
 }
 
-/// Reusable scratch for the batched training hot path: every layer's
-/// activations, the delta ping-pong buffers and the packed weight
-/// panels of the layer being computed.
+/// Reusable scratch for the batched training hot path: the input cast
+/// to `f32`, every layer's activations, the delta ping-pong buffers and
+/// the `W` panels of the layer whose `dX` is being computed.
 ///
 /// Buffers grow on first use and are then reused across mini-batches,
 /// epochs, models and batch sizes, so steady-state training performs
@@ -111,9 +78,8 @@ pub struct BatchWorkspace {
     acts: Vec<Vec<f32>>,
     /// The real columns of the last layer's activations.
     out: Matrix,
-    /// One layer's packed weight panels (and, on the way forward, its
-    /// padded biases), re-packed per GEMM — the optimizer moves the
-    /// weights between calls, so nothing is cached.
+    /// One layer's `W` panels, transposed from the `Wᵀ` panels the
+    /// model is held in.
     panels: Vec<f32>,
     /// Delta ping-pong buffers, at padded stride.
     delta: Vec<f32>,
@@ -121,8 +87,6 @@ pub struct BatchWorkspace {
     /// The input batch cast to `f32` at padded stride: written once by
     /// the forward pass, read by it and by the backward pass.
     x_pad: Vec<f32>,
-    /// One layer's padded gradient: the `dW` tile, then the `db` sums.
-    grad: Vec<f32>,
     /// What the last forward pass ran on: batch rows, then the input
     /// width followed by every layer's output width.
     rows: usize,
@@ -134,6 +98,139 @@ impl BatchWorkspace {
     /// [`Mlp::forward_batch`] call (`batch x output_dim`).
     pub fn output(&self) -> &Matrix {
         &self.out
+    }
+
+    /// The forward pass of `model` over `rows`: each row cast `as f32`
+    /// straight into the padded input — the one gather and the one cast
+    /// of a training step — then every layer through
+    /// [`FusedLayer::apply`](crate::fused), the serving forward's own
+    /// call, its activations kept for [`Self::backward`]. The caller
+    /// checks every row is `input_dim` wide.
+    pub(crate) fn forward<'a>(
+        &mut self,
+        model: &ServingLayout,
+        rows: impl ExactSizeIterator<Item = &'a [f64]>,
+    ) {
+        let (m, sx) = (rows.len(), padded(model.layers()[0].in_dim));
+        self.x_pad.clear();
+        self.x_pad.resize(m * sx, 0.0);
+        for (dst, src) in self.x_pad.chunks_exact_mut(sx).zip(rows) {
+            for (v, s) in dst.iter_mut().zip(src) {
+                *v = *s as f32;
+            }
+        }
+        self.rows = m;
+        self.widths.clear();
+        self.widths.extend(model.widths());
+        self.acts.resize_with(model.layers().len(), Vec::new);
+        for (li, layer) in model.layers().iter().enumerate() {
+            let (done, rest) = self.acts.split_at_mut(li);
+            let a = match done.last() {
+                Some(prev) => (&prev[..], padded(layer.in_dim)),
+                None => (&self.x_pad[..], sx),
+            };
+            rest[0].resize(m * layer.n_pad, 0.0);
+            layer.apply(model.params(), m, a, &mut rest[0]);
+        }
+    }
+
+    /// The backward pass for the MSE loss `Σ_e Σ_o (f(x_e)_o − y_eo)²`
+    /// after [`Self::forward`] of `model`: overwrites `grad` — laid out
+    /// like `model.params()` — with the batch's **summed** gradients and
+    /// returns the summed loss; `y` is `rows x output_dim`, row-major.
+    ///
+    /// The loss and the output delta `2 (a − y) · act'(a)` are taken in
+    /// `f64` from the widened outputs and the `f64` targets; the delta
+    /// is rounded to `f32` once. Per layer, two calls of the tiled GEMM
+    /// ([`crate::gemm`]): `dWᵀ = inputᵀ · δ` (columns of the stored
+    /// input against `δ`, contraction over the batch), stored straight
+    /// into the layer's panels of `grad`, and the delta propagation
+    /// `δ · W` against `W` transposed from `model`'s panels, whose tile
+    /// store applies the ReLU mask and sums the next bias gradient into
+    /// `grad`. Padding entries of `grad` come out `+0.0`.
+    pub(crate) fn backward(&mut self, model: &ServingLayout, y: &[f64], grad: &mut [f32]) -> f64 {
+        assert!(
+            model.widths().eq(self.widths.iter().copied()),
+            "workspace holds a forward pass of widths {:?}, not this model's: run forward_batch first",
+            self.widths
+        );
+        let (m, layers) = (self.rows, model.layers());
+        let last = layers.last().expect("an Mlp has layers");
+        assert_eq!(y.len(), m * last.out_dim, "workspace batch size mismatch");
+        assert_eq!(
+            grad.len(),
+            model.params().len(),
+            "gradient not laid out like the model"
+        );
+
+        // Output delta dL/dz = 2 (a − y) · act'(z), the summed loss and
+        // the last layer's bias gradient, in one sweep over the output.
+        let (out_dim, mut sd) = (last.out_dim, last.n_pad);
+        self.delta.clear();
+        self.delta.resize(m * sd, 0.0);
+        let db = &mut grad[last.span()][last.in_dim * sd..];
+        db.fill(0.0);
+        let mut loss = 0.0;
+        let acts = self.acts.last().expect("an Mlp has layers");
+        for (e, yrow) in y.chunks_exact(out_dim).enumerate() {
+            let orow = acts[e * sd..e * sd + out_dim].iter().map(|&a| f64::from(a));
+            loss += orow
+                .clone()
+                .zip(yrow)
+                .map(|(a, t)| (a - t) * (a - t))
+                .sum::<f64>();
+            let drow = &mut self.delta[e * sd..e * sd + out_dim];
+            for (((d, a), t), db) in drow.iter_mut().zip(orow).zip(yrow).zip(db.iter_mut()) {
+                *d = (2.0 * (a - t) * last.activation.derivative_from_output(a)) as f32;
+                *db += *d;
+            }
+        }
+        for (li, layer) in layers.iter().enumerate().rev() {
+            let (k, s_in) = (layer.in_dim, padded(layer.in_dim));
+            let input = match li {
+                0 => &self.x_pad,
+                _ => &self.acts[li - 1],
+            };
+            // dWᵀ = inputᵀ · δ: columns of the input against δ's rows.
+            gemm(
+                (k, m, sd / NR),
+                input,
+                (1, s_in),
+                &self.delta,
+                (NR, sd),
+                &mut Panels(&mut grad[layer.span()], k),
+            );
+            if li > 0 {
+                // δ_prev = (δ · W) .* act'(a_prev), and db_prev with it.
+                let below = &layers[li - 1];
+                transpose_panels(
+                    &mut self.panels,
+                    layer.split(model.params()).0,
+                    k,
+                    layer.out_dim,
+                );
+                self.delta_prev.resize(m * s_in, 0.0);
+                let db = &mut grad[below.span()][below.in_dim * s_in..];
+                db.fill(0.0);
+                gemm(
+                    (m, layer.out_dim, s_in / NR),
+                    &self.delta,
+                    (sd, 1),
+                    &self.panels,
+                    (layer.out_dim * NR, NR),
+                    &mut MaskSum {
+                        delta_prev: &mut self.delta_prev,
+                        a_prev: input,
+                        stride: s_in,
+                        activation: below.activation,
+                        db,
+                    },
+                );
+                std::mem::swap(&mut self.delta, &mut self.delta_prev);
+                sd = s_in;
+            }
+        }
+        loss
     }
 }
 
@@ -260,7 +357,7 @@ impl Mlp {
         &self.layers
     }
 
-    /// Mutable layer access (used by the optimizer).
+    /// Mutable layer access.
     pub fn layers_mut(&mut self) -> &mut [Dense] {
         &mut self.layers
     }
@@ -383,24 +480,20 @@ impl Mlp {
         (pre, acts)
     }
 
-    /// Input width followed by every layer's output width.
-    fn widths(&self) -> impl Iterator<Item = usize> + '_ {
-        std::iter::once(self.input_dim()).chain(self.layers.iter().map(Dense::out_dim))
-    }
-
     /// Batched forward pass: compute activations for a whole
     /// `batch x input_dim` matrix (one example per row), reusing `ws`.
     ///
     /// Computes in `f32`, the precision the model is stored and served
-    /// in: `x` is cast `as f32` once into `ws` (the backward pass reads
-    /// the same cast; [`crate::train::train_rows`] gathers its
-    /// mini-batches in the same way), and each layer is one tiled GEMM
-    /// ([`crate::gemm`]) of the previous activations against the layer's
-    /// weights, rounded and packed into `Wᵀ` panels inside this call,
-    /// with `+ bias` and the activation fused into the tile store. All
-    /// per-layer activations are retained in `ws` for
-    /// [`Mlp::backward_batch`]; the returned reference is the final
-    /// layer's output (`batch x output_dim`), widened to `f64`.
+    /// in: the model is packed into its [`ServingLayout`] (every
+    /// parameter rounded `as f32`), `x` is cast `as f32` once into `ws`
+    /// (the backward pass reads the same cast), and each layer is one
+    /// tiled GEMM ([`crate::gemm`]) of the previous activations against
+    /// the layer's `Wᵀ` panels, with `+ bias` and the activation fused
+    /// into the tile store — the forward [`crate::train::train_rows`]
+    /// runs on its `f32` master weights. All per-layer activations are
+    /// retained in `ws` for [`Mlp::backward_batch`]; the returned
+    /// reference is the final layer's output (`batch x output_dim`),
+    /// widened to `f64`.
     ///
     /// Each row is bitwise [`crate::fused::forward_per_example`] of the
     /// row cast `as f32` — and therefore bitwise what
@@ -419,40 +512,9 @@ impl Mlp {
             x.cols(),
             self.input_dim()
         );
-        self.forward_gather(ws, x.as_slice().chunks_exact(x.cols()))
-    }
-
-    /// [`Mlp::forward_batch`] over rows gathered from anywhere: each row
-    /// is cast `as f32` straight into `ws`'s padded input, then the one
-    /// forward runs. The caller checks every row is `input_dim` wide.
-    pub(crate) fn forward_gather<'w, 'a>(
-        &self,
-        ws: &'w mut BatchWorkspace,
-        rows: impl ExactSizeIterator<Item = &'a [f64]>,
-    ) -> &'w Matrix {
-        let (m, sx) = (rows.len(), padded(self.input_dim()));
-        ws.x_pad.clear();
-        ws.x_pad.resize(m * sx, 0.0);
-        for (dst, src) in ws.x_pad.chunks_exact_mut(sx).zip(rows) {
-            for (v, s) in dst.iter_mut().zip(src) {
-                *v = *s as f32;
-            }
-        }
-        ws.rows = m;
-        ws.widths.clear();
-        ws.widths.extend(self.widths());
-        ws.acts.resize_with(self.layers.len(), Vec::new);
-        for (li, layer) in self.layers.iter().enumerate() {
-            let (done, rest) = ws.acts.split_at_mut(li);
-            let a = match done.last() {
-                Some(prev) => (&prev[..], padded(layer.in_dim())),
-                None => (&ws.x_pad[..], sx),
-            };
-            rest[0].resize(m * padded(layer.out_dim()), 0.0);
-            layer.forward_rows(&mut ws.panels, m, a, &mut rest[0]);
-        }
+        ws.forward(&self.serving_layout(), x.as_slice().chunks_exact(x.cols()));
         let n = self.output_dim();
-        ws.out.resize(m, n);
+        ws.out.resize(x.rows(), n);
         let last = ws.acts.last().expect("an Mlp has layers");
         unpad(ws.out.as_mut_slice(), n, last, padded(n));
         &ws.out
@@ -471,23 +533,14 @@ impl Mlp {
     /// Requires that [`Mlp::forward_batch`] was just called on `ws`: the
     /// input it cast to `f32`, kept in `ws`, is what this reads.
     /// Overwrites `grads` with the **summed** (not averaged) gradients
-    /// of the batch — fold the `1/batch` factor into the optimizer step
-    /// via
-    /// [`Optimizer::step_scaled`](crate::optimizer::Optimizer::step_scaled).
-    /// Returns the summed batch loss.
+    /// of the batch and returns the summed batch loss.
     ///
-    /// Computes in `f32`. The loss and the output delta
-    /// `2 (a − y) · act'(a)` are taken in `f64` from the widened outputs
-    /// and the `f64` targets; the delta is rounded to `f32` once. Per
-    /// layer, two calls of the tiled GEMM ([`crate::gemm`]): the weight
-    /// gradient `δᵀ · input` (columns of `δ` against the stored
-    /// activations, contraction over the batch) and the delta
-    /// propagation `δ · W`, whose tile store applies the ReLU mask and
-    /// accumulates the next bias gradient's column sums. Each gradient
-    /// is summed over the whole batch in `f32` and widened to `f64` once,
-    /// as it is copied into `grads`. The result is bitwise
-    /// [`batch_gradient_per_example`]; how far it is from the `f64`
-    /// [`accumulate_example_gradient`] sum is bounded by
+    /// Computes in `f32`, as the training step does: the backward pass
+    /// of [`crate::train::train_rows`] run on this model's
+    /// [`ServingLayout`], its gradient (laid out like the layout) then
+    /// unpacked into `grads`, each `f32` sum widened to `f64` once. The
+    /// result is bitwise [`batch_gradient_per_example`]; how far it is
+    /// from the `f64` [`accumulate_example_gradient`] sum is bounded by
     /// `tests/training_accuracy.rs`.
     ///
     /// # Panics
@@ -509,12 +562,6 @@ impl Mlp {
             y.cols()
         );
         assert!(
-            self.widths().eq(ws.widths.iter().copied()),
-            "workspace holds a forward pass of widths {:?}, not this model's: run forward_batch first",
-            ws.widths
-        );
-        assert_eq!(ws.rows, m, "workspace batch size mismatch");
-        assert!(
             grads.layers.len() == self.layers.len()
                 && grads.layers.iter().zip(&self.layers).all(|((dw, db), l)| (
                     dw.rows(),
@@ -527,76 +574,14 @@ impl Mlp {
                 )),
             "gradient buffers are not shaped like this model"
         );
-
-        // Output delta dL/dz = 2 (a − y) · act'(z), the summed loss and
-        // the last layer's bias gradient, in one sweep over the output.
-        let last = self.layers.len() - 1;
-        let last_act = self.layers[last].activation;
-        let mut sd = padded(out_dim);
-        ws.delta.clear();
-        ws.delta.resize(m * sd, 0.0);
-        ws.grad.clear();
-        ws.grad.resize(sd, 0.0);
-        let mut loss = 0.0;
-        for e in 0..m {
-            let (orow, yrow) = (ws.out.row(e), y.row(e));
-            loss += orow
-                .iter()
-                .zip(yrow)
-                .map(|(a, t)| (a - t) * (a - t))
-                .sum::<f64>();
-            let drow = &mut ws.delta[e * sd..e * sd + out_dim];
-            for (((d, a), t), db) in drow.iter_mut().zip(orow).zip(yrow).zip(&mut ws.grad) {
-                *d = (2.0 * (a - t) * last_act.derivative_from_output(*a)) as f32;
-                *db += *d;
-            }
-        }
-        unpad(&mut grads.layers[last].1, out_dim, &ws.grad, sd);
-        for li in (0..self.layers.len()).rev() {
-            let layer = &self.layers[li];
-            let (out, inp) = (layer.out_dim(), layer.in_dim());
-            let s_in = padded(inp);
-            let (below, here) = grads.layers.split_at_mut(li);
-            let input = match li {
-                0 => &ws.x_pad,
-                _ => &ws.acts[li - 1],
-            };
-            // dW = δᵀ · input: columns of δ against the input's rows.
-            ws.grad.resize(out * s_in, 0.0);
-            gemm(
-                (out, m, s_in / NR),
-                &ws.delta,
-                (1, sd),
-                input,
-                (NR, s_in),
-                &mut Plain(&mut ws.grad, s_in),
-            );
-            unpad(here[0].0.as_mut_slice(), inp, &ws.grad, s_in);
-            if li > 0 {
-                // δ_prev = (δ · W) .* act'(a_prev), and db_prev with it.
-                pack(&mut ws.panels, layer.weights.as_slice(), (inp, 1), out, inp);
-                ws.delta_prev.resize(m * s_in, 0.0);
-                ws.grad.clear();
-                ws.grad.resize(s_in, 0.0);
-                gemm(
-                    (m, out, s_in / NR),
-                    &ws.delta,
-                    (sd, 1),
-                    &ws.panels,
-                    (out * NR, NR),
-                    &mut MaskSum {
-                        delta_prev: &mut ws.delta_prev,
-                        a_prev: input,
-                        stride: s_in,
-                        activation: self.layers[li - 1].activation,
-                        db: &mut ws.grad,
-                    },
-                );
-                unpad(&mut below[li - 1].1, inp, &ws.grad, s_in);
-                std::mem::swap(&mut ws.delta, &mut ws.delta_prev);
-                sd = s_in;
-            }
-        }
+        let model = self.serving_layout();
+        let mut grad = vec![0.0; model.params().len()];
+        let loss = ws.backward(&model, y.as_slice(), &mut grad);
+        let into = grads
+            .layers
+            .iter_mut()
+            .map(|(w, b)| (w.as_mut_slice(), &mut b[..]));
+        model.unpack(&grad, into);
         loss
     }
 
@@ -690,34 +675,14 @@ impl Gradients {
                 .collect(),
         }
     }
-
-    /// Reset to zero for the next batch.
-    pub fn zero(&mut self) {
-        for (w, b) in &mut self.layers {
-            w.fill_zero();
-            b.fill(0.0);
-        }
-    }
-
-    /// Scale all gradients by `s` (e.g. `1/batch_size`).
-    pub fn scale(&mut self, s: f64) {
-        for (w, b) in &mut self.layers {
-            for v in w.as_mut_slice() {
-                *v *= s;
-            }
-            for v in b {
-                *v *= s;
-            }
-        }
-    }
 }
 
 /// Accumulate into `grads` the MSE gradient contribution of one example,
 /// in `f64` — the reference `tests/training_accuracy.rs` bounds the
 /// `f32` training step against.
 ///
-/// Loss convention: `L = (f(x) - y)^2` summed over outputs; the caller is
-/// responsible for averaging over the batch via [`Gradients::scale`].
+/// Loss convention: `L = (f(x) - y)^2` summed over outputs; averaging
+/// over a batch is the caller's.
 pub fn accumulate_example_gradient(mlp: &Mlp, x: &[f64], y: &[f64], grads: &mut Gradients) -> f64 {
     let (pre, acts) = mlp.forward_full(x);
     let out = acts.last().expect("nonempty");
@@ -819,6 +784,39 @@ pub fn batch_gradient_per_example(mlp: &Mlp, x: &Matrix, y: &Matrix, grads: &mut
         }
     }
     loss
+}
+
+/// The row-major `f32` view the per-example reference loops step with
+/// [`crate::optimizer::Adam`]: every weight then every bias, layer by
+/// layer.
+#[cfg(test)]
+impl Mlp {
+    pub(crate) fn row_major_f32(&self) -> Vec<f32> {
+        let all = self
+            .layers
+            .iter()
+            .flat_map(|l| l.weights.as_slice().iter().chain(&l.biases));
+        all.map(|&v| v as f32).collect()
+    }
+
+    pub(crate) fn set_row_major(&mut self, params: &[f32]) {
+        let all = self.layers.iter_mut();
+        let all = all.flat_map(|l| l.weights.as_mut_slice().iter_mut().chain(&mut l.biases));
+        for (w, p) in all.zip(params) {
+            *w = f64::from(*p);
+        }
+    }
+}
+
+#[cfg(test)]
+impl Gradients {
+    pub(crate) fn row_major_f32(&self) -> Vec<f32> {
+        let all = self
+            .layers
+            .iter()
+            .flat_map(|(w, b)| w.as_slice().iter().chain(b));
+        all.map(|&v| v as f32).collect()
+    }
 }
 
 #[cfg(test)]

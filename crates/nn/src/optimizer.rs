@@ -1,137 +1,91 @@
-//! First-order optimizers. The paper trains with Adam (Kingma & Ba, 2014);
-//! plain SGD is included for the construction-vs-SGD study (Fig. 19).
+//! The optimizer the paper trains with: Adam (Kingma & Ba, 2014), in
+//! `f32` over flat parameter slices.
+//!
+//! [`crate::train`] holds a model's master weights as one `f32` vector
+//! in the serving layout's order and its gradient in the same order, so
+//! a step is one elementwise sweep over four slices — parameters,
+//! gradient, first and second moment — which the compiler vectorises.
+//! Adam is elementwise, so the order is the caller's: any order of the
+//! same values takes the same step.
+//!
+//! **Precision.** All of it is `f32` arithmetic: the hyperparameters
+//! (`β₁`, `β₂`, `ε`, the learning rate) are rounded to `f32` once, and
+//! what is derived from them — `1 − β` and, per step, the bias
+//! corrections `1 − βᵗ` (`f32::powi`) — is computed from the rounded
+//! values in `f32`. The update keeps the division form
+//! `lr · m̂ / (√v̂ + ε)`. A moment below
+//! [`f32::MIN_POSITIVE`] is flushed to zero: with a gradient that has
+//! become exactly zero (a dead unit) `m ← β₁ m` reaches the subnormal
+//! range after ≈ 800 steps and, rounded to nearest, would then stay a
+//! few ulps above zero for good, every later step of every sweep doing
+//! subnormal arithmetic — several times slower on common hardware.
+//! Flushed, such a parameter's moments are exactly `+0.0` and its
+//! weight stops moving.
 
-use crate::linalg::Matrix;
-use crate::mlp::{Gradients, Mlp};
+/// First-moment decay.
+const BETA1: f32 = 0.9;
+/// Second-moment decay.
+const BETA2: f32 = 0.999;
+/// Numerical floor of the update's denominator.
+const EPS: f32 = 1e-8;
 
-/// A stateful optimizer that applies [`Gradients`] to an [`Mlp`].
-pub trait Optimizer {
-    /// Apply one update step using `scale * grads`. `grads` must be
-    /// shaped like `mlp`.
-    ///
-    /// The batched training loop hands the optimizer **summed** batch
-    /// gradients with `scale = 1/batch_size`; folding the average into
-    /// the update avoids a whole extra pass over the gradient buffers
-    /// per step, and multiplies in the same order the scale-then-step
-    /// path did, so results are bit-identical.
-    fn step_scaled(&mut self, mlp: &mut Mlp, grads: &Gradients, scale: f64);
-
-    /// Apply one update step. `grads` must be shaped like `mlp`.
-    fn step(&mut self, mlp: &mut Mlp, grads: &Gradients) {
-        self.step_scaled(mlp, grads, 1.0);
-    }
-}
-
-/// Plain stochastic gradient descent with a fixed learning rate.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f64,
-}
-
-impl Optimizer for Sgd {
-    fn step_scaled(&mut self, mlp: &mut Mlp, grads: &Gradients, scale: f64) {
-        for (layer, (dw, db)) in mlp.layers_mut().iter_mut().zip(&grads.layers) {
-            let w = layer.weights.as_mut_slice();
-            for (wi, gi) in w.iter_mut().zip(dw.as_slice()) {
-                *wi -= self.lr * (gi * scale);
-            }
-            for (bi, gi) in layer.biases.iter_mut().zip(db) {
-                *bi -= self.lr * (gi * scale);
-            }
-        }
-    }
-}
-
-/// Adam optimizer (Kingma & Ba 2014) with bias correction.
+/// Adam with bias correction (Kingma & Ba 2014), in `f32` (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub struct Adam {
-    /// Learning rate (paper/TF default 1e-3).
-    pub lr: f64,
-    /// Exponential decay for the first moment.
-    pub beta1: f64,
-    /// Exponential decay for the second moment.
-    pub beta2: f64,
-    /// Numerical floor.
-    pub eps: f64,
+    lr: f32,
     t: u64,
-    m: Option<Vec<(Matrix, Vec<f64>)>>,
-    v: Option<Vec<(Matrix, Vec<f64>)>>,
+    m: Vec<f32>,
+    v: Vec<f32>,
 }
 
 impl Adam {
-    /// Adam with standard hyperparameters and the given learning rate.
-    pub fn new(lr: f64) -> Self {
+    /// Adam with standard hyperparameters (`β₁ = 0.9`, `β₂ = 0.999`,
+    /// `ε = 1e-8`) and the given learning rate, for `len` parameters.
+    pub fn new(lr: f64, len: usize) -> Self {
         Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
+            lr: lr as f32,
             t: 0,
-            m: None,
-            v: None,
+            m: vec![0.0; len],
+            v: vec![0.0; len],
         }
     }
 
-    fn ensure_state(&mut self, grads: &Gradients) {
-        if self.m.is_none() {
-            let zeros = || {
-                grads
-                    .layers
-                    .iter()
-                    .map(|(w, b)| (Matrix::zeros(w.rows(), w.cols()), vec![0.0; b.len()]))
-                    .collect::<Vec<_>>()
-            };
-            self.m = Some(zeros());
-            self.v = Some(zeros());
-        }
+    /// The first and second moments, one per parameter.
+    pub fn moments(&self) -> (&[f32], &[f32]) {
+        (&self.m, &self.v)
     }
-}
 
-impl Optimizer for Adam {
-    fn step_scaled(&mut self, mlp: &mut Mlp, grads: &Gradients, scale: f64) {
-        self.ensure_state(grads);
+    /// One update of `params` with the gradient `scale * grads`.
+    ///
+    /// The training loop hands over **summed** batch gradients with
+    /// `scale = 1 / batch_size`, which saves a pass over the gradient.
+    ///
+    /// # Panics
+    /// Panics unless `params` and `grads` hold one entry per parameter.
+    pub fn step(&mut self, params: &mut [f32], grads: &[f32], scale: f32) {
+        assert!(
+            params.len() == self.m.len() && grads.len() == self.m.len(),
+            "Adam state is for {} parameters",
+            self.m.len()
+        );
         self.t += 1;
-        let (b1, b2) = (self.beta1, self.beta2);
         // Saturate rather than wrap: past `i32::MAX` steps both powers
         // have long underflowed to 0 and the corrections are exactly 1.
         let t = i32::try_from(self.t).unwrap_or(i32::MAX);
-        let bc1 = 1.0 - b1.powi(t);
-        let bc2 = 1.0 - b2.powi(t);
-        let m = self.m.as_mut().expect("state initialized");
-        let v = self.v.as_mut().expect("state initialized");
-        for (li, layer) in mlp.layers_mut().iter_mut().enumerate() {
-            let (dw, db) = &grads.layers[li];
-            let (mw, mb) = &mut m[li];
-            let (vw, vb) = &mut v[li];
-            let ws = layer.weights.as_mut_slice();
-            for (((wi, gi), mi), vi) in ws
-                .iter_mut()
-                .zip(dw.as_slice())
-                .zip(mw.as_mut_slice())
-                .zip(vw.as_mut_slice())
-            {
-                let g = gi * scale;
-                *mi = b1 * *mi + (1.0 - b1) * g;
-                *vi = b2 * *vi + (1.0 - b2) * g * g;
-                let mhat = *mi / bc1;
-                let vhat = *vi / bc2;
-                *wi -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-            for (((bi, gi), mi), vi) in layer
-                .biases
-                .iter_mut()
-                .zip(db)
-                .zip(mb.iter_mut())
-                .zip(vb.iter_mut())
-            {
-                let g = gi * scale;
-                *mi = b1 * *mi + (1.0 - b1) * g;
-                *vi = b2 * *vi + (1.0 - b2) * g * g;
-                let mhat = *mi / bc1;
-                let vhat = *vi / bc2;
-                *bi -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
+        let (b1, b2, lr) = (BETA1, BETA2, self.lr);
+        let (bc1, bc2) = (1.0 - b1.powi(t), 1.0 - b2.powi(t));
+        let flush = |x: f32| if x.abs() < f32::MIN_POSITIVE { 0.0 } else { x };
+        for (((w, g), m), v) in params
+            .iter_mut()
+            .zip(grads)
+            .zip(&mut self.m)
+            .zip(&mut self.v)
+        {
+            let g = g * scale;
+            *m = flush(b1 * *m + (1.0 - b1) * g);
+            *v = flush(b2 * *v + (1.0 - b2) * g * g);
+            *w -= lr * (*m / bc1) / ((*v / bc2).sqrt() + EPS);
         }
     }
 }
@@ -139,61 +93,35 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mlp::accumulate_example_gradient;
+    use crate::mlp::{accumulate_example_gradient, Gradients, Mlp};
 
-    /// One optimizer step on a single example must reduce that example's
-    /// loss for a reasonable learning rate.
-    fn loss_decreases_with<O: Optimizer>(mut opt: O) {
+    #[test]
+    fn adam_decreases_loss() {
+        // 50 steps on one example at a reasonable learning rate must
+        // at least halve its loss.
         let mut mlp = Mlp::new(&[2, 8, 1], 3);
-        let x = [0.2, 0.8];
-        let y = [2.0];
-        let before = {
-            let p = mlp.predict(&x);
-            (p - y[0]).powi(2)
-        };
+        let (x, y) = ([0.2, 0.8], [2.0]);
+        let loss = |m: &Mlp| (m.predict(&x) - y[0]).powi(2);
+        let before = loss(&mlp);
+        let mut params = mlp.row_major_f32();
+        let mut adam = Adam::new(0.01, params.len());
         for _ in 0..50 {
             let mut g = Gradients::zeros_like(&mlp);
             accumulate_example_gradient(&mlp, &x, &y, &mut g);
-            opt.step(&mut mlp, &g);
+            adam.step(&mut params, &g.row_major_f32(), 1.0);
+            mlp.set_row_major(&params);
         }
-        let after = {
-            let p = mlp.predict(&x);
-            (p - y[0]).powi(2)
-        };
+        let after = loss(&mlp);
         assert!(after < before * 0.5, "before {before} after {after}");
     }
 
     #[test]
-    fn sgd_decreases_loss() {
-        loss_decreases_with(Sgd { lr: 0.01 });
-    }
-
-    #[test]
-    fn adam_decreases_loss() {
-        loss_decreases_with(Adam::new(0.01));
-    }
-
-    #[test]
-    fn step_scaled_matches_scale_then_step() {
-        // step_scaled(g, s) must equal the two-pass grads.scale(s); step(g)
-        // bit for bit — the batched training loop relies on this.
-        let mut a = Mlp::new(&[2, 6, 1], 8);
-        let mut b = a.clone();
-        let x = [0.3, -0.4];
-        let y = [0.7];
-        let mut adam_a = Adam::new(0.01);
-        let mut adam_b = Adam::new(0.01);
-        for _ in 0..5 {
-            let mut g = Gradients::zeros_like(&a);
-            accumulate_example_gradient(&a, &x, &y, &mut g);
-            adam_a.step_scaled(&mut a, &g, 0.25);
-
-            let mut g2 = Gradients::zeros_like(&b);
-            accumulate_example_gradient(&b, &x, &y, &mut g2);
-            g2.scale(0.25);
-            adam_b.step(&mut b, &g2);
-        }
-        assert_eq!(a, b);
+    fn adam_bias_correction_first_step() {
+        // With a single constant gradient g on the first step, Adam's
+        // update is lr * g/|g| = lr * sign(g) up to eps.
+        let (mut w, mut adam) = ([0.0f32], Adam::new(0.1, 1));
+        adam.step(&mut w, &[0.5], 1.0);
+        assert!((w[0] + 0.1).abs() < 1e-6, "w = {}, expected ~ -0.1", w[0]);
     }
 
     #[test]
@@ -202,15 +130,12 @@ mod tests {
         // corrections into `1 - beta^(-n)`: huge negative divisors and an
         // update that vanishes. Saturated, every step across the
         // boundary still moves the weight against the gradient.
-        let mut mlp = Mlp::with_init(&[1, 1], crate::init::Init::Zeros, 0).unwrap();
-        let mut g = Gradients::zeros_like(&mlp);
-        g.layers[0].0.set(0, 0, 0.5);
-        let mut adam = Adam::new(0.1);
+        let (mut w, mut adam) = ([0.0f32], Adam::new(0.1, 1));
         adam.t = i32::MAX as u64 - 2;
         for _ in 0..5 {
-            let before = mlp.layers()[0].weights.get(0, 0);
-            adam.step(&mut mlp, &g);
-            let moved = before - mlp.layers()[0].weights.get(0, 0);
+            let before = w[0];
+            adam.step(&mut w, &[0.5], 1.0);
+            let moved = before - w[0];
             assert!(
                 (0.05..1.0).contains(&moved),
                 "step {} moved the weight by {moved}",
@@ -221,15 +146,48 @@ mod tests {
     }
 
     #[test]
-    fn adam_bias_correction_first_step() {
-        // With a single constant gradient g on the first step, Adam's update
-        // must be lr * g/|g| = lr * sign(g) up to eps.
-        let mut mlp = Mlp::with_init(&[1, 1], crate::init::Init::Zeros, 0).unwrap();
-        let mut g = Gradients::zeros_like(&mlp);
-        g.layers[0].0.set(0, 0, 0.5);
-        let mut adam = Adam::new(0.1);
-        adam.step(&mut mlp, &g);
-        let w = mlp.layers()[0].weights.get(0, 0);
-        assert!((w + 0.1).abs() < 1e-6, "w = {w}, expected ~ -0.1");
+    fn moments_of_a_vanished_gradient_flush_to_zero_and_the_weight_stops() {
+        // Both gradients become exactly 0.0 after step 10. Unflushed,
+        // `m ← 0.9 m` lands in the subnormal range after a few hundred
+        // steps and round-to-nearest keeps it there (0.9 · m rounds back
+        // up a few ulps above zero), and `v ← 0.999 v` likewise; this
+        // test then fails on the first subnormal moment. Parameter 0
+        // has an ordinary gradient: its `m` reaches zero near step 800,
+        // its `v` not within the run. Parameter 1's is tiny (`(1 − β₂)
+        // g²` just above `f32::MIN_POSITIVE`), so both of its moments
+        // reach zero, and its weight is small enough that the updates
+        // before that are visible.
+        let start = [0.25f32, 1e-9];
+        let (mut w, mut adam) = (start, Adam::new(1e-3, 2));
+        let mut moving = [true; 2];
+        for step in 1..=4_000 {
+            let g = if step <= 10 { [0.3, 4e-18] } else { [0.0; 2] };
+            let before = w;
+            adam.step(&mut w, &g, 1.0);
+            let (m, v) = adam.moments();
+            for (i, x) in [m[0], m[1], v[0], v[1]].into_iter().enumerate() {
+                assert!(!x.is_subnormal(), "step {step}: moment {i} is {x:e}");
+            }
+            for i in 0..2 {
+                if m[i] == 0.0 {
+                    assert_eq!(m[i].to_bits(), 0, "step {step}: m[{i}] is -0.0");
+                    assert_eq!(
+                        w[i].to_bits(),
+                        before[i].to_bits(),
+                        "step {step}: w[{i}] moved"
+                    );
+                    moving[i] = false;
+                } else {
+                    assert!(moving[i], "step {step}: m[{i}] left zero");
+                }
+            }
+        }
+        assert!(
+            w[0] < start[0] && w[1] < start[1],
+            "both weights moved at first"
+        );
+        let (m, v) = adam.moments();
+        assert_eq!([m[0], m[1], v[1]].map(f32::to_bits), [0; 3]);
+        assert!(v[0] > 0.0);
     }
 }

@@ -8,36 +8,46 @@
 //! [`train_rows`] is the batched hot path, and [`train`] is it over a
 //! row-form set. The rows are read through an index, so a caller
 //! training on a subset of its workload (a kd-tree leaf's query ids)
-//! copies none of them. Each mini-batch is gathered once, cast `as f32`
+//! copies none of them. For the whole run the model is held as `f32`
+//! master weights in its [`ServingLayout`] — `Wᵀ` panels and padded
+//! biases, the order the GEMMs read — and unpacked into the [`Mlp`]
+//! once, at the end. Each mini-batch is gathered once, cast `as f32`
 //! straight into the reused [`BatchWorkspace`]'s padded input (the one
 //! gather and the one cast of the loop), and pushed through the forward
-//! and [`Mlp::backward_batch`] — three calls of the crate's tiled GEMM
-//! ([`crate::gemm`]) per layer, zero per-example allocation — and the
-//! Adam step consumes the summed batch gradients directly.
+//! and backward passes — three calls of the crate's tiled GEMM
+//! ([`crate::gemm`]) per layer, the weight gradient stored straight in
+//! the panels' order, zero per-example allocation — and [`Adam`] takes
+//! one elementwise sweep over the parameters, the summed gradient and
+//! its moments, all in that order.
 //!
-//! **Precision.** The GEMMs run at `f32`, the precision the trained
-//! model is stored and served in: each mini-batch is cast to `f32` as
-//! it is gathered, the weights are rounded as they are packed, and each
-//! batch's gradient sums are widened to `f64` once. The master weights,
-//! the Adam moments and step, and the loss stay `f64`, so updates
-//! smaller than an `f32` ulp of a weight still accumulate.
+//! **Precision.** Training computes at `f32`, the precision the trained
+//! model is stored and served in: each mini-batch is cast to `f32` as it
+//! is gathered, every parameter is rounded to `f32` once as the run
+//! starts, and the master weights, the gradients and the Adam moments
+//! and step stay `f32` (the loss and the output delta are taken in
+//! `f64`). An update smaller than half an `f32` ulp of its weight is
+//! lost, and a moment that decays below [`f32::MIN_POSITIVE`] is flushed
+//! to zero ([`crate::optimizer`] says why). A trained model's every
+//! parameter is `f32`-representable, so it equals its own
+//! [`Mlp::quantized`] twin and an `F32` save is lossless.
 //!
 //! **Determinism contract.** The shuffle RNG is consumed once per epoch
 //! and every gradient entry is accumulated in the per-example
 //! floating-point order, so `train` produces, bit for bit, the weights
 //! of the one-example-at-a-time loop
-//! ([`batch_gradient_per_example`] over each batch, then the same
-//! [`Optimizer::step_scaled`]). That loop is kept as the oracle in
-//! `tests/batched_vs_scalar.rs`, which asserts the equality with
-//! `to_bits()` on both the FMA and the non-FMA build. The trained
-//! weights are not those of an `f64` step; `tests/training_accuracy.rs`
-//! bounds how far one step's gradients are from it.
+//! ([`batch_gradient_per_example`] over each batch, then the same `f32`
+//! [`Adam::step`] over the row-major parameters). That loop is kept as
+//! the oracle in `tests/batched_vs_scalar.rs`, which asserts the
+//! equality with `to_bits()` on both the FMA and the non-FMA build. The
+//! trained weights are not those of an `f64` step;
+//! `tests/training_accuracy.rs` bounds how far one step's gradients and
+//! a 256-step run's weights are from it.
 //!
 //! [`batch_gradient_per_example`]: crate::mlp::batch_gradient_per_example
 
-use crate::linalg::Matrix;
-use crate::mlp::{BatchWorkspace, Gradients, Mlp};
-use crate::optimizer::{Adam, Optimizer};
+use crate::fused::ServingLayout;
+use crate::mlp::{BatchWorkspace, Mlp};
+use crate::optimizer::Adam;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -107,11 +117,12 @@ pub fn train(mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[f64], cfg: &TrainConfig) -> T
 /// Train `mlp` with MSE + Adam on the `ys.len()` examples
 /// `(row(i), ys[i])` — the batched hot path.
 ///
-/// Each mini-batch's rows are gathered through `row`, cast `as f32`
-/// into the workspace and pushed through the forward pass and
-/// [`Mlp::backward_batch`]; the Adam step consumes the summed batch
-/// gradients directly via [`Optimizer::step_scaled`]. All scratch lives
-/// in buffers grown once and reused for the whole run. The shuffle
+/// The model is packed into `f32` master weights, trained there and
+/// unpacked into `mlp` once, however the run ends. Each mini-batch's
+/// rows are gathered through `row`, cast `as f32` into the workspace and
+/// pushed through the forward and backward passes; [`Adam::step`]
+/// consumes the summed batch gradients directly. All scratch lives in
+/// buffers grown once and reused for the whole run. The shuffle
 /// permutes the numbers `0..ys.len()`, so the same rows under the same
 /// numbers train the same bits whatever they are read from.
 ///
@@ -130,13 +141,32 @@ pub fn train_rows<'a>(
         (0..ys.len()).all(|i| row(i).len() == d),
         "feature dim does not match network input dim {d}"
     );
+    let mut model = mlp.serving_layout();
+    let mut adam = Adam::new(cfg.lr, model.params().len());
+    let report = train_layout(&mut model, &mut adam, row, ys, cfg);
+    let into = mlp.layers_mut().iter_mut();
+    model.unpack(
+        model.params(),
+        into.map(|l| (l.weights.as_mut_slice(), &mut l.biases[..])),
+    );
+    report
+}
+
+/// The training loop of [`train_rows`] on the `f32` master weights
+/// `model`, stepped by `adam`.
+fn train_layout<'a>(
+    model: &mut ServingLayout,
+    adam: &mut Adam,
+    row: impl Fn(usize) -> &'a [f64],
+    ys: &[f64],
+    cfg: &TrainConfig,
+) -> TrainReport {
     let start = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..ys.len()).collect();
-    let mut adam = Adam::new(cfg.lr);
-    let mut grads = Gradients::zeros_like(mlp);
+    let mut grad = vec![0.0; model.params().len()];
     let mut ws = BatchWorkspace::default();
-    let mut yb = Matrix::zeros(0, 0);
+    let mut yb = Vec::new();
     let mut curve = Vec::with_capacity(cfg.epochs);
     let mut best = f64::INFINITY;
     let mut stale = 0usize;
@@ -147,13 +177,11 @@ pub fn train_rows<'a>(
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0;
         for chunk in order.chunks(cfg.batch_size.max(1)) {
-            yb.resize(chunk.len(), 1);
-            for (r, &i) in chunk.iter().enumerate() {
-                yb.set(r, 0, ys[i]);
-            }
-            mlp.forward_gather(&mut ws, chunk.iter().map(|&i| row(i)));
-            let batch_loss = mlp.backward_batch(&mut ws, &yb, &mut grads);
-            adam.step_scaled(mlp, &grads, 1.0 / chunk.len() as f64);
+            yb.clear();
+            yb.extend(chunk.iter().map(|&i| ys[i]));
+            ws.forward(model, chunk.iter().map(|&i| row(i)));
+            let batch_loss = ws.backward(model, &yb, &mut grad);
+            adam.step(model.params_mut(), &grad, (1.0 / chunk.len() as f64) as f32);
             epoch_loss += batch_loss;
             if let Some(budget) = cfg.time_budget {
                 if start.elapsed() > budget {
@@ -189,6 +217,7 @@ pub fn train_rows<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::NR;
 
     fn make_linear_set(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let xs: Vec<Vec<f64>> = (0..n)
@@ -258,9 +287,11 @@ mod tests {
 
     #[test]
     fn batched_and_per_example_paths_agree_bitwise() {
-        // The per-example loop in its shortest form (no stopping rule);
+        // The per-example loop in its shortest form (no stopping rule),
+        // stepping the row-major parameters with the same `f32` Adam;
         // `tests/batched_vs_scalar.rs` holds the full oracle.
-        use crate::mlp::batch_gradient_per_example;
+        use crate::linalg::Matrix;
+        use crate::mlp::{batch_gradient_per_example, Gradients};
         let (xs, ys) = make_linear_set(83); // odd size: ragged final batch
         let cfg = TrainConfig {
             epochs: 25,
@@ -274,7 +305,8 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut order: Vec<usize> = (0..xs.len()).collect();
-        let mut adam = Adam::new(cfg.lr);
+        let mut params = reference.row_major_f32();
+        let mut adam = Adam::new(cfg.lr, params.len());
         let mut grads = Gradients::zeros_like(&reference);
         for _ in 0..cfg.epochs {
             order.shuffle(&mut rng);
@@ -283,10 +315,98 @@ mod tests {
                 let x = Matrix::from_vec(chunk.len(), 2, rows);
                 let y = Matrix::from_vec(chunk.len(), 1, chunk.iter().map(|&i| ys[i]).collect());
                 batch_gradient_per_example(&reference, &x, &y, &mut grads);
-                adam.step_scaled(&mut reference, &grads, 1.0 / chunk.len() as f64);
+                let g = grads.row_major_f32();
+                adam.step(&mut params, &g, (1.0 / chunk.len() as f64) as f32);
+                reference.set_row_major(&params);
             }
         }
         assert_eq!(batched, reference, "weights must match bit for bit");
+    }
+
+    #[test]
+    fn every_exit_writes_the_masters_back_losslessly() {
+        let (xs, ys) = make_linear_set(83);
+        let base = TrainConfig {
+            epochs: 40,
+            batch_size: 16,
+            patience: 0,
+            ..Default::default()
+        };
+        let exits = [
+            ("epochs exhausted", base.clone()),
+            (
+                "patience",
+                TrainConfig {
+                    patience: 2,
+                    min_delta: 0.5,
+                    ..base.clone()
+                },
+            ),
+            (
+                "time budget",
+                TrainConfig {
+                    time_budget: Some(std::time::Duration::ZERO),
+                    ..base.clone()
+                },
+            ),
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (exit, cfg) in exits {
+            let init = Mlp::new(&[2, 12, 6, 1], 77);
+            let mut masters = init.serving_layout();
+            let mut adam = Adam::new(cfg.lr, masters.params().len());
+            train_layout(&mut masters, &mut adam, |i| &xs[i], &ys, &cfg);
+            let mut m = init.clone();
+            let report = train(&mut m, &xs, &ys, &cfg);
+            let stopped_early = report.epochs_run < cfg.epochs;
+            assert_eq!(stopped_early, exit != "epochs exhausted", "{exit}");
+            assert_eq!(m, m.quantized(), "{exit}");
+            let decoded = crate::binary::decode(crate::binary::encode(&m)).unwrap();
+            assert_eq!(decoded, m, "{exit}");
+            let layout = m.serving_layout();
+            assert_eq!(bits(layout.params()), bits(masters.params()), "{exit}");
+            assert_ne!(m, init.quantized(), "{exit}: the run trained");
+        }
+    }
+
+    #[test]
+    fn a_paper_shape_leaf_keeps_padding_zero_and_no_moment_subnormal() {
+        // A build leaf's run: 625 rows, batch 64, 200 epochs — 2 000
+        // steps, long enough for a dead unit's `m` to decay past the
+        // subnormal threshold had it not been flushed.
+        let xs: Vec<Vec<f64>> = (0..625)
+            .map(|i| {
+                (0..4)
+                    .map(|j| ((i * 7 + j * 13) % 25) as f64 / 25.0)
+                    .collect()
+            })
+            .collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x[0] * x[1] - 0.3 * x[2] + x[3]).collect();
+        let cfg = TrainConfig {
+            patience: 0,
+            ..Default::default()
+        };
+        let mut masters = Mlp::new(&[4, 60, 30, 30, 1], 3).serving_layout();
+        let mut adam = Adam::new(cfg.lr, masters.params().len());
+        train_layout(&mut masters, &mut adam, |i| &xs[i], &ys, &cfg);
+        let (m, v) = adam.moments();
+        let params = masters.params();
+        for (name, flat) in [("weights", params), ("m", m), ("v", v)] {
+            assert!(
+                flat.iter().all(|x| !x.is_subnormal()),
+                "{name}: a subnormal"
+            );
+            for l in masters.layers() {
+                let (panels, bias) = l.split(flat);
+                let pad_w = panels.iter().enumerate();
+                let pad_w = pad_w.filter(|(i, _)| i / (l.in_dim * NR) * NR + i % NR >= l.out_dim);
+                let pad = pad_w.map(|(_, x)| x).chain(&bias[l.out_dim..]);
+                assert!(
+                    pad.into_iter().all(|x| x.to_bits() == 0),
+                    "{name}: padding not +0.0"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! the scalar `f32` per-example path — `fused::forward_per_example`,
 //! `mlp::batch_gradient_per_example` (per-example `f32` gradients
 //! summed in batch order, widened once), and the one-example-at-a-time
-//! training loop kept below as the oracle — and the `f64`
+//! training loop kept below as the oracle, which steps row-major
+//! parameters with the same `f32` Adam where `train` steps its masters
+//! in panel order, so the two agreeing pins that order as elementwise
+//! faithful — and the `f64`
 //! `linalg::matmul` a naive triple loop, all **bit for bit**
 //! (`to_bits()`, so `-0.0` vs `0.0` counts).
 //!
@@ -22,7 +25,7 @@
 use nn::fused::{forward_per_example, MR};
 use nn::linalg::{matmul, Matrix};
 use nn::mlp::{batch_gradient_per_example, BatchWorkspace, Gradients};
-use nn::optimizer::{Adam, Optimizer};
+use nn::optimizer::Adam;
 use nn::train::{train, TrainConfig, TrainReport};
 use nn::{Activation, Mlp};
 use proptest::prelude::*;
@@ -35,15 +38,28 @@ const BATCHES: [usize; 7] = [1, MR - 1, MR, MR + 1, 49, 64, 65];
 /// Layer widths, none a multiple of the 16-column panel.
 const WIDTHS: [usize; 5] = [1, 4, 17, 30, 60];
 
+/// Every weight and bias of `layers`, row-major, layer by layer, as
+/// `f32` — the order the per-example loop steps its parameters in.
+fn row_major<'a>(layers: impl Iterator<Item = (&'a [f64], &'a [f64])>) -> Vec<f32> {
+    let all = layers.flat_map(|(w, b)| w.iter().chain(b));
+    all.map(|&v| v as f32).collect()
+}
+
 /// The one-example-at-a-time training loop, the reference `train` is
 /// held to: the same `StdRng` shuffle, `f32` gradients accumulated
-/// example by example in batch order and widened once, the same
-/// `Adam::step_scaled`, the same stopping rule.
+/// example by example in batch order, the same `f32` `Adam::step` over
+/// the row-major parameters (written back into `mlp` after every step),
+/// the same stopping rule.
 fn train_per_example(mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[f64], cfg: &TrainConfig) -> TrainReport {
     let start = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..xs.len()).collect();
-    let mut adam = Adam::new(cfg.lr);
+    let layers = |m: &Mlp| {
+        let l = m.layers().iter();
+        row_major(l.map(|l| (l.weights.as_slice(), &l.biases[..])))
+    };
+    let mut params = layers(mlp);
+    let mut adam = Adam::new(cfg.lr, params.len());
     let mut grads = Gradients::zeros_like(mlp);
     let mut curve = Vec::with_capacity(cfg.epochs);
     let mut best = f64::INFINITY;
@@ -56,7 +72,13 @@ fn train_per_example(mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[f64], cfg: &TrainConf
             let x = Matrix::from_vec(chunk.len(), mlp.input_dim(), rows);
             let y = Matrix::from_vec(chunk.len(), 1, chunk.iter().map(|&i| ys[i]).collect());
             let batch_loss = batch_gradient_per_example(mlp, &x, &y, &mut grads);
-            adam.step_scaled(mlp, &grads, 1.0 / chunk.len() as f64);
+            let g = row_major(grads.layers.iter().map(|(w, b)| (w.as_slice(), &b[..])));
+            adam.step(&mut params, &g, (1.0 / chunk.len() as f64) as f32);
+            let dst = mlp.layers_mut().iter_mut();
+            let dst = dst.flat_map(|l| l.weights.as_mut_slice().iter_mut().chain(&mut l.biases));
+            for (d, p) in dst.zip(&params) {
+                *d = f64::from(*p);
+            }
             epoch_loss += batch_loss;
         }
         epoch_loss /= xs.len() as f64;
