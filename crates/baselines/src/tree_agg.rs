@@ -54,11 +54,6 @@ impl TreeAgg {
         }
     }
 
-    /// Number of sampled rows.
-    pub fn sample_size(&self) -> usize {
-        self.sample_rows
-    }
-
     /// Collect the measure values of samples matching the predicate,
     /// using the R-tree when axis bounds exist and a sample scan
     /// otherwise (e.g. half-spaces).

@@ -75,11 +75,6 @@ impl StratifiedSampler {
         }
     }
 
-    /// Number of retained samples.
-    pub fn sample_size(&self) -> usize {
-        self.weights.len()
-    }
-
     fn iter_rows(&self) -> impl Iterator<Item = (&[f64], f64)> {
         self.rows
             .chunks_exact(self.dims)

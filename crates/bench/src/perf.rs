@@ -529,7 +529,6 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
                 router,
                 ServeOptions {
                     threads: 1,
-                    max_shard: 1024,
                     active_attrs: None,
                 },
             );

@@ -18,7 +18,9 @@
 //!   distinguishes). Including the NSKM generation in the key replaces
 //!   an invalidation protocol entirely: a hot swap bumps the
 //!   generation, so stale entries simply stop being addressable and
-//!   age out of the LRU.
+//!   age out of the LRU. Its [`CacheStats`] is occupancy plus
+//!   insertions and evictions; hits and misses are counted once, in the
+//!   [`DeployStats`] each batch returns.
 //! * [`CachedDeployment`] — a [`Deployment`] wrapper that pins an
 //!   explicit generation stamp to a shared [`AnswerCache`], the
 //!   composition [`crate::deploy::LiveDeployment`] hot-swaps. In-batch
@@ -63,7 +65,7 @@ use std::sync::{Arc, Mutex};
 /// aggregates over the same query vectors without collisions. `0` is
 /// reserved for deployments whose aggregate is not declared (a bare
 /// routed sketch serves whatever it was trained for).
-pub fn aggregate_tag(agg: Aggregate) -> u8 {
+fn aggregate_tag(agg: Aggregate) -> u8 {
     match agg {
         Aggregate::Count => 1,
         Aggregate::Sum => 2,
@@ -85,13 +87,11 @@ pub const fn entry_bytes(dims: usize) -> usize {
     8 * dims + 9 + 8 + 47
 }
 
-/// Cumulative counters and current occupancy of an [`AnswerCache`].
+/// Current occupancy and cumulative insertions and evictions of an
+/// [`AnswerCache`]: what only the cache knows. Hits and misses are not
+/// here — the [`DeployStats`] each batch returns is their one count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to compute.
-    pub misses: u64,
     /// Entries written.
     pub insertions: u64,
     /// Entries evicted to make room under the byte budget.
@@ -440,8 +440,6 @@ pub struct AnswerCache {
     /// atomics; races only perturb one admission). See
     /// [`AnswerCache::admit`].
     door: Vec<AtomicU16>,
-    hits: AtomicU64,
-    misses: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
 }
@@ -457,8 +455,6 @@ impl AnswerCache {
             stripe_budget: capacity_bytes / stripes,
             capacity: capacity_bytes,
             door: (0..DOOR_SLOTS).map(|_| AtomicU16::new(0)).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
@@ -529,17 +525,9 @@ impl AnswerCache {
         let mut stripe = self.stripes[self.stripe_of(h)]
             .lock()
             .expect("cache stripe");
-        match stripe.find(h, tag, generation, query) {
-            Some(slot) => {
-                stripe.touch(slot);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(stripe.pay[slot].value)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let slot = stripe.find(h, tag, generation, query)?;
+        stripe.touch(slot);
+        Some(stripe.pay[slot].value)
     }
 
     /// Insert one answer, evicting least-recently-used entries as
@@ -555,8 +543,8 @@ impl AnswerCache {
         self.insert_locked(&mut stripe, h, tag, generation, query, value, true);
     }
 
-    /// Counters and occupancy. Occupancy sums over stripes under their
-    /// locks; counters are relaxed atomics.
+    /// Occupancy, insertions and evictions. Occupancy sums over stripes
+    /// under their locks; the two counters are relaxed atomics.
     pub fn stats(&self) -> CacheStats {
         let (mut entries, mut bytes) = (0, 0);
         for stripe in &self.stripes {
@@ -565,8 +553,6 @@ impl AnswerCache {
             bytes += s.bytes;
         }
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
             insertions: self.insertions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries,
@@ -753,9 +739,6 @@ where
             any_admitted |= s == MISS_ADMIT;
         }
     }
-    c.hits
-        .fetch_add((n - dups.len() - misses.len()) as u64, Ordering::Relaxed);
-    c.misses.fetch_add(misses.len() as u64, Ordering::Relaxed);
     // No miss means every representative hit, and the first hit sized
     // `out`.
     if !misses.is_empty() {
@@ -813,9 +796,6 @@ pub struct CachedDeployment {
     cache: Arc<AnswerCache>,
     generation: u64,
     tag: u8,
-    /// The wrapped deployment's [`DeployStats::shard_count`], read once:
-    /// an all-hit batch never asks the inner for a tally.
-    shard_count: usize,
 }
 
 impl CachedDeployment {
@@ -848,7 +828,6 @@ impl CachedDeployment {
         tag: u8,
     ) -> CachedDeployment {
         CachedDeployment {
-            shard_count: inner.describe().shard_count(),
             inner,
             cache,
             generation,
@@ -875,7 +854,6 @@ impl Deployment for CachedDeployment {
             answers.extend(more);
             stats += sub_stats;
         }
-        stats.shard_count = self.shard_count;
         (answers, stats)
     }
 
@@ -909,8 +887,7 @@ mod tests {
         cache.insert(1, 7, &query, 42.125);
         assert_eq!(cache.get(1, 7, &query), Some(42.125));
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
-        assert_eq!(s.entries, 1);
+        assert_eq!((s.insertions, s.entries), (1, 1));
         assert_eq!(s.bytes, entry_bytes(2));
     }
 

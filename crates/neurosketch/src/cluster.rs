@@ -23,7 +23,9 @@
 //! [`crate::shard`]'s scatter/gather over the chosen sketches. The
 //! cluster holds no answer cache: a degraded batch's partial answers
 //! (uncovered groups contribute nothing to a query's merge) have
-//! nowhere to be stored or served from.
+//! nowhere to be stored or served from. A view's tally is the same
+//! [`DeployStats`] every layer returns, the one count of where answers
+//! came from; its cache counts stay 0.
 //!
 //! Determinism contract: with the same cluster state, fault plan, and
 //! batch sequence, answers **and the event log** are bitwise identical
@@ -66,8 +68,6 @@ pub enum RoutePolicy {
 pub struct ClusterOptions {
     /// Worker threads for the cross-group scatter (≥ 1).
     pub threads: usize,
-    /// Per-GEMM sub-batch cap, as in [`crate::serve::ServeOptions`].
-    pub max_shard: usize,
     /// Fraction of shard groups that must be covered by a healthy
     /// replica at a single generation for a batch to be answered, in
     /// `(0, 1]`. `1.0` demands full coverage; lower values return a
@@ -80,7 +80,6 @@ impl Default for ClusterOptions {
     fn default() -> ClusterOptions {
         ClusterOptions {
             threads: 4,
-            max_shard: 1024,
             quorum: 1.0,
         }
     }
@@ -1228,16 +1227,15 @@ impl ClusterReplicaView<'_> {
         groups.filter_map(|(g, r)| r.map(|r| &g.replicas[r]))
     }
 
-    /// [`scatter_gather`] over the selected replicas' sketches, under
-    /// the cluster's serving options.
+    /// [`scatter_gather`] over the selected replicas' sketches, fanned
+    /// out on the cluster's `threads`.
     fn scatter<T>(
         &self,
         batch: QueryBatch<'_>,
         finish: impl Fn(Moments) -> T,
     ) -> (Vec<T>, DeployStats) {
         let shards: Vec<&ShardSketch> = self.replicas().map(|r| &r.sketch).collect();
-        let opts = self.cluster.opts;
-        scatter_gather(&shards, batch, opts.threads, opts.max_shard, finish)
+        scatter_gather(&shards, batch, self.cluster.opts.threads, finish)
     }
 }
 

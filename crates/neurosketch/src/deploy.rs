@@ -6,7 +6,8 @@
 //! ([`crate::cache::CachedDeployment`]) over any of them, or the
 //! hot-swappable [`LiveDeployment`] handle — is a [`Deployment`]: it
 //! exposes the same methods and reports the same per-batch tally
-//! ([`DeployStats`]), so routers, benches, examples and
+//! ([`DeployStats`], the one count of where answers came from, cache
+//! hits and misses included), so routers, benches, examples and
 //! [`crate::maintenance`] are written once, against the trait.
 //!
 //! A batch crosses every layer in one shape, [`QueryBatch`]: the
@@ -147,15 +148,16 @@ impl Queries for &[Vec<f64>] {
     }
 }
 
-/// The one per-batch tally: every serving layer — both servers, the
-/// cache front, the live handle, the wire server's [`crate::net::NetBatch`]
-/// and its cumulative [`crate::net::NetStats::deploy`] — fills and
-/// returns this type. Monolithic fields and sharded fields coexist; a
-/// path that does not track a field leaves it at its identity
-/// (`model_batches` 0 where GEMM batches are not tallied). Every query
-/// is counted exactly once by where its answer came from:
+/// The one per-batch tally, and the one count of where answers came
+/// from: every serving layer — both servers, the cache front, the live
+/// handle, the wire server's [`crate::net::NetBatch`] and its cumulative
+/// [`crate::net::NetStats::deploy`] — fills and returns this type, and
+/// no layer keeps a second count of the same events (the cache's own
+/// [`crate::cache::CacheStats`] is occupancy and eviction only). Every
+/// query is counted exactly once by where its answer came from:
 /// `queries == sketch + exact_small_range + exact_hard_leaf +
-/// cache_hits + dedup_hits`.
+/// cache_hits + dedup_hits`; behind a front, every miss was computed:
+/// `cache_misses == sketch + exact_small_range + exact_hard_leaf`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeployStats {
     /// Queries answered.
@@ -166,12 +168,6 @@ pub struct DeployStats {
     pub exact_small_range: usize,
     /// Queries sent to the exact engine by the DQD complexity rule.
     pub exact_hard_leaf: usize,
-    /// Data shards the deployment scatters a computed query to (1 for
-    /// monolithic). A property of the deployment, not of the batch: the
-    /// same on an empty, an all-hit and an all-miss batch.
-    pub shard_count: usize,
-    /// Batched GEMM model evaluations performed, where tallied.
-    pub model_batches: usize,
     /// Queries answered from the generation-keyed answer cache
     /// ([`crate::cache`]); 0 when the serving path has no front.
     pub cache_hits: usize,
@@ -184,16 +180,13 @@ pub struct DeployStats {
     pub dedup_hits: usize,
 }
 
-/// Fold another batch's tally in: every count adds; `shard_count`, a
-/// property of the deployment rather than of a batch, keeps the larger.
+/// Fold another batch's tally in: every count adds.
 impl std::ops::AddAssign for DeployStats {
     fn add_assign(&mut self, other: DeployStats) {
         self.queries += other.queries;
         self.sketch += other.sketch;
         self.exact_small_range += other.exact_small_range;
         self.exact_hard_leaf += other.exact_hard_leaf;
-        self.shard_count = self.shard_count.max(other.shard_count);
-        self.model_batches += other.model_batches;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.dedup_hits += other.dedup_hits;
@@ -227,18 +220,6 @@ pub struct DeploymentInfo {
     /// NSKM manifest generation, when served behind a
     /// [`LiveDeployment`] handle; `None` for a bare deployment.
     pub generation: Option<u64>,
-}
-
-impl DeploymentInfo {
-    /// The [`DeployStats::shard_count`] this deployment reports on every
-    /// batch: its units when they are data shards (or shard groups), 1
-    /// when they are kd-tree partitions of one sketch.
-    pub fn shard_count(&self) -> usize {
-        match self.kind {
-            DeployKind::Monolithic => 1,
-            DeployKind::Sharded | DeployKind::Replicated => self.units,
-        }
-    }
 }
 
 impl std::fmt::Display for DeploymentInfo {
@@ -330,7 +311,6 @@ impl Deployment for NeuroSketch {
         let stats = DeployStats {
             queries: batch.len(),
             sketch: batch.len(),
-            shard_count: 1,
             ..DeployStats::default()
         };
         (answers, stats)
@@ -496,8 +476,10 @@ mod tests {
     }
 
     /// The tally counts every query once, by where its answer came
-    /// from, and `shard_count` does not depend on the batch.
-    fn assert_tally_adds_up(d: &dyn Deployment, queries: &[Vec<f64>], shard_count: usize) {
+    /// from. Behind a front (`fronted`) every query is a hit, a miss or
+    /// an in-batch duplicate, and every miss was computed; without one,
+    /// no front count moves.
+    fn assert_tally_adds_up(d: &dyn Deployment, queries: &[Vec<f64>], fronted: bool) {
         // The same batch twice (a front hits the second time), a batch
         // of in-batch repeats, and the empty batch.
         let doubled: Vec<Vec<f64>> = queries.iter().chain(queries).cloned().collect();
@@ -505,12 +487,13 @@ mod tests {
             let (answers, s) = d.answer_batch(batch);
             assert_eq!(answers.len(), batch.len());
             assert_eq!(s.queries, batch.len());
-            assert_eq!(
-                s.queries,
-                s.sketch + s.exact_small_range + s.exact_hard_leaf + s.cache_hits + s.dedup_hits,
-                "{s:?}"
-            );
-            assert_eq!(s.shard_count, shard_count, "{s:?}");
+            let computed = s.sketch + s.exact_small_range + s.exact_hard_leaf;
+            assert_eq!(s.queries, computed + s.cache_hits + s.dedup_hits, "{s:?}");
+            if fronted {
+                assert_eq!(s.cache_misses, computed, "{s:?}");
+            } else {
+                assert_eq!((s.cache_hits, s.cache_misses, s.dedup_hits), (0, 0, 0));
+            }
         }
     }
 
@@ -537,7 +520,6 @@ mod tests {
         assert_eq!(via_trait, inherent);
         assert_eq!(stats.queries, wl.queries.len());
         assert_eq!(stats.sketch, wl.queries.len());
-        assert_eq!(stats.shard_count, 1);
         assert!(Deployment::moments_batch(&sketch, &wl.queries).is_none());
         let info = Deployment::describe(&sketch);
         assert_eq!(info.kind, DeployKind::Monolithic);
@@ -547,7 +529,7 @@ mod tests {
         let batch = QueryBatch::new(&flat, 2);
         assert_eq!(batch.len(), wl.queries.len());
         assert_eq!(Deployment::answer_flat(&sketch, batch).0, inherent);
-        assert_tally_adds_up(&sketch, &wl.queries, 1);
+        assert_tally_adds_up(&sketch, &wl.queries, false);
 
         // Routed server.
         let router = DqdRouter::new(sketch.clone(), report.leaf_aqcs, RoutingPolicy::default());
@@ -561,7 +543,7 @@ mod tests {
         );
         assert_eq!(stats, flat_path.1);
         assert_eq!(Deployment::describe(&server).kind, DeployKind::Monolithic);
-        assert_tally_adds_up(&server, &wl.queries, 1);
+        assert_tally_adds_up(&server, &wl.queries, false);
 
         // Routed server with the exact fallback live.
         let policy = RoutingPolicy {
@@ -581,7 +563,7 @@ mod tests {
             },
         );
         assert!(routed.answer_batch(&wl.queries).1.exact_small_range > 0);
-        assert_tally_adds_up(&routed, &wl.queries, 1);
+        assert_tally_adds_up(&routed, &wl.queries, false);
 
         // Sharded server.
         let (sharded, _) = build_sharded(
@@ -598,8 +580,7 @@ mod tests {
         let flat_path = server.answer_flat(batch);
         let (via_trait, stats) = Deployment::answer_batch(&server, &wl.queries);
         assert_eq!(via_trait, flat_path.0);
-        assert_eq!(stats.shard_count, 2);
-        assert_eq!(stats.model_batches, flat_path.1.model_batches);
+        assert_eq!(stats, flat_path.1);
         let moments = Deployment::moments_batch(&server, &wl.queries).expect("sharded has moments");
         let flat_moments = server.moments_flat(batch).expect("sharded has moments");
         assert_eq!(moments, flat_moments);
@@ -608,7 +589,7 @@ mod tests {
         }
         let info = Deployment::describe(&server);
         assert_eq!((info.kind, info.units), (DeployKind::Sharded, 2));
-        assert_tally_adds_up(&server, &wl.queries, 2);
+        assert_tally_adds_up(&server, &wl.queries, false);
 
         // One replica column of a cluster over the same shards.
         let cluster = crate::cluster::Cluster::new(
@@ -619,7 +600,7 @@ mod tests {
             crate::cluster::ClusterOptions::default(),
         )
         .unwrap();
-        assert_tally_adds_up(&cluster.replica_view(0).unwrap(), &wl.queries, 2);
+        assert_tally_adds_up(&cluster.replica_view(0).unwrap(), &wl.queries, false);
 
         // The front and the live handle, over both servers; the cache
         // holds a third of the workload, so hits, misses and in-batch
@@ -627,16 +608,15 @@ mod tests {
         let server = Arc::new(server);
         let cache = |entries: usize| Arc::new(AnswerCache::new(entries * entry_bytes(2), 1));
         let cached = CachedDeployment::new(server.clone(), cache(50), 0);
-        assert_tally_adds_up(&cached, &wl.queries, 2);
-        assert_tally_adds_up(&LiveDeployment::new(cached, 0), &wl.queries, 2);
+        assert_tally_adds_up(&cached, &wl.queries, true);
+        assert_tally_adds_up(&LiveDeployment::new(cached, 0), &wl.queries, true);
         let cached = CachedDeployment::new(sketch.clone(), cache(50), 0);
-        assert_tally_adds_up(&cached, &wl.queries, 1);
+        assert_tally_adds_up(&cached, &wl.queries, true);
         // All-hit and all-duplicate batches never reach the inner.
         let warm = CachedDeployment::new(server, cache(1000), 0);
         warm.answer_batch(&wl.queries);
         let (_, stats) = warm.answer_batch(&wl.queries);
         assert_eq!((stats.cache_hits, stats.sketch), (wl.queries.len(), 0));
-        assert_eq!(stats.shard_count, 2);
     }
 
     /// A swap flips answers and generation atomically; the handle's
@@ -728,20 +708,17 @@ mod tests {
     }
 
     #[test]
-    fn tallies_add_and_keep_the_widest_scatter() {
+    fn tallies_add_field_by_field() {
         let mut total = DeployStats {
             queries: 3,
             sketch: 2,
             exact_hard_leaf: 1,
-            shard_count: 4,
             ..DeployStats::default()
         };
         total += DeployStats {
             queries: 5,
             sketch: 1,
             exact_small_range: 1,
-            shard_count: 2,
-            model_batches: 3,
             cache_hits: 2,
             cache_misses: 2,
             dedup_hits: 1,
@@ -754,8 +731,6 @@ mod tests {
                 sketch: 3,
                 exact_small_range: 1,
                 exact_hard_leaf: 1,
-                shard_count: 4,
-                model_batches: 3,
                 cache_hits: 2,
                 cache_misses: 2,
                 dedup_hits: 1,

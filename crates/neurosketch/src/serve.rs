@@ -32,7 +32,8 @@
 //! A server computes what it is sent: caching and in-batch
 //! deduplication live in exactly one place, the
 //! [`CachedDeployment`](crate::cache::CachedDeployment) wrapper, and the
-//! per-batch tally is the [`DeployStats`] every layer returns.
+//! per-batch tally is the [`DeployStats`] every layer returns — the one
+//! count of where answers came from (a server's cache counts stay 0).
 //!
 //! `SketchServer` fronts **one** sketch over the whole table; when the
 //! data itself is partitioned across shards, [`crate::shard`] layers a
@@ -67,7 +68,7 @@ use query::exec::QueryEngine;
 use query::predicate::PredicateFn;
 
 /// Tuning knobs for a [`SketchServer`] — how a batch is *scheduled*
-/// (threads, shard size) and which DQD rule inputs it has. None of them
+/// (threads) and which DQD rule inputs it has. None of them
 /// selects a compute path: there is one (see the module docs), and
 /// answers are bitwise identical under every setting. A server computes
 /// what it is sent; caching and deduplication are
@@ -76,9 +77,6 @@ use query::predicate::PredicateFn;
 pub struct ServeOptions {
     /// Worker threads a batch fans out across.
     pub threads: usize,
-    /// Upper bound on the shard (sub-batch) a single worker processes at
-    /// once; bounds per-worker scratch memory on huge batches.
-    pub max_shard: usize,
     /// Number of active attributes `k` whose `[c..., r...]` widths define
     /// the range volume for the router's range rule (Lemma 3.6). `None`
     /// skips the range rule (predicates without a meaningful volume).
@@ -86,15 +84,19 @@ pub struct ServeOptions {
 }
 
 impl Default for ServeOptions {
-    /// Four workers, 1024-query shards, range rule off.
+    /// Four workers, range rule off.
     fn default() -> Self {
         ServeOptions {
             threads: 4,
-            max_shard: 1024,
             active_attrs: None,
         }
     }
 }
+
+/// Most queries one worker serves at once, and one model's GEMM call in
+/// [`crate::shard`]'s scatter/gather: bounds per-worker scratch memory
+/// on huge batches. Scheduling only — answers do not depend on it.
+pub(crate) const MAX_SUB_BATCH: usize = 1024;
 
 /// Where sketch-refused queries go: the exact engine plus the predicate
 /// and aggregate it should evaluate (the same triple that labeled the
@@ -213,16 +215,13 @@ impl Deployment for SketchServer<'_> {
     /// the routing tally.
     ///
     /// The batch is split into up to `opts.threads` shards (each at most
-    /// `opts.max_shard` queries) and served on the shared worker pool;
+    /// 1 024 queries) and served on the shared worker pool;
     /// each worker locates and routes its shard, answers the
     /// sketch-routed queries with leaf-grouped forward passes, and the
     /// rest through the exact backend.
     fn answer_flat(&self, batch: QueryBatch<'_>) -> (Vec<f64>, DeployStats) {
         let threads = self.opts.threads.max(1);
-        let shard = batch
-            .len()
-            .div_ceil(threads)
-            .clamp(1, self.opts.max_shard.max(1));
+        let shard = batch.len().div_ceil(threads).clamp(1, MAX_SUB_BATCH);
         let chunks: Vec<QueryBatch<'_>> = batch.chunks(shard).collect();
         let parts = par::par_map_init(
             &chunks,
@@ -235,7 +234,6 @@ impl Deployment for SketchServer<'_> {
         let mut answers = Vec::with_capacity(batch.len());
         let mut stats = DeployStats {
             queries: batch.len(),
-            shard_count: 1,
             ..DeployStats::default()
         };
         for (part, small_range, hard_leaf) in parts {
@@ -294,26 +292,32 @@ mod tests {
             .iter()
             .map(|q| router.sketch().answer(q))
             .collect();
-        // Whatever the scheduling (thread count, shard size — 7 leaves
-        // partial tiles everywhere), the batch is bitwise the scalar loop.
-        for max_shard in [7, 64] {
-            for threads in [1, 2, 4] {
-                let server = SketchServer::new(
-                    DqdRouter::new(
-                        router.sketch().clone(),
-                        router.leaf_aqcs().to_vec(),
-                        router.policy(),
-                    ),
-                    ServeOptions {
-                        threads,
-                        max_shard,
-                        active_attrs: None,
-                    },
-                );
-                let (answers, stats) = server.answer_batch(&wl.queries);
-                assert_eq!(answers, expected, "threads={threads} max_shard={max_shard}");
-                assert_eq!(stats.sketch, wl.queries.len());
-                assert_eq!(stats.queries, wl.queries.len());
+        let bits = |a: &[f64]| a.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        // One batch long enough to cross the sub-batch bound twice.
+        let reps = (2 * MAX_SUB_BATCH + 1) / wl.queries.len() + 1;
+        let long = vec![&wl.queries[..]; reps].concat();
+        let long_expected = expected.repeat(reps);
+        assert!(long.len() > 2 * MAX_SUB_BATCH + 1);
+        // Whatever the scheduling (thread counts that split the batch
+        // unevenly and leave partial tiles, sub-batch boundaries), the
+        // batch is bitwise the scalar loop.
+        for threads in [1, 2, 3, 4, 7] {
+            let server = SketchServer::new(
+                DqdRouter::new(
+                    router.sketch().clone(),
+                    router.leaf_aqcs().to_vec(),
+                    router.policy(),
+                ),
+                ServeOptions {
+                    threads,
+                    active_attrs: None,
+                },
+            );
+            for (batch, expected) in [(&wl.queries, &expected), (&long, &long_expected)] {
+                let (answers, stats) = server.answer_batch(batch);
+                let n = batch.len();
+                assert_eq!(bits(&answers), bits(expected), "threads={threads} n={n}");
+                assert_eq!((stats.sketch, stats.queries), (n, n));
             }
         }
     }
@@ -338,7 +342,6 @@ mod tests {
             },
             ServeOptions {
                 threads: 2,
-                max_shard: 128,
                 active_attrs: Some(1),
             },
         );

@@ -22,8 +22,11 @@
 //! is rejected at build time.
 //!
 //! The server computes every query it is sent and reports the
-//! [`DeployStats`] every layer reports; to cache or deduplicate, wrap it
-//! in a [`CachedDeployment`](crate::cache::CachedDeployment).
+//! [`DeployStats`] every layer reports — the one count of where answers
+//! came from, whose cache counts stay 0 here; to cache or deduplicate,
+//! wrap it in a [`CachedDeployment`](crate::cache::CachedDeployment).
+//! How many shards a deployment scatters to is a property of the
+//! deployment, not of a batch: [`Deployment::describe`]'s `units`.
 //!
 //! What sharding buys, per the paper's constant-cost story: per-shard
 //! artifacts have bounded size regardless of total data volume, shards
@@ -64,7 +67,8 @@
 //! let server = ShardedServer::new(sharded, ServeOptions::default());
 //! let (answers, stats) = server.answer_batch(&queries);
 //! assert_eq!(answers.len(), queries.len());
-//! assert_eq!(stats.shard_count, 2);
+//! assert_eq!(stats.sketch, queries.len());
+//! assert_eq!(server.describe().units, 2);
 //!
 //! // The gathered answer IS the sum of the per-shard sketch answers
 //! // (COUNT adds across a disjoint row split) ...
@@ -84,7 +88,7 @@
 //! ```
 
 use crate::deploy::{DeployKind, DeployStats, Deployment, DeploymentInfo, QueryBatch};
-use crate::serve::ServeOptions;
+use crate::serve::{ServeOptions, MAX_SUB_BATCH};
 use crate::sketch::{BatchScratch, NeuroSketch, NeuroSketchConfig};
 use crate::SketchError;
 use datagen::Dataset;
@@ -272,13 +276,6 @@ impl ShardSketch {
         self.models[kind.slot()].as_ref()
     }
 
-    /// The trained moment components, in `(n, Σ, Σ²)` slot order.
-    pub fn kinds(&self) -> impl Iterator<Item = MomentKind> + '_ {
-        MomentKind::ALL
-            .into_iter()
-            .filter(|k| self.models[k.slot()].is_some())
-    }
-
     /// Predict this shard's moments for every query in the batch.
     /// Components without a model stay 0 (their aggregate never reads
     /// them). Uses the batched leaf-grouped forward pass per component.
@@ -411,7 +408,7 @@ impl ShardedSketch {
     pub fn answer(&self, q: &[f64]) -> f64 {
         let shards: Vec<&ShardSketch> = self.shards.iter().collect();
         let one = QueryBatch::new(q, q.len());
-        scatter_gather(&shards, one, 1, 1, |m| self.finish_guarded(m)).0[0]
+        scatter_gather(&shards, one, 1, |m| self.finish_guarded(m)).0[0]
     }
 
     /// The deployment with every model quantized through `f32` — what a
@@ -647,32 +644,23 @@ fn build_shard_sketch(
 }
 
 /// The one scatter/gather: evaluate every sketch in `shards` on the
-/// whole batch — one task per sketch on the [`par`] pool, `max_shard`
-/// queries per GEMM call, a reusable [`BatchScratch`] per worker — then
-/// merge each query's moments **in slice order** and hand the total to
-/// `finish`. [`ShardedServer`], [`ShardedSketch::answer`] and every
+/// whole batch — one task per sketch on the [`par`] pool, at most
+/// [`MAX_SUB_BATCH`] queries per GEMM call, a reusable [`BatchScratch`]
+/// per worker — then merge each query's moments **in slice order** and
+/// hand the total to `finish`. [`ShardedServer`], [`ShardedSketch::answer`] and every
 /// serving path of [`crate::cluster`] go through here, so the same
 /// sketches in the same order give bitwise the same output whoever
 /// asks, at any thread count: the merge order is the slice's, fixed
 /// before a thread runs.
-///
-/// The tally's `model_batches` is the capacity-accounting count of
-/// batched GEMM model evaluations: `Σ trained components × ⌈queries /
-/// max_shard⌉` (0 for an empty batch, which skips the pool).
 pub(crate) fn scatter_gather<T>(
     shards: &[&ShardSketch],
     batch: QueryBatch<'_>,
     threads: usize,
-    max_shard: usize,
     finish: impl Fn(Moments) -> T,
 ) -> (Vec<T>, DeployStats) {
-    let max_chunk = max_shard.max(1);
-    let total_kinds: usize = shards.iter().map(|s| s.kinds().count()).sum();
     let stats = DeployStats {
         queries: batch.len(),
         sketch: batch.len(),
-        shard_count: shards.len(),
-        model_batches: total_kinds * batch.len().div_ceil(max_chunk),
         ..DeployStats::default()
     };
     if batch.is_empty() {
@@ -684,7 +672,7 @@ pub(crate) fn scatter_gather<T>(
         BatchScratch::default,
         |scratch, _, shard| {
             let mut moments = Vec::with_capacity(batch.len());
-            for chunk in batch.chunks(max_chunk) {
+            for chunk in batch.chunks(MAX_SUB_BATCH) {
                 moments.extend(shard.moments_batch_with(scratch, chunk));
             }
             moments
@@ -718,8 +706,7 @@ pub struct ShardedServer {
 
 impl ShardedServer {
     /// Serve a sharded deployment. `opts.threads` bounds the cross-shard
-    /// fan-out and `opts.max_shard` the per-model sub-batch;
-    /// `opts.active_attrs` is ignored
+    /// fan-out; `opts.active_attrs` is ignored
     /// (scatter/gather has no DQD routing — shard sketches answer
     /// everything).
     pub fn new(sketch: ShardedSketch, opts: ServeOptions) -> ShardedServer {
@@ -737,13 +724,7 @@ impl ShardedServer {
         finish: impl Fn(Moments) -> T,
     ) -> (Vec<T>, DeployStats) {
         let shards: Vec<&ShardSketch> = self.sketch.shards().iter().collect();
-        scatter_gather(
-            &shards,
-            batch,
-            self.opts.threads,
-            self.opts.max_shard,
-            finish,
-        )
+        scatter_gather(&shards, batch, self.opts.threads, finish)
     }
 }
 
@@ -1000,29 +981,34 @@ mod tests {
         assert_eq!(report.models_trained, 3);
         assert_eq!(report.shard_rows.iter().sum::<usize>(), 600);
         // The scatter path must recombine bitwise like the per-query
-        // oracle at any thread count and sub-batch size.
-        for (max_shard, model_batches) in [(64, 9), (7, 69)] {
-            for threads in [1, 4] {
-                let server = ShardedServer::new(
-                    sharded.clone(),
-                    ServeOptions {
-                        threads,
-                        max_shard,
-                        active_attrs: None,
-                    },
-                );
-                let (answers, stats) = server.answer_batch(&wl.queries);
-                assert_eq!(stats.queries, wl.queries.len());
-                // 3 shards × 1 component × ⌈160 / max_shard⌉ chunks.
-                assert_eq!(stats.model_batches, model_batches);
-                for (q, a) in wl.queries.iter().zip(&answers) {
-                    let manual: f64 = sharded
-                        .shards()
-                        .iter()
-                        .map(|s| s.model(MomentKind::Count).unwrap().answer(q))
-                        .fold(0.0, |acc, v| acc + v);
-                    assert_eq!(*a, manual, "threads={threads} max_shard={max_shard}");
-                    assert_eq!(*a, sharded.answer(q), "threads={threads}");
+        // oracle at any thread count, on the workload and on one batch
+        // long enough to cross the per-model sub-batch bound twice.
+        let reps = (2 * MAX_SUB_BATCH + 1) / wl.queries.len() + 1;
+        let long = vec![&wl.queries[..]; reps].concat();
+        assert!(long.len() > 2 * MAX_SUB_BATCH + 1);
+        let oracle: Vec<f64> = wl.queries.iter().map(|q| sharded.answer(q)).collect();
+        for (q, a) in wl.queries.iter().zip(&oracle) {
+            let manual: f64 = sharded
+                .shards()
+                .iter()
+                .map(|s| s.model(MomentKind::Count).unwrap().answer(q))
+                .fold(0.0, |acc, v| acc + v);
+            assert_eq!(a.to_bits(), manual.to_bits());
+        }
+        for threads in [1, 2, 3, 4, 7] {
+            let server = ShardedServer::new(
+                sharded.clone(),
+                ServeOptions {
+                    threads,
+                    active_attrs: None,
+                },
+            );
+            for batch in [&wl.queries, &long] {
+                let (answers, stats) = server.answer_batch(batch);
+                assert_eq!(stats.queries, batch.len());
+                for (i, a) in answers.iter().enumerate() {
+                    let expect = oracle[i % wl.queries.len()];
+                    assert_eq!(a.to_bits(), expect.to_bits(), "threads={threads} query {i}");
                 }
             }
         }
@@ -1166,7 +1152,6 @@ mod tests {
         let (answers, stats) = server.answer_batch(&[]);
         assert!(answers.is_empty());
         assert_eq!(stats.queries, 0);
-        assert_eq!(stats.model_batches, 0, "nothing ran, nothing tallied");
         let one = server.sketch().answer(&wl.queries[0]);
         assert_eq!(one, server.answer_batch(&wl.queries[..1]).0[0]);
     }

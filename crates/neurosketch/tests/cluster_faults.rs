@@ -78,11 +78,7 @@ fn fresh_dir(name: &str) -> PathBuf {
 }
 
 fn opts(quorum: f64) -> ClusterOptions {
-    ClusterOptions {
-        threads: 4,
-        quorum,
-        ..ClusterOptions::default()
-    }
+    ClusterOptions { threads: 4, quorum }
 }
 
 fn single_box(sketch: &ShardedSketch) -> Vec<f64> {
@@ -109,33 +105,44 @@ fn healthy_cluster_is_bitwise_a_single_box() {
     }
 }
 
+/// Most queries one model's GEMM call takes in a scatter/gather (the
+/// serving layer's sub-batch bound).
+const SUB_BATCH: usize = 1024;
+
 /// Every replica scatters through its sketches' own serving layouts
-/// (derived with the models, never configured): at every thread count
-/// and sub-batch size the cluster is bitwise the per-query oracle —
-/// `ShardedSketch::answer`, one `NeuroSketch::answer` per component.
+/// (derived with the models, never configured): at every thread count,
+/// and on a batch long enough to cross the sub-batch bound twice, the
+/// cluster is bitwise the per-query oracle — `ShardedSketch::answer`,
+/// one `NeuroSketch::answer` per component.
 #[test]
 fn replica_serving_layout_is_bitwise_invisible() {
     let b = base();
+    let bits = |a: &[f64]| a.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
     let oracle: Vec<f64> = b.wl.queries.iter().map(|q| b.sharded.answer(q)).collect();
-    assert_eq!(single_box(&b.sharded), oracle);
-    for threads in [1usize, 4] {
-        for max_shard in [5usize, 1024] {
-            let mut cluster = Cluster::new(
-                &b.sharded,
-                2,
-                0,
-                RoutePolicy::RoundRobin,
-                ClusterOptions {
-                    threads,
-                    max_shard,
-                    ..ClusterOptions::default()
-                },
-            )
-            .unwrap();
-            let answers = cluster.answer_batch(&b.wl.queries).unwrap().0;
+    assert_eq!(bits(&single_box(&b.sharded)), bits(&oracle));
+    let reps = (2 * SUB_BATCH + 1) / b.wl.queries.len() + 1;
+    let long = vec![&b.wl.queries[..]; reps].concat();
+    let long_oracle = oracle.repeat(reps);
+    assert!(long.len() > 2 * SUB_BATCH + 1);
+    for threads in [1, 2, 3, 4, 7] {
+        let mut cluster = Cluster::new(
+            &b.sharded,
+            2,
+            0,
+            RoutePolicy::RoundRobin,
+            ClusterOptions {
+                threads,
+                ..ClusterOptions::default()
+            },
+        )
+        .unwrap();
+        for (batch, expect) in [(&b.wl.queries, &oracle), (&long, &long_oracle)] {
+            let answers = cluster.answer_batch(batch).unwrap().0;
             assert_eq!(
-                answers, oracle,
-                "drifted from the per-query oracle at {threads} threads, max_shard {max_shard}"
+                bits(&answers),
+                bits(expect),
+                "drifted from the per-query oracle at {threads} threads, {} queries",
+                batch.len()
             );
         }
     }
@@ -430,7 +437,6 @@ fn run_embedded_scenario(
         ClusterOptions {
             threads,
             quorum: 0.5,
-            ..ClusterOptions::default()
         },
     )
     .unwrap()
@@ -541,7 +547,6 @@ fn generated_plans_replay_identically_from_their_seed() {
                     ClusterOptions {
                         threads,
                         quorum: 0.5,
-                        ..ClusterOptions::default()
                     },
                 )
                 .unwrap()

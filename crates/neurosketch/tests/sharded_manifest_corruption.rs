@@ -220,11 +220,7 @@ fn with_replicas(
     let out = Cluster::load(
         &manifests,
         RoutePolicy::RoundRobin,
-        ClusterOptions {
-            threads: 2,
-            quorum,
-            ..ClusterOptions::default()
-        },
+        ClusterOptions { threads: 2, quorum },
     );
     std::fs::remove_dir_all(&root).ok();
     check(out);

@@ -202,11 +202,6 @@ impl Matrix {
         }
     }
 
-    /// Reset all entries to zero (gradient buffers between batches).
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Reshape in place to `rows x cols`, reusing the existing
     /// allocation. Contents are unspecified afterwards — this exists so
     /// batch workspaces can grow once and be reused across mini-batches

@@ -176,7 +176,7 @@ fn main() {
             "[{}] served: {} queries x {} shards in {:?} ({:.0} queries/sec, NMAE {:.4})",
             agg.name(),
             stats.queries,
-            stats.shard_count,
+            serving.describe().units,
             elapsed,
             stats.queries as f64 / elapsed.as_secs_f64(),
             nmae
