@@ -18,6 +18,7 @@
 
 use crate::{AqpEngine, Unsupported};
 use datagen::Dataset;
+use nn::fused::activations_per_example;
 use nn::train::{train, TrainConfig};
 use nn::Mlp;
 use query::aggregate::Aggregate;
@@ -166,12 +167,13 @@ impl DbEst {
         }
         let steps = self.grid;
         let h = (hi - lo) / steps as f64;
-        let mut ws = nn::mlp::Workspace::default();
+        let mut acts = Vec::new();
         let (mut mass, mut weighted) = (0.0, 0.0);
         for i in 0..=steps {
             let x = lo + i as f64 * h;
             let p = self.density.pdf(x);
-            let r = self.reg.predict_with(&mut ws, &[x]) * self.y_std + self.y_mean;
+            let r =
+                activations_per_example(&self.reg, &mut acts, &[x])[0] * self.y_std + self.y_mean;
             let w = if i == 0 || i == steps { 0.5 } else { 1.0 };
             mass += w * p;
             weighted += w * p * r;

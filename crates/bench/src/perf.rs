@@ -16,10 +16,10 @@
 //! `exact_scan_two_attr` vs `exact_scan_two_attr_generic`), the build
 //! steps on their own (`label_queries_exact`, `partition_merge_aqc`,
 //! `train_leaf_batched` with `train_leaf_gflops`, `build_sketch_h2`),
-//! the Alg. 5 per-query path (`neurosketch_answer_testset`,
-//! `serve_single_query_loop`), `route_batch_4096`, the quantized
-//! serving entries (`serve_batched_{f16,i8}`) and the
-//! `artifact_bytes_{f32,f16,i8}` size curve.
+//! the Alg. 5 per-query path (`serve_single_query_loop`),
+//! `route_batch_4096`, the quantized serving entries
+//! (`serve_batched_{f16,i8}`) and the `artifact_bytes_{f32,f16,i8}`
+//! size curve.
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -392,19 +392,6 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
     };
 
     let mut ws = neurosketch::BatchScratch::default();
-    let iters = 40;
-    push(
-        "neurosketch_answer_testset",
-        iters,
-        time_reps(reps, || {
-            for _ in 0..iters {
-                for q in &sc.test {
-                    std::hint::black_box(sketch.answer_with(&mut ws, q));
-                }
-            }
-        }),
-    );
-
     // A fixed [`SERVE_STREAM_LEN`]-query stream answered one query at a
     // time — Alg. 5's path — and, further down, through the batched
     // `SketchServer` on one worker thread per quantized model

@@ -47,7 +47,8 @@ use std::time::{Duration, Instant};
 pub struct DriftReport {
     /// Normalized MAE of the deployment against the current data.
     pub nmae: f64,
-    /// Whether the error breached the threshold (retrain advised).
+    /// Whether the error breached the threshold (retrain advised); a
+    /// NaN error does.
     pub stale: bool,
 }
 
@@ -100,6 +101,12 @@ impl DriftMonitor {
         self.threads
     }
 
+    /// Whether an error of `nmae` breaches the threshold. NaN does: a
+    /// deployment answering NaN must be retrained, not reported fresh.
+    fn is_stale(&self, nmae: f64) -> bool {
+        nmae.is_nan() || nmae > self.threshold
+    }
+
     /// Compare a deployment against the *current* data (via an exact
     /// engine over it) on the probe workload. Works on any
     /// [`Deployment`] — a bare sketch, either server, or a live handle —
@@ -143,7 +150,7 @@ impl DriftMonitor {
         let nmae = normalized_mae(truth, &preds);
         DriftReport {
             nmae,
-            stale: nmae > self.threshold,
+            stale: self.is_stale(nmae),
         }
     }
 }
@@ -273,7 +280,7 @@ impl MaintenancePlan {
                     unit,
                     probes: idxs.len(),
                     nmae,
-                    stale: nmae > self.monitor.threshold(),
+                    stale: self.monitor.is_stale(nmae),
                 }
             })
             .collect();
@@ -356,7 +363,6 @@ impl MaintenancePlan {
         let mut tables = ShardTables::new(&sketch.plan(), sketch.aggregate(), data, &all, true)?;
         let probe = self.monitor.probe();
         let agg = sketch.aggregate();
-        let threshold = self.monitor.threshold();
         let shards = sketch.shards();
         let units: Vec<UnitDrift> = probe.with_flat(|batch| {
             par::par_map_init(
@@ -383,7 +389,7 @@ impl MaintenancePlan {
                         unit: *unit,
                         probes: probe.len(),
                         nmae,
-                        stale: nmae > threshold,
+                        stale: self.monitor.is_stale(nmae),
                     }
                 },
             )
@@ -489,6 +495,42 @@ mod tests {
             "fresh sketch flagged stale (nmae {})",
             report.nmae
         );
+    }
+
+    /// A deployment that answers NaN is stale, never fresh. Three
+    /// probes of width `1e39` — beyond `f32`, so the sketch answers NaN
+    /// for them (`ServingLayout::forward_into`) — make the error NaN,
+    /// and both the check and the partial refresh must retrain on it.
+    #[test]
+    fn nan_error_reads_as_stale() {
+        let data = uniform(3_000, 1, 1);
+        let engine = QueryEngine::new(&data, 0);
+        let wl = workload(2);
+        let cfg = NeuroSketchConfig::small();
+        let (mut sketch, _) =
+            NeuroSketch::build(&engine, &wl.predicate, Aggregate::Avg, &wl.queries, &cfg).unwrap();
+        let mut probe = wl.queries[..20].to_vec();
+        for q in probe.iter_mut().step_by(7) {
+            q[1] = 1e39;
+        }
+        let monitor = DriftMonitor::new(probe, 0.2).unwrap();
+        let report = monitor.check(&sketch, &engine, &wl.predicate, Aggregate::Avg);
+        assert!(report.nmae.is_nan() && report.stale, "{report:?}");
+
+        let plan = MaintenancePlan::new(monitor, cfg);
+        let report = plan
+            .refresh_monolithic(
+                &mut sketch,
+                &engine,
+                &wl.predicate,
+                Aggregate::Avg,
+                &wl.queries,
+            )
+            .unwrap();
+        assert!(report.units.iter().any(|u| u.nmae.is_nan()), "{report:?}");
+        for u in report.units.iter().filter(|u| u.nmae.is_nan()) {
+            assert!(u.stale && report.retrained.contains(&u.unit), "{report:?}");
+        }
     }
 
     #[test]

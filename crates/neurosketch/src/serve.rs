@@ -26,8 +26,8 @@
 //! [`NeuroSketch::answer`](crate::NeuroSketch::answer) (or the exact
 //! engine) query-by-query, in input order, at any thread count — the
 //! sharding and leaf-grouping change scheduling, not arithmetic. They
-//! are the bits of the `f32` forward, not of the `f64`
-//! `Mlp::forward_with` (docs/serving.md, "Determinism contract").
+//! are the bits of the `f32` forward, not of the `f64` `Mlp::predict`
+//! (docs/serving.md, "Determinism contract").
 //!
 //! A server computes what it is sent: caching and in-batch
 //! deduplication live in exactly one place, the

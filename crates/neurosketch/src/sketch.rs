@@ -495,8 +495,8 @@ impl NeuroSketch {
 
     /// Assemble a sketch from a tree and one model per leaf, in leaf
     /// order — the one place the dense leaf table is derived, shared by
-    /// the build, the quantizers, the JSON loader and the NSK2 decoder
-    /// (which validates its input before calling this).
+    /// the build, the quantizers and the NSK2 decoder (which validates
+    /// its input before calling this).
     ///
     /// # Panics
     /// Panics if `models` does not hold exactly one model per leaf.

@@ -10,8 +10,7 @@
 //! vector on precision the artifact does not have. Training runs at
 //! `f32` end to end: [`crate::train`] holds its master weights, their
 //! gradient and the Adam moments as `f32` vectors in a
-//! [`ServingLayout`]'s order; labels and [`Mlp::forward_with`] stay
-//! `f64`.
+//! [`ServingLayout`]'s order; labels and [`Mlp::predict`] stay `f64`.
 //!
 //! The training forward runs every layer through the same call as
 //! serving (same panels, same bias + activation epilogue, same tile), so
@@ -32,15 +31,16 @@
 //! **Bitwise contract.** Every output entry is one `f32` `fmadd` chain
 //! over ascending contraction index starting from `+0.0`, then `+ bias`,
 //! then the activation's own comparison — operation for operation what
-//! [`forward_per_example`], the scalar oracle, does. Fusing bias and
-//! ReLU into the store moves *where* those two operations happen, not
-//! their operands or order, the contraction runs over the layer's real
-//! input width only (padding columns are written but never read), and a
-//! row's arithmetic does not depend on which rows share its tile.
+//! [`forward_per_example`] at `f32`, the scalar oracle, does. Fusing
+//! bias and ReLU into the store moves *where* those two operations
+//! happen, not their operands or order, the contraction runs over the
+//! layer's real input width only (padding columns are written but never
+//! read), and a row's arithmetic does not depend on which rows share its
+//! tile.
 //! Answers are therefore bit-for-bit the oracle's at any batch size —
 //! a batch of one included — and in any row order. They are **not** the
-//! bits of the `f64` [`Mlp::forward_with`]; `tests/serving_accuracy.rs`
-//! bounds the distance.
+//! bits of the same function's `f64` instantiation;
+//! `tests/serving_accuracy.rs` bounds the distance.
 
 use crate::activation::Activation;
 use crate::gemm::{gemm, pack, padded, unpad, TileStore};
@@ -251,10 +251,10 @@ impl FusedLayer {
 
 /// The forward epilogue, `c = act(acc + bias)` fused into the tile
 /// store: per entry the operations of the per-example forward, `+ bias`
-/// then [`Activation::apply`]'s own comparison, so `-0.0` and NaN come
-/// out as [`forward_per_example`]'s do. Serving and the training
-/// forward share it (through [`FusedLayer::apply`]). `bias` is
-/// zero-padded to whole panels and `c` has the padded row stride `sc`.
+/// then the activation's own comparison, so `-0.0` and NaN come out as
+/// [`forward_per_example`]'s do. Serving and the training forward share
+/// it (through [`FusedLayer::apply`]). `bias` is zero-padded to whole
+/// panels and `c` has the padded row stride `sc`.
 struct BiasAct<'a, T> {
     c: &'a mut [T],
     sc: usize,
@@ -281,43 +281,75 @@ impl<T: Elem> TileStore<T> for BiasAct<'_, T> {
     }
 }
 
-/// The serving forward's oracle: one row through `mlp` in scalar `f32`,
-/// no tiles, no layout — per output one `fmadd` chain over ascending
-/// input index from `+0.0`, then `+ bias`, then the activation's own
-/// comparison, every parameter rounded `as f32` first. The parity
-/// suites and `perfbench` hold [`ServingLayout::forward_into`] and
-/// [`Mlp::forward_batch`] to it with `to_bits()`; nothing serves through
-/// it.
-pub fn forward_per_example(mlp: &Mlp, x: &[f32]) -> Vec<f32> {
-    activations_per_example(mlp, x)
-        .pop()
-        .expect("an Mlp has layers")
+/// The per-example forward: one row through `mlp`, no tiles, no layout
+/// — per output one `fmadd` chain over ascending input index from
+/// `+0.0`, then `+ bias`, then the activation's own comparison, every
+/// parameter rounded to `T` first.
+///
+/// At `f32` it is the serving forward's oracle: the parity suites and
+/// `perfbench` hold [`ServingLayout::forward_into`] and
+/// [`Mlp::forward_batch`] to it with `to_bits()`, and nothing serves
+/// through it. At `f64` it is the crate's `f64` forward: [`Mlp::predict`],
+/// the models the baselines and `repro` evaluate outside a sketch, and
+/// the reference `tests/serving_accuracy.rs` bounds the served `f32`
+/// output against.
+pub fn forward_per_example<T: Elem>(mlp: &Mlp, x: &[T]) -> Vec<T> {
+    let mut acts = Vec::new();
+    activations_per_example(mlp, &mut acts, x);
+    acts.pop().expect("an Mlp has layers")
 }
 
-/// [`forward_per_example`] keeping every layer's activations, the input
-/// first — the forward half of
-/// [`crate::mlp::batch_gradient_per_example`].
-pub(crate) fn activations_per_example(mlp: &Mlp, x: &[f32]) -> Vec<Vec<f32>> {
-    assert_eq!(x.len(), mlp.input_dim(), "input is not one row");
-    let mut acts = vec![x.to_vec()];
-    for layer in mlp.layers() {
+/// [`forward_per_example`] keeping every layer's activations in `acts`,
+/// the input first, and returning the output — the forward half of
+/// [`crate::mlp::batch_gradient_per_example`]. `acts` is caller-held
+/// scratch, overwritten by each call: one reused across calls allocates
+/// nothing after the first.
+///
+/// ```
+/// use nn::fused::activations_per_example;
+/// use nn::Mlp;
+///
+/// let mlp = Mlp::new(&[2, 8, 1], 7);
+/// let mut acts: Vec<Vec<f64>> = Vec::new();
+/// for q in [[0.1, 0.2], [0.3, 0.4]] {
+///     let y = activations_per_example(&mlp, &mut acts, &q)[0];
+///     assert_eq!(y, mlp.predict(&q));
+/// }
+/// ```
+///
+/// # Panics
+/// Panics if `x` is not `mlp.input_dim()` wide.
+pub fn activations_per_example<'s, T: Elem>(
+    mlp: &Mlp,
+    acts: &'s mut Vec<Vec<T>>,
+    x: &[T],
+) -> &'s [T] {
+    assert_eq!(
+        x.len(),
+        mlp.input_dim(),
+        "input dim {} does not match network {}",
+        x.len(),
+        mlp.input_dim()
+    );
+    acts.resize_with(mlp.layers().len() + 1, Vec::new);
+    acts[0].clear();
+    acts[0].extend_from_slice(x);
+    for (li, layer) in mlp.layers().iter().enumerate() {
+        let (done, next) = acts.split_at_mut(li + 1);
+        let (a, next) = (&done[li], &mut next[0]);
         let rows = layer.weights.as_slice().chunks_exact(layer.in_dim());
-        let a = acts.last().expect("starts with the input");
-        let next = rows
-            .zip(&layer.biases)
-            .map(|(row, b)| {
-                let mut acc = 0.0f32;
-                for (w, xi) in row.iter().zip(a) {
-                    acc = (*w as f32).fmadd(*xi, acc);
-                }
-                let z = acc + *b as f32;
-                match layer.activation {
-                    Activation::Relu if z < 0.0 => 0.0,
-                    _ => z,
-                }
-            })
-            .collect();
-        acts.push(next);
+        next.clear();
+        next.extend(rows.zip(&layer.biases).map(|(row, b)| {
+            let mut acc = T::default();
+            for (w, xi) in row.iter().zip(a) {
+                acc = T::from_f64(*w).fmadd(*xi, acc);
+            }
+            let z = acc + T::from_f64(*b);
+            match layer.activation {
+                Activation::Relu if z < T::default() => T::default(),
+                _ => z,
+            }
+        }));
     }
-    acts
+    acts.last().expect("an Mlp has layers")
 }

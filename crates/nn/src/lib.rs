@@ -4,8 +4,12 @@
 //! the NeuroSketch reproduction. It provides exactly what the paper needs:
 //!
 //! * dense [`Mlp`] models with ReLU hidden layers and a linear output,
-//!   with allocation-free inference via [`Mlp::forward_with`] and a reused
-//!   [`mlp::Workspace`],
+//!   and their per-example forward and gradient
+//!   ([`fused::forward_per_example`], [`mlp::batch_gradient_per_example`]),
+//!   one body each over the crate's element type [`linalg::Elem`]: the
+//!   `f32` oracle of the batched kernels below, and at `f64` the
+//!   crate's `f64` forward ([`Mlp::predict`]; allocation-free with a
+//!   reused scratch, [`fused::activations_per_example`]) and gradient,
 //! * mini-batch training with MSE loss and the [`optimizer::Adam`] optimizer
 //!   (Alg. 4 of the paper), in `f32` end to end on master weights held
 //!   in a [`ServingLayout`] ([`train`]), executed as whole-batch GEMMs
@@ -13,22 +17,22 @@
 //!   one register-tiled micro-kernel ([`gemm`]) — the kernel
 //!   [`linalg::matmul`] also runs on, at `f64` — with bias, activation,
 //!   ReLU mask and bias-gradient sums fused into the tile store, and
-//!   bitwise equal to a scalar `f32` per-example step
-//!   ([`mlp::batch_gradient_per_example`]),
+//!   bitwise equal to the per-example gradient at `f32`,
 //! * the serving forward ([`fused`]): the same kernel instantiated at
 //!   `f32` — the precision every stored artifact has — over a packed
 //!   [`ServingLayout`], bitwise equal to a scalar `f32` oracle at any
-//!   batch size, and so bitwise the training forward,
+//!   batch size (the per-example forward at `f32`), and so bitwise the
+//!   training forward,
 //! * the explicit **memorization construction** of Theorem 3.4 / Algorithm 1
 //!   ([`construction`]), usable directly ("CS") or as an initialization for
 //!   SGD ("CS+SGD", Sec. A.5),
 //! * parameter/storage accounting used by the paper's space-complexity
 //!   arguments.
 //!
-//! An [`Mlp`]'s parameters and the per-example paths are `f64`; a
-//! trained model's parameters are all `f32` values, storage is
-//! *reported* as `f32` (4 bytes each), matching how the paper counts
-//! model size, and serving and training compute in that `f32`.
+//! An [`Mlp`]'s parameters are `f64`; a trained model's parameters are
+//! all `f32` values, storage is *reported* as `f32` (4 bytes each),
+//! matching how the paper counts model size, and serving and training
+//! compute in that `f32`.
 //!
 //! ```
 //! use nn::{Mlp, train::{train, TrainConfig}};

@@ -1,9 +1,5 @@
-//! Minimal dense linear algebra: a row-major [`Matrix`], the
-//! matrix–vector helpers of the `f64` per-example MLP paths
-//! ([`Matrix::matvec_into`], [`Matrix::matvec_transpose_into`],
-//! [`Matrix::rank1_add`] — [`crate::Mlp::forward_with`] and the `f64`
-//! gradient the training step's accuracy is measured against) and
-//! [`matmul`].
+//! Minimal dense linear algebra: a row-major [`Matrix`], the element
+//! types the crate computes in ([`Elem`]) and [`matmul`].
 //!
 //! This is deliberately not a general-purpose linear algebra library: the
 //! MLPs in NeuroSketch are tiny (tens of units per layer), so a simple
@@ -12,7 +8,11 @@
 //! [`crate::gemm`]; [`matmul`] is a thin entry to it at `f64`, and the
 //! mini-batch forward and backward ([`crate::mlp`]) and the serving
 //! forward ([`crate::fused`]) call it at `f32` with their own operand
-//! strides and tile epilogues.
+//! strides and tile epilogues. The per-example passes
+//! ([`crate::fused::forward_per_example`],
+//! [`crate::mlp::batch_gradient_per_example`]) are one body each over
+//! [`Elem`]: the `f32` oracle of those kernels, and at `f64` the crate's
+//! `f64` forward and gradient.
 //!
 //! **Determinism contract:** the kernel accumulates each output entry in
 //! one `fmadd` chain over ascending contraction index from `+0.0`; for
@@ -22,16 +22,27 @@
 use crate::gemm::{gemm, pack, padded, unpad, Plain, MR, NR};
 use serde::{Deserialize, Serialize};
 
-/// An element type the crate's kernels compute in: `f32` for the
-/// serving forward ([`crate::fused`]) and the training step
-/// ([`crate::mlp`]), `f64` for [`matmul`] and the per-example `f64`
-/// paths.
-pub(crate) trait Elem: Copy + Default + PartialOrd + std::ops::Add<Output = Self> {
+/// An element type the crate's kernels and per-example passes compute
+/// in: `f32` for the serving forward ([`crate::fused`]), the training
+/// step ([`crate::mlp`]) and their oracles, `f64` for [`matmul`] and the
+/// `f64` instantiation of the per-example passes. Sealed: `f32` and
+/// `f64` are the only implementors.
+pub trait Elem:
+    sealed::Sealed
+    + Copy
+    + Default
+    + PartialOrd
+    + std::ops::Add<Output = Self>
+    + std::ops::Mul<Output = Self>
+{
     /// A model parameter (held as `f64`) rounded to this type.
     fn from_f64(v: f64) -> Self;
 
+    /// This value widened to `f64` (exact).
+    fn to_f64(self) -> f64;
+
     /// Fused multiply-add `self * b + c`, used by every kernel in this
-    /// crate — the per-example helpers, the tiled GEMM and the serving
+    /// crate — the per-example passes, the tiled GEMM and the serving
     /// oracle alike — so a batched path and its per-example reference
     /// round identically and stay bitwise comparable.
     ///
@@ -45,12 +56,23 @@ pub(crate) trait Elem: Copy + Default + PartialOrd + std::ops::Add<Output = Self
     fn fmadd(self, b: Self, c: Self) -> Self;
 }
 
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for f64 {}
+}
+
 macro_rules! impl_elem {
     ($t:ty, $from_f64:expr) => {
         impl Elem for $t {
             #[inline(always)]
             fn from_f64(v: f64) -> $t {
                 $from_f64(v)
+            }
+
+            #[inline(always)]
+            fn to_f64(self) -> f64 {
+                f64::from(self)
             }
 
             #[inline(always)]
@@ -151,57 +173,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// `out = self * x` where `x` has length `cols` and `out` length `rows`.
-    ///
-    /// The workhorse of the forward pass. `out` is overwritten.
-    pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.cols);
-        debug_assert_eq!(out.len(), self.rows);
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            let mut acc = 0.0;
-            for (w, xi) in row.iter().zip(x) {
-                acc = w.fmadd(*xi, acc);
-            }
-            *o = acc;
-        }
-    }
-
-    /// `out = self^T * x` where `x` has length `rows` and `out` length `cols`.
-    ///
-    /// Used to back-propagate deltas through a layer's weights.
-    pub fn matvec_transpose_into(&self, x: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.rows);
-        debug_assert_eq!(out.len(), self.cols);
-        out.fill(0.0);
-        for (r, xr) in x.iter().enumerate() {
-            if *xr == 0.0 {
-                continue;
-            }
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (o, w) in out.iter_mut().zip(row) {
-                *o = w.fmadd(*xr, *o);
-            }
-        }
-    }
-
-    /// Rank-1 update `self += alpha * a * b^T` with `a` of length `rows` and
-    /// `b` of length `cols`. Used to accumulate weight gradients.
-    pub fn rank1_add(&mut self, alpha: f64, a: &[f64], b: &[f64]) {
-        debug_assert_eq!(a.len(), self.rows);
-        debug_assert_eq!(b.len(), self.cols);
-        for (r, ar) in a.iter().enumerate() {
-            if *ar == 0.0 {
-                continue;
-            }
-            let row = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            let s = alpha * ar;
-            for (w, bi) in row.iter_mut().zip(b) {
-                *w = s.fmadd(*bi, *w);
-            }
-        }
-    }
-
     /// Reshape in place to `rows x cols`, reusing the existing
     /// allocation. Contents are unspecified afterwards — this exists so
     /// batch workspaces can grow once and be reused across mini-batches
@@ -271,34 +242,6 @@ mod tests {
     use crate::Activation;
 
     #[test]
-    fn matvec_matches_manual() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let x = [1.0, 0.5, -1.0];
-        let mut out = [0.0; 2];
-        m.matvec_into(&x, &mut out);
-        assert_eq!(out, [1.0 + 1.0 - 3.0, 4.0 + 2.5 - 6.0]);
-    }
-
-    #[test]
-    fn matvec_transpose_matches_manual() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let x = [2.0, -1.0];
-        let mut out = [0.0; 3];
-        m.matvec_transpose_into(&x, &mut out);
-        assert_eq!(out, [2.0 - 4.0, 4.0 - 5.0, 6.0 - 6.0]);
-    }
-
-    #[test]
-    fn rank1_add_accumulates() {
-        let mut m = Matrix::zeros(2, 2);
-        m.rank1_add(2.0, &[1.0, 0.5], &[3.0, 4.0]);
-        assert_eq!(m.get(0, 0), 6.0);
-        assert_eq!(m.get(0, 1), 8.0);
-        assert_eq!(m.get(1, 0), 3.0);
-        assert_eq!(m.get(1, 1), 4.0);
-    }
-
-    #[test]
     fn row_views_are_consistent() {
         let mut m = Matrix::zeros(3, 2);
         m.row_mut(1)[0] = 7.0;
@@ -344,8 +287,7 @@ mod tests {
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
         for v in m.as_mut_slice() {
             // xorshift-ish deterministic pattern with exact zeros of both
-            // signs, which the per-example helpers skip and the kernel
-            // multiplies through.
+            // signs, which the kernel multiplies through, never skips.
             s ^= s << 13;
             s ^= s >> 7;
             s ^= s << 17;

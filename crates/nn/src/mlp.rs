@@ -47,16 +47,6 @@ pub struct Mlp {
     layers: Vec<Dense>,
 }
 
-/// Reusable scratch buffers so repeated inference performs no allocation.
-///
-/// The paper's query-time numbers are dominated by a single forward pass of
-/// a tiny model; allocating on every query would distort them.
-#[derive(Debug, Clone, Default)]
-pub struct Workspace {
-    a: Vec<f64>,
-    b: Vec<f64>,
-}
-
 /// Reusable scratch for the batched training hot path: the input cast
 /// to `f32`, every layer's activations, the delta ping-pong buffers and
 /// the `W` panels of the layer whose `dX` is being computed.
@@ -376,108 +366,16 @@ impl Mlp {
         self.param_count() * 4
     }
 
-    /// Width of the widest layer — sizing for scratch buffers.
-    fn max_width(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.out_dim().max(l.in_dim()))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Forward pass, allocating output. Prefer
-    /// [`Mlp::forward_with`] in hot loops.
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut ws = Workspace::default();
-        self.forward_with(&mut ws, x).to_vec()
-    }
-
-    /// Forward pass using caller-provided scratch space; returns a slice
-    /// into the workspace valid until the next call. Reuse one
-    /// [`Workspace`] across calls (e.g. one per worker thread) and no
-    /// allocation happens after the first call:
+    /// Scalar prediction of a single-output network: the `f64`
+    /// instantiation of the per-example forward
+    /// ([`crate::fused::forward_per_example`]), as the baselines and the
+    /// non-sketch models of `repro` evaluate it. A served sketch does
+    /// not answer through it (see [`crate::fused`]).
     ///
-    /// ```
-    /// use nn::mlp::Workspace;
-    /// use nn::Mlp;
-    ///
-    /// let mlp = Mlp::new(&[2, 8, 1], 7);
-    /// let mut ws = Workspace::default();
-    /// for q in [[0.1, 0.2], [0.3, 0.4]] {
-    ///     let y = mlp.forward_with(&mut ws, &q)[0];
-    ///     assert!(y.is_finite());
-    /// }
-    /// ```
-    pub fn forward_with<'w>(&self, ws: &'w mut Workspace, x: &[f64]) -> &'w [f64] {
-        assert_eq!(
-            x.len(),
-            self.input_dim(),
-            "input dim {} does not match network {}",
-            x.len(),
-            self.input_dim()
-        );
-        let w = self.max_width();
-        ws.a.resize(w, 0.0);
-        ws.b.resize(w, 0.0);
-        ws.a[..x.len()].copy_from_slice(x);
-        let mut cur_len = x.len();
-        let mut in_a = true;
-        for layer in &self.layers {
-            let out_len = layer.out_dim();
-            let (src, dst) = if in_a {
-                (&ws.a, &mut ws.b)
-            } else {
-                (&ws.b, &mut ws.a)
-            };
-            layer
-                .weights
-                .matvec_into(&src[..cur_len], &mut dst[..out_len]);
-            for (d, b) in dst[..out_len].iter_mut().zip(&layer.biases) {
-                *d += b;
-            }
-            layer.activation.apply(&mut dst[..out_len]);
-            cur_len = out_len;
-            in_a = !in_a;
-        }
-        if in_a {
-            &ws.a[..cur_len]
-        } else {
-            &ws.b[..cur_len]
-        }
-    }
-
-    /// Scalar prediction convenience for single-output networks.
+    /// # Panics
+    /// Panics if `x` is not `input_dim()` wide.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        self.forward(x)[0]
-    }
-
-    /// Scalar prediction with scratch space: the `f64` per-example
-    /// forward that training's validation pass, the baselines and the
-    /// non-sketch models of `repro` use. A served sketch does not answer
-    /// through it (see [`crate::fused`]).
-    pub fn predict_with(&self, ws: &mut Workspace, x: &[f64]) -> f64 {
-        self.forward_with(ws, x)[0]
-    }
-
-    /// Forward pass that retains every layer's pre-activations and
-    /// activations (for backprop). Returns `(pre_activations, activations)`
-    /// where `activations[0]` is the input.
-    pub fn forward_full(&self, x: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let mut pre = Vec::with_capacity(self.layers.len());
-        let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(x.to_vec());
-        for layer in &self.layers {
-            let input = acts.last().expect("nonempty");
-            let mut z = vec![0.0; layer.out_dim()];
-            layer.weights.matvec_into(input, &mut z);
-            for (zi, b) in z.iter_mut().zip(&layer.biases) {
-                *zi += b;
-            }
-            pre.push(z.clone());
-            layer.activation.apply(&mut z);
-            acts.push(z);
-        }
-        (pre, acts)
+        crate::fused::forward_per_example(self, x)[0]
     }
 
     /// Batched forward pass: compute activations for a whole
@@ -499,7 +397,7 @@ impl Mlp {
     /// row cast `as f32` — and therefore bitwise what
     /// [`ServingLayout::forward_into`] serves for it, including at the
     /// cast's edge (a finite coordinate beyond `f32` range arrives as
-    /// `±inf`). It is not the `f64` [`Mlp::forward_with`].
+    /// `±inf`). It is not the `f64` instantiation ([`Mlp::predict`]).
     ///
     /// # Panics
     /// Panics if `x.cols()` does not match the network's input
@@ -539,8 +437,8 @@ impl Mlp {
     /// of [`crate::train::train_rows`] run on this model's
     /// [`ServingLayout`], its gradient (laid out like the layout) then
     /// unpacked into `grads`, each `f32` sum widened to `f64` once. The
-    /// result is bitwise [`batch_gradient_per_example`]; how far it is
-    /// from the `f64` [`accumulate_example_gradient`] sum is bounded by
+    /// result is bitwise [`batch_gradient_per_example`] at `f32`; how
+    /// far it is from the same function at `f64` is bounded by
     /// `tests/training_accuracy.rs`.
     ///
     /// # Panics
@@ -595,8 +493,8 @@ impl Mlp {
     /// `quantized()` twin and `binary::decode(binary::encode(&m))`
     /// (which equals `m.quantized()` bitwise) all serve the same bits —
     /// persisting changes no served answer. What `quantized` does change
-    /// is the `f64` paths ([`Mlp::forward_with`], further training),
-    /// which read the parameters at full width.
+    /// is the `f64` paths ([`Mlp::predict`], further training), which
+    /// read the parameters at full width.
     pub fn quantized(&self) -> Mlp {
         self.quantized_to(QuantMode::F32)
     }
@@ -677,83 +575,52 @@ impl Gradients {
     }
 }
 
-/// Accumulate into `grads` the MSE gradient contribution of one example,
-/// in `f64` — the reference `tests/training_accuracy.rs` bounds the
-/// `f32` training step against.
+/// The per-example gradient: overwrite `grads` (shaped like `mlp`) with
+/// the summed MSE gradients of the rows of `x` against `y`, one example
+/// at a time in scalar `T`, and return the summed loss.
 ///
-/// Loss convention: `L = (f(x) - y)^2` summed over outputs; averaging
-/// over a batch is the caller's.
-pub fn accumulate_example_gradient(mlp: &Mlp, x: &[f64], y: &[f64], grads: &mut Gradients) -> f64 {
-    let (pre, acts) = mlp.forward_full(x);
-    let out = acts.last().expect("nonempty");
-    debug_assert_eq!(out.len(), y.len());
-    // delta at the output layer: dL/dz = 2 (a - y) * act'(z)
-    let last = mlp.layers().len() - 1;
-    let mut delta: Vec<f64> = out
-        .iter()
-        .zip(y)
-        .zip(&pre[last])
-        .map(|((a, t), z)| 2.0 * (a - t) * mlp.layers()[last].activation.derivative(*z))
-        .collect();
-    let loss: f64 = out.iter().zip(y).map(|(a, t)| (a - t) * (a - t)).sum();
-
-    for li in (0..mlp.layers().len()).rev() {
-        let layer = &mlp.layers()[li];
-        let (dw, db) = &mut grads.layers[li];
-        // dW += delta * input^T ; db += delta
-        dw.rank1_add(1.0, &delta, &acts[li]);
-        for (bi, d) in db.iter_mut().zip(&delta) {
-            *bi += d;
-        }
-        if li > 0 {
-            // propagate: delta_prev = (W^T delta) .* act'(z_prev)
-            let mut prev = vec![0.0; layer.in_dim()];
-            layer.weights.matvec_transpose_into(&delta, &mut prev);
-            let prev_layer = &mlp.layers()[li - 1];
-            for (p, z) in prev.iter_mut().zip(&pre[li - 1]) {
-                *p *= prev_layer.activation.derivative(*z);
-            }
-            delta = prev;
-        }
-    }
-    loss
-}
-
-/// The training step's oracle: overwrite `grads` (shaped like `mlp`)
-/// with the summed MSE gradients of the rows of `x` against `y`, one
-/// example at a time in scalar `f32`, and return the summed loss.
-/// Parity suites hold
-/// [`Mlp::backward_batch`] to it with `to_bits()`; nothing trains
-/// through it.
-///
-/// Per example, in batch order: the row cast `as f32` and run forward as
-/// [`crate::fused::forward_per_example`] runs it; the loss and the output
+/// Per example, in batch order: the row rounded to `T` and run forward
+/// by [`crate::fused::activations_per_example`]; the loss and the output
 /// delta `2 (a − y) · act'(a)` in `f64` from the widened output, the
-/// delta rounded to `f32`; then per layer, top down, `dW += δ xᵀ` and
-/// `db += δ` in `f32` and `δ ← (Wᵀ δ) · act'(x)`, one `fmadd` chain
-/// from `+0.0` over ascending output index. The `f32` sums are widened
-/// into `grads` once, after the last example.
-pub fn batch_gradient_per_example(mlp: &Mlp, x: &Matrix, y: &Matrix, grads: &mut Gradients) -> f64 {
-    let mut sums: Vec<(Vec<f32>, Vec<f32>)> = mlp
+/// delta rounded to `T`; then per layer, top down, `dW += δ xᵀ` and
+/// `db += δ` in `T` and `δ ← (Wᵀ δ) · act'(x)`, one `fmadd` chain from
+/// `+0.0` over ascending output index. The `T` sums are widened into
+/// `grads` once, after the last example.
+///
+/// At `f32` it is the training step's oracle: parity suites hold
+/// [`Mlp::backward_batch`] to it with `to_bits()`, and nothing trains
+/// through it. At `f64` it is the `f64` gradient
+/// `tests/training_accuracy.rs` bounds the `f32` step against.
+pub fn batch_gradient_per_example<T: Elem>(
+    mlp: &Mlp,
+    x: &Matrix,
+    y: &Matrix,
+    grads: &mut Gradients,
+) -> f64 {
+    let mut sums: Vec<(Vec<T>, Vec<T>)> = mlp
         .layers
         .iter()
-        .map(|l| (vec![0.0; l.weights.len()], vec![0.0; l.out_dim()]))
+        .map(|l| {
+            let zeros = |n| vec![T::default(); n];
+            (zeros(l.weights.len()), zeros(l.out_dim()))
+        })
         .collect();
     let last = mlp.layers.len() - 1;
-    let mut loss = 0.0;
+    let (mut loss, mut row, mut acts) = (0.0, Vec::new(), Vec::new());
     for e in 0..x.rows() {
-        let row: Vec<f32> = x.row(e).iter().map(|&v| v as f32).collect();
-        let acts = crate::fused::activations_per_example(mlp, &row);
-        let out = acts[last + 1].iter().map(|&a| f64::from(a));
+        row.clear();
+        row.extend(x.row(e).iter().map(|&v| T::from_f64(v)));
+        crate::fused::activations_per_example(mlp, &mut acts, &row);
+        let out = acts[last + 1].iter().map(|&a| a.to_f64());
         loss += out
             .clone()
             .zip(y.row(e))
             .map(|(a, t)| (a - t) * (a - t))
             .sum::<f64>();
         let act = mlp.layers[last].activation;
-        let mut delta: Vec<f32> = out
+        let mut delta: Vec<T> = out
             .zip(y.row(e))
-            .map(|(a, t)| (2.0 * (a - t) * act.derivative_from_output(a)) as f32)
+            .map(|(a, t)| T::from_f64(2.0 * (a - t) * act.derivative_from_output(a)))
             .collect();
         for (li, layer) in mlp.layers.iter().enumerate().rev() {
             let (dw, db) = &mut sums[li];
@@ -761,17 +628,17 @@ pub fn batch_gradient_per_example(mlp: &Mlp, x: &Matrix, y: &Matrix, grads: &mut
                 for (w, xi) in dw_row.iter_mut().zip(&acts[li]) {
                     *w = d.fmadd(*xi, *w);
                 }
-                *db_o += d;
+                *db_o = *db_o + *d;
             }
             if li > 0 {
                 let act = mlp.layers[li - 1].activation;
                 delta = (0..layer.in_dim())
                     .map(|i| {
-                        let mut acc = 0.0f32;
+                        let mut acc = T::default();
                         for (o, d) in delta.iter().enumerate() {
-                            acc = (layer.weights.get(o, i) as f32).fmadd(*d, acc);
+                            acc = T::from_f64(layer.weights.get(o, i)).fmadd(*d, acc);
                         }
-                        acc * act.derivative_from_output(f64::from(acts[li][i])) as f32
+                        acc * T::from_f64(act.derivative_from_output(acts[li][i].to_f64()))
                     })
                     .collect();
             }
@@ -780,7 +647,7 @@ pub fn batch_gradient_per_example(mlp: &Mlp, x: &Matrix, y: &Matrix, grads: &mut
     for ((dw, db), (sw, sb)) in grads.layers.iter_mut().zip(&sums) {
         let dst = dw.as_mut_slice().iter_mut().chain(db);
         for (g, s) in dst.zip(sw.iter().chain(sb)) {
-            *g = f64::from(*s);
+            *g = s.to_f64();
         }
     }
     loss
@@ -822,7 +689,7 @@ impl Gradients {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fused::{forward_per_example, ServingWorkspace};
+    use crate::fused::{activations_per_example, forward_per_example, ServingWorkspace};
 
     fn tiny() -> Mlp {
         Mlp::new(&[2, 4, 1], 42)
@@ -839,13 +706,16 @@ mod tests {
 
     #[test]
     fn forward_is_deterministic_and_matches_workspace_path() {
-        let m = tiny();
-        let x = [0.3, 0.7];
-        let a = m.forward(&x);
-        let mut ws = Workspace::default();
-        let b = m.forward_with(&mut ws, &x).to_vec();
-        assert_eq!(a, b);
-        assert_eq!(a, m.forward(&x));
+        // One caller-held scratch across models of different depths and
+        // widths: what a deeper pass left in it must not reach an answer.
+        let (m, deep) = (tiny(), Mlp::new(&[2, 9, 7, 3, 1], 5));
+        let mut acts: Vec<Vec<f64>> = Vec::new();
+        for (mlp, x) in [(&deep, [0.3, 0.7]), (&m, [0.3, 0.7]), (&deep, [0.9, 0.1])] {
+            let got = activations_per_example(mlp, &mut acts, &x)[0];
+            assert_eq!(got.to_bits(), mlp.predict(&x).to_bits());
+            assert_eq!(acts.len(), mlp.layers().len() + 1);
+        }
+        assert_eq!(m.predict(&[0.3, 0.7]), m.predict(&[0.3, 0.7]));
     }
 
     #[test]
@@ -886,7 +756,11 @@ mod tests {
         let x = [0.4, -0.2];
         let y = [1.5];
         let mut grads = Gradients::zeros_like(&m);
-        accumulate_example_gradient(&m, &x, &y, &mut grads);
+        let (xm, ym) = (
+            Matrix::from_vec(1, 2, x.to_vec()),
+            Matrix::from_vec(1, 1, y.to_vec()),
+        );
+        batch_gradient_per_example::<f64>(&m, &xm, &ym, &mut grads);
 
         let eps = 1e-6;
         let loss_of = |m: &Mlp| {
@@ -929,7 +803,7 @@ mod tests {
     #[should_panic(expected = "input dim")]
     fn forward_panics_on_wrong_dim() {
         let m = tiny();
-        let _ = m.forward(&[0.1, 0.2, 0.3]);
+        let _ = m.predict(&[0.1, 0.2, 0.3]);
     }
 
     fn batch_inputs(n: usize, d: usize) -> Matrix {
@@ -991,7 +865,7 @@ mod tests {
 
         // Reference: per-example `f32` accumulation in batch order.
         let mut ref_grads = Gradients::zeros_like(&m);
-        let ref_loss = batch_gradient_per_example(&m, &x, &y, &mut ref_grads);
+        let ref_loss = batch_gradient_per_example::<f32>(&m, &x, &y, &mut ref_grads);
 
         let mut bws = BatchWorkspace::default();
         let mut grads = Gradients::zeros_like(&m);

@@ -93,7 +93,8 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mlp::{accumulate_example_gradient, Gradients, Mlp};
+    use crate::linalg::Matrix;
+    use crate::mlp::{batch_gradient_per_example, Gradients, Mlp};
 
     #[test]
     fn adam_decreases_loss() {
@@ -101,13 +102,17 @@ mod tests {
         // at least halve its loss.
         let mut mlp = Mlp::new(&[2, 8, 1], 3);
         let (x, y) = ([0.2, 0.8], [2.0]);
+        let (xm, ym) = (
+            Matrix::from_vec(1, 2, x.to_vec()),
+            Matrix::from_vec(1, 1, y.to_vec()),
+        );
         let loss = |m: &Mlp| (m.predict(&x) - y[0]).powi(2);
         let before = loss(&mlp);
         let mut params = mlp.row_major_f32();
         let mut adam = Adam::new(0.01, params.len());
         for _ in 0..50 {
             let mut g = Gradients::zeros_like(&mlp);
-            accumulate_example_gradient(&mlp, &x, &y, &mut g);
+            batch_gradient_per_example::<f64>(&mlp, &xm, &ym, &mut g);
             adam.step(&mut params, &g.row_major_f32(), 1.0);
             mlp.set_row_major(&params);
         }

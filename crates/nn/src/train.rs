@@ -314,7 +314,7 @@ mod tests {
                 let rows: Vec<f64> = chunk.iter().flat_map(|&i| xs[i].clone()).collect();
                 let x = Matrix::from_vec(chunk.len(), 2, rows);
                 let y = Matrix::from_vec(chunk.len(), 1, chunk.iter().map(|&i| ys[i]).collect());
-                batch_gradient_per_example(&reference, &x, &y, &mut grads);
+                batch_gradient_per_example::<f32>(&reference, &x, &y, &mut grads);
                 let g = grads.row_major_f32();
                 adam.step(&mut params, &g, (1.0 / chunk.len() as f64) as f32);
                 reference.set_row_major(&params);

@@ -71,7 +71,7 @@ fn train_per_example(mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[f64], cfg: &TrainConf
             let rows = chunk.iter().flat_map(|&i| xs[i].iter().copied()).collect();
             let x = Matrix::from_vec(chunk.len(), mlp.input_dim(), rows);
             let y = Matrix::from_vec(chunk.len(), 1, chunk.iter().map(|&i| ys[i]).collect());
-            let batch_loss = batch_gradient_per_example(mlp, &x, &y, &mut grads);
+            let batch_loss = batch_gradient_per_example::<f32>(mlp, &x, &y, &mut grads);
             let g = row_major(grads.layers.iter().map(|(w, b)| (w.as_slice(), &b[..])));
             adam.step(&mut params, &g, (1.0 / chunk.len() as f64) as f32);
             let dst = mlp.layers_mut().iter_mut();
@@ -251,7 +251,7 @@ fn assert_step_parity(mlp: &Mlp, ws: &mut BatchWorkspace, bsz: usize, pool: &[f6
     }
 
     let mut want = Gradients::zeros_like(mlp);
-    let want_loss = batch_gradient_per_example(mlp, &x, &y, &mut want);
+    let want_loss = batch_gradient_per_example::<f32>(mlp, &x, &y, &mut want);
 
     let mut got = Gradients::zeros_like(mlp);
     for (w, b) in &mut got.layers {

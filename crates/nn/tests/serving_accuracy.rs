@@ -1,7 +1,7 @@
 //! The accuracy gate of the `f32` serving forward (`nn::fused`): it is
-//! bitwise its own `f32` oracle (`fused_parity.rs`), and it is *not*
-//! bitwise the `f64` `Mlp::forward_with` — this file bounds how far
-//! from it. Every output must lie within `1e-5` of the `f64` forward,
+//! bitwise its own `f32` oracle, `fused::forward_per_example` at `f32`
+//! (`fused_parity.rs`), and it is *not* bitwise the same function at
+//! `f64` — this file bounds how far from it. Every output must lie within `1e-5` of the `f64` forward,
 //! relative to `max(|y|, 1)`: served outputs are standardized labels,
 //! O(1) by construction, so below 1 the bound is absolute.
 //!
@@ -10,8 +10,7 @@
 //! so the bound has a factor of ten in hand and a kernel that loses a
 //! digit trips it.
 
-use nn::fused::ServingWorkspace;
-use nn::mlp::Workspace;
+use nn::fused::{forward_per_example, ServingWorkspace};
 use nn::{Mlp, QuantMode};
 
 const ROWS: usize = 512;
@@ -38,11 +37,10 @@ fn worst_relative_error(mlp: &Mlp) -> f64 {
     let mut served = vec![0.0f32; ROWS];
     mlp.serving_layout()
         .forward_into(&mut ServingWorkspace::default(), &x32, &mut served);
-    let mut ws = Workspace::default();
     x.chunks_exact(d)
         .zip(&served)
         .map(|(row, got)| {
-            let want = mlp.forward_with(&mut ws, row)[0];
+            let want = forward_per_example(mlp, row)[0];
             (f64::from(*got) - want).abs() / want.abs().max(1.0)
         })
         .fold(0.0, f64::max)

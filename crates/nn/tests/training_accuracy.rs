@@ -19,7 +19,7 @@
 
 use nn::fused::ServingWorkspace;
 use nn::linalg::Matrix;
-use nn::mlp::{accumulate_example_gradient, BatchWorkspace, Gradients};
+use nn::mlp::{batch_gradient_per_example, BatchWorkspace, Gradients};
 use nn::train::{train, TrainConfig};
 use nn::Mlp;
 use rand::rngs::StdRng;
@@ -51,7 +51,7 @@ fn inputs(rows: usize, d: usize, seed: u64) -> Matrix {
 }
 
 /// Worst normwise relative distance, over the layers, between one
-/// batched `f32` step's gradients and the `f64` per-example sum.
+/// batched `f32` step's gradients and the per-example gradient at `f64`.
 fn worst_gradient_error(mlp: &Mlp, seed: u64) -> f64 {
     let x = inputs(BATCH, mlp.input_dim(), seed);
     let y = Matrix::from_vec(
@@ -62,9 +62,7 @@ fn worst_gradient_error(mlp: &Mlp, seed: u64) -> f64 {
             .collect(),
     );
     let mut want = Gradients::zeros_like(mlp);
-    for e in 0..BATCH {
-        accumulate_example_gradient(mlp, x.row(e), y.row(e), &mut want);
-    }
+    batch_gradient_per_example::<f64>(mlp, &x, &y, &mut want);
     let mut got = Gradients::zeros_like(mlp);
     let mut ws = BatchWorkspace::default();
     mlp.forward_batch(&mut ws, &x);

@@ -75,16 +75,6 @@ impl Aggregate {
         }
     }
 
-    /// Streaming variant for COUNT/SUM/AVG/STD that avoids materializing
-    /// the matching values; returns `None` for MEDIAN (which needs them,
-    /// so the iterator is not consumed).
-    pub fn apply_streaming(&self, it: impl Iterator<Item = f64>) -> Option<f64> {
-        match self {
-            Aggregate::Median => None,
-            _ => Moments::of(it).finish(*self),
-        }
-    }
-
     /// The moment components a scatter/gather deployment must collect
     /// per shard to recombine this aggregate exactly, or `None` for
     /// MEDIAN (not a function of moments, hence not shardable this way).
@@ -105,7 +95,7 @@ impl Aggregate {
     /// measure values — `n` (count), `s` (sum), `s2` (sum of squares).
     /// Returns `None` for MEDIAN, which is not a function of moments.
     ///
-    /// This is the closed form behind [`Aggregate::apply_streaming`], and
+    /// This is the closed form behind [`Moments::finish`], and
     /// what lets the query engine's sorted-column index answer range
     /// aggregates from prefix-sum differences without touching rows.
     pub fn from_moments(&self, n: f64, s: f64, s2: f64) -> Option<f64> {
@@ -318,11 +308,11 @@ mod tests {
             Aggregate::Std,
         ] {
             let a = apply(agg, &v);
-            let b = agg.apply_streaming(v.iter().copied()).unwrap();
+            let b = Moments::of(v.iter().copied()).finish(agg).unwrap();
             assert!((a - b).abs() < 1e-12, "{}", agg.name());
         }
-        assert!(Aggregate::Median
-            .apply_streaming(v.iter().copied())
+        assert!(Moments::of(v.iter().copied())
+            .finish(Aggregate::Median)
             .is_none());
     }
 

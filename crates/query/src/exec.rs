@@ -474,6 +474,13 @@ impl<'a> QueryEngine<'a> {
     /// Exact answer using a caller-provided scratch buffer, so repeated
     /// calls (batch labeling, per-worker loops) allocate nothing in
     /// steady state.
+    ///
+    /// Every non-MEDIAN aggregate is finished from
+    /// [`QueryEngine::moments`]: one accumulation serves both `answer`
+    /// and `moments` on every path, which is what keeps the sharded
+    /// gather-equals-answer invariant structural. MEDIAN is not a
+    /// function of moments: it collects the matches of the same scans
+    /// and selects.
     pub fn answer_with(
         &self,
         scratch: &mut Vec<f64>,
@@ -481,37 +488,26 @@ impl<'a> QueryEngine<'a> {
         agg: Aggregate,
         q: &[f64],
     ) -> f64 {
+        if !matches!(agg, Aggregate::Median) {
+            return self
+                .moments(pred, q)
+                .finish(agg)
+                .expect("every non-median aggregate is a function of moments");
+        }
         debug_assert_eq!(q.len(), pred.query_dim());
-        if let Some(bounds) = pred.axis_bounds(q) {
-            if !bounds.is_empty() {
-                return self.answer_pruned(scratch, pred, agg, q, &bounds);
+        scratch.clear();
+        match pred.axis_bounds(q) {
+            Some(bounds) if !bounds.is_empty() => {
+                self.scan_matching(pred, q, &bounds, |vals| scratch.extend_from_slice(vals))
             }
+            _ => scratch.extend(
+                self.data
+                    .iter_rows()
+                    .filter(|row| pred.matches(q, row))
+                    .map(|row| row[self.measure]),
+            ),
         }
-        self.answer_scan(scratch, pred, agg, q)
-    }
-
-    /// Index-assisted path. Non-MEDIAN aggregates delegate to the
-    /// moments path — one copy of the index math serves both `answer`
-    /// and `moments`, which is what keeps the sharded
-    /// gather-equals-answer invariant structural.
-    fn answer_pruned(
-        &self,
-        scratch: &mut Vec<f64>,
-        pred: &dyn PredicateFn,
-        agg: Aggregate,
-        q: &[f64],
-        bounds: &[(usize, f64, f64)],
-    ) -> f64 {
-        if matches!(agg, Aggregate::Median) {
-            // MEDIAN is not a function of moments: collect the matches
-            // of the same scan and select.
-            scratch.clear();
-            self.scan_matching(pred, q, bounds, |vals| scratch.extend_from_slice(vals));
-            return agg.apply(scratch);
-        }
-        self.moments_pruned(pred, q, bounds)
-            .finish(agg)
-            .expect("every non-median aggregate is a function of moments")
+        agg.apply(scratch)
     }
 
     /// The scan shared by the pruned answer and moments paths: resolve
@@ -592,31 +588,6 @@ impl<'a> QueryEngine<'a> {
                 n += k as usize;
             }
             sink(&kept[..n]);
-        }
-    }
-
-    /// Full-scan fallback for predicates with no axis bounds.
-    fn answer_scan(
-        &self,
-        scratch: &mut Vec<f64>,
-        pred: &dyn PredicateFn,
-        agg: Aggregate,
-        q: &[f64],
-    ) -> f64 {
-        let matching = self
-            .data
-            .iter_rows()
-            .filter(|row| pred.matches(q, row))
-            .map(|row| row[self.measure]);
-        match agg {
-            Aggregate::Median => {
-                scratch.clear();
-                scratch.extend(matching);
-                agg.apply(scratch)
-            }
-            _ => agg
-                .apply_streaming(matching)
-                .expect("streaming covers all non-median aggregates"),
         }
     }
 
@@ -807,7 +778,7 @@ mod tests {
         }
     }
 
-    /// `moments(pred, q).finish(agg)` must agree with `answer` on every
+    /// `moments(pred, q).finish(agg)` must agree bit for bit with `answer` on every
     /// index path (prefix-sum exact, candidate-verified, full scan) —
     /// the sharded gather math is only as good as this equivalence.
     #[test]
@@ -845,8 +816,9 @@ mod tests {
             ] {
                 let direct = eng.answer(pred.as_ref(), agg, q);
                 let via = m.finish(agg).unwrap();
-                assert!(
-                    (direct - via).abs() < 1e-9 * (1.0 + direct.abs()),
+                assert_eq!(
+                    direct.to_bits(),
+                    via.to_bits(),
                     "{} on {:?}: {direct} vs {via}",
                     agg.name(),
                     q
