@@ -537,7 +537,7 @@ pub fn run_query_suite(fast: bool, reps: usize) -> PerfReport {
     // "median" so the size curve rides the same tracked report as the
     // timings. Deterministic — byte-stable across runs and machines.
     for mode in nn::QuantMode::ALL {
-        let bytes = neurosketch::persist::encoded_len_with(&sketch, mode) as f64;
+        let bytes = neurosketch::persist::encoded_len(&sketch.quantized_to(mode)) as f64;
         push(
             &format!("artifact_bytes_{}", mode.name()),
             1,

@@ -60,21 +60,6 @@ use query::aggregate::{Aggregate, Moments};
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The aggregate byte folded into every cache key, so one shared
-/// [`AnswerCache`] can serve deployments answering different
-/// aggregates over the same query vectors without collisions. `0` is
-/// reserved for deployments whose aggregate is not declared (a bare
-/// routed sketch serves whatever it was trained for).
-fn aggregate_tag(agg: Aggregate) -> u8 {
-    match agg {
-        Aggregate::Count => 1,
-        Aggregate::Sum => 2,
-        Aggregate::Avg => 3,
-        Aggregate::Std => 4,
-        Aggregate::Median => 5,
-    }
-}
-
 /// Bytes one cached entry of a `dims`-dimensional query is charged
 /// against the budget: the canonical key bytes (`8 × dims` coordinate
 /// bit patterns plus the 9-byte generation + aggregate prefix), the
@@ -818,7 +803,10 @@ impl CachedDeployment {
         generation: u64,
         agg: Aggregate,
     ) -> CachedDeployment {
-        CachedDeployment::tagged(Box::new(inner), cache, generation, aggregate_tag(agg))
+        // `0` is reserved for deployments whose aggregate is not
+        // declared (a bare routed sketch serves whatever it was trained
+        // for), so declared aggregates key as `tag() + 1`.
+        CachedDeployment::tagged(Box::new(inner), cache, generation, agg.tag() + 1)
     }
 
     fn tagged(

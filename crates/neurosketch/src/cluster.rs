@@ -1126,9 +1126,9 @@ impl Cluster {
     /// derivation is positional (new-plan shard index), so a
     /// fully materialized K→2K cluster is bitwise a fresh 2K build.
     /// New groups inherit the parent's replica bookkeeping
-    /// (generation, health, pin, served, cursor) but have no
-    /// persistence backing until re-saved. Any error leaves the group
-    /// as it was.
+    /// (generation, health, pin, served, cursor) and each replica's
+    /// storage modes, but have no persistence backing until re-saved.
+    /// Any error leaves the group as it was.
     #[allow(clippy::too_many_arguments)]
     pub fn materialize_group(
         &mut self,
@@ -1157,7 +1157,7 @@ impl Cluster {
                 .replicas
                 .iter()
                 .map(|r| Replica {
-                    sketch: sketch.clone(),
+                    sketch: sketch.clone().stored_like(&r.sketch),
                     ..*r
                 })
                 .collect();

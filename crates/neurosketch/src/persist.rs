@@ -37,16 +37,17 @@
 //!
 //! ## Quantized parameter sections and the accuracy contract
 //!
-//! The default encoding stores parameters as `f32` (the paper's
-//! 4 B/param storage model); [`encode_sketch_with`] additionally offers
+//! A sketch is saved in the [`NeuroSketch::quant_mode`] it carries:
+//! `f32` for a fresh build (the paper's 4 B/param storage model), or
 //! [`QuantMode::F16`] (2 B/param) and [`QuantMode::I8`] (1 B/param +
-//! one `f32` power-of-two scale per tensor). For **every** mode, saving
-//! is lossy exactly once: a decoded sketch answers **bitwise
-//! identically** to [`NeuroSketch::quantized_to`] of the sketch it was
-//! saved from, re-encoding a decoded sketch reproduces the byte stream
-//! exactly (the decoded sketch carries the artifact's mode as its
-//! [`NeuroSketch::quant_mode`], so plain [`encode_sketch`] round-trips
-//! too), and a second load answers bitwise identically to the first.
+//! one `f32` power-of-two scale per tensor) for the sketch
+//! [`NeuroSketch::quantized_to`] returns — the one way a mode reaches
+//! an encoder. The per-mode encoding itself is [`nn::binary`]'s alone,
+//! and `quantized_to` is its round trip, so for **every** mode a
+//! decoded sketch answers **bitwise identically** to the sketch it was
+//! saved from, re-encoding it reproduces the byte stream exactly (it
+//! carries the artifact's mode), and a second load answers bitwise
+//! identically to the first.
 //! What f16/i8 trade away is accuracy *against the data*, not
 //! reproducibility — `docs/serving.md` quantifies the NMAE curve.
 //!
@@ -256,27 +257,20 @@ impl Artifact {
     }
 }
 
-/// Exact byte size [`encode_sketch`] produces for this sketch (in its
-/// carried [`NeuroSketch::quant_mode`]) — the figure to compare against
-/// [`NeuroSketch::storage_bytes`] (the paper's accounting). Parameters
-/// dominate: the fixed overhead is 25 bytes of header/trailer, 21 bytes
-/// per internal node, 1 per leaf, and 29 bytes + the model-blob header
-/// per model.
+/// Exact byte size [`encode_sketch`] produces for this sketch, in its
+/// carried [`NeuroSketch::quant_mode`] — the figure to compare against
+/// [`NeuroSketch::storage_bytes`] (the paper's accounting) and the
+/// capacity-planning primitive (`docs/scaling.md`): for another mode,
+/// size `sketch.quantized_to(mode)`. Parameters dominate: the fixed
+/// overhead is 25 bytes of header/trailer, 21 bytes per internal node,
+/// 1 per leaf, and 29 bytes + the model-blob header per model.
 pub fn encoded_len(sketch: &NeuroSketch) -> usize {
-    encoded_len_with(sketch, sketch.quant_mode())
-}
-
-/// Exact byte size [`encode_sketch_with`] produces for this sketch in
-/// the given parameter encoding — the capacity-planning primitive
-/// (`docs/scaling.md`): per-replica artifact bytes at 4/2/1 bytes per
-/// parameter for f32/f16/i8.
-pub fn encoded_len_with(sketch: &NeuroSketch, mode: QuantMode) -> usize {
     let leaves = sketch.partitions();
     let internals = leaves.saturating_sub(1);
     let models: usize = sketch
         .models()
         .iter()
-        .map(|m| 25 + nn::binary::encoded_len_with(&m.mlp, mode))
+        .map(|m| 25 + nn::binary::encoded_len_with(&m.mlp, sketch.quant_mode()))
         .sum();
     12 + 4 + internals * 21 + leaves + 4 + models + 1 + 8
 }
@@ -284,40 +278,29 @@ pub fn encoded_len_with(sketch: &NeuroSketch, mode: QuantMode) -> usize {
 /// Encode a sketch (no router section) into an NSK2 container, in the
 /// sketch's carried [`NeuroSketch::quant_mode`] — `F32` for freshly
 /// built sketches, the artifact's recorded mode for loaded ones (which
-/// is what makes load → re-encode byte-idempotent for every mode).
+/// is what makes load → re-encode byte-idempotent for every mode). To
+/// store in another mode, encode `sketch.quantized_to(mode)`.
 pub fn encode_sketch(sketch: &NeuroSketch) -> Bytes {
-    encode(sketch, None, sketch.quant_mode())
-}
-
-/// Encode a sketch with an explicit parameter encoding — the save-API
-/// entry point for choosing f16/i8 storage. The decoded artifact
-/// answers bitwise identically to `sketch.quantized_to(mode)`.
-pub fn encode_sketch_with(sketch: &NeuroSketch, mode: QuantMode) -> Bytes {
-    encode(sketch, None, mode)
+    encode(sketch, None)
 }
 
 /// Encode a router — sketch + AQCs + policy — into an NSK2 container,
 /// in the sketch's carried quant mode.
 pub fn encode_router(router: &DqdRouter) -> Bytes {
-    encode_router_with(router, router.sketch().quant_mode())
-}
-
-/// Encode a router with an explicit parameter encoding.
-pub fn encode_router_with(router: &DqdRouter, mode: QuantMode) -> Bytes {
     encode(
         router.sketch(),
         Some(&RouterMeta {
             leaf_aqcs: router.leaf_aqcs().to_vec(),
             policy: router.policy(),
         }),
-        mode,
     )
 }
 
-fn encode(sketch: &NeuroSketch, router: Option<&RouterMeta>, mode: QuantMode) -> Bytes {
+fn encode(sketch: &NeuroSketch, router: Option<&RouterMeta>) -> Bytes {
+    let mode = sketch.quant_mode();
     let flat = sketch.tree().to_flat();
     let mut buf = BytesMut::with_capacity(
-        encoded_len_with(sketch, mode) + router.map_or(0, |m| 20 + 8 * m.leaf_aqcs.len()),
+        encoded_len(sketch) + router.map_or(0, |m| 20 + 8 * m.leaf_aqcs.len()),
     );
     buf.put_u32_le(NSK2_MAGIC);
     buf.put_u32_le(NSK2_VERSION);
@@ -599,25 +582,10 @@ pub fn decode(mut data: Bytes) -> Result<Artifact, PersistError> {
     })
 }
 
-/// Write a sketch to `path` in NSK2 form.
-pub fn save_sketch(path: impl AsRef<Path>, sketch: &NeuroSketch) -> Result<(), PersistError> {
-    std::fs::write(path, encode_sketch(sketch)).map_err(|e| PersistError::Io(e.to_string()))
-}
-
-/// Write a router (sketch + AQCs + policy) to `path` in NSK2 form.
+/// Write a router (sketch + AQCs + policy) to `path` in NSK2 form, in
+/// its sketch's carried quant mode.
 pub fn save_router(path: impl AsRef<Path>, router: &DqdRouter) -> Result<(), PersistError> {
     std::fs::write(path, encode_router(router)).map_err(|e| PersistError::Io(e.to_string()))
-}
-
-/// Write a router with an explicit parameter encoding — the on-disk
-/// counterpart of [`encode_router_with`].
-pub fn save_router_with(
-    path: impl AsRef<Path>,
-    router: &DqdRouter,
-    mode: QuantMode,
-) -> Result<(), PersistError> {
-    std::fs::write(path, encode_router_with(router, mode))
-        .map_err(|e| PersistError::Io(e.to_string()))
 }
 
 /// Read an NSK2 container from `path`.
@@ -673,31 +641,6 @@ pub struct ShardManifest {
     pub shards: Vec<Vec<ShardArtifactRef>>,
 }
 
-fn aggregate_tag(agg: Aggregate) -> Result<u8, PersistError> {
-    match agg {
-        Aggregate::Count => Ok(0),
-        Aggregate::Sum => Ok(1),
-        Aggregate::Avg => Ok(2),
-        Aggregate::Std => Ok(3),
-        // build_sharded refuses MEDIAN, but ShardManifest is plain
-        // public data — a hand-built one must get the typed error the
-        // module contract promises, not a panic.
-        Aggregate::Median => Err(PersistError::Corrupt(
-            "MEDIAN is not moment-composable and has no NSKM encoding".to_string(),
-        )),
-    }
-}
-
-fn aggregate_from_tag(tag: u8) -> Option<Aggregate> {
-    match tag {
-        0 => Some(Aggregate::Count),
-        1 => Some(Aggregate::Sum),
-        2 => Some(Aggregate::Avg),
-        3 => Some(Aggregate::Std),
-        _ => None,
-    }
-}
-
 /// Encode a manifest into NSKM bytes. Fails (typed, no truncation) if
 /// an artifact path exceeds the format's `u16` length field.
 pub fn encode_manifest(manifest: &ShardManifest) -> Result<Bytes, PersistError> {
@@ -705,7 +648,16 @@ pub fn encode_manifest(manifest: &ShardManifest) -> Result<Bytes, PersistError> 
     buf.put_u32_le(NSKM_MAGIC);
     buf.put_u32_le(NSKM_VERSION);
     buf.put_u64_le(manifest.generation);
-    buf.put_u8(aggregate_tag(manifest.aggregate)?);
+    // build_sharded refuses MEDIAN, but ShardManifest is plain public
+    // data — a hand-built one must get the typed error the module
+    // contract promises, not a panic.
+    if manifest.aggregate.required_moments().is_none() {
+        return Err(PersistError::Corrupt(format!(
+            "{} is not moment-composable and has no NSKM encoding",
+            manifest.aggregate.name()
+        )));
+    }
+    buf.put_u8(manifest.aggregate.tag());
     // Same uniform hardening as the path length below: counts that do
     // not fit the format's fields are a typed refusal, never a
     // silently-truncating cast.
@@ -785,11 +737,11 @@ pub fn decode_manifest(mut data: Bytes) -> Result<ShardManifest, PersistError> {
         return Err(PersistError::Truncated("manifest plan"));
     }
     let agg_tag = data.get_u8();
-    let aggregate = aggregate_from_tag(agg_tag)
+    let aggregate = Aggregate::from_tag(agg_tag)
         .ok_or_else(|| PersistError::Corrupt(format!("unknown aggregate tag {agg_tag}")))?;
-    let required = aggregate
-        .required_moments()
-        .expect("manifest aggregates are moment-composable");
+    let required = aggregate.required_moments().ok_or_else(|| {
+        PersistError::Corrupt(format!("{} has no NSKM encoding", aggregate.name()))
+    })?;
     let plan_tag = data.get_u8();
     let shards = data.get_u32_le() as usize;
     let plan = match plan_tag {
@@ -1373,11 +1325,12 @@ mod tests {
             ),
         ] {
             let golden = unhex(hex);
-            assert_eq!(
-                &encode_router_with(&router, mode)[..],
-                &golden[..],
-                "{mode:?}"
+            let stored = DqdRouter::new(
+                router.sketch().quantized_to(mode),
+                router.leaf_aqcs().to_vec(),
+                router.policy(),
             );
+            assert_eq!(&encode_router(&stored)[..], &golden[..], "{mode:?}");
             let artifact = decode(Bytes::from(golden.clone())).unwrap();
             assert_eq!(artifact.sketch.quant_mode(), mode);
             assert_eq!(&encode_router(&artifact.into_router())[..], &golden[..]);
@@ -1401,7 +1354,7 @@ mod tests {
         assert_eq!(blob.len(), encoded_len(&sketch));
         let loaded = decode(blob).unwrap();
         assert!(loaded.router.is_none());
-        let q = sketch.quantized();
+        let q = sketch.quantized_to(QuantMode::F32);
         assert_eq!(loaded.sketch.partitions(), sketch.partitions());
         for i in 0..50 {
             let query = vec![(i as f64 * 0.137) % 1.0, (i as f64 * 0.311) % 1.0];
@@ -1411,9 +1364,8 @@ mod tests {
 
     /// Serving precision is storage precision: the serving layout rounds
     /// every parameter to `f32`, which *is* the F32 artifact's rounding,
-    /// so a freshly trained sketch, its `quantized()` twin and its
-    /// save/load round trip answer with the same bits — saving changes
-    /// no served answer.
+    /// so a freshly trained sketch and its save/load round trip answer
+    /// with the same bits — saving changes no served answer.
     #[test]
     fn fresh_quantized_and_decoded_sketches_serve_the_same_bits() {
         let (sketch, _) = trained_sketch();
@@ -1426,13 +1378,13 @@ mod tests {
                 .collect()
         };
         let fresh = bits(&sketch);
-        assert_eq!(bits(&sketch.quantized()), fresh);
         assert_eq!(bits(&decode(encode_sketch(&sketch)).unwrap().sketch), fresh);
         // The narrower modes do move answers, each exactly once: the
-        // in-memory rounding and the decoded artifact agree.
+        // quantized sketch and its decoded artifact agree.
         for mode in [QuantMode::F16, QuantMode::I8] {
-            let loaded = decode(encode_sketch_with(&sketch, mode)).unwrap().sketch;
-            assert_eq!(bits(&loaded), bits(&sketch.quantized_to(mode)), "{mode:?}");
+            let q = sketch.quantized_to(mode);
+            let loaded = decode(encode_sketch(&q)).unwrap().sketch;
+            assert_eq!(bits(&loaded), bits(&q), "{mode:?}");
             assert_ne!(bits(&loaded), fresh, "{mode:?} rounding must be visible");
         }
     }
@@ -1489,7 +1441,7 @@ mod tests {
         let query = [0.3, 0.8];
         assert_eq!(
             artifact.sketch.answer(&query),
-            router.sketch().quantized().answer(&query)
+            router.sketch().quantized_to(QuantMode::F32).answer(&query)
         );
     }
 
@@ -1617,7 +1569,7 @@ mod tests {
         assert_eq!(loaded.shard_count(), 2);
         // Save is lossy exactly once (f32 storage): the loaded
         // deployment answers bitwise like the quantized source.
-        let quantized = sharded.quantized();
+        let quantized = sharded.quantized_to(QuantMode::F32);
         for q in queries.iter().take(20) {
             assert_eq!(loaded.answer(q), quantized.answer(q));
         }
@@ -1654,8 +1606,11 @@ mod tests {
         let old = load_shard(&validated, &manifest_path, 0).unwrap();
         let new = load_shard(&landed, &manifest_path, 0).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(bits(&old), bits(&gen0.shards()[0].quantized()));
-        assert_eq!(bits(&new), bits(&reseeded.quantized()));
+        assert_eq!(
+            bits(&old),
+            bits(&gen0.shards()[0].quantized_to(QuantMode::F32))
+        );
+        assert_eq!(bits(&new), bits(&reseeded.quantized_to(QuantMode::F32)));
         assert_ne!(bits(&old), bits(&new), "the refresh changed nothing");
     }
 
@@ -1731,6 +1686,16 @@ mod tests {
             encode_manifest(&median),
             Err(PersistError::Corrupt(m)) if m.contains("MEDIAN")
         ));
+        // So is MEDIAN's tag (4) in the aggregate byte, which follows
+        // magic, version and generation; so is a tag past the enum.
+        for (tag, msg) in [(4u8, "MEDIAN"), (5, "unknown aggregate tag")] {
+            let mut bad = blob.to_vec();
+            bad[16] = tag;
+            assert!(matches!(
+                decode_manifest(Bytes::from(bad)),
+                Err(PersistError::Corrupt(m)) if m.contains(msg)
+            ));
+        }
 
         // Every strict prefix fails typed, never panics.
         for cut in 0..blob.len() {
@@ -1825,15 +1790,15 @@ mod tests {
     #[test]
     fn quantized_modes_roundtrip_and_reencode_byte_idempotently() {
         let (sketch, _) = trained_sketch();
-        let f32_len = encoded_len_with(&sketch, QuantMode::F32);
+        let len = |mode| encoded_len(&sketch.quantized_to(mode));
         for mode in QuantMode::ALL {
-            let blob = encode_sketch_with(&sketch, mode);
-            assert_eq!(blob.len(), encoded_len_with(&sketch, mode), "{mode:?}");
+            let q = sketch.quantized_to(mode);
+            let blob = encode_sketch(&q);
+            assert_eq!(blob.len(), len(mode), "{mode:?}");
             let loaded = decode(blob.clone()).unwrap().sketch;
             assert_eq!(loaded.quant_mode(), mode);
-            // The artifact answers exactly like the in-memory
-            // quantization of its source...
-            let q = sketch.quantized_to(mode);
+            // The artifact answers exactly like the quantized sketch it
+            // was saved from...
             for i in 0..40 {
                 let query = vec![(i as f64 * 0.173) % 1.0, (i as f64 * 0.419) % 1.0];
                 assert_eq!(loaded.answer(&query), q.answer(&query), "{mode:?}");
@@ -1847,10 +1812,8 @@ mod tests {
             assert_eq!(loaded.answer(&query), again.answer(&query));
         }
         // The size ordering that motivates the whole feature.
-        assert!(
-            encoded_len_with(&sketch, QuantMode::I8) < encoded_len_with(&sketch, QuantMode::F16)
-        );
-        assert!(encoded_len_with(&sketch, QuantMode::F16) < f32_len);
+        assert!(len(QuantMode::I8) < len(QuantMode::F16));
+        assert!(len(QuantMode::F16) < len(QuantMode::F32));
     }
 
     /// The version field cannot opt out of verification: a valid
@@ -1879,7 +1842,7 @@ mod tests {
     #[test]
     fn trailer_catches_every_single_byte_flip() {
         let (sketch, _) = trained_sketch();
-        let blob = encode_sketch_with(&sketch, QuantMode::I8).to_vec();
+        let blob = encode_sketch(&sketch.quantized_to(QuantMode::I8)).to_vec();
         let body = blob.len() - 8;
         // Stride through the body; every flip must be the integrity
         // error specifically — the trailer runs before section parsing.

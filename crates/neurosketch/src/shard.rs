@@ -296,25 +296,30 @@ impl ShardSketch {
         out
     }
 
-    /// Every parameter of every component model rounded through `f32` —
-    /// what the per-shard NSK2 artifacts store. See
-    /// [`NeuroSketch::quantized`].
-    pub fn quantized(&self) -> ShardSketch {
-        self.quantized_to(QuantMode::F32)
-    }
-
-    /// Every component model quantized through `mode` — the in-memory
-    /// equivalent of saving this shard's artifacts with that
-    /// [`QuantMode`] and loading them back. See
-    /// [`NeuroSketch::quantized_to`].
+    /// Every component model saved and loaded through `mode`: what
+    /// this shard's artifacts decode to when stored at that
+    /// [`QuantMode`]. See [`NeuroSketch::quantized_to`].
     pub fn quantized_to(&self, mode: QuantMode) -> ShardSketch {
         ShardSketch {
-            models: [
-                self.models[0].as_ref().map(|m| m.quantized_to(mode)),
-                self.models[1].as_ref().map(|m| m.quantized_to(mode)),
-                self.models[2].as_ref().map(|m| m.quantized_to(mode)),
-            ],
+            models: self
+                .models
+                .each_ref()
+                .map(|m| m.as_ref().map(|m| m.quantized_to(mode))),
         }
+    }
+
+    /// This shard with each component model rounded through the storage
+    /// mode of the same component of `old`, the shard it replaces — how
+    /// a refresh keeps the storage mode of the models it swaps out. A
+    /// component `old` lacks is kept as it is.
+    pub(crate) fn stored_like(self, old: &ShardSketch) -> ShardSketch {
+        let mut models = self.models;
+        for (new, old) in models.iter_mut().zip(&old.models) {
+            if let (Some(n), Some(o)) = (new.as_mut(), old) {
+                *n = n.quantized_to(o.quant_mode());
+            }
+        }
+        ShardSketch { models }
     }
 
     /// Total trainable parameters across this shard's component models.
@@ -389,9 +394,11 @@ impl ShardedSketch {
     /// in [`crate::maintenance`] retrains stale shards in place; the
     /// caller guarantees the replacements were trained for the same
     /// aggregate's components, as [`ShardTables::build`] output is).
+    /// Each component keeps the storage mode of the model it replaces
+    /// ([`ShardSketch::stored_like`]).
     pub(crate) fn replace_shards(&mut self, rebuilt: Vec<(usize, ShardSketch)>) {
         for (idx, shard) in rebuilt {
-            self.shards[idx] = shard;
+            self.shards[idx] = shard.stored_like(&self.shards[idx]);
         }
     }
 

@@ -156,6 +156,12 @@ impl LeafModel {
         }
     }
 
+    /// This model with its parameters rounded through `mode`'s storage
+    /// encoding ([`Mlp::quantized_to`]).
+    fn quantized_to(&self, mode: QuantMode) -> LeafModel {
+        LeafModel::new(self.mlp.quantized_to(mode), self.y_mean, self.y_std)
+    }
+
     /// Answer the gathered rows `x` of this leaf: the serving forward
     /// into `y`, then each output widened, de-standardized in `f64` and
     /// handed to `emit` with its row number.
@@ -448,9 +454,9 @@ impl NeuroSketch {
         }
     }
 
-    /// The sketch with every model parameter rounded through `f32` — the
-    /// exact values the persistent NSK2 format ([`crate::persist`])
-    /// stores, and the exact values every answer is computed with.
+    /// `self.quantized_to(QuantMode::F32)`: every model parameter
+    /// rounded through `f32`, the exact values an F32 NSK2 artifact
+    /// ([`crate::persist`]) stores and every answer is computed with.
     /// Serving precision is storage precision: `s`, `s.quantized()` and
     /// `persist::decode(persist::encode_sketch(&s))` answer every query
     /// with identical bits, so saving a freshly trained sketch changes
@@ -459,20 +465,17 @@ impl NeuroSketch {
         self.quantized_to(QuantMode::F32)
     }
 
-    /// The sketch with every model parameter rounded through the given
-    /// storage encoding — exactly the values an NSK2 artifact saved with
-    /// that [`QuantMode`] decodes to. `F16` and `I8` move answers, each
-    /// exactly once: `s.quantized_to(mode)` is a fixed point of itself
-    /// and all its values are `f32`-representable, so load → re-encode
-    /// is byte-idempotent and answers are bitwise reproducible across
-    /// loads. The result carries `mode` as its
-    /// [`NeuroSketch::quant_mode`].
+    /// The sketch with every model saved and loaded through the given
+    /// storage encoding ([`Mlp::quantized_to`], the `nn::binary` round
+    /// trip) — exactly what an NSK2 artifact of that [`QuantMode`]
+    /// decodes to. The result carries `mode` as its
+    /// [`NeuroSketch::quant_mode`], which is how a mode reaches the
+    /// encoder: save `s.quantized_to(mode)` to store at `mode`. `F16`
+    /// and `I8` move answers, each exactly once: the result is a fixed
+    /// point of itself, so load → re-encode is byte-idempotent and
+    /// answers are bitwise reproducible across loads.
     pub fn quantized_to(&self, mode: QuantMode) -> NeuroSketch {
-        let models = self
-            .models
-            .iter()
-            .map(|m| LeafModel::new(m.mlp.quantized_to(mode), m.y_mean, m.y_std))
-            .collect();
+        let models = self.models.iter().map(|m| m.quantized_to(mode)).collect();
         NeuroSketch::from_parts(self.tree.clone(), models, self.query_dim, mode)
     }
 
@@ -570,11 +573,13 @@ impl NeuroSketch {
     }
 
     /// Install a replacement model for partition `unit` (crate-internal:
-    /// paired with [`NeuroSketch::train_partition_model`]). Every other
-    /// partition's model is untouched — the bitwise-stability guarantee
-    /// partial refresh rests on.
+    /// paired with [`NeuroSketch::train_partition_model`]), rounded
+    /// through the sketch's [`NeuroSketch::quant_mode`] so the sketch
+    /// keeps answering like its own artifact (at `F32` this moves no bit
+    /// of a trained model). Every other partition's model is untouched —
+    /// the bitwise-stability guarantee partial refresh rests on.
     pub(crate) fn install_partition_model(&mut self, unit: usize, model: LeafModel) {
-        self.models[unit] = model;
+        self.models[unit] = model.quantized_to(self.quant);
     }
 
     /// Retrain one partition's model in place against fresh labels (the
@@ -993,7 +998,7 @@ mod tests {
         assert_batch_is_per_query(&i8_sketch, &mut scratch, &wl.queries);
         let i8_answers = batch_with(&i8_sketch, &mut scratch, &wl.queries);
         assert_ne!(i8_answers, after, "i8 rounding must be visible");
-        let bytes = crate::persist::encode_sketch_with(&sketch, QuantMode::I8);
+        let bytes = crate::persist::encode_sketch(&i8_sketch);
         let decoded = crate::persist::decode(bytes).unwrap().sketch;
         assert_batch_is_per_query(&decoded, &mut scratch, &wl.queries);
         assert_eq!(batch_with(&decoded, &mut scratch, &wl.queries), i8_answers);

@@ -6,6 +6,8 @@
 //!   quantized-bitwise, untouched shards keep their generation-0
 //!   artifacts, and a [`neurosketch::deploy::LiveDeployment`] adopts
 //!   the new generation atomically via `reload_sharded`;
+//! * a refresh keeps the **storage mode** of the models it replaces: an
+//!   `i8` deployment stays `i8` through retrain, save and load;
 //! * a **torn refresh** — new artifacts written, manifest rename never
 //!   landed — still loads generation `G` cleanly.
 
@@ -16,8 +18,9 @@ use neurosketch::deploy::Deployment;
 use neurosketch::maintenance::retrain_shards;
 use neurosketch::persist;
 use neurosketch::serve::ServeOptions;
-use neurosketch::shard::{build_sharded, ShardPlan, ShardedServer, ShardedSketch};
+use neurosketch::shard::{build_sharded, ShardPlan, ShardSketch, ShardedServer, ShardedSketch};
 use neurosketch::{LiveDeployment, NeuroSketchConfig};
+use nn::QuantMode;
 use proptest::prelude::*;
 use query::aggregate::{Aggregate, MomentKind};
 use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
@@ -151,6 +154,40 @@ fn generation_roundtrips_quantized_bitwise_and_swaps_live() {
     assert_ne!(gen0_answers, gen1_answers, "refresh changed nothing");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn i8_refresh_keeps_its_storage_mode_through_save_and_load() {
+    let b = base();
+    let dir = fresh_dir("nskm_i8_refresh_test");
+    let i8 = b.sharded.quantized_to(QuantMode::I8);
+    let manifest = persist::save_sharded(&dir, &i8).unwrap();
+    let mut refreshed = persist::load_sharded(&manifest).unwrap();
+    retrain_shards(
+        &mut refreshed,
+        &b.grown,
+        1,
+        &b.wl.predicate,
+        &b.wl.queries,
+        &cfg(),
+        &[1],
+    )
+    .unwrap();
+    persist::save_refreshed(&manifest, &refreshed, &[1]).unwrap();
+    let loaded = persist::load_sharded(&manifest).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let bits = |s: &ShardedSketch| -> Vec<u64> {
+        b.wl.queries.iter().map(|q| s.answer(q).to_bits()).collect()
+    };
+    assert_eq!(bits(&loaded), bits(&refreshed));
+    assert_ne!(bits(&refreshed), bits(&i8), "refresh changed nothing");
+    // The retrained shard was stored at i8 again, not at f32.
+    let sizes = |s: &ShardedSketch| -> Vec<usize> {
+        s.shards().iter().map(ShardSketch::artifact_bytes).collect()
+    };
+    assert_eq!(sizes(&refreshed), sizes(&i8));
+    assert_eq!(sizes(&loaded), sizes(&i8));
 }
 
 #[test]

@@ -40,7 +40,7 @@ fn artifact_bytes_mode(partitions: usize, mode: QuantMode) -> Vec<u8> {
             cfg.target_partitions = partitions;
             cfg.train.epochs = 5;
             let (sketch, _) = NeuroSketch::build_from_labeled(&qs, &labels, &cfg).unwrap();
-            persist::encode_sketch_with(&sketch, mode).to_vec()
+            persist::encode_sketch(&sketch.quantized_to(mode)).to_vec()
         })
         .clone()
 }
@@ -194,7 +194,7 @@ fn mode_tag_mismatch_is_structural_corruption() {
     cfg.target_partitions = 1;
     cfg.train.epochs = 2;
     let (sketch, _) = NeuroSketch::build_from_labeled(&qs, &labels, &cfg).unwrap();
-    let mut blob = persist::encode_sketch_with(&sketch, QuantMode::I8).to_vec();
+    let mut blob = persist::encode_sketch(&sketch.quantized_to(QuantMode::I8)).to_vec();
     let quant_at = 41;
     assert_eq!(blob[quant_at], QuantMode::I8.tag());
     blob[quant_at] = QuantMode::F16.tag();

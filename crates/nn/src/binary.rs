@@ -21,6 +21,10 @@
 //! load → re-encode is byte-idempotent for every mode and answers are
 //! bitwise reproducible across loads.
 //!
+//! This module is the only definition of each mode's rounding: the
+//! primitives are private, [`encode_with`] and [`decode_any`] are the
+//! whole API, and [`Mlp::quantized_to`] is their round trip.
+//!
 //! Layout (little-endian; `magic` selects the mode):
 //!
 //! ```text
@@ -114,18 +118,12 @@ impl Default for QuantMode {
     }
 }
 
-/// Exact size in bytes of [`encode`]'s output for a given model: header,
-/// layer table, and 4 bytes per parameter. Used by whole-sketch
-/// containers (the NSK2 format in `neurosketch::persist`) to pre-size
-/// buffers and to check size accounting against the paper's
-/// 4-bytes-per-parameter model-size numbers.
-pub fn encoded_len(mlp: &Mlp) -> usize {
-    encoded_len_with(mlp, QuantMode::F32)
-}
-
 /// Exact size in bytes of [`encode_with`]'s output for a given model
-/// and mode. The i8 form pays 8 extra bytes per layer (one f32 scale
-/// each for the weight matrix and the bias vector).
+/// and mode: header, layer table, and 4 / 2 / 1 bytes per parameter.
+/// The i8 form pays 8 extra bytes per layer (one f32 scale each for the
+/// weight matrix and the bias vector). Whole-sketch containers (NSK2 in
+/// `neurosketch::persist`) size their buffers and their
+/// `encoded_len` with it.
 pub fn encoded_len_with(mlp: &Mlp, mode: QuantMode) -> usize {
     let header = 8 + mlp.layers().len() * 9;
     match mode {
@@ -133,12 +131,6 @@ pub fn encoded_len_with(mlp: &Mlp, mode: QuantMode) -> usize {
         QuantMode::F16 => header + mlp.param_count() * 2,
         QuantMode::I8 => header + mlp.layers().len() * 8 + mlp.param_count(),
     }
-}
-
-/// Encode an [`Mlp`] into the compact `f32` binary format
-/// ([`encode_with`] at [`QuantMode::F32`]).
-pub fn encode(mlp: &Mlp) -> Bytes {
-    encode_with(mlp, QuantMode::F32)
 }
 
 /// Encode an [`Mlp`] with the given parameter encoding.
@@ -189,20 +181,6 @@ pub fn encode_with(mlp: &Mlp, mode: QuantMode) -> Bytes {
         }
     }
     buf.freeze()
-}
-
-/// Decode a model produced by [`encode`]. Parameters come back as the
-/// `f32`-rounded values (the paper's storage model). Rejects the f16
-/// and i8 magics — use [`decode_any`] when the mode is not known.
-pub fn decode(mut data: Bytes) -> Result<Mlp, NnError> {
-    let fail = |m: &str| NnError::Serde(m.to_string());
-    if data.remaining() < 4 {
-        return Err(fail("truncated header"));
-    }
-    if data.get_u32_le() != MAGIC {
-        return Err(fail("bad magic"));
-    }
-    decode_body(data, QuantMode::F32)
 }
 
 /// Decode a model blob of any [`QuantMode`], dispatching on the magic.
@@ -337,7 +315,7 @@ fn decode_body(mut data: Bytes, mode: QuantMode) -> Result<Mlp, NnError> {
 /// representable in binary16 (e.g. anything that came back from
 /// [`f16_bits_to_f32`]) map to their own bit pattern, which is what
 /// makes the f16 round trip byte-idempotent.
-pub(crate) fn f32_to_f16_bits(x: f32) -> u16 {
+fn f32_to_f16_bits(x: f32) -> u16 {
     let bits = x.to_bits();
     let sign = ((bits >> 16) & 0x8000) as u16;
     let abs = bits & 0x7FFF_FFFF;
@@ -391,7 +369,7 @@ pub(crate) fn f32_to_f16_bits(x: f32) -> u16 {
 /// IEEE 754 binary16 bits → the exactly-equal f32. Infinities and NaNs
 /// (exponent field 31) are mapped too, but the decoder rejects those
 /// bit patterns before calling this.
-pub(crate) fn f16_bits_to_f32(h: u16) -> f32 {
+fn f16_bits_to_f32(h: u16) -> f32 {
     let sign = if h & 0x8000 != 0 { -1.0f32 } else { 1.0 };
     let exp = ((h >> 10) & 0x1F) as u32;
     let man = (h & 0x3FF) as f32;
@@ -418,7 +396,7 @@ pub(crate) fn f16_bits_to_f32(h: u16) -> f32 {
 /// `round(max/p)` in `[64, 127]`, re-deriving the scale from the
 /// dequantized tensor lands on the same `p`: the i8 round trip is
 /// byte-idempotent.
-pub(crate) fn pow2_scale(max_abs: f32) -> f32 {
+fn pow2_scale(max_abs: f32) -> f32 {
     if max_abs == 0.0 {
         return 0.0;
     }
@@ -434,14 +412,14 @@ pub(crate) fn pow2_scale(max_abs: f32) -> f32 {
 
 /// Largest magnitude in the tensor, in f32 (the domain quantization
 /// operates in).
-pub(crate) fn max_abs_f32(vals: impl Iterator<Item = f64>) -> f32 {
+fn max_abs_f32(vals: impl Iterator<Item = f64>) -> f32 {
     vals.fold(0.0f32, |m, v| m.max((v as f32).abs()))
 }
 
 /// Quantize one value against a [`pow2_scale`]. `v/p` is exact (power-
 /// of-two scaling) and below 127.5 in magnitude by construction, so the
 /// result always fits.
-pub(crate) fn i8_quant(v: f32, p: f32) -> i8 {
+fn i8_quant(v: f32, p: f32) -> i8 {
     if p == 0.0 {
         0
     } else {
@@ -471,10 +449,11 @@ mod tests {
     #[test]
     fn roundtrip_preserves_structure_and_f32_values() {
         let mlp = Mlp::new(&[3, 8, 8, 1], 5);
-        let blob = encode(&mlp);
+        let blob = encode_with(&mlp, QuantMode::F32);
         // Header + layer table + params.
         assert_eq!(blob.len(), 8 + 3 * 9 + mlp.param_count() * 4);
-        let back = decode(blob).unwrap();
+        let (back, mode) = decode_any(blob).unwrap();
+        assert_eq!(mode, QuantMode::F32);
         assert_eq!(back.input_dim(), 3);
         assert_eq!(back.param_count(), mlp.param_count());
         // Outputs agree to f32 precision.
@@ -490,7 +469,7 @@ mod tests {
     fn binary_is_much_smaller_than_json() {
         let mlp = Mlp::new(&[4, 60, 30, 30, 1], 0);
         let json = serde_json::to_string(&mlp).unwrap().len();
-        let bin = encode(&mlp).len();
+        let bin = encode_with(&mlp, QuantMode::F32).len();
         assert!(bin * 3 < json, "bin {bin} json {json}");
         // Within 1% of the paper's 4-bytes-per-parameter accounting.
         assert!(bin < mlp.storage_bytes() + 64);
@@ -499,13 +478,13 @@ mod tests {
     #[test]
     fn rejects_corrupt_input() {
         let mlp = Mlp::new(&[2, 4, 1], 1);
-        let blob = encode(&mlp);
-        assert!(decode(Bytes::from_static(b"nope")).is_err());
+        let blob = encode_with(&mlp, QuantMode::F32);
+        assert!(decode_any(Bytes::from_static(b"nope")).is_err());
         let mut bad_magic = blob.to_vec();
         bad_magic[0] ^= 0xFF;
-        assert!(decode(Bytes::from(bad_magic)).is_err());
+        assert!(decode_any(Bytes::from(bad_magic)).is_err());
         let truncated = blob.slice(0..blob.len() - 10);
-        assert!(decode(truncated).is_err());
+        assert!(decode_any(truncated).is_err());
     }
 
     #[test]

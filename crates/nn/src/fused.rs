@@ -19,10 +19,10 @@
 //! [`ServingLayout`] is a self-contained copy of a model's parameters in
 //! the shape the kernel reads, one flat `f32` vector:
 //!
-//! * each layer's weights rounded to `f32` — the rounding
-//!   [`Mlp::quantized`] and the F32 artifact apply, so a fresh model, its
-//!   `quantized()` twin and its save/load round trip serve the same bits
-//!   — transposed and packed once into `NR`-column panels (`in_dim x NR`
+//! * each layer's weights rounded to `f32` — the rounding the F32
+//!   artifact applies, so a fresh model, its
+//!   [`Mlp::quantized_to`]`(F32)` image (its save/load round trip) serve
+//!   the same bits — transposed and packed once into `NR`-column panels (`in_dim x NR`
 //!   floats, contiguous), the output width zero-padded to a multiple of
 //!   [`NR`], then the layer's biases padded alike;
 //! * [`BLOCK_ROWS`] rows at a time ping-pong between two scratch tiles

@@ -6,9 +6,7 @@
 //! everywhere except the output.
 
 use crate::activation::Activation;
-use crate::binary::{
-    f16_bits_to_f32, f32_to_f16_bits, i8_quant, max_abs_f32, pow2_scale, QuantMode,
-};
+use crate::binary::{self, QuantMode};
 use crate::fused::ServingLayout;
 use crate::gemm::{gemm, padded, transpose_panels, unpad, Panels, TileStore, NR};
 use crate::init::Init;
@@ -483,70 +481,29 @@ impl Mlp {
         loss
     }
 
-    /// The model with every parameter rounded through `f32` — exactly
-    /// the values the compact binary format ([`crate::binary`]) stores,
-    /// and exactly the values the serving layout ([`crate::fused`])
-    /// computes with.
+    /// The model with every parameter rounded through the given storage
+    /// encoding: `binary::decode_any(binary::encode_with(&m, mode))`,
+    /// so "quantized" is "saved and loaded" by construction.
     ///
     /// Serving precision is storage precision: [`Mlp::serving_layout`]
-    /// applies this same rounding as it packs, so a model, its
-    /// `quantized()` twin and `binary::decode(binary::encode(&m))`
-    /// (which equals `m.quantized()` bitwise) all serve the same bits —
-    /// persisting changes no served answer. What `quantized` does change
-    /// is the `f64` paths ([`Mlp::predict`], further training), which
-    /// read the parameters at full width.
-    pub fn quantized(&self) -> Mlp {
-        self.quantized_to(QuantMode::F32)
-    }
-
-    /// The model with every parameter rounded through the given storage
-    /// encoding — exactly the values
-    /// `binary::decode_any(binary::encode_with(&m, mode))` yields.
+    /// rounds every parameter to `f32` as it packs, so a model and its
+    /// `quantized_to(QuantMode::F32)` serve the same bits, and a model
+    /// `train` returns is its own `F32` image. What `F32` does change is
+    /// the `f64` paths ([`Mlp::predict`], further training), which read
+    /// the parameters at full width. The narrower encodings move served
+    /// answers, each exactly once: a mode is idempotent and every value
+    /// it produces is `f32`-representable, so load → re-encode
+    /// reproduces the artifact bytes and answers are bitwise
+    /// reproducible across loads for every mode.
     ///
-    /// The narrower encodings do move served answers, each exactly
-    /// once: a mode is idempotent (`m.quantized_to(mode).quantized_to(mode)`
-    /// is bitwise equal to `m.quantized_to(mode)`) and every value it
-    /// produces is `f32`-representable, so the serving layout's rounding
-    /// is exact on it, load → re-encode reproduces the artifact bytes
-    /// and answers are bitwise reproducible across loads for every mode.
+    /// # Panics
+    /// Panics, naming the mode, if no artifact of that mode can hold the
+    /// model: a NaN parameter at `F16`, or an infinite one at `I8`.
     pub fn quantized_to(&self, mode: QuantMode) -> Mlp {
-        let squash: fn(f64) -> f64 = match mode {
-            QuantMode::F32 => |v| v as f32 as f64,
-            QuantMode::F16 => |v| f16_bits_to_f32(f32_to_f16_bits(v as f32)) as f64,
-            // I8 needs the per-tensor scale; handled below.
-            QuantMode::I8 => |v| v,
-        };
-        let layers = self
-            .layers
-            .iter()
-            .map(|l| {
-                let mut weights = l.weights.clone();
-                let mut biases = l.biases.clone();
-                if mode == QuantMode::I8 {
-                    let ws = pow2_scale(max_abs_f32(weights.as_slice().iter().copied()));
-                    for w in weights.as_mut_slice() {
-                        *w = (i8_quant(*w as f32, ws) as f32 * ws) as f64;
-                    }
-                    let bs = pow2_scale(max_abs_f32(biases.iter().copied()));
-                    for b in &mut biases {
-                        *b = (i8_quant(*b as f32, bs) as f32 * bs) as f64;
-                    }
-                } else {
-                    for w in weights.as_mut_slice() {
-                        *w = squash(*w);
-                    }
-                    for b in &mut biases {
-                        *b = squash(*b);
-                    }
-                }
-                Dense {
-                    weights,
-                    biases,
-                    activation: l.activation,
-                }
-            })
-            .collect();
-        Mlp { layers }
+        match binary::decode_any(binary::encode_with(self, mode)) {
+            Ok((m, _)) => m,
+            Err(e) => panic!("{} storage cannot hold this model: {e}", mode.name()),
+        }
     }
 }
 
@@ -991,20 +948,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn quantized_matches_binary_roundtrip_bitwise() {
-        let m = Mlp::new(&[3, 9, 4, 1], 17);
-        let q = m.quantized();
-        let loaded = crate::binary::decode(crate::binary::encode(&m)).unwrap();
-        assert_eq!(q, loaded);
-        // Quantization is idempotent.
-        assert_eq!(q, q.quantized());
-        for i in 0..10 {
-            let x = [i as f64 * 0.09, 0.4, 0.8];
-            assert_eq!(q.predict(&x), loaded.predict(&x));
-        }
-    }
-
     /// `rows` as the serving kernel takes them: flat, cast to `f32`.
     fn serving_rows(x: &Matrix) -> Vec<f32> {
         x.as_slice().iter().map(|&v| v as f32).collect()
@@ -1053,9 +996,9 @@ mod tests {
     #[test]
     fn serving_precision_is_storage_precision() {
         // The layout's cast is the F32 storage rounding, and the F16 / I8
-        // grids are f32-representable: a model and its `quantized()`
-        // twin serve the same bits, and so does each narrower mode and
-        // its own decode.
+        // grids are f32-representable: a model and its F32 image serve
+        // the same bits, and so does each narrower image and its own F32
+        // image.
         let m = Mlp::new(&[3, 9, 4, 1], 17);
         let rows = serving_rows(&batch_inputs(13, 3));
         let serve = |m: &Mlp| {
@@ -1064,34 +1007,74 @@ mod tests {
                 .forward_into(&mut ServingWorkspace::default(), &rows, &mut out);
             out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
-        assert_eq!(serve(&m), serve(&m.quantized()));
+        assert_eq!(serve(&m), serve(&m.quantized_to(QuantMode::F32)));
         for mode in QuantMode::ALL {
-            let bytes = crate::binary::encode_with(&m, mode);
-            let (loaded, _) = crate::binary::decode_any(bytes).unwrap();
-            assert_eq!(serve(&m.quantized_to(mode)), serve(&loaded), "{mode:?}");
+            let q = m.quantized_to(mode);
+            assert_eq!(
+                serve(&q),
+                serve(&q.quantized_to(QuantMode::F32)),
+                "{mode:?}"
+            );
+        }
+    }
+
+    /// A model after a short `train` run, as a build leaf returns it.
+    fn trained_model() -> Mlp {
+        let xs: Vec<Vec<f64>> = (0..90)
+            .map(|i| vec![(i % 9) as f64 / 9.0, (i / 9) as f64 / 10.0, 0.5])
+            .collect();
+        let ys: Vec<f64> = xs.iter().map(|x| (3.0 * x[0]).sin() - x[1]).collect();
+        let mut m = Mlp::new(&[3, 9, 4, 1], 17);
+        let cfg = crate::train::TrainConfig {
+            epochs: 20,
+            batch_size: 16,
+            patience: 0,
+            ..Default::default()
+        };
+        crate::train::train(&mut m, &xs, &ys, &cfg);
+        m
+    }
+
+    #[test]
+    fn quantized_to_is_idempotent_on_a_trained_model() {
+        // Lossy exactly once, for every mode: re-quantizing is the
+        // identity, so load → re-encode reproduces an artifact's bytes.
+        let m = trained_model();
+        for mode in QuantMode::ALL {
+            let q = m.quantized_to(mode);
+            assert_eq!(q, q.quantized_to(mode), "{mode:?}");
         }
     }
 
     #[test]
-    fn quantized_to_matches_binary_roundtrip_bitwise_per_mode() {
-        let m = Mlp::new(&[3, 9, 4, 1], 17);
-        for mode in QuantMode::ALL {
-            let q = m.quantized_to(mode);
-            let (loaded, got_mode) =
-                crate::binary::decode_any(crate::binary::encode_with(&m, mode)).unwrap();
-            assert_eq!(got_mode, mode);
-            assert_eq!(q, loaded, "{mode:?}");
-            // Lossy exactly once: re-quantizing is the identity.
-            assert_eq!(q, q.quantized_to(mode), "{mode:?} idempotence");
-        }
-        // F32 mode is the legacy `quantized()`.
-        assert_eq!(m.quantized(), m.quantized_to(QuantMode::F32));
+    fn quantized_to_f32_is_the_identity_on_a_trained_model() {
+        // `train` leaves every parameter f32-representable, so installing
+        // a freshly trained model at F32 moves no bit.
+        let m = trained_model();
+        assert_ne!(m, Mlp::new(&[3, 9, 4, 1], 17).quantized_to(QuantMode::F32));
+        assert_eq!(m.quantized_to(QuantMode::F32), m);
+    }
+
+    #[test]
+    #[should_panic(expected = "f16 storage cannot hold this model")]
+    fn f16_quantization_of_a_nan_parameter_panics() {
+        let mut m = Mlp::new(&[2, 3, 1], 4);
+        m.layers[0].biases[1] = f64::NAN;
+        m.quantized_to(QuantMode::F16);
+    }
+
+    #[test]
+    #[should_panic(expected = "i8 storage cannot hold this model")]
+    fn i8_quantization_of_an_infinite_parameter_panics() {
+        let mut m = Mlp::new(&[2, 3, 1], 4);
+        m.layers[1].weights.as_mut_slice()[0] = f64::INFINITY;
+        m.quantized_to(QuantMode::I8);
     }
 
     #[test]
     fn quantized_models_still_answer_close_to_f32() {
         let m = Mlp::new(&[2, 16, 8, 1], 29);
-        let f32_m = m.quantized();
+        let f32_m = m.quantized_to(QuantMode::F32);
         for mode in [QuantMode::F16, QuantMode::I8] {
             let q = m.quantized_to(mode);
             for i in 0..20 {

@@ -29,7 +29,7 @@
 //! lost, and a moment that decays below [`f32::MIN_POSITIVE`] is flushed
 //! to zero ([`crate::optimizer`] says why). A trained model's every
 //! parameter is `f32`-representable, so it equals its own
-//! [`Mlp::quantized`] twin and an `F32` save is lossless.
+//! [`Mlp::quantized_to`]`(F32)` image: an `F32` save is lossless.
 //!
 //! **Determinism contract.** The shuffle RNG is consumed once per epoch
 //! and every gradient entry is accumulated in the per-example
@@ -218,6 +218,7 @@ fn train_layout<'a>(
 mod tests {
     use super::*;
     use crate::gemm::NR;
+    use crate::QuantMode;
 
     fn make_linear_set(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let xs: Vec<Vec<f64>> = (0..n)
@@ -360,12 +361,16 @@ mod tests {
             let report = train(&mut m, &xs, &ys, &cfg);
             let stopped_early = report.epochs_run < cfg.epochs;
             assert_eq!(stopped_early, exit != "epochs exhausted", "{exit}");
-            assert_eq!(m, m.quantized(), "{exit}");
-            let decoded = crate::binary::decode(crate::binary::encode(&m)).unwrap();
+            let blob = crate::binary::encode_with(&m, QuantMode::F32);
+            let (decoded, _) = crate::binary::decode_any(blob).unwrap();
             assert_eq!(decoded, m, "{exit}");
             let layout = m.serving_layout();
             assert_eq!(bits(layout.params()), bits(masters.params()), "{exit}");
-            assert_ne!(m, init.quantized(), "{exit}: the run trained");
+            assert_ne!(
+                m,
+                init.quantized_to(QuantMode::F32),
+                "{exit}: the run trained"
+            );
         }
     }
 

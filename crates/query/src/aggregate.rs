@@ -33,6 +33,31 @@ impl Aggregate {
         Aggregate::Median,
     ];
 
+    /// Stable one-byte tag, in declaration order: COUNT 0, SUM 1, AVG 2,
+    /// STD 3, MEDIAN 4. The NSKM manifest records it, and answer-cache
+    /// keys fold in `tag() + 1` (0 there means "undeclared").
+    pub fn tag(&self) -> u8 {
+        match self {
+            Aggregate::Count => 0,
+            Aggregate::Sum => 1,
+            Aggregate::Avg => 2,
+            Aggregate::Std => 3,
+            Aggregate::Median => 4,
+        }
+    }
+
+    /// Inverse of [`Aggregate::tag`]; `None` for unknown tags.
+    pub fn from_tag(tag: u8) -> Option<Aggregate> {
+        match tag {
+            0 => Some(Aggregate::Count),
+            1 => Some(Aggregate::Sum),
+            2 => Some(Aggregate::Avg),
+            3 => Some(Aggregate::Std),
+            4 => Some(Aggregate::Median),
+            _ => None,
+        }
+    }
+
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -357,6 +382,22 @@ mod tests {
             }
         );
         assert_eq!(Moments::ZERO.merge(m), m);
+    }
+
+    #[test]
+    fn tags_are_declaration_order_and_invert() {
+        let declared = [
+            Aggregate::Count,
+            Aggregate::Sum,
+            Aggregate::Avg,
+            Aggregate::Std,
+            Aggregate::Median,
+        ];
+        for (tag, agg) in declared.into_iter().enumerate() {
+            assert_eq!(agg.tag() as usize, tag, "{}", agg.name());
+            assert_eq!(Aggregate::from_tag(agg.tag()), Some(agg));
+        }
+        assert_eq!(Aggregate::from_tag(5), None);
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! example drives that pipeline with the repo's production pieces:
 //!
 //! 1. build a sketch + DQD router on a synthetic workload,
-//! 2. save it as an NSK2 artifact (`neurosketch::persist`) in the
-//!    requested parameter encoding (`--quant f32|f16|i8`),
+//! 2. quantize it to the requested parameter encoding
+//!    (`--quant f32|f16|i8`) and save it as an NSK2 artifact
+//!    (`neurosketch::persist`), which stores the mode the sketch carries,
 //! 3. load it back and verify the loaded sketch answers **bitwise
-//!    identically** to the same quantization applied to the in-memory
-//!    sketch on the full workload,
+//!    identically** to the in-memory quantized sketch on the full
+//!    workload,
 //! 4. serve the workload through the batched, multi-threaded
 //!    [`SketchServer`] and verify batched serving matches the loaded
 //!    sketch's single-query answers bitwise.
@@ -57,22 +58,27 @@ fn main() {
     );
 
     // 2. Save the routed sketch as one NSK2 artifact in the chosen
-    // parameter encoding.
-    let router = DqdRouter::new(sketch.clone(), report.leaf_aqcs, RoutingPolicy::default());
+    // parameter encoding: the sketch carries the mode it is saved in.
+    let quantized = sketch.quantized_to(quant);
+    let router = DqdRouter::new(
+        quantized.clone(),
+        report.leaf_aqcs,
+        RoutingPolicy::default(),
+    );
     let path = std::env::temp_dir().join("neurosketch_demo.nsk2");
-    persist::save_router_with(&path, &router, quant).expect("save");
+    persist::save_router(&path, &router).expect("save");
     let on_disk = std::fs::metadata(&path).expect("stat").len() as usize;
     println!(
         "saved [{}]: {} bytes on disk ({} at f32) vs {} paper-accounted (4 B/param + tree)",
         quant.name(),
         on_disk,
-        persist::encoded_len_with(&sketch, QuantMode::F32),
+        persist::encoded_len(&sketch),
         sketch.storage_bytes()
     );
 
-    // 3. Load and verify: each encoding quantizes exactly once at save
-    // time, so the loaded sketch must equal the same quantization of
-    // the in-memory sketch bitwise on every workload query.
+    // 3. Load and verify: each encoding rounds exactly once, so the
+    // loaded sketch must equal the in-memory quantized sketch bitwise
+    // on every workload query.
     let artifact = persist::load(&path).expect("load");
     std::fs::remove_file(&path).ok();
     assert_eq!(
@@ -80,7 +86,6 @@ fn main() {
         quant,
         "mode survives the round trip"
     );
-    let quantized = sketch.quantized_to(quant);
     for q in &sc.wl.queries {
         assert_eq!(
             artifact.sketch.answer(q),

@@ -282,7 +282,9 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let mlp = nn::Mlp::new(&[2, w1, w2, 1], seed);
-        let back = nn::binary::decode(nn::binary::encode(&mlp)).unwrap();
+        let blob = nn::binary::encode_with(&mlp, nn::QuantMode::F32);
+        let (back, mode) = nn::binary::decode_any(blob).unwrap();
+        prop_assert_eq!(mode, nn::QuantMode::F32);
         prop_assert_eq!(back.param_count(), mlp.param_count());
         let x = [0.37, 0.61];
         prop_assert!((back.predict(&x) - mlp.predict(&x)).abs() < 1e-3);
