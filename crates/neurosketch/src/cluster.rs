@@ -143,20 +143,10 @@ impl Replica {
         self.generation
     }
 
-    /// Current health.
-    pub fn health(&self) -> ReplicaHealth {
-        self.health
-    }
-
     /// Whether a fault pinned this replica to its generation (it will
     /// be skipped by rolling upgrades until repaired).
     pub fn pinned(&self) -> bool {
         self.pinned
-    }
-
-    /// Total queries this replica has served.
-    pub fn served(&self) -> u64 {
-        self.served
     }
 }
 
@@ -180,11 +170,6 @@ impl ShardGroup {
     /// Logical shard ids (ascending) this group covers.
     pub fn logical(&self) -> &[usize] {
         &self.logical
-    }
-
-    /// Manifest shard index backing this group, if any.
-    pub fn physical(&self) -> Option<usize> {
-        self.physical
     }
 
     /// The replica set.
@@ -710,11 +695,6 @@ impl Cluster {
     /// Drain the event log for assertions.
     pub fn take_events(&mut self) -> Vec<ClusterEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    /// Batches served so far (the kill-fault clock).
-    pub fn batches(&self) -> u64 {
-        self.batches
     }
 
     fn quorum_needed(&self) -> usize {

@@ -218,7 +218,9 @@ pub struct DeploymentInfo {
     /// Total trainable parameters across the deployed models.
     pub param_count: usize,
     /// NSKM manifest generation, when served behind a
-    /// [`LiveDeployment`] handle; `None` for a bare deployment.
+    /// [`LiveDeployment`] handle or a cache front keyed to one (the
+    /// handle refuses a front keyed to another); `None` for a bare
+    /// deployment.
     pub generation: Option<u64>,
 }
 
@@ -358,26 +360,40 @@ pub struct LiveDeployment {
     state: RwLock<Arc<LiveState>>,
 }
 
+impl LiveState {
+    fn new(deployment: impl Deployment + 'static, generation: u64) -> Arc<LiveState> {
+        if let Some(own) = deployment.describe().generation {
+            assert!(
+                own == generation,
+                "deployment states generation {own} but is stamped generation {generation}"
+            );
+        }
+        Arc::new(LiveState {
+            deployment: Box::new(deployment),
+            generation,
+        })
+    }
+}
+
 impl LiveDeployment {
     /// Serve `deployment` as generation `generation`.
+    ///
+    /// # Panics
+    /// Panics if `deployment` states another generation of its own: a
+    /// [`crate::cache::CachedDeployment`] keyed to generation `G` would
+    /// serve `G`'s cached answers under this stamp.
     pub fn new(deployment: impl Deployment + 'static, generation: u64) -> LiveDeployment {
         LiveDeployment {
-            state: RwLock::new(Arc::new(LiveState {
-                deployment: Box::new(deployment),
-                generation,
-            })),
+            state: RwLock::new(LiveState::new(deployment, generation)),
         }
     }
 
     /// Atomically replace the served deployment. Batches already in
     /// flight finish on the old generation; every batch started after
     /// the swap sees the new one. Returns the generation that was
-    /// replaced.
+    /// replaced. Panics as [`LiveDeployment::new`] does.
     pub fn swap(&self, deployment: impl Deployment + 'static, generation: u64) -> u64 {
-        let next = Arc::new(LiveState {
-            deployment: Box::new(deployment),
-            generation,
-        });
+        let next = LiveState::new(deployment, generation);
         let mut guard = self.state.write().expect("live deployment lock");
         std::mem::replace(&mut *guard, next).generation
     }
@@ -446,7 +462,6 @@ impl Deployment for LiveDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{entry_bytes, AnswerCache, CachedDeployment};
     use crate::router::{DqdRouter, RoutingPolicy};
     use crate::serve::{ExactBackend, ServeOptions, SketchServer};
     use crate::shard::{build_sharded, ShardPlan};
@@ -476,12 +491,10 @@ mod tests {
     }
 
     /// The tally counts every query once, by where its answer came
-    /// from. Behind a front (`fronted`) every query is a hit, a miss or
-    /// an in-batch duplicate, and every miss was computed; without one,
-    /// no front count moves.
-    fn assert_tally_adds_up(d: &dyn Deployment, queries: &[Vec<f64>], fronted: bool) {
-        // The same batch twice (a front hits the second time), a batch
-        // of in-batch repeats, and the empty batch.
+    /// from, and without a front no front count moves.
+    fn assert_tally_adds_up(d: &dyn Deployment, queries: &[Vec<f64>]) {
+        // The same batch twice, a batch of in-batch repeats, and the
+        // empty batch.
         let doubled: Vec<Vec<f64>> = queries.iter().chain(queries).cloned().collect();
         for batch in [queries, queries, &doubled[..], &[]] {
             let (answers, s) = d.answer_batch(batch);
@@ -489,11 +502,7 @@ mod tests {
             assert_eq!(s.queries, batch.len());
             let computed = s.sketch + s.exact_small_range + s.exact_hard_leaf;
             assert_eq!(s.queries, computed + s.cache_hits + s.dedup_hits, "{s:?}");
-            if fronted {
-                assert_eq!(s.cache_misses, computed, "{s:?}");
-            } else {
-                assert_eq!((s.cache_hits, s.cache_misses, s.dedup_hits), (0, 0, 0));
-            }
+            assert_eq!((s.cache_hits, s.cache_misses, s.dedup_hits), (0, 0, 0));
         }
     }
 
@@ -529,7 +538,7 @@ mod tests {
         let batch = QueryBatch::new(&flat, 2);
         assert_eq!(batch.len(), wl.queries.len());
         assert_eq!(Deployment::answer_flat(&sketch, batch).0, inherent);
-        assert_tally_adds_up(&sketch, &wl.queries, false);
+        assert_tally_adds_up(&sketch, &wl.queries);
 
         // Routed server.
         let router = DqdRouter::new(sketch.clone(), report.leaf_aqcs, RoutingPolicy::default());
@@ -543,7 +552,7 @@ mod tests {
         );
         assert_eq!(stats, flat_path.1);
         assert_eq!(Deployment::describe(&server).kind, DeployKind::Monolithic);
-        assert_tally_adds_up(&server, &wl.queries, false);
+        assert_tally_adds_up(&server, &wl.queries);
 
         // Routed server with the exact fallback live.
         let policy = RoutingPolicy {
@@ -563,7 +572,7 @@ mod tests {
             },
         );
         assert!(routed.answer_batch(&wl.queries).1.exact_small_range > 0);
-        assert_tally_adds_up(&routed, &wl.queries, false);
+        assert_tally_adds_up(&routed, &wl.queries);
 
         // Sharded server.
         let (sharded, _) = build_sharded(
@@ -589,7 +598,7 @@ mod tests {
         }
         let info = Deployment::describe(&server);
         assert_eq!((info.kind, info.units), (DeployKind::Sharded, 2));
-        assert_tally_adds_up(&server, &wl.queries, false);
+        assert_tally_adds_up(&server, &wl.queries);
 
         // One replica column of a cluster over the same shards.
         let cluster = crate::cluster::Cluster::new(
@@ -600,57 +609,7 @@ mod tests {
             crate::cluster::ClusterOptions::default(),
         )
         .unwrap();
-        assert_tally_adds_up(&cluster.replica_view(0).unwrap(), &wl.queries, false);
-
-        // The front and the live handle, over both servers; the cache
-        // holds a third of the workload, so hits, misses and in-batch
-        // repeats all occur.
-        let server = Arc::new(server);
-        let cache = |entries: usize| Arc::new(AnswerCache::new(entries * entry_bytes(2), 1));
-        let cached = CachedDeployment::new(server.clone(), cache(50), 0);
-        assert_tally_adds_up(&cached, &wl.queries, true);
-        assert_tally_adds_up(&LiveDeployment::new(cached, 0), &wl.queries, true);
-        let cached = CachedDeployment::new(sketch.clone(), cache(50), 0);
-        assert_tally_adds_up(&cached, &wl.queries, true);
-        // All-hit and all-duplicate batches never reach the inner.
-        let warm = CachedDeployment::new(server, cache(1000), 0);
-        warm.answer_batch(&wl.queries);
-        let (_, stats) = warm.answer_batch(&wl.queries);
-        assert_eq!((stats.cache_hits, stats.sketch), (wl.queries.len(), 0));
-    }
-
-    /// A swap flips answers and generation atomically; the handle's
-    /// describe carries the generation a bare deployment lacks.
-    #[test]
-    fn live_deployment_swaps_whole_generations() {
-        let (_, wl) = setup();
-        let labels_a: Vec<f64> = wl.queries.iter().map(|q| q[0] * 10.0).collect();
-        let labels_b: Vec<f64> = wl.queries.iter().map(|q| 50.0 - q[0] * 10.0).collect();
-        let (gen_a, _) =
-            crate::NeuroSketch::build_from_labeled(&wl.queries, &labels_a, &cfg()).unwrap();
-        let (gen_b, _) =
-            crate::NeuroSketch::build_from_labeled(&wl.queries, &labels_b, &cfg()).unwrap();
-        let expect_a = gen_a.answer_batch(&wl.queries);
-        let expect_b = gen_b.answer_batch(&wl.queries);
-
-        let live = LiveDeployment::new(gen_a, 4);
-        assert_eq!(live.generation(), 4);
-        assert_eq!(live.describe().generation, Some(4));
-        assert_eq!(live.answer_batch(&wl.queries).0, expect_a);
-
-        let (tagged, _, generation) = live.answer_batch_tagged(&wl.queries[..]);
-        assert_eq!((tagged, generation), (expect_a.clone(), 4));
-        let flat = wl.queries.concat();
-        let (tagged, _, generation) = live.answer_batch_tagged(QueryBatch::new(&flat, 2));
-        assert_eq!((tagged, generation), (expect_a.clone(), 4));
-
-        let replaced = live.swap(gen_b, 5);
-        assert_eq!(replaced, 4);
-        assert_eq!(live.generation(), 5);
-        assert_eq!(live.answer_batch(&wl.queries).0, expect_b);
-        let (tagged, _, generation) = live.answer_batch_tagged(&wl.queries[..]);
-        assert_eq!((tagged, generation), (expect_b.clone(), 5));
-        assert_ne!(expect_a, expect_b, "test must distinguish generations");
+        assert_tally_adds_up(&cluster.replica_view(0).unwrap(), &wl.queries);
     }
 
     /// A deployment that must never be reached: the shims' conversion

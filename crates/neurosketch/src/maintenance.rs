@@ -466,7 +466,6 @@ mod tests {
     use super::*;
     use crate::shard::{build_sharded, ShardPlan};
     use datagen::simple::{drift_batch, gaussian, uniform};
-    use nn::QuantMode;
     use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
 
     fn workload(seed: u64) -> Workload {
@@ -531,60 +530,6 @@ mod tests {
         assert!(report.units.iter().any(|u| u.nmae.is_nan()), "{report:?}");
         for u in report.units.iter().filter(|u| u.nmae.is_nan()) {
             assert!(u.stale && report.retrained.contains(&u.unit), "{report:?}");
-        }
-    }
-
-    /// A refresh keeps the storage mode of the models it replaces: at
-    /// F16 and I8 the retrained sketch still carries its mode and
-    /// answers bitwise like its own artifact, after a hand-picked
-    /// `retrain_partition` and after a cycle that retrains every
-    /// partition the probe finds off by any margin.
-    #[test]
-    fn monolithic_refresh_keeps_the_storage_mode() {
-        let data = uniform(3_000, 1, 1);
-        let engine = QueryEngine::new(&data, 0);
-        let wl = workload(2);
-        let cfg = NeuroSketchConfig::small();
-        let (built, _) =
-            NeuroSketch::build(&engine, &wl.predicate, Aggregate::Avg, &wl.queries, &cfg).unwrap();
-        let labels = engine.label_batch(&wl.predicate, Aggregate::Avg, &wl.queries, 2);
-        let bits = |s: &NeuroSketch| -> Vec<u64> {
-            s.answer_batch(&wl.queries)
-                .iter()
-                .map(|v| v.to_bits())
-                .collect()
-        };
-        let decoded = |s: &NeuroSketch| {
-            crate::persist::decode(crate::persist::encode_sketch(s))
-                .unwrap()
-                .sketch
-        };
-        for mode in [QuantMode::F16, QuantMode::I8] {
-            let mut sketch = built.quantized_to(mode);
-            let (qs, ys): (Vec<Vec<f64>>, Vec<f64>) = wl
-                .queries
-                .iter()
-                .zip(&labels)
-                .filter(|(q, _)| sketch.leaf_index_of(q) == 0)
-                .map(|(q, y)| (q.clone(), *y))
-                .unzip();
-            sketch.retrain_partition(0, &qs, &ys, &cfg).unwrap();
-            assert_eq!(sketch.quant_mode(), mode);
-            assert_eq!(bits(&sketch), bits(&decoded(&sketch)), "{mode:?}");
-
-            let monitor = DriftMonitor::new(wl.queries[..100].to_vec(), 1e-9).unwrap();
-            let report = MaintenancePlan::new(monitor, cfg.clone())
-                .refresh_monolithic(
-                    &mut sketch,
-                    &engine,
-                    &wl.predicate,
-                    Aggregate::Avg,
-                    &wl.queries,
-                )
-                .unwrap();
-            assert!(!report.retrained.is_empty(), "{report:?}");
-            assert_eq!(sketch.quant_mode(), mode);
-            assert_eq!(bits(&sketch), bits(&decoded(&sketch)), "{mode:?}");
         }
     }
 
