@@ -19,7 +19,7 @@
 use crate::{AqpEngine, Unsupported};
 use datagen::Dataset;
 use nn::fused::activations_per_example;
-use nn::train::{train, TrainConfig};
+use nn::train::{train, LrSchedule, TrainConfig};
 use nn::Mlp;
 use query::aggregate::Aggregate;
 use query::predicate::PredicateFn;
@@ -101,6 +101,8 @@ impl Default for DbEstConfig {
             train: TrainConfig {
                 epochs: 120,
                 patience: 12,
+                lr: 1e-3,
+                schedule: LrSchedule::Constant,
                 ..TrainConfig::default()
             },
             grid: 64,
@@ -323,6 +325,8 @@ mod tests {
             reg_width: 16,
             train: TrainConfig {
                 epochs: 60,
+                lr: 1e-3,
+                schedule: LrSchedule::Constant,
                 ..TrainConfig::default()
             },
             grid: 32,

@@ -8,7 +8,7 @@ use baselines::verdict::StratifiedSampler;
 use baselines::AqpEngine;
 use datagen::{Dataset, PaperDataset};
 use neurosketch::{NeuroSketch, NeuroSketchConfig};
-use nn::train::TrainConfig;
+use nn::train::{LrSchedule, TrainConfig};
 use query::aggregate::Aggregate;
 use query::error::normalized_mae;
 use query::exec::QueryEngine;
@@ -89,6 +89,7 @@ impl ExperimentContext {
                 patience: 15,
                 batch_size: 64,
                 lr: 1e-3,
+                schedule: LrSchedule::Constant,
                 min_delta: 1e-4,
                 seed: self.seed,
                 time_budget: None,

@@ -13,7 +13,7 @@ use crate::common::{default_workload, ExperimentContext};
 use datagen::PaperDataset;
 use neurosketch::NeuroSketch;
 use nn::prune::{prune_magnitude, sparse_storage_bytes};
-use nn::train::{train, TrainConfig};
+use nn::train::{train, LrSchedule, TrainConfig};
 use nn::Mlp;
 use query::aggregate::Aggregate;
 use query::error::normalized_mae;
@@ -135,6 +135,8 @@ pub fn run(ctx: &ExperimentContext) -> AblationResult {
     let mut base = Mlp::new(&cfg.layer_sizes(train_q[0].len()), ctx.seed);
     let tcfg = TrainConfig {
         epochs: if ctx.fast { 40 } else { 200 },
+        lr: 1e-3,
+        schedule: LrSchedule::Constant,
         seed: ctx.seed,
         ..TrainConfig::default()
     };

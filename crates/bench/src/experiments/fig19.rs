@@ -12,7 +12,7 @@
 use crate::common::ExperimentContext;
 use datagen::PaperDataset;
 use nn::construction::{GridNet, SlopeMode};
-use nn::train::{train, TrainConfig};
+use nn::train::{train, LrSchedule, TrainConfig};
 use nn::Mlp;
 use query::aggregate::Aggregate;
 use query::error::normalized_mae;
@@ -114,6 +114,7 @@ fn run_dim(
     let tcfg = TrainConfig {
         epochs: if ctx.fast { 40 } else { 150 },
         lr: 1e-3,
+        schedule: LrSchedule::Constant,
         seed: ctx.seed,
         ..TrainConfig::default()
     };

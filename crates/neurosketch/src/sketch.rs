@@ -1095,6 +1095,49 @@ mod tests {
     }
 
     #[test]
+    fn default_recipe_beats_the_paper_constant_lr_on_held_out_queries() {
+        // The accuracy gate of the cosine default: AVG over `Pm`'s
+        // columns 1 and 2 (the benchmark's fixture, at a tenth of its
+        // rows), trained on 600 queries, scored on 1 000 it never saw.
+        let (data, _) = datagen::PaperDataset::Pm.generate(0.1, 3).normalized();
+        let engine = QueryEngine::new(&data, datagen::PaperDataset::Pm.measure_column());
+        let queries = |count, seed| {
+            let wl = Workload::generate(&WorkloadConfig {
+                dims: 4,
+                active: ActiveMode::Fixed(vec![1, 2]),
+                range: RangeMode::Uniform,
+                count,
+                seed,
+            });
+            wl.unwrap()
+        };
+        let (train_wl, held_out) = (queries(600, 4), queries(1_000, 5));
+        let truths = engine.label_batch(&held_out.predicate, Aggregate::Avg, &held_out.queries, 1);
+        let held_out_nmae = |train: TrainConfig| {
+            let cfg = NeuroSketchConfig {
+                train,
+                ..NeuroSketchConfig::small()
+            };
+            let pred = &train_wl.predicate;
+            let (sketch, _) =
+                NeuroSketch::build(&engine, pred, Aggregate::Avg, &train_wl.queries, &cfg).unwrap();
+            query::error::normalized_mae(&truths, &sketch.answer_batch(&held_out.queries))
+        };
+        let new = held_out_nmae(NeuroSketchConfig::small().train);
+        let old = held_out_nmae(TrainConfig {
+            lr: 1e-3,
+            schedule: nn::train::LrSchedule::Constant,
+            ..NeuroSketchConfig::small().train
+        });
+        // Measured: new 0.292, old 0.358 (the FMA and the non-FMA build
+        // agree to eight digits).
+        assert!(
+            new < old,
+            "held-out nMAE: cosine default {new}, constant 1e-3 {old}"
+        );
+    }
+
+    #[test]
     fn predicate_range_used_in_engine_labels() {
         // Smoke check that engine + sketch agree on the predicate contract.
         let data = uniform(200, 2, 3);

@@ -51,6 +51,12 @@ impl Adam {
         }
     }
 
+    /// Use `lr` from the next step on (rounded to `f32`); the moments
+    /// and the step count carry over.
+    pub fn set_lr(&mut self, lr: f64) {
+        self.lr = lr as f32;
+    }
+
     /// The first and second moments, one per parameter.
     pub fn moments(&self) -> (&[f32], &[f32]) {
         (&self.m, &self.v)

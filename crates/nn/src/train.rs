@@ -20,6 +20,25 @@
 //! one elementwise sweep over the parameters, the summed gradient and
 //! its moments, all in that order.
 //!
+//! **Learning-rate schedule.** Adam's rate is set once per epoch, at
+//! its top, to [`TrainConfig::lr_at`]. Alg. 4 runs Adam at one constant
+//! rate ([`LrSchedule::Constant`]); the default is
+//! [`LrSchedule::Cosine`], a decay from a peak of 2e-2 towards zero over
+//! the epoch budget (Loshchilov & Hutter, "SGDR", ICLR 2017, without
+//! restarts). The peak was chosen by held-out nMAE over seven
+//! benchmark-shaped fixtures of 5 000 training queries and 200 epochs
+//! against 1e-3 / 5e-3 constant and 5e-3 / 1e-2 / 3e-2 cosine; against
+//! the 1e-3 constant rate the default ran at before, it lowers that
+//! nMAE by 17–28% on every fixture at the same number of steps. The
+//! decay's tail is where the precision rule below bites: in the last
+//! 10% of the epochs of a paper-shape leaf (625 rows, batch 64, 200
+//! epochs, final rate 1.2e-6), 14.0% of the nonzero updates are below
+//! half an `f32` ulp of their weight and lost, against 0.4% at a
+//! constant 1e-3. The patience rule still reads the epoch loss, which
+//! the high early rate makes noisier: a default build of the benchmark
+//! fixture stops 3 of its 8 leaves early (after 44, 84 and 100 epochs,
+//! 1 228 epochs in all, where the constant 1e-3 ran all 1 600).
+//!
 //! **Precision.** Training computes at `f32`, the precision the trained
 //! model is stored and served in: each mini-batch is cast to `f32` as it
 //! is gathered, every parameter is rounded to `f32` once as the run
@@ -36,7 +55,8 @@
 //! floating-point order, so `train` produces, bit for bit, the weights
 //! of the one-example-at-a-time loop
 //! ([`batch_gradient_per_example`] over each batch, then the same `f32`
-//! [`Adam::step`] over the row-major parameters). That loop is kept as
+//! [`Adam::step`] over the row-major parameters, at the epoch's
+//! [`TrainConfig::lr_at`]). That loop is kept as
 //! the oracle in `tests/batched_vs_scalar.rs`, which asserts the
 //! equality with `to_bits()` on both the FMA and the non-FMA build. The
 //! trained weights are not those of an `f64` step;
@@ -59,8 +79,12 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Adam learning rate.
+    /// Adam learning rate: the rate of every epoch under
+    /// [`LrSchedule::Constant`], the peak under [`LrSchedule::Cosine`]
+    /// (see [`TrainConfig::lr_at`]).
     pub lr: f64,
+    /// How the learning rate moves from epoch to epoch.
+    pub schedule: LrSchedule,
     /// Stop early when the epoch loss has not improved by at least
     /// `min_delta` (relative) for `patience` consecutive epochs. `0`
     /// disables early stopping.
@@ -82,11 +106,39 @@ impl Default for TrainConfig {
         TrainConfig {
             epochs: 200,
             batch_size: 64,
-            lr: 1e-3,
+            lr: 2e-2,
+            schedule: LrSchedule::Cosine,
             patience: 20,
             min_delta: 1e-4,
             seed: 0,
             time_budget: None,
+        }
+    }
+}
+
+/// The learning rate over a run, set once per epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LrSchedule {
+    /// `lr` for every epoch: the paper's Alg. 4 recipe.
+    Constant,
+    /// Cosine decay from `lr` at epoch 0 towards 0 at `epochs`
+    /// (Loshchilov & Hutter, "SGDR", ICLR 2017, without restarts).
+    Cosine,
+}
+
+impl TrainConfig {
+    /// Adam's learning rate for the 0-based `epoch`: `lr` under
+    /// [`LrSchedule::Constant`], `0.5 · lr · (1 + cos(π · epoch /
+    /// epochs))` under [`LrSchedule::Cosine`]. The decay spans `epochs`,
+    /// so a run the patience rule or `time_budget` ends early stops
+    /// partway down it.
+    pub fn lr_at(&self, epoch: usize) -> f64 {
+        match self.schedule {
+            LrSchedule::Constant => self.lr,
+            LrSchedule::Cosine => {
+                let phase = std::f64::consts::PI * epoch as f64 / self.epochs.max(1) as f64;
+                0.5 * self.lr * (1.0 + phase.cos())
+            }
         }
     }
 }
@@ -172,8 +224,9 @@ fn train_layout<'a>(
     let mut stale = 0usize;
     let mut epochs_run = 0usize;
 
-    'outer: for _ in 0..cfg.epochs {
+    'outer: for epoch in 0..cfg.epochs {
         epochs_run += 1;
+        adam.set_lr(cfg.lr_at(epoch));
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0;
         for chunk in order.chunks(cfg.batch_size.max(1)) {
@@ -234,12 +287,30 @@ mod tests {
         let mut mlp = Mlp::new(&[2, 16, 1], 5);
         let cfg = TrainConfig {
             epochs: 600,
-            lr: 5e-3,
             ..Default::default()
         };
         let report = train(&mut mlp, &xs, &ys, &cfg);
         assert!(report.final_loss < 1e-3, "loss {}", report.final_loss);
         assert!(report.epochs_run <= 600);
+    }
+
+    #[test]
+    fn cosine_schedule_decays_from_the_peak_towards_zero() {
+        let cfg = TrainConfig {
+            epochs: 100,
+            lr: 2e-2,
+            schedule: LrSchedule::Cosine,
+            ..Default::default()
+        };
+        assert_eq!(cfg.lr_at(0), 2e-2);
+        assert!((cfg.lr_at(50) - 1e-2).abs() < 1e-15);
+        assert!((1..100).all(|e| cfg.lr_at(e) < cfg.lr_at(e - 1)));
+        assert!(cfg.lr_at(99) > 0.0 && cfg.lr_at(99) < 1e-5);
+        let constant = TrainConfig {
+            schedule: LrSchedule::Constant,
+            ..cfg
+        };
+        assert!((0..100).all(|e| constant.lr_at(e) == 2e-2));
     }
 
     #[test]
@@ -309,7 +380,8 @@ mod tests {
         let mut params = reference.row_major_f32();
         let mut adam = Adam::new(cfg.lr, params.len());
         let mut grads = Gradients::zeros_like(&reference);
-        for _ in 0..cfg.epochs {
+        for epoch in 0..cfg.epochs {
+            adam.set_lr(cfg.lr_at(epoch));
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch_size) {
                 let rows: Vec<f64> = chunk.iter().flat_map(|&i| xs[i].clone()).collect();

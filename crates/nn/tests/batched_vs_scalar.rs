@@ -26,7 +26,7 @@ use nn::fused::{forward_per_example, MR};
 use nn::linalg::{matmul, Matrix};
 use nn::mlp::{batch_gradient_per_example, BatchWorkspace, Gradients};
 use nn::optimizer::Adam;
-use nn::train::{train, TrainConfig, TrainReport};
+use nn::train::{train, LrSchedule, TrainConfig, TrainReport};
 use nn::{Activation, Mlp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -48,8 +48,8 @@ fn row_major<'a>(layers: impl Iterator<Item = (&'a [f64], &'a [f64])>) -> Vec<f3
 /// The one-example-at-a-time training loop, the reference `train` is
 /// held to: the same `StdRng` shuffle, `f32` gradients accumulated
 /// example by example in batch order, the same `f32` `Adam::step` over
-/// the row-major parameters (written back into `mlp` after every step),
-/// the same stopping rule.
+/// the row-major parameters (written back into `mlp` after every step)
+/// at the epoch's `TrainConfig::lr_at`, the same stopping rule.
 fn train_per_example(mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[f64], cfg: &TrainConfig) -> TrainReport {
     let start = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -64,7 +64,8 @@ fn train_per_example(mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[f64], cfg: &TrainConf
     let mut curve = Vec::with_capacity(cfg.epochs);
     let mut best = f64::INFINITY;
     let mut stale = 0usize;
-    for _ in 0..cfg.epochs {
+    for epoch in 0..cfg.epochs {
+        adam.set_lr(cfg.lr_at(epoch));
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0;
         for chunk in order.chunks(cfg.batch_size.max(1)) {
@@ -395,14 +396,15 @@ proptest! {
     }
 
     /// Full training runs agree between `train` and the per-example
-    /// loop: same epochs, same loss curve, same weights — early stopping
-    /// and ragged final batches included.
+    /// loop: same epochs, same loss curve, same weights — early stopping,
+    /// ragged final batches and both learning-rate schedules included.
     #[test]
     fn training_paths_agree(
         n in 4usize..80,
         batch in 0usize..BATCHES.len(),
         h in 0usize..WIDTHS.len(),
         patience in 0usize..3,
+        cosine in 0usize..2,
         seed in 0u64..500,
     ) {
         let xs: Vec<Vec<f64>> = (0..n)
@@ -414,6 +416,7 @@ proptest! {
             batch_size: BATCHES[batch],
             patience,
             seed,
+            schedule: if cosine == 1 { LrSchedule::Cosine } else { LrSchedule::Constant },
             ..TrainConfig::default()
         };
         let mut a = Mlp::new(&[2, WIDTHS[h], 6, 1], seed ^ 1);

@@ -116,7 +116,8 @@ fn training_forward_is_bitwise_the_serving_forward() {
 /// The reference step: Adam with `f64` master weights and moments, as
 /// training ran before its masters moved to `f32` — the same
 /// hyperparameters, division form and step-counter saturation, over
-/// any flat order of the parameters.
+/// any flat order of the parameters. The run sets `lr` from
+/// `TrainConfig::lr_at` at the top of each epoch, as `train` does.
 struct AdamF64 {
     lr: f64,
     t: u64,
@@ -178,14 +179,17 @@ const TRAIN_BOUND_TYPICAL: f64 = 1e-4;
 /// can drift apart where a unit sits on the edge of dying: a tiny
 /// difference decides on which step it crosses zero, and from then on
 /// its weights follow different gradients. Measured when the gate was
-/// written, FMA build (the `-C target-cpu=x86-64` build within 3e-7 of
-/// it): seeds 0, 1 and 3 worst 4.4e-5; seed 2 worst 6.3e-4, in the
-/// hidden layers (the `f64` run with its masters merely rounded to `f32`
-/// after each step stays within 3.8e-6 on that seed). An equally valid
-/// `f32` step with its derived constants rounded from their `f64` values
-/// instead puts seed 0 at 1.5e-2 through one such unit, hence the outer
-/// bound's room. A step that
-/// lost digits on every seed trips the typical bound; one that diverged
+/// written, at a constant lr 1e-3, FMA build (the `-C target-cpu=x86-64`
+/// build within 3e-7 of it): seeds 0, 1 and 3 worst 4.4e-5; seed 2
+/// worst 6.3e-4, in the hidden layers (the `f64` run with its masters
+/// merely rounded to `f32` after each step stays within 3.8e-6 on that
+/// seed). Under the default cosine schedule from 2e-2, seeds 0–3 worst
+/// 7.7e-5 / 6.0e-6 / 6.4e-6 / 1.8e-5 (non-FMA build 7.7e-5 / 6.0e-6 /
+/// 5.8e-6 / 1.8e-5); from a 1e-2 peak seed 2 reached 1.6e-2. An equally
+/// valid `f32` step with its derived constants rounded from their `f64`
+/// values instead puts seed 0 at 1.5e-2 through one such unit (at the
+/// constant 1e-3), hence the outer bound's room. A step that lost
+/// digits on every seed trips the typical bound; one that diverged
 /// trips both.
 #[test]
 fn f32_training_stays_close_to_the_f64_adam_run() {
@@ -220,7 +224,8 @@ fn f32_training_stays_close_to_the_f64_adam_run() {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut order: Vec<usize> = (0..rows).collect();
         let (mut ws, mut grads) = (BatchWorkspace::default(), Gradients::zeros_like(&m64));
-        for _ in 0..cfg.epochs {
+        for epoch in 0..cfg.epochs {
+            adam.lr = cfg.lr_at(epoch);
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch_size) {
                 let xb = chunk.iter().flat_map(|&i| xs[i].iter().copied()).collect();
