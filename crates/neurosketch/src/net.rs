@@ -873,8 +873,8 @@ pub struct NetStats {
     pub stalled_reads: u64,
 }
 
-/// What one serving step coalesced — the observable the fairness and
-/// hot-swap tests assert on.
+/// What one serving step coalesced — the observable the composition
+/// harness checks each micro-batch's fairness, tally and stamp against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetBatch {
     /// Queries in the micro-batch.
@@ -972,8 +972,8 @@ struct Conn {
 ///
 /// Drive it either with [`NetServer::serve`] (the production loop) or
 /// step by step with [`NetServer::pump_io`] /
-/// [`NetServer::serve_pending_batch`] — the decomposition the
-/// deterministic protocol tests use.
+/// [`NetServer::serve_pending_batch`] — the decomposition the seeded
+/// composition schedules and the deterministic protocol tests step.
 pub struct NetServer {
     listener: TcpListener,
     live: Arc<LiveDeployment>,
@@ -1075,8 +1075,7 @@ impl NetServer {
     /// and stage one [`Frame::Answer`] per query stamped with the
     /// batch's generation. Returns what was coalesced, or `None` if
     /// nothing was pending. Responses are staged, not flushed — the
-    /// next [`NetServer::pump_io`] (or [`NetServer::poll_once`]) pushes
-    /// them out.
+    /// next [`NetServer::pump_io`] pushes them out.
     pub fn serve_pending_batch(&mut self) -> Option<NetBatch> {
         if self.conns.is_empty() {
             return None;
@@ -1143,26 +1142,21 @@ impl NetServer {
         })
     }
 
-    /// One full step: [`NetServer::pump_io`], then at most one
-    /// micro-batch, then flush the staged responses. Returns whether
-    /// anything happened.
-    pub fn poll_once(&mut self) -> bool {
-        let mut progress = self.pump_io();
-        if self.serve_pending_batch().is_some() {
-            progress = true;
-            self.flush_all();
-            self.reap();
-        }
-        progress
-    }
-
-    /// The production loop: poll until `shutdown` is set, sleeping
-    /// [`NetOptions::idle`] whenever a poll makes no progress. On
-    /// shutdown, still-queued requests are answered with
-    /// [`RejectCode::ShuttingDown`] frames and a best-effort flush.
+    /// The production loop until `shutdown` is set: each step is a
+    /// [`NetServer::pump_io`], then at most one micro-batch and a flush
+    /// of its responses, and a step that moves nothing sleeps
+    /// [`NetOptions::idle`]. On shutdown, still-queued requests are
+    /// answered with [`RejectCode::ShuttingDown`] frames and a
+    /// best-effort flush.
     pub fn serve(&mut self, shutdown: &AtomicBool) {
         while !shutdown.load(Ordering::Relaxed) {
-            if !self.poll_once() {
+            let mut progress = self.pump_io();
+            if self.serve_pending_batch().is_some() {
+                progress = true;
+                self.flush_all();
+                self.reap();
+            }
+            if !progress {
                 std::thread::sleep(self.opts.idle);
             }
         }

@@ -1,13 +1,19 @@
 //! The answer front composed end to end under seeded schedules:
 //! [`LiveDeployment`] → [`CachedDeployment`] → a DQD-routed
 //! [`SketchServer`] with the exact fallback, or a 2-shard
-//! [`ShardedServer`].
+//! [`ShardedServer`]; on about half the seeds with a stepped
+//! [`NetServer`] in front.
 //!
 //! A seed is a pure function to a [`Schedule`]: the inner deployment,
 //! aggregate, thread count and cache budget, then batches (0, 1, many
 //! and over 65 534 rows, from a small pool with `f64`-ulp twins and a
 //! `±0.0` pair, in row and flat form, with in-batch repeats), repeats,
-//! swaps and refreshes at F16 or I8. After every step the run checks:
+//! swaps and refreshes at F16 or I8. On a wire seed every batch shorter
+//! than a sub-batch is sent instead, as `Query` frames over 1–3
+//! connections written 1, 7 or 43 bytes at a time or whole, and served
+//! by separate steps, so swaps and refreshes land while queries wait;
+//! an info request, a violator, a connection past the cap and a peer
+//! that does not read come along. After every step the run checks:
 //!
 //! 1. each answer is bitwise the per-query oracle at the stamped generation;
 //! 2. the stamp, `generation()` and `describe()` name the schedule's
@@ -18,9 +24,30 @@
 //! 5. a generation's first batch hits only what its own earlier
 //!    sub-batches stored;
 //! 6. `bytes <= capacity_bytes`; on an ample budget, no eviction, one
-//!    entry per (generation, query) served, and a repeat is all warm;
+//!    entry per (generation, query) served, and a miss exactly for each
+//!    query not served before at the generation;
 //! 7. a refresh keeps the storage mode and answers the pool bitwise like
-//!    its own decoded NSK2 artifact.
+//!    its own decoded NSK2 artifact;
+//!
+//! and on the wire, where (1)–(6) hold per micro-batch:
+//!
+//! 8. each connection reads, byte for byte, the frames it is owed: per
+//!    query an `Answer` stamped with its micro-batch's generation, the
+//!    current one even for a query sent before a swap, with that
+//!    generation's oracle bits, or a `QueueFull` reject if it came past
+//!    `queue_cap`; per info request the live generation;
+//! 9. the server's counters are the schedule's: `queries == answered +
+//!    rejected + dropped + pending` and `accepted == closed +
+//!    connections()`;
+//! 10. a micro-batch takes `min(max_batch, waiting)` queries, and the
+//!     connections that had queries waiting take shares within 1 of
+//!     each other;
+//! 11. `buffer_bytes() <= conn_buffer_bound() × connections()` after
+//!     every server pass, and `stalled_reads` moves only under a peer
+//!     that does not read;
+//! 12. a violator reads one `Error` frame with its violation's code and
+//!     is closed, its queries dropped; a connection past `max_clients`
+//!     reads one `ServerFull` error and is not counted.
 //!
 //! A failing run prints its schedule as JSON; paste it into
 //! [`REGRESSIONS`] to replay it on every run.
@@ -28,6 +55,10 @@
 use neurosketch::cache::{entry_bytes, AnswerCache, CachedDeployment};
 use neurosketch::deploy::{DeployStats, Deployment, LiveDeployment, QueryBatch};
 use neurosketch::maintenance::{retrain_shards, DriftMonitor, MaintenancePlan};
+use neurosketch::net::{
+    encode_frame, encode_frame_into, Frame, NetClient, NetError, NetOptions, NetServer, NetStats,
+    RejectCode, ServerInfo,
+};
 use neurosketch::router::{range_volume, DqdRouter, RoutingPolicy};
 use neurosketch::serve::{ExactBackend, ServeOptions, SketchServer};
 use neurosketch::shard::{build_sharded, ShardPlan, ShardedServer, ShardedSketch};
@@ -37,8 +68,11 @@ use query::aggregate::{Aggregate, MomentKind};
 use query::exec::QueryEngine;
 use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Queries in the pool every batch draws from.
 const POOL: usize = 32;
@@ -48,6 +82,29 @@ const SUB_BATCH: usize = 65_534;
 const AMPLE: usize = 1 << 20;
 /// Seeds of the tier-1 run; the ignored sweep runs the next 1 024.
 const TIER1_SEEDS: u64 = 32;
+/// Kinds of damage a violator can send ([`damaged`]).
+const DAMAGES: usize = 7;
+/// How long the harness steps a server for something it must do.
+const PATIENCE: Duration = Duration::from_secs(10);
+/// Bytes a peer that never reads may send before the server must have
+/// stopped reading it.
+const FLOOD_CAP: usize = 64 << 20;
+
+/// What the tier-1 seeds must make happen beyond every schedule's
+/// minimum ([`Schedule::covers_the_minimum`]).
+const TIER1_EVENTS: [&str; 11] = [
+    "a batch longer than a sub-batch",
+    "a swap with queries waiting",
+    "a QueueFull reject",
+    "1-byte writes",
+    "a violator",
+    "a connect past max_clients",
+    "an info request",
+    "a micro-batch with an in-batch duplicate",
+    "a micro-batch with a cache hit",
+    "a peer that never reads",
+    "a peer gone with output unsent",
+];
 
 /// Schedules replayed on every run: failures once printed, and past
 /// bugs written as schedules.
@@ -57,6 +114,20 @@ const REGRESSIONS: &[&str] = &[
     r#"{"seed": 0, "sharded": false, "aggregate": "Avg", "threads": 1, "budget": 1048576,
         "steps": [{"Refresh": {"mode": "I8", "unit": 0, "plan": false}},
                   {"Batch": {"rows": [0, 1, 2, 3, 0, 16, 24], "flat": false}}]}"#,
+    // A micro-batch drains one query per connection per turn: three
+    // queues 112 deep share 256 slots 86/85/85, where two per turn
+    // gives 86/86/84. No tier-1 seed queues that deep on three
+    // connections.
+    r#"{"seed": 0, "sharded": false, "aggregate": "Count", "threads": 1, "budget": 1048576,
+        "wire": {"clients": 3, "max_batch": 256, "queue_cap": 1024},
+        "steps": [{"Send": {"chunk": 0,
+                            "rows": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                                     14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
+                                     26, 27, 28, 29, 30, 31, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9],
+                            "conns": [0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1,
+                                      2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0,
+                                      1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]}},
+                  "Repeat", "Repeat", "Repeat", "Repeat", "Repeat", "Repeat", "Repeat", "Serve"]}"#,
 ];
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -68,6 +139,20 @@ struct Schedule {
     /// Cache budget in bytes.
     budget: usize,
     steps: Vec<Step>,
+    /// The server in front, on a wire seed.
+    #[serde(default)]
+    wire: Option<Wire>,
+}
+
+/// A stepped [`NetServer`] in front of the run's [`LiveDeployment`]:
+/// its client connections, opened first (so their ids are
+/// `0..clients`), and its limits. `max_clients` is `clients + 1`, room
+/// for one passing peer.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Wire {
+    clients: usize,
+    max_batch: usize,
+    queue_cap: usize,
 }
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,7 +161,8 @@ enum Step {
     Batch { rows: Vec<usize>, flat: bool },
     /// `len` rows cycling through the pool, served flat.
     Long { len: usize },
-    /// The previous batch again (the empty batch if there was none).
+    /// The previous batch or send again (the empty batch if there was
+    /// none).
     Repeat,
     /// The other build of the deployment, as the next generation.
     Swap,
@@ -88,6 +174,36 @@ enum Step {
         unit: usize,
         plan: bool,
     },
+    /// Pool queries as `Query` frames, row `k` on client `conns[k]`, each
+    /// client's frames written `chunk` bytes at a time (0: at once) with
+    /// a server pass between writes. Parsed, not served.
+    Send {
+        rows: Vec<usize>,
+        conns: Vec<usize>,
+        chunk: usize,
+    },
+    /// Every waiting query served, micro-batch by micro-batch.
+    Serve,
+    /// An info request on client `conn`.
+    Info { conn: usize },
+    /// A passing connection sends `prefix` queries, then damage number
+    /// `damage` ([`damaged`]).
+    Violate { prefix: usize, damage: usize },
+    /// A passing connection takes the last slot, and one more connects.
+    OverCap,
+    /// A passing peer sends info requests without reading until the
+    /// server stops reading it; then it reads them all, or hangs up.
+    Silent { hang_up: bool },
+}
+
+impl Step {
+    /// The pool rows of a batch or a send.
+    fn rows(&self) -> Option<&[usize]> {
+        match self {
+            Step::Batch { rows, .. } | Step::Send { rows, .. } => Some(rows),
+            _ => None,
+        }
+    }
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -100,7 +216,10 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 impl Schedule {
     /// The schedule of `seed`: random steps plus, at random places, an
-    /// empty batch, a batch with a duplicate, a swap and a refresh.
+    /// empty batch, a batch with a duplicate, a swap and a refresh; on
+    /// a wire seed, batches sent, and two serves, an info request, a
+    /// violator, an over-cap connect and on half of them a silent peer
+    /// placed at random before a last serve.
     fn generate(seed: u64) -> Schedule {
         let mut state = seed;
         let mut pick = |n: usize| (splitmix64(&mut state) % n as u64) as usize;
@@ -136,13 +255,53 @@ impl Schedule {
         for step in required {
             steps.insert(pick(steps.len() + 1), step);
         }
+        let (sharded, aggregate) = (pick(2) == 1, Aggregate::ALL[pick(4)]);
+        let (threads, budget) = ([1, 2, 4][pick(3)], [0, 6 * entry_bytes(2), AMPLE][pick(3)]);
+        let wire = (pick(2) == 1).then(|| Wire {
+            clients: 1 + pick(3),
+            max_batch: [1, 5, 256][pick(3)],
+            queue_cap: [4, 1024][pick(2)],
+        });
+        if let Some(Wire { clients, .. }) = wire {
+            for step in &mut steps {
+                if let Step::Batch { rows, .. } = step {
+                    let rows = std::mem::take(rows);
+                    let conns = rows.iter().map(|_| pick(clients)).collect();
+                    let chunk = [1, 7, 43, 0][pick(4)];
+                    *step = Step::Send { rows, conns, chunk };
+                }
+            }
+            let mut passing = vec![
+                Step::Serve,
+                Step::Serve,
+                Step::Info {
+                    conn: pick(clients),
+                },
+                Step::Violate {
+                    prefix: pick(3),
+                    damage: pick(DAMAGES),
+                },
+                Step::OverCap,
+            ];
+            // A silent peer costs a flood of ~4 MB of responses.
+            if pick(2) == 0 {
+                passing.push(Step::Silent {
+                    hang_up: pick(2) == 1,
+                });
+            }
+            for step in passing {
+                steps.insert(pick(steps.len() + 1), step);
+            }
+            steps.push(Step::Serve);
+        }
         Schedule {
             seed,
-            sharded: pick(2) == 1,
-            aggregate: Aggregate::ALL[pick(4)],
-            threads: [1, 2, 4][pick(3)],
-            budget: [0, 6 * entry_bytes(2), AMPLE][pick(3)],
+            sharded,
+            aggregate,
+            threads,
+            budget,
             steps,
+            wire,
         }
     }
 
@@ -150,9 +309,9 @@ impl Schedule {
     /// in-batch duplicate, a swap and a refresh.
     fn covers_the_minimum(&self) -> bool {
         let has = |f: &dyn Fn(&Step) -> bool| self.steps.iter().any(f);
-        let repeats = |rows: &Vec<usize>| rows.iter().collect::<HashSet<_>>().len() < rows.len();
-        has(&|s| matches!(s, Step::Batch { rows, .. } if rows.is_empty()))
-            && has(&|s| matches!(s, Step::Batch { rows, .. } if repeats(rows)))
+        let repeats = |rows: &[usize]| rows.iter().collect::<HashSet<_>>().len() < rows.len();
+        has(&|s| s.rows().is_some_and(|rows| rows.is_empty()))
+            && has(&|s| s.rows().is_some_and(repeats))
             && has(&|s| matches!(s, Step::Swap))
             && has(&|s| matches!(s, Step::Refresh { .. }))
     }
@@ -303,7 +462,7 @@ impl Model {
 struct Run<'s> {
     schedule: &'s Schedule,
     cache: Arc<AnswerCache>,
-    live: LiveDeployment,
+    live: Arc<LiveDeployment>,
     /// Which of the two builds the model descends from.
     build: usize,
     model: Model,
@@ -314,14 +473,22 @@ struct Run<'s> {
     served: HashSet<(u64, usize)>,
     /// No row served yet at the current generation.
     fresh: bool,
-    last: (Vec<usize>, bool, u64),
+    /// The last batch or send, for `Repeat`.
+    last: Step,
     /// Every batch's tally, summed.
     total: DeployStats,
+    /// The wire leg, on a wire seed.
+    net: Option<Net>,
+    /// Which of [`TIER1_EVENTS`] the schedule made happen.
+    seen: HashSet<&'static str>,
 }
 
 impl Run<'_> {
     /// Serve `model` as the next generation.
     fn install(&mut self, model: Model) {
+        if self.net.as_ref().is_some_and(|net| net.waiting() > 0) {
+            self.seen.insert("a swap with queries waiting");
+        }
         self.generation += 1;
         let front = model.front(self.schedule, &self.cache, self.generation);
         let replaced = self.live.swap(front, self.generation);
@@ -331,7 +498,7 @@ impl Run<'_> {
         self.fresh = true;
     }
 
-    fn serve(&mut self, rows: Vec<usize>, flat: bool, repeat: bool) {
+    fn serve(&mut self, rows: &[usize], flat: bool) {
         let pool = &fixture().pool;
         let (answers, stats, stamped) = if flat {
             let data: Vec<f64> = rows.iter().flat_map(|&i| pool[i].clone()).collect();
@@ -349,7 +516,12 @@ impl Run<'_> {
             let (got, want) = (got.to_bits(), self.oracle[i]);
             assert_eq!(got, want, "(1) row {k}, pool query {i}");
         }
+        self.tally(rows, stats);
+    }
 
+    /// Invariants (3)–(6) for a batch of pool rows served at the current
+    /// generation.
+    fn tally(&mut self, rows: &[usize], stats: DeployStats) {
         let computed = stats.sketch + stats.exact_small_range + stats.exact_hard_leaf;
         let answered = computed + stats.cache_hits + stats.dedup_hits;
         assert_eq!([stats.queries, answered], [rows.len(); 2], "(3) {stats:?}");
@@ -369,15 +541,18 @@ impl Run<'_> {
 
         let cache = self.cache.stats();
         assert!(cache.bytes <= cache.capacity_bytes, "(6) {cache:?}");
+        let generation = self.generation;
+        let new = seen
+            .iter()
+            .filter(|&&i| !self.served.contains(&(generation, i)))
+            .count();
         self.served.extend(rows.iter().map(|&i| (generation, i)));
         if self.schedule.budget >= AMPLE {
             let resident = cache.evictions == 0 && cache.entries == self.served.len();
             assert!(resident, "(6) {cache:?}");
-            let warm = stats.cache_hits + stats.dedup_hits;
-            assert!(!repeat || warm == rows.len(), "(6) repeat: {stats:?}");
+            assert_eq!(stats.cache_misses, new, "(6) misses: {stats:?}");
         }
         self.total += stats;
-        self.last = (rows, flat, generation);
     }
 
     fn refresh(&mut self, mode: QuantMode, unit: usize, plan: bool) {
@@ -422,20 +597,449 @@ impl Run<'_> {
         self.install(model);
     }
 
-    fn step(&mut self, step: &Step) {
-        match step {
-            Step::Batch { rows, flat } => self.serve(rows.clone(), *flat, false),
-            Step::Long { len } => self.serve((0..*len).map(|i| i % POOL).collect(), true, false),
-            Step::Repeat => {
-                let (rows, flat, generation) = self.last.clone();
-                self.serve(rows, flat, generation == self.generation);
+    /// Serve every waiting query, micro-batch by micro-batch, checking
+    /// (8), (10) and (1)–(6) on each; then every client reads its answers.
+    fn serve_wire(&mut self) {
+        loop {
+            let net = self.net.as_mut().expect("a wire step on a wire seed");
+            let had: Vec<usize> = net.clients.iter().map(|c| c.waiting.len()).collect();
+            let Some(batch) = net.server.serve_pending_batch() else {
+                break;
+            };
+            let generation = self.generation;
+            assert_eq!(batch.generation, generation, "(8) micro-batch stamp");
+            let most = batch.per_client.iter().map(|&(_, n)| n).max().unwrap_or(0);
+            let mut rows = Vec::new();
+            for &(conn, n) in &batch.per_client {
+                let client = &mut net.clients[conn as usize];
+                for (id, i) in client.waiting.drain(..n) {
+                    let value = f64::from_bits(self.oracle[i]);
+                    client.owed.push_back(Frame::Answer {
+                        id,
+                        generation,
+                        value,
+                    });
+                    rows.push(i);
+                }
             }
+            for (c, &had) in had.iter().enumerate() {
+                let took = had - net.clients[c].waiting.len();
+                let fair = took >= had.min(most.saturating_sub(1));
+                assert!(fair, "(10) client {c} took {took} of {had}: {batch:?}");
+            }
+            let waiting = had.iter().sum::<usize>().min(net.wire.max_batch);
+            assert_eq!([batch.size, rows.len()], [waiting; 2], "(10) {batch:?}");
+            net.want.batches += 1;
+            net.want.answered += batch.size as u64;
+            net.want.largest_batch = net.want.largest_batch.max(batch.size);
+            net.want.deploy += batch.stats;
+            if batch.stats.dedup_hits > 0 {
+                self.seen.insert("a micro-batch with an in-batch duplicate");
+            }
+            if batch.stats.cache_hits > 0 {
+                self.seen.insert("a micro-batch with a cache hit");
+            }
+            self.tally(&rows, batch.stats);
+        }
+        self.net().collect();
+    }
+
+    fn net(&mut self) -> &mut Net {
+        self.net.as_mut().expect("a wire step on a wire seed")
+    }
+
+    fn step(&mut self, step: &Step) {
+        let generation = self.generation;
+        match step {
+            Step::Batch { rows, flat } => self.serve(rows, *flat),
+            Step::Long { len } => {
+                self.seen.insert("a batch longer than a sub-batch");
+                self.serve(&(0..*len).map(|i| i % POOL).collect::<Vec<_>>(), true);
+            }
+            Step::Repeat => self.step(&self.last.clone()),
             Step::Swap => {
                 self.build ^= 1;
                 self.install(model_of(self.schedule, self.build).clone());
             }
             Step::Refresh { mode, unit, plan } => self.refresh(*mode, *unit, *plan),
+            Step::Send { rows, conns, chunk } => {
+                if *chunk == 1 && !rows.is_empty() {
+                    self.seen.insert("1-byte writes");
+                }
+                self.net().send(rows, conns, *chunk);
+            }
+            Step::Serve => self.serve_wire(),
+            Step::Info { conn } => {
+                self.seen.insert("an info request");
+                self.net().info_request(*conn, generation);
+            }
+            Step::Violate { prefix, damage } => {
+                self.seen.insert("a violator");
+                self.net().violate(*prefix, *damage);
+            }
+            Step::OverCap => {
+                self.seen.insert("a connect past max_clients");
+                self.net().over_cap();
+            }
+            Step::Silent { hang_up } => {
+                self.seen.insert("a peer that never reads");
+                if *hang_up {
+                    self.seen.insert("a peer gone with output unsent");
+                }
+                self.net().silent(*hang_up, generation);
+            }
         }
+        if matches!(
+            step,
+            Step::Batch { .. } | Step::Long { .. } | Step::Send { .. }
+        ) {
+            self.last = step.clone();
+        }
+        if let Some(net) = &self.net {
+            if net.want.rejected > 0 {
+                self.seen.insert("a QueueFull reject");
+            }
+            net.check();
+        }
+    }
+}
+
+/// The wire leg in flight: the stepped server, its clients, and the
+/// server's counters as the schedule predicts them.
+struct Net {
+    server: NetServer,
+    wire: Wire,
+    /// [`NetOptions::conn_buffer_bound`] of the server's options.
+    bound: usize,
+    clients: Vec<Client>,
+    want: NetStats,
+    /// Queries discarded with a violator's connection.
+    dropped: u64,
+}
+
+struct Client {
+    conn: NetClient,
+    next_id: u64,
+    /// Queries waiting for a micro-batch: request id and pool index.
+    waiting: VecDeque<(u64, usize)>,
+    /// Frames the server owes this client, in order.
+    owed: VecDeque<Frame>,
+}
+
+/// One server pass, then (11)'s buffer bound.
+fn pass(server: &mut NetServer, bound: usize) {
+    server.pump_io();
+    let (held, live) = (server.buffer_bytes(), server.connections());
+    assert!(
+        held <= bound * live,
+        "(11) {live} connections hold {held} B"
+    );
+}
+
+/// The next frame `peer` reads, passing the server until one arrives.
+fn recv(server: &mut NetServer, bound: usize, peer: &mut NetClient) -> Result<Frame, NetError> {
+    let deadline = Instant::now() + PATIENCE;
+    loop {
+        match peer.recv() {
+            Err(NetError::Io(_)) if Instant::now() < deadline => pass(server, bound),
+            read => return read,
+        }
+    }
+}
+
+/// Damage number `damage`, the [`NetError`] code the server answers it
+/// with, and the queries the server decodes from it.
+fn damaged(damage: usize) -> (Vec<u8>, u8, u64) {
+    let query = |dims| {
+        encode_frame(&Frame::Query {
+            id: 9,
+            query: vec![0.5; dims],
+        })
+    };
+    let mut frame = query(2);
+    let last = frame.len() - 1;
+    let (at, byte, code) = match damage {
+        0 => (last, !frame[last], 5), // checksum mismatch
+        1 => (0, b'J', 1),            // bad magic
+        2 => (4, 9, 2),               // bad version
+        3 => (5, 99, 3),              // bad kind
+        4 => return ([&frame[..6], &[0xFF; 4]].concat(), 4, 0), // oversized header
+        5 => {
+            let answer = Frame::Answer {
+                id: 9,
+                generation: 0,
+                value: 1.0,
+            };
+            return (encode_frame(&answer), 11, 0); // a server-to-client kind
+        }
+        _ => return (query(3), 7, 1), // a well-formed query of 3 dims
+    };
+    frame[at] = byte;
+    (frame, code, 0)
+}
+
+impl Net {
+    fn open(wire: &Wire, live: Arc<LiveDeployment>) -> Net {
+        let opts = NetOptions {
+            max_batch: wire.max_batch,
+            queue_cap: wire.queue_cap,
+            max_clients: wire.clients + 1,
+            ..NetOptions::default()
+        };
+        let mut net = Net {
+            server: NetServer::bind("127.0.0.1:0", live, 2, opts).unwrap(),
+            wire: wire.clone(),
+            bound: opts.conn_buffer_bound(),
+            clients: Vec::new(),
+            want: NetStats::default(),
+            dropped: 0,
+        };
+        for _ in 0..wire.clients {
+            let client = Client {
+                conn: net.connect(),
+                next_id: 0,
+                waiting: VecDeque::new(),
+                owed: VecDeque::new(),
+            };
+            net.clients.push(client);
+        }
+        net
+    }
+
+    /// A new connection, once the server has accepted it.
+    fn connect(&mut self) -> NetClient {
+        let mut conn = NetClient::connect(self.server.local_addr()).unwrap();
+        conn.set_timeout(Some(Duration::from_millis(1))).unwrap();
+        self.admit();
+        conn
+    }
+
+    /// Pass the server until it accepts one more connection.
+    fn admit(&mut self) {
+        self.want.accepted += 1;
+        let accepted = self.want.accepted;
+        self.settle("(9) a connection is accepted", |s| {
+            s.stats().accepted == accepted
+        });
+    }
+
+    /// Pass the server until `done`.
+    fn settle(&mut self, what: &str, done: impl Fn(&NetServer) -> bool) {
+        let deadline = Instant::now() + PATIENCE;
+        while !done(&self.server) {
+            assert!(Instant::now() < deadline, "{what}: not within {PATIENCE:?}");
+            pass(&mut self.server, self.bound);
+        }
+    }
+
+    /// Count one more connection closed, and pass the server until it
+    /// has closed it.
+    fn close(&mut self, what: &str) {
+        self.want.closed += 1;
+        let closed = self.want.closed;
+        self.settle(what, |s| s.stats().closed == closed);
+    }
+
+    fn waiting(&self) -> usize {
+        self.clients.iter().map(|c| c.waiting.len()).sum()
+    }
+
+    /// The `InfoResponse` payload at `generation`.
+    fn info(&self, generation: u64) -> ServerInfo {
+        let (queue_cap, max_batch) = (self.wire.queue_cap as u32, self.wire.max_batch as u32);
+        ServerInfo {
+            dims: 2,
+            generation,
+            queue_cap,
+            max_batch,
+        }
+    }
+
+    /// Pass the server, then let each client read every frame it is
+    /// owed: byte for byte the owed one (8).
+    fn collect(&mut self) {
+        pass(&mut self.server, self.bound);
+        for (c, client) in self.clients.iter_mut().enumerate() {
+            while let Some(owed) = client.owed.pop_front() {
+                let got = recv(&mut self.server, self.bound, &mut client.conn).unwrap();
+                let same = encode_frame(&got) == encode_frame(&owed);
+                assert!(same, "(8) client {c} read {got:?}, owed {owed:?}");
+            }
+        }
+    }
+
+    fn send(&mut self, rows: &[usize], conns: &[usize], chunk: usize) {
+        let mut bytes = vec![Vec::new(); self.clients.len()];
+        for (&i, &c) in rows.iter().zip(conns) {
+            let client = &mut self.clients[c];
+            let id = client.next_id;
+            client.next_id += 1;
+            let query = fixture().pool[i].clone();
+            encode_frame_into(&Frame::Query { id, query }, &mut bytes[c]);
+            if client.waiting.len() < self.wire.queue_cap {
+                client.waiting.push_back((id, i));
+            } else {
+                let code = RejectCode::QueueFull;
+                client.owed.push_back(Frame::Reject { id, code });
+                self.want.rejected += 1;
+            }
+        }
+        self.want.queries += rows.len() as u64;
+        let mut pieces: Vec<_> = (bytes.iter())
+            .map(|b| b.chunks(if chunk == 0 { b.len().max(1) } else { chunk }))
+            .collect();
+        let mut wrote = true;
+        while wrote {
+            wrote = false;
+            for (client, pieces) in self.clients.iter_mut().zip(&mut pieces) {
+                if let Some(piece) = pieces.next() {
+                    client.conn.send_raw(piece).unwrap();
+                    pass(&mut self.server, self.bound);
+                    wrote = true;
+                }
+            }
+        }
+        let queries = self.want.queries;
+        self.settle("(9) every query sent is parsed", |s| {
+            s.stats().queries == queries
+        });
+        self.collect();
+    }
+
+    fn info_request(&mut self, conn: usize, generation: u64) {
+        let (request, owed) = (
+            Frame::InfoRequest,
+            Frame::InfoResponse(self.info(generation)),
+        );
+        let client = &mut self.clients[conn];
+        client.conn.send_raw(&encode_frame(&request)).unwrap();
+        client.owed.push_back(owed);
+        self.want.info_requests += 1;
+        self.collect();
+    }
+
+    /// A passing connection sends `prefix` queries and damage `damage`
+    /// in one write; it reads one `Error` frame with the damage's code,
+    /// then the end of the stream, and its queries are dropped (12).
+    fn violate(&mut self, prefix: usize, damage: usize) {
+        let mut peer = self.connect();
+        let mut bytes = Vec::new();
+        for (id, query) in fixture().pool[..prefix].iter().enumerate() {
+            let (id, query) = (id as u64, query.clone());
+            encode_frame_into(&Frame::Query { id, query }, &mut bytes);
+        }
+        let (damage, code, decoded) = damaged(damage);
+        bytes.extend(damage);
+        peer.send_raw(&bytes).unwrap();
+        self.want.queries += prefix as u64 + decoded;
+        self.dropped += prefix as u64 + decoded;
+        self.want.protocol_errors += 1;
+        self.want.closed += 1;
+        let got = recv(&mut self.server, self.bound, &mut peer);
+        assert!(
+            matches!(got, Ok(Frame::Error { code: c, .. }) if c == code),
+            "(12) the violator read {got:?}"
+        );
+        let end = recv(&mut self.server, self.bound, &mut peer);
+        let closed = matches!(end, Err(NetError::Truncated { have: 0, .. }));
+        assert!(closed, "(12) after its farewell the violator read {end:?}");
+    }
+
+    /// A passing connection takes the last slot; one more is turned
+    /// away with a `ServerFull` error, uncounted (12); the first leaves.
+    fn over_cap(&mut self) {
+        let filler = self.connect();
+        let mut over = NetClient::connect(self.server.local_addr()).unwrap();
+        over.set_timeout(Some(Duration::from_millis(1))).unwrap();
+        let full = NetError::ServerFull {
+            max: self.wire.clients + 1,
+        };
+        let (code, message) = (full.code(), full.to_string());
+        let owed = encode_frame(&Frame::Error { code, message });
+        let got = recv(&mut self.server, self.bound, &mut over).unwrap();
+        assert!(encode_frame(&got) == owed, "(12) past the cap: {got:?}");
+        let end = recv(&mut self.server, self.bound, &mut over);
+        let closed = matches!(end, Err(NetError::Truncated { have: 0, .. }));
+        assert!(closed, "(12) after ServerFull: {end:?}");
+        let accepted = self.server.stats().accepted;
+        assert_eq!(
+            accepted, self.want.accepted,
+            "(12) the turned-away peer was counted"
+        );
+        drop(filler);
+        self.close("(9) a peer that left is reaped");
+    }
+
+    /// A passing peer sends info requests, reading nothing, until the
+    /// server stops reading it (11). Then it reads a response per
+    /// request and leaves, or hangs up with responses unsent and must
+    /// be reaped.
+    fn silent(&mut self, hang_up: bool, generation: u64) {
+        let mut peer = TcpStream::connect(self.server.local_addr()).unwrap();
+        peer.set_nodelay(true).unwrap();
+        peer.set_nonblocking(true).unwrap();
+        self.admit();
+        let request = encode_frame(&Frame::InfoRequest);
+        let block = request.repeat(1024);
+        let mut sent = 0;
+        while self.server.stats().stalled_reads == self.want.stalled_reads {
+            assert!(
+                sent < FLOOD_CAP,
+                "(11) a peer that never reads is still read"
+            );
+            match peer.write(&block[sent % block.len()..]) {
+                Ok(n) => sent += n,
+                Err(e) => assert_eq!(e.kind(), ErrorKind::WouldBlock),
+            }
+            pass(&mut self.server, self.bound);
+        }
+        if hang_up {
+            drop(peer);
+            self.close("(9) a peer gone with output unsent is reaped");
+            let parsed = self.server.stats().info_requests - self.want.info_requests;
+            assert!(parsed > 0 && parsed as usize <= sent / request.len());
+            self.want.info_requests += parsed;
+        } else {
+            let torn = sent % request.len();
+            let mut tail = if torn == 0 { &[][..] } else { &request[torn..] };
+            let frames = sent.div_ceil(request.len());
+            let owed = encode_frame(&Frame::InfoResponse(self.info(generation))).repeat(frames);
+            let (mut got, mut buf) = (Vec::new(), vec![0; 64 << 10]);
+            let deadline = Instant::now() + PATIENCE;
+            while got.len() < owed.len() {
+                assert!(
+                    Instant::now() < deadline,
+                    "(11) the silent peer's answers stopped"
+                );
+                if let Ok(n) = peer.write(tail) {
+                    tail = &tail[n..];
+                }
+                match peer.read(&mut buf) {
+                    Ok(n) => got.extend_from_slice(&buf[..n]),
+                    Err(e) => assert_eq!(e.kind(), ErrorKind::WouldBlock),
+                }
+                pass(&mut self.server, self.bound);
+            }
+            assert!(got == owed, "(8) the silent peer's responses");
+            drop(peer);
+            self.want.info_requests += frames as u64;
+            self.close("(9) a peer that left is reaped");
+        }
+        self.want.stalled_reads = self.server.stats().stalled_reads;
+    }
+
+    /// (9), and (11)'s `stalled_reads`, between steps, once every client
+    /// has read all it is owed and every passing peer is gone.
+    fn check(&self) {
+        let (server, stats) = (&self.server, self.server.stats());
+        assert_eq!(stats, self.want, "(9), (11) the server's counters");
+        let waiting = self.waiting();
+        assert_eq!(server.pending(), waiting, "(9) queries waiting");
+        let settled = stats.answered + stats.rejected + self.dropped + waiting as u64;
+        assert_eq!(stats.queries, settled, "(9) {} dropped", self.dropped);
+        let open = server.connections();
+        assert_eq!(stats.accepted, stats.closed + open as u64, "(9) {stats:?}");
+        assert_eq!(open, self.clients.len(), "(9) a passing peer is still open");
     }
 }
 
@@ -451,14 +1055,17 @@ impl Drop for PrintOnPanic<'_> {
 }
 
 /// Run `schedule` from generation 0, checking every invariant after
-/// every step. Returns every batch's tally, summed.
-fn run(schedule: &Schedule) -> DeployStats {
+/// every step. Returns every batch's tally, summed, and which of
+/// [`TIER1_EVENTS`] it made happen.
+fn run(schedule: &Schedule) -> (DeployStats, HashSet<&'static str>) {
     let _print = PrintOnPanic(schedule);
     let model = model_of(schedule, 0);
     let cache = Arc::new(AnswerCache::new(schedule.budget, 2));
+    let live = Arc::new(LiveDeployment::new(model.front(schedule, &cache, 0), 0));
     let mut run = Run {
         schedule,
-        live: LiveDeployment::new(model.front(schedule, &cache, 0), 0),
+        net: (schedule.wire.as_ref()).map(|wire| Net::open(wire, live.clone())),
+        live,
         cache,
         build: 0,
         oracle: model.oracle(schedule.aggregate),
@@ -466,32 +1073,39 @@ fn run(schedule: &Schedule) -> DeployStats {
         generation: 0,
         served: HashSet::new(),
         fresh: true,
-        last: (Vec::new(), false, 0),
+        last: Step::Batch {
+            rows: Vec::new(),
+            flat: false,
+        },
         total: DeployStats::default(),
+        seen: HashSet::new(),
     };
     for step in &schedule.steps {
         run.step(step);
     }
-    run.total
+    (run.total, run.seen)
 }
 
 /// Run the schedules of `seeds`, each covering the minimum. Returns
-/// whether any has a batch longer than a sub-batch, and every tally.
-fn sweep(seeds: std::ops::Range<u64>) -> (bool, DeployStats) {
-    let (mut long, mut total) = (false, DeployStats::default());
+/// every tally, summed, and which of [`TIER1_EVENTS`] they made happen.
+fn sweep(seeds: std::ops::Range<u64>) -> (DeployStats, HashSet<&'static str>) {
+    let (mut total, mut seen) = (DeployStats::default(), HashSet::new());
     for seed in seeds {
         let schedule = Schedule::generate(seed);
         assert!(schedule.covers_the_minimum(), "{schedule:?}");
-        long |= (schedule.steps.iter()).any(|s| matches!(s, Step::Long { .. }));
-        total += run(&schedule);
+        let (tally, events) = run(&schedule);
+        total += tally;
+        seen.extend(events);
     }
-    (long, total)
+    (total, seen)
 }
 
 #[test]
 fn tier1_seeds_hold_every_invariant() {
-    let (long, total) = sweep(0..TIER1_SEEDS);
-    assert!(long, "no batch is longer than {SUB_BATCH} rows");
+    let (total, seen) = sweep(0..TIER1_SEEDS);
+    for event in TIER1_EVENTS {
+        assert!(seen.contains(event), "no tier-1 seed has {event}");
+    }
     let both_exact_routes = total.exact_small_range > 0 && total.exact_hard_leaf > 0;
     assert!(both_exact_routes, "{total:?}");
 }

@@ -2,9 +2,11 @@
 //! container suite (`persist_corruption.rs`): every corruption of the
 //! byte stream — truncated frames, single-byte flips, oversized
 //! declared lengths, garbage prologues — must come back as a typed
-//! [`NetError`], never a panic; and on a live server a violating
-//! connection is closed with one typed [`Frame::Error`] farewell while
-//! every other connection keeps being served, bitwise-correct.
+//! [`NetError`], never a panic; a stepped server's farewell to a
+//! violator carries exactly the error the decoder reports; and frames
+//! delivered in any chunking decode the same on either side. A
+//! violator's isolation from other connections, and torn writes
+//! served, are `tests/composition.rs`'s wire leg.
 
 mod common;
 
@@ -14,12 +16,10 @@ use neurosketch::net::{
     decode_frame, encode_frame, encode_frame_into, Frame, NetClient, NetError, NetOptions,
     NetServer, FRAME_HEADER, MAX_QUERY_DIMS, NET_MAGIC, NET_VERSION,
 };
-use neurosketch::{Deployment, NeuroSketch, NeuroSketchConfig};
 use proptest::prelude::*;
 use query::exec::fnv1a_64;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -122,205 +122,6 @@ proptest! {
         raw.extend(suffix.iter().map(|&b| b as u8));
         decode_is_total(&raw, u32::MAX);
     }
-}
-
-/// Shared fixture: a small trained sketch behind a [`LiveDeployment`].
-fn live_fixture() -> (Arc<LiveDeployment>, Vec<Vec<f64>>, Vec<f64>) {
-    let queries: Vec<Vec<f64>> = (0..160)
-        .map(|i| vec![(i as f64 * 0.7548) % 1.0, (i as f64 * 0.5698) % 1.0])
-        .collect();
-    let labels: Vec<f64> = queries.iter().map(|q| 7.0 * q[0] - 3.0 * q[1]).collect();
-    let mut cfg = NeuroSketchConfig::small();
-    cfg.tree_height = 2;
-    cfg.target_partitions = 4;
-    cfg.train.epochs = 5;
-    let (sketch, _) = NeuroSketch::build_from_labeled(&queries, &labels, &cfg).unwrap();
-    let (expected, _) = Deployment::answer_batch(&sketch, &queries);
-    (Arc::new(LiveDeployment::new(sketch, 0)), queries, expected)
-}
-
-/// Spawn a serving loop; returns (addr, shutdown flag, join handle).
-type ServerHandle = (
-    std::net::SocketAddr,
-    Arc<AtomicBool>,
-    std::thread::JoinHandle<NetServer>,
-);
-
-fn spawn_server(live: Arc<LiveDeployment>, opts: NetOptions) -> ServerHandle {
-    let mut server = NetServer::bind("127.0.0.1:0", live, 2, opts).unwrap();
-    let addr = server.local_addr();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let flag = shutdown.clone();
-    let handle = std::thread::spawn(move || {
-        server.serve(&flag);
-        server
-    });
-    (addr, shutdown, handle)
-}
-
-/// A connection spraying damaged frames gets a typed [`Frame::Error`]
-/// and a close; a well-behaved connection opened alongside it keeps
-/// receiving bitwise-correct answers. One bad client never poisons
-/// another.
-#[test]
-fn corrupt_client_is_isolated_from_good_clients() {
-    let (live, queries, expected) = live_fixture();
-    let (addr, shutdown, handle) = spawn_server(live, NetOptions::default());
-
-    let mut good = NetClient::connect(addr).unwrap();
-    good.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    let a = good.query(&queries[0]).unwrap();
-    assert_eq!(a.value.to_bits(), expected[0].to_bits());
-
-    // Damage regimes, each on a fresh connection: flipped checksum,
-    // bad magic, bad version, unknown kind, oversized declared length,
-    // a wrong-direction (server-only) frame, and a mid-frame hangup.
-    let mut flipped = sample_frame();
-    let last = flipped.len() - 1;
-    flipped[last] ^= 0xFF;
-    let damages: Vec<Vec<u8>> = vec![
-        flipped,
-        b"JUNKJUNKJUNK".to_vec(),
-        {
-            let mut f = sample_frame();
-            f[4] = 9;
-            f
-        },
-        {
-            let mut f = sample_frame();
-            f[5] = 99;
-            f
-        },
-        {
-            let mut hdr = Vec::new();
-            hdr.extend_from_slice(&NET_MAGIC);
-            hdr.push(NET_VERSION);
-            hdr.push(1);
-            hdr.extend_from_slice(&u32::MAX.to_le_bytes());
-            hdr
-        },
-        encode_frame(&Frame::Answer {
-            id: 1,
-            generation: 0,
-            value: 1.0,
-        }),
-    ];
-    for damage in damages {
-        let mut bad = NetClient::connect(addr).unwrap();
-        bad.set_timeout(Some(Duration::from_secs(10))).unwrap();
-        bad.send_raw(&damage).unwrap();
-        // The server's farewell is a typed error frame, then a close.
-        match bad.recv() {
-            Ok(Frame::Error { .. }) => {}
-            Ok(other) => panic!("expected an error farewell, got {other:?}"),
-            Err(NetError::Truncated { .. }) | Err(NetError::Io(_)) => {
-                // Close raced ahead of the farewell — acceptable; the
-                // connection is down either way.
-            }
-            Err(e) => panic!("unexpected client error: {e}"),
-        }
-        // The good client is unaffected, still bitwise-correct.
-        let i = 1 + (damage.len() % (queries.len() - 1));
-        let a = good.query(&queries[i]).unwrap();
-        assert_eq!(a.value.to_bits(), expected[i].to_bits());
-    }
-
-    // A client that hangs up mid-frame must not wedge the server.
-    {
-        let mut partial = NetClient::connect(addr).unwrap();
-        partial.send_raw(&sample_frame()[..7]).unwrap();
-    } // dropped here: EOF with a partial frame buffered
-    let a = good.query(&queries[5]).unwrap();
-    assert_eq!(a.value.to_bits(), expected[5].to_bits());
-
-    shutdown.store(true, Ordering::Relaxed);
-    let server = handle.join().unwrap();
-    let stats = server.stats();
-    assert!(
-        stats.protocol_errors >= 6,
-        "expected at least 6 typed violations, saw {}",
-        stats.protocol_errors
-    );
-    assert_eq!(stats.answered, 8, "good client's answers: 1 + 6 + 1");
-}
-
-/// Frames split at every possible byte boundary across two writes
-/// still decode whole: the server's incremental parser never treats a
-/// short read as corruption.
-#[test]
-fn frames_fragmented_across_writes_decode_whole() {
-    let (live, queries, expected) = live_fixture();
-    let (addr, shutdown, handle) = spawn_server(live, NetOptions::default());
-
-    let frame = encode_frame(&Frame::Query {
-        id: 0,
-        query: queries[3].clone(),
-    });
-    for cut in 1..frame.len() {
-        let mut c = NetClient::connect(addr).unwrap();
-        c.set_timeout(Some(Duration::from_secs(10))).unwrap();
-        c.send_raw(&frame[..cut]).unwrap();
-        std::thread::sleep(Duration::from_millis(1));
-        c.send_raw(&frame[cut..]).unwrap();
-        match c.recv().unwrap() {
-            Frame::Answer { id, value, .. } => {
-                assert_eq!(id, 0);
-                assert_eq!(value.to_bits(), expected[3].to_bits(), "cut at {cut}");
-            }
-            other => panic!("cut at {cut}: {other:?}"),
-        }
-    }
-
-    shutdown.store(true, Ordering::Relaxed);
-    let server = handle.join().unwrap();
-    assert_eq!(server.stats().protocol_errors, 0);
-}
-
-/// Pipelined garbage after valid frames: the valid prefix is served,
-/// the garbage earns the typed farewell.
-#[test]
-fn valid_prefix_is_served_before_the_violation_closes() {
-    let (live, queries, expected) = live_fixture();
-    let (addr, shutdown, handle) = spawn_server(live, NetOptions::default());
-
-    let mut c = NetClient::connect(addr).unwrap();
-    c.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut bytes = Vec::new();
-    for (i, q) in queries.iter().enumerate().take(3) {
-        bytes.extend_from_slice(&encode_frame(&Frame::Query {
-            id: i as u64,
-            query: q.clone(),
-        }));
-    }
-    bytes.extend_from_slice(b"GARBAGE");
-    c.send_raw(&bytes).unwrap();
-
-    let mut answered = 0;
-    let mut farewell = false;
-    loop {
-        match c.recv() {
-            Ok(Frame::Answer { id, value, .. }) => {
-                assert_eq!(value.to_bits(), expected[id as usize].to_bits());
-                answered += 1;
-            }
-            Ok(Frame::Error { .. }) => {
-                farewell = true;
-                break;
-            }
-            Ok(other) => panic!("unexpected frame {other:?}"),
-            Err(_) => break, // close raced the farewell
-        }
-    }
-    // The three valid queries may be served or discarded depending on
-    // whether the violation was parsed in the same pump; what must
-    // never happen is a wrong answer or a panic. If anything was
-    // answered it was bitwise-correct (asserted above).
-    assert!(answered <= 3);
-    assert!(farewell || answered <= 3);
-
-    shutdown.store(true, Ordering::Relaxed);
-    let server = handle.join().unwrap();
-    assert_eq!(server.stats().protocol_errors, 1);
 }
 
 /// A stepped server over [`SumDeployment`], driven from the test's own
