@@ -1,22 +1,22 @@
-//! Replicated shard serving over a simulated cluster, with a
-//! deterministic fault-injection harness.
+//! Replicated shard serving over a simulated cluster, with
+//! deterministic fault injection.
 //!
 //! [`crate::shard`] answers a batch by scattering to K shard sketches
 //! on one box. This module extends that to a *cluster*: every shard
-//! group holds N [`Replica`]s behind a pluggable [`RoutePolicy`], a
-//! rolling upgrade walks replicas generation-by-generation using the
-//! NSKM generation counter from [`crate::persist`], and a round-robin
-//! plan can be [rebalanced](Cluster::rebalance) K → K·f *row-stably* —
-//! answers stay bitwise identical because each physical model is still
-//! evaluated exactly once per group and groups merge in the same order.
+//! group holds N [`Replica`]s, routed round-robin, a rolling upgrade
+//! walks replicas generation-by-generation using the NSKM generation
+//! counter from [`crate::persist`], and a round-robin plan can be
+//! [rebalanced](Cluster::rebalance) K → K·f *row-stably* — answers stay
+//! bitwise identical because each physical model is still evaluated
+//! exactly once per group and groups merge in the same order.
 //!
-//! Correctness under failure is carried by [`FaultPlan`]: a seeded,
-//! serializable schedule of replica kills, stale generations, torn
-//! manifests, and checksum-corrupt artifacts. Every fault produces a
-//! typed outcome — a degraded [`ClusterBatchReport`] (quorum answer
-//! with a staleness flag) or a [`ClusterError`] — never a panic, and
-//! never a silent blend of generations: one batch is served entirely
-//! from one generation.
+//! Correctness under failure is carried by [`FaultPlan`]: a
+//! serializable schedule of replica kills, upgrades that never land,
+//! and checksum-corrupt artifacts. Every fault produces a typed
+//! outcome — a degraded [`ClusterBatchReport`] (quorum answer with a
+//! staleness flag) or a [`ClusterError`] — never a panic, and never a
+//! silent blend of generations: one batch is served entirely from one
+//! generation.
 //!
 //! A batch is route → scatter → finish: the router picks one replica
 //! per group, and that selection — a [`ClusterReplicaView`] — runs
@@ -34,9 +34,9 @@
 //! the sketches they were handed, and the merge order is group order.
 
 use crate::deploy::{DeployKind, DeployStats, Deployment, DeploymentInfo, QueryBatch};
-use crate::persist::{self, PersistError};
+use crate::persist::{self, PersistError, ShardManifest};
 use crate::shard::{
-    finish_guarded, scatter_gather, splitmix64, ShardPlan, ShardSketch, ShardTables, ShardedSketch,
+    finish_guarded, scatter_gather, ShardPlan, ShardSketch, ShardTables, ShardedSketch,
 };
 use crate::sketch::NeuroSketchConfig;
 use crate::SketchError;
@@ -46,21 +46,14 @@ use query::predicate::PredicateFn;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
-/// How the coordinator picks which healthy replica of a group serves a
-/// batch. All policies are deterministic functions of cluster state, so
-/// a replayed batch sequence routes identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// How the coordinator picks which up replica of a group serves a
+/// batch: a deterministic function of cluster state, so a replayed
+/// batch sequence routes identically.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutePolicy {
     /// Cycle through eligible replicas per group; each group keeps its
-    /// own cursor, advanced once per served batch.
+    /// own cursor, advanced once per pick (a failover re-pick too).
     RoundRobin,
-    /// Pick the eligible replica that has served the fewest queries
-    /// (ties broken by lowest replica index).
-    LeastLoaded,
-    /// Prefer the most recently upgraded eligible replica (highest
-    /// upgrade sequence number, ties broken by lowest replica index) —
-    /// drains traffic onto fresh artifacts during a rolling upgrade.
-    GenerationAware,
 }
 
 /// Cluster serving knobs.
@@ -85,44 +78,27 @@ impl Default for ClusterOptions {
     }
 }
 
-/// A replica's serving state. Only `Healthy` replicas are routable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaHealth {
-    /// In rotation.
-    Healthy,
-    /// Killed by a [`Fault::Kill`] (process loss); needs
-    /// [`Cluster::repair_replica`].
-    Killed,
-    /// Its artifact failed a checksum during upgrade — the bytes on
-    /// its disk are untrustworthy.
-    CorruptArtifact,
-    /// Its artifact could not be loaded (missing file, decode error).
-    LoadFailed,
-}
-
 /// One copy of a shard group's sketch, with the bookkeeping the router
 /// and the rolling upgrade read.
 #[derive(Debug, Clone)]
 pub struct Replica {
     sketch: ShardSketch,
     generation: u64,
-    health: ReplicaHealth,
+    /// In rotation. A replica goes down when killed, when its upgrade
+    /// artifact fails a checksum or when it cannot load; only
+    /// [`Cluster::repair_replica`] brings it back.
+    up: bool,
     pinned: bool,
-    served: u64,
-    upgrade_seq: u64,
 }
 
 impl Replica {
-    /// A replica that has served nothing and was never upgraded or
-    /// pinned — how every slot starts, in rotation or not.
-    fn new(sketch: ShardSketch, generation: u64, health: ReplicaHealth) -> Replica {
+    /// An unpinned replica — how every slot starts, in rotation or not.
+    fn new(sketch: ShardSketch, generation: u64, up: bool) -> Replica {
         Replica {
             sketch,
             generation,
-            health,
+            up,
             pinned: false,
-            served: 0,
-            upgrade_seq: 0,
         }
     }
 
@@ -130,12 +106,12 @@ impl Replica {
     /// until [`Cluster::repair_replica`].
     fn load_failed() -> Replica {
         let no_models = ShardSketch::from_models([None, None, None]);
-        Replica::new(no_models, 0, ReplicaHealth::LoadFailed)
+        Replica::new(no_models, 0, false)
     }
 
     /// Whether routing may send a batch served at `generation` here.
     fn serves(&self, generation: u64) -> bool {
-        self.health == ReplicaHealth::Healthy && self.generation == generation
+        self.up && self.generation == generation
     }
 
     /// NSKM generation of the artifact this replica serves.
@@ -194,27 +170,19 @@ pub enum Fault {
         /// Target replica index within the group.
         replica: usize,
     },
-    /// During a rolling upgrade, this replica's refresh silently never
-    /// happens: it keeps serving its old generation (pinned) while
-    /// peers advance — the "stale generation" production failure.
-    StaleGeneration {
-        /// Target group index.
-        group: usize,
-        /// Target replica index within the group.
-        replica: usize,
-    },
-    /// During a rolling upgrade, this replica's manifest rename never
-    /// lands (torn at the atomic-rename boundary): it stays loadable at
-    /// its old generation, pinned until repaired.
-    TornManifest {
+    /// During a rolling upgrade, this replica's upgrade never lands —
+    /// its refresh silently never ran, or its manifest rename was torn
+    /// at the atomic-rename boundary. It keeps serving its old
+    /// generation, pinned (skipped by rolls) until repaired, while
+    /// peers advance.
+    Pin {
         /// Target group index.
         group: usize,
         /// Target replica index within the group.
         replica: usize,
     },
     /// During a rolling upgrade, this replica's new artifact fails its
-    /// checksum: the replica is taken out of rotation
-    /// ([`ReplicaHealth::CorruptArtifact`]).
+    /// checksum: the replica is taken out of rotation until repaired.
     CorruptArtifact {
         /// Target group index.
         group: usize,
@@ -223,7 +191,7 @@ pub enum Fault {
     },
 }
 
-/// A seeded, serializable, replayable schedule of injected faults.
+/// A serializable, replayable schedule of injected faults.
 ///
 /// Serialize a plan into a regression test and replay it later: the
 /// same plan against the same cluster state produces the same typed
@@ -235,43 +203,6 @@ pub struct FaultPlan {
     /// The fault schedule. Kills fire by batch counter; upgrade faults
     /// fire when the rolling upgrade reaches their target replica.
     pub faults: Vec<Fault>,
-}
-
-impl FaultPlan {
-    /// Derive `count` faults from `seed` over a `groups × replicas`
-    /// topology and a horizon of `batches` serve batches. Pure function
-    /// of its arguments (splitmix64 counter stream), so two calls with
-    /// equal inputs yield equal plans.
-    pub fn generate(
-        seed: u64,
-        groups: usize,
-        replicas: usize,
-        batches: u64,
-        count: usize,
-    ) -> FaultPlan {
-        let mut ctr = 0u64;
-        let mut next = move || {
-            ctr += 1;
-            splitmix64(seed.wrapping_add(ctr))
-        };
-        let faults = (0..count)
-            .map(|_| {
-                let group = (next() % groups.max(1) as u64) as usize;
-                let replica = (next() % replicas.max(1) as u64) as usize;
-                match next() % 4 {
-                    0 => Fault::Kill {
-                        batch: next() % batches.max(1),
-                        group,
-                        replica,
-                    },
-                    1 => Fault::StaleGeneration { group, replica },
-                    2 => Fault::TornManifest { group, replica },
-                    _ => Fault::CorruptArtifact { group, replica },
-                }
-            })
-            .collect();
-        FaultPlan { seed, faults }
-    }
 }
 
 /// Everything observable that happened inside the cluster — the
@@ -329,24 +260,14 @@ pub enum ClusterEvent {
         /// Generation after the swap.
         to: u64,
     },
-    /// A [`Fault::StaleGeneration`] pinned a replica at its old
-    /// generation instead of upgrading it.
-    UpgradePinnedStale {
+    /// A [`Fault::Pin`] kept a replica at its old generation instead
+    /// of upgrading it; it stays pinned there until repaired.
+    UpgradePinned {
         /// Group index.
         group: usize,
         /// Replica index.
         replica: usize,
         /// Generation it is pinned at.
-        generation: u64,
-    },
-    /// A [`Fault::TornManifest`] tore a replica's upgrade at the
-    /// rename boundary; it stays at its old generation, pinned.
-    UpgradeTorn {
-        /// Group index.
-        group: usize,
-        /// Replica index.
-        replica: usize,
-        /// Generation it remains loadable at.
         generation: u64,
     },
     /// A [`Fault::CorruptArtifact`] failed a replica's upgrade
@@ -419,7 +340,8 @@ pub enum ClusterError {
         groups: usize,
     },
     /// The requested topology or control-plane operation is invalid
-    /// (zero replicas, bad quorum, aggregate mismatch, …).
+    /// (zero replicas, bad quorum, a manifest of another aggregate or
+    /// plan, …).
     BadTopology(String),
     /// A persistence operation failed.
     Persist(PersistError),
@@ -487,12 +409,14 @@ pub struct ClusterBatchReport {
 /// contract.
 pub struct Cluster {
     plan: ShardPlan,
+    /// The plan the persistence-backed groups were built under: what
+    /// every manifest they reload from must name, whatever
+    /// [`Cluster::rebalance`] has refined `plan` to since.
+    backing: ShardPlan,
     aggregate: Aggregate,
     groups: Vec<ShardGroup>,
-    policy: RoutePolicy,
     opts: ClusterOptions,
     batches: u64,
-    upgrade_seq: u64,
     faults: Vec<Fault>,
     fired: Vec<bool>,
     events: Vec<ClusterEvent>,
@@ -515,13 +439,44 @@ fn validate_opts(opts: &ClusterOptions) -> Result<(), ClusterError> {
 }
 
 impl Cluster {
+    /// A cluster with one group per shard of `plan`, shard `i`'s
+    /// replicas `replica_sets[i]`, no fault armed and `events` logged.
+    fn assemble(
+        plan: ShardPlan,
+        aggregate: Aggregate,
+        replica_sets: Vec<Vec<Replica>>,
+        opts: ClusterOptions,
+        events: Vec<ClusterEvent>,
+    ) -> Cluster {
+        let groups = (replica_sets.into_iter().enumerate())
+            .map(|(i, replicas)| ShardGroup {
+                logical: vec![i],
+                physical: Some(i),
+                replicas,
+                rr_cursor: 0,
+            })
+            .collect();
+        Cluster {
+            plan,
+            backing: plan,
+            aggregate,
+            groups,
+            opts,
+            batches: 0,
+            faults: Vec::new(),
+            fired: Vec::new(),
+            events,
+        }
+    }
+
     /// Stand up a cluster from an in-memory sharded sketch by cloning
-    /// each shard `replicas` times, all at `generation`.
+    /// each shard `replicas` times, all at `generation`. Routing is
+    /// round-robin, the only [`RoutePolicy`].
     pub fn new(
         sketch: &ShardedSketch,
         replicas: usize,
         generation: u64,
-        policy: RoutePolicy,
+        _policy: RoutePolicy,
         opts: ClusterOptions,
     ) -> Result<Cluster, ClusterError> {
         if replicas == 0 {
@@ -530,31 +485,17 @@ impl Cluster {
             ));
         }
         validate_opts(&opts)?;
-        let groups = sketch
-            .shards()
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| ShardGroup {
-                logical: vec![i],
-                physical: Some(i),
-                replicas: (0..replicas)
-                    .map(|_| Replica::new(shard.clone(), generation, ReplicaHealth::Healthy))
-                    .collect(),
-                rr_cursor: 0,
-            })
+        let replica_sets = (sketch.shards().iter())
+            .map(|shard| vec![Replica::new(shard.clone(), generation, true); replicas])
             .collect();
-        Ok(Cluster {
-            plan: sketch.plan(),
-            aggregate: sketch.aggregate(),
-            groups,
-            policy,
+        let (plan, aggregate) = (sketch.plan(), sketch.aggregate());
+        Ok(Cluster::assemble(
+            plan,
+            aggregate,
+            replica_sets,
             opts,
-            batches: 0,
-            upgrade_seq: 0,
-            faults: Vec::new(),
-            fired: Vec::new(),
-            events: Vec::new(),
-        })
+            Vec::new(),
+        ))
     }
 
     /// Stand up a cluster from one NSKM manifest per replica column —
@@ -563,10 +504,10 @@ impl Cluster {
     /// on plan/aggregate are rejected (every slot down, a
     /// [`ClusterEvent::ManifestRejected`] logged); individual shard
     /// loads that fail leave just that slot down. Errors only if no
-    /// manifest is readable or no replica at all is healthy.
+    /// manifest is readable or no replica at all is up.
     pub fn load<P: AsRef<Path>>(
         replica_manifests: &[P],
-        policy: RoutePolicy,
+        _policy: RoutePolicy,
         opts: ClusterOptions,
     ) -> Result<Cluster, ClusterError> {
         validate_opts(&opts)?;
@@ -578,7 +519,7 @@ impl Cluster {
         let mut events = Vec::new();
         // One read and one decode per column; every shard of the column
         // then loads against that value.
-        let decoded: Vec<Result<persist::ShardManifest, PersistError>> = replica_manifests
+        let decoded: Vec<Result<ShardManifest, PersistError>> = replica_manifests
             .iter()
             .map(persist::read_manifest)
             .collect();
@@ -587,7 +528,7 @@ impl Cluster {
             let first = decoded.into_iter().next().expect("non-empty").unwrap_err();
             return Err(ClusterError::Persist(first));
         };
-        let columns: Vec<Option<persist::ShardManifest>> = decoded
+        let columns: Vec<Option<ShardManifest>> = decoded
             .into_iter()
             .enumerate()
             .map(|(r, d)| {
@@ -609,22 +550,16 @@ impl Cluster {
                 None
             })
             .collect();
-        let mut healthy_total = 0usize;
-        let groups: Vec<ShardGroup> = (0..base.plan.shards())
+        let replica_sets: Vec<Vec<Replica>> = (0..base.plan.shards())
             .map(|g| {
-                let replicas = columns
-                    .iter()
-                    .zip(replica_manifests)
-                    .enumerate()
+                let slots = columns.iter().zip(replica_manifests).enumerate();
+                slots
                     .map(|(r, (column, path))| {
                         let Some(manifest) = column else {
                             return Replica::load_failed();
                         };
                         match persist::load_shard(manifest, path, g) {
-                            Ok(sketch) => {
-                                healthy_total += 1;
-                                Replica::new(sketch, manifest.generation, ReplicaHealth::Healthy)
-                            }
+                            Ok(sketch) => Replica::new(sketch, manifest.generation, true),
                             Err(e) => {
                                 events.push(ClusterEvent::ReplicaLoadFailed {
                                     group: g,
@@ -635,32 +570,22 @@ impl Cluster {
                             }
                         }
                     })
-                    .collect();
-                ShardGroup {
-                    logical: vec![g],
-                    physical: Some(g),
-                    replicas,
-                    rr_cursor: 0,
-                }
+                    .collect()
             })
             .collect();
-        if healthy_total == 0 {
+        if !replica_sets.iter().flatten().any(|r| r.up) {
             return Err(ClusterError::BadTopology(
-                "no replica of any shard group loaded healthy".into(),
+                "no replica of any shard group loaded".into(),
             ));
         }
-        Ok(Cluster {
-            plan: base.plan,
-            aggregate: base.aggregate,
-            groups,
-            policy,
+        let (plan, aggregate) = (base.plan, base.aggregate);
+        Ok(Cluster::assemble(
+            plan,
+            aggregate,
+            replica_sets,
             opts,
-            batches: 0,
-            upgrade_seq: 0,
-            faults: Vec::new(),
-            fired: Vec::new(),
             events,
-        })
+        ))
     }
 
     /// Arm a fault plan. Each fault fires at most once; kills fire by
@@ -675,11 +600,6 @@ impl Cluster {
     /// The current (possibly refined) shard plan.
     pub fn plan(&self) -> ShardPlan {
         self.plan
-    }
-
-    /// The aggregate this cluster answers.
-    pub fn aggregate(&self) -> Aggregate {
-        self.aggregate
     }
 
     /// The shard groups, in gather (merge) order.
@@ -715,8 +635,8 @@ impl Cluster {
         while let Some(Fault::Kill { group, replica, .. }) = self.take_fault(due) {
             let slot = self.groups.get_mut(group);
             let slot = slot.and_then(|g| g.replicas.get_mut(replica));
-            if let Some(rep) = slot.filter(|r| r.health == ReplicaHealth::Healthy) {
-                rep.health = ReplicaHealth::Killed;
+            if let Some(rep) = slot.filter(|r| r.up) {
+                rep.up = false;
                 self.events.push(ClusterEvent::ReplicaKilled {
                     batch,
                     group,
@@ -726,32 +646,18 @@ impl Cluster {
         }
     }
 
-    /// Pick a replica of `group` eligible at `generation` under the
-    /// routing policy. Advances the group's round-robin cursor.
-    fn pick(group: &mut ShardGroup, policy: RoutePolicy, generation: u64) -> Option<usize> {
-        let eligible: Vec<usize> = group
-            .replicas
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.serves(generation))
-            .map(|(i, _)| i)
+    /// Pick the replica of `group` eligible at `generation` that the
+    /// group's round-robin cursor points at, and advance the cursor.
+    fn pick(group: &mut ShardGroup, generation: u64) -> Option<usize> {
+        let eligible: Vec<usize> = (0..group.replicas.len())
+            .filter(|&i| group.replicas[i].serves(generation))
             .collect();
         if eligible.is_empty() {
             return None;
         }
-        match policy {
-            RoutePolicy::RoundRobin => {
-                let chosen = eligible[group.rr_cursor % eligible.len()];
-                group.rr_cursor = group.rr_cursor.wrapping_add(1);
-                Some(chosen)
-            }
-            RoutePolicy::LeastLoaded => eligible
-                .into_iter()
-                .min_by_key(|&i| (group.replicas[i].served, i)),
-            RoutePolicy::GenerationAware => eligible
-                .into_iter()
-                .max_by_key(|&i| (group.replicas[i].upgrade_seq, std::cmp::Reverse(i))),
-        }
+        let chosen = eligible[group.rr_cursor % eligible.len()];
+        group.rr_cursor = group.rr_cursor.wrapping_add(1);
+        Some(chosen)
     }
 
     /// Choose the serving generation and a replica per group for one
@@ -762,7 +668,7 @@ impl Cluster {
             .groups
             .iter()
             .flat_map(|g| g.replicas.iter())
-            .filter(|r| r.health == ReplicaHealth::Healthy)
+            .filter(|r| r.up)
             .map(|r| r.generation)
             .collect();
         gens.sort_unstable_by(|a, b| b.cmp(a));
@@ -785,13 +691,12 @@ impl Cluster {
                 .count();
             best_covered = best_covered.max(covered);
             if covered >= needed {
-                let policy = self.policy;
                 let chosen: Vec<Option<usize>> = self
                     .groups
                     .iter_mut()
                     .enumerate()
                     .map(|(gi, group)| {
-                        let pick = Cluster::pick(group, policy, gen);
+                        let pick = Cluster::pick(group, gen);
                         if pick.is_none() {
                             self.events
                                 .push(ClusterEvent::GroupUncovered { batch, group: gi });
@@ -811,8 +716,7 @@ impl Cluster {
 
     /// Make every routing decision for one batch of `queries` queries —
     /// generation selection, kill firing, failover re-validation, quorum
-    /// check, stale event, load accounting — without touching any
-    /// query. What is left is pure compute over the report's `chosen`
+    /// check, stale event — without touching any query. What is left is pure compute over the report's `chosen`
     /// replicas, deterministic at any thread count.
     fn route_batch(&mut self, queries: usize) -> Result<ClusterBatchReport, ClusterError> {
         let batch = self.batches;
@@ -827,7 +731,7 @@ impl Cluster {
         for (gi, slot) in chosen.iter_mut().enumerate() {
             if let Some(r) = *slot {
                 if !self.groups[gi].replicas[r].serves(target) {
-                    let repick = Cluster::pick(&mut self.groups[gi], self.policy, target);
+                    let repick = Cluster::pick(&mut self.groups[gi], target);
                     match repick {
                         Some(to) => {
                             failovers += 1;
@@ -865,11 +769,6 @@ impl Cluster {
                 latest,
             });
         }
-        for (group, r) in self.groups.iter_mut().zip(&chosen) {
-            if let Some(r) = *r {
-                group.replicas[r].served += queries as u64;
-            }
-        }
         Ok(ClusterBatchReport {
             queries,
             generation: target,
@@ -906,15 +805,36 @@ impl Cluster {
         Ok((answers, report))
     }
 
-    /// Advance the rolling upgrade by one replica: find the first
-    /// healthy, unpinned replica behind the manifest's generation (in
-    /// group, then replica order) and swap its artifact in. Armed
-    /// upgrade faults intercept the swap with their typed outcome.
-    /// Returns the event the step logged — one of
-    /// [`ClusterEvent::UpgradeApplied`], [`ClusterEvent::UpgradePinnedStale`],
-    /// [`ClusterEvent::UpgradeTorn`], [`ClusterEvent::UpgradeCorrupt`],
+    /// Read the manifest at `manifest_path` once, refusing one of
+    /// another aggregate or plan: the value every control-plane call
+    /// resolves generation and shards against, whatever lands on disk
+    /// meanwhile. The plan compared is the one the persistence-backed
+    /// groups were built under, so a rebalanced cluster still reloads
+    /// from its own manifests.
+    fn read_own_manifest(&self, manifest_path: &Path) -> Result<ShardManifest, ClusterError> {
+        let manifest = persist::read_manifest(manifest_path)?;
+        if (manifest.plan, manifest.aggregate) != (self.backing, self.aggregate) {
+            return Err(ClusterError::BadTopology(format!(
+                "manifest of a {:?} {} deployment, but the cluster serves a {:?} {} one",
+                manifest.plan,
+                manifest.aggregate.name(),
+                self.backing,
+                self.aggregate.name()
+            )));
+        }
+        Ok(manifest)
+    }
+
+    /// Advance the rolling upgrade by one replica: find the first up,
+    /// unpinned replica behind the manifest's generation (in group,
+    /// then replica order) and swap its artifact in. Armed upgrade
+    /// faults intercept the swap with their typed outcome. Returns the
+    /// event the step logged — one of [`ClusterEvent::UpgradeApplied`],
+    /// [`ClusterEvent::UpgradePinned`], [`ClusterEvent::UpgradeCorrupt`],
     /// [`ClusterEvent::ReplicaLoadFailed`] — or `None` (nothing logged)
     /// when every upgradeable replica is at the manifest's generation.
+    /// A manifest of another aggregate or plan is
+    /// [`ClusterError::BadTopology`], and changes nothing.
     ///
     /// The manifest is read once: the generation the step reports, the
     /// checks it makes and the shard it installs all come from that one
@@ -924,72 +844,45 @@ impl Cluster {
         manifest_path: impl AsRef<Path>,
     ) -> Result<Option<ClusterEvent>, ClusterError> {
         let manifest_path = manifest_path.as_ref();
-        let manifest = persist::read_manifest(manifest_path)?;
-        if manifest.aggregate != self.aggregate {
-            return Err(ClusterError::BadTopology(format!(
-                "manifest aggregate {} does not match cluster aggregate {}",
-                manifest.aggregate.name(),
-                self.aggregate.name()
-            )));
-        }
+        let manifest = self.read_own_manifest(manifest_path)?;
         let target = manifest.generation;
         let candidate = self.groups.iter().enumerate().find_map(|(gi, g)| {
             g.physical.and_then(|phys| {
                 g.replicas
                     .iter()
-                    .position(|r| {
-                        r.health == ReplicaHealth::Healthy && !r.pinned && r.generation < target
-                    })
+                    .position(|r| r.up && !r.pinned && r.generation < target)
                     .map(|ri| (gi, ri, phys))
             })
         });
         let Some((group, replica, phys)) = candidate else {
             return Ok(None);
         };
-        if phys >= manifest.shards.len() {
-            return Err(ClusterError::BadTopology(format!(
-                "group {group} is backed by manifest shard {phys}, but the manifest has only {} shards",
-                manifest.shards.len()
-            )));
-        }
         let fault = self.take_fault(|f| {
             matches!(
                 *f,
-                Fault::StaleGeneration { group: g, replica: r }
-                | Fault::TornManifest { group: g, replica: r }
-                | Fault::CorruptArtifact { group: g, replica: r }
+                Fault::Pin { group: g, replica: r } | Fault::CorruptArtifact { group: g, replica: r }
                     if (g, r) == (group, replica)
             )
         });
         let rep = &mut self.groups[group].replicas[replica];
         let generation = rep.generation;
         let event = match fault {
-            Some(Fault::StaleGeneration { .. }) => {
+            Some(Fault::Pin { .. }) => {
                 rep.pinned = true;
-                ClusterEvent::UpgradePinnedStale {
-                    group,
-                    replica,
-                    generation,
-                }
-            }
-            Some(Fault::TornManifest { .. }) => {
-                rep.pinned = true;
-                ClusterEvent::UpgradeTorn {
+                ClusterEvent::UpgradePinned {
                     group,
                     replica,
                     generation,
                 }
             }
             Some(Fault::CorruptArtifact { .. }) => {
-                rep.health = ReplicaHealth::CorruptArtifact;
+                rep.up = false;
                 ClusterEvent::UpgradeCorrupt { group, replica }
             }
             _ => match persist::load_shard(&manifest, manifest_path, phys) {
                 Ok(sketch) => {
-                    self.upgrade_seq += 1;
                     rep.sketch = sketch;
                     rep.generation = target;
-                    rep.upgrade_seq = self.upgrade_seq;
                     ClusterEvent::UpgradeApplied {
                         group,
                         replica,
@@ -998,7 +891,7 @@ impl Cluster {
                     }
                 }
                 Err(e) => {
-                    rep.health = ReplicaHealth::LoadFailed;
+                    rep.up = false;
                     ClusterEvent::ReplicaLoadFailed {
                         group,
                         replica,
@@ -1036,8 +929,10 @@ impl Cluster {
     }
 
     /// Bring a downed or pinned replica back: reload its group's shard
-    /// from `manifest_path`, clear pin and health, and return the
-    /// generation it now serves.
+    /// from `manifest_path`, unpin it, put it back in rotation, and
+    /// return the generation it now serves. A manifest of another
+    /// aggregate or plan is [`ClusterError::BadTopology`], and changes
+    /// nothing.
     pub fn repair_replica(
         &mut self,
         group: usize,
@@ -1056,21 +951,16 @@ impl Cluster {
             )));
         }
         let manifest_path = manifest_path.as_ref();
-        let manifest = persist::read_manifest(manifest_path)?;
+        let manifest = self.read_own_manifest(manifest_path)?;
         let sketch = persist::load_shard(&manifest, manifest_path, phys)?;
-        self.upgrade_seq += 1;
-        let rep = &mut self.groups[group].replicas[replica];
-        rep.sketch = sketch;
-        rep.generation = manifest.generation;
-        rep.health = ReplicaHealth::Healthy;
-        rep.pinned = false;
-        rep.upgrade_seq = self.upgrade_seq;
+        let generation = manifest.generation;
+        self.groups[group].replicas[replica] = Replica::new(sketch, generation, true);
         self.events.push(ClusterEvent::ReplicaRepaired {
             group,
             replica,
-            generation: manifest.generation,
+            generation,
         });
-        Ok(manifest.generation)
+        Ok(generation)
     }
 
     /// Refine the plan K → K·`factor` without rebuilding: each group
@@ -1106,7 +996,7 @@ impl Cluster {
     /// derivation is positional (new-plan shard index), so a
     /// fully materialized K→2K cluster is bitwise a fresh 2K build.
     /// New groups inherit the parent's replica bookkeeping
-    /// (generation, health, pin, served, cursor) and each replica's
+    /// (generation, up, pin, cursor) and each replica's
     /// storage modes, but have no persistence backing until re-saved.
     /// Any error leaves the group as it was.
     #[allow(clippy::too_many_arguments)]
@@ -1248,35 +1138,6 @@ impl Deployment for ClusterReplicaView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fault_plan_generation_is_deterministic_and_serde_roundtrips() {
-        let a = FaultPlan::generate(42, 4, 3, 16, 8);
-        let b = FaultPlan::generate(42, 4, 3, 16, 8);
-        assert_eq!(a, b);
-        let c = FaultPlan::generate(43, 4, 3, 16, 8);
-        assert_ne!(a, c, "different seeds should give different plans");
-        assert_eq!(a.faults.len(), 8);
-        for f in &a.faults {
-            match *f {
-                Fault::Kill {
-                    batch,
-                    group,
-                    replica,
-                } => {
-                    assert!(batch < 16 && group < 4 && replica < 3);
-                }
-                Fault::StaleGeneration { group, replica }
-                | Fault::TornManifest { group, replica }
-                | Fault::CorruptArtifact { group, replica } => {
-                    assert!(group < 4 && replica < 3);
-                }
-            }
-        }
-        let json = serde_json::to_string(&a).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, back);
-    }
 
     #[test]
     fn quorum_needed_math() {

@@ -133,8 +133,8 @@ pub enum ShardPlan {
     },
 }
 
-/// The splitmix64 finalizer, used by [`ShardPlan::Hash`] placement (and
-/// crate-internally by the fault-plan generator in [`crate::cluster`]).
+/// The splitmix64 finalizer, used by [`ShardPlan::Hash`] placement and
+/// the per-shard seed derivation of the build.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -764,6 +764,7 @@ impl Deployment for ShardedServer {
 mod tests {
     use super::*;
     use datagen::simple::uniform;
+    use proptest::prelude::*;
     use query::error::normalized_mae;
     use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
 
@@ -863,29 +864,14 @@ mod tests {
         }
     }
 
-    /// Refinement is row-stable in the subset sense: every row's shard
-    /// under the refined plan reduces (mod K) to its shard under the
-    /// coarse plan, so refined shard `j`'s rows ⊆ coarse shard
-    /// `j mod K`'s rows. Non-round-robin plans and factor 0 are typed
-    /// refusals.
+    /// Refinement composes, and non-round-robin plans and factor 0 are
+    /// typed refusals. Row-stability is [`refinement_is_row_stable`]'s.
     #[test]
     fn refine_is_row_stable_and_typed() {
-        let rows = 131;
-        for k in [1usize, 2, 3] {
-            for factor in [1usize, 2, 3] {
-                let base = ShardPlan::RoundRobin { shards: k };
-                let fine = base.refine(factor).unwrap();
-                assert_eq!(fine.shards(), k * factor);
-                for row in 0..rows {
-                    assert_eq!(
-                        fine.assign(row, rows) % k,
-                        base.assign(row, rows),
-                        "row {row} escaped its coarse shard under K={k} × {factor}"
-                    );
-                }
-                // Refinement composes: (K → K·a) → K·a·b is K → K·a·b.
-                assert_eq!(fine.refine(2).unwrap().shards(), k * factor * 2);
-            }
+        for (k, factor) in [(1, 1), (2, 3), (3, 2)] {
+            // (K → K·a) → K·a·b is K → K·a·b.
+            let fine = ShardPlan::RoundRobin { shards: k }.refine(factor).unwrap();
+            assert_eq!(fine.refine(2).unwrap().shards(), k * factor * 2);
         }
         assert!(matches!(
             ShardPlan::RoundRobin { shards: 2 }.refine(0),
@@ -899,6 +885,34 @@ mod tests {
             ShardPlan::Hash { shards: 2, seed: 1 }.refine(2),
             Err(SketchError::BadConfig(_))
         ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Plan refinement is row-stable for any round-robin K, factor, and
+        /// table size: every refined shard's rows are a subset of the
+        /// coarse shard they came from.
+        #[test]
+        fn refinement_is_row_stable(k in 1usize..6, factor in 1usize..5, rows in 1usize..500) {
+            let coarse = ShardPlan::RoundRobin { shards: k };
+            let fine = coarse.refine(factor).unwrap();
+            prop_assert_eq!(fine.shards(), k * factor);
+            for row in 0..rows {
+                prop_assert_eq!(
+                    fine.assign(row, rows) % k,
+                    coarse.assign(row, rows),
+                    "row {} escaped its coarse shard", row
+                );
+            }
+        }
+
+        /// Non-round-robin plans refuse to refine, typed.
+        #[test]
+        fn non_round_robin_refinement_is_typed(k in 1usize..6, seed in 0u64..32) {
+            prop_assert!(ShardPlan::Blocks { shards: k }.refine(2).is_err());
+            prop_assert!(ShardPlan::Hash { shards: k, seed }.refine(2).is_err());
+        }
     }
 
     #[test]

@@ -49,10 +49,28 @@
 //!     is closed, its queries dropped; a connection past `max_clients`
 //!     reads one `ServerFull` error and is not counted.
 //!
+//! A [`ClusterSchedule`] drives a replicated [`Cluster`] of 1–3 replicas
+//! per group through kills, upgrade faults, publishes, upgrade steps,
+//! rolls, repairs, a rebalance, materializes and foreign manifests, on
+//! its threads and on one, against a [`ClusterModel`]:
+//!
+//! 13. both thread counts hold (14)–(19), so they agree bitwise;
+//! 14. each answer is bitwise the covered groups' source shards at the
+//!     served generation, merged in group order and finished once;
+//! 15. every report, outcome and event is the model's, every pick up
+//!     and at the report's generation;
+//! 16. `QuorumLost` exactly when the model has no quorum;
+//! 17. a roll leaves every up, unpinned, backed replica at the manifest;
+//! 18. a rebalance moves no answer bit, and a fully materialized
+//!     cluster answers like the fresh fine build at its storage mode;
+//! 19. a foreign manifest is refused; the plan, groups, generations and
+//!     pins are the model's after every step.
+//!
 //! A failing run prints its schedule as JSON; paste it into
 //! [`REGRESSIONS`] to replay it on every run.
 
 use neurosketch::cache::{entry_bytes, AnswerCache, CachedDeployment};
+use neurosketch::cluster::*;
 use neurosketch::deploy::{DeployStats, Deployment, LiveDeployment, QueryBatch};
 use neurosketch::maintenance::{retrain_shards, DriftMonitor, MaintenancePlan};
 use neurosketch::net::{
@@ -61,16 +79,20 @@ use neurosketch::net::{
 };
 use neurosketch::router::{range_volume, DqdRouter, RoutingPolicy};
 use neurosketch::serve::{ExactBackend, ServeOptions, SketchServer};
-use neurosketch::shard::{build_sharded, ShardPlan, ShardedServer, ShardedSketch};
-use neurosketch::{persist, NeuroSketch, NeuroSketchConfig};
+use neurosketch::shard::{
+    build_sharded, finish_guarded, ShardPlan, ShardSketch, ShardedServer, ShardedSketch,
+};
+use neurosketch::{persist, BatchScratch, NeuroSketch, NeuroSketchConfig};
 use nn::QuantMode;
-use query::aggregate::{Aggregate, MomentKind};
+use query::aggregate::{Aggregate, MomentKind, Moments};
 use query::exec::QueryEngine;
 use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -128,6 +150,27 @@ const REGRESSIONS: &[&str] = &[
                                       2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0,
                                       1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]}},
                   "Repeat", "Repeat", "Repeat", "Repeat", "Repeat", "Repeat", "Repeat", "Serve"]}"#,
+    // A repair or an upgrade from a manifest of another aggregate or plan
+    // is refused: unchecked, it served the other deployment's models.
+    r#"{"seed": 0, "aggregate": "Avg", "mode": "F32", "replicas": 2, "quorum": 1.0,
+        "threads": 2, "faults": [], "steps": [{"Foreign": {"repair": true, "plan": false}},
+        {"Foreign": {"repair": true, "plan": true}}, {"Foreign": {"repair": false, "plan": true}},
+        {"Serve": {"rows": [0, 1, 2, 3, 16, 24]}}]}"#,
+    // A kill before a roll, which rolls around it, a pinned and a corrupt
+    // upgrade in group 1, and a kill of its last replica at the new
+    // generation mid-batch: the batch answers from group 0 alone.
+    r#"{"seed": 99, "aggregate": "Avg", "mode": "F32", "replicas": 3, "quorum": 0.5,
+        "threads": 4, "faults": [{"Kill": {"batch": 1, "group": 0, "replica": 0}},
+        {"Pin": {"group": 1, "replica": 0}}, {"CorruptArtifact": {"group": 1, "replica": 1}},
+        {"Kill": {"batch": 3, "group": 1, "replica": 2}}],
+        "steps": [{"Serve": {"rows": [0, 1, 2, 3]}}, {"Serve": {"rows": [4, 5, 6, 7]}},
+        "Publish", "Roll", {"Serve": {"rows": [8, 9, 10]}}, {"Serve": {"rows": [11, 12]}}]}"#,
+    // A failover re-pick advances the group's cursor: batch 2 picks
+    // replica 2, not 0. No tier-1 seed serves a 3-replica group again
+    // after failing it over.
+    r#"{"seed": 0, "aggregate": "Sum", "mode": "F32", "replicas": 3, "quorum": 1.0,
+        "threads": 2, "faults": [{"Kill": {"batch": 1, "group": 0, "replica": 1}}],
+        "steps": [{"Serve": {"rows": [0]}}, {"Serve": {"rows": [1]}}, {"Serve": {"rows": [2]}}]}"#,
 ];
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -325,6 +368,9 @@ struct Fixture {
     /// Per aggregate, two builds (seeds 0 and 1) of the monolithic
     /// (`[0]`) and of the sharded (`[1]`) deployment.
     builds: HashMap<Aggregate, [[Model; 2]; 2]>,
+    /// Per aggregate, the cluster leg's generations 0–2 (sharded builds
+    /// at seeds 0–2) and the fresh `2 × SHARDS`-shard build.
+    cluster: HashMap<Aggregate, ([ShardedSketch; 3], ShardedSketch)>,
 }
 
 fn cfg(seed: u64, epochs: usize) -> NeuroSketchConfig {
@@ -373,19 +419,23 @@ fn fixture() -> &'static Fixture {
                 let (sketch, report) = built.unwrap();
                 Model::Mono(sketch, report.leaf_aqcs)
             });
-            let sharded = [0, 1].map(|seed| {
-                let plan = ShardPlan::RoundRobin { shards: 2 };
-                let built = build_sharded(data, 1, &plan, pred, agg, queries, &cfg(seed, 6));
-                Model::Sharded(built.unwrap().0)
-            });
-            (agg, [mono, sharded])
+            let build = |shards, seed, epochs| {
+                let plan = ShardPlan::RoundRobin { shards };
+                let built = build_sharded(data, 1, &plan, pred, agg, queries, &cfg(seed, epochs));
+                built.unwrap().0
+            };
+            let generations = [0, 1, 2].map(|seed| build(SHARDS, seed, 6));
+            let sharded = [0, 1].map(|seed| Model::Sharded(generations[seed].clone()));
+            let fine = build(2 * SHARDS, 0, FINE_EPOCHS);
+            ((agg, [mono, sharded]), (agg, (generations, fine)))
         };
-        let builds = Aggregate::ALL[..4].iter().map(builds_of).collect();
+        let (builds, cluster) = Aggregate::ALL[..4].iter().map(builds_of).unzip();
         Fixture {
             engine,
             wl,
             pool,
             builds,
+            cluster,
         }
     })
 }
@@ -1043,10 +1093,677 @@ impl Net {
     }
 }
 
-/// Prints the schedule of a run that panics.
-struct PrintOnPanic<'s>(&'s Schedule);
+/// Shards of the cluster leg's deployment, before its `rebalance(2)`.
+const SHARDS: usize = 2;
+/// Epochs `materialize_group` trains a fine shard for.
+const FINE_EPOCHS: usize = 2;
+/// Most queries one model's GEMM call takes in the cluster's scatter.
+const SCATTER_SUB_BATCH: usize = 1_024;
+/// Seeds of the cluster leg's tier-1 run; its ignored sweep runs 256.
+const CLUSTER_TIER1_SEEDS: u64 = 24;
+/// How a `BadTopology` outcome compares: by kind, not by message.
+const BAD_TOPOLOGY: &str = "BadTopology";
+/// What the tier-1 cluster seeds must make happen.
+const CLUSTER_EVENTS: [&str; 13] = [
+    "Failover",
+    "ServedStale",
+    "UpgradePinned",
+    "UpgradeCorrupt",
+    "ReplicaRepaired",
+    "Rebalanced",
+    "GroupMaterialized",
+    "a partial-quorum answer",
+    "a typed quorum loss",
+    "an F16 or I8 materialize",
+    "a fully materialized cluster",
+    "a refused foreign manifest",
+    "a batch crossing the sub-batch bound",
+];
 
-impl Drop for PrintOnPanic<'_> {
+/// A [`SHARDS`]-shard round-robin deployment of `aggregate` stored at
+/// `mode`, behind a [`Cluster`] of `replicas` replicas per group that
+/// serves at `quorum` on `threads` threads with `faults` armed.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct ClusterSchedule {
+    seed: u64,
+    aggregate: Aggregate,
+    mode: QuantMode,
+    replicas: usize,
+    quorum: f64,
+    threads: usize,
+    faults: Vec<Fault>,
+    steps: Vec<ClusterStep>,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum ClusterStep {
+    /// Pool queries by index, as one batch.
+    Serve { rows: Vec<usize> },
+    /// `len` rows cycling through the pool.
+    Long { len: usize },
+    /// The next generation lands on the manifest, every shard replaced.
+    Publish,
+    /// `rolling_upgrade_step` from the manifest.
+    Upgrade,
+    /// `rolling_upgrade` from the manifest.
+    Roll,
+    /// `repair_replica` from the manifest.
+    Repair { group: usize, replica: usize },
+    /// `rebalance(2)`.
+    Rebalance,
+    /// `materialize_group`.
+    Materialize { group: usize },
+    /// A repair of group 0's replica 0, or an upgrade step, from a
+    /// manifest of another aggregate or (`plan`) of a `Blocks` plan over
+    /// the deployment's own artifacts.
+    Foreign { repair: bool, plan: bool },
+}
+
+impl ClusterSchedule {
+    /// The schedule of `seed`: random steps, among them in this order a
+    /// publish, an upgrade step, a batch, a roll, a second publish, a
+    /// rebalance and a materialize of each coarse group; a repair, a
+    /// foreign manifest and a long batch anywhere; a last batch; 1–4
+    /// faults, on groups 0–2 (2 exists once a group is split).
+    fn generate(seed: u64) -> ClusterSchedule {
+        let mut state = seed;
+        let mut pick = |n: usize| (splitmix64(&mut state) % n as u64) as usize;
+        let serve = |pick: &mut dyn FnMut(usize) -> usize| ClusterStep::Serve {
+            rows: (0..pick(41)).map(|_| pick(POOL)).collect(),
+        };
+        let replicas = 1 + pick(3);
+        let mut steps = Vec::new();
+        for _ in 0..2 + pick(6) {
+            let (group, replica) = (pick(2 * SHARDS), pick(replicas));
+            steps.push(match pick(8) {
+                0..=2 => serve(&mut pick),
+                3 | 4 => ClusterStep::Upgrade,
+                5 => ClusterStep::Roll,
+                6 => ClusterStep::Repair { group, replica },
+                _ => ClusterStep::Materialize { group },
+            });
+        }
+        // Either coarse group split first leaves the other at 1 - first.
+        let first = pick(2);
+        let ordered = [
+            ClusterStep::Publish,
+            ClusterStep::Upgrade,
+            serve(&mut pick),
+            ClusterStep::Roll,
+            ClusterStep::Publish,
+            ClusterStep::Rebalance,
+            ClusterStep::Materialize { group: first },
+            ClusterStep::Materialize { group: 1 - first },
+        ];
+        let mut at = 0;
+        for step in ordered {
+            at += pick(steps.len() - at + 1);
+            steps.insert(at, step);
+            at += 1;
+        }
+        let (group, replica) = (pick(SHARDS), pick(replicas));
+        let (repair, plan) = (pick(2) == 1, pick(2) == 1);
+        let len = 2 * SCATTER_SUB_BATCH + 1 + pick(1_000);
+        let anywhere = [
+            ClusterStep::Repair { group, replica },
+            ClusterStep::Foreign { repair, plan },
+            ClusterStep::Long { len },
+        ];
+        for step in anywhere {
+            steps.insert(pick(steps.len() + 1), step);
+        }
+        steps.push(serve(&mut pick));
+        let batch =
+            |s: &&ClusterStep| matches!(s, ClusterStep::Serve { .. } | ClusterStep::Long { .. });
+        let batches = steps.iter().filter(batch).count();
+        let faults = (0..1 + pick(4))
+            .map(|_| {
+                let (group, replica) = (pick(SHARDS + 1), pick(replicas));
+                let batch = pick(batches) as u64;
+                let kill = Fault::Kill {
+                    batch,
+                    group,
+                    replica,
+                };
+                let pin = Fault::Pin { group, replica };
+                [kill, pin, Fault::CorruptArtifact { group, replica }][pick(3)]
+            })
+            .collect();
+        ClusterSchedule {
+            seed,
+            aggregate: Aggregate::ALL[pick(4)],
+            mode: [QuantMode::F32, QuantMode::F16, QuantMode::I8][pick(3)],
+            replicas,
+            quorum: [1.0, 0.5][pick(2)],
+            threads: [1, 2, 3, 4, 7][pick(5)],
+            faults,
+            steps,
+        }
+    }
+}
+
+/// Per shard, its moments for each pool query computed alone.
+fn pool_moments(sharded: &ShardedSketch) -> Vec<Vec<Moments>> {
+    let mut scratch = BatchScratch::default();
+    let mut alone = |shard: &ShardSketch, q: &Vec<f64>| {
+        shard.moments_batch_with(&mut scratch, QueryBatch::new(q, 2))[0]
+    };
+    let per_shard = |shard| fixture().pool.iter().map(|q| alone(shard, q)).collect();
+    sharded.shards().iter().map(per_shard).collect()
+}
+
+/// A control-plane outcome, comparable: a `BadTopology` by kind.
+fn shown<T: std::fmt::Debug>(result: Result<T, ClusterError>) -> Result<String, String> {
+    match result {
+        Ok(value) => Ok(format!("{value:?}")),
+        Err(ClusterError::BadTopology(_)) => Err(BAD_TOPOLOGY.into()),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+fn aimed(fault: &Fault) -> (usize, usize) {
+    match *fault {
+        Fault::Kill { group, replica, .. } => (group, replica),
+        Fault::Pin { group, replica } | Fault::CorruptArtifact { group, replica } => {
+            (group, replica)
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct ReplicaState {
+    generation: u64,
+    down: bool,
+    pinned: bool,
+}
+
+impl ReplicaState {
+    fn serves(&self, generation: u64) -> bool {
+        !self.down && self.generation == generation
+    }
+}
+
+#[derive(Debug, Clone)]
+struct GroupState {
+    /// Logical shards; the first is the manifest shard a backed group
+    /// reloads from, or the fine build's shard a materialized one holds
+    /// at any generation.
+    logical: Vec<usize>,
+    backed: bool,
+    cursor: usize,
+    replicas: Vec<ReplicaState>,
+}
+
+impl GroupState {
+    /// The round-robin pick among the replicas up at `generation`.
+    fn pick(&mut self, generation: u64) -> Option<usize> {
+        let serves = |&r: &usize| self.replicas[r].serves(generation);
+        let eligible: Vec<usize> = (0..self.replicas.len()).filter(serves).collect();
+        let chosen = *eligible.get(self.cursor % eligible.len().max(1))?;
+        self.cursor += 1;
+        Some(chosen)
+    }
+}
+
+/// The harness's own account of a cluster.
+#[derive(Default)]
+struct ClusterModel {
+    groups: Vec<GroupState>,
+    /// Batches routed so far: the kill clock.
+    batches: u64,
+    /// The faults, each `None` once fired.
+    faults: Vec<Option<Fault>>,
+    /// Events predicted since the last step.
+    events: Vec<ClusterEvent>,
+}
+
+impl ClusterModel {
+    fn new(s: &ClusterSchedule) -> ClusterModel {
+        let group = |shard| GroupState {
+            logical: vec![shard],
+            backed: true,
+            cursor: 0,
+            replicas: vec![ReplicaState::default(); s.replicas],
+        };
+        ClusterModel {
+            groups: (0..SHARDS).map(group).collect(),
+            faults: s.faults.iter().copied().map(Some).collect(),
+            ..ClusterModel::default()
+        }
+    }
+
+    /// Fire the first armed fault `hit` accepts.
+    fn fire(&mut self, hit: impl Fn(&Fault) -> bool) -> Option<Fault> {
+        let armed = self.faults.iter_mut().find(|f| f.is_some_and(|f| hit(&f)));
+        armed?.take()
+    }
+
+    /// Logical shards of the current plan.
+    fn shards(&self) -> usize {
+        self.groups.iter().map(|g| g.logical.len()).sum()
+    }
+
+    /// A batch: at the newest generation up replicas cover a quorum of
+    /// groups at, one round-robin pick per group; then the kills due
+    /// land, and a killed pick fails over to the group's next pick.
+    fn serve(&mut self, queries: usize, quorum: f64) -> Result<ClusterBatchReport, String> {
+        let batch = self.batches;
+        self.batches += 1;
+        let groups = self.groups.len();
+        let needed = ((quorum * groups as f64).ceil() as usize).clamp(1, groups);
+        let lost = |covered| {
+            let lost = ClusterError::QuorumLost {
+                covered,
+                needed,
+                groups,
+            };
+            Err(lost.to_string())
+        };
+        let replicas = self.groups.iter().flat_map(|g| &g.replicas);
+        let held: BTreeSet<u64> = replicas.filter(|r| !r.down).map(|r| r.generation).collect();
+        let coverage = |gen: u64| {
+            let at = |g: &&GroupState| g.replicas.iter().any(|r| r.serves(gen));
+            self.groups.iter().filter(at).count()
+        };
+        let Some(&generation) = held.iter().rev().find(|&&g| coverage(g) >= needed) else {
+            return lost(held.iter().map(|&g| coverage(g)).max().unwrap_or(0));
+        };
+        let latest = *held.last().unwrap();
+        let mut chosen: Vec<_> = self.groups.iter_mut().map(|g| g.pick(generation)).collect();
+        for group in (0..groups).filter(|&g| chosen[g].is_none()) {
+            self.events
+                .push(ClusterEvent::GroupUncovered { batch, group });
+        }
+        let due = |f: &Fault| matches!(*f, Fault::Kill { batch: at, .. } if at <= batch);
+        while let Some(fault) = self.fire(due) {
+            let (group, replica) = aimed(&fault);
+            let slot = self.groups.get_mut(group).map(|g| &mut g.replicas);
+            if let Some(state) = slot.and_then(|r| r.get_mut(replica)).filter(|r| !r.down) {
+                state.down = true;
+                self.events.push(ClusterEvent::ReplicaKilled {
+                    batch,
+                    group,
+                    replica,
+                });
+            }
+        }
+        let mut failovers = 0;
+        for (group, slot) in chosen.iter_mut().enumerate() {
+            let Some(from) = slot.filter(|&r| self.groups[group].replicas[r].down) else {
+                continue;
+            };
+            *slot = self.groups[group].pick(generation);
+            let Some(to) = *slot else {
+                self.events
+                    .push(ClusterEvent::GroupUncovered { batch, group });
+                continue;
+            };
+            failovers += 1;
+            self.events.push(ClusterEvent::Failover {
+                batch,
+                group,
+                from,
+                to,
+            });
+        }
+        let covered = chosen.iter().flatten().count();
+        if covered < needed {
+            return lost(covered);
+        }
+        let (stale, served) = (generation < latest, generation);
+        if stale {
+            self.events.push(ClusterEvent::ServedStale {
+                batch,
+                served,
+                latest,
+            });
+        }
+        Ok(ClusterBatchReport {
+            queries,
+            generation,
+            latest,
+            stale,
+            covered,
+            groups,
+            failovers,
+            chosen,
+        })
+    }
+
+    /// The first up, unpinned replica of a backed group behind `target`
+    /// is pinned or taken down by a fault aimed at it, or upgraded.
+    fn upgrade_step(&mut self, target: u64) -> Option<ClusterEvent> {
+        let behind = |r: &ReplicaState| !r.down && !r.pinned && r.generation < target;
+        let backed = self.groups.iter().enumerate().filter(|(_, g)| g.backed);
+        let mut slots = backed.map(|(gi, g)| (gi, g.replicas.iter().position(behind)));
+        let (group, replica) = slots.find_map(|(gi, r)| Some((gi, r?)))?;
+        let fault = self.fire(|f| !matches!(f, Fault::Kill { .. }) && aimed(f) == (group, replica));
+        let state = &mut self.groups[group].replicas[replica];
+        let generation = state.generation;
+        Some(match fault {
+            Some(Fault::Pin { .. }) => {
+                state.pinned = true;
+                ClusterEvent::UpgradePinned {
+                    group,
+                    replica,
+                    generation,
+                }
+            }
+            Some(_) => {
+                state.down = true;
+                ClusterEvent::UpgradeCorrupt { group, replica }
+            }
+            None => {
+                let (from, to) = (generation, target);
+                state.generation = target;
+                ClusterEvent::UpgradeApplied {
+                    group,
+                    replica,
+                    from,
+                    to,
+                }
+            }
+        })
+    }
+
+    /// The outcome ([`shown`]) of a control-plane step.
+    fn control(&mut self, step: &ClusterStep, published: u64) -> Result<String, String> {
+        let shown = |value: &dyn std::fmt::Debug| Ok(format!("{value:?}"));
+        let refused = Err(BAD_TOPOLOGY.to_string());
+        match *step {
+            ClusterStep::Upgrade => {
+                let event = self.upgrade_step(published);
+                self.events.extend(event.clone());
+                shown(&event)
+            }
+            ClusterStep::Roll => {
+                let events: Vec<_> = std::iter::from_fn(|| self.upgrade_step(published)).collect();
+                self.events.extend(events.clone());
+                shown(&events)
+            }
+            ClusterStep::Repair { group, replica } => {
+                let backed = self.groups.get_mut(group).filter(|g| g.backed);
+                let Some(state) = backed.and_then(|g| g.replicas.get_mut(replica)) else {
+                    return refused;
+                };
+                let generation = published;
+                *state = ReplicaState::default();
+                state.generation = generation;
+                self.events.push(ClusterEvent::ReplicaRepaired {
+                    group,
+                    replica,
+                    generation,
+                });
+                shown(&generation)
+            }
+            ClusterStep::Rebalance => {
+                let old = self.shards();
+                for group in &mut self.groups {
+                    group.logical = group.logical.iter().flat_map(|&l| [l, l + old]).collect();
+                    group.logical.sort_unstable();
+                }
+                let shards = 2 * old;
+                self.events
+                    .push(ClusterEvent::Rebalanced { factor: 2, shards });
+                shown(&ShardPlan::RoundRobin { shards })
+            }
+            ClusterStep::Materialize { group } => match self.groups.get(group) {
+                None => refused,
+                Some(g) if g.logical.len() <= 1 => shown(&()),
+                Some(_) => {
+                    let parent = self.groups.remove(group);
+                    for &l in &parent.logical {
+                        let mut child = parent.clone();
+                        (child.logical, child.backed) = (vec![l], false);
+                        self.groups.push(child);
+                    }
+                    self.groups.sort_by_key(|g| g.logical[0]);
+                    let shards = parent.logical;
+                    self.events
+                        .push(ClusterEvent::GroupMaterialized { group, shards });
+                    shown(&())
+                }
+            },
+            _ => refused,
+        }
+    }
+}
+
+/// One cluster schedule in flight, with the model's view of it.
+struct ClusterRun<'s> {
+    schedule: &'s ClusterSchedule,
+    /// The run's directory, its manifest, and manifests of another
+    /// aggregate and of a `Blocks` plan past every generation published.
+    dir: PathBuf,
+    manifest: PathBuf,
+    foreign: [PathBuf; 2],
+    cluster: Cluster,
+    /// The newest generation on the manifest.
+    published: u64,
+    /// [`pool_moments`] of generations 0–2 and of the fresh fine build.
+    moments: Vec<Vec<Vec<Moments>>>,
+    fine_moments: Vec<Vec<Moments>>,
+    model: ClusterModel,
+    /// Every event, and which other [`CLUSTER_EVENTS`] happened.
+    seen: HashSet<String>,
+}
+
+impl ClusterRun<'_> {
+    /// `op` on the cluster, whose events must be the model's (15).
+    fn apply<T>(&mut self, op: impl FnOnce(&mut Cluster) -> T) -> T {
+        let (got, events) = (op(&mut self.cluster), self.cluster.take_events());
+        let want = std::mem::take(&mut self.model.events);
+        assert_eq!(events, want, "(15) the events");
+        self.seen.extend(events.iter().map(|e| format!("{e:?}")));
+        got
+    }
+
+    /// Per replica column, the pool's answer bits through
+    /// `replica_view`, which bypasses routing.
+    fn columns(&self) -> Vec<Vec<u64>> {
+        let column = |r| {
+            let view = self.cluster.replica_view(r).unwrap();
+            let (answers, _) = view.answer_batch(&fixture().pool);
+            answers.iter().map(|v| v.to_bits()).collect()
+        };
+        (0..self.schedule.replicas).map(column).collect()
+    }
+
+    /// Pool query `i`'s answer: `sources`' moments merged, finished once.
+    fn answer<'a>(&self, sources: impl Iterator<Item = &'a Vec<Moments>>, i: usize) -> u64 {
+        let total = sources.map(|m| m[i]).fold(Moments::ZERO, Moments::merge);
+        finish_guarded(self.schedule.aggregate, total).to_bits()
+    }
+
+    fn serve(&mut self, rows: &[usize]) {
+        let queries: Vec<Vec<f64>> = rows.iter().map(|&i| fixture().pool[i].clone()).collect();
+        let want = self.model.serve(rows.len(), self.schedule.quorum);
+        let got = self.apply(|c| {
+            let answered = c.answer_batch(&queries).map_err(|e| e.to_string());
+            let bits = |answers: Vec<f64>| answers.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            answered.map(|(answers, report)| (bits(answers), report))
+        });
+        let report = got.as_ref().map(|(_, report)| report);
+        assert_eq!(report, want.as_ref(), "(15), (16) the batch");
+        let Ok((answers, report)) = got else {
+            self.seen.insert("a typed quorum loss".into());
+            return;
+        };
+        let flat = report.chosen.iter().flatten().count();
+        let stale = report.generation < report.latest;
+        assert!(report.covered == flat && report.stale == stale, "(15)");
+        // (14): per row, each covered group's source shard at the served
+        // generation, merged in group order and finished once.
+        let (backed, fine) = (
+            &self.moments[report.generation as usize],
+            &self.fine_moments,
+        );
+        let mut sources = Vec::new();
+        let chosen = self.model.groups.iter().zip(&report.chosen);
+        for (group, state) in chosen.filter_map(|(g, r)| Some((g, g.replicas[(*r)?]))) {
+            assert!(state.serves(report.generation), "(15) chose {state:?}");
+            let source = if group.backed { backed } else { fine };
+            sources.push(&source[group.logical[0]]);
+        }
+        assert_eq!(answers.len(), rows.len());
+        for (k, (&i, got)) in rows.iter().zip(&answers).enumerate() {
+            let want = self.answer(sources.iter().copied(), i);
+            assert_eq!(*got, want, "(14) row {k}, pool query {i}: {report:?}");
+        }
+        if report.covered < report.groups {
+            self.seen.insert("a partial-quorum answer".into());
+        }
+        if rows.len() > 2 * SCATTER_SUB_BATCH {
+            let crossing = "a batch crossing the sub-batch bound";
+            self.seen.insert(crossing.into());
+        }
+    }
+
+    fn step(&mut self, step: &ClusterStep) {
+        match step {
+            ClusterStep::Serve { rows } => self.serve(rows),
+            ClusterStep::Long { len } => self.serve(&Vec::from_iter((0..*len).map(|i| i % POOL))),
+            ClusterStep::Publish => {
+                self.published += 1;
+                let (generations, _) = &fixture().cluster[&self.schedule.aggregate];
+                let next = generations.get(self.published as usize);
+                let next = next.expect("a schedule publishes two generations at most");
+                let next = next.quantized_to(self.schedule.mode);
+                let every_shard: Vec<usize> = (0..SHARDS).collect();
+                persist::save_refreshed(&self.manifest, &next, &every_shard).unwrap();
+            }
+            _ => self.control(step),
+        }
+        // (19) The plan, groups, generations and pins are the model's.
+        let shards = self.model.shards();
+        assert_eq!(
+            self.cluster.plan(),
+            ShardPlan::RoundRobin { shards },
+            "(19)"
+        );
+        let groups = self.cluster.groups();
+        assert_eq!(groups.len(), self.model.groups.len(), "(19) the groups");
+        for (got, want) in groups.iter().zip(&self.model.groups) {
+            let replicas = got.replicas().iter().map(|r| (r.generation(), r.pinned()));
+            let model = want.replicas.iter().map(|r| (r.generation, r.pinned));
+            let same = got.logical() == want.logical && replicas.eq(model);
+            assert!(same, "(19) {want:?}");
+        }
+    }
+
+    /// A control-plane step: its outcome is the model's (15); then (17)
+    /// a roll has finished, (18) a rebalance moved no answer bit and a
+    /// fully materialized cluster is the fresh fine build, and (19) a
+    /// foreign manifest was refused.
+    fn control(&mut self, step: &ClusterStep) {
+        let (manifest, published) = (self.manifest.clone(), self.published);
+        let fx = fixture();
+        let (data, pred, train) = (fx.engine.dataset(), &fx.wl.predicate, &fx.wl.queries);
+        let foreign = match *step {
+            ClusterStep::Foreign { plan, .. } => self.foreign[usize::from(plan)].clone(),
+            _ => manifest.clone(),
+        };
+        let before = (*step == ClusterStep::Rebalance).then(|| self.columns());
+        let once = before.is_none() || self.model.shards() == SHARDS;
+        assert!(once, "a schedule rebalances once");
+        let want = self.model.control(step, published);
+        let got = self.apply(|c| match *step {
+            ClusterStep::Upgrade => shown(c.rolling_upgrade_step(&manifest)),
+            ClusterStep::Roll => shown(c.rolling_upgrade(&manifest)),
+            ClusterStep::Repair { group, replica } => {
+                shown(c.repair_replica(group, replica, &manifest))
+            }
+            ClusterStep::Rebalance => shown(c.rebalance(2)),
+            ClusterStep::Materialize { group } => {
+                shown(c.materialize_group(group, data, 1, pred, train, &cfg(0, FINE_EPOCHS)))
+            }
+            ClusterStep::Foreign { repair: true, .. } => shown(c.repair_replica(0, 0, &foreign)),
+            _ => shown(c.rolling_upgrade_step(&foreign)),
+        });
+        assert_eq!(got, want, "(15), (19) {step:?}");
+        let groups = &self.model.groups;
+        match *step {
+            ClusterStep::Roll => {
+                let rolled = groups.iter().filter(|g| g.backed);
+                for r in rolled.flat_map(|g| &g.replicas) {
+                    assert!(
+                        r.down || r.pinned || r.generation == published,
+                        "(17) {r:?}"
+                    );
+                }
+                let again = self.apply(|c| shown(c.rolling_upgrade_step(&manifest)));
+                assert_eq!(again, Ok("None".into()), "(17) a finished roll");
+            }
+            ClusterStep::Rebalance => assert!(before == Some(self.columns()), "(18) rebalance"),
+            ClusterStep::Materialize { .. } if groups.iter().all(|g| !g.backed) => {
+                let fresh = (0..POOL).map(|i| self.answer(self.fine_moments.iter(), i));
+                let fresh: Vec<u64> = fresh.collect();
+                assert!(self.columns().iter().all(|c| *c == fresh), "(18) not fresh");
+                self.seen.insert("a fully materialized cluster".into());
+                if self.schedule.mode != QuantMode::F32 {
+                    self.seen.insert("an F16 or I8 materialize".into());
+                }
+            }
+            ClusterStep::Foreign { repair, .. } if !repair || groups[0].backed => {
+                self.seen.insert("a refused foreign manifest".into());
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Run `schedule` on its threads and on one, each held to the model
+/// and oracle after every step, so the two agree bitwise (13).
+fn run_cluster(schedule: &ClusterSchedule) -> HashSet<String> {
+    let _print = PrintOnPanic(schedule);
+    let at = |threads| run_cluster_at(schedule, threads);
+    [schedule.threads, 1].into_iter().flat_map(at).collect()
+}
+
+fn run_cluster_at(schedule: &ClusterSchedule, threads: usize) -> HashSet<String> {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let (builds, fine) = &fixture().cluster[&schedule.aggregate];
+    let stored = |b: &ShardedSketch| b.quantized_to(schedule.mode);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let name = format!("composition-cluster-{}-{run}", std::process::id());
+    let dir = std::env::temp_dir().join(name);
+    let manifest = persist::save_sharded(&dir, &stored(&builds[0])).unwrap();
+    let ours = schedule.aggregate;
+    let other = Aggregate::ALL.into_iter().find(|&a| a != ours).unwrap();
+    let other = persist::save_sharded(dir.join("other"), &fixture().cluster[&other].0[0]);
+    let mut blocks = persist::read_manifest(&manifest).unwrap();
+    (blocks.plan, blocks.generation) = (ShardPlan::Blocks { shards: SHARDS }, 3);
+    let foreign = [other.unwrap(), dir.join("blocks.nskm")];
+    std::fs::write(&foreign[1], persist::encode_manifest(&blocks).unwrap()).unwrap();
+    let quorum = schedule.quorum;
+    let opts = ClusterOptions { threads, quorum };
+    let columns = vec![&manifest; schedule.replicas];
+    let mut cluster = Cluster::load(&columns, RoutePolicy::RoundRobin, opts).unwrap();
+    assert_eq!(cluster.take_events(), [], "a clean load logs nothing");
+    let (seed, faults) = (schedule.seed, schedule.faults.clone());
+    let mut run = ClusterRun {
+        schedule,
+        dir,
+        manifest,
+        foreign,
+        cluster: cluster.with_faults(FaultPlan { seed, faults }),
+        published: 0,
+        moments: builds.iter().map(|b| pool_moments(&stored(b))).collect(),
+        fine_moments: pool_moments(&stored(fine)),
+        model: ClusterModel::new(schedule),
+        seen: HashSet::new(),
+    };
+    for step in &schedule.steps {
+        run.step(step);
+    }
+    std::fs::remove_dir_all(&run.dir).ok();
+    run.seen
+}
+
+/// Prints the schedule of a run that panics.
+struct PrintOnPanic<'s, T: Serialize>(&'s T);
+
+impl<T: Serialize> Drop for PrintOnPanic<'_, T> {
     fn drop(&mut self) {
         if let (true, Ok(json)) = (std::thread::panicking(), serde_json::to_string(self.0)) {
             eprintln!("failing schedule (paste into REGRESSIONS to replay):\n{json}");
@@ -1111,20 +1828,42 @@ fn tier1_seeds_hold_every_invariant() {
 }
 
 #[test]
-fn regression_schedules_replay() {
-    for json in REGRESSIONS {
-        let schedule: Schedule = serde_json::from_str(json).unwrap();
-        let again = serde_json::to_string(&schedule).unwrap();
-        assert_eq!(serde_json::from_str::<Schedule>(&again).unwrap(), schedule);
-        run(&schedule);
+fn cluster_tier1_seeds_hold_every_invariant() {
+    let run = |seed| run_cluster(&ClusterSchedule::generate(seed));
+    let seen: HashSet<String> = (0..CLUSTER_TIER1_SEEDS).flat_map(run).collect();
+    for event in CLUSTER_EVENTS {
+        let happened = seen.iter().any(|s| s.starts_with(event));
+        assert!(happened, "no tier-1 cluster seed has {event}");
     }
 }
 
-/// The long sweep: `cargo test --release --test composition -- --ignored`.
+/// An entry replays as the leg whose (disjoint) required fields it has.
+#[test]
+fn regression_schedules_replay() {
+    fn round_trips<T: Serialize + Deserialize + PartialEq + std::fmt::Debug>(s: &T) {
+        let again = serde_json::to_string(s).unwrap();
+        assert_eq!(&serde_json::from_str::<T>(&again).unwrap(), s);
+    }
+    for json in REGRESSIONS {
+        if let Ok(schedule) = serde_json::from_str::<Schedule>(json) {
+            round_trips(&schedule);
+            run(&schedule);
+        } else {
+            let schedule: ClusterSchedule = serde_json::from_str(json).unwrap();
+            round_trips(&schedule);
+            run_cluster(&schedule);
+        }
+    }
+}
+
+/// The long sweeps, of both legs:
+/// `cargo test --release --test composition -- --ignored`.
 #[test]
 #[ignore]
 fn long_sweep_holds_every_invariant() {
     sweep(TIER1_SEEDS..TIER1_SEEDS + 1_024);
+    let cluster = CLUSTER_TIER1_SEEDS..CLUSTER_TIER1_SEEDS + 256;
+    cluster.for_each(|seed| drop(run_cluster(&ClusterSchedule::generate(seed))));
 }
 
 /// A front keyed to generation 0 stamped generation 1 would serve

@@ -3,8 +3,8 @@
 //!
 //! `sharded_serve` scales one box to K shards; this example drives the
 //! simulated-cluster path from `docs/scaling.md` where every shard
-//! group has N replicas behind a routing policy and the failure modes
-//! are *injected on purpose* with a seeded, replayable
+//! group has N replicas, routed round-robin, and the failure modes are
+//! *injected on purpose* with a replayable
 //! [`FaultPlan`](neurosketch::cluster::FaultPlan):
 //!
 //! 1. build a K=2 round-robin AVG deployment and publish it as an NSKM
@@ -16,9 +16,10 @@
 //!    over, the event log says so, and answers do not move,
 //! 4. retrain against drifted data, land a generation-1 refresh, and
 //!    roll it out replica by replica — mid-roll batches serve
-//!    generation 0 *flagged stale* (never a blend), and
-//!    [`DriftMonitor::check_many`] scores every replica column against
-//!    one probe labeling,
+//!    generation 0 *flagged stale* (never a blend), a replica whose
+//!    upgrade never lands is pinned and rolled around, then repaired,
+//!    and [`DriftMonitor::check_many`] scores every replica column
+//!    against one probe labeling,
 //! 5. rebalance the round-robin plan 2 → 4 **row-stably**: answers stay
 //!    bitwise unchanged, then materializing the coarse groups yields
 //!    bitwise the models a fresh 4-shard build would train.
@@ -104,7 +105,7 @@ fn main() {
     let gen0_expect = single.answer_batch(&wl.queries).0;
     let mut cluster = Cluster::load(
         &replica_manifests,
-        RoutePolicy::LeastLoaded,
+        RoutePolicy::RoundRobin,
         ClusterOptions::default(),
     )
     .expect("cluster load");
@@ -119,15 +120,22 @@ fn main() {
     );
 
     // 3. Kill a replica mid-batch; the router fails over and answers
-    // do not move. The plan is plain data — serialize it, keep it, and
-    // any later run replays the same failure sequence.
+    // do not move. The plan also pins group 1's replica 0 when the roll
+    // below reaches it. The plan is plain data — serialize it, keep it,
+    // and any later run replays the same failure sequence.
     let fault_plan = FaultPlan {
         seed: 4242,
-        faults: vec![Fault::Kill {
-            batch: 0,
-            group: 0,
-            replica: 0,
-        }],
+        faults: vec![
+            Fault::Kill {
+                batch: 0,
+                group: 0,
+                replica: 0,
+            },
+            Fault::Pin {
+                group: 1,
+                replica: 0,
+            },
+        ],
     };
     println!(
         "fault plan: {}",
@@ -135,7 +143,7 @@ fn main() {
     );
     let mut cluster = Cluster::load(
         &replica_manifests,
-        RoutePolicy::LeastLoaded,
+        RoutePolicy::RoundRobin,
         ClusterOptions::default(),
     )
     .expect("cluster reload")
@@ -203,6 +211,12 @@ fn main() {
         steps.last(),
         Some(ClusterEvent::UpgradeApplied { to: 1, .. })
     ));
+    let pinned = ClusterEvent::UpgradePinned {
+        group: 1,
+        replica: 0,
+        generation: 0,
+    };
+    assert!(steps.contains(&pinned), "the pinned upgrade must be typed");
     assert_eq!(
         cluster.rolling_upgrade_step(&manifest).expect("converged"),
         None,
@@ -212,10 +226,15 @@ fn main() {
     assert_eq!(post, gen1_expect, "post-roll answers must be gen 1");
     assert!(!post_report.stale);
     println!(
-        "rolled to gen {} in {} steps, stale flag cleared",
+        "rolled to gen {} in {} steps around the pinned replica, stale flag cleared",
         post_report.generation,
         steps.len()
     );
+    // The roll went around the pinned replica; repair it from the new
+    // manifest so every replica column serves generation 1.
+    let repaired = cluster.repair_replica(1, 0, &manifest);
+    assert_eq!(repaired.expect("repair pinned replica"), 1);
+    println!("pinned replica repaired from the gen-1 manifest");
 
     // Per-replica drift scoring: one exact probe labeling, one report
     // per replica column through the shared `Deployment` trait.
