@@ -1,22 +1,24 @@
 //! Replicated shard serving over a simulated cluster, with
-//! deterministic fault injection.
+//! deterministic replica kills.
 //!
 //! [`crate::shard`] answers a batch by scattering to K shard sketches
 //! on one box. This module extends that to a *cluster*: every shard
 //! group holds N [`Replica`]s, routed round-robin, a rolling upgrade
 //! walks replicas generation-by-generation using the NSKM generation
-//! counter from [`crate::persist`], and a round-robin plan can be
+//! counter from [`crate::persist`], each replica reading its own
+//! column's manifest, and a round-robin plan can be
 //! [rebalanced](Cluster::rebalance) K → K·f *row-stably* — answers stay
 //! bitwise identical because each physical model is still evaluated
 //! exactly once per group and groups merge in the same order.
 //!
-//! Correctness under failure is carried by [`FaultPlan`]: a
-//! serializable schedule of replica kills, upgrades that never land,
-//! and checksum-corrupt artifacts. Every fault produces a typed
-//! outcome — a degraded [`ClusterBatchReport`] (quorum answer with a
-//! staleness flag) or a [`ClusterError`] — never a panic, and never a
-//! silent blend of generations: one batch is served entirely from one
-//! generation.
+//! Failures are real disk states — a replica column that missed a
+//! publish, a checksum-corrupt or missing artifact, an unreadable
+//! manifest — plus replica kills armed as serializable [`Fault`]s.
+//! Every failure produces a typed outcome — a degraded
+//! [`ClusterBatchReport`] (quorum answer with a staleness flag), a
+//! logged [`ClusterEvent`] or a [`ClusterError`] — never a panic, and
+//! never a silent blend of generations: one batch is served entirely
+//! from one generation.
 //!
 //! A batch is route → scatter → finish: the router picks one replica
 //! per group, and that selection — a [`ClusterReplicaView`] — runs
@@ -27,7 +29,7 @@
 //! [`DeployStats`] every layer returns, the one count of where answers
 //! came from; its cache counts stay 0.
 //!
-//! Determinism contract: with the same cluster state, fault plan, and
+//! Determinism contract: with the same cluster state, armed kills, and
 //! batch sequence, answers **and the event log** are bitwise identical
 //! at any thread count. All routing and fault decisions are made on
 //! the coordinator before the parallel scatter; workers only evaluate
@@ -84,21 +86,18 @@ impl Default for ClusterOptions {
 pub struct Replica {
     sketch: ShardSketch,
     generation: u64,
-    /// In rotation. A replica goes down when killed, when its upgrade
-    /// artifact fails a checksum or when it cannot load; only
+    /// In rotation. A replica goes down when killed or when its
+    /// artifact cannot load (a failed checksum included); only
     /// [`Cluster::repair_replica`] brings it back.
     up: bool,
-    pinned: bool,
 }
 
 impl Replica {
-    /// An unpinned replica — how every slot starts, in rotation or not.
     fn new(sketch: ShardSketch, generation: u64, up: bool) -> Replica {
         Replica {
             sketch,
             generation,
             up,
-            pinned: false,
         }
     }
 
@@ -117,12 +116,6 @@ impl Replica {
     /// NSKM generation of the artifact this replica serves.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Whether a fault pinned this replica to its generation (it will
-    /// be skipped by rolling upgrades until repaired).
-    pub fn pinned(&self) -> bool {
-        self.pinned
     }
 }
 
@@ -154,10 +147,13 @@ impl ShardGroup {
     }
 }
 
-/// One injected fault. `group`/`replica` address a replica slot;
-/// faults addressing slots that do not exist are ignored (fired but
-/// harmless), so a plan generated for one topology replays safely on
-/// another.
+/// One injected fault, plain data so a schedule of them replays. A
+/// fault addressing a slot that does not exist is ignored (fired but
+/// harmless), so a schedule written for one topology replays safely on
+/// another. Disk faults are not simulated: they are states of the
+/// replica directories that [`Cluster::load`],
+/// [`Cluster::rolling_upgrade_step`] and [`Cluster::repair_replica`]
+/// read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Fault {
     /// Kill a replica at the start of batch `batch` (0-based serve
@@ -170,39 +166,6 @@ pub enum Fault {
         /// Target replica index within the group.
         replica: usize,
     },
-    /// During a rolling upgrade, this replica's upgrade never lands —
-    /// its refresh silently never ran, or its manifest rename was torn
-    /// at the atomic-rename boundary. It keeps serving its old
-    /// generation, pinned (skipped by rolls) until repaired, while
-    /// peers advance.
-    Pin {
-        /// Target group index.
-        group: usize,
-        /// Target replica index within the group.
-        replica: usize,
-    },
-    /// During a rolling upgrade, this replica's new artifact fails its
-    /// checksum: the replica is taken out of rotation until repaired.
-    CorruptArtifact {
-        /// Target group index.
-        group: usize,
-        /// Target replica index within the group.
-        replica: usize,
-    },
-}
-
-/// A serializable, replayable schedule of injected faults.
-///
-/// Serialize a plan into a regression test and replay it later: the
-/// same plan against the same cluster state produces the same typed
-/// failure sequence — same events, same answers — at any thread count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultPlan {
-    /// Seed this plan was generated from (0 for hand-written plans).
-    pub seed: u64,
-    /// The fault schedule. Kills fire by batch counter; upgrade faults
-    /// fire when the rolling upgrade reaches their target replica.
-    pub faults: Vec<Fault>,
 }
 
 /// Everything observable that happened inside the cluster — the
@@ -260,26 +223,9 @@ pub enum ClusterEvent {
         /// Generation after the swap.
         to: u64,
     },
-    /// A [`Fault::Pin`] kept a replica at its old generation instead
-    /// of upgrading it; it stays pinned there until repaired.
-    UpgradePinned {
-        /// Group index.
-        group: usize,
-        /// Replica index.
-        replica: usize,
-        /// Generation it is pinned at.
-        generation: u64,
-    },
-    /// A [`Fault::CorruptArtifact`] failed a replica's upgrade
-    /// checksum; the replica left rotation.
-    UpgradeCorrupt {
-        /// Group index.
-        group: usize,
-        /// Replica index.
-        replica: usize,
-    },
     /// A replica's artifact could not be loaded (at cluster load or
-    /// during an upgrade step).
+    /// during an upgrade step, a failed checksum included); the replica
+    /// is out of rotation.
     ReplicaLoadFailed {
         /// Group index.
         group: usize,
@@ -288,9 +234,9 @@ pub enum ClusterEvent {
         /// The typed persistence error, rendered.
         error: String,
     },
-    /// A whole replica column's manifest was rejected at
-    /// [`Cluster::load`] (unreadable, torn, or disagreeing on
-    /// plan/aggregate); every slot in the column is down.
+    /// A whole replica column's manifest was unreadable (missing, torn
+    /// or garbage) at [`Cluster::load`]; every slot in the column is
+    /// down.
     ManifestRejected {
         /// Replica column index.
         replica: usize,
@@ -341,7 +287,7 @@ pub enum ClusterError {
     },
     /// The requested topology or control-plane operation is invalid
     /// (zero replicas, bad quorum, a manifest of another aggregate or
-    /// plan, …).
+    /// plan, a roll over an unbacked group, …).
     BadTopology(String),
     /// A persistence operation failed.
     Persist(PersistError),
@@ -404,8 +350,8 @@ pub struct ClusterBatchReport {
 }
 
 /// A replicated scatter/gather deployment over shard groups, plus the
-/// control plane (rolling upgrades, repair, rebalance) and the fault
-/// harness. See the [module docs](crate::cluster) for the determinism
+/// control plane (rolling upgrades, repair, rebalance) and the armed
+/// kills. See the [module docs](crate::cluster) for the determinism
 /// contract.
 pub struct Cluster {
     plan: ShardPlan,
@@ -417,8 +363,8 @@ pub struct Cluster {
     groups: Vec<ShardGroup>,
     opts: ClusterOptions,
     batches: u64,
+    /// Kills not yet fired, in schedule order.
     faults: Vec<Fault>,
-    fired: Vec<bool>,
     events: Vec<ClusterEvent>,
 }
 
@@ -426,6 +372,25 @@ pub struct Cluster {
 /// and never more than there are.
 fn quorum_needed(groups: usize, quorum: f64) -> usize {
     ((quorum * groups as f64).ceil() as usize).clamp(1, groups.max(1))
+}
+
+/// [`ClusterError::BadTopology`] unless `manifest` is of a `plan`
+/// deployment of `aggregate`.
+fn check_manifest(
+    manifest: &ShardManifest,
+    plan: ShardPlan,
+    aggregate: Aggregate,
+) -> Result<(), ClusterError> {
+    if (manifest.plan, manifest.aggregate) == (plan, aggregate) {
+        return Ok(());
+    }
+    Err(ClusterError::BadTopology(format!(
+        "manifest of a {:?} {} deployment where a {:?} {} one was expected",
+        manifest.plan,
+        manifest.aggregate.name(),
+        plan,
+        aggregate.name()
+    )))
 }
 
 fn validate_opts(opts: &ClusterOptions) -> Result<(), ClusterError> {
@@ -464,7 +429,6 @@ impl Cluster {
             opts,
             batches: 0,
             faults: Vec::new(),
-            fired: Vec::new(),
             events,
         }
     }
@@ -500,11 +464,12 @@ impl Cluster {
 
     /// Stand up a cluster from one NSKM manifest per replica column —
     /// the "each replica has its own disk" topology. Columns whose
-    /// manifest is unreadable or disagrees with the first readable one
-    /// on plan/aggregate are rejected (every slot down, a
+    /// manifest is unreadable are rejected (every slot down, a
     /// [`ClusterEvent::ManifestRejected`] logged); individual shard
-    /// loads that fail leave just that slot down. Errors only if no
-    /// manifest is readable or no replica at all is up.
+    /// loads that fail leave just that slot down. Errors, building
+    /// nothing, if no manifest is readable, if readable manifests
+    /// disagree on plan or aggregate ([`ClusterError::BadTopology`]: no
+    /// column outvotes another), or if no replica at all is up.
     pub fn load<P: AsRef<Path>>(
         replica_manifests: &[P],
         _policy: RoutePolicy,
@@ -523,34 +488,23 @@ impl Cluster {
             .iter()
             .map(persist::read_manifest)
             .collect();
-        let Some(base) = decoded.iter().find_map(|d| d.as_ref().ok()).cloned() else {
+        let mut readable = decoded.iter().filter_map(|d| d.as_ref().ok());
+        let Some((plan, aggregate)) = readable.next().map(|m| (m.plan, m.aggregate)) else {
             // No readable manifest at all: surface the first error.
             let first = decoded.into_iter().next().expect("non-empty").unwrap_err();
             return Err(ClusterError::Persist(first));
         };
-        let columns: Vec<Option<ShardManifest>> = decoded
-            .into_iter()
-            .enumerate()
+        readable.try_for_each(|m| check_manifest(m, plan, aggregate))?;
+        let columns: Vec<Option<ShardManifest>> = (decoded.into_iter().enumerate())
             .map(|(r, d)| {
-                let error = match d {
-                    Ok(m) if m.plan == base.plan && m.aggregate == base.aggregate => {
-                        return Some(m);
-                    }
-                    Ok(m) => format!(
-                        "replica manifest disagrees with the cluster: plan {:?} vs {:?}, \
-                         aggregate {} vs {}",
-                        m.plan,
-                        base.plan,
-                        m.aggregate.name(),
-                        base.aggregate.name()
-                    ),
-                    Err(e) => e.to_string(),
-                };
-                events.push(ClusterEvent::ManifestRejected { replica: r, error });
-                None
+                d.map_err(|e| {
+                    let error = e.to_string();
+                    events.push(ClusterEvent::ManifestRejected { replica: r, error });
+                })
+                .ok()
             })
             .collect();
-        let replica_sets: Vec<Vec<Replica>> = (0..base.plan.shards())
+        let replica_sets: Vec<Vec<Replica>> = (0..plan.shards())
             .map(|g| {
                 let slots = columns.iter().zip(replica_manifests).enumerate();
                 slots
@@ -578,7 +532,6 @@ impl Cluster {
                 "no replica of any shard group loaded".into(),
             ));
         }
-        let (plan, aggregate) = (base.plan, base.aggregate);
         Ok(Cluster::assemble(
             plan,
             aggregate,
@@ -588,12 +541,10 @@ impl Cluster {
         ))
     }
 
-    /// Arm a fault plan. Each fault fires at most once; kills fire by
-    /// batch counter, upgrade faults when the rolling upgrade reaches
-    /// their target.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Cluster {
-        self.fired = vec![false; plan.faults.len()];
-        self.faults = plan.faults;
+    /// Arm `faults`, in place of any still armed. Each fires at most
+    /// once, by batch counter.
+    pub fn with_faults(mut self, faults: Vec<Fault>) -> Cluster {
+        self.faults = faults;
         self
     }
 
@@ -621,18 +572,14 @@ impl Cluster {
         quorum_needed(self.groups.len(), self.opts.quorum)
     }
 
-    /// Take the first armed fault `hit` accepts, in plan order. The one
-    /// place a fault fires, so each fires at most once.
-    fn take_fault(&mut self, hit: impl Fn(&Fault) -> bool) -> Option<Fault> {
-        let i = (0..self.faults.len()).find(|&i| !self.fired[i] && hit(&self.faults[i]))?;
-        self.fired[i] = true;
-        Some(self.faults[i])
-    }
-
-    /// Fire pending kill faults whose batch counter has arrived.
+    /// Fire, in schedule order, the armed kills whose batch counter has
+    /// arrived; each leaves the armed set as it fires.
     fn fire_kills(&mut self, batch: u64) {
-        let due = |f: &Fault| matches!(f, Fault::Kill { batch: at, .. } if *at <= batch);
-        while let Some(Fault::Kill { group, replica, .. }) = self.take_fault(due) {
+        let faults = std::mem::take(&mut self.faults).into_iter();
+        let (due, armed): (Vec<Fault>, _) =
+            faults.partition(|&Fault::Kill { batch: at, .. }| at <= batch);
+        self.faults = armed;
+        for Fault::Kill { group, replica, .. } in due {
             let slot = self.groups.get_mut(group);
             let slot = slot.and_then(|g| g.replicas.get_mut(replica));
             if let Some(rep) = slot.filter(|r| r.up) {
@@ -813,110 +760,98 @@ impl Cluster {
     /// from its own manifests.
     fn read_own_manifest(&self, manifest_path: &Path) -> Result<ShardManifest, ClusterError> {
         let manifest = persist::read_manifest(manifest_path)?;
-        if (manifest.plan, manifest.aggregate) != (self.backing, self.aggregate) {
-            return Err(ClusterError::BadTopology(format!(
-                "manifest of a {:?} {} deployment, but the cluster serves a {:?} {} one",
-                manifest.plan,
-                manifest.aggregate.name(),
-                self.backing,
-                self.aggregate.name()
-            )));
-        }
+        check_manifest(&manifest, self.backing, self.aggregate)?;
         Ok(manifest)
     }
 
-    /// Advance the rolling upgrade by one replica: find the first up,
-    /// unpinned replica behind the manifest's generation (in group,
-    /// then replica order) and swap its artifact in. Armed upgrade
-    /// faults intercept the swap with their typed outcome. Returns the
-    /// event the step logged — one of [`ClusterEvent::UpgradeApplied`],
-    /// [`ClusterEvent::UpgradePinned`], [`ClusterEvent::UpgradeCorrupt`],
-    /// [`ClusterEvent::ReplicaLoadFailed`] — or `None` (nothing logged)
-    /// when every upgradeable replica is at the manifest's generation.
-    /// A manifest of another aggregate or plan is
-    /// [`ClusterError::BadTopology`], and changes nothing.
+    /// Advance the rolling upgrade by one replica. `replica_manifests`
+    /// holds one manifest per replica column, as [`Cluster::load`]
+    /// takes them; each is read once, so the generation a step reports
+    /// is the one it installed whatever lands on disk meanwhile. The
+    /// first up replica (in group, then replica order) behind its own
+    /// column's generation loads its group's shard from that column.
+    /// Returns the event the step logged — [`ClusterEvent::UpgradeApplied`],
+    /// or [`ClusterEvent::ReplicaLoadFailed`] when the artifact cannot
+    /// load (a failed checksum included), taking the replica out of
+    /// rotation — or `None` (nothing logged) when no up replica is
+    /// behind its column. A column that missed a publish keeps its
+    /// replicas at the generation it has.
     ///
-    /// The manifest is read once: the generation the step reports, the
-    /// checks it makes and the shard it installs all come from that one
-    /// value, whatever lands on disk meanwhile.
-    pub fn rolling_upgrade_step(
+    /// Changes nothing and logs nothing on [`ClusterError::BadTopology`]
+    /// — a slice of another length than the replica columns, any group
+    /// materialized in memory (no roll could reach it, so it would be
+    /// stranded at its generation), a column manifest of another
+    /// aggregate or plan — or on an unreadable column manifest's
+    /// [`ClusterError::Persist`].
+    pub fn rolling_upgrade_step<P: AsRef<Path>>(
         &mut self,
-        manifest_path: impl AsRef<Path>,
+        replica_manifests: &[P],
     ) -> Result<Option<ClusterEvent>, ClusterError> {
-        let manifest_path = manifest_path.as_ref();
-        let manifest = self.read_own_manifest(manifest_path)?;
-        let target = manifest.generation;
+        if self.groups.iter().any(|g| g.physical.is_none()) {
+            return Err(ClusterError::BadTopology(
+                "a group is materialized in memory with no persistence backing; no roll can \
+                 reach it, so none starts"
+                    .into(),
+            ));
+        }
+        let columns = self.groups.first().map_or(0, |g| g.replicas.len());
+        if replica_manifests.len() != columns {
+            return Err(ClusterError::BadTopology(format!(
+                "{} replica manifests for {columns} replica columns",
+                replica_manifests.len()
+            )));
+        }
+        let manifests = (replica_manifests.iter())
+            .map(|path| self.read_own_manifest(path.as_ref()))
+            .collect::<Result<Vec<_>, _>>()?;
         let candidate = self.groups.iter().enumerate().find_map(|(gi, g)| {
-            g.physical.and_then(|phys| {
-                g.replicas
-                    .iter()
-                    .position(|r| r.up && !r.pinned && r.generation < target)
-                    .map(|ri| (gi, ri, phys))
-            })
+            let behind =
+                |(r, rep): &(usize, &Replica)| rep.up && rep.generation < manifests[*r].generation;
+            let (ri, _) = g.replicas.iter().enumerate().find(behind)?;
+            Some((gi, ri, g.physical?))
         });
         let Some((group, replica, phys)) = candidate else {
             return Ok(None);
         };
-        let fault = self.take_fault(|f| {
-            matches!(
-                *f,
-                Fault::Pin { group: g, replica: r } | Fault::CorruptArtifact { group: g, replica: r }
-                    if (g, r) == (group, replica)
-            )
-        });
+        let (manifest, path) = (&manifests[replica], replica_manifests[replica].as_ref());
         let rep = &mut self.groups[group].replicas[replica];
-        let generation = rep.generation;
-        let event = match fault {
-            Some(Fault::Pin { .. }) => {
-                rep.pinned = true;
-                ClusterEvent::UpgradePinned {
+        let event = match persist::load_shard(manifest, path, phys) {
+            Ok(sketch) => {
+                let from = rep.generation;
+                *rep = Replica::new(sketch, manifest.generation, true);
+                ClusterEvent::UpgradeApplied {
                     group,
                     replica,
-                    generation,
+                    from,
+                    to: manifest.generation,
                 }
             }
-            Some(Fault::CorruptArtifact { .. }) => {
+            Err(e) => {
                 rep.up = false;
-                ClusterEvent::UpgradeCorrupt { group, replica }
+                ClusterEvent::ReplicaLoadFailed {
+                    group,
+                    replica,
+                    error: e.to_string(),
+                }
             }
-            _ => match persist::load_shard(&manifest, manifest_path, phys) {
-                Ok(sketch) => {
-                    rep.sketch = sketch;
-                    rep.generation = target;
-                    ClusterEvent::UpgradeApplied {
-                        group,
-                        replica,
-                        from: generation,
-                        to: target,
-                    }
-                }
-                Err(e) => {
-                    rep.up = false;
-                    ClusterEvent::ReplicaLoadFailed {
-                        group,
-                        replica,
-                        error: e.to_string(),
-                    }
-                }
-            },
         };
         self.events.push(event.clone());
         Ok(Some(event))
     }
 
     /// Run [`Cluster::rolling_upgrade_step`] to completion and return
-    /// the events its steps logged, in order. Faulted replicas stay
-    /// behind or out of rotation — the roll completes around them;
-    /// quorum-checking their absence is the serving path's job.
-    pub fn rolling_upgrade(
+    /// the events its steps logged, in order. Replicas whose artifact
+    /// fails to load leave rotation and columns that missed the publish
+    /// stay behind — the roll completes around them; quorum-checking
+    /// their absence is the serving path's job.
+    pub fn rolling_upgrade<P: AsRef<Path>>(
         &mut self,
-        manifest_path: impl AsRef<Path>,
+        replica_manifests: &[P],
     ) -> Result<Vec<ClusterEvent>, ClusterError> {
-        let manifest_path = manifest_path.as_ref();
         let cap = self.groups.iter().map(|g| g.replicas.len()).sum::<usize>() + 1;
         let mut steps = Vec::new();
         for _ in 0..cap {
-            match self.rolling_upgrade_step(manifest_path)? {
+            match self.rolling_upgrade_step(replica_manifests)? {
                 Some(event) => steps.push(event),
                 None => return Ok(steps),
             }
@@ -928,8 +863,8 @@ impl Cluster {
         ))
     }
 
-    /// Bring a downed or pinned replica back: reload its group's shard
-    /// from `manifest_path`, unpin it, put it back in rotation, and
+    /// Bring a downed or lagging replica back: reload its group's shard
+    /// from `manifest_path`, put it back in rotation, and
     /// return the generation it now serves. A manifest of another
     /// aggregate or plan is [`ClusterError::BadTopology`], and changes
     /// nothing.
@@ -996,8 +931,10 @@ impl Cluster {
     /// derivation is positional (new-plan shard index), so a
     /// fully materialized K→2K cluster is bitwise a fresh 2K build.
     /// New groups inherit the parent's replica bookkeeping
-    /// (generation, up, pin, cursor) and each replica's
-    /// storage modes, but have no persistence backing until re-saved.
+    /// (generation, up, cursor) and each replica's storage modes, but
+    /// have no persistence backing until re-saved, so no roll starts
+    /// while one exists. A slot whose artifact never loaded stays
+    /// without models.
     /// Any error leaves the group as it was.
     #[allow(clippy::too_many_arguments)]
     pub fn materialize_group(
@@ -1026,9 +963,12 @@ impl Cluster {
             let replicas = parent
                 .replicas
                 .iter()
-                .map(|r| Replica {
-                    sketch: sketch.clone().stored_like(&r.sketch),
-                    ..*r
+                .map(|r| match r.sketch.param_count() {
+                    0 => r.clone(),
+                    _ => Replica {
+                        sketch: sketch.clone().stored_like(&r.sketch),
+                        ..*r
+                    },
                 })
                 .collect();
             self.groups.push(ShardGroup {

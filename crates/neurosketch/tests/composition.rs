@@ -50,21 +50,25 @@
 //!     reads one `ServerFull` error and is not counted.
 //!
 //! A [`ClusterSchedule`] drives a replicated [`Cluster`] of 1–3 replicas
-//! per group through kills, upgrade faults, publishes, upgrade steps,
-//! rolls, repairs, a rebalance, materializes and foreign manifests, on
-//! its threads and on one, against a [`ClusterModel`]:
+//! per group, each replica column on a directory of its own, through
+//! kills, publishes that skip columns, artifacts damaged on disk,
+//! reloads over torn, garbage, foreign or damaged directories, upgrade
+//! steps, rolls, repairs, a rebalance, materializes and foreign
+//! manifests, on its threads and on one, against a [`ClusterModel`]:
 //!
 //! 13. both thread counts hold (14)–(19), so they agree bitwise;
 //! 14. each answer is bitwise the covered groups' source shards at the
 //!     served generation, merged in group order and finished once;
-//! 15. every report, outcome and event is the model's, every pick up
-//!     and at the report's generation;
+//! 15. every report, outcome and event is the model's (a load error by
+//!     kind), every pick up and at the report's generation;
 //! 16. `QuorumLost` exactly when the model has no quorum;
-//! 17. a roll leaves every up, unpinned, backed replica at the manifest;
+//! 17. a finished roll leaves every up replica at or past its own
+//!     column's generation;
 //! 18. a rebalance moves no answer bit, and a fully materialized
-//!     cluster answers like the fresh fine build at its storage mode;
-//! 19. a foreign manifest is refused; the plan, groups, generations and
-//!     pins are the model's after every step.
+//!     cluster answers like the fresh fine build at its storage mode,
+//!     a slot whose artifact never loaded adding nothing;
+//! 19. a foreign manifest or column is refused; the plan, groups and
+//!     generations are the model's after every step.
 //!
 //! A failing run prints its schedule as JSON; paste it into
 //! [`REGRESSIONS`] to replay it on every run.
@@ -88,10 +92,10 @@ use query::aggregate::{Aggregate, MomentKind, Moments};
 use query::exec::QueryEngine;
 use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -156,21 +160,32 @@ const REGRESSIONS: &[&str] = &[
         "threads": 2, "faults": [], "steps": [{"Foreign": {"repair": true, "plan": false}},
         {"Foreign": {"repair": true, "plan": true}}, {"Foreign": {"repair": false, "plan": true}},
         {"Serve": {"rows": [0, 1, 2, 3, 16, 24]}}]}"#,
-    // A kill before a roll, which rolls around it, a pinned and a corrupt
-    // upgrade in group 1, and a kill of its last replica at the new
-    // generation mid-batch: the batch answers from group 0 alone.
+    // A kill before a roll, which rolls around it; in group 1 a column
+    // that missed the publish and an artifact that fails its checksum,
+    // and a kill of its last replica at the new generation mid-batch:
+    // the batch answers from group 0 alone.
     r#"{"seed": 99, "aggregate": "Avg", "mode": "F32", "replicas": 3, "quorum": 0.5,
         "threads": 4, "faults": [{"Kill": {"batch": 1, "group": 0, "replica": 0}},
-        {"Pin": {"group": 1, "replica": 0}}, {"CorruptArtifact": {"group": 1, "replica": 1}},
         {"Kill": {"batch": 3, "group": 1, "replica": 2}}],
         "steps": [{"Serve": {"rows": [0, 1, 2, 3]}}, {"Serve": {"rows": [4, 5, 6, 7]}},
-        "Publish", "Roll", {"Serve": {"rows": [8, 9, 10]}}, {"Serve": {"rows": [11, 12]}}]}"#,
+        {"Publish": {"skip": [0]}}, {"Damage": {"column": 1, "shard": 1}}, "Roll",
+        {"Serve": {"rows": [8, 9, 10]}}, {"Serve": {"rows": [11, 12]}}]}"#,
     // A failover re-pick advances the group's cursor: batch 2 picks
     // replica 2, not 0. No tier-1 seed serves a 3-replica group again
     // after failing it over.
     r#"{"seed": 0, "aggregate": "Sum", "mode": "F32", "replicas": 3, "quorum": 1.0,
         "threads": 2, "faults": [{"Kill": {"batch": 1, "group": 0, "replica": 1}}],
         "steps": [{"Serve": {"rows": [0]}}, {"Serve": {"rows": [1]}}, {"Serve": {"rows": [2]}}]}"#,
+    // Readable column manifests that disagree are refused: column 0's
+    // COUNT manifest outvoted the two AVG columns and served COUNT.
+    r#"{"seed": 0, "aggregate": "Avg", "mode": "F32", "replicas": 3, "quorum": 1.0,
+        "threads": 2, "faults": [],
+        "steps": [{"Reload": {"damage": "Foreign", "rows": [0, 1, 2, 3]}}]}"#,
+    // No roll starts while a group is materialized: the roll moved the
+    // backed group alone, and every batch at quorum 1.0 lost quorum.
+    r#"{"seed": 0, "aggregate": "Avg", "mode": "F32", "replicas": 2, "quorum": 1.0,
+        "threads": 2, "faults": [], "steps": ["Rebalance", {"Materialize": {"group": 0}},
+        {"Publish": {"skip": []}}, "Roll", {"Serve": {"rows": [0, 1, 2, 3]}}]}"#,
 ];
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1101,14 +1116,13 @@ const FINE_EPOCHS: usize = 2;
 const SCATTER_SUB_BATCH: usize = 1_024;
 /// Seeds of the cluster leg's tier-1 run; its ignored sweep runs 256.
 const CLUSTER_TIER1_SEEDS: u64 = 24;
-/// How a `BadTopology` outcome compares: by kind, not by message.
+/// How `BadTopology` and `Persist` outcomes compare: by kind.
 const BAD_TOPOLOGY: &str = "BadTopology";
+const PERSIST: &str = "Persist";
 /// What the tier-1 cluster seeds must make happen.
-const CLUSTER_EVENTS: [&str; 13] = [
+const CLUSTER_EVENTS: [&str; 21] = [
     "Failover",
     "ServedStale",
-    "UpgradePinned",
-    "UpgradeCorrupt",
     "ReplicaRepaired",
     "Rebalanced",
     "GroupMaterialized",
@@ -1118,11 +1132,24 @@ const CLUSTER_EVENTS: [&str; 13] = [
     "a fully materialized cluster",
     "a refused foreign manifest",
     "a batch crossing the sub-batch bound",
+    "a column behind after a finished roll",
+    "an upgrade failing its checksum",
+    "a roll refused for a materialized group",
+    // A torn column is `ManifestRejected`, a flipped byte a
+    // `ReplicaLoadFailed`, a removed artifact a group lost everywhere.
+    "Ok(\"()\") from a reload after Torn",
+    "Ok(\"()\") from a reload after Flipped",
+    "Err(\"Persist\") from a reload after Garbage",
+    "Err(\"BadTopology\") from a reload after Foreign",
+    "after a reload with mixed generations: a stale batch",
+    "after a reload with a lost group: QuorumLost",
+    "after a reload with a lost group: a partial answer",
 ];
 
 /// A [`SHARDS`]-shard round-robin deployment of `aggregate` stored at
-/// `mode`, behind a [`Cluster`] of `replicas` replicas per group that
-/// serves at `quorum` on `threads` threads with `faults` armed.
+/// `mode`, published into one directory per replica column, behind a
+/// [`Cluster`] of `replicas` replicas per group that serves at `quorum`
+/// on `threads` threads with the kills `faults` armed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ClusterSchedule {
     seed: u64,
@@ -1141,37 +1168,62 @@ enum ClusterStep {
     Serve { rows: Vec<usize> },
     /// `len` rows cycling through the pool.
     Long { len: usize },
-    /// The next generation lands on the manifest, every shard replaced.
-    Publish,
-    /// `rolling_upgrade_step` from the manifest.
+    /// The next generation saved into the publish directory, every
+    /// shard replaced, then copied into every column but those in `skip`.
+    Publish { skip: Vec<usize> },
+    /// `rolling_upgrade_step` over the column manifests.
     Upgrade,
-    /// `rolling_upgrade` from the manifest.
+    /// `rolling_upgrade` over the column manifests.
     Roll,
-    /// `repair_replica` from the manifest.
+    /// `repair_replica` from the publish manifest.
     Repair { group: usize, replica: usize },
     /// `rebalance(2)`.
     Rebalance,
     /// `materialize_group`.
     Materialize { group: usize },
-    /// A repair of group 0's replica 0, or an upgrade step, from a
-    /// manifest of another aggregate or (`plan`) of a `Blocks` plan over
-    /// the deployment's own artifacts.
+    /// A repair of group 0's replica 0 from, or an upgrade step with
+    /// column 0 on, a manifest of another aggregate or (`plan`) of a
+    /// `Blocks` plan over the deployment's own artifacts.
     Foreign { repair: bool, plan: bool },
+    /// [`Disk::Flipped`], left on disk.
+    Damage { column: usize, shard: usize },
+    /// `Cluster::load` over a copy of the columns with `damage` on it,
+    /// then a batch; a failed load keeps the cluster.
+    Reload { damage: Disk, rows: Vec<usize> },
+}
+
+/// Damage on the replica columns' directories: a column's manifest cut
+/// in half, one byte changed in `(column, shard)`'s newest artifact, a
+/// shard's newest artifact removed from every column, garbage for every
+/// manifest, or column 0 a deployment of another aggregate (which needs
+/// a second column to disagree with).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+enum Disk {
+    Intact,
+    Torn(usize),
+    Flipped(usize, usize),
+    Removed(usize),
+    Garbage,
+    Foreign,
 }
 
 impl ClusterSchedule {
     /// The schedule of `seed`: random steps, among them in this order a
-    /// publish, an upgrade step, a batch, a roll, a second publish, a
-    /// rebalance and a materialize of each coarse group; a repair, a
-    /// foreign manifest and a long batch anywhere; a last batch; 1–4
-    /// faults, on groups 0–2 (2 exists once a group is split).
+    /// publish, a damaged artifact, an upgrade step, a batch, a roll, a
+    /// second publish, a rebalance, a materialize of each coarse group
+    /// and an upgrade step; a repair, a foreign manifest, a long batch
+    /// and two reloads anywhere; a last batch;
+    /// 1–4 kills, on groups 0–2 (2 exists once a group is split).
     fn generate(seed: u64) -> ClusterSchedule {
         let mut state = seed;
         let mut pick = |n: usize| (splitmix64(&mut state) % n as u64) as usize;
-        let serve = |pick: &mut dyn FnMut(usize) -> usize| ClusterStep::Serve {
-            rows: (0..pick(41)).map(|_| pick(POOL)).collect(),
-        };
+        let rows =
+            |pick: &mut dyn FnMut(usize) -> usize| (0..pick(41)).map(|_| pick(POOL)).collect();
+        let serve = |pick: &mut dyn FnMut(usize) -> usize| ClusterStep::Serve { rows: rows(pick) };
         let replicas = 1 + pick(3);
+        let publish = |pick: &mut dyn FnMut(usize) -> usize| ClusterStep::Publish {
+            skip: (0..replicas).filter(|_| pick(3) == 0).collect(),
+        };
         let mut steps = Vec::new();
         for _ in 0..2 + pick(6) {
             let (group, replica) = (pick(2 * SHARDS), pick(replicas));
@@ -1185,15 +1237,18 @@ impl ClusterSchedule {
         }
         // Either coarse group split first leaves the other at 1 - first.
         let first = pick(2);
+        let (column, shard) = (pick(replicas), pick(SHARDS));
         let ordered = [
-            ClusterStep::Publish,
+            publish(&mut pick),
+            ClusterStep::Damage { column, shard },
             ClusterStep::Upgrade,
             serve(&mut pick),
             ClusterStep::Roll,
-            ClusterStep::Publish,
+            publish(&mut pick),
             ClusterStep::Rebalance,
             ClusterStep::Materialize { group: first },
             ClusterStep::Materialize { group: 1 - first },
+            ClusterStep::Upgrade,
         ];
         let mut at = 0;
         for step in ordered {
@@ -1204,10 +1259,25 @@ impl ClusterSchedule {
         let (group, replica) = (pick(SHARDS), pick(replicas));
         let (repair, plan) = (pick(2) == 1, pick(2) == 1);
         let len = 2 * SCATTER_SUB_BATCH + 1 + pick(1_000);
+        let reload = |pick: &mut dyn FnMut(usize) -> usize| {
+            let (column, shard) = (pick(replicas), pick(SHARDS));
+            let damage = match pick(6) {
+                1 => Disk::Torn(column),
+                2 => Disk::Flipped(column, shard),
+                3 => Disk::Removed(shard),
+                4 => Disk::Garbage,
+                5 if replicas > 1 => Disk::Foreign,
+                _ => Disk::Intact,
+            };
+            let rows = rows(pick);
+            ClusterStep::Reload { damage, rows }
+        };
         let anywhere = [
             ClusterStep::Repair { group, replica },
             ClusterStep::Foreign { repair, plan },
             ClusterStep::Long { len },
+            reload(&mut pick),
+            reload(&mut pick),
         ];
         for step in anywhere {
             steps.insert(pick(steps.len() + 1), step);
@@ -1217,16 +1287,10 @@ impl ClusterSchedule {
             |s: &&ClusterStep| matches!(s, ClusterStep::Serve { .. } | ClusterStep::Long { .. });
         let batches = steps.iter().filter(batch).count();
         let faults = (0..1 + pick(4))
-            .map(|_| {
-                let (group, replica) = (pick(SHARDS + 1), pick(replicas));
-                let batch = pick(batches) as u64;
-                let kill = Fault::Kill {
-                    batch,
-                    group,
-                    replica,
-                };
-                let pin = Fault::Pin { group, replica };
-                [kill, pin, Fault::CorruptArtifact { group, replica }][pick(3)]
+            .map(|_| Fault::Kill {
+                group: pick(SHARDS + 1),
+                replica: pick(replicas),
+                batch: pick(batches) as u64,
             })
             .collect();
         ClusterSchedule {
@@ -1252,21 +1316,69 @@ fn pool_moments(sharded: &ShardedSketch) -> Vec<Vec<Moments>> {
     sharded.shards().iter().map(per_shard).collect()
 }
 
-/// A control-plane outcome, comparable: a `BadTopology` by kind.
+/// A control-plane outcome, comparable: an error by kind, the events
+/// of an upgrade step or roll by [`coarse`].
 fn shown<T: std::fmt::Debug>(result: Result<T, ClusterError>) -> Result<String, String> {
     match result {
         Ok(value) => Ok(format!("{value:?}")),
         Err(ClusterError::BadTopology(_)) => Err(BAD_TOPOLOGY.into()),
+        Err(ClusterError::Persist(_)) => Err(PERSIST.into()),
         Err(e) => Err(e.to_string()),
     }
 }
 
-fn aimed(fault: &Fault) -> (usize, usize) {
-    match *fault {
-        Fault::Kill { group, replica, .. } => (group, replica),
-        Fault::Pin { group, replica } | Fault::CorruptArtifact { group, replica } => {
-            (group, replica)
+/// `event` with a load error cut to its kind — `checksum`, `missing` or
+/// `unreadable` — which is what the model predicts.
+fn coarse(mut event: ClusterEvent) -> ClusterEvent {
+    use ClusterEvent::{ManifestRejected, ReplicaLoadFailed};
+    if let ReplicaLoadFailed { error, .. } | ManifestRejected { error, .. } = &mut event {
+        let kinds = ["checksum", "missing"];
+        let kind = kinds.into_iter().find(|k| error.contains(k));
+        *error = kind.unwrap_or("unreadable").into();
+    }
+    event
+}
+
+/// Copy the deployment whose manifest is `from` into `dir`, the
+/// artifacts it names first and the manifest last; returns the copy's
+/// manifest.
+fn publish_into(from: &Path, dir: &Path) -> PathBuf {
+    std::fs::create_dir_all(dir).unwrap();
+    let manifest = persist::read_manifest(from).unwrap();
+    for name in manifest.shards.iter().flatten().map(|a| &a.path) {
+        std::fs::copy(from.with_file_name(name), dir.join(name)).unwrap();
+    }
+    let to = dir.join(persist::MANIFEST_NAME);
+    std::fs::copy(from, &to).unwrap();
+    to
+}
+
+/// Put `damage` on the replica columns whose manifests are `columns`.
+fn damage_columns(columns: &[PathBuf], damage: Disk) {
+    let newest = |c: usize, shard: usize| {
+        let manifest = persist::read_manifest(&columns[c]).unwrap();
+        columns[c].with_file_name(&manifest.shards[shard][0].path)
+    };
+    let edit = |path: &PathBuf, change: &dyn Fn(&mut Vec<u8>)| {
+        let mut bytes = std::fs::read(path).unwrap();
+        change(&mut bytes);
+        std::fs::write(path, bytes).unwrap();
+    };
+    match damage {
+        Disk::Torn(c) => edit(&columns[c], &|b| b.truncate(b.len() / 2)),
+        // A second flip changes the byte again; none undoes one.
+        Disk::Flipped(c, shard) => edit(&newest(c, shard), &|b| {
+            let mid = b.len() / 2;
+            b[mid] = b[mid].wrapping_add(1);
+        }),
+        Disk::Removed(shard) => {
+            let newest = (0..columns.len()).map(|c| newest(c, shard));
+            newest.for_each(|path| std::fs::remove_file(path).unwrap());
         }
+        Disk::Garbage => columns
+            .iter()
+            .for_each(|m| std::fs::write(m, "garbage").unwrap()),
+        Disk::Intact | Disk::Foreign => {}
     }
 }
 
@@ -1274,7 +1386,8 @@ fn aimed(fault: &Fault) -> (usize, usize) {
 struct ReplicaState {
     generation: u64,
     down: bool,
-    pinned: bool,
+    /// Down since its artifact failed to load: it holds no models.
+    empty: bool,
 }
 
 impl ReplicaState {
@@ -1305,37 +1418,60 @@ impl GroupState {
     }
 }
 
-/// The harness's own account of a cluster.
+/// A replica column's directory: its manifest's generation, and the
+/// shards whose newest artifact there fails to load, with the kind.
+#[derive(Debug, Clone, Default)]
+struct ColumnState {
+    generation: u64,
+    damaged: BTreeMap<usize, &'static str>,
+}
+
+impl ColumnState {
+    /// `group`'s replica `replica` loading `shard` from here: the
+    /// generation it installs, or the event of its failure.
+    fn load(&self, group: usize, shard: usize, replica: usize) -> Result<u64, ClusterEvent> {
+        let Some(&error) = self.damaged.get(&shard) else {
+            return Ok(self.generation);
+        };
+        let error = error.into();
+        Err(ClusterEvent::ReplicaLoadFailed {
+            group,
+            replica,
+            error,
+        })
+    }
+}
+
+/// The harness's own account of a cluster and its directories.
 #[derive(Default)]
 struct ClusterModel {
     groups: Vec<GroupState>,
-    /// Batches routed so far: the kill clock.
+    columns: Vec<ColumnState>,
+    /// Batches routed since the last load: the kill clock.
     batches: u64,
-    /// The faults, each `None` once fired.
-    faults: Vec<Option<Fault>>,
+    /// The kills not yet fired.
+    faults: Vec<Fault>,
     /// Events predicted since the last step.
     events: Vec<ClusterEvent>,
 }
 
 impl ClusterModel {
-    fn new(s: &ClusterSchedule) -> ClusterModel {
-        let group = |shard| GroupState {
-            logical: vec![shard],
-            backed: true,
-            cursor: 0,
-            replicas: vec![ReplicaState::default(); s.replicas],
-        };
-        ClusterModel {
-            groups: (0..SHARDS).map(group).collect(),
-            faults: s.faults.iter().copied().map(Some).collect(),
+    /// Loaded from `replicas` columns at generation 0, `faults` armed.
+    fn new(replicas: usize, faults: &[Fault]) -> ClusterModel {
+        let (columns, faults) = (vec![ColumnState::default(); replicas], faults.to_vec());
+        let mut model = ClusterModel {
+            columns,
+            faults,
             ..ClusterModel::default()
-        }
+        };
+        assert_eq!(model.reload(Disk::Intact), Ok("()".into()));
+        model
     }
 
-    /// Fire the first armed fault `hit` accepts.
-    fn fire(&mut self, hit: impl Fn(&Fault) -> bool) -> Option<Fault> {
-        let armed = self.faults.iter_mut().find(|f| f.is_some_and(|f| hit(&f)));
-        armed?.take()
+    /// The generations up replicas hold.
+    fn held(&self) -> BTreeSet<u64> {
+        let replicas = self.groups.iter().flat_map(|g| &g.replicas);
+        replicas.filter(|r| !r.down).map(|r| r.generation).collect()
     }
 
     /// Logical shards of the current plan.
@@ -1359,8 +1495,7 @@ impl ClusterModel {
             };
             Err(lost.to_string())
         };
-        let replicas = self.groups.iter().flat_map(|g| &g.replicas);
-        let held: BTreeSet<u64> = replicas.filter(|r| !r.down).map(|r| r.generation).collect();
+        let held = self.held();
         let coverage = |gen: u64| {
             let at = |g: &&GroupState| g.replicas.iter().any(|r| r.serves(gen));
             self.groups.iter().filter(at).count()
@@ -1374,9 +1509,10 @@ impl ClusterModel {
             self.events
                 .push(ClusterEvent::GroupUncovered { batch, group });
         }
-        let due = |f: &Fault| matches!(*f, Fault::Kill { batch: at, .. } if at <= batch);
-        while let Some(fault) = self.fire(due) {
-            let (group, replica) = aimed(&fault);
+        let due = |&Fault::Kill { batch: at, .. }: &Fault| at <= batch;
+        let fired: Vec<Fault> = self.faults.iter().copied().filter(due).collect();
+        self.faults.retain(|f| !due(f));
+        for Fault::Kill { group, replica, .. } in fired {
             let slot = self.groups.get_mut(group).map(|g| &mut g.replicas);
             if let Some(state) = slot.and_then(|r| r.get_mut(replica)).filter(|r| !r.down) {
                 state.down = true;
@@ -1430,40 +1566,38 @@ impl ClusterModel {
         })
     }
 
-    /// The first up, unpinned replica of a backed group behind `target`
-    /// is pinned or taken down by a fault aimed at it, or upgraded.
-    fn upgrade_step(&mut self, target: u64) -> Option<ClusterEvent> {
-        let behind = |r: &ReplicaState| !r.down && !r.pinned && r.generation < target;
-        let backed = self.groups.iter().enumerate().filter(|(_, g)| g.backed);
-        let mut slots = backed.map(|(gi, g)| (gi, g.replicas.iter().position(behind)));
-        let (group, replica) = slots.find_map(|(gi, r)| Some((gi, r?)))?;
-        let fault = self.fire(|f| !matches!(f, Fault::Kill { .. }) && aimed(f) == (group, replica));
-        let state = &mut self.groups[group].replicas[replica];
-        let generation = state.generation;
-        Some(match fault {
-            Some(Fault::Pin { .. }) => {
-                state.pinned = true;
-                ClusterEvent::UpgradePinned {
-                    group,
-                    replica,
-                    generation,
+    /// Refused while a group is unbacked; else the first up replica
+    /// behind its column's generation loads its shard from the column.
+    fn upgrade_step(&mut self) -> Result<Option<ClusterEvent>, String> {
+        if self.groups.iter().any(|g| !g.backed) {
+            return Err(BAD_TOPOLOGY.into());
+        }
+        for (group, g) in self.groups.iter_mut().enumerate() {
+            for (replica, state) in g.replicas.iter_mut().enumerate() {
+                let column = &self.columns[replica];
+                if state.down || state.generation >= column.generation {
+                    continue;
                 }
+                let event = match column.load(group, g.logical[0], replica) {
+                    Ok(to) => {
+                        let from = std::mem::replace(&mut state.generation, to);
+                        ClusterEvent::UpgradeApplied {
+                            group,
+                            replica,
+                            from,
+                            to,
+                        }
+                    }
+                    Err(failed) => {
+                        state.down = true;
+                        failed
+                    }
+                };
+                self.events.push(event.clone());
+                return Ok(Some(event));
             }
-            Some(_) => {
-                state.down = true;
-                ClusterEvent::UpgradeCorrupt { group, replica }
-            }
-            None => {
-                let (from, to) = (generation, target);
-                state.generation = target;
-                ClusterEvent::UpgradeApplied {
-                    group,
-                    replica,
-                    from,
-                    to,
-                }
-            }
-        })
+        }
+        Ok(None)
     }
 
     /// The outcome ([`shown`]) of a control-plane step.
@@ -1471,14 +1605,12 @@ impl ClusterModel {
         let shown = |value: &dyn std::fmt::Debug| Ok(format!("{value:?}"));
         let refused = Err(BAD_TOPOLOGY.to_string());
         match *step {
-            ClusterStep::Upgrade => {
-                let event = self.upgrade_step(published);
-                self.events.extend(event.clone());
-                shown(&event)
-            }
+            ClusterStep::Upgrade => shown(&self.upgrade_step()?),
             ClusterStep::Roll => {
-                let events: Vec<_> = std::iter::from_fn(|| self.upgrade_step(published)).collect();
-                self.events.extend(events.clone());
+                let mut events = Vec::new();
+                while let Some(event) = self.upgrade_step()? {
+                    events.push(event);
+                }
                 shown(&events)
             }
             ClusterStep::Repair { group, replica } => {
@@ -1527,18 +1659,70 @@ impl ClusterModel {
             _ => refused,
         }
     }
+
+    /// A load over the columns with `damage` on them: a `Persist` error
+    /// if none is readable, refused if readable ones disagree or no slot
+    /// loads; else each slot at its column's generation, or down and empty,
+    /// on a fresh clock.
+    fn reload(&mut self, damage: Disk) -> Result<String, String> {
+        let (mut columns, mut readable) = (self.columns.clone(), vec![true; self.columns.len()]);
+        match damage {
+            Disk::Intact => {}
+            Disk::Torn(c) => readable[c] = false,
+            Disk::Flipped(c, shard) => drop(columns[c].damaged.insert(shard, "checksum")),
+            Disk::Removed(shard) => {
+                (columns.iter_mut()).for_each(|c| c.damaged.extend([(shard, "missing")]))
+            }
+            Disk::Garbage => readable.fill(false),
+            Disk::Foreign => return Err(BAD_TOPOLOGY.into()),
+        }
+        let loads = |r: usize| (0..SHARDS).any(|g| !columns[r].damaged.contains_key(&g));
+        if !readable.contains(&true) {
+            return Err(PERSIST.into());
+        } else if !(0..readable.len()).any(|r| readable[r] && loads(r)) {
+            return Err(BAD_TOPOLOGY.into());
+        }
+        for replica in (0..readable.len()).filter(|&r| !readable[r]) {
+            let error = "unreadable".into();
+            self.events
+                .push(ClusterEvent::ManifestRejected { replica, error });
+        }
+        let group = |shard| GroupState {
+            logical: vec![shard],
+            backed: true,
+            cursor: 0,
+            replicas: vec![ReplicaState::default(); readable.len()],
+        };
+        (self.groups, self.batches) = ((0..SHARDS).map(group).collect(), 0);
+        for (g, group) in self.groups.iter_mut().enumerate() {
+            for (r, state) in group.replicas.iter_mut().enumerate() {
+                match readable[r].then(|| columns[r].load(g, g, r)) {
+                    Some(Ok(generation)) => state.generation = generation,
+                    failed => {
+                        (state.down, state.empty) = (true, true);
+                        self.events.extend(failed.and_then(Result::err));
+                    }
+                }
+            }
+        }
+        Ok("()".into())
+    }
 }
 
 /// One cluster schedule in flight, with the model's view of it.
 struct ClusterRun<'s> {
     schedule: &'s ClusterSchedule,
-    /// The run's directory, its manifest, and manifests of another
-    /// aggregate and of a `Blocks` plan past every generation published.
+    /// The run's directory; the publish directory's manifest; one
+    /// manifest per replica column, each in a directory of its own; and
+    /// manifests of another aggregate and of a `Blocks` plan past every
+    /// generation published.
     dir: PathBuf,
-    manifest: PathBuf,
+    publish: PathBuf,
+    columns: Vec<PathBuf>,
     foreign: [PathBuf; 2],
+    opts: ClusterOptions,
     cluster: Cluster,
-    /// The newest generation on the manifest.
+    /// The newest generation published.
     published: u64,
     /// [`pool_moments`] of generations 0–2 and of the fresh fine build.
     moments: Vec<Vec<Vec<Moments>>>,
@@ -1551,7 +1735,8 @@ struct ClusterRun<'s> {
 impl ClusterRun<'_> {
     /// `op` on the cluster, whose events must be the model's (15).
     fn apply<T>(&mut self, op: impl FnOnce(&mut Cluster) -> T) -> T {
-        let (got, events) = (op(&mut self.cluster), self.cluster.take_events());
+        let got = op(&mut self.cluster);
+        let events: Vec<_> = self.cluster.take_events().into_iter().map(coarse).collect();
         let want = std::mem::take(&mut self.model.events);
         assert_eq!(events, want, "(15) the events");
         self.seen.extend(events.iter().map(|e| format!("{e:?}")));
@@ -1575,7 +1760,8 @@ impl ClusterRun<'_> {
         finish_guarded(self.schedule.aggregate, total).to_bits()
     }
 
-    fn serve(&mut self, rows: &[usize]) {
+    /// A batch, held to the model (15), (16) and the oracle (14).
+    fn serve(&mut self, rows: &[usize]) -> Result<ClusterBatchReport, String> {
         let queries: Vec<Vec<f64>> = rows.iter().map(|&i| fixture().pool[i].clone()).collect();
         let want = self.model.serve(rows.len(), self.schedule.quorum);
         let got = self.apply(|c| {
@@ -1587,7 +1773,7 @@ impl ClusterRun<'_> {
         assert_eq!(report, want.as_ref(), "(15), (16) the batch");
         let Ok((answers, report)) = got else {
             self.seen.insert("a typed quorum loss".into());
-            return;
+            return want;
         };
         let flat = report.chosen.iter().flatten().count();
         let stale = report.generation < report.latest;
@@ -1617,24 +1803,37 @@ impl ClusterRun<'_> {
             let crossing = "a batch crossing the sub-batch bound";
             self.seen.insert(crossing.into());
         }
+        Ok(report)
     }
 
     fn step(&mut self, step: &ClusterStep) {
         match step {
-            ClusterStep::Serve { rows } => self.serve(rows),
-            ClusterStep::Long { len } => self.serve(&Vec::from_iter((0..*len).map(|i| i % POOL))),
-            ClusterStep::Publish => {
+            ClusterStep::Serve { rows } => drop(self.serve(rows)),
+            ClusterStep::Long { len } => {
+                drop(self.serve(&Vec::from_iter((0..*len).map(|i| i % POOL))))
+            }
+            ClusterStep::Publish { skip } => {
                 self.published += 1;
                 let (generations, _) = &fixture().cluster[&self.schedule.aggregate];
                 let next = generations.get(self.published as usize);
                 let next = next.expect("a schedule publishes two generations at most");
                 let next = next.quantized_to(self.schedule.mode);
                 let every_shard: Vec<usize> = (0..SHARDS).collect();
-                persist::save_refreshed(&self.manifest, &next, &every_shard).unwrap();
+                persist::save_refreshed(&self.publish, &next, &every_shard).unwrap();
+                for r in (0..self.columns.len()).filter(|r| !skip.contains(r)) {
+                    publish_into(&self.publish, self.columns[r].parent().unwrap());
+                    let column = &mut self.model.columns[r];
+                    (column.generation, column.damaged) = (self.published, BTreeMap::new());
+                }
             }
+            &ClusterStep::Damage { column, shard } => {
+                damage_columns(&self.columns, Disk::Flipped(column, shard));
+                self.model.columns[column].damaged.insert(shard, "checksum");
+            }
+            ClusterStep::Reload { damage, rows } => self.reload(*damage, rows),
             _ => self.control(step),
         }
-        // (19) The plan, groups, generations and pins are the model's.
+        // (19) The plan, groups and generations are the model's.
         let shards = self.model.shards();
         assert_eq!(
             self.cluster.plan(),
@@ -1644,11 +1843,43 @@ impl ClusterRun<'_> {
         let groups = self.cluster.groups();
         assert_eq!(groups.len(), self.model.groups.len(), "(19) the groups");
         for (got, want) in groups.iter().zip(&self.model.groups) {
-            let replicas = got.replicas().iter().map(|r| (r.generation(), r.pinned()));
-            let model = want.replicas.iter().map(|r| (r.generation, r.pinned));
+            let replicas = got.replicas().iter().map(|r| r.generation());
+            let model = want.replicas.iter().map(|r| r.generation);
             let same = got.logical() == want.logical && replicas.eq(model);
             assert!(same, "(19) {want:?}");
         }
+    }
+
+    /// `Cluster::load` over a copy of the columns with `damage` on it:
+    /// on success the loaded cluster, armed with the kills not yet
+    /// fired, replaces the run's. Then a batch of `rows`.
+    fn reload(&mut self, damage: Disk, rows: &[usize]) {
+        let copy = |(c, m): (usize, &PathBuf)| publish_into(m, &self.dir.join(format!("load/{c}")));
+        let mut columns: Vec<PathBuf> = self.columns.iter().enumerate().map(copy).collect();
+        damage_columns(&columns, damage);
+        if damage == Disk::Foreign {
+            columns[0] = self.foreign[0].clone();
+        }
+        let want = self.model.reload(damage);
+        let (opts, faults) = (self.opts, self.model.faults.clone());
+        let got = self.apply(|c| {
+            let loaded = Cluster::load(&columns, RoutePolicy::RoundRobin, opts);
+            shown(loaded.map(|loaded| *c = loaded.with_faults(faults)))
+        });
+        std::fs::remove_dir_all(self.dir.join("load")).unwrap();
+        assert_eq!(got, want, "(15), (19) a reload after {damage:?}");
+        self.seen
+            .insert(format!("{got:?} from a reload after {damage:?}"));
+        let groups = &self.model.groups;
+        let lost = got.is_ok() && groups.iter().any(|g| g.replicas.iter().all(|r| r.down));
+        let mixed = got.is_ok() && self.model.held().len() > 1;
+        let after = match self.serve(rows) {
+            Err(_) if lost => "a lost group: QuorumLost",
+            Ok(r) if lost && r.covered < r.groups => "a lost group: a partial answer",
+            Ok(r) if mixed && r.stale => "mixed generations: a stale batch",
+            _ => "nothing",
+        };
+        self.seen.insert(format!("after a reload with {after}"));
     }
 
     /// A control-plane step: its outcome is the model's (15); then (17)
@@ -1656,55 +1887,82 @@ impl ClusterRun<'_> {
     /// fully materialized cluster is the fresh fine build, and (19) a
     /// foreign manifest was refused.
     fn control(&mut self, step: &ClusterStep) {
-        let (manifest, published) = (self.manifest.clone(), self.published);
+        let (columns, published) = (self.columns.clone(), self.published);
         let fx = fixture();
         let (data, pred, train) = (fx.engine.dataset(), &fx.wl.predicate, &fx.wl.queries);
         let foreign = match *step {
             ClusterStep::Foreign { plan, .. } => self.foreign[usize::from(plan)].clone(),
-            _ => manifest.clone(),
+            _ => self.publish.clone(),
         };
         let before = (*step == ClusterStep::Rebalance).then(|| self.columns());
         let once = before.is_none() || self.model.shards() == SHARDS;
         assert!(once, "a schedule rebalances once");
         let want = self.model.control(step, published);
+        let coarse_all =
+            |events: Vec<ClusterEvent>| events.into_iter().map(coarse).collect::<Vec<_>>();
         let got = self.apply(|c| match *step {
-            ClusterStep::Upgrade => shown(c.rolling_upgrade_step(&manifest)),
-            ClusterStep::Roll => shown(c.rolling_upgrade(&manifest)),
+            ClusterStep::Upgrade => shown(c.rolling_upgrade_step(&columns).map(|e| e.map(coarse))),
+            ClusterStep::Roll => shown(c.rolling_upgrade(&columns).map(coarse_all)),
             ClusterStep::Repair { group, replica } => {
-                shown(c.repair_replica(group, replica, &manifest))
+                shown(c.repair_replica(group, replica, &foreign))
             }
             ClusterStep::Rebalance => shown(c.rebalance(2)),
             ClusterStep::Materialize { group } => {
                 shown(c.materialize_group(group, data, 1, pred, train, &cfg(0, FINE_EPOCHS)))
             }
             ClusterStep::Foreign { repair: true, .. } => shown(c.repair_replica(0, 0, &foreign)),
-            _ => shown(c.rolling_upgrade_step(&foreign)),
+            _ => {
+                let mut columns = columns.clone();
+                columns[0] = foreign;
+                shown(c.rolling_upgrade_step(&columns))
+            }
         });
         assert_eq!(got, want, "(15), (19) {step:?}");
         let groups = &self.model.groups;
+        let backed = groups.iter().all(|g| g.backed);
+        let rolled = matches!(step, ClusterStep::Upgrade | ClusterStep::Roll);
+        if rolled && got.as_ref().is_ok_and(|e| e.contains("checksum")) {
+            self.seen.insert("an upgrade failing its checksum".into());
+        }
         match *step {
+            _ if rolled && !backed => {
+                let refused = "a roll refused for a materialized group";
+                self.seen.insert(refused.into());
+            }
             ClusterStep::Roll => {
-                let rolled = groups.iter().filter(|g| g.backed);
-                for r in rolled.flat_map(|g| &g.replicas) {
-                    assert!(
-                        r.down || r.pinned || r.generation == published,
-                        "(17) {r:?}"
-                    );
+                for g in groups {
+                    for (r, state) in g.replicas.iter().enumerate() {
+                        let at = self.model.columns[r].generation;
+                        assert!(state.down || state.generation >= at, "(17) {state:?}");
+                        if !state.down && at < published {
+                            let behind = "a column behind after a finished roll";
+                            self.seen.insert(behind.into());
+                        }
+                    }
                 }
-                let again = self.apply(|c| shown(c.rolling_upgrade_step(&manifest)));
+                let again = self.apply(|c| shown(c.rolling_upgrade_step(&columns)));
                 assert_eq!(again, Ok("None".into()), "(17) a finished roll");
             }
             ClusterStep::Rebalance => assert!(before == Some(self.columns()), "(18) rebalance"),
             ClusterStep::Materialize { .. } if groups.iter().all(|g| !g.backed) => {
-                let fresh = (0..POOL).map(|i| self.answer(self.fine_moments.iter(), i));
-                let fresh: Vec<u64> = fresh.collect();
-                assert!(self.columns().iter().all(|c| *c == fresh), "(18) not fresh");
+                // A slot whose artifact never loaded adds nothing.
+                let zero = vec![Moments::ZERO; POOL];
+                let slot = |g: &GroupState, r: usize| match g.replicas[r].empty {
+                    true => &zero,
+                    false => &self.fine_moments[g.logical[0]],
+                };
+                let fresh = |r: usize| -> Vec<u64> {
+                    let slots = groups.iter().map(|g| slot(g, r));
+                    (0..POOL).map(|i| self.answer(slots.clone(), i)).collect()
+                };
+                let fresh: Vec<_> = (0..self.schedule.replicas).map(fresh).collect();
+                assert!(self.columns() == fresh, "(18) not fresh");
                 self.seen.insert("a fully materialized cluster".into());
                 if self.schedule.mode != QuantMode::F32 {
                     self.seen.insert("an F16 or I8 materialize".into());
                 }
             }
-            ClusterStep::Foreign { repair, .. } if !repair || groups[0].backed => {
+            ClusterStep::Foreign { repair, .. } if backed || (repair && groups[0].backed) => {
                 self.seen.insert("a refused foreign manifest".into());
             }
             _ => {}
@@ -1727,30 +1985,35 @@ fn run_cluster_at(schedule: &ClusterSchedule, threads: usize) -> HashSet<String>
     let run = RUNS.fetch_add(1, Ordering::Relaxed);
     let name = format!("composition-cluster-{}-{run}", std::process::id());
     let dir = std::env::temp_dir().join(name);
-    let manifest = persist::save_sharded(&dir, &stored(&builds[0])).unwrap();
-    let ours = schedule.aggregate;
-    let other = Aggregate::ALL.into_iter().find(|&a| a != ours).unwrap();
-    let other = persist::save_sharded(dir.join("other"), &fixture().cluster[&other].0[0]);
-    let mut blocks = persist::read_manifest(&manifest).unwrap();
+    let publish = persist::save_sharded(dir.join("publish"), &stored(&builds[0])).unwrap();
+    let column = |r: usize| publish_into(&publish, &dir.join(format!("r{r}")));
+    let columns: Vec<PathBuf> = (0..schedule.replicas).map(column).collect();
+    let other = Aggregate::ALL
+        .into_iter()
+        .find(|&a| a != schedule.aggregate);
+    let other = persist::save_sharded(dir.join("other"), &fixture().cluster[&other.unwrap()].0[0]);
+    let mut blocks = persist::read_manifest(&publish).unwrap();
     (blocks.plan, blocks.generation) = (ShardPlan::Blocks { shards: SHARDS }, 3);
-    let foreign = [other.unwrap(), dir.join("blocks.nskm")];
+    let foreign = [other.unwrap(), publish.with_file_name("blocks.nskm")];
     std::fs::write(&foreign[1], persist::encode_manifest(&blocks).unwrap()).unwrap();
-    let quorum = schedule.quorum;
-    let opts = ClusterOptions { threads, quorum };
-    let columns = vec![&manifest; schedule.replicas];
+    let opts = ClusterOptions {
+        threads,
+        quorum: schedule.quorum,
+    };
     let mut cluster = Cluster::load(&columns, RoutePolicy::RoundRobin, opts).unwrap();
     assert_eq!(cluster.take_events(), [], "a clean load logs nothing");
-    let (seed, faults) = (schedule.seed, schedule.faults.clone());
     let mut run = ClusterRun {
         schedule,
         dir,
-        manifest,
+        publish,
+        columns,
         foreign,
-        cluster: cluster.with_faults(FaultPlan { seed, faults }),
+        opts,
+        cluster: cluster.with_faults(schedule.faults.clone()),
         published: 0,
         moments: builds.iter().map(|b| pool_moments(&stored(b))).collect(),
         fine_moments: pool_moments(&stored(fine)),
-        model: ClusterModel::new(schedule),
+        model: ClusterModel::new(schedule.replicas, &schedule.faults),
         seen: HashSet::new(),
     };
     for step in &schedule.steps {
@@ -1831,10 +2094,9 @@ fn tier1_seeds_hold_every_invariant() {
 fn cluster_tier1_seeds_hold_every_invariant() {
     let run = |seed| run_cluster(&ClusterSchedule::generate(seed));
     let seen: HashSet<String> = (0..CLUSTER_TIER1_SEEDS).flat_map(run).collect();
-    for event in CLUSTER_EVENTS {
-        let happened = seen.iter().any(|s| s.starts_with(event));
-        assert!(happened, "no tier-1 cluster seed has {event}");
-    }
+    let happened = |event: &&str| seen.iter().any(|s| s.starts_with(event));
+    let missing: Vec<_> = CLUSTER_EVENTS.iter().filter(|e| !happened(e)).collect();
+    assert!(missing.is_empty(), "no tier-1 cluster seed has {missing:?}");
 }
 
 /// An entry replays as the leg whose (disjoint) required fields it has.

@@ -5,15 +5,10 @@
 //! come back as a typed [`PersistError`], never a panic, and successful
 //! loads must always yield a servable deployment.
 //!
-//! The replica cases extend the same corruptions to a
-//! [`Cluster`] loaded from one manifest per replica: damage confined
-//! to one replica (torn manifest, corrupt artifact, stale generation)
-//! must be routed around — typed in the event log, batch still served
-//! — and only damage that exhausts a whole group's replicas may
-//! surface as [`ClusterError::QuorumLost`].
+//! The same damage on replica directories under a `Cluster` is the
+//! composition harness's (`tests/composition.rs`, its `Reload` steps).
 
 use bytes::Bytes;
-use neurosketch::cluster::{Cluster, ClusterError, ClusterEvent, ClusterOptions, RoutePolicy};
 use neurosketch::persist::{self, PersistError};
 use neurosketch::shard::{build_sharded, ShardPlan};
 use neurosketch::NeuroSketchConfig;
@@ -186,204 +181,6 @@ fn manifest_shard_count_mismatch_is_corrupt() {
         persist::decode_manifest(Bytes::from(bad)),
         Err(PersistError::Corrupt(m)) if m.contains("shards")
     ));
-}
-
-/// Materialize the cached deployment as `n` replica directories (one
-/// manifest + artifact set each); the closure may damage any of them
-/// before [`Cluster::load`] runs over all the manifests.
-fn with_replicas(
-    tag: &str,
-    n: usize,
-    quorum: f64,
-    damage: impl FnOnce(&[PathBuf]),
-    check: impl FnOnce(Result<Cluster, ClusterError>),
-) {
-    let (manifest, artifacts) = deployment_bytes();
-    let root = std::env::temp_dir().join(format!("nskm_replica_corruption_{tag}"));
-    std::fs::remove_dir_all(&root).ok();
-    let dirs: Vec<PathBuf> = (0..n)
-        .map(|r| {
-            let dir = root.join(format!("replica{r}"));
-            std::fs::create_dir_all(&dir).unwrap();
-            std::fs::write(dir.join(persist::MANIFEST_NAME), manifest).unwrap();
-            for (name, bytes) in artifacts {
-                std::fs::write(dir.join(name), bytes).unwrap();
-            }
-            dir
-        })
-        .collect();
-    damage(&dirs);
-    let manifests: Vec<PathBuf> = dirs
-        .iter()
-        .map(|d| d.join(persist::MANIFEST_NAME))
-        .collect();
-    let out = Cluster::load(
-        &manifests,
-        RoutePolicy::RoundRobin,
-        ClusterOptions { threads: 2, quorum },
-    );
-    std::fs::remove_dir_all(&root).ok();
-    check(out);
-}
-
-fn probe_queries() -> Vec<Vec<f64>> {
-    (0..20)
-        .map(|i| vec![(i as f64 * 0.317) % 0.8, 0.1 + (i as f64 * 0.119) % 0.15])
-        .collect()
-}
-
-#[test]
-fn torn_replica_manifest_routes_around_not_fails() {
-    // One replica's manifest is torn (truncated mid-write). Its whole
-    // column is rejected — typed in the event log — but the peers are
-    // healthy, so the batch succeeds at full coverage.
-    with_replicas(
-        "torn_manifest",
-        2,
-        1.0,
-        |dirs| {
-            let path = dirs[1].join(persist::MANIFEST_NAME);
-            let bytes = std::fs::read(&path).unwrap();
-            std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        },
-        |out| {
-            let mut cluster = out.unwrap();
-            assert!(cluster
-                .events()
-                .iter()
-                .any(|e| matches!(e, ClusterEvent::ManifestRejected { replica: 1, .. })));
-            let (answers, report) = cluster.answer_batch(&probe_queries()).unwrap();
-            assert_eq!(report.covered, 2, "healthy peers must cover every group");
-            assert_eq!(report.failovers, 0);
-            assert!(answers.iter().all(|a| a.is_finite()));
-        },
-    );
-}
-
-#[test]
-fn corrupt_replica_artifact_downs_one_slot_only() {
-    // A checksum-corrupt artifact on one replica downs exactly that
-    // (group, replica) slot; the batch routes that group to the peer.
-    let name = persist::shard_artifact_name(1, MomentKind::Sum);
-    with_replicas(
-        "corrupt_artifact",
-        2,
-        1.0,
-        |dirs| {
-            let path = dirs[0].join(&name);
-            let mut bytes = std::fs::read(&path).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x40;
-            std::fs::write(&path, bytes).unwrap();
-        },
-        |out| {
-            let mut cluster = out.unwrap();
-            assert!(cluster.events().iter().any(|e| matches!(
-                e,
-                ClusterEvent::ReplicaLoadFailed { group: 1, replica: 0, error }
-                    if error.contains("checksum")
-            )));
-            let (answers, report) = cluster.answer_batch(&probe_queries()).unwrap();
-            assert_eq!(report.covered, 2);
-            // Group 1 has only replica 1 eligible; group 0 kept both.
-            assert_eq!(report.chosen[1], Some(1));
-            assert!(answers.iter().all(|a| a.is_finite()));
-        },
-    );
-}
-
-#[test]
-fn mixed_generation_replicas_never_blend() {
-    // Replica 0 claims generation 1 (its manifest's generation field is
-    // newer) but its shard-1 artifact is corrupt, so generation 1 can
-    // only cover group 0. Full-quorum serving must fall back to the
-    // generation that covers everything — replica 1's generation 0 —
-    // flagged stale, never a cross-generation blend.
-    let name = persist::shard_artifact_name(1, MomentKind::Count);
-    with_replicas(
-        "mixed_generations",
-        2,
-        1.0,
-        |dirs| {
-            let path = dirs[0].join(persist::MANIFEST_NAME);
-            let mut bytes = std::fs::read(&path).unwrap();
-            // Generation u64 sits right after the 8-byte header.
-            bytes[8..16].copy_from_slice(&1u64.to_le_bytes());
-            std::fs::write(&path, bytes).unwrap();
-            let artifact = dirs[0].join(&name);
-            let mut bytes = std::fs::read(&artifact).unwrap();
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x08;
-            std::fs::write(&artifact, bytes).unwrap();
-        },
-        |out| {
-            let mut cluster = out.unwrap();
-            let (answers, report) = cluster.answer_batch(&probe_queries()).unwrap();
-            assert_eq!(report.generation, 0, "must serve the covering generation");
-            assert_eq!(report.latest, 1);
-            assert!(report.stale, "serving behind the newest must be flagged");
-            assert_eq!(report.covered, 2);
-            assert!(cluster.events().iter().any(|e| matches!(
-                e,
-                ClusterEvent::ServedStale {
-                    served: 0,
-                    latest: 1,
-                    ..
-                }
-            )));
-            assert!(answers.iter().all(|a| a.is_finite()));
-        },
-    );
-}
-
-#[test]
-fn group_with_no_surviving_replica_is_quorum_lost_or_partial() {
-    let damage = |dirs: &[PathBuf]| {
-        // Every replica of shard group 0 loses an artifact.
-        for dir in dirs {
-            std::fs::remove_file(dir.join(persist::shard_artifact_name(0, MomentKind::Count)))
-                .unwrap();
-        }
-    };
-    with_replicas("group_down_strict", 2, 1.0, damage, |out| {
-        let mut cluster = out.unwrap();
-        match cluster.answer_batch(&probe_queries()) {
-            Err(ClusterError::QuorumLost {
-                covered,
-                needed,
-                groups,
-            }) => assert_eq!((covered, needed, groups), (1, 2, 2)),
-            other => panic!("expected QuorumLost, got {other:?}"),
-        }
-    });
-    with_replicas("group_down_relaxed", 2, 0.5, damage, |out| {
-        let mut cluster = out.unwrap();
-        let (answers, report) = cluster.answer_batch(&probe_queries()).unwrap();
-        assert_eq!(report.covered, 1);
-        assert_eq!(report.chosen[0], None);
-        assert!(answers.iter().all(|a| a.is_finite()));
-    });
-}
-
-#[test]
-fn all_manifests_unreadable_is_typed() {
-    with_replicas(
-        "all_torn",
-        2,
-        1.0,
-        |dirs| {
-            for dir in dirs {
-                let path = dir.join(persist::MANIFEST_NAME);
-                std::fs::write(&path, b"garbage").unwrap();
-            }
-        },
-        |out| {
-            assert!(
-                matches!(out, Err(ClusterError::Persist(_))),
-                "expected a typed persistence error"
-            );
-        },
-    );
 }
 
 proptest! {

@@ -4,22 +4,24 @@
 //! `sharded_serve` scales one box to K shards; this example drives the
 //! simulated-cluster path from `docs/scaling.md` where every shard
 //! group has N replicas, routed round-robin, and the failure modes are
-//! *injected on purpose* with a replayable
-//! [`FaultPlan`](neurosketch::cluster::FaultPlan):
+//! *injected on purpose*: a replayable replica kill, and a damaged
+//! artifact on one replica's disk:
 //!
 //! 1. build a K=2 round-robin AVG deployment and publish it as an NSKM
 //!    manifest, then lay it out as two replica directories,
 //! 2. [`Cluster::load`] the replicas and verify a healthy cluster
 //!    answers **bitwise identically** to the single-box
 //!    [`ShardedServer`],
-//! 3. kill a replica mid-batch with a fault plan: the router fails
-//!    over, the event log says so, and answers do not move,
-//! 4. retrain against drifted data, land a generation-1 refresh, and
-//!    roll it out replica by replica — mid-roll batches serve
-//!    generation 0 *flagged stale* (never a blend), a replica whose
-//!    upgrade never lands is pinned and rolled around, then repaired,
-//!    and [`DriftMonitor::check_many`] scores every replica column
-//!    against one probe labeling,
+//! 3. kill a replica mid-batch with an armed [`Fault`]: the router
+//!    fails over, the event log says so, and answers do not move,
+//! 4. retrain against drifted data, publish a generation-1 refresh
+//!    into both replica directories — group 1's new artifact damaged
+//!    on replica 0's disk — and roll it out replica by replica from
+//!    each replica's own manifest: mid-roll batches serve generation 0
+//!    *flagged stale* (never a blend), the damaged slot fails its
+//!    checksum and is rolled around, then repaired from the publish
+//!    manifest, and [`DriftMonitor::check_many`] scores every replica
+//!    column against one probe labeling,
 //! 5. rebalance the round-robin plan 2 → 4 **row-stably**: answers stay
 //!    bitwise unchanged, then materializing the coarse groups yields
 //!    bitwise the models a fresh 4-shard build would train.
@@ -30,7 +32,7 @@
 //! ```
 
 use datagen::simple::{drift_batch, uniform};
-use neurosketch::cluster::{Cluster, ClusterEvent, ClusterOptions, Fault, FaultPlan, RoutePolicy};
+use neurosketch::cluster::{Cluster, ClusterEvent, ClusterOptions, Fault, RoutePolicy};
 use neurosketch::maintenance::{retrain_shards, DriftMonitor};
 use neurosketch::serve::ServeOptions;
 use neurosketch::shard::{build_sharded, ShardPlan, ShardedServer};
@@ -38,7 +40,21 @@ use neurosketch::{persist, Deployment, NeuroSketchConfig};
 use query::aggregate::Aggregate;
 use query::exec::QueryEngine;
 use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// Copy the deployment in `publish` into `dir`: artifacts first, the
+/// manifest last, so a copy cut short leaves the old manifest over
+/// intact artifacts.
+fn publish_into(publish: &Path, dir: &Path) {
+    let manifest = persist::MANIFEST_NAME;
+    for entry in std::fs::read_dir(publish).expect("read publish dir") {
+        let name = entry.expect("dir entry").file_name();
+        if name != manifest {
+            std::fs::copy(publish.join(&name), dir.join(&name)).expect("copy artifact");
+        }
+    }
+    std::fs::copy(publish.join(manifest), dir.join(manifest)).expect("copy manifest");
+}
 
 fn main() {
     let fast = std::env::args().any(|a| a == "--fast");
@@ -81,10 +97,7 @@ fn main() {
             let dir = std::env::temp_dir().join(format!("neurosketch_replicated_demo_r{r}"));
             std::fs::remove_dir_all(&dir).ok();
             std::fs::create_dir_all(&dir).expect("replica dir");
-            for entry in std::fs::read_dir(&publish).expect("read publish dir") {
-                let entry = entry.expect("dir entry");
-                std::fs::copy(entry.path(), dir.join(entry.file_name())).expect("copy artifact");
-            }
+            publish_into(&publish, &dir);
             dir
         })
         .collect();
@@ -120,26 +133,16 @@ fn main() {
     );
 
     // 3. Kill a replica mid-batch; the router fails over and answers
-    // do not move. The plan also pins group 1's replica 0 when the roll
-    // below reaches it. The plan is plain data — serialize it, keep it,
-    // and any later run replays the same failure sequence.
-    let fault_plan = FaultPlan {
-        seed: 4242,
-        faults: vec![
-            Fault::Kill {
-                batch: 0,
-                group: 0,
-                replica: 0,
-            },
-            Fault::Pin {
-                group: 1,
-                replica: 0,
-            },
-        ],
-    };
+    // do not move. The kill is plain data — serialize it, keep it, and
+    // any later run replays the same failure sequence.
+    let faults = vec![Fault::Kill {
+        batch: 0,
+        group: 0,
+        replica: 0,
+    }];
     println!(
-        "fault plan: {}",
-        serde_json::to_string(&fault_plan).expect("serialize plan")
+        "armed faults: {}",
+        serde_json::to_string(&faults).expect("serialize faults")
     );
     let mut cluster = Cluster::load(
         &replica_manifests,
@@ -147,7 +150,7 @@ fn main() {
         ClusterOptions::default(),
     )
     .expect("cluster reload")
-    .with_faults(fault_plan);
+    .with_faults(faults);
     let (answers, report) = cluster.answer_batch(&wl.queries).expect("kill batch");
     assert_eq!(answers, gen0_expect, "failover must not move answers");
     assert!(report.failovers >= 1, "the routed replica died mid-batch");
@@ -167,9 +170,9 @@ fn main() {
         .expect("repair killed replica");
     println!("killed replica repaired from its replica disk, back at gen 0");
 
-    // 4. Drift, refresh, and roll generation 1 across the replicas of
-    // replica 0's disk (the roll source); mid-roll batches are flagged
-    // stale and still single-generation.
+    // 4. Drift, refresh, publish generation 1 into every replica's
+    // directory and roll it, each replica from its own disk; mid-roll
+    // batches are flagged stale and still single-generation.
     data.append(&drift_batch(rows / 2, 2, 1.0, 0.3, 29))
         .expect("append drift");
     let mut refreshed = sharded.clone();
@@ -190,8 +193,18 @@ fn main() {
     )
     .answer_batch(&wl.queries)
     .0;
+    for dir in &replica_dirs {
+        publish_into(&publish, dir);
+    }
+    // Replica 0's copy of group 1's new artifact rots on its disk.
+    let gen1 = persist::read_manifest(&manifest).expect("read gen 1");
+    let rotten = replica_dirs[0].join(&gen1.shards[1][0].path);
+    let mut bytes = std::fs::read(&rotten).expect("read artifact");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&rotten, bytes).expect("damage artifact");
 
-    let step = cluster.rolling_upgrade_step(&manifest).expect("first step");
+    let step = (cluster.rolling_upgrade_step(&replica_manifests)).expect("first step");
     assert!(matches!(
         step,
         Some(ClusterEvent::UpgradeApplied { from: 0, to: 1, .. })
@@ -206,19 +219,20 @@ fn main() {
         "mid-roll: serving gen {} while gen {} lands — stale flag set, answers bitwise gen 0",
         mid_report.generation, mid_report.latest
     );
-    let steps = cluster.rolling_upgrade(&manifest).expect("finish roll");
+    let steps = cluster
+        .rolling_upgrade(&replica_manifests)
+        .expect("finish roll");
     assert!(matches!(
         steps.last(),
         Some(ClusterEvent::UpgradeApplied { to: 1, .. })
     ));
-    let pinned = ClusterEvent::UpgradePinned {
-        group: 1,
-        replica: 0,
-        generation: 0,
-    };
-    assert!(steps.contains(&pinned), "the pinned upgrade must be typed");
+    let rotted = steps.iter().any(|e| {
+        matches!(e, ClusterEvent::ReplicaLoadFailed { group: 1, replica: 0, error }
+            if error.contains("checksum"))
+    });
+    assert!(rotted, "the damaged artifact must fail its checksum, typed");
     assert_eq!(
-        cluster.rolling_upgrade_step(&manifest).expect("converged"),
+        (cluster.rolling_upgrade_step(&replica_manifests)).expect("converged"),
         None,
         "a finished roll has nothing left to upgrade"
     );
@@ -226,15 +240,15 @@ fn main() {
     assert_eq!(post, gen1_expect, "post-roll answers must be gen 1");
     assert!(!post_report.stale);
     println!(
-        "rolled to gen {} in {} steps around the pinned replica, stale flag cleared",
+        "rolled to gen {} in {} steps around the damaged slot, stale flag cleared",
         post_report.generation,
         steps.len()
     );
-    // The roll went around the pinned replica; repair it from the new
+    // The roll went around the damaged slot; repair it from the publish
     // manifest so every replica column serves generation 1.
     let repaired = cluster.repair_replica(1, 0, &manifest);
-    assert_eq!(repaired.expect("repair pinned replica"), 1);
-    println!("pinned replica repaired from the gen-1 manifest");
+    assert_eq!(repaired.expect("repair damaged slot"), 1);
+    println!("damaged slot repaired from the gen-1 publish manifest");
 
     // Per-replica drift scoring: one exact probe labeling, one report
     // per replica column through the shared `Deployment` trait.
