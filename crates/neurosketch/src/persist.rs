@@ -78,7 +78,7 @@
 //!
 //! ```text
 //! magic       u32 = 0x4D4B_534E ("NSKM")
-//! version     u32 = 2
+//! version     u32 = 3
 //! generation  u64
 //! aggregate   u8: 0 = COUNT, 1 = SUM, 2 = AVG, 3 = STD
 //! plan tag    u8: 0 = round-robin, 1 = blocks, 2 = hash
@@ -602,8 +602,11 @@ pub fn load(path: impl AsRef<Path>) -> Result<Artifact, PersistError> {
 pub const NSKM_MAGIC: u32 = 0x4D4B_534E;
 
 /// The manifest version this build reads and writes; every other
-/// version is [`PersistError::UnsupportedVersion`].
-pub const NSKM_VERSION: u32 = 2;
+/// version is [`PersistError::UnsupportedVersion`]. Version 3 is where
+/// an AVG or STD shard's Σ / Σ² slots came to hold per-row means
+/// ([`crate::shard::mean_slots`]); a version-2 manifest's slots hold
+/// raw sums, so reading one would answer wrongly without a sign.
+pub const NSKM_VERSION: u32 = 3;
 
 /// FNV-1a 64-bit hash of an artifact's bytes — the checksum the NSKM
 /// manifest records per shard artifact (the workspace-shared
@@ -1335,8 +1338,10 @@ mod tests {
             assert_eq!(artifact.sketch.quant_mode(), mode);
             assert_eq!(&encode_router(&artifact.into_router())[..], &golden[..]);
         }
+        // Version 3: an AVG / STD shard's Σ / Σ² slots hold per-row
+        // means ([`crate::shard::mean_slots`]).
         let golden = unhex(
-            "4e534b4d 02000000 07000000 00000000 02020200 00000900 00000000 00000200 \
+            "4e534b4d 03000000 07000000 00000000 02020200 00000900 00000000 00000200 \
              00000134 12000000 00000014 00736861 72642d30 30302e63 6f756e74 2e6e736b \
              32017698 00000000 00001200 73686172 642d3030 302e7375 6d2e6e73 6b320001 \
              35120000 00000000 14007368 6172642d 3030312e 636f756e 742e6e73 6b320175 \
@@ -1573,6 +1578,31 @@ mod tests {
         for q in queries.iter().take(20) {
             assert_eq!(loaded.answer(q), quantized.answer(q));
         }
+    }
+
+    /// A version-2 manifest — the layout of version 3, but with an AVG
+    /// or STD deployment's Σ / Σ² slots holding raw sums, not per-row
+    /// means — is refused by name, decoded or loaded from disk, never
+    /// served as if its slots held means.
+    #[test]
+    fn version_2_manifest_is_refused() {
+        let (sharded, _) = small_sharded(0);
+        let dir = std::env::temp_dir().join("nskm_version_2_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let manifest_path = save_sharded(&dir, &sharded).unwrap();
+        let mut v2 = std::fs::read(&manifest_path).unwrap();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&manifest_path, &v2).unwrap();
+        let loaded = load_sharded(&manifest_path);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            decode_manifest(Bytes::from(v2)),
+            Err(PersistError::UnsupportedVersion { found: 2 })
+        );
+        assert!(matches!(
+            loaded,
+            Err(PersistError::UnsupportedVersion { found: 2 })
+        ));
     }
 
     /// A shard loaded against a decoded manifest belongs to *that*

@@ -158,7 +158,9 @@ impl Aggregate {
 ///
 /// A sharded deployment trains one model per `(shard, MomentKind)` and
 /// gathers by *adding* each component across shards — see
-/// [`Aggregate::required_moments`] and [`Moments::merge`].
+/// [`Aggregate::required_moments`] and [`Moments::merge`]. (For AVG and
+/// STD the Σ / Σ² models predict per-row means, which the shard weights
+/// back into sums by its predicted count before the merge.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MomentKind {
     /// `n` — the number of matching rows.

@@ -14,9 +14,11 @@
 //!    identically** to the quantized in-memory one,
 //! 5. serve the workload through the scatter/gather [`ShardedServer`]
 //!    and verify the gather math: per-shard **exact** moments merged in
-//!    shard order equal the monolithic exact backend on COUNT and SUM
-//!    (bitwise / ulp-bounded), and the served sketch answers track the
-//!    exact answers.
+//!    shard order equal the monolithic exact backend on COUNT, SUM, AVG
+//!    and STD (bitwise for COUNT, ulp-bounded otherwise; AVG and STD
+//!    pass through the same mean-slot transform their models are
+//!    trained and served through), and the served sketch answers track
+//!    the exact answers.
 //!
 //! ```text
 //! cargo run --release --example sharded_serve            # full scale
@@ -26,7 +28,7 @@
 use datagen::simple::uniform;
 use neurosketch::deploy::Deployment;
 use neurosketch::serve::ServeOptions;
-use neurosketch::shard::{build_sharded, ShardPlan, ShardedServer};
+use neurosketch::shard::{build_sharded, mean_slots, weighted_moments, ShardPlan, ShardedServer};
 use neurosketch::{persist, NeuroSketchConfig};
 use query::aggregate::{Aggregate, Moments};
 use query::error::normalized_mae;
@@ -58,7 +60,12 @@ fn main() {
     cfg.target_partitions = 4;
     cfg.train.epochs = if fast { 80 } else { 150 };
     cfg.threads = 4;
-    for agg in [Aggregate::Count, Aggregate::Sum] {
+    for agg in [
+        Aggregate::Count,
+        Aggregate::Sum,
+        Aggregate::Avg,
+        Aggregate::Std,
+    ] {
         let t0 = Instant::now();
         let (sharded, report) =
             build_sharded(&data, 1, &plan, &wl.predicate, agg, &wl.queries, &cfg)
@@ -122,16 +129,27 @@ fn main() {
         // 5a. The gather math itself, on exact per-shard backends:
         // merging each shard's exact (n, Σ, Σ²) must reproduce the
         // monolithic exact backend — bitwise for COUNT, ulp-bounded for
-        // SUM (pure reassociation of f64 adds).
+        // SUM (pure reassociation of f64 adds). AVG and STD shards hold
+        // (n, Σ/n, Σ²/n), so their exact moments go through the same
+        // label-side and serve-side transform as the models' outputs:
+        // n·(Σ/n) = Σ up to rounding.
         let shard_tables = plan.split(&data);
         let shard_engines: Vec<QueryEngine<'_>> = shard_tables
             .iter()
             .map(|t| QueryEngine::new(t, 1))
             .collect();
+        let holds_means = matches!(agg, Aggregate::Avg | Aggregate::Std);
         for q in wl.queries.iter().take(200) {
             let gathered = shard_engines
                 .iter()
                 .map(|e| e.moments(&wl.predicate, q))
+                .map(|m| {
+                    if holds_means {
+                        weighted_moments(mean_slots(m))
+                    } else {
+                        m
+                    }
+                })
                 .fold(Moments::ZERO, Moments::merge)
                 .finish(agg)
                 .unwrap();
