@@ -102,18 +102,23 @@ fn ratio(q1: &[f64], q2: &[f64], v1: f64, v2: f64) -> Option<f64> {
     }
 }
 
-/// Map a linear pair index to `(i, j)`, `i < j`, over `n` items.
-fn unrank_pair(mut k: usize, n: usize) -> (usize, usize) {
-    // Row i has (n - 1 - i) pairs.
-    let mut i = 0usize;
-    loop {
-        let row = n - 1 - i;
-        if k < row {
-            return (i, i + 1 + k);
-        }
-        k -= row;
+/// Map a linear pair index `k < n(n−1)/2` to `(i, j)`, `i < j`, over
+/// `n` items, in constant time. Row `i` holds the `n − 1 − i` pairs
+/// `(i, i+1..n)` and `first(i) = i(2n−1−i)/2` pairs precede it; the row
+/// is the quadratic's root, then corrected against `first` in integers,
+/// so float rounding cannot move the answer.
+fn unrank_pair(k: usize, n: usize) -> (usize, usize) {
+    let first = |i: usize| i * (2 * n - 1 - i) / 2;
+    let b = (2 * n - 1) as f64;
+    let root = (b - (b * b - 8.0 * k as f64).max(0.0).sqrt()) / 2.0;
+    let mut i = (root as usize).min(n - 2);
+    while first(i) > k {
+        i -= 1;
+    }
+    while first(i + 1) <= k {
         i += 1;
     }
+    (i, i + 1 + k - first(i))
 }
 
 /// A stride roughly 41% of `m` (golden-ratio-ish) made coprime with `m`.
@@ -202,6 +207,35 @@ mod tests {
             assert!(seen.insert((i, j)));
         }
         assert_eq!(seen.len(), 21);
+    }
+
+    /// The closed form is the row-by-row walk, pair for pair, so
+    /// sampled AQC visits the same pairs in the same order.
+    #[test]
+    fn unrank_pair_is_the_row_walk() {
+        let walk = |mut k: usize, n: usize| {
+            let mut i = 0;
+            while k >= n - 1 - i {
+                k -= n - 1 - i;
+                i += 1;
+            }
+            (i, i + 1 + k)
+        };
+        for n in 2..80 {
+            for k in 0..n * (n - 1) / 2 {
+                assert_eq!(unrank_pair(k, n), walk(k, n), "n {n} k {k}");
+            }
+        }
+        for n in [1_000, 5_000, 20_001] {
+            let all = n * (n - 1) / 2;
+            let stride = largest_coprime_stride(all);
+            let mut k = 0;
+            for _ in 0..2_000 {
+                assert_eq!(unrank_pair(k, n), walk(k, n), "n {n} k {k}");
+                k = (k + stride) % all;
+            }
+            assert_eq!(unrank_pair(all - 1, n), (n - 2, n - 1));
+        }
     }
 
     #[test]

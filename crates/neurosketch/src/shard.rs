@@ -144,6 +144,26 @@ pub enum ShardPlan {
     },
 }
 
+/// Training queries per partition of a shard component model (see
+/// [`component_partitions`]). Measured with the count-weighted gather
+/// on nsbench's sharded fixture (PM, 4 round-robin shards, AVG, 1 000
+/// training queries, 100 epochs): held-out `nmae` 0.251 at 8 partitions
+/// (125 queries a leaf), 0.190 at 2 and 0.176 at 1; over seven more
+/// fixtures 2 beat 8 on every one (mean 0.257 → 0.204). Sharded STD
+/// went the other way (mean 0.340 → 0.360). 500 gives 2 partitions at
+/// 1 000 queries and still 8 at 5 000.
+const QUERIES_PER_PARTITION: usize = 500;
+
+/// The partition count of every shard component model: at most one
+/// partition per `QUERIES_PER_PARTITION` (500) training queries, at least
+/// one, and never more than `target` (`cfg.target_partitions`).
+/// Theorem 3.4 sizes a network by its partition's function; a leaf
+/// with too few samples to learn that function costs bytes and
+/// accuracy. The monolithic build keeps its configured count.
+pub fn component_partitions(target: usize, queries: usize) -> usize {
+    target.min((queries / QUERIES_PER_PARTITION).max(1))
+}
+
 /// The splitmix64 finalizer, used by [`ShardPlan::Hash`] placement and
 /// the per-shard seed derivation of the build.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
@@ -687,8 +707,9 @@ impl ShardTables {
 /// **bitwise** the models a full [`build_sharded`] over the same data
 /// would give that shard. This is the one place shard labels are made:
 /// a shard that trains the count beside Σ or Σ² learns [`mean_slots`]
-/// of its exact moments, any other the raw component. Returns the
-/// sketch plus (labeling, training) wall-clock.
+/// of its exact moments, any other the raw component. Every component
+/// model has [`component_partitions`] partitions. Returns the sketch
+/// plus (labeling, training) wall-clock.
 fn build_shard_sketch(
     shard_idx: usize,
     shard: &Dataset,
@@ -713,6 +734,8 @@ fn build_shard_sketch(
         let labels: Vec<f64> = moments.iter().map(|m| m.component(*kind)).collect();
         let mut component_cfg = cfg.clone();
         component_cfg.threads = 1;
+        component_cfg.target_partitions =
+            component_partitions(cfg.target_partitions, queries.len());
         // Decorrelate initializations across (shard, component) pairs;
         // splitmix64 keeps the derivation stateless.
         component_cfg.seed = cfg
@@ -1210,8 +1233,9 @@ mod tests {
         }
     }
 
-    /// A single-shard deployment is the monolithic build: same data,
-    /// same labels, same seed — bitwise-identical answers.
+    /// A single-shard deployment is the monolithic build at the
+    /// partition count of [`component_partitions`]: same data, same
+    /// labels, same seed — bitwise-identical answers.
     #[test]
     fn k1_matches_monolithic_build_bitwise() {
         let (data, wl) = setup(400, 100);
@@ -1230,6 +1254,7 @@ mod tests {
         let labels = engine.label_batch(&wl.predicate, Aggregate::Count, &wl.queries, 1);
         let mut mono_cfg = cfg.clone();
         mono_cfg.seed = cfg.seed.wrapping_add(super::splitmix64(1));
+        mono_cfg.target_partitions = component_partitions(cfg.target_partitions, wl.queries.len());
         let (mono, _) = NeuroSketch::build_from_labeled(&wl.queries, &labels, &mono_cfg).unwrap();
         for q in wl.queries.iter().take(25) {
             assert_eq!(sharded.answer(q), mono.answer(q));
@@ -1250,10 +1275,13 @@ mod tests {
     /// Regression pin: on the paper's uniform workload, scatter/gather
     /// over 4 shards answers about as accurately as the monolithic
     /// sketch (deterministic builds, so the bounds cannot flake).
-    /// Measured sharded / monolithic nmae: COUNT 0.1901 / 0.2280; AVG
-    /// 0.0395 / 0.0427 and STD 0.0529 / 0.0310 with the count-weighted
-    /// mean slots. Dividing merged predicted sums instead scored AVG
-    /// 0.1259 and STD 0.2610, which both bounds refuse.
+    /// Measured sharded / monolithic nmae, the shard components at the
+    /// one partition [`component_partitions`] gives 300 queries and the
+    /// monolithic sketch at its configured 2: COUNT 0.1852 / 0.2280;
+    /// AVG 0.0382 / 0.0427 and STD 0.0401 / 0.0310 with the
+    /// count-weighted mean slots. Dividing merged predicted sums instead
+    /// scored AVG 0.1259 and STD 0.2610 at 2 partitions, which both
+    /// bounds refuse.
     #[test]
     fn sharded_error_tracks_monolithic_on_paper_workload() {
         let (data, wl) = setup(2_000, 300);
@@ -1294,6 +1322,108 @@ mod tests {
                 agg.name()
             );
         }
+    }
+
+    #[test]
+    fn component_partitions_follow_the_sample_budget() {
+        assert_eq!(component_partitions(8, 100), 1);
+        assert_eq!(component_partitions(8, 999), 1);
+        assert_eq!(component_partitions(8, 1_000), 2);
+        assert_eq!(component_partitions(8, 5_000), 8);
+        assert_eq!(component_partitions(8, 50_000), 8);
+        assert_eq!(component_partitions(2, 5_000), 2);
+    }
+
+    /// The accuracy gate of [`component_partitions`]: sharded AVG over
+    /// `Pm`'s columns 1 and 2 (the benchmark's fixture at a tenth of its
+    /// rows, 2 shards), 1 000 training queries, scored on 1 000 it never
+    /// saw. The rule's 2 partitions a component against the 8 every
+    /// component had before — built here the way `build_shard_sketch`
+    /// built them then, seeds and labels included.
+    #[test]
+    fn sized_partitions_beat_eight_on_held_out_sharded_avg() {
+        let (data, _) = datagen::PaperDataset::Pm.generate(0.1, 3).normalized();
+        let measure = datagen::PaperDataset::Pm.measure_column();
+        let queries = |count, seed| {
+            let wl = Workload::generate(&WorkloadConfig {
+                dims: 4,
+                active: ActiveMode::Fixed(vec![1, 2]),
+                range: RangeMode::Uniform,
+                count,
+                seed,
+            });
+            wl.unwrap()
+        };
+        let (train, held_out) = (queries(1_000, 4), queries(1_000, 5));
+        let pred = &train.predicate;
+        let truths = QueryEngine::new(&data, measure).label_batch(
+            pred,
+            Aggregate::Avg,
+            &held_out.queries,
+            1,
+        );
+        let plan = ShardPlan::RoundRobin { shards: 2 };
+        let mut cfg = NeuroSketchConfig {
+            threads: 2,
+            ..NeuroSketchConfig::default()
+        };
+        cfg.train.epochs = 40;
+        cfg.train.patience = 0;
+        assert_eq!(component_partitions(cfg.target_partitions, 1_000), 2);
+        let nmae = |sketch: ShardedSketch| {
+            let server = ShardedServer::new(sketch, ServeOptions::default());
+            normalized_mae(&truths, &server.answer_batch(&held_out.queries).0)
+        };
+
+        let (ruled, _) = build_sharded(
+            &data,
+            measure,
+            &plan,
+            pred,
+            Aggregate::Avg,
+            &train.queries,
+            &cfg,
+        )
+        .unwrap();
+        assert!(ruled.shards().iter().all(|s| {
+            let model = |kind| s.model(kind).unwrap().partitions();
+            model(MomentKind::Count) == 2 && model(MomentKind::Sum) == 2
+        }));
+        let eight = plan
+            .split(&data)
+            .iter()
+            .enumerate()
+            .map(|(shard, table)| {
+                let engine = QueryEngine::new(table, measure);
+                let moments = engine.label_moments_batch(pred, &train.queries, 1);
+                let mut models: [Option<NeuroSketch>; 3] = [None, None, None];
+                for kind in Aggregate::Avg.required_moments().unwrap() {
+                    let labels: Vec<f64> = moments
+                        .iter()
+                        .map(|m| mean_slots(*m).component(*kind))
+                        .collect();
+                    let mut component_cfg = cfg.clone();
+                    component_cfg.threads = 1;
+                    component_cfg.seed = cfg
+                        .seed
+                        .wrapping_add(splitmix64((shard * 3 + kind.slot()) as u64 + 1));
+                    let (sketch, _) =
+                        NeuroSketch::build_from_labeled(&train.queries, &labels, &component_cfg)
+                            .unwrap();
+                    assert_eq!(sketch.partitions(), 8);
+                    models[kind.slot()] = Some(sketch);
+                }
+                ShardSketch::from_models(models)
+            })
+            .collect();
+        let eight = ShardedSketch::from_parts(plan, Aggregate::Avg, eight);
+
+        let (new, old) = (nmae(ruled), nmae(eight));
+        // Measured: rule 0.2357, 8 partitions 0.2546.
+        assert!(
+            new < old,
+            "held-out sharded AVG nMAE: rule {new}, 8 partitions {old}"
+        );
     }
 
     #[test]

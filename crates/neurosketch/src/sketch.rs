@@ -26,6 +26,7 @@ use query::aggregate::Aggregate;
 use query::exec::QueryEngine;
 use query::predicate::PredicateFn;
 use spatial::KdTree;
+use std::cell::RefCell;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -328,9 +329,14 @@ impl NeuroSketch {
         ))
     }
 
-    /// Answer a query (Alg. 5): kd-tree descent then a forward pass.
+    /// Answer a query (Alg. 5): kd-tree descent then a forward pass,
+    /// through this thread's own [`BatchScratch`], so a steady stream of
+    /// calls allocates nothing.
     pub fn answer(&self, q: &[f64]) -> f64 {
-        self.answer_with(&mut BatchScratch::default(), q)
+        thread_local! {
+            static SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::default());
+        }
+        SCRATCH.with(|scratch| self.answer_with(&mut scratch.borrow_mut(), q))
     }
 
     /// Answer with caller-provided scratch space — the allocation-free

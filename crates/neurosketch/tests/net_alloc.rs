@@ -16,6 +16,7 @@ mod common;
 use common::SumDeployment;
 use neurosketch::deploy::LiveDeployment;
 use neurosketch::net::{encode_frame, Frame, NetClient, NetOptions, NetServer};
+use neurosketch::{BatchScratch, NeuroSketch, NeuroSketchConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -160,7 +161,7 @@ fn run(max_batch: usize) -> Tally {
     tally
 }
 
-/// One test, so nothing else in this process shares the thread's count.
+/// The count is per thread and every test runs on a thread of its own.
 #[test]
 fn the_wire_hot_path_allocates_per_batch_not_per_query() {
     let small = run(64);
@@ -187,4 +188,28 @@ fn the_wire_hot_path_allocates_per_batch_not_per_query() {
     let (bytes, calls) = calls_in(|| encode_frame(&frame));
     assert_eq!(calls, 1, "encode_frame of a Query");
     assert_eq!(bytes.len(), 60);
+}
+
+/// `NeuroSketch::answer`, the adapter's per-query entry point, keeps its
+/// scratch per thread: once every partition has answered, a call costs
+/// the allocator nothing, and the answer is the caller-scratch path's.
+#[test]
+fn a_steady_state_single_answer_allocates_nothing() {
+    let queries: Vec<Vec<f64>> = (0..200)
+        .map(|i| vec![(i as f64 * 0.377) % 1.0, 0.1 + (i as f64 * 0.211) % 0.5])
+        .collect();
+    let labels: Vec<f64> = queries.iter().map(|q| q[0] * 10.0 + q[1]).collect();
+    let mut cfg = NeuroSketchConfig::small();
+    cfg.threads = 1;
+    cfg.train.epochs = 3;
+    let (sketch, _) = NeuroSketch::build_from_labeled(&queries, &labels, &cfg).unwrap();
+    assert!(sketch.partitions() > 1);
+    let warm: Vec<f64> = queries.iter().map(|q| sketch.answer(q)).collect();
+    let (answers, calls) = calls_in(|| queries.iter().map(|q| sketch.answer(q)).sum::<f64>());
+    assert_eq!(calls, 0, "{} single answers allocated", queries.len());
+    assert_eq!(answers, warm.iter().sum::<f64>());
+    let mut scratch = BatchScratch::default();
+    for (q, a) in queries.iter().zip(&warm) {
+        assert_eq!(sketch.answer_with(&mut scratch, q).to_bits(), a.to_bits());
+    }
 }

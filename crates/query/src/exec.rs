@@ -56,7 +56,8 @@
 //! order fixed is what keeps every label, and so every trained weight,
 //! the same bits whichever path computed it. Path 1 subtracts two
 //! prefix sums instead and is only ever taken for single-bound
-//! predicates, as before.
+//! predicates, as before; a band of one row is the exception, answered
+//! from that row alone, bitwise what a scan gives.
 //!
 //! Batch labeling runs in parallel over the shared [`par`] worker pool,
 //! with one reusable scratch buffer per worker (mirroring the paper's
@@ -627,6 +628,14 @@ impl<'a> QueryEngine<'a> {
             let (attr, lo_v, hi_v) = bounds[0];
             let ai = &self.index[attr];
             let (lo, hi) = ai.range_half_open(lo_v, hi_v);
+            if hi - lo == 1 {
+                // One row is its own moments, as the scan gives them. A
+                // difference of two table-wide prefix sums carries their
+                // rounding, and STD's `Σ²/n − (Σ/n)²` then misses 0.
+                let row = ai.rows[lo] as usize;
+                let v = self.data.raw()[row * self.data.dims() + self.measure];
+                return Moments::of(std::iter::once(v));
+            }
             let prefix = ai.prefix(self.data, self.measure);
             return Moments {
                 n: (hi - lo) as f64,
@@ -775,6 +784,31 @@ mod tests {
                     q
                 );
             }
+        }
+    }
+
+    /// A single-attribute band holding one row answers from that row, as
+    /// a scan would: `(1, v, v·v)` bit for bit, so STD is exactly 0 and
+    /// AVG the row's own value. Differences of table-wide prefix sums
+    /// gave a nonzero STD on about half of these ranges.
+    #[test]
+    fn one_row_prefix_range_is_the_row_itself() {
+        let d = datagen::simple::uniform(20_000, 2, 17);
+        let eng = QueryEngine::new(&d, 1);
+        let pred = Range::new(vec![0], 2).unwrap();
+        let mut by_attr: Vec<(f64, f64)> = d.iter_rows().map(|r| (r[0], r[1])).collect();
+        by_attr.sort_by(|a, b| a.0.total_cmp(&b.0));
+        for pair in by_attr.windows(2).step_by(9).take(2_000) {
+            let ((lo, v), (next, _)) = (pair[0], pair[1]);
+            let q = [lo, (next - lo) / 2.0];
+            let m = eng.moments(&pred, &q);
+            let want = Moments::of(std::iter::once(v));
+            assert_eq!(
+                (m.n.to_bits(), m.s.to_bits(), m.s2.to_bits()),
+                (want.n.to_bits(), want.s.to_bits(), want.s2.to_bits()),
+                "range {q:?}"
+            );
+            assert_eq!(eng.answer(&pred, Aggregate::Std, &q), 0.0, "range {q:?}");
         }
     }
 

@@ -165,9 +165,7 @@ impl KdTree {
 
     /// Ids of all leaves, in depth-first order.
     pub fn leaf_ids(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.collect_leaves(self.root, &mut out);
-        out
+        self.subtree_leaves(self.root)
     }
 
     fn collect_leaves(&self, node: usize, out: &mut Vec<usize>) {
@@ -208,6 +206,13 @@ impl KdTree {
     /// parallel on up to `threads` workers, so an expensive scorer (AQC
     /// over sampled query pairs) is paid once per node instead of once
     /// per pass.
+    ///
+    /// A target of 1 or 2 leaves leaves the scores no choice: merging
+    /// siblings can only end at the root, or at the root's two
+    /// children, and a merged leaf owns its subtree's queries left to
+    /// right whatever order the merges ran in. Those targets collapse
+    /// the tree directly and never call `score`; the reachable tree is
+    /// the scored loop's, node for node.
     pub fn merge_leaves(
         &mut self,
         score: impl Fn(&[usize]) -> f64 + Sync,
@@ -215,6 +220,44 @@ impl KdTree {
         threads: usize,
     ) {
         let target = target_leaves.max(1);
+        if self.leaf_count() <= target {
+            return;
+        }
+        match (target, &self.nodes[self.root].kind) {
+            (1, _) => self.collapse(self.root),
+            (2, &NodeKind::Internal { left, right, .. }) => {
+                self.collapse(left);
+                self.collapse(right);
+            }
+            _ => self.merge_scored(score, target, threads),
+        }
+    }
+
+    /// Turn `node` into a leaf owning its subtree's queries, leaf by
+    /// leaf in depth-first order — what any sequence of sibling merges
+    /// up to `node` leaves there.
+    fn collapse(&mut self, node: usize) {
+        let mut queries = Vec::new();
+        for leaf in self.subtree_leaves(node) {
+            queries.extend_from_slice(self.leaf_queries(leaf));
+        }
+        self.nodes[node].kind = NodeKind::Leaf { queries };
+    }
+
+    fn subtree_leaves(&self, node: usize) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.collect_leaves(node, &mut out);
+        out
+    }
+
+    /// Alg. 3's scored loop behind [`KdTree::merge_leaves`], for a tree
+    /// with more than `target` leaves.
+    fn merge_scored(
+        &mut self,
+        score: impl Fn(&[usize]) -> f64 + Sync,
+        target: usize,
+        threads: usize,
+    ) {
         // Merging never allocates nodes (a parent is converted to a leaf
         // in place), so per-node state sized once here stays valid.
         let mut marked: Vec<bool> = vec![false; self.nodes.len()];
@@ -492,6 +535,7 @@ impl std::error::Error for FlatTreeError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A deterministic pseudo-random query set in [0,1]^2.
     fn queries(n: usize) -> Vec<Vec<f64>> {
@@ -608,6 +652,50 @@ mod tests {
         assert_eq!(t.leaf_count(), 1);
         let l = t.leaf_ids()[0];
         assert_eq!(t.leaf_queries(l).len(), 64);
+    }
+
+    /// A score with no structure: a seeded hash of a leaf's query ids.
+    fn arbitrary_score(seed: u64) -> impl Fn(&[usize]) -> f64 + Sync {
+        move |qids: &[usize]| {
+            let h = qids.iter().fold(seed, |h, &q| {
+                (h ^ q as u64)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .rotate_left(29)
+            });
+            (h >> 11) as f64
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Merging to 1 or 2 leaves without a score is the scored loop
+        /// under any score: the same routing table and the same query
+        /// lists, in order. Coordinates come from a coarse grid, so
+        /// duplicates stop some splits early and trees come out
+        /// unbalanced too.
+        #[test]
+        fn unscored_merge_is_the_scored_merge(
+            cells in prop::collection::vec((0u32..6, 0u32..6), 1..160),
+            height in 1usize..6,
+            target in 1usize..3,
+            seed in 0u64..1 << 32,
+        ) {
+            let qs: Vec<Vec<f64>> = cells
+                .iter()
+                .map(|&(a, b)| vec![a as f64 / 6.0, b as f64 / 6.0])
+                .collect();
+            let mut unscored = KdTree::build(&qs, height);
+            let mut scored = unscored.clone();
+            unscored.merge_leaves(|_| panic!("a merge with no choice scores nothing"), target, 1);
+            scored.merge_scored(arbitrary_score(seed), target, 1);
+            prop_assert_eq!(unscored.to_flat(), scored.to_flat());
+            prop_assert_eq!(unscored.leaf_ids(), scored.leaf_ids());
+            for l in unscored.leaf_ids() {
+                prop_assert_eq!(unscored.leaf_queries(l), scored.leaf_queries(l));
+            }
+            prop_assert!(unscored.leaf_count() <= target);
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!
 //! 1. split a synthetic table into K data shards with a [`ShardPlan`],
 //! 2. build one sketch per (shard, moment component) in parallel
-//!    (`neurosketch::shard::build_sharded`),
+//!    (`neurosketch::shard::build_sharded`), each with the partition
+//!    count `shard::component_partitions` gives its training queries,
 //! 3. save the whole deployment as one loadable unit — per-shard NSK2
 //!    artifacts plus the NSKM manifest (`persist::save_sharded`),
 //! 4. load it back and verify the loaded deployment answers **bitwise
@@ -28,9 +29,11 @@
 use datagen::simple::uniform;
 use neurosketch::deploy::Deployment;
 use neurosketch::serve::ServeOptions;
-use neurosketch::shard::{build_sharded, mean_slots, weighted_moments, ShardPlan, ShardedServer};
+use neurosketch::shard::{
+    build_sharded, component_partitions, mean_slots, weighted_moments, ShardPlan, ShardedServer,
+};
 use neurosketch::{persist, NeuroSketchConfig};
-use query::aggregate::{Aggregate, Moments};
+use query::aggregate::{Aggregate, MomentKind, Moments};
 use query::error::normalized_mae;
 use query::exec::QueryEngine;
 use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
@@ -79,6 +82,24 @@ fn main() {
             sharded.param_count(),
             t0.elapsed()
         );
+        // Every component model is sized to its samples, not to the
+        // configured target: one partition per 500 training queries, at
+        // least one, at most `target_partitions`.
+        let partitions = component_partitions(cfg.target_partitions, wl.queries.len());
+        for (i, shard) in sharded.shards().iter().enumerate() {
+            let counts: Vec<(&str, usize)> = MomentKind::ALL
+                .into_iter()
+                .filter_map(|kind| Some((kind.name(), shard.model(kind)?.partitions())))
+                .collect();
+            println!(
+                "[{}] shard {i} partitions per component: {counts:?}",
+                agg.name()
+            );
+            assert!(
+                counts.iter().all(|&(_, p)| p == partitions),
+                "shard {i}: component partitions {counts:?}, the rule gives {partitions}"
+            );
+        }
 
         // 3. Save as one loadable unit: NSK2 per shard + NSKM manifest.
         let dir = std::env::temp_dir().join(format!(
