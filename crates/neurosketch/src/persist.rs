@@ -38,11 +38,12 @@
 //! ## Quantized parameter sections and the accuracy contract
 //!
 //! A sketch is saved in the [`NeuroSketch::quant_mode`] it carries:
-//! `f32` for a fresh build (the paper's 4 B/param storage model), or
-//! [`QuantMode::F16`] (2 B/param) and [`QuantMode::I8`] (1 B/param +
-//! one `f32` power-of-two scale per tensor) for the sketch
-//! [`NeuroSketch::quantized_to`] returns — the one way a mode reaches
-//! an encoder. The per-mode encoding itself is [`nn::binary`]'s alone,
+//! [`QuantMode::F16`] (2 B/param) for a fresh build
+//! ([`NeuroSketch::BUILD_MODE`]), or `f32` (the paper's 4 B/param
+//! storage model) and [`QuantMode::I8`] (1 B/param + one `f32`
+//! power-of-two scale per tensor) for the sketch
+//! [`NeuroSketch::quantized_to`] returns — the one way another mode
+//! reaches an encoder. The per-mode encoding itself is [`nn::binary`]'s alone,
 //! and `quantized_to` is its round trip, so for **every** mode a
 //! decoded sketch answers **bitwise identically** to the sketch it was
 //! saved from, re-encoding it reproduces the byte stream exactly (it
@@ -276,10 +277,11 @@ pub fn encoded_len(sketch: &NeuroSketch) -> usize {
 }
 
 /// Encode a sketch (no router section) into an NSK2 container, in the
-/// sketch's carried [`NeuroSketch::quant_mode`] — `F32` for freshly
-/// built sketches, the artifact's recorded mode for loaded ones (which
-/// is what makes load → re-encode byte-idempotent for every mode). To
-/// store in another mode, encode `sketch.quantized_to(mode)`.
+/// sketch's carried [`NeuroSketch::quant_mode`] —
+/// [`NeuroSketch::BUILD_MODE`] for freshly built sketches, the
+/// artifact's recorded mode for loaded ones (which is what makes load →
+/// re-encode byte-idempotent for every mode). To store in another mode,
+/// encode `sketch.quantized_to(mode)`.
 pub fn encode_sketch(sketch: &NeuroSketch) -> Bytes {
     encode(sketch, None)
 }
@@ -1367,13 +1369,15 @@ mod tests {
         }
     }
 
-    /// Serving precision is storage precision: the serving layout rounds
-    /// every parameter to `f32`, which *is* the F32 artifact's rounding,
-    /// so a freshly trained sketch and its save/load round trip answer
-    /// with the same bits — saving changes no served answer.
+    /// Serving precision is storage precision: a fresh build holds its
+    /// models at F16, the mode it saves under, so it and its save/load
+    /// round trip answer with the same bits — saving changes no served
+    /// answer. Widening to F32 is exact (every half is an `f32`); I8
+    /// moves answers, exactly once.
     #[test]
     fn fresh_quantized_and_decoded_sketches_serve_the_same_bits() {
         let (sketch, _) = trained_sketch();
+        assert_eq!(sketch.quant_mode(), QuantMode::F16);
         let queries: Vec<Vec<f64>> = (0..97)
             .map(|i| vec![(i as f64 * 0.137) % 1.0, (i as f64 * 0.311) % 1.0])
             .collect();
@@ -1384,13 +1388,15 @@ mod tests {
         };
         let fresh = bits(&sketch);
         assert_eq!(bits(&decode(encode_sketch(&sketch)).unwrap().sketch), fresh);
-        // The narrower modes do move answers, each exactly once: the
-        // quantized sketch and its decoded artifact agree.
-        for mode in [QuantMode::F16, QuantMode::I8] {
+        for mode in [QuantMode::F32, QuantMode::I8] {
             let q = sketch.quantized_to(mode);
             let loaded = decode(encode_sketch(&q)).unwrap().sketch;
             assert_eq!(bits(&loaded), bits(&q), "{mode:?}");
-            assert_ne!(bits(&loaded), fresh, "{mode:?} rounding must be visible");
+            if mode == QuantMode::F32 {
+                assert_eq!(bits(&loaded), fresh, "widening moved an answer");
+            } else {
+                assert_ne!(bits(&loaded), fresh, "{mode:?} rounding must be visible");
+            }
         }
     }
 
@@ -1424,14 +1430,21 @@ mod tests {
     fn size_accounting_tracks_the_paper_model() {
         let (sketch, _) = trained_sketch();
         let len = encode_sketch(&sketch).len();
-        // Dominated by 4 bytes per parameter...
-        assert!(len >= sketch.param_count() * 4);
-        // ...with overhead well under the paper-accounted figure + a
-        // small per-partition constant.
+        let params = sketch.param_count();
+        // Dominated by 2 bytes per parameter at the build's F16...
+        assert!(len >= params * 2);
+        // ...with overhead well under the paper-accounted figure (4
+        // bytes per parameter) less the 2 saved, + a small per-partition
+        // constant.
         assert!(
-            len <= sketch.storage_bytes() + 80 * sketch.partitions() + 64,
+            len <= sketch.storage_bytes() - 2 * params + 80 * sketch.partitions() + 64,
             "len {len} vs accounted {}",
             sketch.storage_bytes()
+        );
+        // Widening to F32 costs exactly the other 2 bytes per parameter.
+        assert_eq!(
+            encoded_len(&sketch.quantized_to(QuantMode::F32)),
+            len + 2 * params
         );
     }
 
@@ -1577,6 +1590,72 @@ mod tests {
         let quantized = sharded.quantized_to(QuantMode::F32);
         for q in queries.iter().take(20) {
             assert_eq!(loaded.answer(q), quantized.answer(q));
+        }
+    }
+
+    /// The default build needs no quantizing step before it is saved:
+    /// its NSK2 and NSKM artifacts carry F16, re-encode to the same
+    /// bytes once loaded, and answer bitwise like the in-memory build.
+    #[test]
+    fn default_build_artifacts_are_f16_idempotent_and_answer_like_the_build() {
+        let (sketch, aqcs) = trained_sketch();
+        let router = DqdRouter::new(sketch, aqcs, RoutingPolicy::default());
+        let blob = encode_router(&router);
+        assert_eq!(
+            blob.len(),
+            encoded_len(router.sketch()) + 20 + 8 * router.leaf_aqcs().len()
+        );
+        let loaded = decode(blob.clone()).unwrap().into_router();
+        assert_eq!(loaded.sketch().quant_mode(), QuantMode::F16);
+        assert_eq!(&encode_router(&loaded)[..], &blob[..]);
+        let queries: Vec<Vec<f64>> = (0..64)
+            .map(|i| vec![(i as f64 * 0.173) % 1.0, (i as f64 * 0.419) % 1.0])
+            .collect();
+        let bits = |v: Vec<f64>| -> Vec<u64> { v.iter().map(|a| a.to_bits()).collect() };
+        assert_eq!(
+            bits(loaded.sketch().answer_batch(&queries)),
+            bits(router.sketch().answer_batch(&queries))
+        );
+
+        let (sharded, queries) = small_sharded(0);
+        let dir = std::env::temp_dir().join("nskm_default_build_test");
+        let again = dir.join("again");
+        std::fs::remove_dir_all(&dir).ok();
+        let manifest_path = save_sharded(&dir, &sharded).unwrap();
+        let loaded = load_sharded(&manifest_path).unwrap();
+        let again_path = save_sharded(&again, &loaded).unwrap();
+        let files = |d: &Path| -> Vec<(std::ffi::OsString, Vec<u8>)> {
+            let mut out: Vec<_> = std::fs::read_dir(d)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.is_file())
+                .map(|p| {
+                    (
+                        p.file_name().unwrap().to_owned(),
+                        std::fs::read(&p).unwrap(),
+                    )
+                })
+                .collect();
+            out.sort();
+            out
+        };
+        let (first, second) = (files(&dir), files(&again));
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(again_path.file_name(), manifest_path.file_name());
+        assert_eq!(
+            first.len(),
+            1 + 2 * 2,
+            "a manifest and two models per shard"
+        );
+        assert_eq!(first, second, "load → save moved a byte");
+        for (built, decoded) in sharded.shards().iter().zip(loaded.shards()) {
+            for kind in [MomentKind::Count, MomentKind::Sum] {
+                assert_eq!(built.model(kind).unwrap().quant_mode(), QuantMode::F16);
+                assert_eq!(decoded.model(kind).unwrap().quant_mode(), QuantMode::F16);
+            }
+        }
+        for q in &queries {
+            assert_eq!(loaded.answer(q).to_bits(), sharded.answer(q).to_bits());
         }
     }
 

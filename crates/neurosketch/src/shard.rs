@@ -503,11 +503,20 @@ impl ShardedSketch {
         scatter_gather(&shards, one, 1, |m| self.finish_guarded(m)).0[0]
     }
 
-    /// The deployment with every model quantized through `f32` — what a
-    /// save/load round trip through the NSKM manifest yields. See
-    /// [`NeuroSketch::quantized`].
+    /// Every component model rounded through its own
+    /// [`NeuroSketch::quant_mode`] — what a save/load round trip through
+    /// the NSKM manifest yields, and the identity for any built or
+    /// loaded deployment. See [`NeuroSketch::quantized`].
     pub fn quantized(&self) -> ShardedSketch {
-        self.quantized_to(QuantMode::F32)
+        ShardedSketch {
+            plan: self.plan,
+            aggregate: self.aggregate,
+            shards: self
+                .shards
+                .iter()
+                .map(|s| s.clone().stored_like(s))
+                .collect(),
+        }
     }
 
     /// The deployment with every model quantized through `mode` — what
@@ -741,7 +750,7 @@ fn build_shard_sketch(
         component_cfg.seed = cfg
             .seed
             .wrapping_add(splitmix64((shard_idx * 3 + kind.slot()) as u64 + 1));
-        let (sketch, _) = NeuroSketch::build_from_labeled(queries, &labels, &component_cfg)?;
+        let sketch = NeuroSketch::build_sketch_only(queries, &labels, &component_cfg)?;
         models[kind.slot()] = Some(sketch);
     }
     Ok((ShardSketch::from_models(models), labeling, t1.elapsed()))
@@ -1521,7 +1530,9 @@ mod tests {
         .unwrap();
         let q1 = sharded.quantized();
         assert_eq!(q1.param_count(), sharded.param_count());
-        assert!(sharded.artifact_bytes() >= sharded.param_count() * 4);
+        // 2 bytes per parameter: every component is stored at F16.
+        assert!(sharded.artifact_bytes() >= sharded.param_count() * 2);
+        assert!(sharded.artifact_bytes() < sharded.param_count() * 4);
         for q in wl.queries.iter().take(10) {
             let (a, b) = (sharded.answer(q), q1.answer(q));
             assert!((a - b).abs() <= 1e-3 * (1.0 + a.abs()), "{a} vs {b}");

@@ -5,7 +5,10 @@
 //! leaf's list of query ids, through which the AQC scorer and the one
 //! leaf trainer (`train_leaf`, for the build and every retrain) read.
 //! Labels are standardized per leaf in `f64`; training computes in `f32`
-//! end to end, on `f32` master weights ([`nn::train`]).
+//! end to end, on `f32` master weights ([`nn::train`]). The build then
+//! rounds every trained model once through [`NeuroSketch::BUILD_MODE`]
+//! (F16): the masters stay `f32`, only the stored copy is half
+//! precision, so a fresh sketch already answers like its artifact.
 //!
 //! Answering has **one** forward pass, [`nn::fused`]'s `f32` kernel over
 //! the leaf's lazily built [`ServingLayout`], whether the caller brings
@@ -198,9 +201,9 @@ pub struct NeuroSketch {
     models: Vec<LeafModel>,
     query_dim: usize,
     /// The parameter encoding this sketch's models are stored (or will
-    /// be stored) under. Freshly built sketches default to `F32`; a
-    /// sketch decoded from a quantized NSK2 artifact carries the
-    /// artifact's mode so re-encoding reproduces the artifact bytes.
+    /// be stored) under: [`NeuroSketch::BUILD_MODE`] for a fresh build,
+    /// the artifact's mode for a sketch decoded from NSK2, so
+    /// re-encoding reproduces the artifact bytes.
     quant: QuantMode,
 }
 
@@ -240,6 +243,17 @@ pub struct BuildReport {
 }
 
 impl NeuroSketch {
+    /// The storage mode every build rounds its trained models through,
+    /// and so the mode a fresh sketch saves under. Training keeps `f32`
+    /// masters; only the stored copy is half precision (the split of
+    /// mixed-precision training). F16 halves the artifact against F32
+    /// and moved held-out nMAE by at most 0.03% on monolithic AVG
+    /// fixtures, where I8 cost 0.7–5.8% (docs/serving.md, "Choosing a
+    /// quant mode"). [`NeuroSketch::quantized_to`] gives the other
+    /// modes. [`NeuroSketch::storage_bytes`] keeps the paper's 4 bytes
+    /// per parameter whatever the mode.
+    pub const BUILD_MODE: QuantMode = QuantMode::F16;
+
     /// Full build: label `train_queries` with the exact engine, then
     /// partition/merge/train (Fig. 4's preprocessing).
     pub fn build(
@@ -259,11 +273,36 @@ impl NeuroSketch {
     }
 
     /// Build from an already-labeled workload (lets experiments reuse
-    /// ground-truth labels across configurations).
+    /// ground-truth labels across configurations). Every model is
+    /// rounded through [`NeuroSketch::BUILD_MODE`] before it is returned.
     pub fn build_from_labeled(
         queries: &[Vec<f64>],
         labels: &[f64],
         cfg: &NeuroSketchConfig,
+    ) -> Result<(NeuroSketch, BuildReport), SketchError> {
+        Self::build_labeled(queries, labels, cfg, true)
+    }
+
+    /// [`NeuroSketch::build_from_labeled`]'s sketch, bit for bit, without
+    /// the report's per-leaf AQC diagnostics: for builds whose report
+    /// nobody reads (shard component models).
+    pub(crate) fn build_sketch_only(
+        queries: &[Vec<f64>],
+        labels: &[f64],
+        cfg: &NeuroSketchConfig,
+    ) -> Result<NeuroSketch, SketchError> {
+        Self::build_labeled(queries, labels, cfg, false).map(|(sketch, _)| sketch)
+    }
+
+    /// The build; `leaf_diagnostics` says whether to score every final
+    /// leaf's AQC into [`BuildReport::leaf_aqcs`] (left empty if not).
+    /// The scoring reads the tree and the labels only, so skipping it
+    /// moves no bit of the sketch.
+    fn build_labeled(
+        queries: &[Vec<f64>],
+        labels: &[f64],
+        cfg: &NeuroSketchConfig,
+        leaf_diagnostics: bool,
     ) -> Result<(NeuroSketch, BuildReport), SketchError> {
         cfg.validate(queries.len())?;
         if queries.len() != labels.len() {
@@ -277,6 +316,7 @@ impl NeuroSketch {
         if queries.iter().any(|q| q.len() != query_dim) {
             return Err(SketchError::BadWorkload("ragged query vectors".into()));
         }
+        check_finite(labels)?;
 
         // Partition (Alg. 2) and merge (Alg. 3) with AQC as the score;
         // the per-leaf AQC evaluations run on the shared worker pool.
@@ -293,9 +333,13 @@ impl NeuroSketch {
 
         // Final leaf diagnostics, one worker task per leaf.
         let leaf_ids = tree.leaf_ids();
-        let leaf_aqcs: Vec<f64> = par::par_map(&leaf_ids, cfg.threads, |_, &l| {
-            leaf_aqc(tree.leaf_queries(l))
-        });
+        let leaf_aqcs: Vec<f64> = if leaf_diagnostics {
+            par::par_map(&leaf_ids, cfg.threads, |_, &l| {
+                leaf_aqc(tree.leaf_queries(l))
+            })
+        } else {
+            Vec::new()
+        };
         let leaf_sizes: Vec<usize> = leaf_ids
             .iter()
             .map(|&l| tree.leaf_queries(l).len())
@@ -314,10 +358,14 @@ impl NeuroSketch {
             });
         let training = t1.elapsed();
 
-        let (models, train_reports) = results.into_iter().unzip();
+        // The stored copy: each `f32` master rounded once.
+        let (models, train_reports) = results
+            .into_iter()
+            .map(|(model, report)| (model.quantized_to(Self::BUILD_MODE), report))
+            .unzip();
 
         Ok((
-            NeuroSketch::from_parts(tree, models, query_dim, QuantMode::F32),
+            NeuroSketch::from_parts(tree, models, query_dim, Self::BUILD_MODE),
             BuildReport {
                 labeling: Duration::ZERO,
                 partitioning,
@@ -460,15 +508,15 @@ impl NeuroSketch {
         }
     }
 
-    /// `self.quantized_to(QuantMode::F32)`: every model parameter
-    /// rounded through `f32`, the exact values an F32 NSK2 artifact
-    /// ([`crate::persist`]) stores and every answer is computed with.
-    /// Serving precision is storage precision: `s`, `s.quantized()` and
+    /// `self.quantized_to(self.quant_mode())`: the sketch its own NSK2
+    /// artifact ([`crate::persist`]) decodes to. Every build and every
+    /// decode already holds its models at its mode, so for those this
+    /// is the identity: `s`, `s.quantized()` and
     /// `persist::decode(persist::encode_sketch(&s))` answer every query
-    /// with identical bits, so saving a freshly trained sketch changes
-    /// nothing it serves.
+    /// with identical bits, and saving a sketch changes nothing it
+    /// serves.
     pub fn quantized(&self) -> NeuroSketch {
-        self.quantized_to(QuantMode::F32)
+        self.quantized_to(self.quant_mode())
     }
 
     /// The sketch with every model saved and loaded through the given
@@ -485,9 +533,10 @@ impl NeuroSketch {
         NeuroSketch::from_parts(self.tree.clone(), models, self.query_dim, mode)
     }
 
-    /// The parameter encoding this sketch saves under by default: `F32`
-    /// for freshly built sketches, or the artifact's recorded mode for
-    /// a sketch decoded from a quantized NSK2 container.
+    /// The parameter encoding this sketch saves under:
+    /// [`NeuroSketch::BUILD_MODE`] for a fresh build, the artifact's
+    /// recorded mode for a decoded sketch, `mode` after
+    /// [`NeuroSketch::quantized_to`].
     pub fn quant_mode(&self) -> QuantMode {
         self.quant
     }
@@ -566,6 +615,7 @@ impl NeuroSketch {
                 "no training queries for partition {unit} retrain"
             )));
         }
+        check_finite(labels)?;
         let ragged = (0..labels.len())
             .map(&row)
             .find(|q| q.len() != self.query_dim);
@@ -581,8 +631,8 @@ impl NeuroSketch {
     /// Install a replacement model for partition `unit` (crate-internal:
     /// paired with [`NeuroSketch::train_partition_model`]), rounded
     /// through the sketch's [`NeuroSketch::quant_mode`] so the sketch
-    /// keeps answering like its own artifact (at `F32` this moves no bit
-    /// of a trained model). Every other partition's model is untouched —
+    /// keeps answering like its own artifact, as the build rounds its
+    /// models. Every other partition's model is untouched —
     /// the bitwise-stability guarantee partial refresh rests on.
     pub(crate) fn install_partition_model(&mut self, unit: usize, model: LeafModel) {
         self.models[unit] = model.quantized_to(self.quant);
@@ -647,12 +697,26 @@ impl NeuroSketch {
         self.models.iter().map(|m| m.mlp.param_count()).sum()
     }
 
-    /// Storage footprint in bytes: 4 bytes per model parameter (f32 on
-    /// disk) plus 12 bytes per kd-tree node (split dim + value), matching
-    /// the paper's model-size accounting.
+    /// The paper's model-size accounting: 4 bytes per model parameter
+    /// plus 12 bytes per kd-tree node (split dim + value), whatever the
+    /// storage mode. The artifact itself stores 2 bytes per parameter
+    /// at [`NeuroSketch::BUILD_MODE`]; [`crate::persist::encoded_len`]
+    /// gives its exact size.
     pub fn storage_bytes(&self) -> usize {
         let models: usize = self.models.iter().map(|m| m.mlp.storage_bytes() + 16).sum();
         models + 12 * (2 * self.partitions()).saturating_sub(1)
+    }
+}
+
+/// Refuse a NaN or infinite label: it would train a NaN model, which
+/// no storage mode can hold (an F16 rounding of it panics).
+fn check_finite(labels: &[f64]) -> Result<(), SketchError> {
+    match labels.iter().position(|y| !y.is_finite()) {
+        Some(i) => Err(SketchError::BadWorkload(format!(
+            "label {i} is {}, not finite",
+            labels[i]
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -802,10 +866,10 @@ mod tests {
         let loaded = crate::persist::decode(crate::persist::encode_sketch(&sketch))
             .unwrap()
             .sketch;
-        // NSK2 stores f32 parameters: lossy once, exactly `quantized()`.
-        let stored = sketch.quantized();
+        // The build already holds its models at the storage mode, so the
+        // artifact answers exactly like the sketch it was saved from.
         for q in wl.queries.iter().take(10) {
-            assert_eq!(stored.answer(q), loaded.answer(q));
+            assert_eq!(sketch.answer(q), loaded.answer(q));
         }
     }
 
@@ -820,6 +884,13 @@ mod tests {
         assert!(NeuroSketch::build_from_labeled(&qs, &[1.0], &bad).is_err());
         let ragged = vec![vec![0.1, 0.2], vec![0.3]];
         assert!(NeuroSketch::build_from_labeled(&ragged, &[1.0, 2.0], &cfg).is_err());
+        let pair = vec![vec![0.1, 0.2], vec![0.3, 0.4]];
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                NeuroSketch::build_from_labeled(&pair, &[1.0, bad], &cfg),
+                Err(SketchError::BadWorkload(_))
+            ));
+        }
     }
 
     #[test]
@@ -923,8 +994,8 @@ mod tests {
         assert_eq!(q.partitions(), sketch.partitions());
         assert_eq!(q.param_count(), sketch.param_count());
         for query in wl.queries.iter().take(10) {
-            // Serving rounds parameters to f32 anyway, so the f32
-            // quantization is invisible in the answers and idempotent.
+            // The build rounded its models through its own mode already,
+            // so `quantized` is invisible in the answers and idempotent.
             assert_eq!(sketch.answer(query), q.answer(query));
             assert_eq!(q.answer(query), q.quantized().answer(query));
         }
@@ -1089,7 +1160,7 @@ mod tests {
         let (sketch, _) =
             NeuroSketch::build(&engine, &wl.predicate, Aggregate::Count, &wl.queries, &cfg)
                 .unwrap();
-        assert_eq!(sketch.quant_mode(), QuantMode::F32);
+        assert_eq!(sketch.quant_mode(), QuantMode::F16);
         for mode in QuantMode::ALL {
             let q = sketch.quantized_to(mode);
             assert_eq!(q.quant_mode(), mode);
@@ -1140,6 +1211,69 @@ mod tests {
         assert!(
             new < old,
             "held-out nMAE: cosine default {new}, constant 1e-3 {old}"
+        );
+    }
+
+    /// The accuracy gate of [`NeuroSketch::BUILD_MODE`]: the F16 build
+    /// against the `f32` path it left — the same masters unrounded — on
+    /// the held-out fixture of the recipe gate above.
+    #[test]
+    fn build_mode_moves_held_out_nmae_by_under_a_tenth_of_a_percent() {
+        let (data, _) = datagen::PaperDataset::Pm.generate(0.1, 3).normalized();
+        let engine = QueryEngine::new(&data, datagen::PaperDataset::Pm.measure_column());
+        let queries = |count, seed| {
+            let wl = Workload::generate(&WorkloadConfig {
+                dims: 4,
+                active: ActiveMode::Fixed(vec![1, 2]),
+                range: RangeMode::Uniform,
+                count,
+                seed,
+            });
+            wl.unwrap()
+        };
+        let (train_wl, held_out) = (queries(600, 4), queries(1_000, 5));
+        let cfg = NeuroSketchConfig::small();
+        let labels = engine.label_batch(&train_wl.predicate, Aggregate::Avg, &train_wl.queries, 1);
+        let (sketch, _) =
+            NeuroSketch::build_from_labeled(&train_wl.queries, &labels, &cfg).unwrap();
+        assert_eq!(sketch.quant_mode(), QuantMode::F16);
+        // The masters the build rounded: each partition retrained on its
+        // leaf's rows in leaf order, which reproduces the build's model.
+        let tree = sketch.tree();
+        let masters = (tree.leaf_ids().iter().enumerate())
+            .map(|(unit, &leaf)| {
+                let qids = tree.leaf_queries(leaf);
+                let ys: Vec<f64> = qids.iter().map(|&i| labels[i]).collect();
+                let row = |k: usize| &train_wl.queries[qids[k]][..];
+                sketch
+                    .train_partition_model(unit, row, &ys, &cfg)
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        let f32_path = NeuroSketch::from_parts(tree.clone(), masters, 4, QuantMode::F32);
+        let f16 = sketch.answer_batch(&held_out.queries);
+        let f32 = f32_path.answer_batch(&held_out.queries);
+        let rounded = f32_path.quantized_to(QuantMode::F16);
+        assert_eq!(rounded.answer_batch(&held_out.queries), f16, "one rounding");
+
+        let truths = engine.label_batch(&held_out.predicate, Aggregate::Avg, &held_out.queries, 1);
+        let (nmae16, nmae32) = (
+            query::error::normalized_mae(&truths, &f16),
+            query::error::normalized_mae(&truths, &f32),
+        );
+        let moved = (nmae16 - nmae32).abs() / nmae32;
+        // Worst single answer, in units of the mean |truth| nMAE divides by.
+        let scale = truths.iter().map(|t| t.abs()).sum::<f64>() / truths.len() as f64;
+        let worst = (f16.iter().zip(&f32))
+            .map(|(a, b)| (a - b).abs() / scale)
+            .fold(0.0, f64::max);
+        // Measured: nMAE F16 0.292356, F32 0.292412 (moved 1.9e-4);
+        // worst answer 1.5e-3 of the mean |truth|.
+        assert!(moved <= 1e-3, "nMAE F16 {nmae16} vs F32 {nmae32}");
+        assert!(
+            worst <= 1e-2,
+            "worst answer moved {worst:e} of the mean |truth|"
         );
     }
 

@@ -99,7 +99,7 @@ fn generation_roundtrips_quantized_bitwise_and_swaps_live() {
     let per_query = |sketch: &ShardedSketch| -> Vec<f64> {
         b.wl.queries.iter().map(|q| sketch.answer(q)).collect()
     };
-    assert_eq!(gen0_answers, per_query(&b.sharded.quantized()));
+    assert_eq!(gen0_answers, per_query(&b.sharded));
 
     // Refresh shards 1 and 2 against the drifted table and land gen 1.
     let mut refreshed = b.sharded.clone();
@@ -129,12 +129,11 @@ fn generation_roundtrips_quantized_bitwise_and_swaps_live() {
         persist::shard_artifact_name_gen(1, MomentKind::Count, 1)
     );
 
-    // The reloaded generation answers bitwise like the quantized
-    // refreshed deployment (save is lossy exactly once).
+    // The reloaded generation answers bitwise like the refreshed
+    // deployment: its models are already at their storage mode.
     let loaded = persist::load_sharded(&manifest).unwrap();
-    let quantized = refreshed.quantized();
     for q in b.wl.queries.iter().take(30) {
-        assert_eq!(loaded.answer(q), quantized.answer(q));
+        assert_eq!(loaded.answer(q), refreshed.answer(q));
     }
 
     // And the live handle hot-swaps to it: generation bumps, answers
@@ -148,8 +147,8 @@ fn generation_roundtrips_quantized_bitwise_and_swaps_live() {
     // The batched path answers through the reloaded weights: bitwise
     // the per-query oracle of the new generation, not a serving copy
     // left over from the old one.
-    assert_eq!(gen1_answers, per_query(&quantized));
-    let expect = ShardedServer::new(quantized, ServeOptions::default()).answer_batch(&b.wl.queries);
+    assert_eq!(gen1_answers, per_query(&refreshed));
+    let expect = ShardedServer::new(refreshed, ServeOptions::default()).answer_batch(&b.wl.queries);
     assert_eq!(gen1_answers, expect.0);
     assert_ne!(gen0_answers, gen1_answers, "refresh changed nothing");
 
@@ -218,9 +217,8 @@ fn torn_refresh_still_loads_generation_zero_cleanly() {
     let decoded = persist::decode_manifest(Bytes::from(std::fs::read(&manifest).unwrap())).unwrap();
     assert_eq!(decoded.generation, 0);
     let loaded = persist::load_sharded(&manifest).unwrap();
-    let quantized = b.sharded.quantized();
     for q in b.wl.queries.iter().take(30) {
-        assert_eq!(loaded.answer(q), quantized.answer(q));
+        assert_eq!(loaded.answer(q), b.sharded.answer(q));
     }
 
     std::fs::remove_dir_all(&dir).ok();

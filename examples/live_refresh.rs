@@ -222,10 +222,10 @@ fn main() {
     assert_eq!(live.describe().generation, Some(1));
 
     // The swapped-in generation answers exactly like the refreshed
-    // deployment (quantized once by f32 storage), and the drift error
-    // improved even under the one-shard budget.
+    // deployment (its models are stored at their mode already), and the
+    // drift error improved even under the one-shard budget.
     let (live_answers, _) = live.answer_batch(&wl2.queries);
-    let expect = ShardedServer::new(refreshed.quantized(), ServeOptions::default());
+    let expect = ShardedServer::new(refreshed, ServeOptions::default());
     assert_eq!(
         live_answers,
         Deployment::answer_batch(&expect, &wl2.queries).0,

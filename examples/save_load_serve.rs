@@ -4,13 +4,14 @@
 //! sketch, and serves queries at data-size-independent cost. This
 //! example drives that pipeline with the repo's production pieces:
 //!
-//! 1. build a sketch + DQD router on a synthetic workload,
-//! 2. quantize it to the requested parameter encoding
-//!    (`--quant f32|f16|i8`) and save it as an NSK2 artifact
-//!    (`neurosketch::persist`), which stores the mode the sketch carries,
+//! 1. build a sketch + DQD router on a synthetic workload; the build
+//!    stores its models at `NeuroSketch::BUILD_MODE` (F16),
+//! 2. save it as an NSK2 artifact (`neurosketch::persist`), which
+//!    stores the mode the sketch carries: the build's own, or with
+//!    `--quant f32|f16|i8` the sketch quantized to that encoding,
 //! 3. load it back and verify the loaded sketch answers **bitwise
-//!    identically** to the in-memory quantized sketch on the full
-//!    workload,
+//!    identically** to the in-memory sketch it was saved from on the
+//!    full workload,
 //! 4. serve the workload through the batched, multi-threaded
 //!    [`SketchServer`] and verify batched serving matches the loaded
 //!    sketch's single-query answers bitwise.
@@ -19,6 +20,7 @@
 //! cargo run --release --example save_load_serve            # full scale
 //! cargo run --release --example save_load_serve -- --fast  # CI smoke
 //! cargo run --release --example save_load_serve -- --fast --quant i8
+//! cargo run --release --example save_load_serve -- --fast --quant f32
 //! ```
 
 use bench::perf::scenarios::query_scenario;
@@ -32,16 +34,13 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let fast = args.iter().any(|a| a == "--fast");
-    let quant = match args.iter().position(|a| a == "--quant") {
-        Some(i) => {
-            let name = args.get(i + 1).map(String::as_str).unwrap_or("");
-            QuantMode::parse(name).unwrap_or_else(|| {
-                eprintln!("--quant needs one of: f32, f16, i8");
-                std::process::exit(2);
-            })
-        }
-        None => QuantMode::F32,
-    };
+    let requested = args.iter().position(|a| a == "--quant").map(|i| {
+        let name = args.get(i + 1).map(String::as_str).unwrap_or("");
+        QuantMode::parse(name).unwrap_or_else(|| {
+            eprintln!("--quant needs one of: f32, f16, i8");
+            std::process::exit(2);
+        })
+    });
 
     // 1. Build. Same scenario the tracked query-perf suite uses.
     let sc = query_scenario(fast);
@@ -58,7 +57,9 @@ fn main() {
     );
 
     // 2. Save the routed sketch as one NSK2 artifact in the chosen
-    // parameter encoding: the sketch carries the mode it is saved in.
+    // parameter encoding (the build's own without `--quant`): the
+    // sketch carries the mode it is saved in.
+    let quant = requested.unwrap_or(sketch.quant_mode());
     let quantized = sketch.quantized_to(quant);
     let router = DqdRouter::new(
         quantized.clone(),
@@ -72,15 +73,30 @@ fn main() {
         "saved [{}]: {} bytes on disk ({} at f32) vs {} paper-accounted (4 B/param + tree)",
         quant.name(),
         on_disk,
-        persist::encoded_len(&sketch),
+        persist::encoded_len(&sketch.quantized_to(QuantMode::F32)),
         sketch.storage_bytes()
+    );
+    // The sketch's own bytes plus the router section: the policy's two
+    // f64s, the AQC count and one f64 AQC per partition.
+    let router_section = 20 + 8 * quantized.partitions();
+    assert_eq!(
+        on_disk,
+        persist::encoded_len(&quantized) + router_section,
+        "artifact size"
     );
 
     // 3. Load and verify: each encoding rounds exactly once, so the
-    // loaded sketch must equal the in-memory quantized sketch bitwise
-    // on every workload query.
+    // loaded sketch must equal the in-memory sketch it was saved from
+    // bitwise on every workload query.
     let artifact = persist::load(&path).expect("load");
     std::fs::remove_file(&path).ok();
+    if requested.is_none() {
+        assert_eq!(
+            artifact.sketch.quant_mode(),
+            QuantMode::F16,
+            "the build's mode"
+        );
+    }
     assert_eq!(
         artifact.sketch.quant_mode(),
         quant,

@@ -12,7 +12,8 @@
 //! 3. save the whole deployment as one loadable unit — per-shard NSK2
 //!    artifacts plus the NSKM manifest (`persist::save_sharded`),
 //! 4. load it back and verify the loaded deployment answers **bitwise
-//!    identically** to the quantized in-memory one,
+//!    identically** to the in-memory one, whose models the build
+//!    already stored at F16,
 //! 5. serve the workload through the scatter/gather [`ShardedServer`]
 //!    and verify the gather math: per-shard **exact** moments merged in
 //!    shard order equal the monolithic exact backend on COUNT, SUM, AVG
@@ -32,7 +33,7 @@ use neurosketch::serve::ServeOptions;
 use neurosketch::shard::{
     build_sharded, component_partitions, mean_slots, weighted_moments, ShardPlan, ShardedServer,
 };
-use neurosketch::{persist, NeuroSketchConfig};
+use neurosketch::{persist, NeuroSketch, NeuroSketchConfig};
 use query::aggregate::{Aggregate, MomentKind, Moments};
 use query::error::normalized_mae;
 use query::exec::QueryEngine;
@@ -84,20 +85,30 @@ fn main() {
         );
         // Every component model is sized to its samples, not to the
         // configured target: one partition per 500 training queries, at
-        // least one, at most `target_partitions`.
+        // least one, at most `target_partitions`. Every build stores its
+        // models at `NeuroSketch::BUILD_MODE`.
         let partitions = component_partitions(cfg.target_partitions, wl.queries.len());
         for (i, shard) in sharded.shards().iter().enumerate() {
-            let counts: Vec<(&str, usize)> = MomentKind::ALL
+            let counts: Vec<(&str, usize, &str)> = MomentKind::ALL
                 .into_iter()
-                .filter_map(|kind| Some((kind.name(), shard.model(kind)?.partitions())))
+                .filter_map(|kind| {
+                    let model = shard.model(kind)?;
+                    Some((kind.name(), model.partitions(), model.quant_mode().name()))
+                })
                 .collect();
             println!(
-                "[{}] shard {i} partitions per component: {counts:?}",
+                "[{}] shard {i} (component, partitions, mode): {counts:?}",
                 agg.name()
             );
             assert!(
-                counts.iter().all(|&(_, p)| p == partitions),
+                counts.iter().all(|&(_, p, _)| p == partitions),
                 "shard {i}: component partitions {counts:?}, the rule gives {partitions}"
+            );
+            assert!(
+                counts
+                    .iter()
+                    .all(|&(_, _, mode)| mode == NeuroSketch::BUILD_MODE.name()),
+                "shard {i}: component modes {counts:?}"
             );
         }
 
@@ -118,10 +129,11 @@ fn main() {
             artifact_bytes / sharded.shard_count(),
         );
 
-        // 4. Load and verify: f32 storage quantizes exactly once, so the
-        // loaded deployment equals the quantized in-memory one bitwise.
-        // Both sides answer through the batched server (answers are
-        // thread-count-independent, so the comparison is exact).
+        // 4. Load and verify: the build rounded its models through their
+        // storage mode already, so the loaded deployment equals the
+        // in-memory one bitwise. Both sides answer through the batched
+        // server (answers are thread-count-independent, so the
+        // comparison is exact).
         let loaded = persist::load_sharded(&manifest_path).expect("load_sharded");
         std::fs::remove_dir_all(&dir).ok();
         let server = ShardedServer::new(
@@ -134,12 +146,12 @@ fn main() {
         // Both sides answer through the unified `Deployment` trait —
         // the same surface the monolithic server exposes.
         let serving: &dyn Deployment = &server;
-        let quantized_server = ShardedServer::new(sharded.quantized(), ServeOptions::default());
         let loaded_answers = serving.answer_batch(&wl.queries).0;
+        let in_memory = ShardedServer::new(sharded, ServeOptions::default());
         assert_eq!(
             loaded_answers,
-            Deployment::answer_batch(&quantized_server, &wl.queries).0,
-            "loaded deployment diverged from the quantized in-memory one"
+            Deployment::answer_batch(&in_memory, &wl.queries).0,
+            "loaded deployment diverged from the in-memory one"
         );
         println!(
             "[{}] loaded: bitwise-identical to the in-memory deployment on all {} queries",

@@ -69,14 +69,13 @@ fn pipeline_on_pm_dataset() {
         "sketch {err} must beat constant {const_err}"
     );
 
-    // Serialization round trip: NSK2 stores f32 parameters, so the
-    // loaded sketch answers exactly like `quantized()`.
+    // Serialization round trip: the build holds its models at the
+    // mode it saves under, so the loaded sketch answers exactly like it.
     let loaded = persist::decode(persist::encode_sketch(&sketch))
         .unwrap()
         .sketch;
-    let stored = sketch.quantized();
     for q in test.iter().take(10) {
-        assert_eq!(stored.answer(q), loaded.answer(q));
+        assert_eq!(sketch.answer(q), loaded.answer(q));
     }
 }
 
