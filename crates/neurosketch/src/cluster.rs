@@ -6,10 +6,11 @@
 //! group holds N [`Replica`]s, routed round-robin, a rolling upgrade
 //! walks replicas generation-by-generation using the NSKM generation
 //! counter from [`crate::persist`], each replica reading its own
-//! column's manifest, and a round-robin plan can be
-//! [rebalanced](Cluster::rebalance) K → K·f *row-stably* — answers stay
-//! bitwise identical because each physical model is still evaluated
-//! exactly once per group and groups merge in the same order.
+//! column's manifest. Group `g` serves manifest shard `g`. Re-sharding
+//! to K′ shards is a persisted operation: build and save the K′
+//! deployment, publish it into every replica column, and
+//! [`Cluster::load`] the columns; a running cluster refuses a manifest
+//! of another plan.
 //!
 //! Failures are real disk states — a replica column that missed a
 //! publish, a checksum-corrupt or missing artifact, an unreadable
@@ -37,14 +38,9 @@
 
 use crate::deploy::{DeployKind, DeployStats, Deployment, DeploymentInfo, QueryBatch};
 use crate::persist::{self, PersistError, ShardManifest};
-use crate::shard::{
-    finish_guarded, scatter_gather, ShardPlan, ShardSketch, ShardTables, ShardedSketch,
-};
-use crate::sketch::NeuroSketchConfig;
+use crate::shard::{finish_guarded, scatter_gather, ShardPlan, ShardSketch, ShardedSketch};
 use crate::SketchError;
-use datagen::Dataset;
 use query::aggregate::{Aggregate, Moments};
-use query::predicate::PredicateFn;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -119,28 +115,15 @@ impl Replica {
     }
 }
 
-/// A shard group: one slice of the row space (one or more logical
-/// shards of the current plan) and its replica set.
+/// A shard group: group `g` holds shard `g` of the plan, and its
+/// replica set.
 #[derive(Debug, Clone)]
 pub struct ShardGroup {
-    /// Logical shard ids of the *current* plan this group answers for.
-    /// Starts as `[i]`; after a K→K·f rebalance a still-coarse group
-    /// covers `f` logical ids until materialized.
-    logical: Vec<usize>,
-    /// Index into the NSKM manifest's shard list backing this group's
-    /// artifacts, if the group is persistence-backed. `None` after
-    /// [`Cluster::materialize_group`] splits a group in memory.
-    physical: Option<usize>,
     replicas: Vec<Replica>,
     rr_cursor: usize,
 }
 
 impl ShardGroup {
-    /// Logical shard ids (ascending) this group covers.
-    pub fn logical(&self) -> &[usize] {
-        &self.logical
-    }
-
     /// The replica set.
     pub fn replicas(&self) -> &[Replica] {
         &self.replicas
@@ -252,22 +235,6 @@ pub enum ClusterEvent {
         /// Generation it now serves.
         generation: u64,
     },
-    /// The plan was refined in place; groups now cover multiple
-    /// logical shards until materialized.
-    Rebalanced {
-        /// Refinement factor `f` (K → K·f).
-        factor: usize,
-        /// New logical shard count.
-        shards: usize,
-    },
-    /// A coarse group was split into per-logical-shard groups with
-    /// freshly built (bitwise-reproducible) models.
-    GroupMaterialized {
-        /// Index the coarse group had before the split.
-        group: usize,
-        /// Logical shard ids that became their own groups.
-        shards: Vec<usize>,
-    },
 }
 
 /// Typed cluster failure. Serving degrades through
@@ -287,7 +254,7 @@ pub enum ClusterError {
     },
     /// The requested topology or control-plane operation is invalid
     /// (zero replicas, bad quorum, a manifest of another aggregate or
-    /// plan, a roll over an unbacked group, …).
+    /// plan, …).
     BadTopology(String),
     /// A persistence operation failed.
     Persist(PersistError),
@@ -350,15 +317,10 @@ pub struct ClusterBatchReport {
 }
 
 /// A replicated scatter/gather deployment over shard groups, plus the
-/// control plane (rolling upgrades, repair, rebalance) and the armed
-/// kills. See the [module docs](crate::cluster) for the determinism
-/// contract.
+/// control plane (rolling upgrades, repair) and the armed kills. See
+/// the [module docs](crate::cluster) for the determinism contract.
 pub struct Cluster {
     plan: ShardPlan,
-    /// The plan the persistence-backed groups were built under: what
-    /// every manifest they reload from must name, whatever
-    /// [`Cluster::rebalance`] has refined `plan` to since.
-    backing: ShardPlan,
     aggregate: Aggregate,
     groups: Vec<ShardGroup>,
     opts: ClusterOptions,
@@ -413,17 +375,15 @@ impl Cluster {
         opts: ClusterOptions,
         events: Vec<ClusterEvent>,
     ) -> Cluster {
-        let groups = (replica_sets.into_iter().enumerate())
-            .map(|(i, replicas)| ShardGroup {
-                logical: vec![i],
-                physical: Some(i),
+        let groups = replica_sets
+            .into_iter()
+            .map(|replicas| ShardGroup {
                 replicas,
                 rr_cursor: 0,
             })
             .collect();
         Cluster {
             plan,
-            backing: plan,
             aggregate,
             groups,
             opts,
@@ -548,7 +508,7 @@ impl Cluster {
         self
     }
 
-    /// The current (possibly refined) shard plan.
+    /// The shard plan.
     pub fn plan(&self) -> ShardPlan {
         self.plan
     }
@@ -755,12 +715,10 @@ impl Cluster {
     /// Read the manifest at `manifest_path` once, refusing one of
     /// another aggregate or plan: the value every control-plane call
     /// resolves generation and shards against, whatever lands on disk
-    /// meanwhile. The plan compared is the one the persistence-backed
-    /// groups were built under, so a rebalanced cluster still reloads
-    /// from its own manifests.
+    /// meanwhile.
     fn read_own_manifest(&self, manifest_path: &Path) -> Result<ShardManifest, ClusterError> {
         let manifest = persist::read_manifest(manifest_path)?;
-        check_manifest(&manifest, self.backing, self.aggregate)?;
+        check_manifest(&manifest, self.plan, self.aggregate)?;
         Ok(manifest)
     }
 
@@ -778,22 +736,14 @@ impl Cluster {
     /// replicas at the generation it has.
     ///
     /// Changes nothing and logs nothing on [`ClusterError::BadTopology`]
-    /// — a slice of another length than the replica columns, any group
-    /// materialized in memory (no roll could reach it, so it would be
-    /// stranded at its generation), a column manifest of another
-    /// aggregate or plan — or on an unreadable column manifest's
-    /// [`ClusterError::Persist`].
+    /// — a slice of another length than the replica columns, a column
+    /// manifest of another aggregate or plan (a re-sharded deployment
+    /// is [`Cluster::load`]ed, not rolled) — or on an unreadable column
+    /// manifest's [`ClusterError::Persist`].
     pub fn rolling_upgrade_step<P: AsRef<Path>>(
         &mut self,
         replica_manifests: &[P],
     ) -> Result<Option<ClusterEvent>, ClusterError> {
-        if self.groups.iter().any(|g| g.physical.is_none()) {
-            return Err(ClusterError::BadTopology(
-                "a group is materialized in memory with no persistence backing; no roll can \
-                 reach it, so none starts"
-                    .into(),
-            ));
-        }
         let columns = self.groups.first().map_or(0, |g| g.replicas.len());
         if replica_manifests.len() != columns {
             return Err(ClusterError::BadTopology(format!(
@@ -808,14 +758,14 @@ impl Cluster {
             let behind =
                 |(r, rep): &(usize, &Replica)| rep.up && rep.generation < manifests[*r].generation;
             let (ri, _) = g.replicas.iter().enumerate().find(behind)?;
-            Some((gi, ri, g.physical?))
+            Some((gi, ri))
         });
-        let Some((group, replica, phys)) = candidate else {
+        let Some((group, replica)) = candidate else {
             return Ok(None);
         };
         let (manifest, path) = (&manifests[replica], replica_manifests[replica].as_ref());
         let rep = &mut self.groups[group].replicas[replica];
-        let event = match persist::load_shard(manifest, path, phys) {
+        let event = match persist::load_shard(manifest, path, group) {
             Ok(sketch) => {
                 let from = rep.generation;
                 *rep = Replica::new(sketch, manifest.generation, true);
@@ -865,29 +815,26 @@ impl Cluster {
 
     /// Bring a downed or lagging replica back: reload its group's shard
     /// from `manifest_path`, put it back in rotation, and
-    /// return the generation it now serves. A manifest of another
-    /// aggregate or plan is [`ClusterError::BadTopology`], and changes
-    /// nothing.
+    /// return the generation it now serves. A group or replica that
+    /// does not exist, or a manifest of another aggregate or plan, is
+    /// [`ClusterError::BadTopology`], and changes nothing.
     pub fn repair_replica(
         &mut self,
         group: usize,
         replica: usize,
         manifest_path: impl AsRef<Path>,
     ) -> Result<u64, ClusterError> {
-        let Some(phys) = self.groups.get(group).and_then(|g| g.physical) else {
-            return Err(ClusterError::BadTopology(format!(
-                "group {group} has no persistence backing (materialized in memory) or does \
-                 not exist; rebuild it instead of repairing"
-            )));
-        };
-        if self.groups[group].replicas.get(replica).is_none() {
+        if (self.groups.get(group))
+            .and_then(|g| g.replicas.get(replica))
+            .is_none()
+        {
             return Err(ClusterError::BadTopology(format!(
                 "group {group} has no replica {replica}"
             )));
         }
         let manifest_path = manifest_path.as_ref();
         let manifest = self.read_own_manifest(manifest_path)?;
-        let sketch = persist::load_shard(&manifest, manifest_path, phys)?;
+        let sketch = persist::load_shard(&manifest, manifest_path, group)?;
         let generation = manifest.generation;
         self.groups[group].replicas[replica] = Replica::new(sketch, generation, true);
         self.events.push(ClusterEvent::ReplicaRepaired {
@@ -896,99 +843,6 @@ impl Cluster {
             generation,
         });
         Ok(generation)
-    }
-
-    /// Refine the plan K → K·`factor` without rebuilding: each group
-    /// keeps its models and now *covers* `factor` logical shards of
-    /// the refined plan. Row-stable ([`ShardPlan::refine`]) and answer
-    /// preserving — every physical model is still evaluated once per
-    /// group and groups merge in the same order, so answers are
-    /// bitwise unchanged.
-    pub fn rebalance(&mut self, factor: usize) -> Result<ShardPlan, ClusterError> {
-        let refined = self.plan.refine(factor)?;
-        let old_n = self.plan.shards();
-        for group in &mut self.groups {
-            let mut logical: Vec<usize> = group
-                .logical
-                .iter()
-                .flat_map(|&l| (0..factor).map(move |j| l + j * old_n))
-                .collect();
-            logical.sort_unstable();
-            group.logical = logical;
-        }
-        self.plan = refined;
-        self.events.push(ClusterEvent::Rebalanced {
-            factor,
-            shards: refined.shards(),
-        });
-        Ok(refined)
-    }
-
-    /// Split a coarse (post-rebalance) group into one group per
-    /// logical shard, building each fine shard's models from the data
-    /// through the same validation and build step as
-    /// [`crate::shard::build_sharded`] (`cfg.threads` wide). Seed
-    /// derivation is positional (new-plan shard index), so a
-    /// fully materialized K→2K cluster is bitwise a fresh 2K build.
-    /// New groups inherit the parent's replica bookkeeping
-    /// (generation, up, cursor) and each replica's storage modes, but
-    /// have no persistence backing until re-saved, so no roll starts
-    /// while one exists. A slot whose artifact never loaded stays
-    /// without models.
-    /// Any error leaves the group as it was.
-    #[allow(clippy::too_many_arguments)]
-    pub fn materialize_group(
-        &mut self,
-        group: usize,
-        data: &Dataset,
-        measure: usize,
-        predicate: &dyn PredicateFn,
-        train_queries: &[Vec<f64>],
-        cfg: &NeuroSketchConfig,
-    ) -> Result<(), ClusterError> {
-        let Some(g) = self.groups.get(group) else {
-            return Err(ClusterError::BadTopology(format!(
-                "group {group} does not exist"
-            )));
-        };
-        if g.logical.len() <= 1 {
-            return Ok(());
-        }
-        let logical = g.logical.clone();
-        // `partial`: every other group keeps the models it has.
-        let tables = ShardTables::new(&self.plan, self.aggregate, data, &logical, true)?;
-        let (fine, _) = tables.build(measure, predicate, train_queries, cfg)?;
-        let parent = self.groups.remove(group);
-        for (l, sketch) in fine {
-            let replicas = parent
-                .replicas
-                .iter()
-                .map(|r| match r.sketch.param_count() {
-                    0 => r.clone(),
-                    _ => Replica {
-                        sketch: sketch.clone().stored_like(&r.sketch),
-                        ..*r
-                    },
-                })
-                .collect();
-            self.groups.push(ShardGroup {
-                logical: vec![l],
-                physical: None,
-                replicas,
-                rr_cursor: parent.rr_cursor,
-            });
-        }
-        // Gather order invariant: groups sorted by lowest logical id.
-        // A child's minimum is its single id, and children of shard l
-        // under RoundRobin refinement include l itself, so the sort
-        // restores exactly the order a fresh fine-grained build has.
-        self.groups
-            .sort_by_key(|g| g.logical.first().copied().unwrap_or(usize::MAX));
-        self.events.push(ClusterEvent::GroupMaterialized {
-            group,
-            shards: logical,
-        });
-        Ok(())
     }
 
     /// A read-only [`Deployment`] view of replica column `replica` —
@@ -1089,13 +943,14 @@ mod tests {
     }
 
     /// The one validation step in front of every shard build
-    /// ([`ShardTables::new`]) refuses the same three things with the same
-    /// typed error whichever entry point reaches it, and a refused call
-    /// leaves every model bitwise as it was.
+    /// ([`ShardTables::new`]) refuses the same things with the same typed
+    /// error whichever entry point reaches it, and a refused call leaves
+    /// every model bitwise as it was.
     #[test]
     fn every_build_entry_point_shares_one_validation_step() {
         use crate::maintenance::{retrain_shards, DriftMonitor, MaintenancePlan};
         use crate::shard::build_sharded;
+        use datagen::Dataset;
         use query::workload::{ActiveMode, RangeMode, Workload, WorkloadConfig};
 
         let data = datagen::simple::uniform(40, 2, 3);
@@ -1107,7 +962,7 @@ mod tests {
             seed: 5,
         })
         .unwrap();
-        let mut cfg = NeuroSketchConfig::small();
+        let mut cfg = crate::sketch::NeuroSketchConfig::small();
         cfg.train.epochs = 3;
         let build = |plan: ShardPlan, agg: Aggregate, data: &Dataset| {
             build_sharded(data, 1, &plan, &wl.predicate, agg, &wl.queries, &cfg).map(|(s, _)| s)
@@ -1116,41 +971,15 @@ mod tests {
             DriftMonitor::new(wl.queries[..10].to_vec(), 0.05).unwrap(),
             cfg.clone(),
         );
-        let cluster_of = |sketch: &ShardedSketch| {
-            Cluster::new(
-                sketch,
-                1,
-                0,
-                RoutePolicy::RoundRobin,
-                ClusterOptions::default(),
-            )
-            .unwrap()
-        };
         let flat = wl.queries.concat();
-        let bits = |shards: &[&ShardSketch]| -> Vec<u64> {
+        let sketch_bits = |s: &ShardedSketch| -> Vec<u64> {
             let mut scratch = crate::sketch::BatchScratch::default();
             let batch = QueryBatch::new(&flat, 2);
-            let per_shard = shards
-                .iter()
-                .flat_map(|s| s.moments_batch_with(&mut scratch, batch));
+            let per_shard =
+                (s.shards().iter()).flat_map(|s| s.moments_batch_with(&mut scratch, batch));
             per_shard.map(|m| m.n.to_bits()).collect()
         };
-        let sketch_bits = |s: &ShardedSketch| bits(&s.shards().iter().collect::<Vec<_>>());
-        let cluster_bits = |c: &Cluster| {
-            let replicas = c.groups.iter().flat_map(|g| &g.replicas);
-            bits(&replicas.map(|r| &r.sketch).collect::<Vec<_>>())
-        };
 
-        // A hash plan that fills every shard of the 40-row table but
-        // leaves one dry on its first 6 rows.
-        let tiny = data.select_rows(&[0, 1, 2, 3, 4, 5]);
-        let hash = (0..u64::MAX)
-            .map(|seed| ShardPlan::Hash { shards: 4, seed })
-            .find(|p| {
-                p.assignment(6).iter().any(Vec::is_empty)
-                    && !p.assignment(40).iter().any(Vec::is_empty)
-            })
-            .unwrap();
         let round_robin = build(ShardPlan::RoundRobin { shards: 2 }, Aggregate::Count, &data);
         let round_robin = round_robin.unwrap();
         let median = ShardedSketch::from_parts(
@@ -1158,37 +987,30 @@ mod tests {
             Aggregate::Median,
             round_robin.shards().to_vec(),
         );
-        // A full build under a non-row-stable plan is fine; only a
-        // partial one is refused.
-        let blocks = build(ShardPlan::Blocks { shards: 2 }, Aggregate::Count, &data).unwrap();
-
         // (refusal, deployment, table it is rebuilt against, message)
         let cases = [
             (
                 "empty shard",
-                build(hash, Aggregate::Count, &data).unwrap(),
-                &tiny,
-                "no rows",
+                round_robin.clone(),
+                data.select_rows(&[0]),
+                "every shard needs data",
             ),
-            ("MEDIAN", median, &data, "not a function of (n, Σ, Σ²)"),
             (
-                "partial refresh under Blocks",
-                blocks,
-                &data,
-                "not row-stable",
+                "MEDIAN",
+                median,
+                data.clone(),
+                "not a function of (n, Σ, Σ²)",
             ),
         ];
         for (refusal, sketch, table, message) in cases {
             let before = sketch_bits(&sketch);
             let mut results: Vec<(&str, Result<(), ClusterError>)> = Vec::new();
-            if refusal != "partial refresh under Blocks" {
-                let rebuilt = build(sketch.plan(), sketch.aggregate(), table);
-                results.push(("build_sharded", rebuilt.map(|_| ()).map_err(Into::into)));
-            }
+            let rebuilt = build(sketch.plan(), sketch.aggregate(), &table);
+            results.push(("build_sharded", rebuilt.map(|_| ()).map_err(Into::into)));
             let mut retrained = sketch.clone();
             let r = retrain_shards(
                 &mut retrained,
-                table,
+                &table,
                 1,
                 &wl.predicate,
                 &wl.queries,
@@ -1199,7 +1021,7 @@ mod tests {
             assert_eq!(sketch_bits(&retrained), before, "{refusal}: retrain_shards");
             let mut refreshed = sketch.clone();
             let r =
-                maintenance.refresh_sharded(&mut refreshed, table, 1, &wl.predicate, &wl.queries);
+                maintenance.refresh_sharded(&mut refreshed, &table, 1, &wl.predicate, &wl.queries);
             results.push(("refresh_sharded", r.map(|_| ()).map_err(Into::into)));
             assert_eq!(
                 sketch_bits(&refreshed),
@@ -1212,37 +1034,6 @@ mod tests {
                     "{refusal}: {entry} returned {result:?}"
                 );
             }
-
-            // A coarse group to materialize. Only round-robin plans
-            // refine, and round-robin leaves a shard empty only when
-            // there are fewer rows than shards — which the plan
-            // pre-check inside the same step reports; no public path
-            // reaches a coarse group under Blocks, so that one is
-            // hand-built to show the step itself refuses it.
-            let (mut cluster, table, message) = match refusal {
-                "empty shard" => {
-                    let mut c = cluster_of(&round_robin);
-                    c.rebalance(2).unwrap();
-                    (c, data.select_rows(&[0, 1, 2]), "every shard needs data")
-                }
-                "MEDIAN" => {
-                    let mut c = cluster_of(&sketch);
-                    c.rebalance(2).unwrap();
-                    (c, table.clone(), message)
-                }
-                _ => {
-                    let mut c = cluster_of(&sketch);
-                    c.groups[0].logical = vec![0, 1];
-                    (c, table.clone(), message)
-                }
-            };
-            let cluster_before = cluster_bits(&cluster);
-            let r = cluster.materialize_group(0, &table, 1, &wl.predicate, &wl.queries, &cfg);
-            assert_eq!(cluster_bits(&cluster), cluster_before, "{refusal}: cluster");
-            assert!(
-                matches!(&r, Err(ClusterError::Sketch(SketchError::BadConfig(m))) if m.contains(message)),
-                "{refusal}: materialize_group returned {r:?}"
-            );
         }
     }
 

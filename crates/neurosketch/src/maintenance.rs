@@ -26,10 +26,10 @@
 //!    [`crate::deploy::LiveDeployment::reload_sharded`].
 //!
 //! The degenerate full refresh is a fresh [`NeuroSketch::build`] over
-//! the current data — still the right tool when *every* unit is stale,
-//! when the query distribution itself moved (the kd-tree partitioning
-//! is only retrainable wholesale), or under a non-row-stable shard
-//! plan; `docs/maintenance.md` is the operator's guide to choosing.
+//! the current data — still the right tool when *every* unit is stale
+//! or when the query distribution itself moved (the kd-tree
+//! partitioning is only retrainable wholesale); `docs/maintenance.md`
+//! is the operator's guide to choosing.
 
 use crate::deploy::{Deployment, Queries};
 use crate::shard::{ShardTables, ShardedSketch};
@@ -342,12 +342,9 @@ impl MaintenancePlan {
     /// so a rebuilt shard is bitwise what a full rebuild would have
     /// produced — and fresh shards' models stay bitwise untouched.
     ///
-    /// Errors: a plan that is not row-stable (a [`crate::shard::ShardPlan::Blocks`]
-    /// table reassigns rows on append, invalidating *every* shard, so a
-    /// maintenance cycle — which retrains at most a stale subset —
-    /// cannot be sound; refused up front, before any checking work;
-    /// full-rebuild territory), an empty shard, and every build error
-    /// below.
+    /// Errors: everything the shared validation step refuses (MEDIAN,
+    /// more shards than rows), before any checking work, and every
+    /// build error below.
     pub fn refresh_sharded(
         &self,
         sketch: &mut ShardedSketch,
@@ -357,10 +354,8 @@ impl MaintenancePlan {
         train_queries: &[Vec<f64>],
     ) -> Result<MaintenanceReport, SketchError> {
         let t0 = Instant::now();
-        // `partial`: a cycle retrains at most a stale subset, so the
-        // non-row-stable refusal lands here, before any checking work.
         let all: Vec<usize> = (0..sketch.shard_count()).collect();
-        let mut tables = ShardTables::new(&sketch.plan(), sketch.aggregate(), data, &all, true)?;
+        let mut tables = ShardTables::new(&sketch.plan(), sketch.aggregate(), data, &all)?;
         let probe = self.monitor.probe();
         let agg = sketch.aggregate();
         let shards = sketch.shards();
@@ -425,12 +420,8 @@ impl MaintenancePlan {
 /// configuration a rebuilt shard is bitwise what a full rebuild over
 /// the same table would produce. Only the stale shards' tables are
 /// materialized; fresh shards' rows are never touched, read or
-/// re-labeled.
-///
-/// A plan that is not row-stable is refused (typed) unless `stale`
-/// covers every shard — under [`crate::shard::ShardPlan::Blocks`],
-/// appends reassign rows, so any untouched shard's models would be
-/// serving rows they were never trained on.
+/// re-labeled. A shard id outside the deployment is
+/// [`SketchError::NoSuchUnit`]; an empty `stale` is a no-op.
 pub fn retrain_shards(
     sketch: &mut ShardedSketch,
     data: &Dataset,
@@ -449,13 +440,10 @@ pub fn retrain_shards(
             units: sketch.shard_count(),
         });
     }
-    // An empty stale set is a no-op regardless of the plan — a cycle
-    // that found nothing stale must not error on a Blocks deployment.
     if stale.is_empty() {
         return Ok(());
     }
-    let partial = stale.len() < sketch.shard_count();
-    let tables = ShardTables::new(&sketch.plan(), sketch.aggregate(), data, &stale, partial)?;
+    let tables = ShardTables::new(&sketch.plan(), sketch.aggregate(), data, &stale)?;
     let (rebuilt, _) = tables.build(measure, pred, train_queries, cfg)?;
     sketch.replace_shards(rebuilt);
     Ok(())
@@ -786,7 +774,7 @@ mod tests {
         .unwrap();
         let mut cfg = NeuroSketchConfig::small();
         cfg.train.epochs = 15;
-        let plan = ShardPlan::Hash { shards: 4, seed: 2 };
+        let plan = ShardPlan::RoundRobin { shards: 4 };
         let (mut sharded, _) = build_sharded(
             &data,
             1,
@@ -857,7 +845,7 @@ mod tests {
     /// refresh_sharded runs the detect half too: with a threshold set
     /// between per-shard errors, only the worst shards rebuild.
     #[test]
-    fn sharded_refresh_respects_budget_and_blocks_is_refused() {
+    fn sharded_refresh_respects_budget_and_unknown_shards_are_typed() {
         let mut data = uniform(1_000, 2, 5);
         let wl = Workload::generate(&WorkloadConfig {
             dims: 2,
@@ -890,46 +878,10 @@ mod tests {
         assert_eq!(report.units.len(), 4);
         assert!(report.retrained.len() <= 1);
 
-        // Blocks plans reassign rows on append: partial refresh is a
-        // typed refusal, full coverage is allowed — and an empty stale
-        // set (a cycle that found nothing) is a no-op, never an error.
-        let (mut blocks, _) = build_sharded(
-            &data,
-            1,
-            &ShardPlan::Blocks { shards: 2 },
-            &wl.predicate,
-            Aggregate::Count,
-            &wl.queries,
-            &cfg,
-        )
-        .unwrap();
-        let err = retrain_shards(
-            &mut blocks,
-            &data,
-            1,
-            &wl.predicate,
-            &wl.queries,
-            &cfg,
-            &[0],
-        )
-        .unwrap_err();
-        assert!(matches!(err, SketchError::BadConfig(_)), "{err:?}");
-        retrain_shards(&mut blocks, &data, 1, &wl.predicate, &wl.queries, &cfg, &[]).unwrap();
-        retrain_shards(
-            &mut blocks,
-            &data,
-            1,
-            &wl.predicate,
-            &wl.queries,
-            &cfg,
-            &[0, 1],
-        )
-        .unwrap();
-
         // Out-of-range stale units are typed.
         assert_eq!(
             retrain_shards(
-                &mut blocks,
+                &mut sharded,
                 &data,
                 1,
                 &wl.predicate,
@@ -938,7 +890,7 @@ mod tests {
                 &[9],
             )
             .unwrap_err(),
-            SketchError::NoSuchUnit { unit: 9, units: 2 }
+            SketchError::NoSuchUnit { unit: 9, units: 4 }
         );
     }
 }

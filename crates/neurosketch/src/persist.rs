@@ -82,8 +82,8 @@
 //! version     u32 = 3
 //! generation  u64
 //! aggregate   u8: 0 = COUNT, 1 = SUM, 2 = AVG, 3 = STD
-//! plan tag    u8: 0 = round-robin, 1 = blocks, 2 = hash
-//! plan shards u32;  hash only: seed u64
+//! plan tag    u8: 0 = round-robin (every other tag is refused)
+//! plan shards u32
 //! shard_count u32                (must equal plan shards)
 //! per shard, per moment slot (n, Σ, Σ²):
 //!   present u8: 0 | 1
@@ -671,21 +671,9 @@ pub fn encode_manifest(manifest: &ShardManifest) -> Result<Bytes, PersistError> 
             PersistError::Corrupt(format!("{what} {n} exceeds the format's u32 field"))
         })
     };
-    match manifest.plan {
-        ShardPlan::RoundRobin { shards } => {
-            buf.put_u8(0);
-            buf.put_u32_le(as_u32(shards, "plan shard count")?);
-        }
-        ShardPlan::Blocks { shards } => {
-            buf.put_u8(1);
-            buf.put_u32_le(as_u32(shards, "plan shard count")?);
-        }
-        ShardPlan::Hash { shards, seed } => {
-            buf.put_u8(2);
-            buf.put_u32_le(as_u32(shards, "plan shard count")?);
-            buf.put_u64_le(seed);
-        }
-    }
+    let ShardPlan::RoundRobin { shards } = manifest.plan;
+    buf.put_u8(0);
+    buf.put_u32_le(as_u32(shards, "plan shard count")?);
     // The same consistency decode enforces: catching a malformed
     // hand-built manifest here keeps the error at encode time, not on
     // the deployed artifact at load time.
@@ -749,22 +737,12 @@ pub fn decode_manifest(mut data: Bytes) -> Result<ShardManifest, PersistError> {
     })?;
     let plan_tag = data.get_u8();
     let shards = data.get_u32_le() as usize;
-    let plan = match plan_tag {
-        0 => ShardPlan::RoundRobin { shards },
-        1 => ShardPlan::Blocks { shards },
-        2 => {
-            if data.remaining() < 8 {
-                return Err(PersistError::Truncated("manifest plan"));
-            }
-            ShardPlan::Hash {
-                shards,
-                seed: data.get_u64_le(),
-            }
-        }
-        t => {
-            return Err(PersistError::Corrupt(format!("unknown plan tag {t}")));
-        }
-    };
+    if plan_tag != 0 {
+        return Err(PersistError::Corrupt(format!(
+            "unknown plan tag {plan_tag}"
+        )));
+    }
+    let plan = ShardPlan::RoundRobin { shards };
     if shards == 0 {
         return Err(PersistError::Corrupt("plan with zero shards".to_string()));
     }
@@ -1343,15 +1321,36 @@ mod tests {
         // Version 3: an AVG / STD shard's Σ / Σ² slots hold per-row
         // means ([`crate::shard::mean_slots`]).
         let golden = unhex(
+            "4e534b4d 03000000 07000000 00000000 02000200 00000200 00000134 12000000 \
+             00000014 00736861 72642d30 30302e63 6f756e74 2e6e736b 32017698 00000000 \
+             00001200 73686172 642d3030 302e7375 6d2e6e73 6b320001 35120000 00000000 \
+             14007368 6172642d 3030312e 636f756e 742e6e73 6b320175 98000000 00000012 \
+             00736861 72642d30 30312e73 756d2e6e 736b3200",
+        );
+        let manifest = literal_manifest();
+        assert_eq!(&encode_manifest(&manifest).unwrap()[..], &golden[..]);
+        assert_eq!(
+            decode_manifest(Bytes::from(golden.clone())).unwrap(),
+            manifest
+        );
+        // Plan tags 1 and 2 (once blocks and a seeded hash) are refused
+        // typed: the round-robin golden retagged, and the version-3
+        // bytes a seeded-hash plan was written as.
+        let mut tag1 = golden;
+        tag1[17] = 1;
+        let hash = unhex(
             "4e534b4d 03000000 07000000 00000000 02020200 00000900 00000000 00000200 \
              00000134 12000000 00000014 00736861 72642d30 30302e63 6f756e74 2e6e736b \
              32017698 00000000 00001200 73686172 642d3030 302e7375 6d2e6e73 6b320001 \
              35120000 00000000 14007368 6172642d 3030312e 636f756e 742e6e73 6b320175 \
              98000000 00000012 00736861 72642d30 30312e73 756d2e6e 736b3200",
         );
-        let manifest = literal_manifest();
-        assert_eq!(&encode_manifest(&manifest).unwrap()[..], &golden[..]);
-        assert_eq!(decode_manifest(Bytes::from(golden)).unwrap(), manifest);
+        for (tag, bytes) in [(1, tag1), (2, hash)] {
+            assert_eq!(
+                decode_manifest(Bytes::from(bytes)),
+                Err(PersistError::Corrupt(format!("unknown plan tag {tag}")))
+            );
+        }
     }
 
     #[test]
@@ -1566,7 +1565,7 @@ mod tests {
         let mut cfg = NeuroSketchConfig::small();
         cfg.train.epochs = 6;
         cfg.seed = cfg.seed.wrapping_add(salt);
-        let plan = ShardPlan::Hash { shards: 2, seed: 3 };
+        let plan = ShardPlan::RoundRobin { shards: 2 };
         let (sharded, _) =
             build_sharded(&data, 1, &plan, &pred, Aggregate::Avg, &queries, &cfg).unwrap();
         (sharded, queries)
@@ -1582,7 +1581,7 @@ mod tests {
         let loaded = load_sharded(&manifest_path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
 
-        assert_eq!(loaded.plan(), ShardPlan::Hash { shards: 2, seed: 3 });
+        assert_eq!(loaded.plan(), ShardPlan::RoundRobin { shards: 2 });
         assert_eq!(loaded.aggregate(), Aggregate::Avg);
         assert_eq!(loaded.shard_count(), 2);
         // Save is lossy exactly once (f32 storage): the loaded
@@ -1726,7 +1725,7 @@ mod tests {
     fn literal_manifest() -> ShardManifest {
         ShardManifest {
             aggregate: Aggregate::Avg,
-            plan: ShardPlan::Hash { shards: 2, seed: 9 },
+            plan: ShardPlan::RoundRobin { shards: 2 },
             generation: 7,
             shards: (0..2)
                 .map(|s| {

@@ -112,35 +112,16 @@ use std::time::{Duration, Instant};
 
 /// How the table's rows are assigned to shards. Serializable (JSON via
 /// serde, binary via the NSKM manifest in [`crate::persist`]) so a
-/// deployment can re-derive its row-to-shard mapping.
-///
-/// Row-count stability differs by variant: `RoundRobin` and `Hash`
-/// assign each row index independently of the total, so appending rows
-/// never moves existing ones; `Blocks` assignment depends on the total
-/// row count (`⌊i·K/n⌋`), so growing the table reassigns rows near
-/// every block boundary — rebuild, don't ingest, under a `Blocks` plan.
+/// deployment can re-derive its row-to-shard mapping. A row's shard
+/// depends on its index alone, so appending rows never moves an
+/// existing one: the property partial refresh rests on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShardPlan {
     /// Row `i` goes to shard `i mod shards` — perfectly balanced,
-    /// interleaved; the default for i.i.d. rows.
+    /// interleaved.
     RoundRobin {
         /// Number of shards `K`.
         shards: usize,
-    },
-    /// Contiguous row ranges (shard `⌊i·K/n⌋`) — preserves row locality,
-    /// e.g. time-ordered ingestion where each shard owns an era.
-    Blocks {
-        /// Number of shards `K`.
-        shards: usize,
-    },
-    /// Row `i` goes to `splitmix64(seed ⊕ i) mod shards` — stateless
-    /// pseudo-random placement, balanced in expectation.
-    Hash {
-        /// Number of shards `K`.
-        shards: usize,
-        /// Hash seed; two plans with different seeds place rows
-        /// differently.
-        seed: u64,
     },
 }
 
@@ -164,8 +145,8 @@ pub fn component_partitions(target: usize, queries: usize) -> usize {
     target.min((queries / QUERIES_PER_PARTITION).max(1))
 }
 
-/// The splitmix64 finalizer, used by [`ShardPlan::Hash`] placement and
-/// the per-shard seed derivation of the build.
+/// The splitmix64 finalizer, used by the per-shard seed derivation of
+/// the build.
 pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -177,9 +158,7 @@ impl ShardPlan {
     /// Number of shards this plan produces.
     pub fn shards(&self) -> usize {
         match *self {
-            ShardPlan::RoundRobin { shards }
-            | ShardPlan::Blocks { shards }
-            | ShardPlan::Hash { shards, .. } => shards,
+            ShardPlan::RoundRobin { shards } => shards,
         }
     }
 
@@ -192,10 +171,6 @@ impl ShardPlan {
         assert!(row < rows, "row {row} out of range for {rows} rows");
         match *self {
             ShardPlan::RoundRobin { shards } => row % shards,
-            ShardPlan::Blocks { shards } => row * shards / rows,
-            ShardPlan::Hash { shards, seed } => {
-                (splitmix64(seed ^ row as u64) % shards as u64) as usize
-            }
         }
     }
 
@@ -215,54 +190,6 @@ impl ShardPlan {
             )));
         }
         Ok(())
-    }
-
-    /// Whether appending rows to the table leaves every *existing* row's
-    /// shard assignment unchanged. `RoundRobin` and `Hash` place each
-    /// row index independently of the total, so they are row-stable;
-    /// `Blocks` assignment (`⌊i·K/n⌋`) depends on the total row count,
-    /// so appends reshuffle rows near every block boundary. Partial
-    /// refresh ([`crate::maintenance`]) requires a row-stable plan —
-    /// under `Blocks`, only a full rebuild is sound after ingestion.
-    pub fn row_stable(&self) -> bool {
-        !matches!(self, ShardPlan::Blocks { .. })
-    }
-
-    /// Refine a round-robin plan in place: `K` shards become
-    /// `K × factor`, and every new shard's rows are a **subset** of one
-    /// old shard's rows — new shard `j` (under `K × factor`) owns
-    /// exactly the rows of old shard `j mod K` with
-    /// `i mod (K × factor) == j`, because
-    /// `(i mod K·f) mod K == i mod K`. That row-stability is what lets
-    /// [`crate::cluster::Cluster::rebalance`] split serving topology
-    /// without retraining a single model: each old shard's sketch keeps
-    /// answering for the union of its children until a child is
-    /// materialized.
-    ///
-    /// Only `RoundRobin` refines this way: `Blocks` boundaries move with
-    /// the shard count, and `Hash` placement under `K × factor` shards
-    /// is unrelated to placement under `K` — both are typed refusals.
-    /// `factor` 0 is a typed refusal; `factor` 1 is the identity.
-    pub fn refine(&self, factor: usize) -> Result<ShardPlan, SketchError> {
-        if factor == 0 {
-            return Err(SketchError::BadConfig(
-                "refinement factor must be at least 1".into(),
-            ));
-        }
-        match *self {
-            ShardPlan::RoundRobin { shards } => {
-                let refined = shards.checked_mul(factor).ok_or_else(|| {
-                    SketchError::BadConfig(format!(
-                        "{shards} shards × factor {factor} overflows the shard count"
-                    ))
-                })?;
-                Ok(ShardPlan::RoundRobin { shards: refined })
-            }
-            other => Err(SketchError::BadConfig(format!(
-                "{other:?} does not refine row-stably: only round-robin plans guarantee every \
-                 refined shard's rows are a subset of one coarse shard's rows"
-            ))),
-        }
     }
 
     /// Materialize the per-shard row-index assignment, shard by shard.
@@ -594,8 +521,7 @@ pub struct ShardedBuildReport {
 /// at any thread count.
 ///
 /// Errors: everything the shared validation step refuses (MEDIAN, a
-/// plan with zero shards or more shards than rows, a shard left without
-/// rows) and every error [`NeuroSketch::build_from_labeled`] itself
+/// plan with zero shards or more shards than rows) and every error [`NeuroSketch::build_from_labeled`] itself
 /// produces.
 pub fn build_sharded(
     data: &Dataset,
@@ -607,7 +533,7 @@ pub fn build_sharded(
     cfg: &NeuroSketchConfig,
 ) -> Result<(ShardedSketch, ShardedBuildReport), SketchError> {
     let all: Vec<usize> = (0..plan.shards()).collect();
-    let tables = ShardTables::new(plan, agg, data, &all, false)?;
+    let tables = ShardTables::new(plan, agg, data, &all)?;
     let (built, report) = tables.build(measure, predicate, queries, cfg)?;
     let shards = built.into_iter().map(|(_, shard)| shard).collect();
     Ok((ShardedSketch::from_parts(*plan, agg, shards), report))
@@ -616,10 +542,9 @@ pub fn build_sharded(
 /// The input of every shard build: the moment components the aggregate
 /// needs and a non-empty table per shard to build, which only
 /// [`ShardTables::new`] — the one validation step — hands out.
-/// [`build_sharded`], both partial-refresh entry points in
-/// [`crate::maintenance`] and
-/// [`crate::cluster::Cluster::materialize_group`] all validate there and
-/// train through [`ShardTables::build`].
+/// [`build_sharded`] and both partial-refresh entry points in
+/// [`crate::maintenance`] validate there and train through
+/// [`ShardTables::build`].
 pub(crate) struct ShardTables {
     kinds: &'static [MomentKind],
     /// `(shard id, that shard's rows)`, ascending by id. A caller may
@@ -630,20 +555,20 @@ pub(crate) struct ShardTables {
 impl ShardTables {
     /// Validate a build of shards `units` (ascending ids under `plan`)
     /// against `data` and materialize their tables — only the requested
-    /// shards' rows are read or copied. Each refusal exists once, here:
+    /// shards' rows are copied. Each refusal exists once, here:
     ///
     /// * an aggregate that is not a function of `(n, Σ, Σ²)` (MEDIAN);
-    /// * `partial` — the caller will leave some of the plan's shards as
-    ///   they are — under a plan that is not row-stable
-    ///   ([`ShardPlan::row_stable`]);
-    /// * a plan [`ShardPlan::validate`] rejects for this table;
-    /// * a requested shard the assignment leaves without rows.
+    /// * a plan [`ShardPlan::validate`] rejects for this table, which
+    ///   under round robin is every plan that would leave a shard
+    ///   without rows.
+    ///
+    /// # Panics
+    /// Panics on a unit id outside the plan; callers check ids first.
     pub(crate) fn new(
         plan: &ShardPlan,
         agg: Aggregate,
         data: &Dataset,
         units: &[usize],
-        partial: bool,
     ) -> Result<ShardTables, SketchError> {
         let Some(kinds) = agg.required_moments() else {
             return Err(SketchError::BadConfig(format!(
@@ -651,28 +576,12 @@ impl ShardTables {
                 agg.name()
             )));
         };
-        if partial && !plan.row_stable() {
-            return Err(SketchError::BadConfig(format!(
-                "{plan:?} is not row-stable: appends reassign rows across shards, so a partial \
-                 refresh would leave untouched shards serving rows they never saw — rebuild all \
-                 shards (or the whole deployment) instead"
-            )));
-        }
         plan.validate(data.rows())?;
         let assignment = plan.assignment(data.rows());
-        // validate() is a cheap pigeonhole pre-check; only the
-        // materialized assignment can prove a shard non-empty (a Hash
-        // plan over a small table may leave one dry even with K ≤ rows).
-        let tables = units.iter().map(|&unit| match assignment.get(unit) {
-            Some(rows) if !rows.is_empty() => Ok((unit, data.select_rows(rows))),
-            _ => Err(SketchError::BadConfig(format!(
-                "{plan:?} leaves shard {unit} with no rows: every shard needs data"
-            ))),
-        });
-        Ok(ShardTables {
-            kinds,
-            per_shard: tables.collect::<Result<_, _>>()?,
-        })
+        let per_shard = (units.iter())
+            .map(|&unit| (unit, data.select_rows(&assignment[unit])))
+            .collect();
+        Ok(ShardTables { kinds, per_shard })
     }
 
     /// The one fan-out that trains shard models: every table becomes
@@ -896,51 +805,21 @@ mod tests {
     #[test]
     fn plans_partition_every_row_exactly_once() {
         let rows = 97;
-        for plan in [
-            ShardPlan::RoundRobin { shards: 4 },
-            ShardPlan::Blocks { shards: 4 },
-            ShardPlan::Hash { shards: 4, seed: 7 },
-        ] {
-            let assignment = plan.assignment(rows);
-            assert_eq!(assignment.len(), 4);
-            let mut seen = vec![false; rows];
-            for (shard, owned) in assignment.iter().enumerate() {
-                for &r in owned {
-                    assert!(!seen[r], "row {r} assigned twice by {plan:?}");
-                    seen[r] = true;
-                    assert_eq!(plan.assign(r, rows), shard);
-                }
-            }
-            assert!(seen.iter().all(|s| *s), "{plan:?} dropped a row");
-        }
-        // Round-robin and blocks are balanced within one row.
-        for plan in [
-            ShardPlan::RoundRobin { shards: 4 },
-            ShardPlan::Blocks { shards: 4 },
-        ] {
-            let sizes: Vec<usize> = plan.assignment(rows).iter().map(Vec::len).collect();
-            assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-        }
-    }
-
-    /// Row stability is what partial refresh relies on: appending rows
-    /// must not move existing ones between shards.
-    #[test]
-    fn row_stability_matches_assignment_behavior() {
-        for (plan, stable) in [
-            (ShardPlan::RoundRobin { shards: 3 }, true),
-            (ShardPlan::Hash { shards: 3, seed: 5 }, true),
-            (ShardPlan::Blocks { shards: 3 }, false),
-        ] {
-            assert_eq!(plan.row_stable(), stable, "{plan:?}");
-            let before: Vec<usize> = (0..60).map(|r| plan.assign(r, 60)).collect();
-            let after: Vec<usize> = (0..60).map(|r| plan.assign(r, 90)).collect();
-            if stable {
-                assert_eq!(before, after, "{plan:?} moved a row on append");
-            } else {
-                assert_ne!(before, after, "{plan:?} unexpectedly stable");
+        let plan = ShardPlan::RoundRobin { shards: 4 };
+        let assignment = plan.assignment(rows);
+        assert_eq!(assignment.len(), 4);
+        let mut seen = vec![false; rows];
+        for (shard, owned) in assignment.iter().enumerate() {
+            for &r in owned {
+                assert!(!seen[r], "row {r} assigned twice");
+                seen[r] = true;
+                assert_eq!(plan.assign(r, rows), shard);
             }
         }
+        assert!(seen.iter().all(|s| *s), "a row was dropped");
+        // Balanced within one row.
+        let sizes: Vec<usize> = assignment.iter().map(Vec::len).collect();
+        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
     }
 
     /// `moments_batch` is the un-finished half of `answer_batch`:
@@ -970,29 +849,6 @@ mod tests {
         }
     }
 
-    /// Refinement composes, and non-round-robin plans and factor 0 are
-    /// typed refusals. Row-stability is [`refinement_is_row_stable`]'s.
-    #[test]
-    fn refine_is_row_stable_and_typed() {
-        for (k, factor) in [(1, 1), (2, 3), (3, 2)] {
-            // (K → K·a) → K·a·b is K → K·a·b.
-            let fine = ShardPlan::RoundRobin { shards: k }.refine(factor).unwrap();
-            assert_eq!(fine.refine(2).unwrap().shards(), k * factor * 2);
-        }
-        assert!(matches!(
-            ShardPlan::RoundRobin { shards: 2 }.refine(0),
-            Err(SketchError::BadConfig(_))
-        ));
-        assert!(matches!(
-            ShardPlan::Blocks { shards: 2 }.refine(2),
-            Err(SketchError::BadConfig(_))
-        ));
-        assert!(matches!(
-            ShardPlan::Hash { shards: 2, seed: 1 }.refine(2),
-            Err(SketchError::BadConfig(_))
-        ));
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1000,30 +856,21 @@ mod tests {
         /// shard's exact `(n, Σ, Σ²)` through [`mean_slots`] then
         /// [`weighted_moments`], merged in shard order and finished,
         /// is the whole-table AVG and STD to 1e-9 relative under every
-        /// plan — including on ranges empty on some shards, which a
-        /// one-row range is whenever K ≥ 2.
+        /// shard count — including on ranges empty on some shards, which
+        /// a one-row range is whenever K ≥ 2.
         #[test]
         fn mean_slots_recombine_exact_moments_under_every_plan(
             rows in 2usize..150,
             data_seed in 0u64..1_000,
             shards in 1usize..6,
-            plan_tag in 0usize..3,
             ranges in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..0.6, 0.0f64..0.6), 1..12),
             pick in 0usize..1_000,
         ) {
             let data = uniform(rows, 3, data_seed);
-            let shards = shards.min(rows);
-            let plan = match plan_tag {
-                0 => ShardPlan::RoundRobin { shards },
-                1 => ShardPlan::Blocks { shards },
-                _ => ShardPlan::Hash { shards, seed: data_seed },
-            };
+            let plan = ShardPlan::RoundRobin { shards: shards.min(rows) };
             let tables = plan.split(&data);
-            let engines: Vec<QueryEngine<'_>> = tables
-                .iter()
-                .filter(|t| t.rows() > 0)
-                .map(|t| QueryEngine::new(t, 2))
-                .collect();
+            let engines: Vec<QueryEngine<'_>> =
+                tables.iter().map(|t| QueryEngine::new(t, 2)).collect();
             let whole = QueryEngine::new(&data, 2);
             let pred = query::predicate::Range::new(vec![0, 1], 3).unwrap();
             let row = data.row(pick % rows);
@@ -1053,29 +900,6 @@ mod tests {
             prop_assert!(engines.len() < 2 || partly_empty > 0, "no range was empty on a shard");
         }
 
-        /// Plan refinement is row-stable for any round-robin K, factor, and
-        /// table size: every refined shard's rows are a subset of the
-        /// coarse shard they came from.
-        #[test]
-        fn refinement_is_row_stable(k in 1usize..6, factor in 1usize..5, rows in 1usize..500) {
-            let coarse = ShardPlan::RoundRobin { shards: k };
-            let fine = coarse.refine(factor).unwrap();
-            prop_assert_eq!(fine.shards(), k * factor);
-            for row in 0..rows {
-                prop_assert_eq!(
-                    fine.assign(row, rows) % k,
-                    coarse.assign(row, rows),
-                    "row {} escaped its coarse shard", row
-                );
-            }
-        }
-
-        /// Non-round-robin plans refuse to refine, typed.
-        #[test]
-        fn non_round_robin_refinement_is_typed(k in 1usize..6, seed in 0u64..32) {
-            prop_assert!(ShardPlan::Blocks { shards: k }.refine(2).is_err());
-            prop_assert!(ShardPlan::Hash { shards: k, seed }.refine(2).is_err());
-        }
     }
 
     #[test]
@@ -1085,24 +909,13 @@ mod tests {
         assert!(ShardPlan::RoundRobin { shards: 10 }.validate(10).is_ok());
     }
 
-    /// A hash plan can pass the pigeonhole pre-check yet leave a shard
-    /// dry on a small table; the build must refuse rather than train a
-    /// constant-zero sketch for the empty shard.
+    /// More shards than rows would leave a shard dry; the build must
+    /// refuse rather than train a constant-zero sketch for it.
     #[test]
-    fn build_rejects_hash_plan_with_an_empty_shard() {
-        let (data, wl) = setup(6, 20);
-        // Find a seed whose placement leaves some shard empty (common
-        // for 6 rows into 4 shards); deterministic once found.
-        let seed = (0..u64::MAX)
-            .find(|&seed| {
-                ShardPlan::Hash { shards: 4, seed }
-                    .assignment(6)
-                    .iter()
-                    .any(Vec::is_empty)
-            })
-            .expect("some seed leaves a shard empty");
-        let plan = ShardPlan::Hash { shards: 4, seed };
-        assert!(plan.validate(6).is_ok(), "pre-check alone cannot see it");
+    fn build_rejects_a_plan_that_leaves_a_shard_without_rows() {
+        let (data, wl) = setup(3, 20);
+        let plan = ShardPlan::RoundRobin { shards: 4 };
+        assert_eq!(plan.assignment(3)[3], Vec::<usize>::new());
         let err = build_sharded(
             &data,
             1,
@@ -1114,7 +927,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(
-            matches!(&err, SketchError::BadConfig(m) if m.contains("no rows")),
+            matches!(&err, SketchError::BadConfig(m) if m.contains("every shard needs data")),
             "got {err:?}"
         );
     }
@@ -1122,11 +935,12 @@ mod tests {
     #[test]
     fn split_preserves_rows_and_order() {
         let (data, _) = setup(50, 40);
-        let plan = ShardPlan::Blocks { shards: 3 };
+        let plan = ShardPlan::RoundRobin { shards: 3 };
         let parts = plan.split(&data);
         assert_eq!(parts.iter().map(Dataset::rows).sum::<usize>(), 50);
-        // Blocks keeps original order: first shard's first row is row 0.
+        // Rows keep their original order within a shard.
         assert_eq!(parts[0].row(0), data.row(0));
+        assert_eq!(parts[1].row(1), data.row(4));
     }
 
     #[test]
@@ -1151,7 +965,7 @@ mod tests {
     #[test]
     fn gathered_count_is_bitwise_sum_of_shard_answers() {
         let (data, wl) = setup(600, 160);
-        let plan = ShardPlan::Hash { shards: 3, seed: 1 };
+        let plan = ShardPlan::RoundRobin { shards: 3 };
         let (sharded, report) = build_sharded(
             &data,
             1,
@@ -1441,7 +1255,7 @@ mod tests {
         let (sharded, _) = build_sharded(
             &data,
             1,
-            &ShardPlan::Blocks { shards: 2 },
+            &ShardPlan::RoundRobin { shards: 2 },
             &wl.predicate,
             Aggregate::Sum,
             &wl.queries,

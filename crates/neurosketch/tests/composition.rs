@@ -53,10 +53,10 @@
 //! per group, each replica column on a directory of its own, through
 //! kills, publishes that skip columns, artifacts damaged on disk,
 //! reloads over torn, garbage, foreign or damaged directories, upgrade
-//! steps, rolls, repairs, a rebalance, materializes and foreign
-//! manifests, on its threads and on one, against a [`ClusterModel`]:
+//! steps, rolls, repairs and foreign manifests, on its threads and on
+//! one, against a [`ClusterModel`]:
 //!
-//! 13. both thread counts hold (14)–(19), so they agree bitwise;
+//! 13. both thread counts hold (14)–(18), so they agree bitwise;
 //! 14. each answer is bitwise the covered groups' source shards at the
 //!     served generation, merged in group order and finished once;
 //! 15. every report, outcome and event is the model's (a load error by
@@ -64,10 +64,7 @@
 //! 16. `QuorumLost` exactly when the model has no quorum;
 //! 17. a finished roll leaves every up replica at or past its own
 //!     column's generation;
-//! 18. a rebalance moves no answer bit, and a fully materialized
-//!     cluster answers like the fresh fine build at its storage mode,
-//!     a slot whose artifact never loaded adding nothing;
-//! 19. a foreign manifest or column is refused; the plan, groups and
+//! 18. a foreign manifest or column is refused; the plan, groups and
 //!     generations are the model's after every step.
 //!
 //! A failing run prints its schedule as JSON; paste it into
@@ -181,11 +178,6 @@ const REGRESSIONS: &[&str] = &[
     r#"{"seed": 0, "aggregate": "Avg", "mode": "F32", "replicas": 3, "quorum": 1.0,
         "threads": 2, "faults": [],
         "steps": [{"Reload": {"damage": "Foreign", "rows": [0, 1, 2, 3]}}]}"#,
-    // No roll starts while a group is materialized: the roll moved the
-    // backed group alone, and every batch at quorum 1.0 lost quorum.
-    r#"{"seed": 0, "aggregate": "Avg", "mode": "F32", "replicas": 2, "quorum": 1.0,
-        "threads": 2, "faults": [], "steps": ["Rebalance", {"Materialize": {"group": 0}},
-        {"Publish": {"skip": []}}, "Roll", {"Serve": {"rows": [0, 1, 2, 3]}}]}"#,
 ];
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -384,7 +376,8 @@ struct Fixture {
     /// (`[0]`) and of the sharded (`[1]`) deployment.
     builds: HashMap<Aggregate, [[Model; 2]; 2]>,
     /// Per aggregate, the cluster leg's generations 0–2 (sharded builds
-    /// at seeds 0–2) and the fresh `2 × SHARDS`-shard build.
+    /// at seeds 0–2) and a `2 × SHARDS`-shard build: a re-sharded
+    /// deployment, which a running cluster must refuse.
     cluster: HashMap<Aggregate, ([ShardedSketch; 3], ShardedSketch)>,
 }
 
@@ -1108,9 +1101,9 @@ impl Net {
     }
 }
 
-/// Shards of the cluster leg's deployment, before its `rebalance(2)`.
+/// Shards of the cluster leg's deployment.
 const SHARDS: usize = 2;
-/// Epochs `materialize_group` trains a fine shard for.
+/// Epochs of the `2 × SHARDS`-shard build.
 const FINE_EPOCHS: usize = 2;
 /// Most queries one model's GEMM call takes in the cluster's scatter.
 const SCATTER_SUB_BATCH: usize = 1_024;
@@ -1120,21 +1113,16 @@ const CLUSTER_TIER1_SEEDS: u64 = 24;
 const BAD_TOPOLOGY: &str = "BadTopology";
 const PERSIST: &str = "Persist";
 /// What the tier-1 cluster seeds must make happen.
-const CLUSTER_EVENTS: [&str; 21] = [
+const CLUSTER_EVENTS: [&str; 16] = [
     "Failover",
     "ServedStale",
     "ReplicaRepaired",
-    "Rebalanced",
-    "GroupMaterialized",
     "a partial-quorum answer",
     "a typed quorum loss",
-    "an F16 or I8 materialize",
-    "a fully materialized cluster",
     "a refused foreign manifest",
     "a batch crossing the sub-batch bound",
     "a column behind after a finished roll",
     "an upgrade failing its checksum",
-    "a roll refused for a materialized group",
     // A torn column is `ManifestRejected`, a flipped byte a
     // `ReplicaLoadFailed`, a removed artifact a group lost everywhere.
     "Ok(\"()\") from a reload after Torn",
@@ -1177,13 +1165,10 @@ enum ClusterStep {
     Roll,
     /// `repair_replica` from the publish manifest.
     Repair { group: usize, replica: usize },
-    /// `rebalance(2)`.
-    Rebalance,
-    /// `materialize_group`.
-    Materialize { group: usize },
     /// A repair of group 0's replica 0 from, or an upgrade step with
-    /// column 0 on, a manifest of another aggregate or (`plan`) of a
-    /// `Blocks` plan over the deployment's own artifacts.
+    /// column 0 on, a manifest of another aggregate or (`plan`) of the
+    /// same aggregate re-sharded to `2 × SHARDS` shards, which only a
+    /// `Cluster::load` may take up.
     Foreign { repair: bool, plan: bool },
     /// [`Disk::Flipped`], left on disk.
     Damage { column: usize, shard: usize },
@@ -1209,11 +1194,13 @@ enum Disk {
 
 impl ClusterSchedule {
     /// The schedule of `seed`: random steps, among them in this order a
-    /// publish, a damaged artifact, an upgrade step, a batch, a roll, a
-    /// second publish, a rebalance, a materialize of each coarse group
-    /// and an upgrade step; a repair, a foreign manifest, a long batch
-    /// and two reloads anywhere; a last batch;
-    /// 1–4 kills, on groups 0–2 (2 exists once a group is split).
+    /// publish, an upgrade step, a batch, a roll, a second publish, a
+    /// damaged artifact (which no later publish overwrites, so a reload
+    /// can meet it beside a column behind) and an upgrade step; a
+    /// repair, a foreign
+    /// manifest, a long batch and two reloads anywhere; a last batch;
+    /// 1–4 kills, on groups 0–2 (a kill of group 2, which does not
+    /// exist, is ignored).
     fn generate(seed: u64) -> ClusterSchedule {
         let mut state = seed;
         let mut pick = |n: usize| (splitmix64(&mut state) % n as u64) as usize;
@@ -1227,27 +1214,21 @@ impl ClusterSchedule {
         let mut steps = Vec::new();
         for _ in 0..2 + pick(6) {
             let (group, replica) = (pick(2 * SHARDS), pick(replicas));
-            steps.push(match pick(8) {
+            steps.push(match pick(7) {
                 0..=2 => serve(&mut pick),
                 3 | 4 => ClusterStep::Upgrade,
                 5 => ClusterStep::Roll,
-                6 => ClusterStep::Repair { group, replica },
-                _ => ClusterStep::Materialize { group },
+                _ => ClusterStep::Repair { group, replica },
             });
         }
-        // Either coarse group split first leaves the other at 1 - first.
-        let first = pick(2);
         let (column, shard) = (pick(replicas), pick(SHARDS));
         let ordered = [
             publish(&mut pick),
-            ClusterStep::Damage { column, shard },
             ClusterStep::Upgrade,
             serve(&mut pick),
             ClusterStep::Roll,
             publish(&mut pick),
-            ClusterStep::Rebalance,
-            ClusterStep::Materialize { group: first },
-            ClusterStep::Materialize { group: 1 - first },
+            ClusterStep::Damage { column, shard },
             ClusterStep::Upgrade,
         ];
         let mut at = 0;
@@ -1398,11 +1379,6 @@ impl ReplicaState {
 
 #[derive(Debug, Clone)]
 struct GroupState {
-    /// Logical shards; the first is the manifest shard a backed group
-    /// reloads from, or the fine build's shard a materialized one holds
-    /// at any generation.
-    logical: Vec<usize>,
-    backed: bool,
     cursor: usize,
     replicas: Vec<ReplicaState>,
 }
@@ -1427,10 +1403,10 @@ struct ColumnState {
 }
 
 impl ColumnState {
-    /// `group`'s replica `replica` loading `shard` from here: the
+    /// `group`'s replica `replica` loading its shard from here: the
     /// generation it installs, or the event of its failure.
-    fn load(&self, group: usize, shard: usize, replica: usize) -> Result<u64, ClusterEvent> {
-        let Some(&error) = self.damaged.get(&shard) else {
+    fn load(&self, group: usize, replica: usize) -> Result<u64, ClusterEvent> {
+        let Some(&error) = self.damaged.get(&group) else {
             return Ok(self.generation);
         };
         let error = error.into();
@@ -1472,11 +1448,6 @@ impl ClusterModel {
     fn held(&self) -> BTreeSet<u64> {
         let replicas = self.groups.iter().flat_map(|g| &g.replicas);
         replicas.filter(|r| !r.down).map(|r| r.generation).collect()
-    }
-
-    /// Logical shards of the current plan.
-    fn shards(&self) -> usize {
-        self.groups.iter().map(|g| g.logical.len()).sum()
     }
 
     /// A batch: at the newest generation up replicas cover a quorum of
@@ -1566,19 +1537,16 @@ impl ClusterModel {
         })
     }
 
-    /// Refused while a group is unbacked; else the first up replica
-    /// behind its column's generation loads its shard from the column.
+    /// The first up replica behind its column's generation loads its
+    /// shard from the column.
     fn upgrade_step(&mut self) -> Result<Option<ClusterEvent>, String> {
-        if self.groups.iter().any(|g| !g.backed) {
-            return Err(BAD_TOPOLOGY.into());
-        }
         for (group, g) in self.groups.iter_mut().enumerate() {
             for (replica, state) in g.replicas.iter_mut().enumerate() {
                 let column = &self.columns[replica];
                 if state.down || state.generation >= column.generation {
                     continue;
                 }
-                let event = match column.load(group, g.logical[0], replica) {
+                let event = match column.load(group, replica) {
                     Ok(to) => {
                         let from = std::mem::replace(&mut state.generation, to);
                         ClusterEvent::UpgradeApplied {
@@ -1614,8 +1582,8 @@ impl ClusterModel {
                 shown(&events)
             }
             ClusterStep::Repair { group, replica } => {
-                let backed = self.groups.get_mut(group).filter(|g| g.backed);
-                let Some(state) = backed.and_then(|g| g.replicas.get_mut(replica)) else {
+                let slot = self.groups.get_mut(group).map(|g| &mut g.replicas);
+                let Some(state) = slot.and_then(|r| r.get_mut(replica)) else {
                     return refused;
                 };
                 let generation = published;
@@ -1628,34 +1596,6 @@ impl ClusterModel {
                 });
                 shown(&generation)
             }
-            ClusterStep::Rebalance => {
-                let old = self.shards();
-                for group in &mut self.groups {
-                    group.logical = group.logical.iter().flat_map(|&l| [l, l + old]).collect();
-                    group.logical.sort_unstable();
-                }
-                let shards = 2 * old;
-                self.events
-                    .push(ClusterEvent::Rebalanced { factor: 2, shards });
-                shown(&ShardPlan::RoundRobin { shards })
-            }
-            ClusterStep::Materialize { group } => match self.groups.get(group) {
-                None => refused,
-                Some(g) if g.logical.len() <= 1 => shown(&()),
-                Some(_) => {
-                    let parent = self.groups.remove(group);
-                    for &l in &parent.logical {
-                        let mut child = parent.clone();
-                        (child.logical, child.backed) = (vec![l], false);
-                        self.groups.push(child);
-                    }
-                    self.groups.sort_by_key(|g| g.logical[0]);
-                    let shards = parent.logical;
-                    self.events
-                        .push(ClusterEvent::GroupMaterialized { group, shards });
-                    shown(&())
-                }
-            },
             _ => refused,
         }
     }
@@ -1687,16 +1627,14 @@ impl ClusterModel {
             self.events
                 .push(ClusterEvent::ManifestRejected { replica, error });
         }
-        let group = |shard| GroupState {
-            logical: vec![shard],
-            backed: true,
+        let group = GroupState {
             cursor: 0,
             replicas: vec![ReplicaState::default(); readable.len()],
         };
-        (self.groups, self.batches) = ((0..SHARDS).map(group).collect(), 0);
+        (self.groups, self.batches) = (vec![group; SHARDS], 0);
         for (g, group) in self.groups.iter_mut().enumerate() {
             for (r, state) in group.replicas.iter_mut().enumerate() {
-                match readable[r].then(|| columns[r].load(g, g, r)) {
+                match readable[r].then(|| columns[r].load(g, r)) {
                     Some(Ok(generation)) => state.generation = generation,
                     failed => {
                         (state.down, state.empty) = (true, true);
@@ -1714,8 +1652,8 @@ struct ClusterRun<'s> {
     schedule: &'s ClusterSchedule,
     /// The run's directory; the publish directory's manifest; one
     /// manifest per replica column, each in a directory of its own; and
-    /// manifests of another aggregate and of a `Blocks` plan past every
-    /// generation published.
+    /// manifests of another aggregate and of the `2 × SHARDS`-shard
+    /// build.
     dir: PathBuf,
     publish: PathBuf,
     columns: Vec<PathBuf>,
@@ -1724,9 +1662,8 @@ struct ClusterRun<'s> {
     cluster: Cluster,
     /// The newest generation published.
     published: u64,
-    /// [`pool_moments`] of generations 0–2 and of the fresh fine build.
+    /// [`pool_moments`] of generations 0–2.
     moments: Vec<Vec<Vec<Moments>>>,
-    fine_moments: Vec<Vec<Moments>>,
     model: ClusterModel,
     /// Every event, and which other [`CLUSTER_EVENTS`] happened.
     seen: HashSet<String>,
@@ -1741,17 +1678,6 @@ impl ClusterRun<'_> {
         assert_eq!(events, want, "(15) the events");
         self.seen.extend(events.iter().map(|e| format!("{e:?}")));
         got
-    }
-
-    /// Per replica column, the pool's answer bits through
-    /// `replica_view`, which bypasses routing.
-    fn columns(&self) -> Vec<Vec<u64>> {
-        let column = |r| {
-            let view = self.cluster.replica_view(r).unwrap();
-            let (answers, _) = view.answer_batch(&fixture().pool);
-            answers.iter().map(|v| v.to_bits()).collect()
-        };
-        (0..self.schedule.replicas).map(column).collect()
     }
 
     /// Pool query `i`'s answer: `sources`' moments merged, finished once.
@@ -1780,16 +1706,12 @@ impl ClusterRun<'_> {
         assert!(report.covered == flat && report.stale == stale, "(15)");
         // (14): per row, each covered group's source shard at the served
         // generation, merged in group order and finished once.
-        let (backed, fine) = (
-            &self.moments[report.generation as usize],
-            &self.fine_moments,
-        );
+        let moments = &self.moments[report.generation as usize];
         let mut sources = Vec::new();
-        let chosen = self.model.groups.iter().zip(&report.chosen);
-        for (group, state) in chosen.filter_map(|(g, r)| Some((g, g.replicas[(*r)?]))) {
+        let chosen = self.model.groups.iter().zip(&report.chosen).enumerate();
+        for (group, state) in chosen.filter_map(|(i, (g, r))| Some((i, g.replicas[(*r)?]))) {
             assert!(state.serves(report.generation), "(15) chose {state:?}");
-            let source = if group.backed { backed } else { fine };
-            sources.push(&source[group.logical[0]]);
+            sources.push(&moments[group]);
         }
         assert_eq!(answers.len(), rows.len());
         for (k, (&i, got)) in rows.iter().zip(&answers).enumerate() {
@@ -1833,20 +1755,19 @@ impl ClusterRun<'_> {
             ClusterStep::Reload { damage, rows } => self.reload(*damage, rows),
             _ => self.control(step),
         }
-        // (19) The plan, groups and generations are the model's.
-        let shards = self.model.shards();
+        // (18) The plan, groups and generations are the model's.
+        let shards = self.model.groups.len();
         assert_eq!(
             self.cluster.plan(),
             ShardPlan::RoundRobin { shards },
-            "(19)"
+            "(18)"
         );
         let groups = self.cluster.groups();
-        assert_eq!(groups.len(), self.model.groups.len(), "(19) the groups");
+        assert_eq!(groups.len(), shards, "(18) the groups");
         for (got, want) in groups.iter().zip(&self.model.groups) {
             let replicas = got.replicas().iter().map(|r| r.generation());
             let model = want.replicas.iter().map(|r| r.generation);
-            let same = got.logical() == want.logical && replicas.eq(model);
-            assert!(same, "(19) {want:?}");
+            assert!(replicas.eq(model), "(18) {want:?}");
         }
     }
 
@@ -1867,7 +1788,7 @@ impl ClusterRun<'_> {
             shown(loaded.map(|loaded| *c = loaded.with_faults(faults)))
         });
         std::fs::remove_dir_all(self.dir.join("load")).unwrap();
-        assert_eq!(got, want, "(15), (19) a reload after {damage:?}");
+        assert_eq!(got, want, "(15), (18) a reload after {damage:?}");
         self.seen
             .insert(format!("{got:?} from a reload after {damage:?}"));
         let groups = &self.model.groups;
@@ -1883,20 +1804,13 @@ impl ClusterRun<'_> {
     }
 
     /// A control-plane step: its outcome is the model's (15); then (17)
-    /// a roll has finished, (18) a rebalance moved no answer bit and a
-    /// fully materialized cluster is the fresh fine build, and (19) a
-    /// foreign manifest was refused.
+    /// a roll has finished, and (18) a foreign manifest was refused.
     fn control(&mut self, step: &ClusterStep) {
         let (columns, published) = (self.columns.clone(), self.published);
-        let fx = fixture();
-        let (data, pred, train) = (fx.engine.dataset(), &fx.wl.predicate, &fx.wl.queries);
         let foreign = match *step {
             ClusterStep::Foreign { plan, .. } => self.foreign[usize::from(plan)].clone(),
             _ => self.publish.clone(),
         };
-        let before = (*step == ClusterStep::Rebalance).then(|| self.columns());
-        let once = before.is_none() || self.model.shards() == SHARDS;
-        assert!(once, "a schedule rebalances once");
         let want = self.model.control(step, published);
         let coarse_all =
             |events: Vec<ClusterEvent>| events.into_iter().map(coarse).collect::<Vec<_>>();
@@ -1906,10 +1820,6 @@ impl ClusterRun<'_> {
             ClusterStep::Repair { group, replica } => {
                 shown(c.repair_replica(group, replica, &foreign))
             }
-            ClusterStep::Rebalance => shown(c.rebalance(2)),
-            ClusterStep::Materialize { group } => {
-                shown(c.materialize_group(group, data, 1, pred, train, &cfg(0, FINE_EPOCHS)))
-            }
             ClusterStep::Foreign { repair: true, .. } => shown(c.repair_replica(0, 0, &foreign)),
             _ => {
                 let mut columns = columns.clone();
@@ -1917,20 +1827,14 @@ impl ClusterRun<'_> {
                 shown(c.rolling_upgrade_step(&columns))
             }
         });
-        assert_eq!(got, want, "(15), (19) {step:?}");
-        let groups = &self.model.groups;
-        let backed = groups.iter().all(|g| g.backed);
+        assert_eq!(got, want, "(15), (18) {step:?}");
         let rolled = matches!(step, ClusterStep::Upgrade | ClusterStep::Roll);
         if rolled && got.as_ref().is_ok_and(|e| e.contains("checksum")) {
             self.seen.insert("an upgrade failing its checksum".into());
         }
         match *step {
-            _ if rolled && !backed => {
-                let refused = "a roll refused for a materialized group";
-                self.seen.insert(refused.into());
-            }
             ClusterStep::Roll => {
-                for g in groups {
+                for g in &self.model.groups {
                     for (r, state) in g.replicas.iter().enumerate() {
                         let at = self.model.columns[r].generation;
                         assert!(state.down || state.generation >= at, "(17) {state:?}");
@@ -1943,26 +1847,7 @@ impl ClusterRun<'_> {
                 let again = self.apply(|c| shown(c.rolling_upgrade_step(&columns)));
                 assert_eq!(again, Ok("None".into()), "(17) a finished roll");
             }
-            ClusterStep::Rebalance => assert!(before == Some(self.columns()), "(18) rebalance"),
-            ClusterStep::Materialize { .. } if groups.iter().all(|g| !g.backed) => {
-                // A slot whose artifact never loaded adds nothing.
-                let zero = vec![Moments::ZERO; POOL];
-                let slot = |g: &GroupState, r: usize| match g.replicas[r].empty {
-                    true => &zero,
-                    false => &self.fine_moments[g.logical[0]],
-                };
-                let fresh = |r: usize| -> Vec<u64> {
-                    let slots = groups.iter().map(|g| slot(g, r));
-                    (0..POOL).map(|i| self.answer(slots.clone(), i)).collect()
-                };
-                let fresh: Vec<_> = (0..self.schedule.replicas).map(fresh).collect();
-                assert!(self.columns() == fresh, "(18) not fresh");
-                self.seen.insert("a fully materialized cluster".into());
-                if self.schedule.mode != QuantMode::F32 {
-                    self.seen.insert("an F16 or I8 materialize".into());
-                }
-            }
-            ClusterStep::Foreign { repair, .. } if backed || (repair && groups[0].backed) => {
+            ClusterStep::Foreign { .. } => {
                 self.seen.insert("a refused foreign manifest".into());
             }
             _ => {}
@@ -1992,10 +1877,8 @@ fn run_cluster_at(schedule: &ClusterSchedule, threads: usize) -> HashSet<String>
         .into_iter()
         .find(|&a| a != schedule.aggregate);
     let other = persist::save_sharded(dir.join("other"), &fixture().cluster[&other.unwrap()].0[0]);
-    let mut blocks = persist::read_manifest(&publish).unwrap();
-    (blocks.plan, blocks.generation) = (ShardPlan::Blocks { shards: SHARDS }, 3);
-    let foreign = [other.unwrap(), publish.with_file_name("blocks.nskm")];
-    std::fs::write(&foreign[1], persist::encode_manifest(&blocks).unwrap()).unwrap();
+    let resharded = persist::save_sharded(dir.join("resharded"), fine);
+    let foreign = [other.unwrap(), resharded.unwrap()];
     let opts = ClusterOptions {
         threads,
         quorum: schedule.quorum,
@@ -2012,7 +1895,6 @@ fn run_cluster_at(schedule: &ClusterSchedule, threads: usize) -> HashSet<String>
         cluster: cluster.with_faults(schedule.faults.clone()),
         published: 0,
         moments: builds.iter().map(|b| pool_moments(&stored(b))).collect(),
-        fine_moments: pool_moments(&stored(fine)),
         model: ClusterModel::new(schedule.replicas, &schedule.faults),
         seen: HashSet::new(),
     };

@@ -1,5 +1,5 @@
 //! Replicated cluster lifecycle: **build → replicate → route →
-//! fault-inject → rolling upgrade → rebalance**.
+//! fault-inject → rolling upgrade → re-shard**.
 //!
 //! `sharded_serve` scales one box to K shards; this example drives the
 //! simulated-cluster path from `docs/scaling.md` where every shard
@@ -22,9 +22,11 @@
 //!    checksum and is rolled around, then repaired from the publish
 //!    manifest, and [`DriftMonitor::check_many`] scores every replica
 //!    column against one probe labeling,
-//! 5. rebalance the round-robin plan 2 → 4 **row-stably**: answers stay
-//!    bitwise unchanged, then materializing the coarse groups yields
-//!    bitwise the models a fresh 4-shard build would train.
+//! 5. re-shard 2 → 4 the persisted way: build and save the 4-shard
+//!    deployment, publish it into every replica directory, watch the
+//!    running 2-shard cluster refuse to roll onto it (typed
+//!    `BadTopology`), and [`Cluster::load`] the columns instead — the
+//!    reloaded cluster answers bitwise like the fresh 4-shard build.
 //!
 //! ```text
 //! cargo run --release --example replicated_serve            # full scale
@@ -32,7 +34,9 @@
 //! ```
 
 use datagen::simple::{drift_batch, uniform};
-use neurosketch::cluster::{Cluster, ClusterEvent, ClusterOptions, Fault, RoutePolicy};
+use neurosketch::cluster::{
+    Cluster, ClusterError, ClusterEvent, ClusterOptions, Fault, RoutePolicy,
+};
 use neurosketch::maintenance::{retrain_shards, DriftMonitor};
 use neurosketch::serve::ServeOptions;
 use neurosketch::shard::{build_sharded, ShardPlan, ShardedServer};
@@ -269,24 +273,9 @@ fn main() {
         );
     }
 
-    // 5. Row-stable rebalance 2 → 4: answers bitwise unchanged with no
-    // rebuild; materializing then matches a fresh 4-shard build.
-    let refined = cluster.rebalance(2).expect("rebalance");
-    let (rebalanced, _) = cluster.answer_batch(&wl.queries).expect("rebalanced batch");
-    assert_eq!(
-        rebalanced, gen1_expect,
-        "a row-stable rebalance must not move answers"
-    );
-    println!(
-        "rebalanced {:?} -> {:?}: answers bitwise unchanged, no rebuild",
-        ShardPlan::RoundRobin { shards },
-        refined
-    );
-    while let Some(i) = cluster.groups().iter().position(|g| g.logical().len() > 1) {
-        cluster
-            .materialize_group(i, &data, 1, &wl.predicate, &wl.queries, &cfg)
-            .expect("materialize");
-    }
+    // 5. Re-shard 2 → 4: save the 4-shard deployment, publish it into
+    // every replica directory, and reload the columns. The running
+    // cluster refuses to roll onto another plan, typed.
     let (fine, _) = build_sharded(
         &data,
         1,
@@ -297,21 +286,43 @@ fn main() {
         &cfg,
     )
     .expect("fresh fine build");
+    let fine_publish = std::env::temp_dir().join("neurosketch_replicated_demo_publish_k4");
+    std::fs::remove_dir_all(&fine_publish).ok();
+    persist::save_sharded(&fine_publish, &fine).expect("save 4-shard deployment");
+    for dir in &replica_dirs {
+        publish_into(&fine_publish, dir);
+    }
+    let refused = cluster.rolling_upgrade_step(&replica_manifests);
+    assert!(
+        matches!(refused, Err(ClusterError::BadTopology(_))),
+        "a roll onto another plan must be refused, typed: {refused:?}"
+    );
+    println!("2-shard cluster refuses to roll onto the 4-shard manifests (BadTopology)");
     let fine_expect = ShardedServer::new(fine, ServeOptions::default())
         .answer_batch(&wl.queries)
         .0;
-    let (materialized, _) = cluster
-        .answer_batch(&wl.queries)
-        .expect("materialized batch");
+    let mut cluster = Cluster::load(
+        &replica_manifests,
+        RoutePolicy::RoundRobin,
+        ClusterOptions::default(),
+    )
+    .expect("load the re-sharded columns");
+    let (resharded, report) = cluster.answer_batch(&wl.queries).expect("re-sharded batch");
     assert_eq!(
-        materialized, fine_expect,
-        "materialized groups must be bitwise a fresh fine-grained build"
+        resharded, fine_expect,
+        "the reloaded cluster must be bitwise the fresh 4-shard build"
     );
-    println!("materialized 4 groups: bitwise = fresh 4-shard build");
+    println!(
+        "re-sharded {:?} -> {:?}: {} groups reloaded, bitwise = fresh 4-shard build",
+        ShardPlan::RoundRobin { shards },
+        cluster.plan(),
+        report.groups
+    );
 
+    std::fs::remove_dir_all(&fine_publish).ok();
     std::fs::remove_dir_all(&publish).ok();
     for dir in &replica_dirs {
         std::fs::remove_dir_all(dir).ok();
     }
-    println!("build -> replicate -> fault-inject -> roll -> rebalance round trip verified");
+    println!("build -> replicate -> fault-inject -> roll -> re-shard round trip verified");
 }

@@ -58,7 +58,7 @@ fn main() {
     let engine = QueryEngine::new(&data, 1);
 
     // 1. + 2. Plan and build: K shards, one sketch per moment component.
-    let plan = ShardPlan::Hash { shards, seed: 42 };
+    let plan = ShardPlan::RoundRobin { shards };
     let mut cfg = NeuroSketchConfig::small();
     cfg.tree_height = 2;
     cfg.target_partitions = 4;
