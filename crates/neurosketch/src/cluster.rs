@@ -1,5 +1,4 @@
-//! Replicated shard serving over a simulated cluster, with
-//! deterministic replica kills.
+//! Replicated shard serving over a simulated cluster.
 //!
 //! [`crate::shard`] answers a batch by scattering to K shard sketches
 //! on one box. This module extends that to a *cluster*: every shard
@@ -14,12 +13,13 @@
 //!
 //! Failures are real disk states — a replica column that missed a
 //! publish, a checksum-corrupt or missing artifact, an unreadable
-//! manifest — plus replica kills armed as serializable [`Fault`]s.
-//! Every failure produces a typed outcome — a degraded
+//! manifest — plus replica kills, a control-plane call
+//! ([`Cluster::kill_replica`]) that takes effect before the next batch
+//! is routed. Every failure produces a typed outcome — a degraded
 //! [`ClusterBatchReport`] (quorum answer with a staleness flag), a
-//! logged [`ClusterEvent`] or a [`ClusterError`] — never a panic, and
-//! never a silent blend of generations: one batch is served entirely
-//! from one generation.
+//! [`ClusterError`], or for a change to the cluster itself a logged
+//! [`ClusterEvent`] — never a panic, and never a silent blend of
+//! generations: one batch is served entirely from one generation.
 //!
 //! A batch is route → scatter → finish: the router picks one replica
 //! per group, and that selection — a [`ClusterReplicaView`] — runs
@@ -30,18 +30,18 @@
 //! [`DeployStats`] every layer returns, the one count of where answers
 //! came from; its cache counts stay 0.
 //!
-//! Determinism contract: with the same cluster state, armed kills, and
-//! batch sequence, answers **and the event log** are bitwise identical
-//! at any thread count. All routing and fault decisions are made on
-//! the coordinator before the parallel scatter; workers only evaluate
-//! the sketches they were handed, and the merge order is group order.
+//! Determinism contract: with the same cluster state and the same
+//! sequence of batches and control-plane calls, answers, reports
+//! **and the event log** are bitwise identical at any thread count.
+//! Every routing decision is made on the coordinator before the
+//! parallel scatter; workers only evaluate the sketches they were
+//! handed, and the merge order is group order.
 
 use crate::deploy::{DeployKind, DeployStats, Deployment, DeploymentInfo, QueryBatch};
 use crate::persist::{self, PersistError, ShardManifest};
 use crate::shard::{finish_guarded, scatter_gather, ShardPlan, ShardSketch, ShardedSketch};
 use crate::SketchError;
 use query::aggregate::{Aggregate, Moments};
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 /// How the coordinator picks which up replica of a group serves a
@@ -50,7 +50,7 @@ use std::path::Path;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutePolicy {
     /// Cycle through eligible replicas per group; each group keeps its
-    /// own cursor, advanced once per pick (a failover re-pick too).
+    /// own cursor, advanced once per pick.
     RoundRobin,
 }
 
@@ -130,70 +130,18 @@ impl ShardGroup {
     }
 }
 
-/// One injected fault, plain data so a schedule of them replays. A
-/// fault addressing a slot that does not exist is ignored (fired but
-/// harmless), so a schedule written for one topology replays safely on
-/// another. Disk faults are not simulated: they are states of the
-/// replica directories that [`Cluster::load`],
-/// [`Cluster::rolling_upgrade_step`] and [`Cluster::repair_replica`]
-/// read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Fault {
-    /// Kill a replica at the start of batch `batch` (0-based serve
-    /// counter) — the router must fail over mid-sequence.
-    Kill {
-        /// Batch counter at (or after) which the kill fires.
-        batch: u64,
-        /// Target group index.
-        group: usize,
-        /// Target replica index within the group.
-        replica: usize,
-    },
-}
-
-/// Everything observable that happened inside the cluster — the
-/// harness's ground truth. Events are appended in deterministic order;
-/// [`Cluster::take_events`] drains them for assertions.
+/// A change to the cluster's replicas or directories — what a batch
+/// was served from is its [`ClusterBatchReport`]'s, not an event.
+/// Events are appended in deterministic order; [`Cluster::take_events`]
+/// drains them for assertions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClusterEvent {
-    /// A [`Fault::Kill`] fired.
+    /// [`Cluster::kill_replica`] took an up replica out of rotation.
     ReplicaKilled {
-        /// Batch counter at which the kill took effect.
-        batch: u64,
         /// Group index.
         group: usize,
         /// Replica index.
         replica: usize,
-    },
-    /// The routed replica was unhealthy; another replica took the
-    /// batch.
-    Failover {
-        /// Batch counter.
-        batch: u64,
-        /// Group index.
-        group: usize,
-        /// Originally chosen replica.
-        from: usize,
-        /// Replica that served instead.
-        to: usize,
-    },
-    /// No healthy replica at the serving generation covered this group
-    /// for this batch (it contributed nothing to the merge).
-    GroupUncovered {
-        /// Batch counter.
-        batch: u64,
-        /// Group index.
-        group: usize,
-    },
-    /// The batch was served from an older generation than the newest
-    /// any healthy replica holds.
-    ServedStale {
-        /// Batch counter.
-        batch: u64,
-        /// Generation actually served.
-        served: u64,
-        /// Newest generation present on any healthy replica.
-        latest: u64,
     },
     /// A rolling-upgrade step swapped a replica's artifact.
     UpgradeApplied {
@@ -295,38 +243,39 @@ impl From<SketchError> for ClusterError {
     }
 }
 
-/// What one served batch looked like from the coordinator.
+/// How one batch was served: the one account of its generation,
+/// staleness and coverage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterBatchReport {
-    /// Queries in the batch.
-    pub queries: usize,
     /// Generation every contributing replica served (never blended).
     pub generation: u64,
-    /// Newest generation present on any healthy replica.
+    /// Newest generation present on any up replica.
     pub latest: u64,
-    /// `generation < latest`: the staleness flag.
-    pub stale: bool,
-    /// Shard groups that contributed to the merge.
-    pub covered: usize,
-    /// Total shard groups.
-    pub groups: usize,
-    /// Replicas that served only because the routed replica was down.
-    pub failovers: usize,
-    /// Replica chosen per group (`None` = uncovered this batch).
+    /// Replica chosen per group, in group order (`None` = uncovered
+    /// this batch, contributing nothing to the merge).
     pub chosen: Vec<Option<usize>>,
 }
 
+impl ClusterBatchReport {
+    /// Shard groups that contributed to the merge.
+    pub fn covered(&self) -> usize {
+        self.chosen.iter().flatten().count()
+    }
+
+    /// The batch was served behind the newest generation.
+    pub fn stale(&self) -> bool {
+        self.generation < self.latest
+    }
+}
+
 /// A replicated scatter/gather deployment over shard groups, plus the
-/// control plane (rolling upgrades, repair) and the armed kills. See
-/// the [module docs](crate::cluster) for the determinism contract.
+/// control plane (kills, rolling upgrades, repair). See the
+/// [module docs](crate::cluster) for the determinism contract.
 pub struct Cluster {
     plan: ShardPlan,
     aggregate: Aggregate,
     groups: Vec<ShardGroup>,
     opts: ClusterOptions,
-    batches: u64,
-    /// Kills not yet fired, in schedule order.
-    faults: Vec<Fault>,
     events: Vec<ClusterEvent>,
 }
 
@@ -367,7 +316,7 @@ fn validate_opts(opts: &ClusterOptions) -> Result<(), ClusterError> {
 
 impl Cluster {
     /// A cluster with one group per shard of `plan`, shard `i`'s
-    /// replicas `replica_sets[i]`, no fault armed and `events` logged.
+    /// replicas `replica_sets[i]` and `events` logged.
     fn assemble(
         plan: ShardPlan,
         aggregate: Aggregate,
@@ -387,8 +336,6 @@ impl Cluster {
             aggregate,
             groups,
             opts,
-            batches: 0,
-            faults: Vec::new(),
             events,
         }
     }
@@ -501,13 +448,6 @@ impl Cluster {
         ))
     }
 
-    /// Arm `faults`, in place of any still armed. Each fires at most
-    /// once, by batch counter.
-    pub fn with_faults(mut self, faults: Vec<Fault>) -> Cluster {
-        self.faults = faults;
-        self
-    }
-
     /// The shard plan.
     pub fn plan(&self) -> ShardPlan {
         self.plan
@@ -532,27 +472,6 @@ impl Cluster {
         quorum_needed(self.groups.len(), self.opts.quorum)
     }
 
-    /// Fire, in schedule order, the armed kills whose batch counter has
-    /// arrived; each leaves the armed set as it fires.
-    fn fire_kills(&mut self, batch: u64) {
-        let faults = std::mem::take(&mut self.faults).into_iter();
-        let (due, armed): (Vec<Fault>, _) =
-            faults.partition(|&Fault::Kill { batch: at, .. }| at <= batch);
-        self.faults = armed;
-        for Fault::Kill { group, replica, .. } in due {
-            let slot = self.groups.get_mut(group);
-            let slot = slot.and_then(|g| g.replicas.get_mut(replica));
-            if let Some(rep) = slot.filter(|r| r.up) {
-                rep.up = false;
-                self.events.push(ClusterEvent::ReplicaKilled {
-                    batch,
-                    group,
-                    replica,
-                });
-            }
-        }
-    }
-
     /// Pick the replica of `group` eligible at `generation` that the
     /// group's round-robin cursor points at, and advance the cursor.
     fn pick(group: &mut ShardGroup, generation: u64) -> Option<usize> {
@@ -567,123 +486,34 @@ impl Cluster {
         Some(chosen)
     }
 
-    /// Choose the serving generation and a replica per group for one
-    /// batch. Never blends generations: picks the newest generation
-    /// with quorum coverage, or fails typed.
-    fn select(&mut self, batch: u64) -> Result<(u64, u64, Vec<Option<usize>>), ClusterError> {
-        let mut gens: Vec<u64> = self
-            .groups
-            .iter()
-            .flat_map(|g| g.replicas.iter())
-            .filter(|r| r.up)
-            .map(|r| r.generation)
-            .collect();
+    /// Route one batch: the newest generation whose up replicas cover
+    /// a quorum of groups, and at it one pick per group (`None` where
+    /// none serves it) — or [`ClusterError::QuorumLost`]. Touches no
+    /// query, so what is left is pure compute over the report's
+    /// `chosen` replicas, deterministic at any thread count. Never
+    /// blends generations.
+    fn route(&mut self) -> Result<ClusterBatchReport, ClusterError> {
+        let replicas = self.groups.iter().flat_map(|g| &g.replicas);
+        let mut gens: Vec<u64> = replicas.filter(|r| r.up).map(|r| r.generation).collect();
         gens.sort_unstable_by(|a, b| b.cmp(a));
         gens.dedup();
-        let needed = self.quorum_needed();
-        let groups = self.groups.len();
-        let Some(&latest) = gens.first() else {
-            return Err(ClusterError::QuorumLost {
-                covered: 0,
-                needed,
-                groups,
-            });
+        let coverage = |gen: u64| {
+            let serves = |g: &&ShardGroup| g.replicas.iter().any(|r| r.serves(gen));
+            self.groups.iter().filter(serves).count()
         };
-        let mut best_covered = 0usize;
-        for &gen in &gens {
-            let covered = self
-                .groups
-                .iter()
-                .filter(|g| g.replicas.iter().any(|r| r.serves(gen)))
-                .count();
-            best_covered = best_covered.max(covered);
-            if covered >= needed {
-                let chosen: Vec<Option<usize>> = self
-                    .groups
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(gi, group)| {
-                        let pick = Cluster::pick(group, gen);
-                        if pick.is_none() {
-                            self.events
-                                .push(ClusterEvent::GroupUncovered { batch, group: gi });
-                        }
-                        pick
-                    })
-                    .collect();
-                return Ok((gen, latest, chosen));
-            }
-        }
-        Err(ClusterError::QuorumLost {
-            covered: best_covered,
-            needed,
-            groups,
-        })
-    }
-
-    /// Make every routing decision for one batch of `queries` queries —
-    /// generation selection, kill firing, failover re-validation, quorum
-    /// check, stale event — without touching any query. What is left is pure compute over the report's `chosen`
-    /// replicas, deterministic at any thread count.
-    fn route_batch(&mut self, queries: usize) -> Result<ClusterBatchReport, ClusterError> {
-        let batch = self.batches;
-        self.batches += 1;
-        let (target, latest, mut chosen) = self.select(batch)?;
-        // Kills scheduled at-or-before this batch land *after* routing
-        // — the replica dies mid-batch, once already chosen — so the
-        // failover pass below re-validates every pick against post-kill
-        // health and re-routes the victims.
-        self.fire_kills(batch);
-        let mut failovers = 0usize;
-        for (gi, slot) in chosen.iter_mut().enumerate() {
-            if let Some(r) = *slot {
-                if !self.groups[gi].replicas[r].serves(target) {
-                    let repick = Cluster::pick(&mut self.groups[gi], target);
-                    match repick {
-                        Some(to) => {
-                            failovers += 1;
-                            self.events.push(ClusterEvent::Failover {
-                                batch,
-                                group: gi,
-                                from: r,
-                                to,
-                            });
-                            *slot = Some(to);
-                        }
-                        None => {
-                            self.events
-                                .push(ClusterEvent::GroupUncovered { batch, group: gi });
-                            *slot = None;
-                        }
-                    }
-                }
-            }
-        }
-        let covered = chosen.iter().flatten().count();
         let needed = self.quorum_needed();
-        if covered < needed {
+        let Some(&generation) = gens.iter().find(|&&gen| coverage(gen) >= needed) else {
             return Err(ClusterError::QuorumLost {
-                covered,
+                covered: gens.iter().map(|&gen| coverage(gen)).max().unwrap_or(0),
                 needed,
                 groups: self.groups.len(),
             });
-        }
-        let stale = target < latest;
-        if stale {
-            self.events.push(ClusterEvent::ServedStale {
-                batch,
-                served: target,
-                latest,
-            });
-        }
+        };
+        let groups = self.groups.iter_mut();
+        let chosen = groups.map(|g| Cluster::pick(g, generation)).collect();
         Ok(ClusterBatchReport {
-            queries,
-            generation: target,
-            latest,
-            stale,
-            covered,
-            groups: self.groups.len(),
-            failovers,
+            generation,
+            latest: gens[0],
             chosen,
         })
     }
@@ -696,18 +526,17 @@ impl Cluster {
     /// are bitwise the single-box [`crate::shard::ShardedServer`]
     /// answers.
     ///
-    /// Degrades typed: a down replica fails over
-    /// ([`ClusterEvent::Failover`]), a generation behind the newest
-    /// sets [`ClusterBatchReport::stale`], lost coverage below quorum
-    /// is [`ClusterError::QuorumLost`]. Never panics on injected
-    /// faults; never blends generations within a batch. The cluster
+    /// Degrades typed: a down replica is routed around, a generation
+    /// behind the newest is [`ClusterBatchReport::stale`], lost coverage
+    /// below quorum is [`ClusterError::QuorumLost`]. Never panics on a
+    /// failure; never blends generations within a batch. The cluster
     /// holds no answer cache: a degraded batch's partial answers have
     /// nowhere to be stored or served from.
     pub fn answer_batch(
         &mut self,
         queries: &[Vec<f64>],
     ) -> Result<(Vec<f64>, ClusterBatchReport), ClusterError> {
-        let report = self.route_batch(queries.len())?;
+        let report = self.route()?;
         let (answers, _) = self.view(report.chosen.clone()).answer_batch(queries);
         Ok((answers, report))
     }
@@ -813,6 +642,30 @@ impl Cluster {
         ))
     }
 
+    /// Group `group`'s replica `replica`, or [`ClusterError::BadTopology`]
+    /// if there is no such slot.
+    fn replica_mut(&mut self, group: usize, replica: usize) -> Result<&mut Replica, ClusterError> {
+        let slot = self.groups.get_mut(group);
+        let slot = slot.and_then(|g| g.replicas.get_mut(replica));
+        slot.ok_or_else(|| {
+            ClusterError::BadTopology(format!("group {group} has no replica {replica}"))
+        })
+    }
+
+    /// Take a replica out of rotation: every batch routed after the call
+    /// goes around it, until [`Cluster::repair_replica`]. Killing a
+    /// replica already down changes and logs nothing. A group or
+    /// replica that does not exist is [`ClusterError::BadTopology`], and
+    /// changes nothing.
+    pub fn kill_replica(&mut self, group: usize, replica: usize) -> Result<(), ClusterError> {
+        let rep = self.replica_mut(group, replica)?;
+        if std::mem::replace(&mut rep.up, false) {
+            self.events
+                .push(ClusterEvent::ReplicaKilled { group, replica });
+        }
+        Ok(())
+    }
+
     /// Bring a downed or lagging replica back: reload its group's shard
     /// from `manifest_path`, put it back in rotation, and
     /// return the generation it now serves. A group or replica that
@@ -824,14 +677,7 @@ impl Cluster {
         replica: usize,
         manifest_path: impl AsRef<Path>,
     ) -> Result<u64, ClusterError> {
-        if (self.groups.get(group))
-            .and_then(|g| g.replicas.get(replica))
-            .is_none()
-        {
-            return Err(ClusterError::BadTopology(format!(
-                "group {group} has no replica {replica}"
-            )));
-        }
+        self.replica_mut(group, replica)?;
         let manifest_path = manifest_path.as_ref();
         let manifest = self.read_own_manifest(manifest_path)?;
         let sketch = persist::load_shard(&manifest, manifest_path, group)?;
@@ -876,9 +722,9 @@ impl Cluster {
 /// implementor of the trait is a pure function of the batch (which is
 /// what lets [`crate::cache::CachedDeployment`] key on a fixed
 /// generation and [`crate::deploy::LiveDeployment`] hand out
-/// snapshots). A router with a fault clock, cursors and a per-batch
-/// serving generation is not, so what a routing decision *selects* is in
-/// the trait and the router stays a `&mut self` control plane.
+/// snapshots). A router with cursors and a per-batch serving
+/// generation is not, so what a routing decision *selects* is in the
+/// trait and the router stays a `&mut self` control plane.
 pub struct ClusterReplicaView<'a> {
     cluster: &'a Cluster,
     chosen: Vec<Option<usize>>,

@@ -64,7 +64,7 @@ pub use aqc::{aqc, normalized_aqc_std};
 pub use cache::{AnswerCache, CacheStats, CachedDeployment};
 pub use cluster::{
     Cluster, ClusterBatchReport, ClusterError, ClusterEvent, ClusterOptions, ClusterReplicaView,
-    Fault, RoutePolicy,
+    RoutePolicy,
 };
 pub use deploy::{DeployKind, DeployStats, Deployment, DeploymentInfo, LiveDeployment};
 pub use maintenance::{DriftMonitor, DriftReport, MaintenancePlan, MaintenanceReport};

@@ -154,30 +154,23 @@ const REGRESSIONS: &[&str] = &[
     // A repair or an upgrade from a manifest of another aggregate or plan
     // is refused: unchecked, it served the other deployment's models.
     r#"{"seed": 0, "aggregate": "Avg", "mode": "F32", "replicas": 2, "quorum": 1.0,
-        "threads": 2, "faults": [], "steps": [{"Foreign": {"repair": true, "plan": false}},
+        "threads": 2, "steps": [{"Foreign": {"repair": true, "plan": false}},
         {"Foreign": {"repair": true, "plan": true}}, {"Foreign": {"repair": false, "plan": true}},
         {"Serve": {"rows": [0, 1, 2, 3, 16, 24]}}]}"#,
     // A kill before a roll, which rolls around it; in group 1 a column
     // that missed the publish and an artifact that fails its checksum,
-    // and a kill of its last replica at the new generation mid-batch:
-    // the batch answers from group 0 alone.
+    // and a kill of its last replica at the new generation before the
+    // last batch: that batch answers from group 0 alone.
     r#"{"seed": 99, "aggregate": "Avg", "mode": "F32", "replicas": 3, "quorum": 0.5,
-        "threads": 4, "faults": [{"Kill": {"batch": 1, "group": 0, "replica": 0}},
-        {"Kill": {"batch": 3, "group": 1, "replica": 2}}],
-        "steps": [{"Serve": {"rows": [0, 1, 2, 3]}}, {"Serve": {"rows": [4, 5, 6, 7]}},
-        {"Publish": {"skip": [0]}}, {"Damage": {"column": 1, "shard": 1}}, "Roll",
-        {"Serve": {"rows": [8, 9, 10]}}, {"Serve": {"rows": [11, 12]}}]}"#,
-    // A failover re-pick advances the group's cursor: batch 2 picks
-    // replica 2, not 0. No tier-1 seed serves a 3-replica group again
-    // after failing it over.
-    r#"{"seed": 0, "aggregate": "Sum", "mode": "F32", "replicas": 3, "quorum": 1.0,
-        "threads": 2, "faults": [{"Kill": {"batch": 1, "group": 0, "replica": 1}}],
-        "steps": [{"Serve": {"rows": [0]}}, {"Serve": {"rows": [1]}}, {"Serve": {"rows": [2]}}]}"#,
+        "threads": 4,
+        "steps": [{"Serve": {"rows": [0, 1, 2, 3]}}, {"Kill": {"group": 0, "replica": 0}},
+        {"Serve": {"rows": [4, 5, 6, 7]}}, {"Publish": {"skip": [0]}},
+        {"Damage": {"column": 1, "shard": 1}}, "Roll", {"Serve": {"rows": [8, 9, 10]}},
+        {"Kill": {"group": 1, "replica": 2}}, {"Serve": {"rows": [11, 12]}}]}"#,
     // Readable column manifests that disagree are refused: column 0's
     // COUNT manifest outvoted the two AVG columns and served COUNT.
     r#"{"seed": 0, "aggregate": "Avg", "mode": "F32", "replicas": 3, "quorum": 1.0,
-        "threads": 2, "faults": [],
-        "steps": [{"Reload": {"damage": "Foreign", "rows": [0, 1, 2, 3]}}]}"#,
+        "threads": 2, "steps": [{"Reload": {"damage": "Foreign", "rows": [0, 1, 2, 3]}}]}"#,
 ];
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1113,9 +1106,11 @@ const CLUSTER_TIER1_SEEDS: u64 = 24;
 const BAD_TOPOLOGY: &str = "BadTopology";
 const PERSIST: &str = "Persist";
 /// What the tier-1 cluster seeds must make happen.
-const CLUSTER_EVENTS: [&str; 16] = [
-    "Failover",
-    "ServedStale",
+const CLUSTER_EVENTS: [&str; 18] = [
+    "a batch routed around a killed replica",
+    "a stale batch",
+    "a kill of a replica already down",
+    "a kill refused for a slot that does not exist",
     "ReplicaRepaired",
     "a partial-quorum answer",
     "a typed quorum loss",
@@ -1137,7 +1132,7 @@ const CLUSTER_EVENTS: [&str; 16] = [
 /// A [`SHARDS`]-shard round-robin deployment of `aggregate` stored at
 /// `mode`, published into one directory per replica column, behind a
 /// [`Cluster`] of `replicas` replicas per group that serves at `quorum`
-/// on `threads` threads with the kills `faults` armed.
+/// on `threads` threads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ClusterSchedule {
     seed: u64,
@@ -1146,7 +1141,6 @@ struct ClusterSchedule {
     replicas: usize,
     quorum: f64,
     threads: usize,
-    faults: Vec<Fault>,
     steps: Vec<ClusterStep>,
 }
 
@@ -1165,6 +1159,8 @@ enum ClusterStep {
     Roll,
     /// `repair_replica` from the publish manifest.
     Repair { group: usize, replica: usize },
+    /// `kill_replica`.
+    Kill { group: usize, replica: usize },
     /// A repair of group 0's replica 0 from, or an upgrade step with
     /// column 0 on, a manifest of another aggregate or (`plan`) of the
     /// same aggregate re-sharded to `2 × SHARDS` shards, which only a
@@ -1196,11 +1192,13 @@ impl ClusterSchedule {
     /// The schedule of `seed`: random steps, among them in this order a
     /// publish, an upgrade step, a batch, a roll, a second publish, a
     /// damaged artifact (which no later publish overwrites, so a reload
-    /// can meet it beside a column behind) and an upgrade step; a
-    /// repair, a foreign
-    /// manifest, a long batch and two reloads anywhere; a last batch;
-    /// 1–4 kills, on groups 0–2 (a kill of group 2, which does not
-    /// exist, is ignored).
+    /// can meet it beside a column behind), an upgrade step and an
+    /// intact reload; a repair, a foreign manifest, a long batch, two
+    /// reloads and 1–4 kills, on groups 0–2 (group 2 does not exist),
+    /// anywhere; a last batch. At quorum 1.0 over two or more columns
+    /// the second publish reaches the last column alone and the damage
+    /// is there, so the intact reload serves a stale batch: the newest
+    /// generation lost a group, an older one covers every group.
     fn generate(seed: u64) -> ClusterSchedule {
         let mut state = seed;
         let mut pick = |n: usize| (splitmix64(&mut state) % n as u64) as usize;
@@ -1208,6 +1206,8 @@ impl ClusterSchedule {
             |pick: &mut dyn FnMut(usize) -> usize| (0..pick(41)).map(|_| pick(POOL)).collect();
         let serve = |pick: &mut dyn FnMut(usize) -> usize| ClusterStep::Serve { rows: rows(pick) };
         let replicas = 1 + pick(3);
+        let quorum = [1.0, 0.5][pick(2)];
+        let stale_reload = quorum == 1.0 && replicas > 1;
         let publish = |pick: &mut dyn FnMut(usize) -> usize| ClusterStep::Publish {
             skip: (0..replicas).filter(|_| pick(3) == 0).collect(),
         };
@@ -1221,15 +1221,24 @@ impl ClusterSchedule {
                 _ => ClusterStep::Repair { group, replica },
             });
         }
-        let (column, shard) = (pick(replicas), pick(SHARDS));
+        let (mut column, shard) = (pick(replicas), pick(SHARDS));
+        let mut second = publish(&mut pick);
+        if stale_reload {
+            let skip = (0..replicas - 1).collect();
+            (second, column) = (ClusterStep::Publish { skip }, replicas - 1);
+        }
         let ordered = [
             publish(&mut pick),
             ClusterStep::Upgrade,
             serve(&mut pick),
             ClusterStep::Roll,
-            publish(&mut pick),
+            second,
             ClusterStep::Damage { column, shard },
             ClusterStep::Upgrade,
+            ClusterStep::Reload {
+                damage: Disk::Intact,
+                rows: rows(&mut pick),
+            },
         ];
         let mut at = 0;
         for step in ordered {
@@ -1253,35 +1262,28 @@ impl ClusterSchedule {
             let rows = rows(pick);
             ClusterStep::Reload { damage, rows }
         };
-        let anywhere = [
+        let mut anywhere = vec![
             ClusterStep::Repair { group, replica },
             ClusterStep::Foreign { repair, plan },
             ClusterStep::Long { len },
             reload(&mut pick),
             reload(&mut pick),
         ];
+        for _ in 0..1 + pick(4) {
+            let (group, replica) = (pick(SHARDS + 1), pick(replicas));
+            anywhere.push(ClusterStep::Kill { group, replica });
+        }
         for step in anywhere {
             steps.insert(pick(steps.len() + 1), step);
         }
         steps.push(serve(&mut pick));
-        let batch =
-            |s: &&ClusterStep| matches!(s, ClusterStep::Serve { .. } | ClusterStep::Long { .. });
-        let batches = steps.iter().filter(batch).count();
-        let faults = (0..1 + pick(4))
-            .map(|_| Fault::Kill {
-                group: pick(SHARDS + 1),
-                replica: pick(replicas),
-                batch: pick(batches) as u64,
-            })
-            .collect();
         ClusterSchedule {
             seed,
             aggregate: Aggregate::ALL[pick(4)],
             mode: [QuantMode::F32, QuantMode::F16, QuantMode::I8][pick(3)],
             replicas,
-            quorum: [1.0, 0.5][pick(2)],
+            quorum,
             threads: [1, 2, 3, 4, 7][pick(5)],
-            faults,
             steps,
         }
     }
@@ -1367,8 +1369,8 @@ fn damage_columns(columns: &[PathBuf], damage: Disk) {
 struct ReplicaState {
     generation: u64,
     down: bool,
-    /// Down since its artifact failed to load: it holds no models.
-    empty: bool,
+    /// Down since a kill.
+    killed: bool,
 }
 
 impl ReplicaState {
@@ -1423,21 +1425,15 @@ impl ColumnState {
 struct ClusterModel {
     groups: Vec<GroupState>,
     columns: Vec<ColumnState>,
-    /// Batches routed since the last load: the kill clock.
-    batches: u64,
-    /// The kills not yet fired.
-    faults: Vec<Fault>,
     /// Events predicted since the last step.
     events: Vec<ClusterEvent>,
 }
 
 impl ClusterModel {
-    /// Loaded from `replicas` columns at generation 0, `faults` armed.
-    fn new(replicas: usize, faults: &[Fault]) -> ClusterModel {
-        let (columns, faults) = (vec![ColumnState::default(); replicas], faults.to_vec());
+    /// Loaded from `replicas` columns at generation 0.
+    fn new(replicas: usize) -> ClusterModel {
         let mut model = ClusterModel {
-            columns,
-            faults,
+            columns: vec![ColumnState::default(); replicas],
             ..ClusterModel::default()
         };
         assert_eq!(model.reload(Disk::Intact), Ok("()".into()));
@@ -1451,88 +1447,29 @@ impl ClusterModel {
     }
 
     /// A batch: at the newest generation up replicas cover a quorum of
-    /// groups at, one round-robin pick per group; then the kills due
-    /// land, and a killed pick fails over to the group's next pick.
-    fn serve(&mut self, queries: usize, quorum: f64) -> Result<ClusterBatchReport, String> {
-        let batch = self.batches;
-        self.batches += 1;
+    /// groups at, one round-robin pick per group.
+    fn serve(&mut self, quorum: f64) -> Result<ClusterBatchReport, String> {
         let groups = self.groups.len();
         let needed = ((quorum * groups as f64).ceil() as usize).clamp(1, groups);
-        let lost = |covered| {
-            let lost = ClusterError::QuorumLost {
-                covered,
-                needed,
-                groups,
-            };
-            Err(lost.to_string())
-        };
         let held = self.held();
         let coverage = |gen: u64| {
             let at = |g: &&GroupState| g.replicas.iter().any(|r| r.serves(gen));
             self.groups.iter().filter(at).count()
         };
         let Some(&generation) = held.iter().rev().find(|&&g| coverage(g) >= needed) else {
-            return lost(held.iter().map(|&g| coverage(g)).max().unwrap_or(0));
+            let covered = held.iter().map(|&g| coverage(g)).max().unwrap_or(0);
+            let lost = ClusterError::QuorumLost {
+                covered,
+                needed,
+                groups,
+            };
+            return Err(lost.to_string());
         };
         let latest = *held.last().unwrap();
-        let mut chosen: Vec<_> = self.groups.iter_mut().map(|g| g.pick(generation)).collect();
-        for group in (0..groups).filter(|&g| chosen[g].is_none()) {
-            self.events
-                .push(ClusterEvent::GroupUncovered { batch, group });
-        }
-        let due = |&Fault::Kill { batch: at, .. }: &Fault| at <= batch;
-        let fired: Vec<Fault> = self.faults.iter().copied().filter(due).collect();
-        self.faults.retain(|f| !due(f));
-        for Fault::Kill { group, replica, .. } in fired {
-            let slot = self.groups.get_mut(group).map(|g| &mut g.replicas);
-            if let Some(state) = slot.and_then(|r| r.get_mut(replica)).filter(|r| !r.down) {
-                state.down = true;
-                self.events.push(ClusterEvent::ReplicaKilled {
-                    batch,
-                    group,
-                    replica,
-                });
-            }
-        }
-        let mut failovers = 0;
-        for (group, slot) in chosen.iter_mut().enumerate() {
-            let Some(from) = slot.filter(|&r| self.groups[group].replicas[r].down) else {
-                continue;
-            };
-            *slot = self.groups[group].pick(generation);
-            let Some(to) = *slot else {
-                self.events
-                    .push(ClusterEvent::GroupUncovered { batch, group });
-                continue;
-            };
-            failovers += 1;
-            self.events.push(ClusterEvent::Failover {
-                batch,
-                group,
-                from,
-                to,
-            });
-        }
-        let covered = chosen.iter().flatten().count();
-        if covered < needed {
-            return lost(covered);
-        }
-        let (stale, served) = (generation < latest, generation);
-        if stale {
-            self.events.push(ClusterEvent::ServedStale {
-                batch,
-                served,
-                latest,
-            });
-        }
+        let chosen = self.groups.iter_mut().map(|g| g.pick(generation)).collect();
         Ok(ClusterBatchReport {
-            queries,
             generation,
             latest,
-            stale,
-            covered,
-            groups,
-            failovers,
             chosen,
         })
     }
@@ -1596,14 +1533,25 @@ impl ClusterModel {
                 });
                 shown(&generation)
             }
+            ClusterStep::Kill { group, replica } => {
+                let slot = self.groups.get_mut(group).map(|g| &mut g.replicas);
+                let Some(state) = slot.and_then(|r| r.get_mut(replica)) else {
+                    return refused;
+                };
+                if !state.down {
+                    (state.down, state.killed) = (true, true);
+                    self.events
+                        .push(ClusterEvent::ReplicaKilled { group, replica });
+                }
+                shown(&())
+            }
             _ => refused,
         }
     }
 
     /// A load over the columns with `damage` on them: a `Persist` error
     /// if none is readable, refused if readable ones disagree or no slot
-    /// loads; else each slot at its column's generation, or down and empty,
-    /// on a fresh clock.
+    /// loads; else each slot at its column's generation, or down.
     fn reload(&mut self, damage: Disk) -> Result<String, String> {
         let (mut columns, mut readable) = (self.columns.clone(), vec![true; self.columns.len()]);
         match damage {
@@ -1631,13 +1579,13 @@ impl ClusterModel {
             cursor: 0,
             replicas: vec![ReplicaState::default(); readable.len()],
         };
-        (self.groups, self.batches) = (vec![group; SHARDS], 0);
+        self.groups = vec![group; SHARDS];
         for (g, group) in self.groups.iter_mut().enumerate() {
             for (r, state) in group.replicas.iter_mut().enumerate() {
                 match readable[r].then(|| columns[r].load(g, r)) {
                     Some(Ok(generation)) => state.generation = generation,
                     failed => {
-                        (state.down, state.empty) = (true, true);
+                        state.down = true;
                         self.events.extend(failed.and_then(Result::err));
                     }
                 }
@@ -1689,7 +1637,7 @@ impl ClusterRun<'_> {
     /// A batch, held to the model (15), (16) and the oracle (14).
     fn serve(&mut self, rows: &[usize]) -> Result<ClusterBatchReport, String> {
         let queries: Vec<Vec<f64>> = rows.iter().map(|&i| fixture().pool[i].clone()).collect();
-        let want = self.model.serve(rows.len(), self.schedule.quorum);
+        let want = self.model.serve(self.schedule.quorum);
         let got = self.apply(|c| {
             let answered = c.answer_batch(&queries).map_err(|e| e.to_string());
             let bits = |answers: Vec<f64>| answers.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -1701,9 +1649,6 @@ impl ClusterRun<'_> {
             self.seen.insert("a typed quorum loss".into());
             return want;
         };
-        let flat = report.chosen.iter().flatten().count();
-        let stale = report.generation < report.latest;
-        assert!(report.covered == flat && report.stale == stale, "(15)");
         // (14): per row, each covered group's source shard at the served
         // generation, merged in group order and finished once.
         let moments = &self.moments[report.generation as usize];
@@ -1718,8 +1663,19 @@ impl ClusterRun<'_> {
             let want = self.answer(sources.iter().copied(), i);
             assert_eq!(*got, want, "(14) row {k}, pool query {i}: {report:?}");
         }
-        if report.covered < report.groups {
+        if report.covered() < report.chosen.len() {
             self.seen.insert("a partial-quorum answer".into());
+        }
+        if report.stale() {
+            self.seen.insert("a stale batch".into());
+        }
+        let killed_at = |g: &GroupState| {
+            (g.replicas.iter()).any(|r| r.killed && r.generation == report.generation)
+        };
+        let mut groups = self.model.groups.iter().zip(&report.chosen);
+        if groups.any(|(g, r)| r.is_some() && killed_at(g)) {
+            let around = "a batch routed around a killed replica";
+            self.seen.insert(around.into());
         }
         if rows.len() > 2 * SCATTER_SUB_BATCH {
             let crossing = "a batch crossing the sub-batch bound";
@@ -1772,8 +1728,8 @@ impl ClusterRun<'_> {
     }
 
     /// `Cluster::load` over a copy of the columns with `damage` on it:
-    /// on success the loaded cluster, armed with the kills not yet
-    /// fired, replaces the run's. Then a batch of `rows`.
+    /// on success the loaded cluster replaces the run's. Then a batch of
+    /// `rows`.
     fn reload(&mut self, damage: Disk, rows: &[usize]) {
         let copy = |(c, m): (usize, &PathBuf)| publish_into(m, &self.dir.join(format!("load/{c}")));
         let mut columns: Vec<PathBuf> = self.columns.iter().enumerate().map(copy).collect();
@@ -1782,10 +1738,10 @@ impl ClusterRun<'_> {
             columns[0] = self.foreign[0].clone();
         }
         let want = self.model.reload(damage);
-        let (opts, faults) = (self.opts, self.model.faults.clone());
+        let opts = self.opts;
         let got = self.apply(|c| {
             let loaded = Cluster::load(&columns, RoutePolicy::RoundRobin, opts);
-            shown(loaded.map(|loaded| *c = loaded.with_faults(faults)))
+            shown(loaded.map(|loaded| *c = loaded))
         });
         std::fs::remove_dir_all(self.dir.join("load")).unwrap();
         assert_eq!(got, want, "(15), (18) a reload after {damage:?}");
@@ -1796,8 +1752,8 @@ impl ClusterRun<'_> {
         let mixed = got.is_ok() && self.model.held().len() > 1;
         let after = match self.serve(rows) {
             Err(_) if lost => "a lost group: QuorumLost",
-            Ok(r) if lost && r.covered < r.groups => "a lost group: a partial answer",
-            Ok(r) if mixed && r.stale => "mixed generations: a stale batch",
+            Ok(r) if lost && r.covered() < r.chosen.len() => "a lost group: a partial answer",
+            Ok(r) if mixed && r.stale() => "mixed generations: a stale batch",
             _ => "nothing",
         };
         self.seen.insert(format!("after a reload with {after}"));
@@ -1807,6 +1763,13 @@ impl ClusterRun<'_> {
     /// a roll has finished, and (18) a foreign manifest was refused.
     fn control(&mut self, step: &ClusterStep) {
         let (columns, published) = (self.columns.clone(), self.published);
+        let down = match *step {
+            ClusterStep::Kill { group, replica } => {
+                let group = self.model.groups.get(group);
+                group.and_then(|g| g.replicas.get(replica)).map(|r| r.down)
+            }
+            _ => None,
+        };
         let foreign = match *step {
             ClusterStep::Foreign { plan, .. } => self.foreign[usize::from(plan)].clone(),
             _ => self.publish.clone(),
@@ -1820,6 +1783,7 @@ impl ClusterRun<'_> {
             ClusterStep::Repair { group, replica } => {
                 shown(c.repair_replica(group, replica, &foreign))
             }
+            ClusterStep::Kill { group, replica } => shown(c.kill_replica(group, replica)),
             ClusterStep::Foreign { repair: true, .. } => shown(c.repair_replica(0, 0, &foreign)),
             _ => {
                 let mut columns = columns.clone();
@@ -1849,6 +1813,14 @@ impl ClusterRun<'_> {
             }
             ClusterStep::Foreign { .. } => {
                 self.seen.insert("a refused foreign manifest".into());
+            }
+            ClusterStep::Kill { .. } => {
+                let kill = match down {
+                    None => "a kill refused for a slot that does not exist",
+                    Some(true) => "a kill of a replica already down",
+                    Some(false) => "a kill",
+                };
+                self.seen.insert(kill.into());
             }
             _ => {}
         }
@@ -1892,10 +1864,10 @@ fn run_cluster_at(schedule: &ClusterSchedule, threads: usize) -> HashSet<String>
         columns,
         foreign,
         opts,
-        cluster: cluster.with_faults(schedule.faults.clone()),
+        cluster,
         published: 0,
         moments: builds.iter().map(|b| pool_moments(&stored(b))).collect(),
-        model: ClusterModel::new(schedule.replicas, &schedule.faults),
+        model: ClusterModel::new(schedule.replicas),
         seen: HashSet::new(),
     };
     for step in &schedule.steps {

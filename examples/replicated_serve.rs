@@ -1,19 +1,20 @@
-//! Replicated cluster lifecycle: **build → replicate → route →
-//! fault-inject → rolling upgrade → re-shard**.
+//! Replicated cluster lifecycle: **build → replicate → route → kill →
+//! rolling upgrade → re-shard**.
 //!
 //! `sharded_serve` scales one box to K shards; this example drives the
 //! simulated-cluster path from `docs/scaling.md` where every shard
 //! group has N replicas, routed round-robin, and the failure modes are
-//! *injected on purpose*: a replayable replica kill, and a damaged
-//! artifact on one replica's disk:
+//! *caused on purpose*: a replica kill, and a damaged artifact on one
+//! replica's disk:
 //!
 //! 1. build a K=2 round-robin AVG deployment and publish it as an NSKM
 //!    manifest, then lay it out as two replica directories,
 //! 2. [`Cluster::load`] the replicas and verify a healthy cluster
 //!    answers **bitwise identically** to the single-box
 //!    [`ShardedServer`],
-//! 3. kill a replica mid-batch with an armed [`Fault`]: the router
-//!    fails over, the event log says so, and answers do not move,
+//! 3. kill a replica between batches with [`Cluster::kill_replica`]:
+//!    the next batch is routed around it, every group still covered,
+//!    and answers do not move,
 //! 4. retrain against drifted data, publish a generation-1 refresh
 //!    into both replica directories — group 1's new artifact damaged
 //!    on replica 0's disk — and roll it out replica by replica from
@@ -34,9 +35,7 @@
 //! ```
 
 use datagen::simple::{drift_batch, uniform};
-use neurosketch::cluster::{
-    Cluster, ClusterError, ClusterEvent, ClusterOptions, Fault, RoutePolicy,
-};
+use neurosketch::cluster::{Cluster, ClusterError, ClusterEvent, ClusterOptions, RoutePolicy};
 use neurosketch::maintenance::{retrain_shards, DriftMonitor};
 use neurosketch::serve::ServeOptions;
 use neurosketch::shard::{build_sharded, ShardPlan, ShardedServer};
@@ -133,39 +132,31 @@ fn main() {
     );
     println!(
         "healthy serve: {} queries over {} groups, gen {}, bitwise = single box",
-        report.queries, report.groups, report.generation
+        wl.queries.len(),
+        report.chosen.len(),
+        report.generation
     );
 
-    // 3. Kill a replica mid-batch; the router fails over and answers
-    // do not move. The kill is plain data — serialize it, keep it, and
-    // any later run replays the same failure sequence.
-    let faults = vec![Fault::Kill {
-        batch: 0,
-        group: 0,
-        replica: 0,
-    }];
-    println!(
-        "armed faults: {}",
-        serde_json::to_string(&faults).expect("serialize faults")
+    // 3. Kill a replica between batches: the next batch is routed
+    // around it, and answers do not move.
+    cluster
+        .kill_replica(0, 0)
+        .expect("kill replica 0 of group 0");
+    let (answers, report) = cluster
+        .answer_batch(&wl.queries)
+        .expect("batch after the kill");
+    assert_eq!(answers, gen0_expect, "a kill must not move answers");
+    assert_ne!(
+        report.chosen[0],
+        Some(0),
+        "the killed replica must not serve"
     );
-    let mut cluster = Cluster::load(
-        &replica_manifests,
-        RoutePolicy::RoundRobin,
-        ClusterOptions::default(),
-    )
-    .expect("cluster reload")
-    .with_faults(faults);
-    let (answers, report) = cluster.answer_batch(&wl.queries).expect("kill batch");
-    assert_eq!(answers, gen0_expect, "failover must not move answers");
-    assert!(report.failovers >= 1, "the routed replica died mid-batch");
-    let killed = cluster
-        .events()
-        .iter()
-        .any(|e| matches!(e, ClusterEvent::ReplicaKilled { .. }));
-    assert!(killed, "the injected kill must land, typed");
+    assert_eq!(report.covered(), shards, "every group must stay covered");
     println!(
-        "injected kill: {} failover(s), coverage {}/{}, answers bitwise unchanged",
-        report.failovers, report.covered, report.groups
+        "killed replica 0 of group 0: routed to {:?}, coverage {}/{}, answers bitwise unchanged",
+        report.chosen,
+        report.covered(),
+        report.chosen.len()
     );
     // Repair it from its own replica disk (still generation 0) so the
     // upcoming roll has full redundancy to walk through.
@@ -218,7 +209,10 @@ fn main() {
         mid, gen0_expect,
         "mid-roll batches must not blend generations"
     );
-    assert!(mid_report.stale, "serving behind the roll must be flagged");
+    assert!(
+        mid_report.stale(),
+        "serving behind the roll must be flagged"
+    );
     println!(
         "mid-roll: serving gen {} while gen {} lands — stale flag set, answers bitwise gen 0",
         mid_report.generation, mid_report.latest
@@ -242,7 +236,7 @@ fn main() {
     );
     let (post, post_report) = cluster.answer_batch(&wl.queries).expect("post-roll batch");
     assert_eq!(post, gen1_expect, "post-roll answers must be gen 1");
-    assert!(!post_report.stale);
+    assert!(!post_report.stale());
     println!(
         "rolled to gen {} in {} steps around the damaged slot, stale flag cleared",
         post_report.generation,
@@ -316,7 +310,7 @@ fn main() {
         "re-sharded {:?} -> {:?}: {} groups reloaded, bitwise = fresh 4-shard build",
         ShardPlan::RoundRobin { shards },
         cluster.plan(),
-        report.groups
+        report.chosen.len()
     );
 
     std::fs::remove_dir_all(&fine_publish).ok();
@@ -324,5 +318,5 @@ fn main() {
     for dir in &replica_dirs {
         std::fs::remove_dir_all(dir).ok();
     }
-    println!("build -> replicate -> fault-inject -> roll -> re-shard round trip verified");
+    println!("build -> replicate -> kill -> roll -> re-shard round trip verified");
 }
